@@ -11,7 +11,8 @@ threshold for the strict LMIs and as slack for the non-strict ones.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 from .smallmat import SymMatrix, eigenvalues
 
@@ -20,6 +21,8 @@ DEFAULT_MARGIN = 1e-9
 # the 1-D reduction has no lambda0; this value reproduces the sharp 1-D
 # alpha = 1 - 2 chi to well past four decimals while keeping the 3x3 form
 DEFAULT_LAMBDA0_1D = 1e-6
+# the four LMIs, in the order reports and certificates list them
+LMI_NAMES = ("phi0", "psi1", "psi2", "phi_obs")
 
 
 class CertificateError(ValueError):
@@ -31,15 +34,49 @@ def _wq(n):
     return 4.0 / (PI2 * n)
 
 
-def _scalar(name, v, positive=True, nonneg=False):
-    v = float(v)
-    if not math.isfinite(v):
-        raise CertificateError("%s must be finite" % name)
-    if positive and not v > 0:
-        raise CertificateError("%s must be > 0, got %r" % (name, v))
-    if nonneg and v < 0:
-        raise CertificateError("%s must be >= 0, got %r" % (name, v))
-    return v
+# ------------------------------------------------------------------ validation
+# every scalar the package accepts from a caller or a config file goes
+# through checked_float or checked_int, which reject bools, non-numbers and
+# non-finite values; both raise CertificateError, a ValueError
+
+
+def checked_float(name, value, low=None, strict=False):
+    """value as a finite float; with low set, also value >= low (> low if strict)."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise CertificateError("%s must be a number, got %r" % (name, value))
+        value = float(value)
+    if not math.isfinite(value):
+        raise CertificateError("%s must be finite, got %r" % (name, value))
+    if low is not None and not (value > low if strict else value >= low):
+        raise CertificateError("%s must be %s %g, got %r"
+                               % (name, ">" if strict else ">=", low, value))
+    return value
+
+
+def checked_int(name, value, low):
+    """value as an int >= low; integral floats such as 3.0 are accepted."""
+    integral = type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+        and math.isfinite(value) and value == int(value))
+    if not integral or value < low:
+        raise CertificateError("%s must be an integer >= %d, got %r" % (name, low, value))
+    return int(value)
+
+
+def reject_unknown_keys(what, dct, allowed):
+    """Reject a dct that is not a dict or holds a key outside allowed."""
+    if not isinstance(dct, dict):
+        raise CertificateError("expected a JSON object of %s keys" % what)
+    unknown = set(dct) - set(allowed)
+    if unknown:
+        raise CertificateError("unknown %s keys: %s" % (what, ", ".join(sorted(unknown))))
+
+
+def _set_fields(obj):
+    # the dataclass fields that are set, in declaration order
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if getattr(obj, f.name) is not None}
 
 
 @dataclass(frozen=True)
@@ -61,43 +98,26 @@ class ProblemParams:
     d: float = None
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, float):
-            if not n.is_integer():
-                raise CertificateError("n must be an integer >= 1")
-            n = int(n)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise CertificateError("n must be an integer >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", _scalar("k", self.k))
-        object.__setattr__(self, "g1", _scalar("g1", self.g1, positive=False, nonneg=True))
+        object.__setattr__(self, "n", checked_int("n", self.n, 1))
+        object.__setattr__(self, "k", checked_float("k", self.k, 0.0, strict=True))
+        object.__setattr__(self, "g1", checked_float("g1", self.g1, 0.0))
         if self.delta is not None:
             # delta = 0 is the marginal "no decay demanded" case; the decay
             # matrix is still well defined there, so only negatives are out.
-            object.__setattr__(
-                self, "delta", _scalar("delta", self.delta, positive=False, nonneg=True)
-            )
+            object.__setattr__(self, "delta", checked_float("delta", self.delta, 0.0))
         for name in ("t_star", "t_total", "d"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, _scalar(name, v))
+                object.__setattr__(self, name, checked_float(name, v, 0.0, strict=True))
         if self.t_total is not None and self.t_star is not None and self.t_total < self.t_star:
             raise CertificateError("t_total must be >= t_star")
 
     def to_dict(self):
-        out = {"n": self.n, "k": self.k, "g1": self.g1}
-        for name in ("delta", "t_star", "t_total", "d"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return _set_fields(self)
 
     @classmethod
     def from_dict(cls, dct):
-        allowed = {"n", "k", "g1", "delta", "t_star", "t_total", "d"}
-        unknown = set(dct) - allowed
-        if unknown:
-            raise CertificateError("unknown problem keys: %s" % ", ".join(sorted(unknown)))
+        reject_unknown_keys("problem", dct, (f.name for f in fields(cls)))
         if "n" not in dct or "k" not in dct:
             raise CertificateError("problem requires at least n and k")
         return cls(**dct)
@@ -121,26 +141,18 @@ class DecisionVars:
     gamma: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", _scalar("chi", self.chi, positive=False, nonneg=True))
+        object.__setattr__(self, "chi", checked_float("chi", self.chi, 0.0))
         for name in ("lambda0", "lambda1", "lambda2", "r", "gamma"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, _scalar(name, v))
+                object.__setattr__(self, name, checked_float(name, v, 0.0, strict=True))
 
     def to_dict(self):
-        out = {"chi": self.chi}
-        for name in ("lambda0", "lambda1", "lambda2", "r", "gamma"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return _set_fields(self)
 
     @classmethod
     def from_dict(cls, dct):
-        allowed = {"chi", "lambda0", "lambda1", "lambda2", "r", "gamma"}
-        unknown = set(dct) - allowed
-        if unknown:
-            raise CertificateError("unknown variable keys: %s" % ", ".join(sorted(unknown)))
+        reject_unknown_keys("variable", dct, (f.name for f in fields(cls)))
         if "chi" not in dct:
             raise CertificateError("variables require chi")
         return cls(**dct)
@@ -236,12 +248,6 @@ def build_phi_obs(params, vars):
 # ------------------------------------------------------------------ checks
 
 
-def _check_margin(margin):
-    if not (margin >= 0.0) or not math.isfinite(margin):
-        raise CertificateError("margin must be a finite scalar >= 0")
-    return float(margin)
-
-
 def check_stability(params, vars, margin=DEFAULT_MARGIN):
     """Feasibility report for the exponential-stability LMIs.
 
@@ -250,7 +256,7 @@ def check_stability(params, vars, margin=DEFAULT_MARGIN):
     margins dict records the decisive eigenvalue of each matrix: lambda_min
     for phi0, the scalar itself for psi1, lambda_max for psi2.
     """
-    margin = _check_margin(margin)
+    margin = checked_float("margin", margin, 0.0)
     _require(vars, "chi", "lambda1")
     lam_min_phi0 = eigenvalues(build_phi0(params, vars))[0]
     psi1 = build_psi1(params, vars)
@@ -330,7 +336,7 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
     perturbation of psi2 staying negative definite.  For n = 1 every r-term
     vanishes and the closed form is returned (r is reported as 0).
     """
-    margin = _check_margin(margin)
+    margin = checked_float("margin", margin, 0.0)
     _require(vars, "chi", "lambda1")
     n, k, chi = params.n, params.k, vars.chi
     psi1 = build_psi1(params, vars)
@@ -428,36 +434,39 @@ class Certificate:
     margins: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _scalar("alpha", self.alpha))
-        object.__setattr__(self, "beta", _scalar("beta", self.beta))
+        object.__setattr__(self, "alpha", checked_float("alpha", self.alpha, 0.0, strict=True))
+        object.__setattr__(self, "beta", checked_float("beta", self.beta, 0.0, strict=True))
         if self.alpha > self.beta:
             raise CertificateError("alpha must not exceed beta")
         if self.q is not None:
-            q = _scalar("q", self.q)
+            q = checked_float("q", self.q, 0.0, strict=True)
             if q > 1.0:
                 raise CertificateError("q must lie in (0, 1]")
             object.__setattr__(self, "q", q)
         if self.d0 is not None:
-            object.__setattr__(self, "d0", _scalar("d0", self.d0))
+            object.__setattr__(self, "d0", checked_float("d0", self.d0, 0.0, strict=True))
         object.__setattr__(self, "margins", dict(self.margins))
 
 
-def make_certificate(params, vars, margin=DEFAULT_MARGIN, require_feasible=True):
-    """Assemble a certificate: run the checks, then derive alpha, beta, q, d0.
+def check_point(params, vars, margin=DEFAULT_MARGIN):
+    """(vars, report) for the LMIs that apply at one decision point.
 
-    With require_feasible (the default) an infeasible point raises; pass
-    False to still collect margins and constants for a point that is being
-    inspected rather than certified.
+    lambda0 takes its 1-D default when unset.  A point carrying both t_star
+    and lambda2 gets the observability report, any other the stability
+    report; report["failing"] names the LMIs that fail, in LMI_NAMES order.
     """
     vars = replace(vars, lambda0=_lambda0(params, vars))
     if params.t_star is not None and vars.lambda2 is not None:
         report = check_observability(params, vars, margin)
     else:
         report = check_stability(params, vars, margin)
-    if require_feasible and not report["feasible"]:
-        failing = [name for name in ("phi0", "psi1", "psi2", "phi_obs")
-                   if not report.get(name + "_ok", True)]
-        raise CertificateError("LMIs infeasible at this point: %s" % ", ".join(failing))
+    report["failing"] = [name for name in LMI_NAMES
+                         if not report.get(name + "_ok", True)]
+    return vars, report
+
+
+def certificate_at(params, vars, report):
+    """Certificate for a point check_point has checked: alpha, beta, q, d0."""
     alpha, beta = compute_alpha_beta(params, vars)
     q = None
     if params.t_total is not None and params.t_star is not None and params.delta is not None:
@@ -469,6 +478,20 @@ def make_certificate(params, vars, margin=DEFAULT_MARGIN, require_feasible=True)
     return Certificate(params, vars, alpha, beta, q, d0, report["margins"])
 
 
+def make_certificate(params, vars, margin=DEFAULT_MARGIN, require_feasible=True):
+    """Assemble a certificate: run the checks, then derive alpha, beta, q, d0.
+
+    With require_feasible (the default) an infeasible point raises; pass
+    False to still collect margins and constants for a point that is being
+    inspected rather than certified.
+    """
+    vars, report = check_point(params, vars, margin)
+    if require_feasible and not report["feasible"]:
+        raise CertificateError("LMIs infeasible at this point: %s"
+                               % ", ".join(report["failing"]))
+    return certificate_at(params, vars, report)
+
+
 def certificate_to_dict(cert):
     out = {"params": cert.params.to_dict(), "vars": cert.vars.to_dict(),
            "alpha": cert.alpha, "beta": cert.beta}
@@ -477,7 +500,7 @@ def certificate_to_dict(cert):
     if cert.d0 is not None:
         out["d0"] = cert.d0
     margins = {}
-    for name in ("phi0", "psi1", "psi2", "phi_obs"):
+    for name in LMI_NAMES:
         if name in cert.margins:
             margins[name] = cert.margins[name]
     out["margins"] = margins
@@ -485,17 +508,12 @@ def certificate_to_dict(cert):
 
 
 def certificate_from_dict(dct):
-    allowed = {"params", "vars", "alpha", "beta", "q", "d0", "margins"}
-    unknown = set(dct) - allowed
-    if unknown:
-        raise CertificateError("unknown certificate keys: %s" % ", ".join(sorted(unknown)))
+    reject_unknown_keys("certificate", dct, (f.name for f in fields(Certificate)))
     for key in ("params", "vars", "alpha", "beta"):
         if key not in dct:
             raise CertificateError("certificate missing %s" % key)
     margins = dct.get("margins", {})
-    bad = set(margins) - {"phi0", "psi1", "psi2", "phi_obs"}
-    if bad:
-        raise CertificateError("unknown margin keys: %s" % ", ".join(sorted(bad)))
+    reject_unknown_keys("margin", margins, LMI_NAMES)
     return Certificate(
         ProblemParams.from_dict(dct["params"]),
         DecisionVars.from_dict(dct["vars"]),
@@ -503,7 +521,7 @@ def certificate_from_dict(dct):
         dct["beta"],
         dct.get("q"),
         dct.get("d0"),
-        {k: float(v) for k, v in margins.items()},
+        {k: checked_float("margin " + k, v) for k, v in margins.items()},
     )
 
 
@@ -525,6 +543,8 @@ def _emit(obj, pieces):
     elif obj is False:
         pieces.append("false")
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite float %r has no JSON form" % obj)
         pieces.append(fmt_float(obj))
     elif isinstance(obj, int):
         pieces.append(str(obj))
@@ -552,5 +572,8 @@ def _emit(obj, pieces):
 
 
 def json_dumps(obj):
-    """JSON text with every float printed to 17 significant digits."""
+    """JSON text with every float printed to 17 significant digits.
+
+    NaN and infinities raise ValueError: JSON has no literal for them.
+    """
     return "".join(_emit(obj, []))

@@ -19,12 +19,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import pde
-from .certificates import (DEFAULT_LAMBDA0_1D, DEFAULT_MARGIN,
-                           CertificateError, DecisionVars, ProblemParams,
-                           certificate_from_dict, certificate_to_dict,
-                           check_observability, check_stability,
+from .certificates import (DEFAULT_MARGIN, DecisionVars, ProblemParams,
+                           certificate_at, certificate_from_dict,
+                           certificate_to_dict, check_point, checked_float,
                            compute_regional_radius, json_dumps,
-                           make_certificate)
+                           reject_unknown_keys)
 from .observer import RecoveryConfig, recover, run_to_json
 from .search import (Infeasible, SearchConfig, find_feasible_vars,
                      maximize_regional_radius, minimal_observability_time,
@@ -32,8 +31,7 @@ from .search import (Infeasible, SearchConfig, find_feasible_vars,
 
 MODES = ("certify", "min-time", "regional", "simulate", "recover", "sweep")
 
-CONFIG_KEYS = {"mode", "problem", "problems", "search", "sim", "seed",
-               "certificate"}
+CONFIG_KEYS = {"mode", "problem", "problems", "search", "sim", "certificate"}
 SIM_KEYS = {"dim", "points_per_axis", "horizon", "cfl", "mode", "k", "chi",
             "nonlinearity", "initial", "convergence_threshold"}
 NONLINEARITY_FORMS = ("linear", "quadratic", "sine")
@@ -71,24 +69,12 @@ def _load_json(path):
         raise CliError("%s:%d:%d: %s" % (path, exc.lineno, exc.colno, exc.msg))
 
 
-def _check_keys(section, dct, allowed):
-    if not isinstance(dct, dict):
-        raise CliError("%s must be a JSON object" % section)
-    unknown = set(dct) - allowed
-    if unknown:
-        raise CliError("unknown %s key(s): %s"
-                       % (section, ", ".join(sorted(unknown))))
-
-
 def load_config(path, mode):
     doc = _load_json(path)
-    _check_keys("config", doc, CONFIG_KEYS)
+    reject_unknown_keys("config", doc, CONFIG_KEYS)
     if "mode" in doc and doc["mode"] != mode:
         raise CliError("config mode %r does not match subcommand %r"
                        % (doc["mode"], mode))
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise CliError("seed must be an integer")
     return doc
 
 
@@ -98,8 +84,6 @@ def parse_problem(doc, required=True):
         if required:
             raise CliError("this mode requires a problem section")
         return None
-    if not isinstance(problem, dict):
-        raise CliError("problem must be a JSON object")
     return ProblemParams.from_dict(problem)
 
 
@@ -107,8 +91,6 @@ def parse_search(doc):
     section = doc.get("search")
     if section is None:
         return SearchConfig()
-    if not isinstance(section, dict):
-        raise CliError("search must be a JSON object")
     return SearchConfig.from_dict(section)
 
 
@@ -116,7 +98,7 @@ def parse_sim(doc, require_initial=False):
     sim = doc.get("sim")
     if sim is None:
         raise CliError("this mode requires a sim section")
-    _check_keys("sim", sim, SIM_KEYS)
+    reject_unknown_keys("sim", sim, SIM_KEYS)
     for key in ("points_per_axis", "horizon"):
         if key not in sim:
             raise CliError("sim requires %s" % key)
@@ -145,32 +127,27 @@ def build_nonlinearity(spec):
     """
     if spec is None:
         return pde.ZERO_F
-    _check_keys("nonlinearity", spec, {"form", "coeff", "fz_bound",
-                                       "local_radius"})
+    reject_unknown_keys("nonlinearity", spec,
+                        ("form", "coeff", "fz_bound", "local_radius"))
     form = spec.get("form")
     if form not in NONLINEARITY_FORMS:
         raise CliError("nonlinearity form must be one of: %s"
                        % ", ".join(NONLINEARITY_FORMS))
-    coeff = spec.get("coeff", 1.0)
-    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-        raise CliError("nonlinearity coeff must be a number")
-    coeff = float(coeff)
-    if form == "linear":
-        f = lambda z, x, t: coeff * z
-        default_bound = abs(coeff)
-    elif form == "quadratic":
-        f = lambda z, x, t: coeff * z * z
-        default_bound = 0.0
-    else:
-        f = lambda z, x, t: coeff * np.sin(z)
-        default_bound = abs(coeff)
-    radius = spec.get("local_radius")
     try:
-        return pde.Nonlinearity(f, fz_bound=float(spec.get("fz_bound",
-                                                           default_bound)),
-                                local_radius=math.inf if radius is None
-                                else float(radius))
-    except (TypeError, ValueError) as exc:
+        coeff = checked_float("coeff", spec.get("coeff", 1.0))
+        if form == "linear":
+            f = lambda z, x, t: coeff * z
+            default_bound = abs(coeff)
+        elif form == "quadratic":
+            f = lambda z, x, t: coeff * z * z
+            default_bound = 0.0
+        else:
+            f = lambda z, x, t: coeff * np.sin(z)
+            default_bound = abs(coeff)
+        radius = spec.get("local_radius")
+        return pde.Nonlinearity(f, fz_bound=spec.get("fz_bound", default_bound),
+                                local_radius=math.inf if radius is None else radius)
+    except ValueError as exc:
         raise CliError("nonlinearity: %s" % exc)
 
 
@@ -198,7 +175,7 @@ def _fourier_sum(coeffs, grid):
 
 
 def build_initial(spec, grid):
-    _check_keys("initial", spec, set(IC_KINDS))
+    reject_unknown_keys("initial", spec, IC_KINDS)
     given = [kind for kind in IC_KINDS if kind in spec]
     if len(given) != 1:
         raise CliError("initial requires exactly one of: %s"
@@ -216,7 +193,7 @@ def build_initial(spec, grid):
             z = 0.2733 * x * (1 - x / 2)
             return pde.WaveField(z, z.copy())
         sub = spec[kind]
-        _check_keys(kind, sub, {"z", "zt"})
+        reject_unknown_keys(kind, sub, ("z", "zt"))
         if "z" not in sub:
             raise CliError("%s requires z coefficients" % kind)
         if kind == "polynomial":
@@ -233,7 +210,7 @@ def build_initial(spec, grid):
         zt = (_fourier_sum(sub["zt"], grid) if "zt" in sub
               else np.zeros_like(z))
         return pde.WaveField(z, zt)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError("initial: %s" % exc)
 
 
@@ -284,29 +261,22 @@ def cmd_certify(args):
             params = cert_params
     if vars is None:
         vars = find_feasible_vars(params, parse_search(doc))
-    if vars.lambda0 is None and params.n == 1:
-        vars = replace(vars, lambda0=DEFAULT_LAMBDA0_1D)
-    observability = params.t_star is not None and vars.lambda2 is not None
-    check = check_observability if observability else check_stability
-    report = check(params, vars, args.margin)
+    vars, report = check_point(params, vars, args.margin)
     out = {"feasible": report["feasible"], "params": params.to_dict(),
            "vars": vars.to_dict()}
     if report["feasible"]:
-        cert = make_certificate(params, vars, margin=args.margin)
+        cert = certificate_at(params, vars, report)
         out["alpha"] = cert.alpha
         out["beta"] = cert.beta
         if cert.q is not None:
             out["q"] = cert.q
         if cert.d0 is not None:
             out["d0"] = cert.d0
-        out["margins"] = report["margins"]
-        print(json_dumps(out))
-        return 0
-    names = ("phi0", "psi1", "psi2", "phi_obs")
-    out["failing"] = [n for n in names if not report.get(n + "_ok", True)]
+    else:
+        out["failing"] = report["failing"]
     out["margins"] = report["margins"]
     print(json_dumps(out))
-    return 2
+    return 0 if report["feasible"] else 2
 
 
 def cmd_min_time(args):
@@ -366,10 +336,11 @@ def cmd_simulate(args):
         energies, lyap = series, None
     else:
         energies, lyap = series
+    summary = json_dumps({"steps": trace.steps, "dt": trace.dt,
+                          "energy_initial": float(energies[0]),
+                          "energy_final": float(energies[-1])})
     _write(args.out, pde.trajectory_csv(trace, energies, lyap))
-    print(json_dumps({"steps": trace.steps, "dt": trace.dt,
-                      "energy_initial": float(energies[0]),
-                      "energy_final": float(energies[-1])}))
+    print(summary)
     return 0
 
 

@@ -16,26 +16,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import pde
-from .certificates import compute_iss_gain, json_dumps
+from .certificates import checked_float, checked_int, compute_iss_gain, json_dumps
 from .search import delta_margin
 
 DIVERGENCE_FACTOR = 1e6
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _as_float(name, value, minimum=None, strict=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("%s must be a scalar" % name)
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("%s must be finite" % name)
-    if minimum is not None:
-        if strict and not value > minimum:
-            raise ValueError("%s must be > %g" % (name, minimum))
-        if not strict and not value >= minimum:
-            raise ValueError("%s must be >= %g" % (name, minimum))
-    return value
 
 
 @dataclass(frozen=True)
@@ -56,21 +40,18 @@ class RecoveryConfig:
     stop_early: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _as_float("k", self.k, 0.0))
+        object.__setattr__(self, "k", checked_float("k", self.k, 0.0))
         object.__setattr__(self, "horizon",
-                           _as_float("horizon", self.horizon, 0.0, strict=True))
-        if isinstance(self.m_max, bool) or self.m_max != int(self.m_max) \
-                or int(self.m_max) < 1:
-            raise ValueError("m_max must be an integer >= 1")
-        object.__setattr__(self, "m_max", int(self.m_max))
+                           checked_float("horizon", self.horizon, 0.0, strict=True))
+        object.__setattr__(self, "m_max", checked_int("m_max", self.m_max, 1))
         if not isinstance(self.grid, pde.Grid):
             raise ValueError("grid must be a Grid")
         if not isinstance(self.nonlinearity, pde.Nonlinearity):
             raise ValueError("nonlinearity must be a Nonlinearity")
         object.__setattr__(
             self, "convergence_threshold",
-            _as_float("convergence_threshold", self.convergence_threshold,
-                      0.0, strict=True))
+            checked_float("convergence_threshold", self.convergence_threshold,
+                          0.0, strict=True))
         steps = round(self.horizon / self.grid.dt)
         if steps < 1 or abs(steps * self.grid.dt - self.horizon) \
                 > 1e-9 * max(1.0, self.horizon):
@@ -376,7 +357,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     gap_sq = 2.0 * pde.energy(gap_field, grid_f)
 
     per_level = _boundary_sq_integral(noise.samples, config.grid)
-    noise_integral = float(_trapz(per_level, dx=noise.dt))
+    noise_integral = float(pde._trapz(per_level, dx=noise.dt))
 
     gamma = cert.vars.gamma
     if gamma is None:

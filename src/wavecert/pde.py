@@ -23,6 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .certificates import checked_float, checked_int, fmt_float
+
 KO_NU = 0.02  # fourth-difference smoothing strength
 CFL_1D = 0.9
 CFL_2D = 0.9 / math.sqrt(2.0)
@@ -60,24 +62,20 @@ class Grid:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        dim = checked_int("dim", self.dim, 1)
+        if dim > 2:
             raise ValueError("dim must be 1 or 2")
-        n = self.points_per_axis
-        if isinstance(n, bool) or n != int(n) or int(n) < 16:
-            raise ValueError("points_per_axis must be an integer >= 16")
-        object.__setattr__(self, "points_per_axis", int(n))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "points_per_axis",
+                           checked_int("points_per_axis", self.points_per_axis, 16))
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k >= 0.0):
-            raise ValueError("k must be a finite scalar >= 0")
-        object.__setattr__(self, "k", float(self.k))
-        dt = self.dt
-        if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0):
-            raise ValueError("dt must be a finite scalar > 0")
-        if dt > default_cfl(self.dim) * self.dx * (1.0 + 1e-12):
+        object.__setattr__(self, "k", checked_float("k", self.k, 0.0))
+        dt = checked_float("dt", self.dt, 0.0, strict=True)
+        if dt > default_cfl(dim) * self.dx * (1.0 + 1e-12):
             raise ValueError("dt=%g violates the CFL bound %g * dx" %
-                             (dt, default_cfl(self.dim)))
-        object.__setattr__(self, "dt", float(dt))
+                             (dt, default_cfl(dim)))
+        object.__setattr__(self, "dt", dt)
 
     @property
     def dx(self):
@@ -96,10 +94,9 @@ class Grid:
 
 def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0, cfl=None):
     """Grid whose dt divides the horizon exactly at (or under) the CFL bound."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be > 0")
-    cfl = default_cfl(dim) if cfl is None else cfl
-    dx = 1.0 / (int(points_per_axis) - 1)
+    horizon = checked_float("horizon", horizon, 0.0, strict=True)
+    cfl = default_cfl(dim) if cfl is None else checked_float("cfl", cfl, 0.0, strict=True)
+    dx = 1.0 / (checked_int("points_per_axis", points_per_axis, 16) - 1)
     steps = max(1, int(math.ceil(horizon / (cfl * dx) - 1e-12)))
     return Grid(dim, points_per_axis, horizon / steps, mode, k)
 
@@ -174,11 +171,9 @@ class BoundaryTrace:
             raise ValueError("samples must hold at least two time levels")
         if not np.all(np.isfinite(s)):
             raise ValueError("trace samples must be finite")
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0.0):
-            raise ValueError("dt must be > 0")
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "dt", checked_float("dt", self.dt, 0.0, strict=True))
+        object.__setattr__(self, "t0", checked_float("t0", self.t0))
 
     @property
     def steps(self):
@@ -202,10 +197,11 @@ class Nonlinearity:
     local_radius: float = math.inf
 
     def __post_init__(self):
-        if self.fz_bound < 0.0:
-            raise ValueError("fz_bound must be >= 0")
-        if not self.local_radius > 0.0:
-            raise ValueError("local_radius must be > 0")
+        object.__setattr__(self, "fz_bound", checked_float("fz_bound", self.fz_bound, 0.0))
+        if self.local_radius != math.inf:  # inf: the bound holds globally
+            object.__setattr__(self, "local_radius",
+                               checked_float("local_radius", self.local_radius, 0.0,
+                                             strict=True))
 
     def __call__(self, z, x, t):
         if self.f is None:
@@ -437,10 +433,7 @@ def lyapunov(field, grid, chi, k=None):
 
     chi = 0 returns the energy exactly.
     """
-    if chi is None:
-        chi = 0.0
-    if chi < 0.0:
-        raise ValueError("chi must be >= 0")
+    chi = 0.0 if chi is None else checked_float("chi", chi, 0.0)
     k = grid.k if k is None else k
     e = energy(field, grid)
     z, v, dx = field.z, field.zt, grid.dx
@@ -530,10 +523,6 @@ def sobolev_check(field, grid):
 # -------------------------------------------------------------------- export
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
 def trajectory_csv(trace, energies, lyapunovs=None):
     """CSV text t,E,V,trace0[,trace1,...]; V falls back to E when absent."""
     samples = trace.samples
@@ -544,11 +533,11 @@ def trajectory_csv(trace, energies, lyapunovs=None):
     lines = [header]
     for i in range(samples.shape[0]):
         t = trace.t0 + i * trace.dt
-        row = [_fmt(t), _fmt(energies[i]), _fmt(lyapunovs[i])]
+        row = [fmt_float(t), fmt_float(energies[i]), fmt_float(lyapunovs[i])]
         if cols == 1:
-            row.append(_fmt(samples[i]))
+            row.append(fmt_float(samples[i]))
         else:
-            row.extend(_fmt(v) for v in samples[i])
+            row.extend(fmt_float(v) for v in samples[i])
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -578,11 +567,13 @@ def snapshot_csv(field, grid):
     if grid.dim == 1:
         lines.append("x,z,zt")
         for i in range(x.size):
-            lines.append(",".join([_fmt(x[i]), _fmt(field.z[i]), _fmt(field.zt[i])]))
+            lines.append(",".join([fmt_float(x[i]), fmt_float(field.z[i]),
+                                   fmt_float(field.zt[i])]))
     else:
         lines.append("x,y,z,zt")
         for i in range(x.size):
             for j in range(x.size):
-                lines.append(",".join([_fmt(x[i]), _fmt(x[j]),
-                                       _fmt(field.z[i, j]), _fmt(field.zt[i, j])]))
+                lines.append(",".join([fmt_float(x[i]), fmt_float(x[j]),
+                                       fmt_float(field.z[i, j]),
+                                       fmt_float(field.zt[i, j])]))
     return "\n".join(lines) + "\n"

@@ -10,8 +10,9 @@ inputs and config, same outputs, regardless of worker count.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,10 +31,13 @@ from .certificates import (
     certificate_to_dict,
     check_observability,
     check_stability,
+    checked_float,
+    checked_int,
     compute_regional_radius,
     fmt_float,
     json_dumps,
     make_certificate,
+    reject_unknown_keys,
 )
 from .smallmat import eigenvalues
 
@@ -59,12 +63,11 @@ def _check_grid(name, grid):
         lo, hi, count = grid
     except (TypeError, ValueError):
         raise CertificateError("%s must be a (lo, hi, count) triple" % name)
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+    lo = checked_float(name + " lo", lo, 0.0, strict=True)
+    hi = checked_float(name + " hi", hi)
+    if not lo < hi:
         raise CertificateError("%s needs 0 < lo < hi" % name)
-    if isinstance(count, bool) or count != int(count) or int(count) < 2:
-        raise CertificateError("%s count must be an integer >= 2" % name)
-    return lo, hi, int(count)
+    return lo, hi, checked_int(name + " count", count, 2)
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,11 @@ class SearchConfig:
             object.__setattr__(self, "chi_grid", _check_grid("chi_grid", self.chi_grid))
         object.__setattr__(self, "delta_grid", _check_grid("delta_grid", self.delta_grid))
         for name in ("lambda_bisection_tol", "tstar_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise CertificateError("%s must be a finite scalar > 0" % name)
-            object.__setattr__(self, name, float(v))
-        r = self.refinement_rounds
-        if isinstance(r, bool) or r != int(r) or int(r) < 0:
-            raise CertificateError("refinement_rounds must be an integer >= 0")
-        object.__setattr__(self, "refinement_rounds", int(r))
-        m = self.margin
-        if not (isinstance(m, (int, float)) and math.isfinite(m) and m >= 0.0):
-            raise CertificateError("margin must be a finite scalar >= 0")
-        object.__setattr__(self, "margin", float(m))
+            object.__setattr__(self, name,
+                               checked_float(name, getattr(self, name), 0.0, strict=True))
+        object.__setattr__(self, "refinement_rounds",
+                           checked_int("refinement_rounds", self.refinement_rounds, 0))
+        object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
 
     def to_dict(self):
         out = {}
@@ -113,66 +109,51 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, dct):
-        allowed = {"chi_grid", "lambda_bisection_tol", "tstar_tol", "delta_grid",
-                   "refinement_rounds", "margin"}
-        unknown = set(dct) - allowed
-        if unknown:
-            raise CertificateError("unknown search keys: %s" % ", ".join(sorted(unknown)))
-        kw = dict(dct)
-        for key in ("chi_grid", "delta_grid"):
-            if key in kw and kw[key] is not None:
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
+        reject_unknown_keys("search", dct, (f.name for f in fields(cls)))
+        return cls(**dct)
 
 
 # --------------------------------------------------------- multiplier searches
 
 
-def _psi2_best(params, chi, tol):
-    """(lambda_max, lambda1) of the decay matrix at its best multiplier.
+def _bracket(params, chi, name):
+    """Search interval of one multiplier.
 
     lambda1 must at least cancel the g1 (n-1) chi term of the (3,3) entry
-    and must not overfeed the (1,1) entry; the decisive eigenvalue is convex
-    between those ends.
+    of the decay matrix and must not overfeed its (1,1) entry; a degenerate
+    interval is widened.  lambda2's interval closes as t_star shrinks.
     """
-    n, g1 = params.n, params.g1
-    lo = g1 * (n - 1) * chi
-    hi = chi * PI2 * n / 4.0
-    if hi <= lo:
-        hi = lo + max(1e-15, 1e-9 * max(lo, 1.0))
-
-    def top(lam1):
-        return eigenvalues(build_psi2(params, DecisionVars(chi=chi, lambda1=lam1)))[-1]
-
-    lam1 = _golden_min(top, lo, hi, tol)
-    return top(lam1), lam1
-
-
-def _phi0_best(params, chi, tol):
-    """(lambda_min, lambda0) of the energy-envelope matrix at its best multiplier."""
     n = params.n
-    lo, hi = 1e-12, PI2 * n / 8.0
-
-    def neg_bottom(lam0):
-        return -eigenvalues(build_phi0(params, DecisionVars(chi=chi, lambda0=lam0)))[0]
-
-    lam0 = _golden_min(neg_bottom, lo, hi, tol)
-    return -neg_bottom(lam0), lam0
-
-
-def _phi_best(params, chi, tol):
-    """(lambda_max, lambda2) of the observability matrix at its best multiplier."""
-    n = params.n
+    if name == "lambda0":
+        return 1e-12, PI2 * n / 8.0
+    if name == "lambda1":
+        lo = params.g1 * (n - 1) * chi
+        hi = chi * PI2 * n / 4.0
+        if hi <= lo:
+            hi = lo + max(1e-15, 1e-9 * max(lo, 1.0))
+        return lo, hi
     es = math.exp(-2.0 * params.delta * params.t_star)
-    hi = 0.5 * (1.0 - es) * PI2 * n / 4.0
-    if hi <= 1e-14:
-        return math.inf, 1e-14
+    return 1e-14, 0.5 * (1.0 - es) * PI2 * n / 4.0
 
-    def top(lam2):
-        return eigenvalues(build_phi_obs(params, DecisionVars(chi=chi, lambda2=lam2)))[-1]
 
-    lam2 = _golden_min(top, 1e-14, hi, tol)
-    return top(lam2), lam2
+def _best_multiplier(params, chi, tol, build, name, top=True):
+    """(decisive eigenvalue, multiplier) of build's matrix at its best `name`.
+
+    top: the largest eigenvalue decides and is minimized (psi2, phi_obs);
+    otherwise the smallest decides and is maximized (phi0).  An empty
+    interval reports an infinitely bad eigenvalue at its lower end.
+    """
+    lo, hi = _bracket(params, chi, name)
+    if hi <= lo:
+        return (math.inf if top else -math.inf), lo
+
+    def decisive(lam):
+        eigs = eigenvalues(build(params, DecisionVars(chi=chi, **{name: lam})))
+        return eigs[-1] if top else -eigs[0]
+
+    lam = _golden_min(decisive, lo, hi, tol)
+    value = decisive(lam)
+    return (value if top else -value), lam
 
 
 # ------------------------------------------------------------- stability scan
@@ -225,14 +206,16 @@ def _stability_feasible(params, chi, config):
     margin = config.margin
     if not _stability_prefilter(params, chi, margin):
         return False
-    top, _ = _psi2_best(params, chi, config.lambda_bisection_tol)
+    top, _ = _best_multiplier(params, chi, config.lambda_bisection_tol,
+                              build_psi2, "lambda1")
     if not top <= margin:
         return False
     for lam0 in (max(4.0 * margin, 1e-6), 0.3 * PI2 * params.n / 8.0):
         m = build_phi0(params, DecisionVars(chi=chi, lambda0=lam0))
         if eigenvalues(m)[0] > margin:
             return True
-    bottom, _ = _phi0_best(params, chi, config.lambda_bisection_tol)
+    bottom, _ = _best_multiplier(params, chi, config.lambda_bisection_tol,
+                                 build_phi0, "lambda0", top=False)
     return bottom > margin
 
 
@@ -289,11 +272,13 @@ def _observation_window(params, config, delta):
     tol = config.lambda_bisection_tol
 
     def feasible(t):
-        top, _ = _phi_best(replace(p, t_star=t), probe, tol)
+        top, _ = _best_multiplier(replace(p, t_star=t), probe, tol,
+                                  build_phi_obs, "lambda2")
         return top < -config.margin
 
     if not feasible(T_STAR_MAX):
-        top, _ = _phi_best(replace(p, t_star=T_STAR_MAX), probe, tol)
+        top, _ = _best_multiplier(replace(p, t_star=T_STAR_MAX), probe, tol,
+                                  build_phi_obs, "lambda2")
         raise Infeasible(
             "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
             % (T_STAR_MAX, fmt_float(delta), fmt_float(top)))
@@ -379,13 +364,14 @@ def find_feasible_vars(params, config=None):
 
     def worst(chi):
         w = margin - build_psi1(params, DecisionVars(chi=chi))
-        top2, lam1 = _psi2_best(params, chi, tol)
+        top2, lam1 = _best_multiplier(params, chi, tol, build_psi2, "lambda1")
         w = min(w, margin - top2)
-        bottom0, lam0 = _phi0_best(params, chi, tol)
+        bottom0, lam0 = _best_multiplier(params, chi, tol, build_phi0, "lambda0",
+                                         top=False)
         w = min(w, bottom0 - margin)
         lam2 = None
         if observability:
-            topf, lam2 = _phi_best(params, chi, tol)
+            topf, lam2 = _best_multiplier(params, chi, tol, build_phi_obs, "lambda2")
             w = min(w, -margin - topf)
         return w, (lam0, lam1, lam2)
 
@@ -462,9 +448,9 @@ def maximize_regional_radius(params, config=None):
     d0, delta, t, cmin = best
     p_final = replace(params, delta=delta, t_star=t)
     tol = config.lambda_bisection_tol
-    _, lam1 = _psi2_best(p_final, cmin, tol)
-    _, lam0 = _phi0_best(p_final, cmin, tol)
-    _, lam2 = _phi_best(p_final, cmin, tol)
+    _, lam1 = _best_multiplier(p_final, cmin, tol, build_psi2, "lambda1")
+    _, lam0 = _best_multiplier(p_final, cmin, tol, build_phi0, "lambda0", top=False)
+    _, lam2 = _best_multiplier(p_final, cmin, tol, build_phi_obs, "lambda2")
     vars = DecisionVars(chi=cmin, lambda0=lam0, lambda1=lam1, lambda2=lam2)
     cert = make_certificate(p_final, vars, margin=config.margin)
     return d0, cert
@@ -484,7 +470,8 @@ def delta_margin(params, vars, config=None):
     tol = config.lambda_bisection_tol
 
     def ok(extra):
-        top, _ = _psi2_best(replace(params, delta=params.delta + extra), chi, tol)
+        top, _ = _best_multiplier(replace(params, delta=params.delta + extra), chi, tol,
+                                  build_psi2, "lambda1")
         return top <= config.margin
 
     if not ok(0.0):
@@ -587,16 +574,19 @@ def sweep(problems, config=None, worker_count=1):
 
     Rows with t_star search decision variables at that fixed time; rows
     without run the minimal-time search.  worker_count only changes wall
-    time, never results.
+    time, never results; the pool never exceeds the row count or the CPU
+    count, because under the fork start method the executor starts all
+    its workers up front.
     """
     problems = list(problems)
     if not problems:
         raise CertificateError("sweep needs at least one problem")
     config = config or SearchConfig()
     items = [(p, config) for p in problems]
-    if worker_count <= 1:
+    workers = min(worker_count, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         rows = [_sweep_one(item) for item in items]
     else:
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, items))
     return SweepResult(tuple(rows))

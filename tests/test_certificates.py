@@ -174,7 +174,9 @@ class TestProblemParams:
                                     {"k": 1.0, "g1": -0.1},
                                     {"k": 1.0, "t_star": 0.0},
                                     {"k": 1.0, "d": -2.0},
-                                    {"k": 1.0, "delta": -0.01}])
+                                    {"k": 1.0, "delta": -0.01},
+                                    {"k": [1.0]}, {"k": "1.5"},
+                                    {"k": 1.0, "g1": True}])
     def test_bad_scalars_rejected(self, kw):
         with pytest.raises(CertificateError):
             ProblemParams(n=1, **kw)
@@ -210,7 +212,9 @@ class TestDecisionVars:
                                     {"chi": 0.1, "lambda1": 0.0},
                                     {"chi": 0.1, "lambda2": -1.0},
                                     {"chi": 0.1, "r": 0.0},
-                                    {"chi": 0.1, "gamma": -0.5}])
+                                    {"chi": 0.1, "gamma": -0.5},
+                                    {"chi": True}, {"chi": "0.1"},
+                                    {"chi": 0.1, "lambda1": [0.2]}])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(CertificateError):
             DecisionVars(**kw)
@@ -689,6 +693,11 @@ class TestCertificate:
         worse = dict(d, margins=dict(d["margins"], bogus=0.1))
         with pytest.raises(CertificateError, match="margin"):
             certificate_from_dict(worse)
+        for margins in ([1.0], {"phi0": [1.0]}, {"phi0": math.nan}):
+            with pytest.raises(CertificateError, match="margin"):
+                certificate_from_dict(dict(d, margins=margins))
+        with pytest.raises(CertificateError, match="problem"):
+            certificate_from_dict(dict(d, params=[1]))
 
 
 # ------------------------------------------------------------- feasible regions
@@ -767,6 +776,12 @@ class TestEmission:
     def test_json_dumps_preserves_insertion_order(self):
         text = json_dumps({"z": 1, "a": 2})
         assert text.index('"z"') < text.index('"a"')
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_json_dumps_rejects_non_finite(self, x):
+        # json.loads would refuse the bare nan/inf that %.17g prints
+        with pytest.raises(ValueError):
+            json_dumps({"a": [1.0, x]})
 
     def test_json_dumps_rejects_unknown_types(self):
         with pytest.raises(TypeError):

@@ -5,13 +5,14 @@ drives the installed console script to check the packaging wiring.
 """
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wavecert import cli, pde
+from wavecert import certificates, cli, pde
 
 FIG_SIM = {
     "points_per_axis": 201,
@@ -79,6 +80,31 @@ class TestErrors:
         code, out, err = run_cli(["certify", "--config", cfg], capsys)
         assert code == 1 and "seed" in err
 
+    @pytest.mark.parametrize("mode,doc,says", [
+        ("certify", {"problem": {"n": 1, "k": [1.0], "delta": 0.05}}, "k must"),
+        ("certify", {"problem": {"n": 1, "k": "1.5", "delta": 0.05}}, "k must"),
+        ("certify", {"problem": {"n": 1, "k": 1.0, "g1": True, "delta": 0.05}},
+         "g1 must"),
+        ("certify", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
+                     "search": {"refinement_rounds": math.inf}},
+         "refinement_rounds must"),
+        ("certify", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
+                     "search": {"chi_grid": 5}}, "chi_grid must"),
+        ("simulate", {"sim": {"points_per_axis": math.inf, "horizon": 1.0,
+                              "initial": {"preset": "paper-example2"}}},
+         "points_per_axis must"),
+        ("sweep", {"problems": [[1]]}, "JSON object of problem keys"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
+        # json.dumps writes math.inf as the Infinity token json.loads accepts
+        cfg = write_json(tmp_path, "c.json", doc)
+        argv = [mode, "--config", cfg]
+        if mode != "certify":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and says in err
+
     def test_usage_error_is_exit_one(self, capsys):
         # argparse would exit 2, which is reserved for negative results
         code, out, err = run_cli(["certify"], capsys)
@@ -125,6 +151,22 @@ class TestCertify:
         assert data["alpha"] == pytest.approx(0.6)
         assert data["beta"] == pytest.approx(1.4)
         assert "failing" not in data
+
+    def test_point_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        check = certificates.check_stability
+        monkeypatch.setattr(certificates, "check_stability",
+                            lambda *a: calls.append(a) or check(*a))
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.1,
+                                      "delta": 0.1, "t_star": 3.79}})
+        vars_path = write_json(tmp_path, "v.json",
+                               {"chi": 0.18035, "lambda1": 0.09470606,
+                                "lambda2": 1e-3})
+        code, out, err = run_cli(
+            ["certify", "--config", cfg, "--vars", vars_path], capsys)
+        assert code == 0 and json.loads(out)["feasible"] is True
+        assert len(calls) == 1
 
     def test_search_fallback_without_vars(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
@@ -303,6 +345,7 @@ class TestSimulate:
             {"initial": {"polynomial": {"z": [0.0, 1.0], "w": 1}}},
             {"dim": 2, "initial": {"preset": "paper-example2"}},
             {"dim": 2, "initial": {"fourier-sine": {"z": [0.1]}}},
+            {"initial": {"polynomial": {"z": {"c0": 1.0}}}},
         ]
         for extra in cases:
             sim = dict(base)
@@ -316,14 +359,32 @@ class TestSimulate:
             assert code == 1, extra
 
     def test_nonlinearity_spec_errors(self, tmp_path, capsys):
-        sim = {"points_per_axis": 101, "horizon": 1.0,
-               "initial": {"preset": "paper-example2"},
-               "nonlinearity": {"form": "cubic"}}
+        cases = [
+            ({"form": "cubic"}, "form"),
+            ({"form": "linear", "fz_bound": math.nan}, "fz_bound must"),
+            ({"form": "linear", "fz_bound": math.inf}, "fz_bound must"),
+        ]
+        for spec, says in cases:
+            sim = {"points_per_axis": 101, "horizon": 1.0,
+                   "initial": {"preset": "paper-example2"},
+                   "nonlinearity": spec}
+            cfg = write_json(tmp_path, "c.json", {"sim": sim})
+            code, out, err = run_cli(
+                ["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "x.csv")], capsys)
+            assert code == 1 and says in err, spec
+
+    def test_non_finite_energy_is_an_error_not_bad_json(self, tmp_path, capsys):
+        # |grad z|^2 overflows to inf while z itself stays finite
+        sim = {"points_per_axis": 21, "horizon": 0.05,
+               "initial": {"polynomial": {"z": [0.0, 1e200]}}}
         cfg = write_json(tmp_path, "c.json", {"sim": sim})
-        code, out, err = run_cli(
-            ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")],
-            capsys)
-        assert code == 1 and "form" in err
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(
+                ["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1 and out == ""
+        assert "inf" in err
 
 
 class TestRecover:

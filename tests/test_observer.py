@@ -78,6 +78,8 @@ class TestRecoveryConfig:
         with pytest.raises(ValueError):
             observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=True, grid=g)
         with pytest.raises(ValueError):
+            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=math.inf, grid=g)
+        with pytest.raises(ValueError):
             observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=1, grid=g,
                                     convergence_threshold=0.0)
         with pytest.raises(ValueError):

@@ -244,6 +244,12 @@ class TestGrid:
             pde.Grid(1, 31, 0.0)
         with pytest.raises(ValueError):
             pde.make_grid(1, 31, 0.0)
+        with pytest.raises(ValueError):
+            pde.Grid(True, 31, 0.001)
+        with pytest.raises(ValueError):
+            pde.make_grid(1, math.inf, 1.0)
+        with pytest.raises(ValueError):
+            pde.make_grid(1, 31, 1.0, cfl=0.0)
 
 
 class TestWaveField:
@@ -305,6 +311,8 @@ class TestBoundaryTrace:
             pde.BoundaryTrace(np.array([0.0, np.inf]), 0.1)
         with pytest.raises(ValueError):
             pde.BoundaryTrace(np.zeros(5), 0.0)
+        with pytest.raises(ValueError):
+            pde.BoundaryTrace(np.zeros(5), math.inf)
 
 
 class TestNonlinearity:
@@ -323,6 +331,9 @@ class TestNonlinearity:
             pde.Nonlinearity(fz_bound=-0.1)
         with pytest.raises(ValueError):
             pde.Nonlinearity(local_radius=0.0)
+        for bad in (math.nan, math.inf, True):
+            with pytest.raises(ValueError):
+                pde.Nonlinearity(fz_bound=bad)
 
 
 # -------------------------------------------------------------------- stepping

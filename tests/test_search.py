@@ -171,6 +171,9 @@ class TestSearchConfig:
         {"tstar_tol": -1e-3},
         {"refinement_rounds": -1},
         {"margin": math.nan},
+        {"refinement_rounds": math.inf},
+        {"margin": True},
+        {"chi_grid": ("a", "b", 3)},
     ])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(CertificateError):
@@ -465,6 +468,38 @@ class TestSweep:
         serial = sweep(problems, worker_count=1).to_csv()
         parallel = sweep(problems, worker_count=2).to_csv()
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs,cpus,rows,workers", [
+        (1000, 64, 3, [3]),   # never more workers than rows
+        (1000, 2, 3, [2]),    # nor more than CPUs
+        (8, 64, 1, []),       # one row runs in process
+        (2, None, 3, []),     # an unknown CPU count counts as one
+    ])
+    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, rows, workers):
+        # a stand-in executor records its size and maps in process, so the
+        # test starts no worker whatever jobs asks for
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        # delta above the psi1 cut k/(1+k^2) = 1/2: each row fails fast
+        problems = [ProblemParams(n=1, k=1.0, delta=0.6)] * rows
+        result = sweep(problems, worker_count=jobs)
+        assert seen == workers
+        assert len(result.rows) == rows
 
     def test_row_errors_are_recorded_not_raised(self):
         p = ProblemParams(n=1, k=1.0, t_star=2.0)  # no delta: row-level error
