@@ -173,21 +173,48 @@ def _require(vars, *names):
 
 
 # ------------------------------------------------------------------ builders
+# each *_entries function holds the one formula of its matrix: the upper
+# triangle, row-major, for chi and the multiplier as floats or as arrays.
+# The build_* functions check their variables and wrap the floats in a
+# SymMatrix; the lockstep chi scan in search passes whole grids instead.
+
+
+def phi0_entries(params, chi, lam0):
+    n = params.n
+    return (0.5 - lam0 * _wq(n), math.sqrt(n) * chi, 0.0,
+            0.5, (n - 1) * chi / 2.0,
+            lam0)
+
+
+def psi1_value(params, chi):
+    k, n = params.k, params.n
+    return -k + (1.0 + k * k * n) * chi
+
+
+def psi2_entries(params, chi, lam1):
+    """Needs params.delta."""
+    n, k, g1, delta = params.n, params.k, params.g1, params.delta
+    rn = math.sqrt(n)
+    return (-chi + delta * (1.0 + chi * k * (n - 1)) + lam1 * _wq(n),
+            2.0 * delta * rn * chi, rn * g1 * chi,
+            -chi + delta, 0.5 * g1 + delta * (n - 1) * chi,
+            -lam1 + g1 * (n - 1) * chi)
+
+
+def phi_obs_entries(params, chi, lam2):
+    """Needs params.delta and params.t_star."""
+    n = params.n
+    es = math.exp(-2.0 * params.delta * params.t_star)
+    a = 0.5 * (1.0 - es)
+    rn = math.sqrt(n)
+    return (-a + lam2 * _wq(n), rn * (1.0 + es) * chi, 0.0,
+            -a, 0.5 * (n - 1) * (1.0 + es) * chi,
+            -lam2)
 
 
 def build_phi0(params, vars):
     """3x3 matrix whose positive definiteness bounds V between alpha E and beta E."""
-    n, chi = params.n, vars.chi
-    lam0 = _lambda0(params, vars)
-    rn = math.sqrt(n)
-    return SymMatrix(
-        3,
-        [
-            0.5 - lam0 * _wq(n), rn * chi, 0.0,
-            0.5, (n - 1) * chi / 2.0,
-            lam0,
-        ],
-    )
+    return SymMatrix(3, phi0_entries(params, vars.chi, _lambda0(params, vars)))
 
 
 def build_phi1(params, vars):
@@ -202,8 +229,7 @@ def build_phi1(params, vars):
 def build_psi1(params, vars):
     """Scalar boundary condition -k + (1 + k^2 n) chi; must be <= 0."""
     _require(vars, "chi")
-    k, n = params.k, params.n
-    return -k + (1.0 + k * k * n) * vars.chi
+    return psi1_value(params, vars.chi)
 
 
 def build_psi2(params, vars):
@@ -211,18 +237,7 @@ def build_psi2(params, vars):
     _require(vars, "chi", "lambda1")
     if params.delta is None:
         raise CertificateError("delta is required to build the decay matrix")
-    n, k, g1, delta = params.n, params.k, params.g1, params.delta
-    chi, lam1 = vars.chi, vars.lambda1
-    rn = math.sqrt(n)
-    p = -chi + delta * (1.0 + chi * k * (n - 1)) + lam1 * _wq(n)
-    return SymMatrix(
-        3,
-        [
-            p, 2.0 * delta * rn * chi, rn * g1 * chi,
-            -chi + delta, 0.5 * g1 + delta * (n - 1) * chi,
-            -lam1 + g1 * (n - 1) * chi,
-        ],
-    )
+    return SymMatrix(3, psi2_entries(params, vars.chi, vars.lambda1))
 
 
 def build_phi_obs(params, vars):
@@ -231,18 +246,7 @@ def build_phi_obs(params, vars):
     _require(vars, "chi", "lambda2")
     if params.delta is None or params.t_star is None:
         raise CertificateError("delta and t_star are required to build the observability matrix")
-    n, chi, lam2 = params.n, vars.chi, vars.lambda2
-    es = math.exp(-2.0 * params.delta * params.t_star)
-    a = 0.5 * (1.0 - es)
-    rn = math.sqrt(n)
-    return SymMatrix(
-        3,
-        [
-            -a + lam2 * _wq(n), rn * (1.0 + es) * chi, 0.0,
-            -a, 0.5 * (n - 1) * (1.0 + es) * chi,
-            -lam2,
-        ],
-    )
+    return SymMatrix(3, phi_obs_entries(params, vars.chi, vars.lambda2))
 
 
 # ------------------------------------------------------------------ checks

@@ -35,10 +35,11 @@ MODES = ("plant", "observer-forward", "observer-backward")
 
 
 class DivergenceError(RuntimeError):
-    """The explicit update produced non-finite values."""
+    """The explicit update produced non-finite values, or a finite field
+    whose energy overflowed."""
 
-    def __init__(self, t):
-        super().__init__("solution diverged (non-finite values) at t=%g" % t)
+    def __init__(self, t, what="non-finite values"):
+        super().__init__("solution diverged (%s) at t=%g" % (what, t))
         self.t = t
 
 
@@ -379,15 +380,18 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
 
     n_f = nonlinearity
     out_rows = [gather_trace(state.zt, grid)]
-    energies = [energy(state, grid)]
-    lyap = [lyapunov(state, grid, chi, grid.k)] if chi is not None else None
+    energies = [_finite(energy(state, grid), "energy", state.t)]
+    lyap = None
+    if chi is not None:
+        lyap = [_finite(lyapunov(state, grid, chi, grid.k), "Lyapunov value", state.t)]
     for i in range(steps):
         binput = (samples[i], samples[i + 1]) if injecting else None
         state = step(state, grid, n_f, binput, _direction=direction)
         out_rows.append(gather_trace(state.zt, grid))
-        energies.append(energy(state, grid))
+        energies.append(_finite(energy(state, grid), "energy", state.t))
         if lyap is not None:
-            lyap.append(lyapunov(state, grid, chi, grid.k))
+            lyap.append(_finite(lyapunov(state, grid, chi, grid.k),
+                                "Lyapunov value", state.t))
 
     if backward:
         final = WaveField(state.z, -state.zt, state.t)
@@ -398,6 +402,13 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     if lyap is not None:
         return final, trace_out, (energies, np.array(lyap))
     return final, trace_out, energies
+
+
+def _finite(value, name, t):
+    # a finite field can still carry an energy that overflows
+    if not math.isfinite(value):
+        raise DivergenceError(t, "%s %s" % (name, fmt_float(value)))
+    return value
 
 
 # ----------------------------------------------------------------- functionals
@@ -524,12 +535,17 @@ def sobolev_check(field, grid):
 
 
 def trajectory_csv(trace, energies, lyapunovs=None):
-    """CSV text t,E,V,trace0[,trace1,...]; V falls back to E when absent."""
+    """CSV text t,E,V,trace0[,trace1,...]; V falls back to E when absent.
+
+    A non-finite energy or Lyapunov value raises ValueError.
+    """
     samples = trace.samples
     cols = 1 if samples.ndim == 1 else samples.shape[1]
     header = "t,E,V," + ",".join("trace%d" % j for j in range(cols))
     if lyapunovs is None:
         lyapunovs = energies
+    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(lyapunovs))):
+        raise ValueError("non-finite energy or Lyapunov value in the trajectory")
     lines = [header]
     for i in range(samples.shape[0]):
         t = trace.t0 + i * trace.dt

@@ -37,9 +37,13 @@ from .certificates import (
     fmt_float,
     json_dumps,
     make_certificate,
+    phi0_entries,
+    phi_obs_entries,
+    psi1_value,
+    psi2_entries,
     reject_unknown_keys,
 )
-from .smallmat import eigenvalues
+from .smallmat import eigenvalues, extreme_eigenvalues
 
 T_STAR_MAX = 200.0
 
@@ -154,6 +158,64 @@ def _best_multiplier(params, chi, tol, build, name, top=True):
     lam = _golden_min(decisive, lo, hi, tol)
     value = decisive(lam)
     return (value if top else -value), lam
+
+
+def _golden_lockstep(f, lo, hi, tol, iters=200):
+    """_golden_min on every element of the arrays lo, hi at once.
+
+    f(rows, x) returns the objective of elements rows at points x.  Each
+    element follows _golden_min's update rule and leaves the batch once
+    b - a < tol; iters caps every element alike.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo.copy(), hi.copy()
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    live = np.arange(a.size)
+    fcd = f(np.concatenate([live, live]), np.concatenate([c, d]))
+    fc, fd = fcd[:a.size], fcd[a.size:]
+    for _ in range(iters):
+        live = live[~(b[live] - a[live] < tol)]
+        if not live.size:
+            break
+        left = fc[live] < fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        fx = f(np.concatenate([lt, rt]), np.concatenate([c[lt], d[rt]]))
+        fc[lt], fd[rt] = fx[:lt.size], fx[lt.size:]
+    return 0.5 * (a + b)
+
+
+def _best_multipliers(params, chi, tol, entries, name, top=True):
+    """_best_multiplier at every chi of an array, the searches in lockstep.
+
+    entries is the matrix's *_entries formula; each element gets its own
+    _bracket and the values and multipliers _best_multiplier finds there.
+    As DecisionVars would, a multiplier that is not finite and > 0 raises.
+    """
+    bounds = np.array([_bracket(params, float(x), name) for x in chi])
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    empty = hi <= lo
+    value = np.where(empty, math.inf if top else -math.inf, 0.0)
+    lam = lo.copy()
+    live = np.flatnonzero(~empty)
+    if live.size:
+        sub = chi[live]
+
+        def decisive(rows, x):
+            if not np.all((x > 0.0) & (x < math.inf)):
+                raise CertificateError("%s must be finite and > 0" % name)
+            low, high = extreme_eigenvalues(*entries(params, sub[rows], x))
+            return high if top else -low
+
+        best = _golden_lockstep(decisive, lo[live], hi[live], tol)
+        found = decisive(np.arange(live.size), best)
+        value[live] = found if top else -found
+        lam[live] = best
+    return value, lam
 
 
 # ------------------------------------------------------------- stability scan
@@ -347,9 +409,12 @@ def minimal_observability_time(params, config=None):
 def find_feasible_vars(params, config=None):
     """Decision variables maximizing the worst LMI margin over the chi grid.
 
-    Stability mode when t_star is unset, observability mode otherwise.  The
-    returned point re-passes its checks at the configured margin; a
-    nonpositive best margin raises Infeasible with the value seen.
+    Stability mode when t_star is unset, observability mode otherwise.  Each
+    grid is evaluated in lockstep (one batched multiplier search per LMI);
+    the first point that strictly beats the best so far wins, as in a
+    point-by-point scan.  The returned point re-passes its checks at the
+    configured margin; a nonpositive best margin raises Infeasible with the
+    value seen.
     """
     config = config or SearchConfig()
     if params.delta is None:
@@ -362,36 +427,41 @@ def find_feasible_vars(params, config=None):
     margin = config.margin
     tol = config.lambda_bisection_tol
 
-    def worst(chi):
-        w = margin - build_psi1(params, DecisionVars(chi=chi))
-        top2, lam1 = _best_multiplier(params, chi, tol, build_psi2, "lambda1")
-        w = min(w, margin - top2)
-        bottom0, lam0 = _best_multiplier(params, chi, tol, build_phi0, "lambda0",
-                                         top=False)
-        w = min(w, bottom0 - margin)
+    def scan(grid):
+        # the worst-case margin at each chi of grid (np.where(x < w, x, w)
+        # keeps w on ties, as min(w, x) does), then the first point that
+        # strictly beats the best so far
+        nonlocal best_w, best_i, best_chi, best_lams
+        top2, lam1 = _best_multipliers(params, grid, tol, psi2_entries, "lambda1")
+        bottom0, lam0 = _best_multipliers(params, grid, tol, phi0_entries, "lambda0",
+                                          top=False)
+        terms = [margin - top2, bottom0 - margin]
         lam2 = None
         if observability:
-            topf, lam2 = _best_multiplier(params, chi, tol, build_phi_obs, "lambda2")
-            w = min(w, -margin - topf)
-        return w, (lam0, lam1, lam2)
+            topf, lam2 = _best_multipliers(params, grid, tol, phi_obs_entries,
+                                           "lambda2")
+            terms.append(-margin - topf)
+        w = margin - psi1_value(params, grid)
+        for x in terms:
+            w = np.where(x < w, x, w)
+        better = np.flatnonzero(w > best_w)
+        if better.size:
+            best_i = int(better[np.argmax(w[better])])
+            best_w, best_chi = float(w[best_i]), float(grid[best_i])
+            best_lams = [None if lam is None else float(lam[best_i])
+                         for lam in (lam0, lam1, lam2)]
 
-    grid = [float(x) for x in np.geomspace(lo, hi, count)]
-    best_w, best_i, best_chi, best_lams = -math.inf, 0, grid[0], None
-    for i, chi in enumerate(grid):
-        w, lams = worst(chi)
-        if w > best_w:
-            best_w, best_i, best_chi, best_lams = w, i, chi, lams
+    grid = np.geomspace(lo, hi, count)
+    best_w, best_i, best_chi, best_lams = -math.inf, 0, float(grid[0]), None
+    scan(grid)
     for _ in range(config.refinement_rounds):
         a = grid[max(best_i - 1, 0)]
         b = grid[min(best_i + 1, len(grid) - 1)]
         if not b > a:
             break
-        grid = [float(x) for x in np.geomspace(a, b, 40)]
-        best_i = min(range(len(grid)), key=lambda j: abs(grid[j] - best_chi))
-        for i, chi in enumerate(grid):
-            w, lams = worst(chi)
-            if w > best_w:
-                best_w, best_i, best_chi, best_lams = w, i, chi, lams
+        grid = np.geomspace(a, b, 40)
+        best_i = int(np.argmin(np.abs(grid - best_chi)))
+        scan(grid)
     if not best_w > 0.0:
         raise Infeasible("LMIs infeasible on the chi grid; best worst-case margin %s at chi=%s"
                          % (fmt_float(best_w), fmt_float(best_chi)))

@@ -1,13 +1,17 @@
 """Symmetric eigenvalue routines for tiny (dim <= 4) matrices.
 
-Everything here is pure Python on purpose: the LMI feasibility margins that
-drive the rest of the toolkit come from these eigenvalues, and a dependency
-free cyclic Jacobi is deterministic across platforms and fast enough at this
-size.  Definiteness is decided from the spectrum, not a Cholesky attempt, so
-the margin argument is directly a spectral quantity.
+The scalar routines are pure Python on purpose: the LMI feasibility margins
+that drive the rest of the toolkit come from these eigenvalues, and a
+dependency free cyclic Jacobi is deterministic across platforms and fast
+enough at this size.  Definiteness is decided from the spectrum, not a
+Cholesky attempt, so the margin argument is directly a spectral quantity.
+extreme_eigenvalues runs the same 3x3 Jacobi over a batch with numpy ufuncs
+(no LAPACK) and returns the same bits.
 """
 
 import math
+
+import numpy as np
 
 _MAX_SWEEPS = 100
 _OFF_TOL = 1e-13  # off-diagonal Frobenius target, relative to matrix scale
@@ -25,13 +29,13 @@ class SymMatrix:
     def __init__(self, dim, entries):
         if not isinstance(dim, int) or isinstance(dim, bool) or not (1 <= dim <= 4):
             raise ValueError("dim must be an integer in 1..4, got %r" % (dim,))
-        vals = tuple(float(v) for v in entries)
+        vals = tuple(map(float, entries))
         want = dim * (dim + 1) // 2
         if len(vals) != want:
             raise ValueError("dim %d stores %d entries, got %d" % (dim, want, len(vals)))
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError("non-finite matrix entry %r" % (v,))
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError("non-finite matrix entry %r" % (bad,))
         self.dim = dim
         self.entries = vals
 
@@ -139,6 +143,81 @@ def eigenvalues(m):
 def eigh(m):
     """Eigen-decomposition (values ascending, eigenvector matrix by columns)."""
     return _jacobi(m)
+
+
+# one cyclic Jacobi step per pair (p, q) of a 3x3 matrix stored as its upper
+# triangle e = (a00, a01, a02, a11, a12, a22): the indices in e of a_pp,
+# a_qq, a_pq and of a_rp, a_rq for the remaining row r
+_ROTATIONS_3 = ((0, 3, 1, 2, 4), (0, 5, 2, 1, 4), (3, 5, 4, 1, 2))
+
+
+def extreme_eigenvalues(a00, a01, a02, a11, a12, a22):
+    """(lambda_min, lambda_max) arrays of a batch of symmetric 3x3 matrices.
+
+    The six upper-triangle entries are arrays (or scalars) broadcasting to
+    one 1-D shape.  Each matrix goes through the same IEEE operations, in
+    the same order, as _jacobi does for it alone, so the results equal
+    eigenvalues(m)[0] and eigenvalues(m)[-1] bit for bit: the Frobenius sum
+    runs row-major over the full matrix, a converged matrix drops out of
+    the batch, and a zero off-diagonal entry keeps its rows through a
+    select.  numpy ufuncs only; no LAPACK.
+    """
+    e = list(np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                   for x in (a00, a01, a02, a11, a12, a22))))
+    if e[0].ndim != 1:
+        raise ValueError("entries must broadcast to a 1-D batch")
+    for x in e:
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite matrix entry in the batch")
+    # SymMatrix.frobenius squares with Python's x ** 2, which calls libm pow
+    # and does not always round like x * x; float_power calls that same pow
+    q00, q01, q02, q11, q12, q22 = (np.float_power(x, 2.0) for x in e)
+    scale = np.maximum(
+        1.0, np.sqrt(0.0 + q00 + q01 + q02 + q01 + q11 + q12 + q02 + q12 + q22))
+
+    size = e[0].shape[0]
+    lo = np.empty(size)
+    hi = np.empty(size)
+    live = np.arange(size)
+
+    def finish(rows, d0, d1, d2):
+        # sorted() is stable: the first of tied minima, the last of tied maxima
+        mn = np.where(d1 < d0, d1, d0)
+        lo[rows] = np.where(d2 < mn, d2, mn)
+        mx = np.where(d1 >= d0, d1, d0)
+        hi[rows] = np.where(d2 >= mx, d2, mx)
+
+    zeros = np.zeros(size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            off = 0.0 + e[1] * e[1] + e[2] * e[2] + e[4] * e[4]
+            done = np.sqrt(2.0 * off) <= _OFF_TOL * scale
+            if done.any():
+                finish(live[done], e[0][done], e[3][done], e[5][done])
+                keep = ~done
+                live = live[keep]
+                e = [x[keep] for x in e]
+                scale = scale[keep]
+                zeros = zeros[keep]
+            if not live.size:
+                return lo, hi
+            for pp, qq, pq, rp, rq in _ROTATIONS_3:
+                app, aqq, apq, arp, arq = e[pp], e[qq], e[pq], e[rp], e[rq]
+                theta = (aqq - app) / (2.0 * apq)
+                t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                np.negative(t, out=t, where=theta < 0.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                tapq = t * apq
+                new = [app - tapq, aqq + tapq, zeros,
+                       c * arp - s * arq, s * arp + c * arq]
+                if np.count_nonzero(apq) < apq.size:
+                    nz = apq != 0.0
+                    new = [np.where(nz, x, old) for x, old
+                           in zip(new, (app, aqq, apq, arp, arq))]
+                e[pp], e[qq], e[pq], e[rp], e[rq] = new
+    finish(live, e[0], e[3], e[5])
+    return lo, hi
 
 
 def is_positive_definite(m, margin=0.0):

@@ -461,6 +461,43 @@ class TestSweep:
         assert header == ("n,k,g1,delta,t_star,chi,lambda0,lambda1,lambda2,"
                           "alpha,beta,d0,feasible")
 
+    def test_round_trip_certify(self, tmp_path, capsys):
+        # every feasible row's 17-digit cells re-certify through --vars
+        problems = [
+            {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.001},
+            {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.1, "t_star": 3.9},
+            {"n": 2, "k": 1.0, "g1": 0.1, "delta": 0.01, "t_star": 15.0},
+            {"n": 1, "k": 1.0, "g1": 5.0, "delta": 0.4},
+        ]
+        cfg = write_json(tmp_path, "s.json",
+                         {"problems": problems, "search": {"tstar_tol": 0.01}})
+        csv_path = str(tmp_path / "s.csv")
+        code, out, _ = run_cli(["sweep", "--config", cfg, "--out", csv_path],
+                               capsys)
+        assert code == 0 and json.loads(out)["feasible_rows"] == 3
+        lines = open(csv_path).read().splitlines()
+        header = lines[0].split(",")
+        checked = 0
+        for i, line in enumerate(lines[1:]):
+            row = dict(zip(header, line.split(",")))
+            if row["feasible"] != "true":
+                continue
+            problem = {"n": int(row["n"])}
+            for key in ("k", "g1", "delta", "t_star"):
+                problem[key] = float(row[key])
+            vars = {key: float(row[key])
+                    for key in ("chi", "lambda0", "lambda1", "lambda2")
+                    if row[key] != ""}
+            assert "lambda2" in vars
+            cfg_i = write_json(tmp_path, "p%d.json" % i, {"problem": problem})
+            vars_i = write_json(tmp_path, "v%d.json" % i, vars)
+            code, out, err = run_cli(
+                ["certify", "--config", cfg_i, "--vars", vars_i], capsys)
+            assert code == 0, err
+            assert json.loads(out)["feasible"] is True
+            checked += 1
+        assert checked == 3
+
     def test_all_infeasible_is_exit_two(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "s.json",
                          {"problems": [{"n": 1, "k": 1.0, "delta": 0.6}]})

@@ -250,6 +250,17 @@ class TestConvergenceSplit:
         assert run.diverged and not run.converged
         assert len(run.records) < 8
 
+    def test_overflowing_energy_is_divergence(self):
+        # a finite trace of 1e160 drives a finite field whose energy overflows
+        grid = pde.make_grid(1, 41, 1.0)
+        steps = int(round(1.0 / grid.dt))
+        trace = pde.BoundaryTrace(np.full(steps + 1, 1e160), grid.dt)
+        config = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=4, grid=grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = observer.recover(trace, config)
+        assert run.diverged and not run.converged
+        assert run.records == ()
+
 
 class TestContractionReport:
     def test_certified_pipeline(self):

@@ -417,6 +417,28 @@ class TestStepAgainstOracle:
         assert 0.0 < exc.value.t <= 3.0
         assert "diverged" in str(exc.value)
 
+    @pytest.mark.parametrize("chi", [None, 0.1])
+    def test_overflowing_energy_is_divergence(self, chi):
+        # the field stays finite while |grad z|^2 overflows: no inf energies
+        g = pde.make_grid(1, 21, 0.05)
+        x = g.axis()
+        f0 = pde.WaveField(1e200 * x * (1.0 - x), np.zeros_like(x))
+        assert np.all(np.isfinite(f0.z))
+        with np.errstate(over="ignore"), pytest.raises(pde.DivergenceError) as exc:
+            pde.run(f0, 0.05, g, chi=chi)
+        assert exc.value.t == 0.0
+        assert "energy inf" in str(exc.value)
+
+    def test_energy_overflow_mid_run_is_divergence(self):
+        # finite initial energy, then a source that grows |z| past 1e154
+        g = pde.make_grid(1, 21, 1.0)
+        x = g.axis()
+        f0 = pde.WaveField(np.sin(PI * x) * 1e150, np.zeros_like(x))
+        nl = pde.Nonlinearity(lambda z, x, t: 1e6 * z, fz_bound=1e6)
+        with np.errstate(over="ignore"), pytest.raises(pde.DivergenceError) as exc:
+            pde.run(f0, 1.0, g, nl)
+        assert 0.0 < exc.value.t <= 1.0
+
 
 class TestRunPlant:
     def test_separation_of_variables(self):
@@ -839,6 +861,13 @@ class TestExport:
         assert len(header) == 3 + 2 * 21 - 3
         tr2, _, _ = pde.read_trajectory_csv(text)
         assert np.array_equal(tr2.samples, trace.samples)
+
+    def test_trajectory_rejects_non_finite_values(self):
+        trace = pde.BoundaryTrace(np.zeros(3), 0.1)
+        for energies, lyap in [([0.0, math.inf, 1.0], None),
+                               ([0.0, 1.0, 1.0], [0.0, math.nan, 1.0])]:
+            with pytest.raises(ValueError, match="non-finite"):
+                pde.trajectory_csv(trace, np.array(energies), lyap)
 
     def test_trajectory_bad_input(self):
         with pytest.raises(ValueError):

@@ -11,19 +11,29 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import linalg, optimize
 
 from wavecert import search
 from wavecert.certificates import (
     CertificateError,
     DecisionVars,
     ProblemParams,
+    _golden_min,
+    build_phi0,
+    build_phi_obs,
+    build_psi1,
+    build_psi2,
     check_observability,
     check_stability,
     certificate_to_dict,
     compute_regional_radius,
+    fmt_float,
     make_certificate,
+    phi0_entries,
+    phi_obs_entries,
+    psi2_entries,
 )
+from wavecert.smallmat import extreme_eigenvalues
 from wavecert.search import (
     CSV_HEADER,
     Infeasible,
@@ -348,6 +358,223 @@ class TestFindFeasibleVars:
     def test_deterministic(self):
         p = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01)
         assert find_feasible_vars(p) == find_feasible_vars(p)
+
+
+# ------------------------------------------------------- lockstep chi scan
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
+                          np.asarray(y, dtype=float).view(np.int64))
+
+
+def point_loop_find_feasible_vars(params, config=None):
+    """find_feasible_vars as a loop over single chi points.
+
+    The scan before it ran in lockstep, kept as the oracle: the lockstep
+    scan must return the same DecisionVars and raise the same messages.
+    """
+    config = config or SearchConfig()
+    if params.delta is None:
+        raise CertificateError("delta is required for a feasibility search")
+    observability = params.t_star is not None
+    lo, hi, count = search._chi_grid(params, config)
+    if hi <= lo:
+        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
+                         % fmt_float(search._chi_cut(params)))
+    margin = config.margin
+    tol = config.lambda_bisection_tol
+    best = search._best_multiplier
+
+    def worst(chi):
+        w = margin - build_psi1(params, DecisionVars(chi=chi))
+        top2, lam1 = best(params, chi, tol, build_psi2, "lambda1")
+        w = min(w, margin - top2)
+        bottom0, lam0 = best(params, chi, tol, build_phi0, "lambda0", top=False)
+        w = min(w, bottom0 - margin)
+        lam2 = None
+        if observability:
+            topf, lam2 = best(params, chi, tol, build_phi_obs, "lambda2")
+            w = min(w, -margin - topf)
+        return w, (lam0, lam1, lam2)
+
+    grid = [float(x) for x in np.geomspace(lo, hi, count)]
+    best_w, best_i, best_chi, best_lams = -math.inf, 0, grid[0], None
+    for i, chi in enumerate(grid):
+        w, lams = worst(chi)
+        if w > best_w:
+            best_w, best_i, best_chi, best_lams = w, i, chi, lams
+    for _ in range(config.refinement_rounds):
+        a = grid[max(best_i - 1, 0)]
+        b = grid[min(best_i + 1, len(grid) - 1)]
+        if not b > a:
+            break
+        grid = [float(x) for x in np.geomspace(a, b, 40)]
+        best_i = min(range(len(grid)), key=lambda j: abs(grid[j] - best_chi))
+        for i, chi in enumerate(grid):
+            w, lams = worst(chi)
+            if w > best_w:
+                best_w, best_i, best_chi, best_lams = w, i, chi, lams
+    if not best_w > 0.0:
+        raise Infeasible("LMIs infeasible on the chi grid; best worst-case margin %s at chi=%s"
+                         % (fmt_float(best_w), fmt_float(best_chi)))
+    lam0, lam1, lam2 = best_lams
+    vars = DecisionVars(chi=best_chi, lambda0=lam0, lambda1=lam1, lambda2=lam2)
+    report = (check_observability if observability else check_stability)(
+        params, vars, margin)
+    if not report["feasible"]:
+        raise Infeasible("scan optimum failed re-verification (margins: %s)"
+                         % report["margins"])
+    return vars
+
+
+def _full_rows(entries):
+    """Full 3x3 rows from an upper triangle (a00, a01, a02, a11, a12, a22)."""
+    a00, a01, a02, a11, a12, a22 = (float(x) for x in entries)
+    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+
+
+def _outcome(fn, params, config):
+    try:
+        return fn(params, config)
+    except (Infeasible, CertificateError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLockstepScan:
+    def test_golden_lockstep_matches_golden_min(self):
+        rng = np.random.default_rng(3)
+        size = 200
+        lo = rng.uniform(-2.0, 1.0, size)
+        hi = lo + 10.0 ** rng.uniform(-7.0, 1.0, size)  # different iteration counts
+        lo[:3], hi[:3] = 0.0, 1e-9  # b - a == tol: one step, then stop
+        center = rng.uniform(-3.0, 3.0, size)
+        power = rng.uniform(0.5, 3.0, size)
+
+        def f(rows, x):
+            return np.abs(x - center[rows]) ** power[rows] - 0.1 * x
+
+        for tol, iters in [(1e-9, 200), (1e-300, 200), (1e-9, 7)]:
+            got = search._golden_lockstep(f, lo, hi, tol, iters)
+            want = [_golden_min(lambda x, i=i: float(f(np.array([i]), np.array([x]))[0]),
+                                float(lo[i]), float(hi[i]), tol, iters)
+                    for i in range(size)]
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("params,entries,build,name,top", [
+        (ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1), psi2_entries, build_psi2,
+         "lambda1", True),
+        # g1 (n - 1) >= pi^2 n / 4: every lambda1 interval is the widened one
+        (ProblemParams(n=2, k=1.0, g1=5.0, delta=0.01), psi2_entries, build_psi2,
+         "lambda1", True),
+        (ProblemParams(n=3, k=1.0, g1=0.05, delta=0.02), phi0_entries, build_phi0,
+         "lambda0", False),
+        (ProblemParams(n=2, k=1.0, g1=0.3, delta=0.01, t_star=38.0), phi_obs_entries,
+         build_phi_obs, "lambda2", True),
+        # t_star so short that the lambda2 interval is empty
+        (ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12), phi_obs_entries,
+         build_phi_obs, "lambda2", True),
+    ])
+    def test_multipliers_match_scalar_search(self, params, entries, build, name, top):
+        chi = np.geomspace(1e-3, 0.45, 25)
+        if name == "lambda1" and params.g1 == 5.0:
+            lo, hi = search._bracket(params, float(chi[0]), name)
+            assert lo >= chi[0] * math.pi ** 2 * params.n / 4.0 and hi > lo
+        values, lams = search._best_multipliers(params, chi, 1e-9, entries, name, top)
+        want = [search._best_multiplier(params, float(c), 1e-9, build, name, top)
+                for c in chi]
+        assert _same_bits(values, [v for v, _ in want])
+        assert _same_bits(lams, [lam for _, lam in want])
+        if params.t_star == 1e-12:
+            assert np.all(values == math.inf) and np.all(lams == 1e-14)
+
+    def test_bad_multiplier_or_entry_raises_as_before(self, monkeypatch):
+        chi = np.array([0.1, 0.2])
+        p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
+        monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-1.0, 1.0))
+        with pytest.raises(CertificateError, match="lambda1"):
+            search._best_multiplier(p, 0.1, 1e-9, build_psi2, "lambda1")
+        with pytest.raises(CertificateError, match="lambda1"):
+            search._best_multipliers(p, chi, 1e-9, psi2_entries, "lambda1")
+        monkeypatch.undo()
+        # chi k overflows in the (1,1) entry of psi2
+        huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                search._best_multiplier(huge, 10.0, 1e-9, build_psi2, "lambda1")
+            with pytest.raises(ValueError, match="non-finite"):
+                search._best_multipliers(huge, np.array([10.0]), 1e-9, psi2_entries,
+                                         "lambda1")
+
+    @pytest.mark.parametrize("params,config", [
+        (ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001),
+         SearchConfig(chi_grid=(1e-3, 0.45, 60), refinement_rounds=2)),
+        (ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.9),
+         SearchConfig(refinement_rounds=0)),
+        (ProblemParams(n=2, k=1.0, g1=0.3, delta=0.01, t_star=38.0),
+         SearchConfig(chi_grid=(1e-3, 0.3, 40), refinement_rounds=1)),
+        (ProblemParams(n=3, k=1.0, g1=0.05, delta=0.02),
+         SearchConfig(chi_grid=(1e-3, 0.25, 30), refinement_rounds=3)),
+        # infeasible: the best worst-case margin is reported
+        (ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.7),
+         SearchConfig(chi_grid=(1e-2, 0.45, 30), refinement_rounds=1)),
+        (ProblemParams(n=2, k=1.0, g1=5.0, delta=0.01),
+         SearchConfig(chi_grid=(1e-3, 0.3, 20), refinement_rounds=1)),
+        # every lambda2 interval empty: the margin stays -inf
+        (ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12),
+         SearchConfig(chi_grid=(1e-3, 0.45, 10), refinement_rounds=2)),
+        (ProblemParams(n=1, k=1.0, g1=0.0, delta=0.01),
+         SearchConfig(chi_grid=(0.51, 0.9, 5))),
+        (ProblemParams(n=1, k=1.0), SearchConfig()),
+    ])
+    def test_find_feasible_vars_matches_point_loop(self, params, config):
+        got = _outcome(find_feasible_vars, params, config)
+        want = _outcome(point_loop_find_feasible_vars, params, config)
+        assert got == want
+
+    def test_decisive_eigenvalues_agree_with_scipy_at_the_boundary(self):
+        # points within +-10 margin (in the multiplier) of where each LMI's
+        # decisive eigenvalue crosses its threshold, where verdicts can flip
+        margin = 1e-9
+        rng = np.random.default_rng(11)
+        lmis = [(psi2_entries, "lambda1", lambda lo, hi: hi <= margin, -1, margin),
+                (phi0_entries, "lambda0", lambda lo, hi: lo > margin, 0, margin),
+                (phi_obs_entries, "lambda2", lambda lo, hi: hi < -margin, -1, -margin)]
+        checked = 0
+        verdicts = set()
+        for entries, name, feasible, pick, threshold in lmis:
+            for _ in range(30):
+                n = int(rng.integers(1, 4))
+                params = ProblemParams(n=n, k=1.0, g1=float(rng.uniform(0.0, 0.3)),
+                                       delta=float(rng.uniform(1e-3, 0.1)),
+                                       t_star=float(rng.uniform(1.0, 40.0)))
+                chi = float(rng.uniform(0.01, 0.9 * search._chi_cut(params)))
+                lo, hi = search._bracket(params, chi, name)
+                if not hi > lo:
+                    continue
+
+                def g(lam):
+                    m = np.array(_full_rows(entries(params, chi, lam)))
+                    return linalg.eigvalsh(m)[pick] - threshold
+
+                lams = np.linspace(lo, hi, 200)
+                vals = np.array([g(lam) for lam in lams])
+                for j in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+                    root = optimize.brentq(g, lams[j], lams[j + 1], xtol=1e-15)
+                    lam = root + 10.0 * margin * rng.uniform(-1.0, 1.0, 40)
+                    low, high = extreme_eigenvalues(*entries(params, chi, lam))
+                    for i in range(lam.size):
+                        rows = np.array(_full_rows(entries(params, chi, lam[i])))
+                        ref = linalg.eigvalsh(rows)
+                        scale = max(1.0, np.linalg.norm(rows))
+                        assert abs(low[i] - ref[0]) <= 1e-10 * scale
+                        assert abs(high[i] - ref[-1]) <= 1e-10 * scale
+                        ours = bool(feasible(low[i], high[i]))
+                        assert ours == bool(feasible(ref[0], ref[-1]))
+                        verdicts.add(ours)
+                        checked += 1
+        assert checked >= 1000
+        assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------------- regional

@@ -14,6 +14,7 @@ from wavecert.smallmat import (
     SymMatrix,
     eigenvalues,
     eigh,
+    extreme_eigenvalues,
     is_negative_definite,
     is_negative_semidefinite,
     is_positive_definite,
@@ -282,3 +283,85 @@ def test_reconstruction_residual():
         assert np.linalg.norm(rows - rebuilt) <= 1e-10 * (1.0 + fro)
         # columns orthonormal
         assert np.linalg.norm(q.T @ q - np.eye(dim)) <= 1e-12
+
+
+# ---------------------------------------------------------------- batched kernel
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
+                          np.asarray(y, dtype=float).view(np.int64))
+
+
+def _scalar_extremes(entries):
+    lows, highs = [], []
+    for row in entries:
+        vals = eigenvalues(SymMatrix(3, row.tolist()))
+        lows.append(vals[0])
+        highs.append(vals[-1])
+    return np.array(lows), np.array(highs)
+
+
+def _random_batch(rng, size):
+    # scales 1e-8 .. 1e4, some off-diagonal entries zeroed, some diagonal
+    entries = rng.uniform(-1.0, 1.0, (size, 6)) * 10.0 ** rng.uniform(-8, 4, (size, 1))
+    off = entries[:, [1, 2, 4]]
+    off[rng.random(off.shape) < 0.2] = 0.0
+    off[rng.random(size) < 0.05] = 0.0
+    entries[:, [1, 2, 4]] = off
+    return entries
+
+
+def test_extreme_eigenvalues_bit_identical_to_scalar_jacobi():
+    rng = np.random.default_rng(21)
+    entries = _random_batch(rng, 6000)
+    assert np.count_nonzero(np.all(entries[:, [1, 2, 4]] == 0.0, axis=1)) > 100
+    lo, hi = extreme_eigenvalues(*entries.T)
+    want_lo, want_hi = _scalar_extremes(entries)
+    # bit patterns, so the sign of a zero counts too
+    assert _same_bits(lo, want_lo)
+    assert _same_bits(hi, want_hi)
+
+
+def test_extreme_eigenvalues_mixed_sweep_counts():
+    # diagonal (no sweep), nearly diagonal (one), ill-separated and
+    # clustered matrices (several) converge at different sweeps in one batch
+    rows = [
+        [2.0, 0.0, 0.0, -1.0, 0.0, 3.0],
+        [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+        # tied zeros: the minimum is the first of them, the maximum the last
+        [0.0, 0.0, 0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -0.0, 0.0, -1.0],
+        [1.0, 0.0, 0.0, -0.0, 0.0, 0.0],
+        [1.0, 1e-12, 0.0, 2.0, 0.0, 3.0],
+        [1.0, 1e-3, 1e-3, 1.0 + 1e-12, 1e-3, 1.0],
+        [0.5, 0.25, 0.125, 0.5, 0.25, 0.5],
+        [1e4, -3e3, 7e2, -2e4, 5e3, 1e-8],
+        [1.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+    ]
+    entries = np.array(rows)
+    lo, hi = extreme_eigenvalues(*entries.T)
+    want_lo, want_hi = _scalar_extremes(entries)
+    assert _same_bits(lo, want_lo) and _same_bits(hi, want_hi)
+    # one element at a time gives the same bits as the batch
+    for i, row in enumerate(entries):
+        one_lo, one_hi = extreme_eigenvalues(*row[:, None])
+        assert _same_bits(one_lo, lo[i:i + 1]) and _same_bits(one_hi, hi[i:i + 1])
+
+
+def test_extreme_eigenvalues_broadcasts_scalars():
+    chi = np.array([0.1, 0.2, 0.3])
+    lo, hi = extreme_eigenvalues(0.5, chi, 0.0, 0.5, chi / 2.0, 1.0)
+    want_lo, want_hi = _scalar_extremes(
+        np.array([[0.5, c, 0.0, 0.5, c / 2.0, 1.0] for c in chi]))
+    assert _same_bits(lo, want_lo) and _same_bits(hi, want_hi)
+
+
+def test_extreme_eigenvalues_rejects_bad_batches():
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_eigenvalues(np.array([1.0, math.nan]), 0.0, 0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        extreme_eigenvalues(np.array([1.0]), math.inf, 0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="1-D"):
+        extreme_eigenvalues(np.ones((2, 2)), 0.0, 0.0, 1.0, 0.0, 1.0)
