@@ -176,7 +176,8 @@ def _require(vars, *names):
 # each *_entries function holds the one formula of its matrix: the upper
 # triangle, row-major, for chi and the multiplier as floats or as arrays.
 # The build_* functions check their variables and wrap the floats in a
-# SymMatrix; the lockstep chi scan in search passes whole grids instead.
+# SymMatrix; the searches call the formulas directly, the lockstep chi scan
+# with whole grids and the sequential searches with single floats.
 
 
 def phi0_entries(params, chi, lam0):

@@ -380,18 +380,24 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
 
     n_f = nonlinearity
     out_rows = [gather_trace(state.zt, grid)]
-    energies = [_finite(energy(state, grid), "energy", state.t)]
-    lyap = None
-    if chi is not None:
-        lyap = [_finite(lyapunov(state, grid, chi, grid.k), "Lyapunov value", state.t)]
+    energies = []
+    lyap = None if chi is None else []
+
+    def record(state):
+        # a finite field can still carry an energy that overflows; that is
+        # reported as DivergenceError alone, without a RuntimeWarning first
+        with np.errstate(over="ignore"):
+            energies.append(_finite(energy(state, grid), "energy", state.t))
+            if lyap is not None:
+                lyap.append(_finite(lyapunov(state, grid, chi, grid.k),
+                                    "Lyapunov value", state.t))
+
+    record(state)
     for i in range(steps):
         binput = (samples[i], samples[i + 1]) if injecting else None
         state = step(state, grid, n_f, binput, _direction=direction)
         out_rows.append(gather_trace(state.zt, grid))
-        energies.append(_finite(energy(state, grid), "energy", state.t))
-        if lyap is not None:
-            lyap.append(_finite(lyapunov(state, grid, chi, grid.k),
-                                "Lyapunov value", state.t))
+        record(state)
 
     if backward:
         final = WaveField(state.z, -state.zt, state.t)
@@ -405,7 +411,6 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
 
 
 def _finite(value, name, t):
-    # a finite field can still carry an energy that overflows
     if not math.isfinite(value):
         raise DivergenceError(t, "%s %s" % (name, fmt_float(value)))
     return value

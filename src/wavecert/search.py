@@ -24,10 +24,6 @@ from .certificates import (
     DecisionVars,
     ProblemParams,
     _golden_min,
-    build_psi1,
-    build_psi2,
-    build_phi0,
-    build_phi_obs,
     certificate_to_dict,
     check_observability,
     check_stability,
@@ -43,7 +39,7 @@ from .certificates import (
     psi2_entries,
     reject_unknown_keys,
 )
-from .smallmat import eigenvalues, extreme_eigenvalues
+from .smallmat import extreme_eigenvalues, extremes3
 
 T_STAR_MAX = 200.0
 
@@ -140,20 +136,25 @@ def _bracket(params, chi, name):
     return 1e-14, 0.5 * (1.0 - es) * PI2 * n / 4.0
 
 
-def _best_multiplier(params, chi, tol, build, name, top=True):
-    """(decisive eigenvalue, multiplier) of build's matrix at its best `name`.
+def _best_multiplier(params, chi, tol, entries, name, top=True):
+    """(decisive eigenvalue, multiplier) of a matrix at its best `name`.
 
-    top: the largest eigenvalue decides and is minimized (psi2, phi_obs);
-    otherwise the smallest decides and is maximized (phi0).  An empty
-    interval reports an infinitely bad eigenvalue at its lower end.
+    entries is the matrix's *_entries formula.  top: the largest eigenvalue
+    decides and is minimized (psi2, phi_obs); otherwise the smallest decides
+    and is maximized (phi0).  An empty interval reports an infinitely bad
+    eigenvalue at its lower end.  chi and every multiplier tried are checked
+    as DecisionVars would check them.
     """
+    chi = checked_float("chi", chi, 0.0)
     lo, hi = _bracket(params, chi, name)
     if hi <= lo:
         return (math.inf if top else -math.inf), lo
 
     def decisive(lam):
-        eigs = eigenvalues(build(params, DecisionVars(chi=chi, **{name: lam})))
-        return eigs[-1] if top else -eigs[0]
+        if not 0.0 < lam < math.inf:
+            raise CertificateError("%s must be finite and > 0" % name)
+        low, high = extremes3(*entries(params, chi, lam))
+        return high if top else -low
 
     lam = _golden_min(decisive, lo, hi, tol)
     value = decisive(lam)
@@ -241,7 +242,7 @@ def _stability_prefilter(params, chi, margin):
     """
     slack = margin + 1e-9
     n, k, g1, delta = params.n, params.k, params.g1, params.delta
-    if build_psi1(params, DecisionVars(chi=chi)) > margin:
+    if psi1_value(params, chi) > margin:
         return False
     if chi < delta - slack:
         return False  # (2,2) entry -chi + delta
@@ -269,15 +270,14 @@ def _stability_feasible(params, chi, config):
     if not _stability_prefilter(params, chi, margin):
         return False
     top, _ = _best_multiplier(params, chi, config.lambda_bisection_tol,
-                              build_psi2, "lambda1")
+                              psi2_entries, "lambda1")
     if not top <= margin:
         return False
     for lam0 in (max(4.0 * margin, 1e-6), 0.3 * PI2 * params.n / 8.0):
-        m = build_phi0(params, DecisionVars(chi=chi, lambda0=lam0))
-        if eigenvalues(m)[0] > margin:
+        if extremes3(*phi0_entries(params, chi, lam0))[0] > margin:
             return True
     bottom, _ = _best_multiplier(params, chi, config.lambda_bisection_tol,
-                                 build_phi0, "lambda0", top=False)
+                                 phi0_entries, "lambda0", top=False)
     return bottom > margin
 
 
@@ -333,21 +333,19 @@ def _observation_window(params, config, delta):
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
     tol = config.lambda_bisection_tol
 
-    def feasible(t):
-        top, _ = _best_multiplier(replace(p, t_star=t), probe, tol,
-                                  build_phi_obs, "lambda2")
-        return top < -config.margin
+    def top_at(t):
+        return _best_multiplier(replace(p, t_star=t), probe, tol,
+                                phi_obs_entries, "lambda2")[0]
 
-    if not feasible(T_STAR_MAX):
-        top, _ = _best_multiplier(replace(p, t_star=T_STAR_MAX), probe, tol,
-                                  build_phi_obs, "lambda2")
+    top = top_at(T_STAR_MAX)
+    if not top < -config.margin:
         raise Infeasible(
             "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
             % (T_STAR_MAX, fmt_float(delta), fmt_float(top)))
     lo_t, hi_t = 0.0, T_STAR_MAX
     while hi_t - lo_t > config.tstar_tol:
         mid = 0.5 * (lo_t + hi_t)
-        if feasible(mid):
+        if top_at(mid) < -config.margin:
             hi_t = mid
         else:
             lo_t = mid
@@ -518,9 +516,9 @@ def maximize_regional_radius(params, config=None):
     d0, delta, t, cmin = best
     p_final = replace(params, delta=delta, t_star=t)
     tol = config.lambda_bisection_tol
-    _, lam1 = _best_multiplier(p_final, cmin, tol, build_psi2, "lambda1")
-    _, lam0 = _best_multiplier(p_final, cmin, tol, build_phi0, "lambda0", top=False)
-    _, lam2 = _best_multiplier(p_final, cmin, tol, build_phi_obs, "lambda2")
+    _, lam1 = _best_multiplier(p_final, cmin, tol, psi2_entries, "lambda1")
+    _, lam0 = _best_multiplier(p_final, cmin, tol, phi0_entries, "lambda0", top=False)
+    _, lam2 = _best_multiplier(p_final, cmin, tol, phi_obs_entries, "lambda2")
     vars = DecisionVars(chi=cmin, lambda0=lam0, lambda1=lam1, lambda2=lam2)
     cert = make_certificate(p_final, vars, margin=config.margin)
     return d0, cert
@@ -541,7 +539,7 @@ def delta_margin(params, vars, config=None):
 
     def ok(extra):
         top, _ = _best_multiplier(replace(params, delta=params.delta + extra), chi, tol,
-                                  build_psi2, "lambda1")
+                                  psi2_entries, "lambda1")
         return top <= config.margin
 
     if not ok(0.0):

@@ -6,7 +6,8 @@ dependency free cyclic Jacobi is deterministic across platforms and fast
 enough at this size.  Definiteness is decided from the spectrum, not a
 Cholesky attempt, so the margin argument is directly a spectral quantity.
 extreme_eigenvalues runs the same 3x3 Jacobi over a batch with numpy ufuncs
-(no LAPACK) and returns the same bits.
+(no LAPACK) and extremes3 unrolls it over six floats; both return the same
+bits.
 """
 
 import math
@@ -218,6 +219,49 @@ def extreme_eigenvalues(a00, a01, a02, a11, a12, a22):
                 e[pp], e[qq], e[pq], e[rp], e[rq] = new
     finish(live, e[0], e[3], e[5])
     return lo, hi
+
+
+def _rotate(app, aqq, apq, arp, arq):
+    # one Jacobi rotation of _jacobi on pair (p, q) with remaining row r:
+    # the new a_pp, a_qq, a_rp, a_rq (a_pq becomes 0)
+    theta = (aqq - app) / (2.0 * apq)
+    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+    if theta < 0.0:
+        t = -t
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    s = t * c
+    return app - t * apq, aqq + t * apq, c * arp - s * arq, s * arp + c * arq
+
+
+def extremes3(a00, a01, a02, a11, a12, a22):
+    """(lambda_min, lambda_max) of one symmetric 3x3 matrix given as floats.
+
+    The scalar twin of extreme_eigenvalues: _jacobi's 3x3 operations in the
+    same order, unrolled over six locals, so the results equal
+    eigenvalues(m)[0] and eigenvalues(m)[-1] bit for bit without building a
+    SymMatrix or accumulating eigenvectors.  The Frobenius scale squares
+    with x ** 2, as SymMatrix.frobenius does.
+    """
+    for x in (a00, a01, a02, a11, a12, a22):
+        if not math.isfinite(x):
+            raise ValueError("non-finite matrix entry %r" % (x,))
+    scale = max(1.0, math.sqrt(0.0 + a00 ** 2 + a01 ** 2 + a02 ** 2 + a01 ** 2
+                               + a11 ** 2 + a12 ** 2 + a02 ** 2 + a12 ** 2 + a22 ** 2))
+    tol = _OFF_TOL * scale
+    for _ in range(_MAX_SWEEPS):
+        if math.sqrt(2.0 * (0.0 + a01 * a01 + a02 * a02 + a12 * a12)) <= tol:
+            break
+        if a01 != 0.0:
+            a00, a11, a02, a12 = _rotate(a00, a11, a01, a02, a12)
+            a01 = 0.0
+        if a02 != 0.0:
+            a00, a22, a01, a12 = _rotate(a00, a22, a02, a01, a12)
+            a02 = 0.0
+        if a12 != 0.0:
+            a11, a22, a01, a02 = _rotate(a11, a22, a12, a01, a02)
+            a12 = 0.0
+    d = sorted((a00, a11, a22))
+    return d[0], d[2]
 
 
 def is_positive_definite(m, margin=0.0):

@@ -8,6 +8,7 @@ asserts were produced by those oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,17 @@ class TestStepAgainstOracle:
             pde.run(f0, 0.05, g, chi=chi)
         assert exc.value.t == 0.0
         assert "energy inf" in str(exc.value)
+
+    @pytest.mark.parametrize("chi", [None, 0.1])
+    def test_overflowing_energy_warns_nothing(self, chi):
+        # no np.errstate here: DivergenceError is the only report
+        g = pde.make_grid(1, 21, 0.05)
+        x = g.axis()
+        f0 = pde.WaveField(1e200 * x * (1.0 - x), np.zeros_like(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pde.DivergenceError, match="energy inf"):
+                pde.run(f0, 0.05, g, chi=chi)
 
     def test_energy_overflow_mid_run_is_divergence(self):
         # finite initial energy, then a source that grows |z| past 1e154

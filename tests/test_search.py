@@ -33,7 +33,7 @@ from wavecert.certificates import (
     phi_obs_entries,
     psi2_entries,
 )
-from wavecert.smallmat import extreme_eigenvalues
+from wavecert.smallmat import eigenvalues, extreme_eigenvalues
 from wavecert.search import (
     CSV_HEADER,
     Infeasible,
@@ -388,13 +388,13 @@ def point_loop_find_feasible_vars(params, config=None):
 
     def worst(chi):
         w = margin - build_psi1(params, DecisionVars(chi=chi))
-        top2, lam1 = best(params, chi, tol, build_psi2, "lambda1")
+        top2, lam1 = best(params, chi, tol, psi2_entries, "lambda1")
         w = min(w, margin - top2)
-        bottom0, lam0 = best(params, chi, tol, build_phi0, "lambda0", top=False)
+        bottom0, lam0 = best(params, chi, tol, phi0_entries, "lambda0", top=False)
         w = min(w, bottom0 - margin)
         lam2 = None
         if observability:
-            topf, lam2 = best(params, chi, tol, build_phi_obs, "lambda2")
+            topf, lam2 = best(params, chi, tol, phi_obs_entries, "lambda2")
             w = min(w, -margin - topf)
         return w, (lam0, lam1, lam2)
 
@@ -426,6 +426,25 @@ def point_loop_find_feasible_vars(params, config=None):
         raise Infeasible("scan optimum failed re-verification (margins: %s)"
                          % report["margins"])
     return vars
+
+
+def build_path_best_multiplier(params, chi, tol, build, name, top=True):
+    """_best_multiplier as it was over DecisionVars, build_* and eigenvalues.
+
+    Kept as the oracle: the scalar 3x3 kernel over the *_entries formulas
+    must return the same bits.
+    """
+    lo, hi = search._bracket(params, chi, name)
+    if hi <= lo:
+        return (math.inf if top else -math.inf), lo
+
+    def decisive(lam):
+        eigs = eigenvalues(build(params, DecisionVars(chi=chi, **{name: lam})))
+        return eigs[-1] if top else -eigs[0]
+
+    lam = _golden_min(decisive, lo, hi, tol)
+    value = decisive(lam)
+    return (value if top else -value), lam
 
 
 def _full_rows(entries):
@@ -481,10 +500,14 @@ class TestLockstepScan:
             lo, hi = search._bracket(params, float(chi[0]), name)
             assert lo >= chi[0] * math.pi ** 2 * params.n / 4.0 and hi > lo
         values, lams = search._best_multipliers(params, chi, 1e-9, entries, name, top)
-        want = [search._best_multiplier(params, float(c), 1e-9, build, name, top)
+        want = [search._best_multiplier(params, float(c), 1e-9, entries, name, top)
                 for c in chi]
         assert _same_bits(values, [v for v, _ in want])
         assert _same_bits(lams, [lam for _, lam in want])
+        oracle = [build_path_best_multiplier(params, float(c), 1e-9, build, name, top)
+                  for c in chi]
+        assert _same_bits([v for v, _ in want], [v for v, _ in oracle])
+        assert _same_bits([lam for _, lam in want], [lam for _, lam in oracle])
         if params.t_star == 1e-12:
             assert np.all(values == math.inf) and np.all(lams == 1e-14)
 
@@ -493,15 +516,18 @@ class TestLockstepScan:
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
         monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-1.0, 1.0))
         with pytest.raises(CertificateError, match="lambda1"):
-            search._best_multiplier(p, 0.1, 1e-9, build_psi2, "lambda1")
+            search._best_multiplier(p, 0.1, 1e-9, psi2_entries, "lambda1")
         with pytest.raises(CertificateError, match="lambda1"):
             search._best_multipliers(p, chi, 1e-9, psi2_entries, "lambda1")
         monkeypatch.undo()
+        for chi_bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(CertificateError, match="chi"):
+                search._best_multiplier(p, chi_bad, 1e-9, psi2_entries, "lambda1")
         # chi k overflows in the (1,1) entry of psi2
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                search._best_multiplier(huge, 10.0, 1e-9, build_psi2, "lambda1")
+                search._best_multiplier(huge, 10.0, 1e-9, psi2_entries, "lambda1")
             with pytest.raises(ValueError, match="non-finite"):
                 search._best_multipliers(huge, np.array([10.0]), 1e-9, psi2_entries,
                                          "lambda1")

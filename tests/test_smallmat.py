@@ -15,6 +15,7 @@ from wavecert.smallmat import (
     eigenvalues,
     eigh,
     extreme_eigenvalues,
+    extremes3,
     is_negative_definite,
     is_negative_semidefinite,
     is_positive_definite,
@@ -302,6 +303,11 @@ def _scalar_extremes(entries):
     return np.array(lows), np.array(highs)
 
 
+def _scalar_kernel_extremes(entries):
+    pairs = [extremes3(*row) for row in entries.tolist()]
+    return np.array([lo for lo, _ in pairs]), np.array([hi for _, hi in pairs])
+
+
 def _random_batch(rng, size):
     # scales 1e-8 .. 1e4, some off-diagonal entries zeroed, some diagonal
     entries = rng.uniform(-1.0, 1.0, (size, 6)) * 10.0 ** rng.uniform(-8, 4, (size, 1))
@@ -321,6 +327,9 @@ def test_extreme_eigenvalues_bit_identical_to_scalar_jacobi():
     # bit patterns, so the sign of a zero counts too
     assert _same_bits(lo, want_lo)
     assert _same_bits(hi, want_hi)
+    one_lo, one_hi = _scalar_kernel_extremes(entries)
+    assert _same_bits(one_lo, want_lo)
+    assert _same_bits(one_hi, want_hi)
 
 
 def test_extreme_eigenvalues_mixed_sweep_counts():
@@ -344,6 +353,8 @@ def test_extreme_eigenvalues_mixed_sweep_counts():
     lo, hi = extreme_eigenvalues(*entries.T)
     want_lo, want_hi = _scalar_extremes(entries)
     assert _same_bits(lo, want_lo) and _same_bits(hi, want_hi)
+    one_lo, one_hi = _scalar_kernel_extremes(entries)
+    assert _same_bits(one_lo, want_lo) and _same_bits(one_hi, want_hi)
     # one element at a time gives the same bits as the batch
     for i, row in enumerate(entries):
         one_lo, one_hi = extreme_eigenvalues(*row[:, None])
@@ -365,3 +376,12 @@ def test_extreme_eigenvalues_rejects_bad_batches():
         extreme_eigenvalues(np.array([1.0]), math.inf, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="1-D"):
         extreme_eigenvalues(np.ones((2, 2)), 0.0, 0.0, 1.0, 0.0, 1.0)
+    # the scalar kernel rejects what SymMatrix rejects, with its message
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(6):
+            row = [1.0, 0.5, 0.0, 2.0, 0.25, 3.0]
+            row[i] = bad
+            with pytest.raises(ValueError, match="non-finite matrix entry"):
+                extremes3(*row)
+            with pytest.raises(ValueError, match="non-finite matrix entry"):
+                SymMatrix(3, row)
