@@ -20,6 +20,7 @@ quadrature weight split evenly between the faces.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,15 +83,62 @@ class Grid:
     def dx(self):
         return 1.0 / (self.points_per_axis - 1)
 
+    @cached_property
+    def _plan(self):
+        # built on first use, so constructing a grid stays cheap
+        return _GridPlan(self)
+
+    def __getstate__(self):
+        # copies and pickles rebuild the plan: numpy does not keep the
+        # read-only flag of the arrays through a pickle round trip
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
+
     def axis(self):
-        return np.linspace(0.0, 1.0, self.points_per_axis)
+        """Node coordinates along one axis; shared and read-only."""
+        return self._plan.axis
 
     def coords(self):
-        """Coordinate arrays matching the field shape (x, or (x1, x2))."""
-        x = self.axis()
-        if self.dim == 1:
-            return x
-        return np.meshgrid(x, x, indexing="ij")
+        """Coordinate arrays matching the field shape (x, or (x1, x2)),
+        shared by every caller and read-only."""
+        return self._plan.coords
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class _GridPlan:
+    """Per-grid invariants of the solver step.
+
+    Each constant keeps the association it has in the step formula
+    ((0.5 * dt) * dt, then flux * mult before the field), so hoisting it
+    out of the step changes no bit.  denom is the trapezoidal boundary
+    velocity's divisor: a float in 1-D, an array over the nodes in 2-D.
+    """
+
+    __slots__ = ("axis", "coords", "dx2", "flux", "half_dt", "half_dt2",
+                 "flux_mult", "denom")
+
+    def __init__(self, grid):
+        dt, dx, k = grid.dt, grid.dx, grid.k
+        self.axis = _read_only(np.linspace(0.0, 1.0, grid.points_per_axis))
+        self.dx2 = dx * dx
+        self.flux = 2.0 * k / dx
+        self.half_dt = 0.5 * dt
+        self.half_dt2 = 0.5 * dt * dt
+        if grid.dim == 1:
+            self.coords = self.axis
+            self.flux_mult = None
+            self.denom = 1.0 + k * dt / dx
+        else:
+            self.coords = tuple(_read_only(c) for c in
+                                np.meshgrid(self.axis, self.axis, indexing="ij"))
+            mult = _multiplicity(grid)
+            self.flux_mult = _read_only(self.flux * mult)
+            self.denom = _read_only(1.0 + mult * k * dt / dx)
 
 
 def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0, cfl=None):
@@ -249,22 +297,28 @@ def _multiplicity(grid):
 
 def _accel(z, grid, nonlinearity, t):
     """Laplacian with reflecting ghosts on the measured faces, plus f."""
-    dx2 = grid.dx * grid.dx
+    plan = grid._plan
+    dx2 = plan.dx2
+    # the clamped entries are pinned at the end, but are zeroed first so
+    # that no sum below meets uninitialised memory
+    a = np.empty_like(z)
     if grid.dim == 1:
-        a = np.zeros_like(z)
+        a[0] = 0.0
         a[1:-1] = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dx2
         a[-1] = 2.0 * (z[-2] - z[-1]) / dx2
     else:
-        d1 = np.zeros_like(z)
-        d1[1:-1, :] = z[2:, :] - 2.0 * z[1:-1, :] + z[:-2, :]
-        d1[-1, :] = 2.0 * (z[-2, :] - z[-1, :])
-        d2 = np.zeros_like(z)
+        a[0, :] = 0.0
+        a[1:-1, :] = z[2:, :] - 2.0 * z[1:-1, :] + z[:-2, :]
+        a[-1, :] = 2.0 * (z[-2, :] - z[-1, :])
+        d2 = np.empty_like(z)
+        d2[:, 0] = 0.0
         d2[:, 1:-1] = z[:, 2:] - 2.0 * z[:, 1:-1] + z[:, :-2]
         d2[:, -1] = 2.0 * (z[:, -2] - z[:, -1])
-        a = (d1 + d2) / dx2
-    fv = nonlinearity(z, grid.coords(), t)
+        a += d2
+        a /= dx2
+    fv = nonlinearity(z, plan.coords, t)
     if np.ndim(fv) or fv:
-        a = a + fv
+        a += fv
     _pin_dirichlet(a, grid.dim)
     return a
 
@@ -289,40 +343,39 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
     if not injecting and boundary_input is not None:
         raise ValueError("plant mode takes no boundary input")
     z, v, t = field.z, field.zt, field.t
-    dt, dx, k = grid.dt, grid.dx, grid.k
-    flux = 2.0 * k / dx
+    dt = grid.dt
+    plan = grid._plan
 
     a0 = _accel(z, grid, nonlinearity, t)
     if injecting:
         y0, y1 = boundary_input
         if grid.dim == 1:
-            a0[-1] += flux * (float(y0) - v[-1])
+            a0[-1] += plan.flux * (float(y0) - v[-1])
         else:
-            mult = _multiplicity(grid)
-            a0 += flux * mult * (_scatter(np.asarray(y0, dtype=float), grid) - v)
+            a0 += plan.flux_mult * (_scatter(np.asarray(y0, dtype=float), grid) - v)
 
-    z_new = z + dt * v + 0.5 * dt * dt * a0
+    z_new = z + dt * v + plan.half_dt2 * a0
     _pin_dirichlet(z_new, grid.dim)
     t_new = t + _direction * dt
     a1 = _accel(z_new, grid, nonlinearity, t_new)
-    v_new = v + 0.5 * dt * (a0 + a1)
+    a01 = a0 + a1
 
-    if injecting:
-        # trapezoidal boundary velocity: the new-level damping term is kept
-        # implicit, which is a scalar linear solve per measured node
-        if grid.dim == 1:
-            v_new[-1] = (v[-1] + 0.5 * dt * (a0[-1] + a1[-1] + flux * float(y1))) \
-                / (1.0 + k * dt / dx)
-        else:
-            y1_full = _scatter(np.asarray(y1, dtype=float), grid)
-            denom = 1.0 + mult * k * dt / dx
-            v_new = (v + 0.5 * dt * (a0 + a1 + flux * mult * y1_full)) / denom
+    # in observer modes the trapezoidal boundary velocity keeps the
+    # new-level damping term implicit, a scalar linear solve per measured node
+    if injecting and grid.dim == 2:
+        y1_full = _scatter(np.asarray(y1, dtype=float), grid)
+        v_new = (v + plan.half_dt * (a01 + plan.flux_mult * y1_full)) / plan.denom
+    else:
+        v_new = v + plan.half_dt * a01
+        if injecting:
+            v_new[-1] = (v[-1] + plan.half_dt * (a01[-1] + plan.flux * float(y1))) \
+                / plan.denom
     _pin_dirichlet(v_new, grid.dim)
 
     _smooth(z_new, grid.dim)
     _smooth(v_new, grid.dim)
 
-    if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(v_new))):
+    if not (np.isfinite(z_new).all() and np.isfinite(v_new).all()):
         raise DivergenceError(t_new)
     out = WaveField.__new__(WaveField)
     out.z = z_new
@@ -384,20 +437,21 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     lyap = None if chi is None else []
 
     def record(state):
-        # a finite field can still carry an energy that overflows; that is
-        # reported as DivergenceError alone, without a RuntimeWarning first
-        with np.errstate(over="ignore"):
-            energies.append(_finite(energy(state, grid), "energy", state.t))
-            if lyap is not None:
-                lyap.append(_finite(lyapunov(state, grid, chi, grid.k),
-                                    "Lyapunov value", state.t))
+        energies.append(_finite(energy(state, grid), "energy", state.t))
+        if lyap is not None:
+            lyap.append(_finite(lyapunov(state, grid, chi, grid.k),
+                                "Lyapunov value", state.t))
 
-    record(state)
-    for i in range(steps):
-        binput = (samples[i], samples[i + 1]) if injecting else None
-        state = step(state, grid, n_f, binput, _direction=direction)
-        out_rows.append(gather_trace(state.zt, grid))
+    # an overflowing step or energy is reported as DivergenceError alone,
+    # without a RuntimeWarning first: step checks that the field stays
+    # finite, record that the energy does
+    with np.errstate(over="ignore", invalid="ignore"):
         record(state)
+        for i in range(steps):
+            binput = (samples[i], samples[i + 1]) if injecting else None
+            state = step(state, grid, n_f, binput, _direction=direction)
+            out_rows.append(gather_trace(state.zt, grid))
+            record(state)
 
     if backward:
         final = WaveField(state.z, -state.zt, state.t)
@@ -419,11 +473,30 @@ def _finite(value, name, t):
 # ----------------------------------------------------------------- functionals
 
 
+def _gradient(z, dx):
+    """Per-axis derivatives, as np.gradient(z, dx) computes them.
+
+    numpy's own operations for a uniform spacing and edge_order=1: central
+    differences (z[2:] - z[:-2]) / (2. * dx) inside, one-sided differences
+    over dx at both ends, so the values are bit-identical, without
+    np.gradient's argument handling.
+    """
+    grads = []
+    for axis in range(z.ndim):
+        f = z.swapaxes(0, axis)
+        g = np.empty_like(f)  # keeps f's layout, so g swaps back to z's
+        g[1:-1] = (f[2:] - f[:-2]) / (2. * dx)
+        g[0] = (f[1] - f[0]) / dx
+        g[-1] = (f[-1] - f[-2]) / dx
+        grads.append(g.swapaxes(0, axis))
+    return grads
+
+
 def _grad_sq(z, dx):
     if z.ndim == 1:
-        g = np.gradient(z, dx)
+        g = _gradient(z, dx)[0]
         return g * g
-    g1, g2 = np.gradient(z, dx)
+    g1, g2 = _gradient(z, dx)
     return g1 * g1 + g2 * g2
 
 
@@ -455,11 +528,11 @@ def lyapunov(field, grid, chi, k=None):
     z, v, dx = field.z, field.zt, grid.dx
     if grid.dim == 1:
         x = grid.axis()
-        zx = np.gradient(z, dx)
+        zx = _gradient(z, dx)[0]
         cross = _trapz(2.0 * x * zx * v, dx=dx)
         return e + chi * cross
     x1, x2 = grid.coords()
-    g1, g2 = np.gradient(z, dx)
+    g1, g2 = _gradient(z, dx)
     cross = _integrate_cells((2.0 * (x1 * g1 + x2 * g2) + z) * v, dx)
     face = _trapz(z[:, -1] ** 2, dx=dx) + _trapz(z[-1, :] ** 2, dx=dx)
     return e + chi * cross + chi * k * 0.5 * face

@@ -70,7 +70,8 @@ class SymMatrix:
         s = 0.0
         for i in range(self.dim):
             for j in range(self.dim):
-                s += self[i, j] ** 2
+                x = self[i, j]
+                s += x * x
         return math.sqrt(s)
 
     def __repr__(self):
@@ -170,9 +171,7 @@ def extreme_eigenvalues(a00, a01, a02, a11, a12, a22):
     for x in e:
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite matrix entry in the batch")
-    # SymMatrix.frobenius squares with Python's x ** 2, which calls libm pow
-    # and does not always round like x * x; float_power calls that same pow
-    q00, q01, q02, q11, q12, q22 = (np.float_power(x, 2.0) for x in e)
+    q00, q01, q02, q11, q12, q22 = (x * x for x in e)
     scale = np.maximum(
         1.0, np.sqrt(0.0 + q00 + q01 + q02 + q01 + q11 + q12 + q02 + q12 + q22))
 
@@ -239,14 +238,14 @@ def extremes3(a00, a01, a02, a11, a12, a22):
     The scalar twin of extreme_eigenvalues: _jacobi's 3x3 operations in the
     same order, unrolled over six locals, so the results equal
     eigenvalues(m)[0] and eigenvalues(m)[-1] bit for bit without building a
-    SymMatrix or accumulating eigenvectors.  The Frobenius scale squares
-    with x ** 2, as SymMatrix.frobenius does.
+    SymMatrix or accumulating eigenvectors.
     """
     for x in (a00, a01, a02, a11, a12, a22):
         if not math.isfinite(x):
             raise ValueError("non-finite matrix entry %r" % (x,))
-    scale = max(1.0, math.sqrt(0.0 + a00 ** 2 + a01 ** 2 + a02 ** 2 + a01 ** 2
-                               + a11 ** 2 + a12 ** 2 + a02 ** 2 + a12 ** 2 + a22 ** 2))
+    scale = max(1.0, math.sqrt(0.0 + a00 * a00 + a01 * a01 + a02 * a02 + a01 * a01
+                               + a11 * a11 + a12 * a12 + a02 * a02 + a12 * a12
+                               + a22 * a22))
     tol = _OFF_TOL * scale
     for _ in range(_MAX_SWEEPS):
         if math.sqrt(2.0 * (0.0 + a01 * a01 + a02 * a02 + a12 * a12)) <= tol:

@@ -6,6 +6,7 @@ drives the installed console script to check the packaging wiring.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -385,6 +386,26 @@ class TestSimulate:
                  "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1 and out == ""
         assert "inf" in err
+
+    def test_overflowing_step_prints_only_the_error(self, tmp_path):
+        # the source overflows inside the first step; a fresh interpreter
+        # shows what a user sees on stderr, warnings included
+        sim = {"points_per_axis": 21, "horizon": 0.05,
+               "nonlinearity": {"form": "quadratic", "coeff": 1e10,
+                                "fz_bound": 1.0, "local_radius": 1.0},
+               "initial": {"polynomial": {"z": [0.0, 1e150]}}}
+        cfg = write_json(tmp_path, "c.json", {"sim": sim})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavecert.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: solution diverged")
 
 
 class TestRecover:

@@ -7,7 +7,9 @@ closed-form integrals for (bi)linear fields.  Frozen reference values in
 asserts were produced by those oracles.
 """
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -912,3 +914,271 @@ class TestExport:
         row = [float(c) for c in lines[1 + 3 * 21 + 5].split(",")]
         assert row[0] == g.axis()[3] and row[1] == g.axis()[5]
         assert row[2] == f.z[3, 5]
+
+
+# ------------------------------------------------- bit identity with inline math
+#
+# Reference copies of the solver step, acceleration, energy and Lyapunov
+# functional as they read with every constant evaluated inline, zero-filled
+# work arrays and np.gradient.  The solver now caches its per-grid
+# invariants and computes the gradient itself; these tests require the
+# same bits, compared through tobytes() so the sign of a zero counts.
+
+
+def ref_accel(z, grid, nonlinearity, t):
+    dx2 = grid.dx * grid.dx
+    if grid.dim == 1:
+        a = np.zeros_like(z)
+        a[1:-1] = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dx2
+        a[-1] = 2.0 * (z[-2] - z[-1]) / dx2
+    else:
+        d1 = np.zeros_like(z)
+        d1[1:-1, :] = z[2:, :] - 2.0 * z[1:-1, :] + z[:-2, :]
+        d1[-1, :] = 2.0 * (z[-2, :] - z[-1, :])
+        d2 = np.zeros_like(z)
+        d2[:, 1:-1] = z[:, 2:] - 2.0 * z[:, 1:-1] + z[:, :-2]
+        d2[:, -1] = 2.0 * (z[:, -2] - z[:, -1])
+        a = (d1 + d2) / dx2
+    x = np.linspace(0.0, 1.0, grid.points_per_axis)
+    coords = x if grid.dim == 1 else np.meshgrid(x, x, indexing="ij")
+    fv = nonlinearity(z, coords, t)
+    if np.ndim(fv) or fv:
+        a = a + fv
+    pde._pin_dirichlet(a, grid.dim)
+    return a
+
+
+def ref_step(field, grid, nonlinearity=pde.ZERO_F, boundary_input=None,
+             direction=1.0):
+    injecting = grid.mode != "plant"
+    z, v, t = field.z, field.zt, field.t
+    dt, dx, k = grid.dt, grid.dx, grid.k
+    flux = 2.0 * k / dx
+
+    a0 = ref_accel(z, grid, nonlinearity, t)
+    if injecting:
+        y0, y1 = boundary_input
+        if grid.dim == 1:
+            a0[-1] += flux * (float(y0) - v[-1])
+        else:
+            mult = pde._multiplicity(grid)
+            a0 += flux * mult * (pde._scatter(np.asarray(y0, dtype=float), grid) - v)
+
+    z_new = z + dt * v + 0.5 * dt * dt * a0
+    pde._pin_dirichlet(z_new, grid.dim)
+    t_new = t + direction * dt
+    a1 = ref_accel(z_new, grid, nonlinearity, t_new)
+    v_new = v + 0.5 * dt * (a0 + a1)
+
+    if injecting:
+        if grid.dim == 1:
+            v_new[-1] = (v[-1] + 0.5 * dt * (a0[-1] + a1[-1] + flux * float(y1))) \
+                / (1.0 + k * dt / dx)
+        else:
+            y1_full = pde._scatter(np.asarray(y1, dtype=float), grid)
+            denom = 1.0 + mult * k * dt / dx
+            v_new = (v + 0.5 * dt * (a0 + a1 + flux * mult * y1_full)) / denom
+    pde._pin_dirichlet(v_new, grid.dim)
+
+    pde._smooth(z_new, grid.dim)
+    pde._smooth(v_new, grid.dim)
+    out = pde.WaveField.__new__(pde.WaveField)
+    out.z, out.zt, out.t = z_new, v_new, t_new
+    return out
+
+
+def ref_grad_sq(z, dx):
+    if z.ndim == 1:
+        g = np.gradient(z, dx)
+        return g * g
+    g1, g2 = np.gradient(z, dx)
+    return g1 * g1 + g2 * g2
+
+
+def ref_energy(field, grid):
+    return 0.5 * pde._integrate_cells(
+        ref_grad_sq(field.z, grid.dx) + field.zt * field.zt, grid.dx)
+
+
+def ref_lyapunov(field, grid, chi, k):
+    e = ref_energy(field, grid)
+    z, v, dx = field.z, field.zt, grid.dx
+    x = np.linspace(0.0, 1.0, grid.points_per_axis)
+    if grid.dim == 1:
+        zx = np.gradient(z, dx)
+        cross = pde._trapz(2.0 * x * zx * v, dx=dx)
+        return e + chi * cross
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    g1, g2 = np.gradient(z, dx)
+    cross = pde._integrate_cells((2.0 * (x1 * g1 + x2 * g2) + z) * v, dx)
+    face = pde._trapz(z[:, -1] ** 2, dx=dx) + pde._trapz(z[-1, :] ** 2, dx=dx)
+    return e + chi * cross + chi * k * 0.5 * face
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _random_field(rng, n, dim):
+    # rough data over many scales, with signed zeros in the interior
+    shape = (n,) if dim == 1 else (n, n)
+    z = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 1, shape)
+    zt = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 1, shape)
+    z[rng.random(shape) < 0.05] = -0.0
+    zt[rng.random(shape) < 0.05] = -0.0
+    pde._pin_dirichlet(z, dim)
+    pde._pin_dirichlet(zt, dim)
+    f = pde.WaveField.__new__(pde.WaveField)
+    f.z, f.zt, f.t = z, zt, float(rng.uniform(0.0, 2.0))
+    return f
+
+
+def _sources(dim):
+    if dim == 1:
+        xdep = pde.Nonlinearity(lambda z, x, t: 0.2 * z * z - 0.05 * t * x,
+                                fz_bound=1.0)
+    else:
+        xdep = pde.Nonlinearity(
+            lambda z, x, t: 0.1 * np.sin(z) + 0.05 * t * x[0] * x[1] - x[1],
+            fz_bound=0.1)
+    const = pde.Nonlinearity(lambda z, x, t: 0.5)
+    return {"none": pde.ZERO_F, "x-dependent": xdep, "constant": const}
+
+
+def _boundary_inputs(rng, grid, steps):
+    count = pde.boundary_node_count(grid)
+    shape = (steps + 1,) if grid.dim == 1 else (steps + 1, count)
+    y = rng.normal(size=shape)
+    y[rng.random(shape) < 0.1] = -0.0
+    return y
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("dim,n", [(1, 41), (2, 21)])
+    @pytest.mark.parametrize("mode", pde.MODES)
+    @pytest.mark.parametrize("source", ["none", "x-dependent", "constant"])
+    def test_step_matches_inline_reference(self, dim, n, mode, source):
+        rng = np.random.default_rng([dim, n, pde.MODES.index(mode), len(source)])
+        k = 0.0 if mode == "plant" else 1.3
+        grid = pde.make_grid(dim, n, 0.4, mode, k)
+        nl = _sources(dim)[source]
+        direction = -1.0 if mode == "observer-backward" else 1.0
+        steps = 6
+        y = _boundary_inputs(rng, grid, steps)
+        for _ in range(4):
+            new = ref = _random_field(rng, n, dim)
+            for i in range(steps):
+                binput = None if mode == "plant" else (y[i], y[i + 1])
+                new = pde.step(new, grid, nl, binput, _direction=direction)
+                ref = ref_step(ref, grid, nl, binput, direction)
+                assert _bits(new.z) == _bits(ref.z)
+                assert _bits(new.zt) == _bits(ref.zt)
+                assert new.t == ref.t
+
+    @pytest.mark.parametrize("dim,n", [(1, 41), (1, 17), (2, 21), (2, 16)])
+    def test_energy_and_lyapunov_match_inline_reference(self, dim, n):
+        rng = np.random.default_rng([7, dim, n])
+        grid = pde.make_grid(dim, n, 0.4, "observer-forward", 0.7)
+        for _ in range(20):
+            f = _random_field(rng, n, dim)
+            assert _bits(pde.energy(f, grid)) == _bits(ref_energy(f, grid))
+            for chi in (0.0, 0.05, 0.3):
+                for k in (None, 0.0, 2.5):
+                    want = ref_lyapunov(f, grid, chi, grid.k if k is None else k)
+                    assert _bits(pde.lyapunov(f, grid, chi, k)) == _bits(want)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_run_series_match_inline_reference(self, dim):
+        # the energy and Lyapunov series of a run equal the reference
+        # functionals evaluated on the reference steps
+        n = 41 if dim == 1 else 21
+        rng = np.random.default_rng([11, dim])
+        grid = pde.make_grid(dim, n, 0.3, "observer-forward", 1.0)
+        nl = _sources(dim)["x-dependent"]
+        trace = pde.BoundaryTrace(
+            _boundary_inputs(rng, grid, round(0.3 / grid.dt)), grid.dt)
+        f0 = _random_field(rng, n, dim)
+        f0.t = 0.0
+        _, _, (energies, lyaps) = pde.run(f0, 0.3, grid, nl, trace, chi=0.2)
+        ref = f0
+        want_e = [ref_energy(ref, grid)]
+        want_v = [ref_lyapunov(ref, grid, 0.2, grid.k)]
+        for i in range(trace.steps):
+            ref = ref_step(ref, grid, nl, (trace.samples[i], trace.samples[i + 1]))
+            want_e.append(ref_energy(ref, grid))
+            want_v.append(ref_lyapunov(ref, grid, 0.2, grid.k))
+        assert _bits(energies) == _bits(want_e)
+        assert _bits(lyaps) == _bits(want_v)
+
+
+class TestSharedCoordinates:
+    def test_axis_and_coords_are_shared_and_read_only(self):
+        for dim in (1, 2):
+            g = pde.Grid(dim, 21, 0.01)
+            assert g.axis() is g.axis() and g.coords() is g.coords()
+            arrays = [g.axis()] + ([g.coords()] if dim == 1 else list(g.coords()))
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[1] = 5.0
+        # equal grids are still equal and hash alike once one has stepped
+        a, b = pde.Grid(2, 21, 0.01), pde.Grid(2, 21, 0.01)
+        a.coords()
+        assert a == b and hash(a) == hash(b)
+        # copies keep the coordinates read-only
+        for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert c == a
+            assert not any(x.flags.writeable for x in c.coords())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nonlinearity_writing_into_x_raises(self, dim):
+        g = pde.make_grid(dim, 21, 0.2)
+        before = [np.array(c) for c in
+                  ([g.coords()] if dim == 1 else g.coords())]
+
+        def writes_x(z, x, t):
+            (x if dim == 1 else x[0])[...] = 7.0
+            return 0.0 * z
+
+        def scales_x(z, x, t):
+            if dim == 1:
+                x *= 2.0
+            else:
+                x[1] *= 2.0
+            return 0.0 * z
+
+        f = _random_field(np.random.default_rng(3), 21, dim)
+        for fn in (writes_x, scales_x):
+            with pytest.raises(ValueError, match="read-only"):
+                pde.step(f, g, pde.Nonlinearity(fn))
+        after = [g.coords()] if dim == 1 else g.coords()
+        for old, new in zip(before, after):
+            assert old.tobytes() == np.asarray(new).tobytes()
+        # and the grid still steps as a fresh one does
+        fresh = pde.make_grid(dim, 21, 0.2)
+        nl = _sources(dim)["x-dependent"]
+        assert _bits(pde.step(f, g, nl).z) == _bits(ref_step(f, fresh, nl).z)
+
+
+class TestOverflowWarnsNothing:
+    def test_overflowing_step_raises_divergence_not_warning(self):
+        # a source that overflows inside the first step: z stays finite
+        # until the update, then turns into inf and nan
+        g = pde.make_grid(1, 21, 0.05)
+        x = g.axis()
+        f0 = pde.WaveField(1e150 * x, np.zeros_like(x))
+        nl = pde.Nonlinearity(lambda z, x, t: 1e10 * z * z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pde.DivergenceError, match="non-finite"):
+                pde.run(f0, 0.05, g, nl)
+
+    def test_overflowing_observer_step_raises_divergence_not_warning(self):
+        g = pde.make_grid(2, 21, 0.1, "observer-forward", 1.0)
+        x1, x2 = g.coords()
+        f0 = pde.WaveField(1e150 * x1 * x2, np.zeros_like(x1))
+        nl = pde.Nonlinearity(lambda z, x, t: 1e10 * z * z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pde.DivergenceError, match="non-finite"):
+                pde.run(f0, 0.1, g, nl, zero_trace(g, 0.1))

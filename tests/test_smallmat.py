@@ -332,6 +332,19 @@ def test_extreme_eigenvalues_bit_identical_to_scalar_jacobi():
     assert _same_bits(one_hi, want_hi)
 
 
+def test_frobenius_squares_by_multiplication():
+    # x * x is correctly rounded; libm pow(x, 2) is not everywhere, so the
+    # three kernels share their convergence scale only if all square this way
+    rng = np.random.default_rng(5)
+    for row in _random_batch(rng, 2000):
+        m = SymMatrix(3, row.tolist())
+        s = 0.0
+        for x in (row[0], row[1], row[2], row[1], row[3], row[4],
+                  row[2], row[4], row[5]):
+            s += float(x) * float(x)
+        assert m.frobenius() == math.sqrt(s)
+
+
 def test_extreme_eigenvalues_mixed_sweep_counts():
     # diagonal (no sweep), nearly diagonal (one), ill-separated and
     # clustered matrices (several) converge at different sweeps in one batch
