@@ -3,9 +3,11 @@
 Everything here is grid-plus-bisection on scalar spectral margins: the
 multiplier searches exploit that each lambda enters exactly one matrix
 affinely (so the decisive eigenvalue is convex in it and a golden-section
-scan is exact), chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n),
-and the minimal observation time is bisected using the monotonicity of the
-observability matrix in t_star.  All searches are deterministic: same
+scan is exact, and the lambdas that make the matrix definite form one
+interval that yes/no questions read off in closed form), chi scans
+exploit the hard psi1 cut chi < k/(1 + k^2 n), and the minimal
+observation time is bisected using the monotonicity of the observability
+matrix in t_star.  All searches are deterministic: same
 inputs and config, same outputs, regardless of worker count.
 """
 
@@ -24,6 +26,7 @@ from .certificates import (
     DecisionVars,
     ProblemParams,
     _golden_min,
+    _wq,
     certificate_to_dict,
     check_observability,
     check_stability,
@@ -92,6 +95,10 @@ class SearchConfig:
         for name in ("lambda_bisection_tol", "tstar_tol"):
             object.__setattr__(self, name,
                                checked_float(name, getattr(self, name), 0.0, strict=True))
+        if self.lambda_bisection_tol > 1e-2:
+            # a tolerance near the width of a multiplier's bracket would
+            # make each golden section a single midpoint evaluation
+            raise CertificateError("lambda_bisection_tol must be <= 0.01")
         object.__setattr__(self, "refinement_rounds",
                            checked_int("refinement_rounds", self.refinement_rounds, 0))
         object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
@@ -159,6 +166,75 @@ def _best_multiplier(params, chi, tol, entries, name, top=True):
     lam = _golden_min(decisive, lo, hi, tol)
     value = decisive(lam)
     return (value if top else -value), lam
+
+
+def _span(n0, wq, lo, hi):
+    """(a, b) where n0 + lam diag(-wq, 0, 1) is positive definite, cut to [lo, hi].
+
+    n0 is the upper triangle (p, r, u, q, v, w) of a symmetric 3x3 matrix
+    and wq > 0.  By Sylvester's criterion the first two leading minors are
+    positive iff q > 0 and lam < cap = (p - r^2/q) / wq; with t = cap - lam
+    the determinant is the concave quadratic q wq (W t - t^2 - K), W and K
+    below, positive between its two roots in t.  The span is empty when
+    not a < b, and None when an intermediate is not finite.
+    """
+    p, r, u, q, v, w = n0
+    if not math.isfinite(p + r + u + q + v + w + lo + hi):
+        return None
+    if not q > 0.0:
+        return lo, lo
+    cap = (p - r * r / q) / wq
+    big_w = w + cap - v * v / q
+    k = (u - r * v / q) ** 2 / wq
+    disc = big_w * big_w - 4.0 * k
+    if not math.isfinite(cap + big_w + disc):
+        return None
+    if not (big_w > 0.0 and disc > 0.0):
+        return lo, lo
+    t2 = 0.5 * (big_w + math.sqrt(disc))
+    return max(lo, cap - t2), min(hi, cap - k / t2)
+
+
+def _beats(params, chi, tol, entries, name, s, top=True, strict=False):
+    """_best_multiplier(...)[0] <= s (top; < s if strict) or > s (not top).
+
+    The golden section's value lies at most tol / 2 off the optimum, since
+    the decisive eigenvalue is convex in the multiplier with Lipschitz
+    constant <= 1.  So with eps = max(tol, 1e-8) the closed-form _span
+    decides outside the band s +- eps: no multiplier clearing s by eps
+    means the answer is no, and a span clearing it means yes once
+    extremes3 confirms its midpoint (rounding can leave a sliver of a
+    span that is really empty).  Inside the band, or on overflow, the
+    golden section decides with the exact comparison.
+    """
+    chi = checked_float("chi", chi, 0.0)
+    lo, hi = _bracket(params, chi, name)
+    eps = max(tol, 1e-8)
+    sign = 1.0 if top else -1.0
+    a00, a01, a02, a11, a12, a22 = entries(params, chi, 0.0)
+    wq = _wq(params.n)
+
+    def span(shift):
+        # N(lam) = sign (shift I - M(lam)), positive definite iff M(lam)
+        # is below shift (top) or above it (not top)
+        n0 = (sign * (shift - a00), -sign * a01, -sign * a02,
+              sign * (shift - a11), -sign * a12, sign * (shift - a22))
+        return _span(n0, wq, lo, hi)
+
+    far = span(s + sign * eps)
+    if far is not None:
+        if not far[0] < far[1]:
+            return False
+        near_s = s - sign * eps
+        near = span(near_s)
+        if near is not None and near[0] < near[1]:
+            low, high = extremes3(*entries(params, chi, 0.5 * (near[0] + near[1])))
+            if (high < near_s) if top else (low > near_s):
+                return True
+    value = _best_multiplier(params, chi, tol, entries, name, top)[0]
+    if not top:
+        return value > s
+    return value < s if strict else value <= s
 
 
 def _golden_lockstep(f, lo, hi, tol, iters=200):
@@ -234,51 +310,14 @@ def _chi_grid(params, config):
     return lo, min(hi, cut * (1.0 - 1e-9)), count
 
 
-def _stability_prefilter(params, chi, margin):
-    """Cheap necessary conditions; False proves the point infeasible.
-
-    The cushion keeps these conservative so pruning can never reject a chi
-    that the full eigenvalue check would accept.
-    """
-    slack = margin + 1e-9
-    n, k, g1, delta = params.n, params.k, params.g1, params.delta
+def _stability_feasible(params, chi, config):
+    """Full stability feasibility at one chi, multipliers optimized away."""
+    margin = config.margin
     if psi1_value(params, chi) > margin:
         return False
-    if chi < delta - slack:
-        return False  # (2,2) entry -chi + delta
-    lam1_floor = max(0.0, g1 * (n - 1) * chi - slack)
-    wq = 4.0 / (PI2 * n)
-    if -chi + delta * (1.0 + chi * k * (n - 1)) + lam1_floor * wq > slack:
-        return False  # (1,1) entry at the smallest admissible lambda1
-    if n == 1:
-        # principal minors {1,1} and {2,3} jointly force
-        # (chi - delta)^2 pi^2 / 4 >= g1^2 / 4 up to slack terms
-        u = chi - delta + slack
-        if u < 0.0 or u * u * PI2 / 4.0 + u * slack < g1 * g1 / 4.0 - 1e-15:
-            return False
-    return True
-
-
-def _stability_feasible(params, chi, config):
-    """Full stability feasibility at one chi, multipliers optimized away.
-
-    phi0 is checked against two candidate lambda0 values before paying for
-    a full search: under the psi1 cut it is essentially never the binding
-    constraint (chi < k/(1+k^2 n) <= 1/(2 sqrt n)).
-    """
-    margin = config.margin
-    if not _stability_prefilter(params, chi, margin):
-        return False
-    top, _ = _best_multiplier(params, chi, config.lambda_bisection_tol,
-                              psi2_entries, "lambda1")
-    if not top <= margin:
-        return False
-    for lam0 in (max(4.0 * margin, 1e-6), 0.3 * PI2 * params.n / 8.0):
-        if extremes3(*phi0_entries(params, chi, lam0))[0] > margin:
-            return True
-    bottom, _ = _best_multiplier(params, chi, config.lambda_bisection_tol,
-                                 phi0_entries, "lambda0", top=False)
-    return bottom > margin
+    tol = config.lambda_bisection_tol
+    return (_beats(params, chi, tol, psi2_entries, "lambda1", margin)
+            and _beats(params, chi, tol, phi0_entries, "lambda0", margin, top=False))
 
 
 def chi_min_stability(params, config=None):
@@ -310,6 +349,8 @@ def chi_min_stability(params, config=None):
     a, b = prev, found
     for _ in range(60):
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
         if _stability_feasible(params, mid, config):
             b = mid
         else:
@@ -333,11 +374,8 @@ def _observation_window(params, config, delta):
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
     tol = config.lambda_bisection_tol
 
-    def top_at(t):
-        return _best_multiplier(replace(p, t_star=t), probe, tol,
-                                phi_obs_entries, "lambda2")[0]
-
-    top = top_at(T_STAR_MAX)
+    top = _best_multiplier(replace(p, t_star=T_STAR_MAX), probe, tol,
+                           phi_obs_entries, "lambda2")[0]
     if not top < -config.margin:
         raise Infeasible(
             "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
@@ -345,7 +383,8 @@ def _observation_window(params, config, delta):
     lo_t, hi_t = 0.0, T_STAR_MAX
     while hi_t - lo_t > config.tstar_tol:
         mid = 0.5 * (lo_t + hi_t)
-        if top_at(mid) < -config.margin:
+        if _beats(replace(p, t_star=mid), probe, tol, phi_obs_entries, "lambda2",
+                  -config.margin, strict=True):
             hi_t = mid
         else:
             lo_t = mid
@@ -538,9 +577,8 @@ def delta_margin(params, vars, config=None):
     tol = config.lambda_bisection_tol
 
     def ok(extra):
-        top, _ = _best_multiplier(replace(params, delta=params.delta + extra), chi, tol,
-                                  psi2_entries, "lambda1")
-        return top <= config.margin
+        return _beats(replace(params, delta=params.delta + extra), chi, tol,
+                      psi2_entries, "lambda1", config.margin)
 
     if not ok(0.0):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")
@@ -549,6 +587,8 @@ def delta_margin(params, vars, config=None):
     lo_e, hi_e = 0.0, params.delta
     for _ in range(60):
         mid = 0.5 * (lo_e + hi_e)
+        if not lo_e < mid < hi_e:
+            break
         if ok(mid):
             lo_e = mid
         else:

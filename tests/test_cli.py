@@ -95,6 +95,9 @@ class TestErrors:
                               "initial": {"preset": "paper-example2"}}},
          "points_per_axis must"),
         ("sweep", {"problems": [[1]]}, "JSON object of problem keys"),
+        ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
+                      "search": {"lambda_bisection_tol": 0.5}},
+         "lambda_bisection_tol must"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts

@@ -8,6 +8,7 @@ computed offline with an independent implementation.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from wavecert.certificates import (
     make_certificate,
     phi0_entries,
     phi_obs_entries,
+    psi1_value,
     psi2_entries,
 )
 from wavecert.smallmat import eigenvalues, extreme_eigenvalues
@@ -184,6 +186,9 @@ class TestSearchConfig:
         {"refinement_rounds": math.inf},
         {"margin": True},
         {"chi_grid": ("a", "b", 3)},
+        # a bracket-wide tolerance makes each golden section one midpoint
+        {"lambda_bisection_tol": 0.011},
+        {"lambda_bisection_tol": 1.0},
     ])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(CertificateError):
@@ -601,6 +606,245 @@ class TestLockstepScan:
                         checked += 1
         assert checked >= 1000
         assert verdicts == {True, False}
+
+
+# ------------------------------------------------------ closed-form decisions
+# the searches before the closed form, kept as the oracle: the prefilter,
+# the two lambda0 candidates, a golden section for every decision and the
+# full 60-step bisections; the searches must return the same bits
+
+
+def head_stability_feasible(params, chi, config):
+    margin = config.margin
+    slack = margin + 1e-9
+    n, k, g1, delta = params.n, params.k, params.g1, params.delta
+    if psi1_value(params, chi) > margin:
+        return False
+    if chi < delta - slack:
+        return False
+    lam1_floor = max(0.0, g1 * (n - 1) * chi - slack)
+    wq = 4.0 / (PI2 * n)
+    if -chi + delta * (1.0 + chi * k * (n - 1)) + lam1_floor * wq > slack:
+        return False
+    if n == 1:
+        u = chi - delta + slack
+        if u < 0.0 or u * u * PI2 / 4.0 + u * slack < g1 * g1 / 4.0 - 1e-15:
+            return False
+    tol = config.lambda_bisection_tol
+    top, _ = search._best_multiplier(params, chi, tol, psi2_entries, "lambda1")
+    if not top <= margin:
+        return False
+    for lam0 in (max(4.0 * margin, 1e-6), 0.3 * PI2 * params.n / 8.0):
+        if search.extremes3(*phi0_entries(params, chi, lam0))[0] > margin:
+            return True
+    bottom, _ = search._best_multiplier(params, chi, tol, phi0_entries, "lambda0",
+                                        top=False)
+    return bottom > margin
+
+
+def head_chi_min_stability(params, config):
+    lo, hi, count = search._chi_grid(params, config)
+    if hi <= lo:
+        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
+                         % fmt_float(search._chi_cut(params)))
+    found = None
+    prev = None
+    for x in np.geomspace(lo, hi, count):
+        chi = float(x)
+        if head_stability_feasible(params, chi, config):
+            found = chi
+            break
+        prev = chi
+    if found is None:
+        raise Infeasible("no chi on (%s, %s) certifies stability at delta=%s"
+                         % (fmt_float(lo), fmt_float(hi), fmt_float(params.delta)))
+    if prev is None:
+        return found
+    a, b = prev, found
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        if head_stability_feasible(params, mid, config):
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def head_observation_window(params, config, delta):
+    p = replace(params, delta=delta, t_star=None, t_total=None)
+    cmin = head_chi_min_stability(p, config)
+    probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + search._chi_cut(p)))
+    tol = config.lambda_bisection_tol
+
+    def top_at(t):
+        return search._best_multiplier(replace(p, t_star=t), probe, tol, phi_obs_entries, "lambda2")[0]
+
+    top = top_at(search.T_STAR_MAX)
+    if not top < -config.margin:
+        raise Infeasible(
+            "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
+            % (search.T_STAR_MAX, fmt_float(delta), fmt_float(top)))
+    lo_t, hi_t = 0.0, search.T_STAR_MAX
+    while hi_t - lo_t > config.tstar_tol:
+        mid = 0.5 * (lo_t + hi_t)
+        if top_at(mid) < -config.margin:
+            hi_t = mid
+        else:
+            lo_t = mid
+    return hi_t, cmin, probe
+
+
+def head_delta_margin(params, vars, config):
+    chi = vars.chi
+    tol = config.lambda_bisection_tol
+
+    def ok(extra):
+        top, _ = search._best_multiplier(replace(params, delta=params.delta + extra), chi, tol, psi2_entries, "lambda1")
+        return top <= config.margin
+
+    if not ok(0.0):
+        raise Infeasible("the supplied point is not stability-feasible at its own delta")
+    if ok(params.delta):
+        return params.delta
+    lo_e, hi_e = 0.0, params.delta
+    for _ in range(60):
+        mid = 0.5 * (lo_e + hi_e)
+        if ok(mid):
+            lo_e = mid
+        else:
+            hi_e = mid
+    return max(lo_e, 1e-12)
+
+
+def _repr_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (Infeasible, CertificateError) as exc:
+        return type(exc), str(exc)
+
+
+def _golden_says(params, chi, tol, entries, name, s, top, strict):
+    value = search._best_multiplier(params, chi, tol, entries, name, top)[0]
+    if not top:
+        return value > s
+    return value < s if strict else value <= s
+
+
+# entries, multiplier, top, strict: the three decisions the searches make
+DECISIONS = [(psi2_entries, "lambda1", True, False),
+             (phi0_entries, "lambda0", False, True),
+             (phi_obs_entries, "lambda2", True, True)]
+
+
+def _random_problem(rng, n):
+    g1 = 5.0 if rng.uniform() < 0.1 else float(rng.uniform(0.0, 0.5))
+    params = ProblemParams(n=n, k=float(rng.uniform(0.3, 2.0)), g1=g1,
+                           delta=float(10.0 ** rng.uniform(-4.0, -0.3)),
+                           t_star=float(rng.uniform(0.1, 60.0)))
+    chi = float(10.0 ** rng.uniform(-4.0, 0.0) * search._chi_cut(params))
+    return params, chi
+
+
+class TestClosedFormDecisions:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_agrees_with_the_golden_section(self, tol, monkeypatch):
+        # s at +-{0.9, 1, 1.1, 1.5, 2, 3} eps from the golden value: inside
+        # the band the golden section decides, outside it the closed form
+        rng = np.random.default_rng(int(-math.log10(tol)))
+        eps = max(tol, 1e-8)
+        golden_calls = []
+        golden = search._best_multiplier
+
+        def counted(*args, **kw):
+            golden_calls.append(args[4])
+            return golden(*args, **kw)
+
+        monkeypatch.setattr(search, "_best_multiplier", counted)
+        outside = closed = 0
+        for n in (1, 2, 3, 4):
+            for entries, name, top, strict in DECISIONS:
+                for _ in range(6):
+                    params, chi = _random_problem(rng, n)
+                    value = golden(params, chi, tol, entries, name, top)[0]
+                    for f in (0.9, 1.0, 1.1, 1.5, 2.0, 3.0):
+                        for side in (-1.0, 1.0):
+                            s = value + side * f * eps
+                            want = _golden_says(params, chi, tol, entries, name, s,
+                                                top, strict)
+                            del golden_calls[:]
+                            got = search._beats(params, chi, tol, entries, name, s,
+                                                top, strict)
+                            assert got == want, (params, chi, name, s)
+                            if f >= 1.5 and math.isfinite(value):
+                                outside += 1
+                                closed += not golden_calls
+        assert closed >= 0.9 * outside
+
+    def test_rounding_sliver_is_not_feasible(self):
+        # n = 1: the determinant has the second leading minor as a factor,
+        # so an expanded quadratic's root meets the cap up to rounding and
+        # can leave a sliver of a span that is really empty
+        params = ProblemParams(n=1, k=0.4607879839559085, g1=0.09510413139896456,
+                               delta=0.12104731253124086, t_star=1.9019470945648353)
+        chi, tol = 0.08180788182923945, 1e-3
+        value = search._best_multiplier(params, chi, tol, phi_obs_entries, "lambda2")[0]
+        s = value - 0.004
+        assert not search._beats(params, chi, tol, phi_obs_entries, "lambda2", s,
+                                 strict=True)
+        assert search._beats(params, chi, tol, phi_obs_entries, "lambda2", value + 0.004,
+                             strict=True)
+
+    def test_bad_input_raises_as_the_golden_section_does(self):
+        p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
+        for chi_bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(CertificateError, match="chi"):
+                search._beats(p, chi_bad, 1e-9, psi2_entries, "lambda1", 1e-9)
+        huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            search._beats(huge, 10.0, 1e-9, psi2_entries, "lambda1", 1e-9)
+        # an empty lambda2 interval: the golden value is inf, never below s
+        short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
+        assert not search._beats(short, 0.1, 1e-9, phi_obs_entries, "lambda2", 1e300)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1e-2])
+    def test_searches_keep_their_bits(self, tol):
+        rng = np.random.default_rng(100 + int(-math.log10(tol)))
+        config = SearchConfig(lambda_bisection_tol=tol, tstar_tol=1e-2)
+        for n in (1, 2, 3):
+            problems = [ProblemParams(n=n, k=float(rng.uniform(0.5, 2.0)),
+                                      g1=float(rng.uniform(0.0, 0.3)))
+                        for _ in range(2)]
+            for params in problems:
+                cut = search._chi_cut(params)
+                # the last delta leaves -chi + delta >= 0: infeasible
+                for delta in (float(10.0 ** rng.uniform(-3.0, -1.0)) * cut, 1.01 * cut):
+                    p = ProblemParams(n=n, k=params.k, g1=params.g1, delta=delta)
+                    cmin = _repr_outcome(chi_min_stability, p, config)
+                    assert cmin == _repr_outcome(head_chi_min_stability, p, config)
+                    assert (_repr_outcome(search._observation_window, params, config, delta)
+                            == _repr_outcome(head_observation_window, params, config,
+                                             delta))
+                    if isinstance(cmin, tuple):
+                        continue
+                    for chi in (float(cmin), float(cmin) * (1.0 - 1e-3),
+                                0.5 * (float(cmin) + cut)):
+                        v = DecisionVars(chi=chi)
+                        assert (_repr_outcome(delta_margin, p, v, config)
+                                == _repr_outcome(head_delta_margin, p, v, config))
+
+    @pytest.mark.parametrize("params", [
+        ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1),
+        ProblemParams(n=2, k=1.0, g1=0.3, delta=0.01),
+        ProblemParams(n=1, k=1.0, g1=5.0, delta=0.4),
+    ])
+    def test_pinned_minimal_time_keeps_its_bits(self, params, monkeypatch):
+        def certified(p):
+            t, delta, cert = minimal_observability_time(p)
+            return t, delta, certificate_to_dict(cert)
+
+        got = _repr_outcome(certified, params)
+        monkeypatch.setattr(search, "_observation_window", head_observation_window)
+        assert got == _repr_outcome(certified, params)
 
 
 # ------------------------------------------------------------------- regional
