@@ -920,9 +920,58 @@ class TestExport:
 #
 # Reference copies of the solver step, acceleration, energy and Lyapunov
 # functional as they read with every constant evaluated inline, zero-filled
-# work arrays and np.gradient.  The solver now caches its per-grid
-# invariants and computes the gradient itself; these tests require the
-# same bits, compared through tobytes() so the sign of a zero counts.
+# work arrays and np.gradient, written per dimension.  They call no solver
+# helper: the Dirichlet pin, the smoothing, the boundary multiplicity and
+# scatter, the cell integrals (np.trapezoid) and the boundary node count
+# are copied here too, so the solver's own versions are compared, not
+# reused.  These tests require the same bits, compared through tobytes()
+# so the sign of a zero counts.
+
+
+def ref_pin_dirichlet(arr, dim):
+    if dim == 1:
+        arr[0] = 0.0
+    else:
+        arr[0, :] = 0.0
+        arr[:, 0] = 0.0
+
+
+def ref_smooth(w, dim):
+    nu = 0.02 / 16.0
+    if dim == 1:
+        w[2:-2] -= nu * (w[4:] - 4.0 * w[3:-1] + 6.0 * w[2:-2] - 4.0 * w[1:-3] + w[:-4])
+    else:
+        w[2:-2, :] -= nu * (w[4:, :] - 4.0 * w[3:-1, :] + 6.0 * w[2:-2, :]
+                            - 4.0 * w[1:-3, :] + w[:-4, :])
+        w[:, 2:-2] -= nu * (w[:, 4:] - 4.0 * w[:, 3:-1] + 6.0 * w[:, 2:-2]
+                            - 4.0 * w[:, 1:-3] + w[:, :-4])
+    ref_pin_dirichlet(w, dim)
+
+
+def ref_scatter(values, grid):
+    n = grid.points_per_axis
+    full = np.zeros((n, n))
+    full[1:-1, -1] = values[: n - 2]
+    full[-1, 1:] = values[n - 2:]
+    return full
+
+
+def ref_multiplicity(grid):
+    n = grid.points_per_axis
+    m = np.zeros((n, n))
+    m[1:, -1] += 1.0
+    m[-1, 1:] += 1.0
+    return m
+
+
+def ref_integrate_cells(values, dx):
+    if values.ndim == 1:
+        return np.trapezoid(values, dx=dx)
+    return np.trapezoid(np.trapezoid(values, dx=dx, axis=1), dx=dx)
+
+
+def ref_boundary_node_count(grid):
+    return 1 if grid.dim == 1 else 2 * grid.points_per_axis - 3
 
 
 def ref_accel(z, grid, nonlinearity, t):
@@ -944,7 +993,7 @@ def ref_accel(z, grid, nonlinearity, t):
     fv = nonlinearity(z, coords, t)
     if np.ndim(fv) or fv:
         a = a + fv
-    pde._pin_dirichlet(a, grid.dim)
+    ref_pin_dirichlet(a, grid.dim)
     return a
 
 
@@ -961,11 +1010,11 @@ def ref_step(field, grid, nonlinearity=pde.ZERO_F, boundary_input=None,
         if grid.dim == 1:
             a0[-1] += flux * (float(y0) - v[-1])
         else:
-            mult = pde._multiplicity(grid)
-            a0 += flux * mult * (pde._scatter(np.asarray(y0, dtype=float), grid) - v)
+            mult = ref_multiplicity(grid)
+            a0 += flux * mult * (ref_scatter(np.asarray(y0, dtype=float), grid) - v)
 
     z_new = z + dt * v + 0.5 * dt * dt * a0
-    pde._pin_dirichlet(z_new, grid.dim)
+    ref_pin_dirichlet(z_new, grid.dim)
     t_new = t + direction * dt
     a1 = ref_accel(z_new, grid, nonlinearity, t_new)
     v_new = v + 0.5 * dt * (a0 + a1)
@@ -975,13 +1024,13 @@ def ref_step(field, grid, nonlinearity=pde.ZERO_F, boundary_input=None,
             v_new[-1] = (v[-1] + 0.5 * dt * (a0[-1] + a1[-1] + flux * float(y1))) \
                 / (1.0 + k * dt / dx)
         else:
-            y1_full = pde._scatter(np.asarray(y1, dtype=float), grid)
+            y1_full = ref_scatter(np.asarray(y1, dtype=float), grid)
             denom = 1.0 + mult * k * dt / dx
             v_new = (v + 0.5 * dt * (a0 + a1 + flux * mult * y1_full)) / denom
-    pde._pin_dirichlet(v_new, grid.dim)
+    ref_pin_dirichlet(v_new, grid.dim)
 
-    pde._smooth(z_new, grid.dim)
-    pde._smooth(v_new, grid.dim)
+    ref_smooth(z_new, grid.dim)
+    ref_smooth(v_new, grid.dim)
     out = pde.WaveField.__new__(pde.WaveField)
     out.z, out.zt, out.t = z_new, v_new, t_new
     return out
@@ -996,7 +1045,7 @@ def ref_grad_sq(z, dx):
 
 
 def ref_energy(field, grid):
-    return 0.5 * pde._integrate_cells(
+    return 0.5 * ref_integrate_cells(
         ref_grad_sq(field.z, grid.dx) + field.zt * field.zt, grid.dx)
 
 
@@ -1006,12 +1055,12 @@ def ref_lyapunov(field, grid, chi, k):
     x = np.linspace(0.0, 1.0, grid.points_per_axis)
     if grid.dim == 1:
         zx = np.gradient(z, dx)
-        cross = pde._trapz(2.0 * x * zx * v, dx=dx)
+        cross = np.trapezoid(2.0 * x * zx * v, dx=dx)
         return e + chi * cross
     x1, x2 = np.meshgrid(x, x, indexing="ij")
     g1, g2 = np.gradient(z, dx)
-    cross = pde._integrate_cells((2.0 * (x1 * g1 + x2 * g2) + z) * v, dx)
-    face = pde._trapz(z[:, -1] ** 2, dx=dx) + pde._trapz(z[-1, :] ** 2, dx=dx)
+    cross = ref_integrate_cells((2.0 * (x1 * g1 + x2 * g2) + z) * v, dx)
+    face = np.trapezoid(z[:, -1] ** 2, dx=dx) + np.trapezoid(z[-1, :] ** 2, dx=dx)
     return e + chi * cross + chi * k * 0.5 * face
 
 
@@ -1026,8 +1075,8 @@ def _random_field(rng, n, dim):
     zt = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 1, shape)
     z[rng.random(shape) < 0.05] = -0.0
     zt[rng.random(shape) < 0.05] = -0.0
-    pde._pin_dirichlet(z, dim)
-    pde._pin_dirichlet(zt, dim)
+    ref_pin_dirichlet(z, dim)
+    ref_pin_dirichlet(zt, dim)
     f = pde.WaveField.__new__(pde.WaveField)
     f.z, f.zt, f.t = z, zt, float(rng.uniform(0.0, 2.0))
     return f
@@ -1046,7 +1095,7 @@ def _sources(dim):
 
 
 def _boundary_inputs(rng, grid, steps):
-    count = pde.boundary_node_count(grid)
+    count = ref_boundary_node_count(grid)
     shape = (steps + 1,) if grid.dim == 1 else (steps + 1, count)
     y = rng.normal(size=shape)
     y[rng.random(shape) < 0.1] = -0.0
