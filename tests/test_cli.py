@@ -4,6 +4,7 @@ Most cases call cli.main(argv) in process and parse its stdout; one test
 drives the installed console script to check the packaging wiring.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -571,3 +572,65 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["feasible"] is True
+
+
+class TestPinnedOutputBytes:
+    """simulate then recover on reduced 1-D and 2-D cases, hashed.
+
+    Each case's SHA-256 covers, per command in order, its exit code,
+    stdout, stderr and written file.  The digests were taken with
+    Python 3.11.7 and numpy 2.4.6; a numpy release that changes the
+    last bit of an elementwise operation changes them too.
+    """
+
+    CASES = {
+        # criterion 4's case on a coarse grid, with the Lyapunov column
+        "d1": ({"points_per_axis": 41, "horizon": 2.1, "k": 1.0, "chi": 0.18,
+                "nonlinearity": {"form": "quadratic", "coeff": 0.1,
+                                 "fz_bound": 0.2, "local_radius": 1.0},
+                "initial": {"preset": "paper-example2"}}, True),
+        "d1-observer": ({"points_per_axis": 41, "horizon": 1.0, "k": 1.0,
+                         "chi": 0.1, "mode": "observer-backward",
+                         "initial": {"fourier-sine": {"z": [0.2, -0.1, 0.05],
+                                                      "zt": [0.1]}}}, False),
+        "d2": ({"dim": 2, "points_per_axis": 21, "horizon": 2.5, "k": 1.0,
+                "chi": 0.05, "nonlinearity": {"form": "sine", "coeff": 0.1},
+                "initial": {"fourier-sine": {"z": [[0.2, 0.05], [0.05, 0.02]],
+                                             "zt": [[0.1, 0.0], [0.0, 0.05]]}}},
+               True),
+        "d2-observer": ({"dim": 2, "points_per_axis": 21, "horizon": 0.5,
+                         "k": 0.5, "chi": 0.1, "mode": "observer-forward",
+                         "initial": {"fourier-sine": {"z": [[0.1, 0.0, 0.03]],
+                                                      "zt": [[0.0], [0.1]]}}},
+                        False),
+    }
+
+    DIGESTS = {
+        "d1": "cdc3e20527105ea31299ec2fc7c56a10f38d327bea8e9b594928889c9cff4a15",
+        "d1-observer":
+            "aa1c14e80e23ef944d293cd938589a3ef3a86beb98476803046bd8370d2ed6bd",
+        "d2": "4eb8e5bc2eea88c07490b1471e7cd35f49a9b2352c6fa89181fb2d9dc19ec51c",
+        "d2-observer":
+            "20c758266588f3a880b3d17d52efe7688dd4625734bef2357ee67678162f5107",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, tmp_path, capsys, name):
+        sim, recovers = self.CASES[name]
+        cfg = write_json(tmp_path, "c.json", {"sim": sim})
+        trace = str(tmp_path / "trace.csv")
+        report = str(tmp_path / "run.json")
+        commands = [(["simulate", "--config", cfg, "--out", trace], trace)]
+        if recovers:
+            commands.append((["recover", "--config", cfg, "--trace", trace,
+                              "--iterations", "10", "--out", report], report))
+        h = hashlib.sha256()
+        for argv, path in commands:
+            code, out, err = run_cli(argv, capsys)
+            assert code in (0, 2), err
+            h.update(b"%d\n" % code)
+            h.update(out.encode())
+            h.update(err.encode())
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+        assert h.hexdigest() == self.DIGESTS[name]
