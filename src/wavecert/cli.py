@@ -152,25 +152,21 @@ def build_nonlinearity(spec):
 
 
 def _fourier_sum(coeffs, grid):
-    # coefficient j (1-based) weights the Dirichlet-compliant mode
-    # sin((j - 1/2) pi x); 2-D takes a matrix over mode products
+    # coefficient (j_1, ..., j_dim) (1-based) weights the Dirichlet-compliant
+    # mode product sin((j_1 - 1/2) pi x_1) ... sin((j_dim - 1/2) pi x_dim)
     a = np.asarray(coeffs, dtype=float)
-    if grid.dim == 1:
-        if a.ndim != 1:
-            raise CliError("fourier-sine coefficients must be a flat list")
-        x = grid.axis()
-        out = np.zeros_like(x)
-        for j in range(a.size):
-            out += a[j] * np.sin((j + 0.5) * math.pi * x)
-        return out
-    if a.ndim != 2:
-        raise CliError("fourier-sine coefficients must be a matrix for dim 2")
-    x1, x2 = grid.coords()
-    out = np.zeros_like(x1)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out += (a[i, j] * np.sin((i + 0.5) * math.pi * x1)
-                    * np.sin((j + 0.5) * math.pi * x2))
+    if a.ndim != grid.dim:
+        raise CliError("fourier-sine coefficients must be a %d-D array for dim %d"
+                       % (grid.dim, grid.dim))
+    x = grid.axis()
+    out = np.zeros((x.size,) * grid.dim)
+    for modes in np.ndindex(a.shape):
+        term = a[modes]
+        for i, j in enumerate(modes):
+            # the factor of axis i, broadcast along dimension i
+            term = term * np.sin((j + 0.5) * math.pi * x).reshape(
+                (-1,) + (1,) * (grid.dim - 1 - i))
+        out += term
     return out
 
 
@@ -327,9 +323,8 @@ def cmd_simulate(args):
         # no measurement source on the command line: observer modes run the
         # autonomous damped (or anti-damped) dynamics against a zero trace
         steps = int(round(horizon / grid.dt))
-        shape = (steps + 1,) if grid.dim == 1 else (
-            steps + 1, pde.boundary_node_count(grid))
-        trace_in = pde.BoundaryTrace(np.zeros(shape), grid.dt)
+        trace_in = pde.BoundaryTrace(
+            np.zeros((steps + 1, pde.boundary_node_count(grid))), grid.dt)
     final, trace, series = pde.run(field, horizon, grid, nonlinearity,
                                    trace_in=trace_in, chi=chi)
     if chi is None:

@@ -96,8 +96,7 @@ def _observer_grids(config):
 
 
 def _zero_state(grid, t0):
-    n = grid.points_per_axis
-    shape = (n,) if grid.dim == 1 else (n, n)
+    shape = (grid.points_per_axis,) * grid.dim
     return pde.WaveField(np.zeros(shape), np.zeros(shape), t0)
 
 
@@ -143,8 +142,7 @@ def recover(measurements, config, truth=None):
     e_b0 = v_b0 = None
     prev_e_b = None
     if truth is not None:
-        if truth.z.shape != (_zero_state(grid_f, t0)).z.shape:
-            raise ValueError("truth does not match the grid")
+        pde._check_shape(truth, grid_f)
         e_b0 = pde.energy(truth, grid_f)
         prev_e_b = e_b0
         if chi is not None:
@@ -357,7 +355,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     gap_sq = 2.0 * pde.energy(gap_field, grid_f)
 
     per_level = _boundary_sq_integral(noise.samples, config.grid)
-    noise_integral = float(pde._trapz(per_level, dx=noise.dt))
+    noise_integral = float(pde._integrate_cells(per_level, noise.dt))
 
     gamma = cert.vars.gamma
     if gamma is None:

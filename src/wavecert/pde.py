@@ -1,4 +1,4 @@
-"""Finite-difference wave solver on the unit interval and unit square.
+"""Finite-difference wave solver on the unit hypercube [0,1]^dim.
 
 The scheme is the classical leapfrog in velocity form: the displacement
 update is the exact Taylor half-step z + dt v + dt^2/2 a, the velocity is
@@ -12,10 +12,12 @@ those modes sit on the measured boundary forever and poison long damped
 runs.  The smoothing strength is far below the scheme's truncation error;
 the energy-conservation and convergence-order tests pin that down.
 
-Sides of the square with x_p = 0 are clamped (z = 0); the remaining sides
-form the measured boundary.  In two dimensions the corner (1,1) belongs to
-both measured faces and carries flux multiplicity two, with its trace
-quadrature weight split evenly between the faces.
+Every stencil (Laplacian, smoothing, Dirichlet pin, gradient, cell
+integrals) is written once and applied along each axis in turn, axis 0
+first.  The faces x_p = 0 are clamped (z = 0); the faces x_p = 1 form the
+measured boundary.  A measured node carries flux multiplicity equal to the
+number of measured faces through it (two at the corner (1,1) in 2-D), and
+the grid's plan fixes the measured nodes and their lexicographic order.
 """
 
 import math
@@ -27,10 +29,6 @@ import numpy as np
 from .certificates import checked_float, checked_int, fmt_float
 
 KO_NU = 0.02  # fourth-difference smoothing strength
-CFL_1D = 0.9
-CFL_2D = 0.9 / math.sqrt(2.0)
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 MODES = ("plant", "observer-forward", "observer-backward")
 
@@ -45,7 +43,7 @@ class DivergenceError(RuntimeError):
 
 
 def default_cfl(dim):
-    return CFL_1D if dim == 1 else CFL_2D
+    return 0.9 / math.sqrt(dim)
 
 
 @dataclass(frozen=True)
@@ -111,34 +109,36 @@ def _read_only(arr):
 
 
 class _GridPlan:
-    """Per-grid invariants of the solver step.
+    """Per-grid invariants of the solver step and the measured-boundary layout.
 
-    Each constant keeps the association it has in the step formula
-    ((0.5 * dt) * dt, then flux * mult before the field), so hoisting it
-    out of the step changes no bit.  denom is the trapezoidal boundary
-    velocity's divisor: a float in 1-D, an array over the nodes in 2-D.
+    The multiplicity of a node is the number of measured faces x_i = 1
+    through it; nodes on a clamped face x_i = 0 have none.  measured indexes
+    the nodes of nonzero multiplicity in lexicographic order, the order of
+    every trace row.  Each constant keeps the association it has in the
+    step formula ((0.5 * dt) * dt, then 2 k / dx before the multiplicity),
+    so hoisting it out of the step changes no bit.  flux_mult and denom,
+    the trapezoidal boundary velocity's divisor, are arrays over the nodes.
     """
 
-    __slots__ = ("axis", "coords", "dx2", "flux", "half_dt", "half_dt2",
+    __slots__ = ("axis", "coords", "dx2", "half_dt", "half_dt2", "measured",
                  "flux_mult", "denom")
 
     def __init__(self, grid):
-        dt, dx, k = grid.dt, grid.dx, grid.k
+        dt, dx, k, dim = grid.dt, grid.dx, grid.k, grid.dim
         self.axis = _read_only(np.linspace(0.0, 1.0, grid.points_per_axis))
+        # f(z, x, t) and coords() take a single axis bare, several as a tuple
+        self.coords = self.axis if dim == 1 else tuple(
+            _read_only(c) for c in np.meshgrid(*(self.axis,) * dim, indexing="ij"))
         self.dx2 = dx * dx
-        self.flux = 2.0 * k / dx
         self.half_dt = 0.5 * dt
         self.half_dt2 = 0.5 * dt * dt
-        if grid.dim == 1:
-            self.coords = self.axis
-            self.flux_mult = None
-            self.denom = 1.0 + k * dt / dx
-        else:
-            self.coords = tuple(_read_only(c) for c in
-                                np.meshgrid(self.axis, self.axis, indexing="ij"))
-            mult = _multiplicity(grid)
-            self.flux_mult = _read_only(self.flux * mult)
-            self.denom = _read_only(1.0 + mult * k * dt / dx)
+        mult = np.zeros((grid.points_per_axis,) * dim)
+        for axis in range(dim):
+            mult.swapaxes(0, axis)[-1] += 1.0
+        _pin_dirichlet(mult)
+        self.measured = np.nonzero(mult)
+        self.flux_mult = _read_only(2.0 * k / dx * mult)
+        self.denom = _read_only(1.0 + mult * k * dt / dx)
 
 
 def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0, cfl=None):
@@ -150,22 +150,23 @@ def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0, cfl=None):
     return Grid(dim, points_per_axis, horizon / steps, mode, k)
 
 
-def _check_dirichlet(name, arr, dim):
+def _check_dirichlet(name, arr):
     scale = 1e-9 * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-    if dim == 1:
-        bad = abs(float(arr[0])) > scale
-    else:
-        bad = max(float(np.max(np.abs(arr[0, :]))), float(np.max(np.abs(arr[:, 0])))) > scale
-    if bad:
+    if any(np.max(np.abs(arr.swapaxes(0, axis)[0])) > scale
+           for axis in range(arr.ndim)):
         raise ValueError("%s must vanish on the clamped boundary (x_p = 0)" % name)
 
 
-def _pin_dirichlet(arr, dim):
-    if dim == 1:
-        arr[0] = 0.0
-    else:
-        arr[0, :] = 0.0
-        arr[:, 0] = 0.0
+def _pin_dirichlet(arr):
+    for axis in range(arr.ndim):
+        arr.swapaxes(0, axis)[0] = 0.0
+
+
+def _check_shape(field, grid):
+    want = (grid.points_per_axis,) * grid.dim
+    if field.z.shape != want:
+        raise ValueError("field shape %s does not match the grid shape %s"
+                         % (field.z.shape, want))
 
 
 class WaveField:
@@ -182,14 +183,14 @@ class WaveField:
         zt = np.array(zt, dtype=float)
         if z.shape != zt.shape or z.ndim not in (1, 2):
             raise ValueError("z and zt must be equal-shape 1-D or 2-D arrays")
-        if z.ndim == 2 and z.shape[0] != z.shape[1]:
-            raise ValueError("2-D fields must be square")
+        if len(set(z.shape)) > 1:
+            raise ValueError("fields must have the same length on every axis")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zt))):
             raise ValueError("field values must be finite")
-        _check_dirichlet("z", z, z.ndim)
-        _check_dirichlet("zt", zt, z.ndim)
-        _pin_dirichlet(z, z.ndim)
-        _pin_dirichlet(zt, z.ndim)
+        _check_dirichlet("z", z)
+        _check_dirichlet("zt", zt)
+        _pin_dirichlet(z)
+        _pin_dirichlet(zt)
         self.z = z
         self.zt = zt
         self.t = float(t)
@@ -206,8 +207,10 @@ class WaveField:
 class BoundaryTrace:
     """z_t sampled on the measured boundary at every solver step.
 
-    samples has one row per time level; in 2-D the columns enumerate the
-    measured nodes in lexicographic grid order, the corner (1,1) last.
+    samples has one row per time level whose columns enumerate the measured
+    nodes in lexicographic grid order, the corner (1,...,1) last.  A single
+    measured node (the 1-D case) is kept as a flat series, one value per
+    level.
     """
 
     samples: np.ndarray
@@ -220,6 +223,8 @@ class BoundaryTrace:
             raise ValueError("samples must hold at least two time levels")
         if not np.all(np.isfinite(s)):
             raise ValueError("trace samples must be finite")
+        if s.ndim == 2 and s.shape[1] == 1:
+            s = s[:, 0]
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "dt", checked_float("dt", self.dt, 0.0, strict=True))
         object.__setattr__(self, "t0", checked_float("t0", self.t0))
@@ -265,74 +270,57 @@ ZERO_F = Nonlinearity()
 
 
 def boundary_node_count(grid):
+    """Nodes with a measured face and no clamped one: (N-1)^d - (N-2)^d."""
     n = grid.points_per_axis
-    return 1 if grid.dim == 1 else 2 * n - 3
+    return (n - 1) ** grid.dim - (n - 2) ** grid.dim
 
 
 def gather_trace(v, grid):
     """Measured-boundary values of an array, lexicographic node order."""
-    if grid.dim == 1:
-        return float(v[-1])
-    return np.concatenate([v[1:-1, -1], v[-1, 1:]])
+    return v[grid._plan.measured]
 
 
-def _scatter(values, grid):
-    n = grid.points_per_axis
-    full = np.zeros((n, n))
-    full[1:-1, -1] = values[: n - 2]
-    full[-1, 1:] = values[n - 2:]
+def _scatter(values, plan):
+    full = np.zeros(plan.flux_mult.shape)
+    full[plan.measured] = values
     return full
-
-
-def _multiplicity(grid):
-    n = grid.points_per_axis
-    m = np.zeros((n, n))
-    m[1:, -1] += 1.0
-    m[-1, 1:] += 1.0
-    return m
 
 
 # ------------------------------------------------------------------- stepping
 
 
+def _second_difference(z, axis):
+    """Undivided second difference along one axis, with the reflecting
+    ghost on the measured face; the clamped entries are zeroed so that no
+    sum meets uninitialised memory, and pinned again later."""
+    d = np.empty_like(z)
+    f, g = z.swapaxes(0, axis), d.swapaxes(0, axis)
+    g[0] = 0.0
+    g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    g[-1] = 2.0 * (f[-2] - f[-1])
+    return d
+
+
 def _accel(z, grid, nonlinearity, t):
     """Laplacian with reflecting ghosts on the measured faces, plus f."""
     plan = grid._plan
-    dx2 = plan.dx2
-    # the clamped entries are pinned at the end, but are zeroed first so
-    # that no sum below meets uninitialised memory
-    a = np.empty_like(z)
-    if grid.dim == 1:
-        a[0] = 0.0
-        a[1:-1] = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dx2
-        a[-1] = 2.0 * (z[-2] - z[-1]) / dx2
-    else:
-        a[0, :] = 0.0
-        a[1:-1, :] = z[2:, :] - 2.0 * z[1:-1, :] + z[:-2, :]
-        a[-1, :] = 2.0 * (z[-2, :] - z[-1, :])
-        d2 = np.empty_like(z)
-        d2[:, 0] = 0.0
-        d2[:, 1:-1] = z[:, 2:] - 2.0 * z[:, 1:-1] + z[:, :-2]
-        d2[:, -1] = 2.0 * (z[:, -2] - z[:, -1])
-        a += d2
-        a /= dx2
+    a = _second_difference(z, 0)
+    for axis in range(1, z.ndim):
+        a += _second_difference(z, axis)
+    a /= plan.dx2
     fv = nonlinearity(z, plan.coords, t)
     if np.ndim(fv) or fv:
         a += fv
-    _pin_dirichlet(a, grid.dim)
+    _pin_dirichlet(a)
     return a
 
 
-def _smooth(w, dim):
+def _smooth(w):
     nu = KO_NU / 16.0
-    if dim == 1:
-        w[2:-2] -= nu * (w[4:] - 4.0 * w[3:-1] + 6.0 * w[2:-2] - 4.0 * w[1:-3] + w[:-4])
-    else:
-        w[2:-2, :] -= nu * (w[4:, :] - 4.0 * w[3:-1, :] + 6.0 * w[2:-2, :]
-                            - 4.0 * w[1:-3, :] + w[:-4, :])
-        w[:, 2:-2] -= nu * (w[:, 4:] - 4.0 * w[:, 3:-1] + 6.0 * w[:, 2:-2]
-                            - 4.0 * w[:, 1:-3] + w[:, :-4])
-    _pin_dirichlet(w, dim)
+    for axis in range(w.ndim):
+        f = w.swapaxes(0, axis)
+        f[2:-2] -= nu * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
+    _pin_dirichlet(w)
 
 
 def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
@@ -342,6 +330,7 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
         raise ValueError("observer modes need boundary_input = (y_now, y_next)")
     if not injecting and boundary_input is not None:
         raise ValueError("plant mode takes no boundary input")
+    _check_shape(field, grid)
     z, v, t = field.z, field.zt, field.t
     dt = grid.dt
     plan = grid._plan
@@ -349,31 +338,25 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
     a0 = _accel(z, grid, nonlinearity, t)
     if injecting:
         y0, y1 = boundary_input
-        if grid.dim == 1:
-            a0[-1] += plan.flux * (float(y0) - v[-1])
-        else:
-            a0 += plan.flux_mult * (_scatter(np.asarray(y0, dtype=float), grid) - v)
+        a0 += plan.flux_mult * (_scatter(y0, plan) - v)
 
     z_new = z + dt * v + plan.half_dt2 * a0
-    _pin_dirichlet(z_new, grid.dim)
+    _pin_dirichlet(z_new)
     t_new = t + _direction * dt
     a1 = _accel(z_new, grid, nonlinearity, t_new)
     a01 = a0 + a1
 
     # in observer modes the trapezoidal boundary velocity keeps the
     # new-level damping term implicit, a scalar linear solve per measured node
-    if injecting and grid.dim == 2:
-        y1_full = _scatter(np.asarray(y1, dtype=float), grid)
-        v_new = (v + plan.half_dt * (a01 + plan.flux_mult * y1_full)) / plan.denom
+    if injecting:
+        v_new = (v + plan.half_dt * (a01 + plan.flux_mult * _scatter(y1, plan))) \
+            / plan.denom
     else:
         v_new = v + plan.half_dt * a01
-        if injecting:
-            v_new[-1] = (v[-1] + plan.half_dt * (a01[-1] + plan.flux * float(y1))) \
-                / plan.denom
-    _pin_dirichlet(v_new, grid.dim)
+    _pin_dirichlet(v_new)
 
-    _smooth(z_new, grid.dim)
-    _smooth(v_new, grid.dim)
+    _smooth(z_new)
+    _smooth(v_new)
 
     if not (np.isfinite(z_new).all() and np.isfinite(v_new).all()):
         raise DivergenceError(t_new)
@@ -401,13 +384,12 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     steps = int(round(horizon / grid.dt))
     if steps < 1 or abs(steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a whole number of time steps")
+    _check_shape(initial, grid)
     injecting = grid.mode != "plant"
     if injecting:
         if trace_in is None:
             raise ValueError("observer modes need a measurement trace")
         samples = trace_in.samples
-        if grid.dim == 1 and samples.ndim == 2 and samples.shape[1] == 1:
-            samples = samples[:, 0]
         if samples.shape[0] != steps + 1:
             raise ValueError("trace has %d levels, the run needs %d"
                              % (samples.shape[0], steps + 1))
@@ -492,24 +474,28 @@ def _gradient(z, dx):
     return grads
 
 
-def _grad_sq(z, dx):
-    if z.ndim == 1:
-        g = _gradient(z, dx)[0]
-        return g * g
-    g1, g2 = _gradient(z, dx)
-    return g1 * g1 + g2 * g2
-
-
 def _integrate_cells(values, dx):
-    if values.ndim == 1:
-        return _trapz(values, dx=dx)
-    return _trapz(_trapz(values, dx=dx, axis=1), dx=dx)
+    """Trapezoid rule over every axis, the last axis first.
+
+    Each pass is numpy's own np.trapezoid(values, dx=dx, axis=-1)
+    operation for a scalar spacing, so the bits are the same without its
+    argument handling.
+    """
+    for _ in range(values.ndim):
+        values = (dx * (values[..., 1:] + values[..., :-1]) / 2.0).sum(-1)
+    return values
+
+
+def _energy(grads, zt, dx):
+    """The energy from the gradient, so lyapunov differentiates once."""
+    grad_sq = sum((g * g for g in grads[1:]), grads[0] * grads[0])
+    return 0.5 * _integrate_cells(grad_sq + zt * zt, dx)
 
 
 def energy(field, grid):
     """E = 1/2 integral of |grad z|^2 + z_t^2 (trapezoid rule)."""
-    return 0.5 * _integrate_cells(
-        _grad_sq(field.z, grid.dx) + field.zt * field.zt, grid.dx)
+    _check_shape(field, grid)
+    return _energy(_gradient(field.z, grid.dx), field.zt, grid.dx)
 
 
 def hnorm(field, grid):
@@ -520,22 +506,23 @@ def hnorm(field, grid):
 def lyapunov(field, grid, chi, k=None):
     """V = E + chi * cross term + chi k (n-1)/2 boundary term.
 
-    chi = 0 returns the energy exactly.
+    The cross term integrates (2 x . grad z + (n-1) z) z_t, the boundary
+    term z^2 over the measured faces.  chi = 0 returns the energy exactly.
     """
     chi = 0.0 if chi is None else checked_float("chi", chi, 0.0)
     k = grid.k if k is None else k
-    e = energy(field, grid)
-    z, v, dx = field.z, field.zt, grid.dx
-    if grid.dim == 1:
-        x = grid.axis()
-        zx = _gradient(z, dx)[0]
-        cross = _trapz(2.0 * x * zx * v, dx=dx)
-        return e + chi * cross
-    x1, x2 = grid.coords()
-    g1, g2 = _gradient(z, dx)
-    cross = _integrate_cells((2.0 * (x1 * g1 + x2 * g2) + z) * v, dx)
-    face = _trapz(z[:, -1] ** 2, dx=dx) + _trapz(z[-1, :] ** 2, dx=dx)
-    return e + chi * cross + chi * k * 0.5 * face
+    _check_shape(field, grid)
+    z, v, dx, n = field.z, field.zt, grid.dx, grid.dim
+    grads = _gradient(z, dx)
+    e = _energy(grads, v, dx)
+    # x_i * d_i z, with the axis broadcast along dimension i
+    x_grad = [grid.axis().reshape((-1,) + (1,) * (n - 1 - i)) * g
+              for i, g in enumerate(grads)]
+    x_grad = sum(x_grad[1:], x_grad[0])
+    cross = _integrate_cells((2.0 * x_grad + (n - 1) * z) * v, dx)
+    face = sum(_integrate_cells(z.swapaxes(0, axis)[-1] ** 2, dx)
+               for axis in range(n))
+    return e + chi * cross + chi * k * (0.5 * (n - 1)) * face
 
 
 # The three inequality checkers integrate the piecewise-(bi)linear
@@ -582,7 +569,8 @@ def _interp_quads(z, dx):
 
 def wirtinger_check(field, grid):
     """4/(pi^2 n) integral |grad z|^2 - integral z^2, interpolant-exact."""
-    _check_dirichlet("z", field.z, grid.dim)
+    _check_shape(field, grid)
+    _check_dirichlet("z", field.z)
     w = 4.0 / (math.pi ** 2 * grid.dim)
     stiff, mass = _interp_quads(field.z, grid.dx)
     return w * stiff - mass
@@ -590,7 +578,8 @@ def wirtinger_check(field, grid):
 
 def trace_check(field, grid):
     """Integral |grad z|^2 - boundary integral z^2, interpolant-exact."""
-    _check_dirichlet("z", field.z, grid.dim)
+    _check_shape(field, grid)
+    _check_dirichlet("z", field.z)
     z, dx = field.z, grid.dx
     stiff, _ = _interp_quads(z, dx)
     if grid.dim == 1:
@@ -604,7 +593,8 @@ def sobolev_check(field, grid):
     """Integral z_x^2 - max z^2 (one dimension only), interpolant-exact."""
     if grid.dim != 1:
         raise ValueError("the sup-norm bound is one-dimensional")
-    _check_dirichlet("z", field.z, grid.dim)
+    _check_shape(field, grid)
+    _check_dirichlet("z", field.z)
     stiff, _ = _interp_quads(field.z, grid.dx)
     return stiff - float(np.max(field.z ** 2))
 
@@ -650,24 +640,15 @@ def read_trajectory_csv(text):
     dt = float(dts[0])
     if not np.all(np.abs(dts - dt) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("trace sample times must be uniform")
-    samples = rows[:, 3] if rows.shape[1] == 4 else rows[:, 3:]
-    return BoundaryTrace(samples, dt, float(times[0])), rows[:, 1], rows[:, 2]
+    return BoundaryTrace(rows[:, 3:], dt, float(times[0])), rows[:, 1], rows[:, 2]
 
 
 def snapshot_csv(field, grid):
     """CSV text x[,y],z,zt over all grid nodes in lexicographic order."""
+    _check_shape(field, grid)
     x = grid.axis()
-    lines = []
-    if grid.dim == 1:
-        lines.append("x,z,zt")
-        for i in range(x.size):
-            lines.append(",".join([fmt_float(x[i]), fmt_float(field.z[i]),
-                                   fmt_float(field.zt[i])]))
-    else:
-        lines.append("x,y,z,zt")
-        for i in range(x.size):
-            for j in range(x.size):
-                lines.append(",".join([fmt_float(x[i]), fmt_float(x[j]),
-                                       fmt_float(field.z[i, j]),
-                                       fmt_float(field.zt[i, j])]))
+    lines = [",".join(["x", "y"][:grid.dim] + ["z", "zt"])]
+    for node in np.ndindex(field.z.shape):
+        lines.append(",".join([fmt_float(x[i]) for i in node]
+                              + [fmt_float(field.z[node]), fmt_float(field.zt[node])]))
     return "\n".join(lines) + "\n"

@@ -199,7 +199,7 @@ class TestRecover:
         grid, truth, trace = example_setup(1.0, n_points=101)
         config = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=1, grid=grid)
         bad = pde.WaveField(np.zeros(51), np.zeros(51))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(51,\) does not match .* \(101,\)"):
             observer.recover(trace, config, truth=bad)
 
     def test_two_dimensional_recovery(self):

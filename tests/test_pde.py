@@ -10,6 +10,7 @@ asserts were produced by those oracles.
 import copy
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -300,6 +301,32 @@ class TestWaveField:
         g = f.copy()
         g.z[5] = 9.0
         assert f.z[5] != 9.0 and g.t == 2.0
+
+
+class TestFieldShapeMatchesGrid:
+    CASES = [((41,), 1), ((21, 21), 1), ((21,), 2), ((31, 31), 2)]
+
+    @pytest.mark.parametrize("shape,dim", CASES)
+    def test_mismatch_rejected_naming_both_shapes(self, shape, dim):
+        g = pde.make_grid(dim, 21, 0.5)
+        go = pde.make_grid(dim, 21, 0.5, "observer-forward", 1.0)
+        f = pde.WaveField(np.zeros(shape), np.zeros(shape))
+        y = np.zeros(pde.boundary_node_count(go))
+        calls = [lambda: pde.run(f, 0.5, g),
+                 lambda: pde.run(f, 0.5, go, trace_in=zero_trace(go, 0.5)),
+                 lambda: pde.step(f, g),
+                 lambda: pde.step(f, go, boundary_input=(y, y)),
+                 lambda: pde.energy(f, g),
+                 lambda: pde.hnorm(f, g),
+                 lambda: pde.lyapunov(f, g, 0.1, 1.0),
+                 lambda: pde.snapshot_csv(f, g),
+                 lambda: pde.wirtinger_check(f, g),
+                 lambda: pde.trace_check(f, g)]
+        want = r"field shape %s does not match the grid shape %s" % (
+            re.escape(str(shape)), re.escape(str((21,) * dim)))
+        for call in calls:
+            with pytest.raises(ValueError, match=want):
+                call()
 
 
 class TestBoundaryTrace:
@@ -1158,6 +1185,22 @@ class TestBitIdentity:
             want_v.append(ref_lyapunov(ref, grid, 0.2, grid.k))
         assert _bits(energies) == _bits(want_e)
         assert _bits(lyaps) == _bits(want_v)
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("shape", [(41,), (2,), (21, 21), (16, 9), (5, 7, 6)])
+    def test_cell_integrals_match_numpy_trapezoid(self, shape):
+        # numpy's trapezoid along each axis, the last first, bit for bit
+        rng = np.random.default_rng([13] + list(shape))
+        rough = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        rough[rng.random(shape) < 0.1] = -0.0
+        rough[rng.random(shape) < 0.1] = 0.0
+        for y in (rough, np.full(shape, -0.0)):
+            for dx in (0.05, 1.0 / 3.0, 1.0 / 15.0):
+                want = y
+                for axis in reversed(range(y.ndim)):
+                    want = np.trapezoid(want, dx=dx, axis=axis)
+                assert _bits(pde._integrate_cells(y, dx)) == _bits(want)
 
 
 class TestSharedCoordinates:
