@@ -516,10 +516,9 @@ def lyapunov(field, grid, chi, k=None):
     grads = _gradient(z, dx)
     e = _energy(grads, v, dx)
     # x_i * d_i z, with the axis broadcast along dimension i
-    x_grad = [grid.axis().reshape((-1,) + (1,) * (n - 1 - i)) * g
-              for i, g in enumerate(grads)]
-    x_grad = sum(x_grad[1:], x_grad[0])
-    cross = _integrate_cells((2.0 * x_grad + (n - 1) * z) * v, dx)
+    terms = [grid.axis().reshape((-1,) + (1,) * (n - 1 - i)) * g
+             for i, g in enumerate(grads)]
+    cross = _integrate_cells((2.0 * sum(terms[1:], terms[0]) + (n - 1) * z) * v, dx)
     face = sum(_integrate_cells(z.swapaxes(0, axis)[-1] ** 2, dx)
                for axis in range(n))
     return e + chi * cross + chi * k * (0.5 * (n - 1)) * face
