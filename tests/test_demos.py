@@ -1,9 +1,14 @@
-"""Smoke test of the demos: each script runs to completion and prints.
+"""The demos run to completion and print exactly the pinned bytes.
 
 Each demo runs in its own interpreter with src/ on PYTHONPATH, as a reader
-would run it from a checkout.
+would run it from a checkout.  The demos are the only end-to-end runs of
+perturbed_recover and of traces that API callers build from a flat
+series, so their stdout is pinned by SHA-256.  The digests were taken
+with Python 3.11.7 and numpy 2.4.6; a numpy release that changes the last
+bit of an elementwise operation changes them too.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,14 +18,36 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
 
+STDOUT_DIGESTS = {
+    "certified_decay.py":
+        "82eb9744eaf297c3caf31cfb211ed26d34f7b0a71ced6a13628622fd339172e3",
+    "certify_point.py":
+        "0a131e98a2ecfea7509566ab9e2f64d341635f713432dfdbfe4cfc387fbbfa4b",
+    "contraction_rate.py":
+        "9f978716225f28ec1236ec89ad3ffd4032773b198e243dfd5a6fdbdf884b871f",
+    "minimal_time_table.py":
+        "3db2e3432a2fb9d441c975281e3e11b75a7925b2381b34a55a85a8695c3fb532",
+    "noisy_recovery.py":
+        "496b37513c0b1df366b11795e3ab8df8cd098bbc204f8ca157ad515a21e8dfde",
+    "recovery_window_split.py":
+        "fb529bf9aa7b9a039e24fa71955494bf06f1da9f62e956771ae303236cbe75ff",
+    "regional_radius.py":
+        "2bfab7449ff0c2724b2e57569f873cac633d8f5415e3c7694689ec3c8e3b010b",
+}
 
-@pytest.mark.parametrize("script", sorted(
-    name for name in os.listdir(DEMOS) if name.endswith(".py")))
+
+def test_every_demo_is_pinned():
+    assert sorted(STDOUT_DIGESTS) == sorted(
+        name for name in os.listdir(DEMOS) if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("script", sorted(STDOUT_DIGESTS))
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     done = subprocess.run([sys.executable, os.path.join(DEMOS, script)],
                           cwd=str(tmp_path), env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+                          timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.strip()
+    assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_DIGESTS[script]
