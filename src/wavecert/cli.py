@@ -322,7 +322,7 @@ def cmd_simulate(args):
     if grid.mode != "plant":
         # no measurement source on the command line: observer modes run the
         # autonomous damped (or anti-damped) dynamics against a zero trace
-        steps = int(round(horizon / grid.dt))
+        steps = pde.whole_steps(horizon, grid.dt)
         trace_in = pde.BoundaryTrace(
             np.zeros((steps + 1, pde.boundary_node_count(grid))), grid.dt)
     final, trace, series = pde.run(field, horizon, grid, nonlinearity,

@@ -52,14 +52,11 @@ class RecoveryConfig:
             self, "convergence_threshold",
             checked_float("convergence_threshold", self.convergence_threshold,
                           0.0, strict=True))
-        steps = round(self.horizon / self.grid.dt)
-        if steps < 1 or abs(steps * self.grid.dt - self.horizon) \
-                > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("horizon must be a whole number of grid steps")
+        pde.whole_steps(self.horizon, self.grid.dt)  # the window is whole steps
 
     @property
     def steps(self):
-        return int(round(self.horizon / self.grid.dt))
+        return pde.whole_steps(self.horizon, self.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -100,24 +97,6 @@ def _zero_state(grid, t0):
     return pde.WaveField(np.zeros(shape), np.zeros(shape), t0)
 
 
-def _check_measurements(measurements, config):
-    if not isinstance(measurements, pde.BoundaryTrace):
-        raise ValueError("measurements must be a BoundaryTrace")
-    g = config.grid
-    if abs(measurements.dt - g.dt) > 1e-12 * g.dt:
-        raise ValueError("trace step %g does not match the grid step %g"
-                         % (measurements.dt, g.dt))
-    if measurements.steps != config.steps:
-        raise ValueError("trace spans %d steps, the window needs %d"
-                         % (measurements.steps, config.steps))
-    want = pde.boundary_node_count(g)
-    s = measurements.samples
-    got = 1 if s.ndim == 1 else s.shape[1]
-    if got != want:
-        raise ValueError("trace carries %d boundary nodes, the grid has %d"
-                         % (got, want))
-
-
 def _backward_lyapunov(z, zt, grid, chi, k):
     # the backward error functional is V evaluated with the velocity negated
     return pde.lyapunov(pde.WaveField(z, -zt), grid, chi, k)
@@ -125,7 +104,7 @@ def _backward_lyapunov(z, zt, grid, chi, k):
 
 def recover(measurements, config, truth=None):
     """Run the iteration; pass truth to enrich records with error energies."""
-    _check_measurements(measurements, config)
+    pde.check_trace(measurements, config.grid, config.steps)
     grid_f, grid_b = _observer_grids(config)
     nl = config.nonlinearity
     t0 = measurements.t0
@@ -307,38 +286,12 @@ class IssReport:
     baseline_run: RecoveryRun = None
 
 
-def _boundary_sq_integral(samples, grid):
-    """Surface integral of the squared trace over the measured boundary."""
-    dx = grid.dx
-    if grid.dim == 1:
-        return samples * samples if np.ndim(samples) == 0 else samples ** 2
-    n = grid.points_per_axis
-    total = np.zeros(samples.shape[0])
-    # face x2=1 runs over x1 with a clamped node at x1=0 and the corner last
-    face = np.concatenate([np.zeros((samples.shape[0], 1)),
-                           samples[:, : n - 2],
-                           samples[:, -1:]], axis=1)
-    a, b = face[:, :-1], face[:, 1:]
-    total += np.sum(a * a + a * b + b * b, axis=1) * dx / 3.0
-    face = np.concatenate([np.zeros((samples.shape[0], 1)),
-                           samples[:, n - 2:]], axis=1)
-    a, b = face[:, :-1], face[:, 1:]
-    total += np.sum(a * a + a * b + b * b, axis=1) * dx / 3.0
-    return total
-
-
 def perturbed_recover(measurements, noise, config, truth=None):
     """Recover from y + w and bound the induced gap by the ISS estimate.
 
     Returns (noisy run, report); the clean run rides along on the report.
     """
-    if not isinstance(noise, pde.BoundaryTrace):
-        raise ValueError("noise must be a BoundaryTrace")
-    if noise.samples.shape != measurements.samples.shape:
-        raise ValueError("noise shape %s does not match the measurements %s"
-                         % (noise.samples.shape, measurements.samples.shape))
-    if abs(noise.dt - measurements.dt) > 1e-12 * measurements.dt:
-        raise ValueError("noise step does not match the measurements")
+    pde.check_trace(noise, config.grid, config.steps)
     cert = config.certificate
     if cert is None or cert.params.t_star is None or cert.params.delta is None:
         raise ValueError("the ISS bound needs a certificate with an "
@@ -354,7 +307,11 @@ def perturbed_recover(measurements, noise, config, truth=None):
                               noisy.recovered.zt - clean.recovered.zt)
     gap_sq = 2.0 * pde.energy(gap_field, grid_f)
 
-    per_level = _boundary_sq_integral(noise.samples, config.grid)
+    # the noise on the full grid at every level, zero off the measured nodes
+    plan = config.grid._plan
+    w = np.zeros(noise.samples.shape[:1] + plan.flux_mult.shape)
+    w[(slice(None),) + plan.measured] = noise.samples
+    per_level = pde._face_sq_integral(w, config.grid)
     noise_integral = float(pde._integrate_cells(per_level, noise.dt))
 
     gamma = cert.vars.gamma

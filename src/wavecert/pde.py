@@ -181,8 +181,8 @@ class WaveField:
     def __init__(self, z, zt, t=0.0):
         z = np.array(z, dtype=float)
         zt = np.array(zt, dtype=float)
-        if z.shape != zt.shape or z.ndim not in (1, 2):
-            raise ValueError("z and zt must be equal-shape 1-D or 2-D arrays")
+        if z.shape != zt.shape or z.ndim not in (1, 2) or not z.size:
+            raise ValueError("z and zt must be non-empty equal-shape 1-D or 2-D arrays")
         if len(set(z.shape)) > 1:
             raise ValueError("fields must have the same length on every axis")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zt))):
@@ -208,9 +208,8 @@ class BoundaryTrace:
     """z_t sampled on the measured boundary at every solver step.
 
     samples has one row per time level whose columns enumerate the measured
-    nodes in lexicographic grid order, the corner (1,...,1) last.  A single
-    measured node (the 1-D case) is kept as a flat series, one value per
-    level.
+    nodes in lexicographic grid order, the corner (1,...,1) last; in 1-D it
+    is a single column.  A flat series is read as that one column.
     """
 
     samples: np.ndarray
@@ -219,12 +218,12 @@ class BoundaryTrace:
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=float)
-        if s.ndim not in (1, 2) or s.shape[0] < 2:
+        if s.ndim == 1:
+            s = s[:, None]
+        if s.ndim != 2 or s.shape[0] < 2:
             raise ValueError("samples must hold at least two time levels")
         if not np.all(np.isfinite(s)):
             raise ValueError("trace samples must be finite")
-        if s.ndim == 2 and s.shape[1] == 1:
-            s = s[:, 0]
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "dt", checked_float("dt", self.dt, 0.0, strict=True))
         object.__setattr__(self, "t0", checked_float("t0", self.t0))
@@ -273,6 +272,30 @@ def boundary_node_count(grid):
     """Nodes with a measured face and no clamped one: (N-1)^d - (N-2)^d."""
     n = grid.points_per_axis
     return (n - 1) ** grid.dim - (n - 2) ** grid.dim
+
+
+def whole_steps(horizon, dt):
+    """The number of steps of size dt that make up the horizon."""
+    steps = int(round(horizon / dt))
+    if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be a whole number of time steps")
+    return steps
+
+
+def check_trace(trace, grid, steps):
+    """Reject a trace that does not sample the grid's measured boundary at
+    its time step over the given number of steps."""
+    if not isinstance(trace, BoundaryTrace):
+        raise ValueError("a measurement trace must be a BoundaryTrace")
+    levels, nodes = trace.samples.shape
+    if levels != steps + 1:
+        raise ValueError("trace has %d levels, the run needs %d" % (levels, steps + 1))
+    if abs(trace.dt - grid.dt) > 1e-12 * grid.dt:
+        raise ValueError("trace step %g does not match the grid step %g"
+                         % (trace.dt, grid.dt))
+    if nodes != boundary_node_count(grid):
+        raise ValueError("trace carries %d boundary nodes, the grid has %d"
+                         % (nodes, boundary_node_count(grid)))
 
 
 def gather_trace(v, grid):
@@ -381,26 +404,14 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     With chi set, the series also records the Lyapunov value each step and
     the return becomes (final, trace_out, (E series, V series)).
     """
-    steps = int(round(horizon / grid.dt))
-    if steps < 1 or abs(steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a whole number of time steps")
+    steps = whole_steps(horizon, grid.dt)
     _check_shape(initial, grid)
     injecting = grid.mode != "plant"
     if injecting:
         if trace_in is None:
             raise ValueError("observer modes need a measurement trace")
+        check_trace(trace_in, grid, steps)
         samples = trace_in.samples
-        if samples.shape[0] != steps + 1:
-            raise ValueError("trace has %d levels, the run needs %d"
-                             % (samples.shape[0], steps + 1))
-        if abs(trace_in.dt - grid.dt) > 1e-12 * grid.dt:
-            raise ValueError("trace step %g does not match the grid step %g"
-                             % (trace_in.dt, grid.dt))
-        want = boundary_node_count(grid)
-        got = 1 if samples.ndim == 1 else samples.shape[1]
-        if got != want:
-            raise ValueError("trace carries %d boundary nodes, the grid has %d"
-                             % (got, want))
     elif trace_in is not None:
         raise ValueError("plant runs take no measurement trace")
 
@@ -534,9 +545,24 @@ def lyapunov(field, grid, chi, k=None):
 
 
 def _edge_sq_integral(vals, dx):
-    # exact integral of the linear interpolant squared along a line
-    a, b = vals[:-1], vals[1:]
-    return float(np.sum(a * a + a * b + b * b)) * dx / 3.0
+    # exact integral of the linear interpolant squared along the last axis
+    a, b = vals[..., :-1], vals[..., 1:]
+    return np.sum(a * a + a * b + b * b, axis=-1) * dx / 3.0
+
+
+def _face_sq_integral(v, grid):
+    """Exact integral of the interpolant of v squared over the measured
+    faces x_i = 1, summed over the faces.
+
+    The grid axes of v come last, after any leading axes (time levels); a
+    face of a 1-D grid is a point, where the integral is the value squared.
+    """
+    total = 0.0
+    for axis in range(v.ndim - grid.dim, v.ndim):
+        face = v.swapaxes(axis, -1)[..., -1]
+        total = total + (face * face if grid.dim == 1
+                         else _edge_sq_integral(face, grid.dx))
+    return total
 
 
 def _interp_quads(z, dx):
@@ -544,7 +570,7 @@ def _interp_quads(z, dx):
     if z.ndim == 1:
         d = np.diff(z)
         stiff = float(np.sum(d * d)) / dx
-        mass = _edge_sq_integral(z, dx)
+        mass = float(_edge_sq_integral(z, dx))
         return stiff, mass
     # bilinear cells, 2x2 Gauss rule (exact: integrands are quadratic
     # per coordinate)
@@ -579,13 +605,8 @@ def trace_check(field, grid):
     """Integral |grad z|^2 - boundary integral z^2, interpolant-exact."""
     _check_shape(field, grid)
     _check_dirichlet("z", field.z)
-    z, dx = field.z, grid.dx
-    stiff, _ = _interp_quads(z, dx)
-    if grid.dim == 1:
-        boundary = float(z[-1]) ** 2
-    else:
-        boundary = _edge_sq_integral(z[-1, :], dx) + _edge_sq_integral(z[:, -1], dx)
-    return stiff - boundary
+    stiff, _ = _interp_quads(field.z, grid.dx)
+    return stiff - float(_face_sq_integral(field.z, grid))
 
 
 def sobolev_check(field, grid):
@@ -607,8 +628,7 @@ def trajectory_csv(trace, energies, lyapunovs=None):
     A non-finite energy or Lyapunov value raises ValueError.
     """
     samples = trace.samples
-    cols = 1 if samples.ndim == 1 else samples.shape[1]
-    header = "t,E,V," + ",".join("trace%d" % j for j in range(cols))
+    header = "t,E,V," + ",".join("trace%d" % j for j in range(samples.shape[1]))
     if lyapunovs is None:
         lyapunovs = energies
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(lyapunovs))):
@@ -617,10 +637,7 @@ def trajectory_csv(trace, energies, lyapunovs=None):
     for i in range(samples.shape[0]):
         t = trace.t0 + i * trace.dt
         row = [fmt_float(t), fmt_float(energies[i]), fmt_float(lyapunovs[i])]
-        if cols == 1:
-            row.append(fmt_float(samples[i]))
-        else:
-            row.extend(fmt_float(v) for v in samples[i])
+        row.extend(fmt_float(v) for v in samples[i])
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

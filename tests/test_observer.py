@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from test_pde import oracle_recover_once
+from test_pde import oracle_recover_once, ref_boundary_sq_integral
 
 from wavecert import observer, pde, search
 from wavecert.certificates import (ProblemParams, compute_iss_gain,
@@ -118,7 +118,7 @@ class TestRecover:
         ov = np.zeros(101)
         for _ in range(3):
             oz, ov = oracle_recover_once(oz, ov, grid.dx, grid.dt, steps,
-                                         QUADRATIC.f, 1.0, trace.samples)
+                                         QUADRATIC.f, 1.0, trace.samples[:, 0])
         assert np.allclose(run.recovered.z, oz, rtol=1e-9, atol=1e-13)
         assert np.allclose(run.recovered.zt, ov, rtol=1e-9, atol=1e-13)
         assert len(run.records) == 3
@@ -402,6 +402,34 @@ class TestPerturbedRecover:
                                        grid=self.grid, nonlinearity=QUADRATIC)
         with pytest.raises(ValueError):
             observer.perturbed_recover(self.trace, self.noise, bare)
+
+
+class TestPerturbedRecover2D:
+    def test_noise_integral_matches_reference(self):
+        # the 2-D faces x1 = 1 and x2 = 1, the corner on both
+        params = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05)
+        t_star, _, _ = search.minimal_observability_time(params)
+        full = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05, t_star=t_star * 1.02)
+        cert = make_certificate(full, search.find_feasible_vars(full))
+        grid = pde.make_grid(2, 17, 0.8)
+        x1, x2 = grid.coords()
+        truth = pde.WaveField(0.3 * np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2),
+                              np.zeros_like(x1))
+        _, trace, _ = pde.run(truth, 0.8, grid)
+        config = observer.RecoveryConfig(k=1.0, horizon=0.8, m_max=2, grid=grid,
+                                         certificate=cert)
+        rng = np.random.default_rng(29)
+        shape = trace.samples.shape
+        w = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 0, shape)
+        w[rng.random(shape) < 0.1] = -0.0
+        noise = pde.BoundaryTrace(w, grid.dt)
+        _, report = observer.perturbed_recover(trace, noise, config)
+        want = float(np.trapezoid(ref_boundary_sq_integral(w, grid), dx=grid.dt))
+        assert np.asarray(report.noise_integral).tobytes() == np.asarray(want).tobytes()
+        assert report.noise_integral > 0.0
+        with pytest.raises(ValueError):
+            observer.perturbed_recover(
+                trace, pde.BoundaryTrace(w[:, :7], grid.dt), config)
 
 
 class TestRegionalGuard:

@@ -296,6 +296,11 @@ class TestWaveField:
         with pytest.raises(ValueError):
             pde.WaveField(z, np.zeros(21))
 
+    def test_empty_field_rejected(self):
+        for empty in ([], np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="non-empty"):
+                pde.WaveField(empty, empty)
+
     def test_copy_independent(self):
         f = pde.WaveField(np.linspace(0, 1, 21), np.zeros(21), t=2.0)
         g = f.copy()
@@ -344,6 +349,12 @@ class TestBoundaryTrace:
         with pytest.raises(ValueError):
             pde.BoundaryTrace(np.zeros(5), math.inf)
 
+    def test_flat_series_is_one_column(self):
+        flat = pde.BoundaryTrace(np.arange(5.0), 0.1)
+        column = pde.BoundaryTrace(np.arange(5.0)[:, None], 0.1)
+        assert flat.samples.shape == column.samples.shape == (5, 1)
+        assert flat.samples.tobytes() == column.samples.tobytes()
+
 
 class TestNonlinearity:
     def test_zero_default(self):
@@ -387,7 +398,7 @@ class TestStepAgainstOracle:
                                      f=nl.f, t0=0.25, k=0.7, trace=trace)
         assert np.allclose(final.z, oz, rtol=1e-10, atol=1e-13)
         assert np.allclose(final.zt, ov, rtol=1e-10, atol=1e-13)
-        assert np.allclose(tr_out.samples, orec, rtol=1e-10, atol=1e-13)
+        assert np.allclose(tr_out.samples[:, 0], orec, rtol=1e-10, atol=1e-13)
         assert abs(final.t - 1.15) < 1e-9
         assert energies.shape == (steps + 1,)
 
@@ -629,6 +640,8 @@ class TestRunObserver:
             pde.run(f0, 0.5, g, trace_in=pde.BoundaryTrace(np.zeros(40), 0.01))
         with pytest.raises(ValueError):
             pde.run(f0, 0.5, g, trace_in=pde.BoundaryTrace(np.zeros(51), 0.02))
+        with pytest.raises(ValueError):
+            pde.run(f0, 0.5, g, trace_in=np.zeros(51))  # not a BoundaryTrace
         g2 = pde.Grid(2, 31, 0.01, "observer-forward", 1.0)
         f2 = pde.WaveField(np.zeros((31, 31)), np.zeros((31, 31)))
         with pytest.raises(ValueError):
@@ -641,7 +654,8 @@ class TestRunObserver:
         final, trace, series = pde.run(f0, 0.5, g, trace_in=zero_trace(g, 0.5),
                                        chi=0.18)
         energies, lyap = series
-        assert energies.shape == lyap.shape == trace.samples.shape
+        assert energies.shape == lyap.shape == (trace.steps + 1,)
+        assert trace.samples.shape == (trace.steps + 1, 1)
         assert abs(lyap[0] - pde.lyapunov(f0, g, 0.18, 1.0)) < 1e-15
         assert abs(energies[0] - pde.energy(f0, g)) < 1e-15
 
@@ -1171,8 +1185,8 @@ class TestBitIdentity:
         rng = np.random.default_rng([11, dim])
         grid = pde.make_grid(dim, n, 0.3, "observer-forward", 1.0)
         nl = _sources(dim)["x-dependent"]
-        trace = pde.BoundaryTrace(
-            _boundary_inputs(rng, grid, round(0.3 / grid.dt)), grid.dt)
+        y = _boundary_inputs(rng, grid, round(0.3 / grid.dt))
+        trace = pde.BoundaryTrace(y, grid.dt)
         f0 = _random_field(rng, n, dim)
         f0.t = 0.0
         _, _, (energies, lyaps) = pde.run(f0, 0.3, grid, nl, trace, chi=0.2)
@@ -1180,11 +1194,81 @@ class TestBitIdentity:
         want_e = [ref_energy(ref, grid)]
         want_v = [ref_lyapunov(ref, grid, 0.2, grid.k)]
         for i in range(trace.steps):
-            ref = ref_step(ref, grid, nl, (trace.samples[i], trace.samples[i + 1]))
+            ref = ref_step(ref, grid, nl, (y[i], y[i + 1]))
             want_e.append(ref_energy(ref, grid))
             want_v.append(ref_lyapunov(ref, grid, 0.2, grid.k))
         assert _bits(energies) == _bits(want_e)
         assert _bits(lyaps) == _bits(want_v)
+
+
+def ref_boundary_sq_integral(samples, grid):
+    """The per-level noise integrand with the 2-D faces in trace order; a
+    1-D trace is a flat series."""
+    dx = grid.dx
+    if grid.dim == 1:
+        return samples * samples if np.ndim(samples) == 0 else samples ** 2
+    n = grid.points_per_axis
+    total = np.zeros(samples.shape[0])
+    # face x2=1 runs over x1 with a clamped node at x1=0 and the corner last
+    face = np.concatenate([np.zeros((samples.shape[0], 1)),
+                           samples[:, : n - 2],
+                           samples[:, -1:]], axis=1)
+    a, b = face[:, :-1], face[:, 1:]
+    total += np.sum(a * a + a * b + b * b, axis=1) * dx / 3.0
+    face = np.concatenate([np.zeros((samples.shape[0], 1)),
+                           samples[:, n - 2:]], axis=1)
+    a, b = face[:, :-1], face[:, 1:]
+    total += np.sum(a * a + a * b + b * b, axis=1) * dx / 3.0
+    return total
+
+
+def ref_edge_sq_integral(vals, dx):
+    a, b = vals[:-1], vals[1:]
+    return float(np.sum(a * a + a * b + b * b)) * dx / 3.0
+
+
+def ref_trace_check_2d(field, grid):
+    z, dx = field.z, grid.dx
+    stiff, _ = pde._interp_quads(z, dx)
+    return stiff - (ref_edge_sq_integral(z[-1, :], dx)
+                    + ref_edge_sq_integral(z[:, -1], dx))
+
+
+class TestFaceIntegral:
+    @pytest.mark.parametrize("dim,n", [(1, 41), (1, 16), (2, 17), (2, 21), (2, 81)])
+    def test_noise_integrand_matches_reference(self, dim, n):
+        rng = np.random.default_rng([17, dim, n])
+        grid = pde.make_grid(dim, n, 0.4)
+        for _ in range(40):
+            shape = (int(rng.integers(2, 30)), ref_boundary_node_count(grid))
+            samples = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            samples[rng.random(shape) < 0.1] = -0.0
+            want = ref_boundary_sq_integral(
+                samples[:, 0] if dim == 1 else samples, grid)
+            if dim == 1:
+                full = np.zeros((shape[0], n))
+                full[:, -1] = samples[:, 0]
+            else:
+                full = np.array([ref_scatter(row, grid) for row in samples])
+            got = pde._face_sq_integral(full, grid)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", [17, 21, 81])
+    def test_2d_trace_check_matches_reference(self, n):
+        rng = np.random.default_rng([19, n])
+        grid = pde.make_grid(2, n, 0.4)
+        for _ in range(40):
+            f = _random_field(rng, n, 2)
+            assert _bits(pde.trace_check(f, grid)) == _bits(ref_trace_check_2d(f, grid))
+
+    def test_1d_trace_check_squares_the_end_value(self):
+        rng = np.random.default_rng(23)
+        grid = pde.make_grid(1, 41, 0.4)
+        for _ in range(40):
+            f = _random_field(rng, 41, 1)
+            stiff, _ = pde._interp_quads(f.z, grid.dx)
+            want = stiff - f.z[-1] * f.z[-1]
+            assert _bits(pde.trace_check(f, grid)) == _bits(want)
 
 
 class TestTrapezoid:
