@@ -151,7 +151,7 @@ def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0, cfl=None):
 
 
 def _check_dirichlet(name, arr):
-    scale = 1e-9 * max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
+    scale = 1e-9 * max(1.0, float(np.max(np.abs(arr))))
     if any(np.max(np.abs(arr.swapaxes(0, axis)[0])) > scale
            for axis in range(arr.ndim)):
         raise ValueError("%s must vanish on the clamped boundary (x_p = 0)" % name)
