@@ -286,24 +286,18 @@ def check_observability(params, vars, margin=DEFAULT_MARGIN):
     return report
 
 
-def compute_alpha_beta(params, vars, sharp=None):
+def compute_alpha_beta(params, vars):
     """Energy envelope constants with alpha E <= V <= beta E.
 
-    General n uses the eigenvalues of phi0/phi1.  For n = 1 the default mode
-    returns the sharp pair (1 - 2 chi, 1 + 2 chi) of the one-dimensional
-    reduction; pass sharp=False to force the general formula.
+    General n uses the eigenvalues of phi0/phi1.  For n = 1 the pair is the
+    sharp (1 - 2 chi, 1 + 2 chi) of the one-dimensional reduction.
     """
-    if sharp is None:
-        sharp = params.n == 1
     phi0 = build_phi0(params, vars)
     lam_phi0 = eigenvalues(phi0)
     if not lam_phi0[0] > 0.0:
         raise CertificateError("phi0 is not positive definite; alpha would not be positive")
-    if sharp:
-        if params.n != 1:
-            raise CertificateError("the sharp alpha/beta pair is defined only for n = 1")
-        chi = vars.chi
-        return 1.0 - 2.0 * chi, 1.0 + 2.0 * chi
+    if params.n == 1:
+        return 1.0 - 2.0 * vars.chi, 1.0 + 2.0 * vars.chi
     n, k, chi = params.n, params.k, vars.chi
     alpha = 2.0 * lam_phi0[0]
     lam_phi1 = eigenvalues(build_phi1(params, vars))

@@ -353,6 +353,13 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
         raise ValueError("observer modes need boundary_input = (y_now, y_next)")
     if not injecting and boundary_input is not None:
         raise ValueError("plant mode takes no boundary input")
+    if injecting:
+        y0, y1 = boundary_input
+        nodes = boundary_node_count(grid)
+        for y in (y0, y1):
+            if np.size(y) != nodes:
+                raise ValueError("boundary input carries %d values, the grid has %d"
+                                 % (np.size(y), nodes))
     _check_shape(field, grid)
     z, v, t = field.z, field.zt, field.t
     dt = grid.dt
@@ -360,7 +367,6 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
 
     a0 = _accel(z, grid, nonlinearity, t)
     if injecting:
-        y0, y1 = boundary_input
         a0 += plan.flux_mult * (_scatter(y0, plan) - v)
 
     z_new = z + dt * v + plan.half_dt2 * a0

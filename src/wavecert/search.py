@@ -1,13 +1,13 @@
 """Feasibility search over the LMI decision variables.
 
-Everything here is grid-plus-bisection on scalar spectral margins: the
-multiplier searches exploit that each lambda enters exactly one matrix
-affinely (so the decisive eigenvalue is convex in it and a golden-section
-scan is exact, and the lambdas that make the matrix definite form one
-interval that yes/no questions read off in closed form), chi scans
-exploit the hard psi1 cut chi < k/(1 + k^2 n), and the minimal
-observation time is bisected using the monotonicity of the observability
-matrix in t_star.  All searches are deterministic: same
+Everything here is grid-plus-bisection on scalar spectral margins.  Each
+lambda enters exactly one matrix affinely, so the lambdas that clear a
+threshold form one interval: yes/no questions read it off in closed form
+and answer with a witness multiplier, and where a value is reported a
+golden-section scan is exact, the decisive eigenvalue being convex in
+lambda.  chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n), and the
+minimal observation time is bisected using the monotonicity of the
+observability matrix in t_star.  All searches are deterministic: same
 inputs and config, same outputs, regardless of worker count.
 """
 
@@ -78,7 +78,10 @@ class SearchConfig:
     """Knobs of the grid searches; defaults reproduce the reference setup.
 
     chi_grid of None means automatic: 400 log-spaced points from 1e-4 up to
-    the psi1 cut of the problem at hand.
+    the psi1 cut of the problem at hand.  lambda_bisection_tol sets only the
+    golden sections that report values (the find_feasible_vars scan and the
+    T_STAR_MAX probe); feasibility decisions are closed-form and take no
+    tolerance.
     """
 
     chi_grid: tuple = None
@@ -195,46 +198,37 @@ def _span(n0, wq, lo, hi):
     return max(lo, cap - t2), min(hi, cap - k / t2)
 
 
-def _beats(params, chi, tol, entries, name, s, top=True, strict=False):
-    """_best_multiplier(...)[0] <= s (top; < s if strict) or > s (not top).
+def _witness(params, chi, entries, name, s, top=True, strict=False):
+    """A multiplier at which the matrix clears s, or None if there is none.
 
-    The golden section's value lies at most tol / 2 off the optimum, since
-    the decisive eigenvalue is convex in the multiplier with Lipschitz
-    constant <= 1.  So with eps = max(tol, 1e-8) the closed-form _span
-    decides outside the band s +- eps: no multiplier clearing s by eps
-    means the answer is no, and a span clearing it means yes once
-    extremes3 confirms its midpoint (rounding can leave a sliver of a
-    span that is really empty).  Inside the band, or on overflow, the
-    golden section decides with the exact comparison.
+    Clearing means the largest eigenvalue is <= s (top; < s if strict) or
+    the smallest is > s (not top).  The multipliers that clear s form one
+    interval, which _span reads off in closed form; its midpoint is the
+    witness once extremes3 confirms it there (rounding can leave a sliver
+    of a span that is really empty).  A non-finite entry raises as in
+    extremes3; an intermediate that overflows from finite entries answers
+    None, a conservative no.
     """
     chi = checked_float("chi", chi, 0.0)
     lo, hi = _bracket(params, chi, name)
-    eps = max(tol, 1e-8)
     sign = 1.0 if top else -1.0
-    a00, a01, a02, a11, a12, a22 = entries(params, chi, 0.0)
-    wq = _wq(params.n)
-
-    def span(shift):
-        # N(lam) = sign (shift I - M(lam)), positive definite iff M(lam)
-        # is below shift (top) or above it (not top)
-        n0 = (sign * (shift - a00), -sign * a01, -sign * a02,
-              sign * (shift - a11), -sign * a12, sign * (shift - a22))
-        return _span(n0, wq, lo, hi)
-
-    far = span(s + sign * eps)
-    if far is not None:
-        if not far[0] < far[1]:
-            return False
-        near_s = s - sign * eps
-        near = span(near_s)
-        if near is not None and near[0] < near[1]:
-            low, high = extremes3(*entries(params, chi, 0.5 * (near[0] + near[1])))
-            if (high < near_s) if top else (low > near_s):
-                return True
-    value = _best_multiplier(params, chi, tol, entries, name, top)[0]
+    a = entries(params, chi, 0.0)
+    a00, a01, a02, a11, a12, a22 = a
+    # N(lam) = sign (s I - M(lam)), positive definite iff M(lam) is below s
+    # (top) or above it (not top)
+    n0 = (sign * (s - a00), -sign * a01, -sign * a02,
+          sign * (s - a11), -sign * a12, sign * (s - a22))
+    span = _span(n0, _wq(params.n), lo, hi)
+    if span is None:
+        extremes3(*a)  # raises on a non-finite entry
+        return None
+    if not span[0] < span[1]:
+        return None
+    lam = 0.5 * (span[0] + span[1])
+    low, high = extremes3(*entries(params, chi, lam))
     if not top:
-        return value > s
-    return value < s if strict else value <= s
+        return lam if low > s else None
+    return lam if (high < s if strict else high <= s) else None
 
 
 def _golden_lockstep(f, lo, hi, tol, iters=200):
@@ -311,13 +305,13 @@ def _chi_grid(params, config):
 
 
 def _stability_feasible(params, chi, config):
-    """Full stability feasibility at one chi, multipliers optimized away."""
+    """Full stability feasibility at one chi: psi1, and a witness for psi2 and phi0."""
     margin = config.margin
     if psi1_value(params, chi) > margin:
         return False
-    tol = config.lambda_bisection_tol
-    return (_beats(params, chi, tol, psi2_entries, "lambda1", margin)
-            and _beats(params, chi, tol, phi0_entries, "lambda0", margin, top=False))
+    return (_witness(params, chi, psi2_entries, "lambda1", margin) is not None
+            and _witness(params, chi, phi0_entries, "lambda0", margin,
+                         top=False) is not None)
 
 
 def chi_min_stability(params, config=None):
@@ -367,15 +361,13 @@ def _observation_window(params, config, delta):
     The probe sits a hair above chi_min_stability: the observability matrix
     only gets harder as chi grows, so the smallest stabilizing chi is the
     most favorable admissible point and the probe inherits its feasibility
-    threshold in t_star.  Returns (t_star, chi_min, probe).
+    threshold in t_star.  Returns (t_star, chi_min).
     """
     p = replace(params, delta=delta, t_star=None, t_total=None)
     cmin = chi_min_stability(p, config)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
-    tol = config.lambda_bisection_tol
-
-    top = _best_multiplier(replace(p, t_star=T_STAR_MAX), probe, tol,
-                           phi_obs_entries, "lambda2")[0]
+    top = _best_multiplier(replace(p, t_star=T_STAR_MAX), probe,
+                           config.lambda_bisection_tol, phi_obs_entries, "lambda2")[0]
     if not top < -config.margin:
         raise Infeasible(
             "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
@@ -383,12 +375,12 @@ def _observation_window(params, config, delta):
     lo_t, hi_t = 0.0, T_STAR_MAX
     while hi_t - lo_t > config.tstar_tol:
         mid = 0.5 * (lo_t + hi_t)
-        if _beats(replace(p, t_star=mid), probe, tol, phi_obs_entries, "lambda2",
-                  -config.margin, strict=True):
+        if _witness(replace(p, t_star=mid), probe, phi_obs_entries, "lambda2",
+                    -config.margin, strict=True) is not None:
             hi_t = mid
         else:
             lo_t = mid
-    return hi_t, cmin, probe
+    return hi_t, cmin
 
 
 def minimal_observability_time(params, config=None):
@@ -410,7 +402,7 @@ def minimal_observability_time(params, config=None):
     reasons = []
     for delta in deltas:
         try:
-            t, cmin, probe = _observation_window(params, config, delta)
+            t, _ = _observation_window(params, config, delta)
             wins.append((t, delta))
         except Infeasible as exc:
             reasons.append(str(exc))
@@ -533,7 +525,7 @@ def maximize_regional_radius(params, config=None):
     reasons = []
     for delta in deltas:
         try:
-            t, cmin, probe = _observation_window(params, config, delta)
+            t, cmin = _observation_window(params, config, delta)
         except Infeasible as exc:
             reasons.append(str(exc))
             continue
@@ -554,10 +546,15 @@ def maximize_regional_radius(params, config=None):
                          % (reasons[-1] if reasons else "empty delta grid"))
     d0, delta, t, cmin = best
     p_final = replace(params, delta=delta, t_star=t)
-    tol = config.lambda_bisection_tol
-    _, lam1 = _best_multiplier(p_final, cmin, tol, psi2_entries, "lambda1")
-    _, lam0 = _best_multiplier(p_final, cmin, tol, phi0_entries, "lambda0", top=False)
-    _, lam2 = _best_multiplier(p_final, cmin, tol, phi_obs_entries, "lambda2")
+    margin = config.margin
+    # chi_min's last feasible bisection step decided psi2 and phi0 at these
+    # very inputs; phi_obs was bisected at the probe, a hair above cmin
+    lam1 = _witness(p_final, cmin, psi2_entries, "lambda1", margin)
+    lam0 = _witness(p_final, cmin, phi0_entries, "lambda0", margin, top=False)
+    lam2 = _witness(p_final, cmin, phi_obs_entries, "lambda2", -margin, strict=True)
+    if lam2 is None:
+        raise Infeasible("phi_obs has no multiplier at chi=%s, t_star=%s, delta=%s"
+                         % (fmt_float(cmin), fmt_float(t), fmt_float(delta)))
     vars = DecisionVars(chi=cmin, lambda0=lam0, lambda1=lam1, lambda2=lam2)
     cert = make_certificate(p_final, vars, margin=config.margin)
     return d0, cert
@@ -574,11 +571,10 @@ def delta_margin(params, vars, config=None):
     if params.delta is None:
         raise CertificateError("delta is required")
     chi = vars.chi
-    tol = config.lambda_bisection_tol
 
     def ok(extra):
-        return _beats(replace(params, delta=params.delta + extra), chi, tol,
-                      psi2_entries, "lambda1", config.margin)
+        return _witness(replace(params, delta=params.delta + extra), chi,
+                        psi2_entries, "lambda1", config.margin) is not None
 
     if not ok(0.0):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")

@@ -490,11 +490,6 @@ class TestAlphaBeta:
             assert beta == pytest.approx(b_ref, rel=1e-10)
             assert 0.0 < alpha <= beta
 
-    def test_sharp_mode_rejected_for_higher_dimension(self):
-        p = ProblemParams(n=2, k=1.0)
-        with pytest.raises(CertificateError, match="n = 1"):
-            compute_alpha_beta(p, DecisionVars(chi=0.05, lambda0=0.1), sharp=True)
-
     def test_indefinite_phi0_raises(self):
         p = ProblemParams(n=1, k=1.0)
         with pytest.raises(CertificateError, match="positive definite"):

@@ -441,6 +441,22 @@ class TestStepAgainstOracle:
         with pytest.raises(ValueError):
             pde.step(f, go)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_boundary_input_rows_match_the_measured_nodes(self, dim):
+        # a 2-D row of the wrong length used to broadcast or fail inside numpy
+        go = pde.Grid(dim, 17, 0.01, "observer-forward", 1.0)
+        f = pde.WaveField(np.zeros((17,) * dim), np.zeros((17,) * dim))
+        nodes = pde.boundary_node_count(go)
+        good = 0.5 if dim == 1 else np.full(nodes, 0.5)
+        pde.step(f, go, boundary_input=(good, good))
+        bad_rows = [np.zeros(5), np.zeros(nodes + 1)] + ([0.5] if dim == 2 else [])
+        for bad in bad_rows:
+            want = "boundary input carries %d values, the grid has %d" % (
+                np.size(bad), nodes)
+            for binput in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match=want):
+                    pde.step(f, go, boundary_input=binput)
+
     def test_zero_field_stays_zero(self):
         g = pde.Grid(1, 31, 0.01)
         f = pde.WaveField(np.zeros(31), np.zeros(31))
