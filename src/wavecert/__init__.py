@@ -26,7 +26,6 @@ from .search import (Infeasible, SearchConfig, SweepResult, SweepRow,
                      chi_min_stability, delta_margin, find_feasible_vars,
                      maximize_regional_radius, minimal_observability_time,
                      sweep)
-from .smallmat import (SymMatrix, eigenvalues, eigh, is_negative_definite,
-                       is_negative_semidefinite, is_positive_definite)
+from .smallmat import SymMatrix, eigenvalues
 
 __version__ = "0.1.0"

@@ -305,25 +305,24 @@ def compute_alpha_beta(params, vars):
     return alpha, beta
 
 
-def _golden_min(f, lo, hi, tol=1e-12, iters=200):
-    # golden-section minimization; f need only be unimodal on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < tol:
+def _bisect(ok, bad, good, tol=0.0):
+    """The last end at which ok holds, bisecting from bad (ok false) to good.
+
+    ok must be monotone between the two ends, which may come in either
+    order.  Stops after 60 steps, once |good - bad| <= tol, or once no
+    float lies strictly between the ends, so any tol ends the search.
+    """
+    for _ in range(60):
+        if abs(good - bad) <= tol:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+        mid = 0.5 * (bad + good)
+        if not min(bad, good) < mid < max(bad, good):
+            break
+        if ok(mid):
+            good = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            bad = mid
+    return good
 
 
 def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
@@ -331,9 +330,11 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
 
     Requires psi1 < 0 strictly and psi2 negative definite with the margin.
     gamma is the Schur-complement infimum of the 2x2 perturbation block plus
-    the margin; r is chosen to minimize that infimum subject to the rank-one
-    perturbation of psi2 staying negative definite.  For n = 1 every r-term
-    vanishes and the closed form is returned (r is reported as 0).
+    the margin, which grows with r; so r is the smallest r in [1e-6, 1e6]
+    at which the rank-one perturbation chi (n-1) / (2 r) of psi2's (1,1)
+    entry keeps its largest eigenvalue at or below -margin, bisected in
+    log10 r.  For n = 1 every r-term vanishes and the closed form is
+    returned (r is reported as 0).
     """
     margin = checked_float("margin", margin, 0.0)
     _require(vars, "chi", "lambda1")
@@ -349,29 +350,19 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
         gamma = chi * k * k + b * b / (-psi1) + margin
         return 0.0, gamma
 
-    def gamma_inf(r):
-        return chi * k * k * n + chi * (n - 1) * r / 2.0 + b * b / (-psi1)
-
-    def block1_top(r):
+    def absorbed(u):
         ent = list(psi2.entries)
-        ent[0] += chi * (n - 1) / (2.0 * r)
-        return eigenvalues(SymMatrix(3, ent))[-1]
+        ent[0] += chi * (n - 1) / (2.0 * 10.0 ** u)
+        return eigenvalues(SymMatrix(3, ent))[-1] <= -margin
 
-    def objective(u):
-        r = 10.0 ** u
-        violation = block1_top(r) + margin
-        pen = 1e6 * violation if violation > 0.0 else 0.0
-        return gamma_inf(r) + pen
-
-    u = _golden_min(objective, -6.0, 6.0)
+    if absorbed(-6.0):
+        u = -6.0
+    elif not absorbed(6.0):
+        raise CertificateError("no r <= 1e6 absorbs the perturbation of psi2")
+    else:
+        u = _bisect(absorbed, -6.0, 6.0)
     r = 10.0 ** u
-    if block1_top(r) + margin > 0.0:
-        # walk right until the rank-one perturbation is absorbed
-        while r < 1e6 and block1_top(r) + margin > 0.0:
-            r *= 2.0
-        if block1_top(r) + margin > 0.0:
-            raise CertificateError("no r <= 1e6 absorbs the perturbation of psi2")
-    gamma = gamma_inf(r) + margin
+    gamma = chi * k * k * n + chi * (n - 1) * r / 2.0 + b * b / (-psi1) + margin
     return r, gamma
 
 

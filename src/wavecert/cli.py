@@ -258,19 +258,12 @@ def cmd_certify(args):
     if vars is None:
         vars = find_feasible_vars(params, parse_search(doc))
     vars, report = check_point(params, vars, args.margin)
-    out = {"feasible": report["feasible"], "params": params.to_dict(),
-           "vars": vars.to_dict()}
     if report["feasible"]:
-        cert = certificate_at(params, vars, report)
-        out["alpha"] = cert.alpha
-        out["beta"] = cert.beta
-        if cert.q is not None:
-            out["q"] = cert.q
-        if cert.d0 is not None:
-            out["d0"] = cert.d0
+        out = {"feasible": True,
+               **certificate_to_dict(certificate_at(params, vars, report))}
     else:
-        out["failing"] = report["failing"]
-    out["margins"] = report["margins"]
+        out = {"feasible": False, "params": params.to_dict(), "vars": vars.to_dict(),
+               "failing": report["failing"], "margins": report["margins"]}
     print(json_dumps(out))
     return 0 if report["feasible"] else 2
 

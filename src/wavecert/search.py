@@ -3,12 +3,14 @@
 Everything here is grid-plus-bisection on scalar spectral margins.  Each
 lambda enters exactly one matrix affinely, so the lambdas that clear a
 threshold form one interval: yes/no questions read it off in closed form
-and answer with a witness multiplier, and where a value is reported a
-golden-section scan is exact, the decisive eigenvalue being convex in
-lambda.  chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n), and the
-minimal observation time is bisected using the monotonicity of the
-observability matrix in t_star.  All searches are deterministic: same
-inputs and config, same outputs, regardless of worker count.
+(_witness) and answer with a witness multiplier.  Every monotone search
+(chi_min, the minimal observation time, delta_margin) bisects such
+questions with certificates._bisect.  Values come only from a lockstep
+golden section per multiplier (the find_feasible_vars chi scan, and the
+lambda_max a failed T_STAR_MAX probe quotes), exact because the decisive
+eigenvalue is convex in lambda.  chi scans exploit the hard psi1 cut
+chi < k/(1 + k^2 n).  All searches are deterministic: same inputs and
+config, same outputs, regardless of worker count.
 """
 
 import math
@@ -25,7 +27,7 @@ from .certificates import (
     CertificateError,
     DecisionVars,
     ProblemParams,
-    _golden_min,
+    _bisect,
     _wq,
     certificate_to_dict,
     check_observability,
@@ -53,12 +55,24 @@ class Infeasible(Exception):
     """A search exhausted its region without finding a certified point.
 
     This is a result, not a failure: the reason string records the best
-    margin seen or the structural cut that emptied the region.
+    margin seen or the structural cut that emptied the region.  A reason
+    may be given as a function that returns it; the function runs when the
+    text is first read, so a per-delta failure that is never reported
+    costs nothing to explain.
     """
 
     def __init__(self, reason):
         super().__init__(reason)
-        self.reason = reason
+        self._reason = reason
+
+    @property
+    def reason(self):
+        if callable(self._reason):
+            self._reason = self._reason()
+        return self._reason
+
+    def __str__(self):
+        return self.reason
 
 
 def _check_grid(name, grid):
@@ -79,9 +93,10 @@ class SearchConfig:
 
     chi_grid of None means automatic: 400 log-spaced points from 1e-4 up to
     the psi1 cut of the problem at hand.  lambda_bisection_tol sets only the
-    golden sections that report values (the find_feasible_vars scan and the
-    T_STAR_MAX probe); feasibility decisions are closed-form and take no
-    tolerance.
+    golden sections that report values: the find_feasible_vars scan and the
+    lambda_max(Phi) quoted when the T_STAR_MAX probe fails.  Feasibility
+    decisions are closed-form and take no tolerance; tstar_tol ends the
+    t_star bisection, which also stops at the float spacing.
     """
 
     chi_grid: tuple = None
@@ -146,31 +161,6 @@ def _bracket(params, chi, name):
     return 1e-14, 0.5 * (1.0 - es) * PI2 * n / 4.0
 
 
-def _best_multiplier(params, chi, tol, entries, name, top=True):
-    """(decisive eigenvalue, multiplier) of a matrix at its best `name`.
-
-    entries is the matrix's *_entries formula.  top: the largest eigenvalue
-    decides and is minimized (psi2, phi_obs); otherwise the smallest decides
-    and is maximized (phi0).  An empty interval reports an infinitely bad
-    eigenvalue at its lower end.  chi and every multiplier tried are checked
-    as DecisionVars would check them.
-    """
-    chi = checked_float("chi", chi, 0.0)
-    lo, hi = _bracket(params, chi, name)
-    if hi <= lo:
-        return (math.inf if top else -math.inf), lo
-
-    def decisive(lam):
-        if not 0.0 < lam < math.inf:
-            raise CertificateError("%s must be finite and > 0" % name)
-        low, high = extremes3(*entries(params, chi, lam))
-        return high if top else -low
-
-    lam = _golden_min(decisive, lo, hi, tol)
-    value = decisive(lam)
-    return (value if top else -value), lam
-
-
 def _span(n0, wq, lo, hi):
     """(a, b) where n0 + lam diag(-wq, 0, 1) is positive definite, cut to [lo, hi].
 
@@ -232,11 +222,12 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
 
 
 def _golden_lockstep(f, lo, hi, tol, iters=200):
-    """_golden_min on every element of the arrays lo, hi at once.
+    """Golden-section minima of unimodal objectives on [lo, hi], elementwise.
 
     f(rows, x) returns the objective of elements rows at points x.  Each
-    element follows _golden_min's update rule and leaves the batch once
-    b - a < tol; iters caps every element alike.
+    element keeps its interior points c < d, drops the side beyond the
+    worse of the two (the left one on ties) and leaves the batch once
+    b - a < tol; iters caps every element alike.  Returns the midpoints.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo.copy(), hi.copy()
@@ -261,11 +252,14 @@ def _golden_lockstep(f, lo, hi, tol, iters=200):
 
 
 def _best_multipliers(params, chi, tol, entries, name, top=True):
-    """_best_multiplier at every chi of an array, the searches in lockstep.
+    """(decisive eigenvalues, multipliers) at the best `name` for each chi.
 
-    entries is the matrix's *_entries formula; each element gets its own
-    _bracket and the values and multipliers _best_multiplier finds there.
-    As DecisionVars would, a multiplier that is not finite and > 0 raises.
+    entries is the matrix's *_entries formula; each element of the array
+    chi gets its own _bracket and one golden section, all in lockstep.
+    top: the largest eigenvalue decides and is minimized (psi2, phi_obs);
+    otherwise the smallest decides and is maximized (phi0).  An empty
+    bracket reports an infinitely bad eigenvalue at its lower end.  As
+    DecisionVars would, a multiplier that is not finite and > 0 raises.
     """
     bounds = np.array([_bracket(params, float(x), name) for x in chi])
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -298,10 +292,12 @@ def _chi_cut(params):
 
 def _chi_grid(params, config):
     cut = _chi_cut(params)
-    if config.chi_grid is None:
-        return 1e-4, cut * (1.0 - 1e-9), 400
-    lo, hi, count = config.chi_grid
-    return lo, min(hi, cut * (1.0 - 1e-9)), count
+    lo, hi, count = config.chi_grid or (1e-4, math.inf, 400)
+    hi = min(hi, cut * (1.0 - 1e-9))
+    if hi <= lo:
+        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
+                         % fmt_float(cut))
+    return lo, hi, count
 
 
 def _stability_feasible(params, chi, config):
@@ -324,9 +320,6 @@ def chi_min_stability(params, config=None):
     if params.delta is None:
         raise CertificateError("delta is required for a stability search")
     lo, hi, count = _chi_grid(params, config)
-    if hi <= lo:
-        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
-                         % fmt_float(_chi_cut(params)))
     found = None
     prev = None
     for x in np.geomspace(lo, hi, count):
@@ -340,16 +333,7 @@ def chi_min_stability(params, config=None):
                          % (fmt_float(lo), fmt_float(hi), fmt_float(params.delta)))
     if prev is None:
         return found
-    a, b = prev, found
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        if _stability_feasible(params, mid, config):
-            b = mid
-        else:
-            a = mid
-    return b
+    return _bisect(lambda chi: _stability_feasible(params, chi, config), prev, found)
 
 
 # ------------------------------------------------------------ time bisection
@@ -366,21 +350,31 @@ def _observation_window(params, config, delta):
     p = replace(params, delta=delta, t_star=None, t_total=None)
     cmin = chi_min_stability(p, config)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
-    top = _best_multiplier(replace(p, t_star=T_STAR_MAX), probe,
-                           config.lambda_bisection_tol, phi_obs_entries, "lambda2")[0]
-    if not top < -config.margin:
-        raise Infeasible(
-            "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
-            % (T_STAR_MAX, fmt_float(delta), fmt_float(top)))
-    lo_t, hi_t = 0.0, T_STAR_MAX
-    while hi_t - lo_t > config.tstar_tol:
-        mid = 0.5 * (lo_t + hi_t)
-        if _witness(replace(p, t_star=mid), probe, phi_obs_entries, "lambda2",
-                    -config.margin, strict=True) is not None:
-            hi_t = mid
-        else:
-            lo_t = mid
-    return hi_t, cmin
+
+    def observable(t_star):
+        return _witness(replace(p, t_star=t_star), probe, phi_obs_entries, "lambda2",
+                        -config.margin, strict=True) is not None
+
+    def not_observable():
+        # a golden section on one element, which the delta loops would pay
+        # at every failing delta if they did not report only the last
+        top = _best_multipliers(replace(p, t_star=T_STAR_MAX), np.array([probe]),
+                                config.lambda_bisection_tol, phi_obs_entries,
+                                "lambda2")[0][0]
+        return ("not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
+                % (T_STAR_MAX, fmt_float(delta), fmt_float(top)))
+
+    if not observable(T_STAR_MAX):
+        raise Infeasible(not_observable)
+    return _bisect(observable, 0.0, T_STAR_MAX, config.tstar_tol), cmin
+
+
+def _deltas(params, config):
+    # a set delta pins a search to itself; otherwise the configured grid
+    if params.delta is not None:
+        return [params.delta]
+    lo, hi, count = config.delta_grid
+    return [float(x) for x in np.geomspace(lo, hi, count)]
 
 
 def minimal_observability_time(params, config=None):
@@ -393,19 +387,14 @@ def minimal_observability_time(params, config=None):
     config = config or SearchConfig()
     if params.t_star is not None:
         raise CertificateError("t_star must be left unset for a minimal-time search")
-    if params.delta is not None:
-        deltas = [params.delta]
-    else:
-        lo, hi, count = config.delta_grid
-        deltas = [float(x) for x in np.geomspace(lo, hi, count)]
     wins = []
     reasons = []
-    for delta in deltas:
+    for delta in _deltas(params, config):
         try:
             t, _ = _observation_window(params, config, delta)
             wins.append((t, delta))
         except Infeasible as exc:
-            reasons.append(str(exc))
+            reasons.append(exc)
     if not wins:
         raise Infeasible("no delta admits an observability certificate; last reason: %s"
                          % (reasons[-1] if reasons else "empty delta grid"))
@@ -450,9 +439,6 @@ def find_feasible_vars(params, config=None):
         raise CertificateError("delta is required for a feasibility search")
     observability = params.t_star is not None
     lo, hi, count = _chi_grid(params, config)
-    if hi <= lo:
-        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
-                         % fmt_float(_chi_cut(params)))
     margin = config.margin
     tol = config.lambda_bisection_tol
 
@@ -516,18 +502,13 @@ def maximize_regional_radius(params, config=None):
         raise CertificateError("the regional search is defined for n = 1")
     if params.d is None:
         raise CertificateError("d (the radius on which f is Lipschitz) is required")
-    if params.delta is not None:
-        deltas = [params.delta]
-    else:
-        lo, hi, count = config.delta_grid
-        deltas = [float(x) for x in np.geomspace(lo, hi, count)]
     best = None
     reasons = []
-    for delta in deltas:
+    for delta in _deltas(params, config):
         try:
             t, cmin = _observation_window(params, config, delta)
         except Infeasible as exc:
-            reasons.append(str(exc))
+            reasons.append(exc)
             continue
         if params.t_total is not None and params.t_total < t:
             reasons.append("t_total below minimal time %s at delta=%s"
@@ -580,16 +561,7 @@ def delta_margin(params, vars, config=None):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")
     if ok(params.delta):
         return params.delta
-    lo_e, hi_e = 0.0, params.delta
-    for _ in range(60):
-        mid = 0.5 * (lo_e + hi_e)
-        if not lo_e < mid < hi_e:
-            break
-        if ok(mid):
-            lo_e = mid
-        else:
-            hi_e = mid
-    return max(lo_e, 1e-12)
+    return max(_bisect(ok, params.delta, 0.0), 1e-12)
 
 
 # ----------------------------------------------------------------------- sweep

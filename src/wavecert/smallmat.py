@@ -3,8 +3,8 @@
 The scalar routines are pure Python on purpose: the LMI feasibility margins
 that drive the rest of the toolkit come from these eigenvalues, and a
 dependency free cyclic Jacobi is deterministic across platforms and fast
-enough at this size.  Definiteness is decided from the spectrum, not a
-Cholesky attempt, so the margin argument is directly a spectral quantity.
+enough at this size.  Callers decide definiteness from the spectrum, not a
+Cholesky attempt, so their margins are directly spectral quantities.
 extreme_eigenvalues runs the same 3x3 Jacobi over a batch with numpy ufuncs
 (no LAPACK) and extremes3 unrolls it over six floats; both return the same
 bits.
@@ -88,15 +88,13 @@ class SymMatrix:
         return hash((self.dim, self.entries))
 
 
-def _jacobi(m):
-    """Cyclic Jacobi sweeps; returns (diagonal values, accumulated rotation V).
+def eigenvalues(m):
+    """All eigenvalues of m, ascending, by cyclic Jacobi sweeps.
 
-    V's columns are the eigenvectors: A = V diag V^T up to the off-diagonal
-    tolerance.  dim <= 4 converges in a handful of sweeps.
+    dim <= 4 converges in a handful of sweeps.
     """
     n = m.dim
     a = m.to_rows()
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     scale = max(1.0, m.frobenius())
     for _ in range(_MAX_SWEEPS):
         off = 0.0
@@ -126,25 +124,7 @@ def _jacobi(m):
                     arp, arq = a[r][p], a[r][q]
                     a[r][p] = a[p][r] = c * arp - s * arq
                     a[r][q] = a[q][r] = s * arp + c * arq
-                for r in range(n):
-                    vrp, vrq = v[r][p], v[r][q]
-                    v[r][p] = c * vrp - s * vrq
-                    v[r][q] = s * vrp + c * vrq
-    vals = [a[i][i] for i in range(n)]
-    order = sorted(range(n), key=lambda i: vals[i])
-    vals_sorted = [vals[i] for i in order]
-    vecs = [[v[r][i] for i in order] for r in range(n)]
-    return vals_sorted, vecs
-
-
-def eigenvalues(m):
-    """All eigenvalues of m, ascending."""
-    return _jacobi(m)[0]
-
-
-def eigh(m):
-    """Eigen-decomposition (values ascending, eigenvector matrix by columns)."""
-    return _jacobi(m)
+    return sorted(a[i][i] for i in range(n))
 
 
 # one cyclic Jacobi step per pair (p, q) of a 3x3 matrix stored as its upper
@@ -158,7 +138,7 @@ def extreme_eigenvalues(a00, a01, a02, a11, a12, a22):
 
     The six upper-triangle entries are arrays (or scalars) broadcasting to
     one 1-D shape.  Each matrix goes through the same IEEE operations, in
-    the same order, as _jacobi does for it alone, so the results equal
+    the same order, as eigenvalues does for it alone, so the results equal
     eigenvalues(m)[0] and eigenvalues(m)[-1] bit for bit: the Frobenius sum
     runs row-major over the full matrix, a converged matrix drops out of
     the batch, and a zero off-diagonal entry keeps its rows through a
@@ -221,7 +201,7 @@ def extreme_eigenvalues(a00, a01, a02, a11, a12, a22):
 
 
 def _rotate(app, aqq, apq, arp, arq):
-    # one Jacobi rotation of _jacobi on pair (p, q) with remaining row r:
+    # one Jacobi rotation of eigenvalues on pair (p, q) with remaining row r:
     # the new a_pp, a_qq, a_rp, a_rq (a_pq becomes 0)
     theta = (aqq - app) / (2.0 * apq)
     t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
@@ -235,10 +215,10 @@ def _rotate(app, aqq, apq, arp, arq):
 def extremes3(a00, a01, a02, a11, a12, a22):
     """(lambda_min, lambda_max) of one symmetric 3x3 matrix given as floats.
 
-    The scalar twin of extreme_eigenvalues: _jacobi's 3x3 operations in the
-    same order, unrolled over six locals, so the results equal
-    eigenvalues(m)[0] and eigenvalues(m)[-1] bit for bit without building a
-    SymMatrix or accumulating eigenvectors.
+    The scalar twin of extreme_eigenvalues: the 3x3 operations of
+    eigenvalues in the same order, unrolled over six locals, so the results
+    equal eigenvalues(m)[0] and eigenvalues(m)[-1] bit for bit without
+    building a SymMatrix.
     """
     for x in (a00, a01, a02, a11, a12, a22):
         if not math.isfinite(x):
@@ -262,23 +242,3 @@ def extremes3(a00, a01, a02, a11, a12, a22):
     d = sorted((a00, a11, a22))
     return d[0], d[2]
 
-
-def is_positive_definite(m, margin=0.0):
-    """True iff lambda_min(m) > margin.  margin must be >= 0."""
-    if not (margin >= 0.0) or not math.isfinite(margin):
-        raise ValueError("margin must be a finite scalar >= 0")
-    return eigenvalues(m)[0] > margin
-
-
-def is_negative_semidefinite(m, slack=0.0):
-    """True iff lambda_max(m) <= slack.  slack must be >= 0."""
-    if not (slack >= 0.0) or not math.isfinite(slack):
-        raise ValueError("slack must be a finite scalar >= 0")
-    return eigenvalues(m)[-1] <= slack
-
-
-def is_negative_definite(m, margin=0.0):
-    """True iff lambda_max(m) < -margin (strict form used for Phi < 0)."""
-    if not (margin >= 0.0) or not math.isfinite(margin):
-        raise ValueError("margin must be a finite scalar >= 0")
-    return eigenvalues(m)[-1] < -margin

@@ -296,7 +296,7 @@ class TestBuilders:
         m = build_psi2(p, DecisionVars(chi=chi, lambda1=lam1))
         rows = as_np(m)
         assert np.array_equal(rows, np.diag([-chi + lam1 * wq(2), -chi, -lam1]))
-        assert smallmat.is_negative_semidefinite(m)
+        assert smallmat.eigenvalues(m)[-1] <= 0.0
         assert smallmat.eigenvalues(m)[-1] == pytest.approx(-chi / 2.0, rel=1e-14)
 
     def test_phi_obs_1d_eigs_decouple(self):
@@ -323,7 +323,7 @@ class TestBuilders:
         p = ProblemParams(n=1, k=1.0, delta=0.1, t_star=3.78)
         v = DecisionVars(chi=0.1803, lambda2=1e-3)
         m = build_phi_obs(p, v)
-        assert smallmat.is_negative_definite(m, margin=1e-9)
+        assert smallmat.eigenvalues(m)[-1] < -1e-9
         assert smallmat.eigenvalues(m)[-1] == pytest.approx(-6.8647340579625071e-05, rel=1e-9)
 
     def test_builders_match_numpy_oracle(self):
@@ -535,6 +535,76 @@ class TestIssGain:
             compute_iss_gain(p, DecisionVars(chi=0.5, lambda1=0.1))
         with pytest.raises(CertificateError, match="psi2"):
             compute_iss_gain(p, DecisionVars(chi=0.2, lambda1=10.0))
+
+    def test_pinned_point_gets_the_smallest_r(self):
+        # a golden section on a penalised gamma, then a doubling walk,
+        # returned r = 6.0904 and gamma = 0.5525 here: twice the smallest r
+        p = ProblemParams(n=4, k=0.42403627334881394, g1=0.022068871599189608,
+                          delta=0.00016254692597806786)
+        v = DecisionVars(chi=0.05469861999382091, lambda1=0.27200122247155994)
+        r, gamma = compute_iss_gain(p, v)
+        assert r < 3.05 and gamma < 0.31
+        assert absorbs_perturbation(p, v, r)
+        assert not absorbs_perturbation(p, v, r * (1.0 - 1e-9))
+
+    def test_r_is_the_smallest_that_absorbs(self):
+        rng = np.random.default_rng(2024)
+        seen = 0
+        while seen < 60:
+            n = int(rng.integers(2, 5))
+            k, g1 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 0.1))
+            chi = float(rng.uniform(0.01, 0.99)) * k / (1.0 + k * k * n)
+            delta = float(10.0 ** rng.uniform(-4.0, -0.5)) * chi
+            lam1 = float(rng.uniform(g1 * (n - 1) * chi, chi * PI2 * n / 4.0))
+            p = ProblemParams(n=n, k=k, g1=g1, delta=delta)
+            v = DecisionVars(chi=chi, lambda1=lam1)
+            try:
+                r, gamma = compute_iss_gain(p, v)
+            except CertificateError:
+                continue
+            seen += 1
+            assert absorbs_perturbation(p, v, r)
+            if r != 1e-6:
+                assert not absorbs_perturbation(p, v, r * (1.0 - 1e-9))
+            b = chi * (0.5 + k * k * n)
+            assert gamma == (chi * k * k * n + chi * (n - 1) * r / 2.0
+                             + b * b / -psi1_np(n, k, chi) + 1e-9)
+
+
+def absorbs_perturbation(params, vars, r, margin=1e-9):
+    """The ISS condition on r: psi2 with chi (n-1) / (2 r) added to its (1,1)
+    entry keeps its largest eigenvalue at or below -margin."""
+    ent = list(build_psi2(params, vars).entries)
+    ent[0] += vars.chi * (params.n - 1) / (2.0 * r)
+    return smallmat.eigenvalues(smallmat.SymMatrix(3, ent))[-1] <= -margin
+
+
+class TestBisect:
+    def test_ends_at_the_float_spacing_in_either_order(self):
+        x0 = 1.0 / 3.0
+        for bad, good, ok in ((0.0, 1.0, lambda x: x >= x0), (1.0, 0.0, lambda x: x <= x0)):
+            got = cert._bisect(ok, bad, good)
+            assert ok(got) and not ok(math.nextafter(got, bad))
+
+    def test_tolerance_and_step_cap_end_the_search(self):
+        calls = []
+
+        def ok(x):
+            calls.append(x)
+            return x >= 2.0
+
+        # 200 / 2^18 is the first width <= 1e-3
+        got = cert._bisect(ok, 0.0, 200.0, 1e-3)
+        assert len(calls) == 18 and 2.0 <= got <= 2.0 + 1e-3
+        # a tolerance below the float spacing still ends there
+        calls.clear()
+        got = cert._bisect(ok, 0.0, 200.0, 1e-300)
+        assert len(calls) < 60
+        assert ok(got) and not ok(math.nextafter(got, 0.0))
+        # the ends 1e300 apart would need about 2,000 steps to meet
+        calls.clear()
+        cert._bisect(lambda x: calls.append(x) or x >= 1e-300, 0.0, 1e300)
+        assert len(calls) == 60
 
 
 # -------------------------------------------------------------------- regional

@@ -38,6 +38,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def fresh_cli(argv, **kw):
+    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "wavecert.cli"] + argv,
+                          capture_output=True, text=True, env=env, **kw)
+
+
 class TestErrors:
     def test_malformed_json_line_anchored(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -248,6 +258,20 @@ class TestMinTime:
         code, out, err = run_cli(["min-time", "--config", cfg], capsys)
         assert code == 1 and "t_star" in err
 
+    @pytest.mark.parametrize("flags,search", [
+        (["--tol", "1e-20"], None),
+        ([], {"tstar_tol": 1e-300}),
+    ], ids=["tol-flag", "tstar_tol-key"])
+    def test_tolerance_below_the_float_spacing_ends(self, tmp_path, flags, search):
+        # the t_star bisection stops once no float lies between its ends
+        doc = {"problem": {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.001}}
+        if search is not None:
+            doc["search"] = search
+        cfg = write_json(tmp_path, "c.json", doc)
+        proc = fresh_cli(["min-time", "--config", cfg] + flags, timeout=60)
+        assert proc.returncode == 0
+        assert 2.00 <= json.loads(proc.stdout)["t_star"] <= 2.06
+
     def test_bad_tol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "delta": 0.01}})
@@ -399,14 +423,7 @@ class TestSimulate:
                                 "fz_bound": 1.0, "local_radius": 1.0},
                "initial": {"polynomial": {"z": [0.0, 1e150]}}}
         cfg = write_json(tmp_path, "c.json", {"sim": sim})
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "wavecert.cli", "simulate", "--config", cfg,
-             "--out", str(tmp_path / "x.csv")],
-            capture_output=True, text=True, env=env)
+        proc = fresh_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert proc.returncode == 1 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: solution diverged")

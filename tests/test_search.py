@@ -20,7 +20,6 @@ from wavecert.certificates import (
     CertificateError,
     DecisionVars,
     ProblemParams,
-    _golden_min,
     build_phi0,
     build_phi_obs,
     build_psi1,
@@ -390,17 +389,17 @@ def point_loop_find_feasible_vars(params, config=None):
                          % fmt_float(search._chi_cut(params)))
     margin = config.margin
     tol = config.lambda_bisection_tol
-    best = search._best_multiplier
+    best = build_path_best_multiplier
 
     def worst(chi):
         w = margin - build_psi1(params, DecisionVars(chi=chi))
-        top2, lam1 = best(params, chi, tol, psi2_entries, "lambda1")
+        top2, lam1 = best(params, chi, tol, build_psi2, "lambda1")
         w = min(w, margin - top2)
-        bottom0, lam0 = best(params, chi, tol, phi0_entries, "lambda0", top=False)
+        bottom0, lam0 = best(params, chi, tol, build_phi0, "lambda0", top=False)
         w = min(w, bottom0 - margin)
         lam2 = None
         if observability:
-            topf, lam2 = best(params, chi, tol, phi_obs_entries, "lambda2")
+            topf, lam2 = best(params, chi, tol, build_phi_obs, "lambda2")
             w = min(w, -margin - topf)
         return w, (lam0, lam1, lam2)
 
@@ -434,11 +433,35 @@ def point_loop_find_feasible_vars(params, config=None):
     return vars
 
 
-def build_path_best_multiplier(params, chi, tol, build, name, top=True):
-    """_best_multiplier as it was over DecisionVars, build_* and eigenvalues.
+def _golden_min(f, lo, hi, tol=1e-12, iters=200):
+    # the scalar golden section the package used before its lockstep scan:
+    # the update rule _golden_lockstep must follow element by element
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if b - a < tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
-    Kept as the oracle: the scalar 3x3 kernel over the *_entries formulas
-    must return the same bits.
+
+def build_path_best_multiplier(params, chi, tol, build, name, top=True):
+    """(decisive eigenvalue, multiplier) at the best `name`, one chi at a time.
+
+    The scalar multiplier search over DecisionVars, build_* and eigenvalues,
+    kept as the oracle: the lockstep scan over the *_entries formulas must
+    return the same bits, and the closed-form decisions must agree with it
+    away from its tolerance.
     """
     lo, hi = search._bracket(params, chi, name)
     if hi <= lo:
@@ -506,14 +529,10 @@ class TestLockstepScan:
             lo, hi = search._bracket(params, float(chi[0]), name)
             assert lo >= chi[0] * math.pi ** 2 * params.n / 4.0 and hi > lo
         values, lams = search._best_multipliers(params, chi, 1e-9, entries, name, top)
-        want = [search._best_multiplier(params, float(c), 1e-9, entries, name, top)
-                for c in chi]
-        assert _same_bits(values, [v for v, _ in want])
-        assert _same_bits(lams, [lam for _, lam in want])
         oracle = [build_path_best_multiplier(params, float(c), 1e-9, build, name, top)
                   for c in chi]
-        assert _same_bits([v for v, _ in want], [v for v, _ in oracle])
-        assert _same_bits([lam for _, lam in want], [lam for _, lam in oracle])
+        assert _same_bits(values, [v for v, _ in oracle])
+        assert _same_bits(lams, [lam for _, lam in oracle])
         if params.t_star == 1e-12:
             assert np.all(values == math.inf) and np.all(lams == 1e-14)
 
@@ -522,18 +541,11 @@ class TestLockstepScan:
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
         monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-1.0, 1.0))
         with pytest.raises(CertificateError, match="lambda1"):
-            search._best_multiplier(p, 0.1, 1e-9, psi2_entries, "lambda1")
-        with pytest.raises(CertificateError, match="lambda1"):
             search._best_multipliers(p, chi, 1e-9, psi2_entries, "lambda1")
         monkeypatch.undo()
-        for chi_bad in (-0.1, math.nan, math.inf):
-            with pytest.raises(CertificateError, match="chi"):
-                search._best_multiplier(p, chi_bad, 1e-9, psi2_entries, "lambda1")
         # chi k overflows in the (1,1) entry of psi2
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                search._best_multiplier(huge, 10.0, 1e-9, psi2_entries, "lambda1")
             with pytest.raises(ValueError, match="non-finite"):
                 search._best_multipliers(huge, np.array([10.0]), 1e-9, psi2_entries,
                                          "lambda1")
@@ -634,14 +646,14 @@ def head_stability_feasible(params, chi, config):
         if u < 0.0 or u * u * PI2 / 4.0 + u * slack < g1 * g1 / 4.0 - 1e-15:
             return False
     tol = config.lambda_bisection_tol
-    top, _ = search._best_multiplier(params, chi, tol, psi2_entries, "lambda1")
+    top, _ = build_path_best_multiplier(params, chi, tol, build_psi2, "lambda1")
     if not top <= margin:
         return False
     for lam0 in (max(4.0 * margin, 1e-6), 0.3 * PI2 * params.n / 8.0):
         if search.extremes3(*phi0_entries(params, chi, lam0))[0] > margin:
             return True
-    bottom, _ = search._best_multiplier(params, chi, tol, phi0_entries, "lambda0",
-                                        top=False)
+    bottom, _ = build_path_best_multiplier(params, chi, tol, build_phi0, "lambda0",
+                                           top=False)
     return bottom > margin
 
 
@@ -680,7 +692,8 @@ def head_observation_window(params, config, delta):
     tol = config.lambda_bisection_tol
 
     def top_at(t):
-        return search._best_multiplier(replace(p, t_star=t), probe, tol, phi_obs_entries, "lambda2")[0]
+        return build_path_best_multiplier(replace(p, t_star=t), probe, tol, build_phi_obs,
+                                          "lambda2")[0]
 
     top = top_at(search.T_STAR_MAX)
     if not top < -config.margin:
@@ -702,7 +715,8 @@ def head_delta_margin(params, vars, config):
     tol = config.lambda_bisection_tol
 
     def ok(extra):
-        top, _ = search._best_multiplier(replace(params, delta=params.delta + extra), chi, tol, psi2_entries, "lambda1")
+        top, _ = build_path_best_multiplier(replace(params, delta=params.delta + extra), chi,
+                                            tol, build_psi2, "lambda1")
         return top <= config.margin
 
     if not ok(0.0):
@@ -758,10 +772,11 @@ def _clears(value, s, top, strict):
     return value < s if strict else value <= s
 
 
-# entries, multiplier, top, strict: the three decisions the searches make
-DECISIONS = [(psi2_entries, "lambda1", True, False),
-             (phi0_entries, "lambda0", False, True),
-             (phi_obs_entries, "lambda2", True, True)]
+# entries, builder, multiplier, top, strict: the three decisions the
+# searches make
+DECISIONS = [(psi2_entries, build_psi2, "lambda1", True, False),
+             (phi0_entries, build_phi0, "lambda0", False, True),
+             (phi_obs_entries, build_phi_obs, "lambda2", True, True)]
 
 
 def _random_problem(rng, n):
@@ -783,19 +798,19 @@ class TestClosedFormDecisions:
         rng = np.random.default_rng(int(-math.log10(tol)))
         eps = max(tol, 1e-8)
         golden_calls = []
-        golden = search._best_multiplier
+        golden = search._golden_lockstep
 
         def counted(*args, **kw):
             golden_calls.append(args)
             return golden(*args, **kw)
 
-        monkeypatch.setattr(search, "_best_multiplier", counted)
+        monkeypatch.setattr(search, "_golden_lockstep", counted)
         outside = witnessed = 0
         for n in (1, 2, 3, 4):
-            for entries, name, top, strict in DECISIONS:
+            for entries, build, name, top, strict in DECISIONS:
                 for _ in range(6):
                     params, chi = _random_problem(rng, n)
-                    value = golden(params, chi, tol, entries, name, top)[0]
+                    value = build_path_best_multiplier(params, chi, tol, build, name, top)[0]
                     lo, hi = search._bracket(params, chi, name)
                     for f in (0.9, 1.0, 1.1, 1.5, 2.0, 3.0):
                         for side in (-1.0, 1.0):
@@ -822,7 +837,7 @@ class TestClosedFormDecisions:
         params = ProblemParams(n=1, k=0.4607879839559085, g1=0.09510413139896456,
                                delta=0.12104731253124086, t_star=1.9019470945648353)
         chi, tol = 0.08180788182923945, 1e-3
-        value = search._best_multiplier(params, chi, tol, phi_obs_entries, "lambda2")[0]
+        value = build_path_best_multiplier(params, chi, tol, build_phi_obs, "lambda2")[0]
         s = value - 0.004
         assert search._witness(params, chi, phi_obs_entries, "lambda2", s,
                                strict=True) is None
@@ -932,6 +947,29 @@ class TestMaximizeRegionalRadius:
         p = ProblemParams(n=1, k=1.0, g1=0.101824137087557, d=1.0)
         d0, cert = maximize_regional_radius(p, SearchConfig(tstar_tol=0.01))
         assert make_certificate(cert.params, cert.vars).d0 == d0 == cert.d0
+
+    def test_unreported_probe_failures_run_no_golden_section(self, monkeypatch):
+        # the two lowest deltas fail the T_STAR_MAX probe; only a reported
+        # failure pays the golden section behind its lambda_max
+        calls = []
+        golden = search._golden_lockstep
+        monkeypatch.setattr(search, "_golden_lockstep",
+                            lambda *a, **kw: calls.append(a) or golden(*a, **kw))
+        failures = []
+        window = search._observation_window
+
+        def counted(*args):
+            try:
+                return window(*args)
+            except Infeasible as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(search, "_observation_window", counted)
+        cfg = SearchConfig(delta_grid=(1e-4, 1e-3, 4), tstar_tol=0.01)
+        maximize_regional_radius(ProblemParams(n=1, k=1.0, g1=0.1, d=1.0), cfg)
+        assert len(failures) == 2 and not calls
+        assert "lambda_max(Phi)=" in str(failures[-1]) and len(calls) == 1
 
     def test_preconditions(self):
         with pytest.raises(CertificateError, match="n = 1"):
