@@ -2,15 +2,17 @@
 
 Everything here is grid-plus-bisection on scalar spectral margins.  Each
 lambda enters exactly one matrix affinely, so the lambdas that clear a
-threshold form one interval: yes/no questions read it off in closed form
-(_witness) and answer with a witness multiplier.  Every monotone search
-(chi_min, the minimal observation time, delta_margin) bisects such
-questions with certificates._bisect.  Values come only from a lockstep
-golden section per multiplier (the find_feasible_vars chi scan, and the
-lambda_max a failed T_STAR_MAX probe quotes), exact because the decisive
-eigenvalue is convex in lambda.  chi scans exploit the hard psi1 cut
-chi < k/(1 + k^2 n).  All searches are deterministic: same inputs and
-config, same outputs, regardless of worker count.
+threshold form one interval, read off in closed form (_span).  Yes/no
+questions answer with a witness multiplier from it (_witness).  Every
+monotone search (chi_min, the minimal observation time, delta_margin)
+bisects such questions with certificates._bisect.  Values come from the
+same interval: the best margin of a multiplier is the threshold at which
+the interval stops being empty, bisected for a whole chi grid at once
+(_best_multipliers, for the find_feasible_vars chi scan and the
+lambda_max a failed T_STAR_MAX probe quotes), with no eigenvalue computed.
+chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  All searches
+are deterministic: same inputs and config, same outputs, regardless of
+worker count.
 """
 
 import math
@@ -44,7 +46,7 @@ from .certificates import (
     psi2_entries,
     reject_unknown_keys,
 )
-from .smallmat import extreme_eigenvalues, extremes3
+from .smallmat import extremes3
 
 T_STAR_MAX = 200.0
 
@@ -92,11 +94,11 @@ class SearchConfig:
     """Knobs of the grid searches; defaults reproduce the reference setup.
 
     chi_grid of None means automatic: 400 log-spaced points from 1e-4 up to
-    the psi1 cut of the problem at hand.  lambda_bisection_tol sets only the
-    golden sections that report values: the find_feasible_vars scan and the
-    lambda_max(Phi) quoted when the T_STAR_MAX probe fails.  Feasibility
-    decisions are closed-form and take no tolerance; tstar_tol ends the
-    t_star bisection, which also stops at the float spacing.
+    the psi1 cut of the problem at hand.  Multiplier decisions and values
+    are closed-form or bisected to the float spacing and take no
+    tolerance, so lambda_bisection_tol sets nothing; it is still accepted
+    and validated so that existing configs load.  tstar_tol ends the t_star
+    bisection, which also stops at the float spacing.
     """
 
     chi_grid: tuple = None
@@ -114,8 +116,8 @@ class SearchConfig:
             object.__setattr__(self, name,
                                checked_float(name, getattr(self, name), 0.0, strict=True))
         if self.lambda_bisection_tol > 1e-2:
-            # a tolerance near the width of a multiplier's bracket would
-            # make each golden section a single midpoint evaluation
+            # the cap the key had when it set a tolerance: the configs that
+            # loaded before load now, and no others
             raise CertificateError("lambda_bisection_tol must be <= 0.01")
         object.__setattr__(self, "refinement_rounds",
                            checked_int("refinement_rounds", self.refinement_rounds, 0))
@@ -161,6 +163,26 @@ def _bracket(params, chi, name):
     return 1e-14, 0.5 * (1.0 - es) * PI2 * n / 4.0
 
 
+def _span_quadratic(n0, wq):
+    # cap, W, K and the discriminant of _span's determinant, in operators
+    # only: for floats (with q > 0) and arrays alike.  The span can be
+    # non-empty only where q > 0, W > 0, the discriminant is > 0 and all
+    # are finite
+    p, r, u, q, v, w = n0
+    cap = (p - r * r / q) / wq
+    big_w = w + cap - v * v / q
+    d = u - r * v / q
+    k = d * d / wq
+    return cap, big_w, k, big_w * big_w - 4.0 * k
+
+
+def _span_roots(cap, big_w, k, disc, sqrt):
+    # the uncut ends cap - t2 and cap - t1, with t1 = K / t2 free of
+    # cancellation; sqrt is math.sqrt for floats, np.sqrt for arrays
+    t2 = 0.5 * (big_w + sqrt(disc))
+    return cap - t2, cap - k / t2
+
+
 def _span(n0, wq, lo, hi):
     """(a, b) where n0 + lam diag(-wq, 0, 1) is positive definite, cut to [lo, hi].
 
@@ -168,24 +190,29 @@ def _span(n0, wq, lo, hi):
     and wq > 0.  By Sylvester's criterion the first two leading minors are
     positive iff q > 0 and lam < cap = (p - r^2/q) / wq; with t = cap - lam
     the determinant is the concave quadratic q wq (W t - t^2 - K), W and K
-    below, positive between its two roots in t.  The span is empty when
-    not a < b, and None when an intermediate is not finite.
+    in _span_quadratic, positive between its two roots in t.  The span is
+    empty when not a < b.  A float lo gives floats, and None when an input
+    is not finite; an array lo gives arrays, elementwise, with a = b = lo
+    where the span is empty or an input or intermediate is not finite.
     """
-    p, r, u, q, v, w = n0
-    if not math.isfinite(p + r + u + q + v + w + lo + hi):
-        return None
-    if not q > 0.0:
-        return lo, lo
-    cap = (p - r * r / q) / wq
-    big_w = w + cap - v * v / q
-    k = (u - r * v / q) ** 2 / wq
-    disc = big_w * big_w - 4.0 * k
-    if not math.isfinite(cap + big_w + disc):
-        return None
-    if not (big_w > 0.0 and disc > 0.0):
-        return lo, lo
-    t2 = 0.5 * (big_w + math.sqrt(disc))
-    return max(lo, cap - t2), min(hi, cap - k / t2)
+    if type(lo) is float:
+        p, r, u, q, v, w = n0
+        if not math.isfinite(p + r + u + q + v + w + lo + hi):
+            return None
+        if not q > 0.0:
+            return lo, lo
+        cap, big_w, k, disc = _span_quadratic(n0, wq)
+        if not (big_w > 0.0 and disc > 0.0 and math.isfinite(cap + big_w + disc)):
+            return lo, lo
+        a, b = _span_roots(cap, big_w, k, disc, math.sqrt)
+        return max(lo, a), min(hi, b)
+    with np.errstate(all="ignore"):
+        cap, big_w, k, disc = _span_quadratic(n0, wq)
+        a, b = _span_roots(cap, big_w, k, disc, np.sqrt)
+        a, b = np.maximum(lo, a), np.minimum(hi, b)
+        exists = ((n0[3] > 0.0) & (big_w > 0.0) & (disc > 0.0)
+                  & np.isfinite(cap + big_w + disc) & (a < b))
+    return np.where(exists, a, lo), np.where(exists, b, lo)
 
 
 def _witness(params, chi, entries, name, s, top=True, strict=False):
@@ -221,66 +248,70 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
     return lam if (high < s if strict else high <= s) else None
 
 
-def _golden_lockstep(f, lo, hi, tol, iters=200):
-    """Golden-section minima of unimodal objectives on [lo, hi], elementwise.
-
-    f(rows, x) returns the objective of elements rows at points x.  Each
-    element keeps its interior points c < d, drops the side beyond the
-    worse of the two (the left one on ties) and leaves the batch once
-    b - a < tol; iters caps every element alike.  Returns the midpoints.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    live = np.arange(a.size)
-    fcd = f(np.concatenate([live, live]), np.concatenate([c, d]))
-    fc, fd = fcd[:a.size], fcd[a.size:]
-    for _ in range(iters):
-        live = live[~(b[live] - a[live] < tol)]
-        if not live.size:
-            break
-        left = fc[live] < fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        fx = f(np.concatenate([lt, rt]), np.concatenate([c[lt], d[rt]]))
-        fc[lt], fd[rt] = fx[:lt.size], fx[lt.size:]
-    return 0.5 * (a + b)
-
-
-def _best_multipliers(params, chi, tol, entries, name, top=True):
+def _best_multipliers(params, chi, entries, name, top=True):
     """(decisive eigenvalues, multipliers) at the best `name` for each chi.
 
     entries is the matrix's *_entries formula; each element of the array
-    chi gets its own _bracket and one golden section, all in lockstep.
-    top: the largest eigenvalue decides and is minimized (psi2, phi_obs);
-    otherwise the smallest decides and is maximized (phi0).  An empty
-    bracket reports an infinitely bad eigenvalue at its lower end.  As
-    DecisionVars would, a multiplier that is not finite and > 0 raises.
+    chi gets its own _bracket.  top: the largest eigenvalue decides and is
+    minimized (psi2, phi_obs); otherwise the smallest decides and is
+    maximized (phi0).  No eigenvalue is computed: the best value is the
+    threshold s at which _span stops being empty, bisected for the whole
+    grid at once.  With sign -1 for phi0, B(lam) = sign M(lam) = B(0) +
+    lam diag(wq, 0, -1), so lambda_max(B) >= b11 for every lam and s = b11
+    is an infeasible end; a Gershgorin bound at the bracket midpoint,
+    widened until the span is non-empty, is the feasible end.  The
+    bisection stops where no float lies strictly between the ends; the
+    value is the feasible end and the multiplier the span midpoint there.
+    An empty bracket, or a span that stays empty, reports an infinitely bad
+    value at its lower end.  A non-finite entry raises ValueError and, as
+    DecisionVars would, a multiplier that is not finite and > 0 raises
+    CertificateError.
     """
     bounds = np.array([_bracket(params, float(x), name) for x in chi])
     lo, hi = bounds[:, 0], bounds[:, 1]
-    empty = hi <= lo
-    value = np.where(empty, math.inf if top else -math.inf, 0.0)
-    lam = lo.copy()
-    live = np.flatnonzero(~empty)
-    if live.size:
-        sub = chi[live]
+    sign = 1.0 if top else -1.0
+    b = [sign * x for x in np.broadcast_arrays(*entries(params, chi, 0.0))]
+    if not all(np.all(np.isfinite(x)) for x in b):
+        raise ValueError("non-finite matrix entry in the batch")
+    b00, b01, b02, b11, b12, b22 = b
+    r, u, v = -b01, -b02, -b12
+    wq = _wq(params.n)
 
-        def decisive(rows, x):
-            if not np.all((x > 0.0) & (x < math.inf)):
-                raise CertificateError("%s must be finite and > 0" % name)
-            low, high = extreme_eigenvalues(*entries(params, sub[rows], x))
-            return high if top else -low
+    def span(s):
+        # where s I - B(lam) is positive definite
+        return _span((s - b00, r, u, s - b11, v, s - b22), wq, lo, hi)
 
-        best = _golden_lockstep(decisive, lo[live], hi[live], tol)
-        found = decisive(np.arange(live.size), best)
-        value[live] = found if top else -found
-        lam[live] = best
-    return value, lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (lo + hi)
+        good = np.maximum(np.maximum(b00 + mid * wq + np.abs(b01) + np.abs(b02),
+                                     b11 + np.abs(b01) + np.abs(b12)),
+                          b22 - mid + np.abs(b02) + np.abs(b12))
+        lam = lo
+        found = np.zeros(chi.shape, dtype=bool)
+        for _ in range(60):
+            a, z = span(good)
+            new = (a < z) & ~found
+            lam = np.where(new, 0.5 * (a + z), lam)
+            found |= new
+            widen = ~found & (lo < hi)
+            if not widen.any():
+                break
+            good = np.where(widen, good + np.maximum(good - b11, np.spacing(np.abs(good))),
+                            good)
+        bad = np.where(found, b11, good)
+        while True:
+            s = 0.5 * (bad + good)
+            inner = (bad < s) & (s < good)
+            if not inner.any():
+                break
+            a, z = span(s)
+            yes = inner & (a < z)
+            good = np.where(yes, s, good)
+            bad = np.where(inner & ~yes, s, bad)
+            lam = np.where(yes, 0.5 * (a + z), lam)
+    if not np.all((lam[found] > 0.0) & (lam[found] < math.inf)):
+        raise CertificateError("%s must be finite and > 0" % name)
+    return np.where(found, sign * good, sign * math.inf), lam
 
 
 # ------------------------------------------------------------- stability scan
@@ -356,11 +387,10 @@ def _observation_window(params, config, delta):
                         -config.margin, strict=True) is not None
 
     def not_observable():
-        # a golden section on one element, which the delta loops would pay
+        # the value search on one element, which the delta loops would pay
         # at every failing delta if they did not report only the last
         top = _best_multipliers(replace(p, t_star=T_STAR_MAX), np.array([probe]),
-                                config.lambda_bisection_tol, phi_obs_entries,
-                                "lambda2")[0][0]
+                                phi_obs_entries, "lambda2")[0][0]
         return ("not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
                 % (T_STAR_MAX, fmt_float(delta), fmt_float(top)))
 
@@ -440,21 +470,18 @@ def find_feasible_vars(params, config=None):
     observability = params.t_star is not None
     lo, hi, count = _chi_grid(params, config)
     margin = config.margin
-    tol = config.lambda_bisection_tol
 
     def scan(grid):
         # the worst-case margin at each chi of grid (np.where(x < w, x, w)
         # keeps w on ties, as min(w, x) does), then the first point that
         # strictly beats the best so far
         nonlocal best_w, best_i, best_chi, best_lams
-        top2, lam1 = _best_multipliers(params, grid, tol, psi2_entries, "lambda1")
-        bottom0, lam0 = _best_multipliers(params, grid, tol, phi0_entries, "lambda0",
-                                          top=False)
+        top2, lam1 = _best_multipliers(params, grid, psi2_entries, "lambda1")
+        bottom0, lam0 = _best_multipliers(params, grid, phi0_entries, "lambda0", top=False)
         terms = [margin - top2, bottom0 - margin]
         lam2 = None
         if observability:
-            topf, lam2 = _best_multipliers(params, grid, tol, phi_obs_entries,
-                                           "lambda2")
+            topf, lam2 = _best_multipliers(params, grid, phi_obs_entries, "lambda2")
             terms.append(-margin - topf)
         w = margin - psi1_value(params, grid)
         for x in terms:

@@ -272,6 +272,22 @@ class TestMinTime:
         assert proc.returncode == 0
         assert 2.00 <= json.loads(proc.stdout)["t_star"] <= 2.06
 
+    def test_lambda_bisection_tol_sets_nothing(self, tmp_path, capsys):
+        # the key is still accepted, but no search reads it: the chi scan
+        # bisects its multipliers to the float spacing
+        outputs = []
+        for tol in (1e-9, 1e-3):
+            cfg = write_json(tmp_path, "c.json",
+                             {"problem": {"n": 2, "k": 1.0, "g1": 0.1, "delta": 0.01},
+                              "search": {"lambda_bisection_tol": tol}})
+            out_path = tmp_path / "cert.json"
+            code, out, err = run_cli(
+                ["min-time", "--config", cfg, "--tol", "0.05",
+                 "--out", str(out_path)], capsys)
+            assert code == 0
+            outputs.append((out, out_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_bad_tol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "delta": 0.01}})

@@ -26,7 +26,7 @@ STDOUT_DIGESTS = {
     "contraction_rate.py":
         "9f978716225f28ec1236ec89ad3ffd4032773b198e243dfd5a6fdbdf884b871f",
     "minimal_time_table.py":
-        "3db2e3432a2fb9d441c975281e3e11b75a7925b2381b34a55a85a8695c3fb532",
+        "2bc802a826ad6e469ba799099e1dda585593cb041f802e48d0332e535a01f6c6",
     "noisy_recovery.py":
         "496b37513c0b1df366b11795e3ab8df8cd098bbc204f8ca157ad515a21e8dfde",
     "recovery_window_split.py":

@@ -1,9 +1,11 @@
 """Tests for the feasibility searches, minimal-time bisection and sweeps.
 
-The searches under test only ever use the package's own golden-section and
-Jacobi routines; everything here re-checks their output against scipy's
-bounded minimizer and numpy's eigensolver, plus hand-frozen reference values
-computed offline with an independent implementation.
+The searches under test use only the package's own closed-form interval of
+multipliers, bisections and Jacobi routines; everything here re-checks
+their output against scipy's bounded minimizer and numpy's eigensolver,
+against golden sections kept here as oracles of the searches they
+replaced, and against hand-frozen reference values computed offline with an
+independent implementation.
 """
 
 import json
@@ -35,7 +37,7 @@ from wavecert.certificates import (
     psi1_value,
     psi2_entries,
 )
-from wavecert.smallmat import eigenvalues, extreme_eigenvalues
+from wavecert.smallmat import eigenvalues, extremes3
 from wavecert.search import (
     CSV_HEADER,
     Infeasible,
@@ -186,7 +188,7 @@ class TestSearchConfig:
         {"refinement_rounds": math.inf},
         {"margin": True},
         {"chi_grid": ("a", "b", 3)},
-        # a bracket-wide tolerance makes each golden section one midpoint
+        # the key sets nothing now, but keeps the cap it had
         {"lambda_bisection_tol": 0.011},
         {"lambda_bisection_tol": 1.0},
     ])
@@ -373,6 +375,49 @@ def _same_bits(x, y):
                           np.asarray(y, dtype=float).view(np.int64))
 
 
+def point_best_multiplier(params, chi, entries, name, top=True):
+    """(decisive eigenvalue, multiplier) at the best `name`, one chi at a time.
+
+    The bisection of _best_multipliers written over floats and the float
+    path of _span, kept as the oracle: the batched search must return the
+    same bits for every element, whatever the other elements are.
+    """
+    lo, hi = search._bracket(params, chi, name)
+    sign = 1.0 if top else -1.0
+    if not hi > lo:
+        return sign * math.inf, lo
+    b00, b01, b02, b11, b12, b22 = (sign * x for x in entries(params, chi, 0.0))
+    wq = 4.0 / (PI2 * params.n)
+
+    def span(s):
+        a, z = search._span((s - b00, -b01, -b02, s - b11, -b12, s - b22), wq, lo, hi)
+        return 0.5 * (a + z) if a < z else None
+
+    mid = 0.5 * (lo + hi)
+    bad = b11
+    good = max(max(b00 + mid * wq + abs(b01) + abs(b02), b11 + abs(b01) + abs(b12)),
+               b22 - mid + abs(b02) + abs(b12))
+    for _ in range(60):
+        lam = span(good)
+        if lam is not None:
+            break
+        good = good + max(good - bad, math.ulp(abs(good)))
+    else:
+        return sign * math.inf, lo
+    while True:
+        s = 0.5 * (bad + good)
+        if not bad < s < good:
+            break
+        at = span(s)
+        if at is None:
+            bad = s
+        else:
+            good, lam = s, at
+    if not 0.0 < lam < math.inf:
+        raise CertificateError("%s must be finite and > 0" % name)
+    return sign * good, lam
+
+
 def point_loop_find_feasible_vars(params, config=None):
     """find_feasible_vars as a loop over single chi points.
 
@@ -388,18 +433,17 @@ def point_loop_find_feasible_vars(params, config=None):
         raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
                          % fmt_float(search._chi_cut(params)))
     margin = config.margin
-    tol = config.lambda_bisection_tol
-    best = build_path_best_multiplier
+    best = point_best_multiplier
 
     def worst(chi):
         w = margin - build_psi1(params, DecisionVars(chi=chi))
-        top2, lam1 = best(params, chi, tol, build_psi2, "lambda1")
+        top2, lam1 = best(params, chi, psi2_entries, "lambda1")
         w = min(w, margin - top2)
-        bottom0, lam0 = best(params, chi, tol, build_phi0, "lambda0", top=False)
+        bottom0, lam0 = best(params, chi, phi0_entries, "lambda0", top=False)
         w = min(w, bottom0 - margin)
         lam2 = None
         if observability:
-            topf, lam2 = best(params, chi, tol, build_phi_obs, "lambda2")
+            topf, lam2 = best(params, chi, phi_obs_entries, "lambda2")
             w = min(w, -margin - topf)
         return w, (lam0, lam1, lam2)
 
@@ -434,8 +478,7 @@ def point_loop_find_feasible_vars(params, config=None):
 
 
 def _golden_min(f, lo, hi, tol=1e-12, iters=200):
-    # the scalar golden section the package used before its lockstep scan:
-    # the update rule _golden_lockstep must follow element by element
+    # the scalar golden section the package once used for every multiplier
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -459,9 +502,8 @@ def build_path_best_multiplier(params, chi, tol, build, name, top=True):
     """(decisive eigenvalue, multiplier) at the best `name`, one chi at a time.
 
     The scalar multiplier search over DecisionVars, build_* and eigenvalues,
-    kept as the oracle: the lockstep scan over the *_entries formulas must
-    return the same bits, and the closed-form decisions must agree with it
-    away from its tolerance.
+    kept as the oracle of the closed-form decisions: they must agree with
+    it away from its tolerance.
     """
     lo, hi = search._bracket(params, chi, name)
     if hi <= lo:
@@ -474,6 +516,29 @@ def build_path_best_multiplier(params, chi, tol, build, name, top=True):
     lam = _golden_min(decisive, lo, hi, tol)
     value = decisive(lam)
     return (value if top else -value), lam
+
+
+def golden_best_multiplier(params, chi, entries, name, top=True, tol=1e-9):
+    """(decisive eigenvalue, multiplier) by the golden section the chi scan
+    ran before its bisection, over extremes3: the never-worse oracle."""
+    lo, hi = search._bracket(params, chi, name)
+    if hi <= lo:
+        return (math.inf if top else -math.inf), lo
+
+    def decisive(lam):
+        low, high = extremes3(*entries(params, chi, lam))
+        return high if top else -low
+
+    lam = _golden_min(decisive, lo, hi, tol)
+    value = decisive(lam)
+    return (value if top else -value), lam
+
+
+def _ulps_apart(x, s, entries):
+    # |x - s| in units of the last place of the matrix scale max(1, |M|_F),
+    # the scale of the Jacobi kernel's own rounding
+    scale = max(1.0, math.sqrt(sum(e * e for row in _full_rows(entries) for e in row)))
+    return abs(x - s) / math.ulp(scale)
 
 
 def _full_rows(entries):
@@ -490,25 +555,6 @@ def _outcome(fn, params, config):
 
 
 class TestLockstepScan:
-    def test_golden_lockstep_matches_golden_min(self):
-        rng = np.random.default_rng(3)
-        size = 200
-        lo = rng.uniform(-2.0, 1.0, size)
-        hi = lo + 10.0 ** rng.uniform(-7.0, 1.0, size)  # different iteration counts
-        lo[:3], hi[:3] = 0.0, 1e-9  # b - a == tol: one step, then stop
-        center = rng.uniform(-3.0, 3.0, size)
-        power = rng.uniform(0.5, 3.0, size)
-
-        def f(rows, x):
-            return np.abs(x - center[rows]) ** power[rows] - 0.1 * x
-
-        for tol, iters in [(1e-9, 200), (1e-300, 200), (1e-9, 7)]:
-            got = search._golden_lockstep(f, lo, hi, tol, iters)
-            want = [_golden_min(lambda x, i=i: float(f(np.array([i]), np.array([x]))[0]),
-                                float(lo[i]), float(hi[i]), tol, iters)
-                    for i in range(size)]
-            assert _same_bits(got, want)
-
     @pytest.mark.parametrize("params,entries,build,name,top", [
         (ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1), psi2_entries, build_psi2,
          "lambda1", True),
@@ -524,31 +570,73 @@ class TestLockstepScan:
          build_phi_obs, "lambda2", True),
     ])
     def test_multipliers_match_scalar_search(self, params, entries, build, name, top):
+        # the bits of the float bisection at every element, and the value
+        # a certificate check reads through build_* and eigenvalues at the
+        # returned multiplier within a few ulps
         chi = np.geomspace(1e-3, 0.45, 25)
         if name == "lambda1" and params.g1 == 5.0:
             lo, hi = search._bracket(params, float(chi[0]), name)
             assert lo >= chi[0] * math.pi ** 2 * params.n / 4.0 and hi > lo
-        values, lams = search._best_multipliers(params, chi, 1e-9, entries, name, top)
-        oracle = [build_path_best_multiplier(params, float(c), 1e-9, build, name, top)
-                  for c in chi]
+        values, lams = search._best_multipliers(params, chi, entries, name, top)
+        oracle = [point_best_multiplier(params, float(c), entries, name, top) for c in chi]
         assert _same_bits(values, [v for v, _ in oracle])
         assert _same_bits(lams, [lam for _, lam in oracle])
         if params.t_star == 1e-12:
             assert np.all(values == math.inf) and np.all(lams == 1e-14)
+            return
+        for c, value, lam in zip(chi, values, lams):
+            vars = DecisionVars(chi=float(c), **{name: float(lam)})
+            eigs = eigenvalues(build(params, vars))
+            assert _ulps_apart(eigs[-1] if top else eigs[0], value,
+                               entries(params, float(c), float(lam))) <= 8.0
 
     def test_bad_multiplier_or_entry_raises_as_before(self, monkeypatch):
+        # an empty bracket reports an infinitely bad value at its lower end
+        short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
+        values, lams = search._best_multipliers(short, np.array([0.1, 0.2]),
+                                                phi_obs_entries, "lambda2")
+        assert np.all(values == math.inf) and np.all(lams == 1e-14)
         chi = np.array([0.1, 0.2])
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
-        monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-1.0, 1.0))
+        monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (1.0, 0.5))
+        values, lams = search._best_multipliers(p, chi, phi0_entries, "lambda0",
+                                                top=False)
+        assert np.all(values == -math.inf) and np.all(lams == 1.0)
+        # a multiplier that is not > 0, as DecisionVars would reject it
+        monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-2.0, -1.0))
         with pytest.raises(CertificateError, match="lambda1"):
-            search._best_multipliers(p, chi, 1e-9, psi2_entries, "lambda1")
+            search._best_multipliers(p, chi, psi2_entries, "lambda1")
         monkeypatch.undo()
         # chi k overflows in the (1,1) entry of psi2
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                search._best_multipliers(huge, np.array([10.0]), 1e-9, psi2_entries,
-                                         "lambda1")
+                search._best_multipliers(huge, np.array([10.0]), psi2_entries, "lambda1")
+
+    def test_a_tight_gershgorin_bound_is_widened(self, monkeypatch):
+        # M(lam) = diag(lam wq - 5, 0, -5 - lam): lambda_max is the decoupled
+        # 0 for every lam in the bracket, so the Gershgorin bound is the
+        # infeasible end itself and must be widened; the best strict bound
+        # is then the smallest positive float, at every lam of the bracket
+        params = ProblemParams(n=1, k=1.0)
+        wq = 4.0 / PI2
+
+        def diagonal(params, chi, lam):
+            zero = 0.0 * chi
+            return (zero + lam * wq - 5.0, zero, zero, zero, zero, zero - 5.0 - lam)
+
+        spans = []
+        real = search._span
+        monkeypatch.setattr(search, "_span",
+                            lambda *args: spans.append(real(*args)) or spans[-1])
+        values, lams = search._best_multipliers(params, np.array([0.1, 0.2]), diagonal,
+                                                "lambda0")
+        monkeypatch.undo()
+        first = spans[0]
+        assert not np.any(first[0] < first[1])
+        lo, hi = search._bracket(params, 0.1, "lambda0")
+        assert np.all(values == math.ulp(0.0)) and np.all(lams == 0.5 * (lo + hi))
+        assert point_best_multiplier(params, 0.1, diagonal, "lambda0") == (values[0], lams[0])
 
     @pytest.mark.parametrize("params,config", [
         (ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001),
@@ -575,6 +663,41 @@ class TestLockstepScan:
         got = _outcome(find_feasible_vars, params, config)
         want = _outcome(point_loop_find_feasible_vars, params, config)
         assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scan_is_never_worse_than_the_golden_section(self, n):
+        # at every chi of seeded problems: each LMI's value and the scan's
+        # worst-case margin are at least the golden section's (less 1e-15),
+        # and extremes3 at the returned multiplier reads the returned value
+        # within a few ulps of the matrix scale
+        rng = np.random.default_rng(40 + n)
+        margin = SearchConfig().margin
+        lmis = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False),
+                (phi_obs_entries, "lambda2", True)]
+        checked = 0
+        for _ in range(2):
+            params, _ = _random_problem(rng, n)
+            chi = np.geomspace(1e-4, search._chi_cut(params) * (1.0 - 1e-9), 40)
+            w_scan = margin - psi1_value(params, chi)
+            w_gold = w_scan.copy()
+            for entries, name, top in lmis:
+                sign = 1.0 if top else -1.0
+                threshold = -margin if name == "lambda2" else margin
+                values, lams = search._best_multipliers(params, chi, entries, name, top)
+                golden = np.array([golden_best_multiplier(params, float(c), entries,
+                                                          name, top)[0] for c in chi])
+                assert np.all(sign * (values - golden) <= 1e-15)
+                w_scan = np.minimum(w_scan, sign * (threshold - values))
+                w_gold = np.minimum(w_gold, sign * (threshold - golden))
+                for c, value, lam in zip(chi, values, lams):
+                    if not math.isfinite(value):
+                        continue
+                    m = entries(params, float(c), float(lam))
+                    low, high = extremes3(*m)
+                    assert _ulps_apart(high if top else low, value, m) <= 8.0
+                    checked += 1
+            assert np.all(w_scan >= w_gold - 1e-15)
+        assert checked >= 150
 
     def test_decisive_eigenvalues_agree_with_scipy_at_the_boundary(self):
         # points within +-10 margin (in the multiplier) of where each LMI's
@@ -605,15 +728,14 @@ class TestLockstepScan:
                 vals = np.array([g(lam) for lam in lams])
                 for j in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
                     root = optimize.brentq(g, lams[j], lams[j + 1], xtol=1e-15)
-                    lam = root + 10.0 * margin * rng.uniform(-1.0, 1.0, 40)
-                    low, high = extreme_eigenvalues(*entries(params, chi, lam))
-                    for i in range(lam.size):
-                        rows = np.array(_full_rows(entries(params, chi, lam[i])))
+                    for lam in root + 10.0 * margin * rng.uniform(-1.0, 1.0, 40):
+                        low, high = extremes3(*entries(params, chi, float(lam)))
+                        rows = np.array(_full_rows(entries(params, chi, float(lam))))
                         ref = linalg.eigvalsh(rows)
                         scale = max(1.0, np.linalg.norm(rows))
-                        assert abs(low[i] - ref[0]) <= 1e-10 * scale
-                        assert abs(high[i] - ref[-1]) <= 1e-10 * scale
-                        ours = bool(feasible(low[i], high[i]))
+                        assert abs(low - ref[0]) <= 1e-10 * scale
+                        assert abs(high - ref[-1]) <= 1e-10 * scale
+                        ours = bool(feasible(low, high))
                         assert ours == bool(feasible(ref[0], ref[-1]))
                         verdicts.add(ours)
                         checked += 1
@@ -794,17 +916,17 @@ class TestClosedFormDecisions:
         # s at +-{0.9, 1, 1.1, 1.5, 2, 3} eps from the golden value, which
         # lies at most tol / 2 above the optimum: from 1.5 eps out the two
         # agree; at every s a witness lies in the bracket and clears s, and
-        # no decision runs a golden section
+        # no decision runs the value search
         rng = np.random.default_rng(int(-math.log10(tol)))
         eps = max(tol, 1e-8)
-        golden_calls = []
-        golden = search._golden_lockstep
+        value_calls = []
+        best = search._best_multipliers
 
         def counted(*args, **kw):
-            golden_calls.append(args)
-            return golden(*args, **kw)
+            value_calls.append(args)
+            return best(*args, **kw)
 
-        monkeypatch.setattr(search, "_golden_lockstep", counted)
+        monkeypatch.setattr(search, "_best_multipliers", counted)
         outside = witnessed = 0
         for n in (1, 2, 3, 4):
             for entries, build, name, top, strict in DECISIONS:
@@ -826,7 +948,7 @@ class TestClosedFormDecisions:
                                 assert (lam is not None) == _clears(value, s, top, strict), \
                                     (params, chi, name, s)
                                 outside += 1
-        assert not golden_calls
+        assert not value_calls
         assert outside == 4 * 3 * 6 * 3 * 2
         assert witnessed >= 0.4 * outside
 
@@ -950,11 +1072,11 @@ class TestMaximizeRegionalRadius:
 
     def test_unreported_probe_failures_run_no_golden_section(self, monkeypatch):
         # the two lowest deltas fail the T_STAR_MAX probe; only a reported
-        # failure pays the golden section behind its lambda_max
+        # failure pays the bisection behind its lambda_max
         calls = []
-        golden = search._golden_lockstep
-        monkeypatch.setattr(search, "_golden_lockstep",
-                            lambda *a, **kw: calls.append(a) or golden(*a, **kw))
+        best = search._best_multipliers
+        monkeypatch.setattr(search, "_best_multipliers",
+                            lambda *a, **kw: calls.append(a) or best(*a, **kw))
         failures = []
         window = search._observation_window
 

@@ -10,12 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from wavecert.smallmat import (
-    SymMatrix,
-    eigenvalues,
-    extreme_eigenvalues,
-    extremes3,
-)
+from wavecert.smallmat import SymMatrix, eigenvalues, extremes3
 
 PI2 = math.pi * math.pi
 
@@ -243,7 +238,7 @@ def test_permutation_invariance():
             assert abs(x - y) <= 1e-12 * (1.0 + abs(x))
 
 
-# ---------------------------------------------------------------- batched kernel
+# ---------------------------------------------------------------- 3x3 kernel
 
 
 def _same_bits(x, y):
@@ -275,15 +270,12 @@ def _random_batch(rng, size):
     return entries
 
 
-def test_extreme_eigenvalues_bit_identical_to_scalar_jacobi():
+def test_extremes3_bit_identical_to_scalar_jacobi():
     rng = np.random.default_rng(21)
     entries = _random_batch(rng, 6000)
     assert np.count_nonzero(np.all(entries[:, [1, 2, 4]] == 0.0, axis=1)) > 100
-    lo, hi = extreme_eigenvalues(*entries.T)
     want_lo, want_hi = _scalar_extremes(entries)
     # bit patterns, so the sign of a zero counts too
-    assert _same_bits(lo, want_lo)
-    assert _same_bits(hi, want_hi)
     one_lo, one_hi = _scalar_kernel_extremes(entries)
     assert _same_bits(one_lo, want_lo)
     assert _same_bits(one_hi, want_hi)
@@ -291,7 +283,7 @@ def test_extreme_eigenvalues_bit_identical_to_scalar_jacobi():
 
 def test_frobenius_squares_by_multiplication():
     # x * x is correctly rounded; libm pow(x, 2) is not everywhere, so the
-    # three kernels share their convergence scale only if all square this way
+    # two kernels share their convergence scale only if both square this way
     rng = np.random.default_rng(5)
     for row in _random_batch(rng, 2000):
         m = SymMatrix(3, row.tolist())
@@ -302,9 +294,9 @@ def test_frobenius_squares_by_multiplication():
         assert m.frobenius() == math.sqrt(s)
 
 
-def test_extreme_eigenvalues_mixed_sweep_counts():
+def test_extremes3_mixed_sweep_counts():
     # diagonal (no sweep), nearly diagonal (one), ill-separated and
-    # clustered matrices (several) converge at different sweeps in one batch
+    # clustered matrices (several)
     rows = [
         [2.0, 0.0, 0.0, -1.0, 0.0, 3.0],
         [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
@@ -320,32 +312,12 @@ def test_extreme_eigenvalues_mixed_sweep_counts():
         [1.0, 0.0, 1.0, 1.0, 0.0, 1.0],
     ]
     entries = np.array(rows)
-    lo, hi = extreme_eigenvalues(*entries.T)
     want_lo, want_hi = _scalar_extremes(entries)
-    assert _same_bits(lo, want_lo) and _same_bits(hi, want_hi)
     one_lo, one_hi = _scalar_kernel_extremes(entries)
     assert _same_bits(one_lo, want_lo) and _same_bits(one_hi, want_hi)
-    # one element at a time gives the same bits as the batch
-    for i, row in enumerate(entries):
-        one_lo, one_hi = extreme_eigenvalues(*row[:, None])
-        assert _same_bits(one_lo, lo[i:i + 1]) and _same_bits(one_hi, hi[i:i + 1])
 
 
-def test_extreme_eigenvalues_broadcasts_scalars():
-    chi = np.array([0.1, 0.2, 0.3])
-    lo, hi = extreme_eigenvalues(0.5, chi, 0.0, 0.5, chi / 2.0, 1.0)
-    want_lo, want_hi = _scalar_extremes(
-        np.array([[0.5, c, 0.0, 0.5, c / 2.0, 1.0] for c in chi]))
-    assert _same_bits(lo, want_lo) and _same_bits(hi, want_hi)
-
-
-def test_extreme_eigenvalues_rejects_bad_batches():
-    with pytest.raises(ValueError, match="non-finite"):
-        extreme_eigenvalues(np.array([1.0, math.nan]), 0.0, 0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        extreme_eigenvalues(np.array([1.0]), math.inf, 0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="1-D"):
-        extreme_eigenvalues(np.ones((2, 2)), 0.0, 0.0, 1.0, 0.0, 1.0)
+def test_extremes3_rejects_non_finite_entries():
     # the scalar kernel rejects what SymMatrix rejects, with its message
     for bad in (math.nan, math.inf, -math.inf):
         for i in range(6):
