@@ -667,3 +667,72 @@ class TestPinnedOutputBytes:
             with open(path, "rb") as fh:
                 h.update(fh.read())
         assert h.hexdigest() == self.DIGESTS[name]
+
+
+class TestPinnedSearchBytes:
+    """The search commands on acceptance rows and a two-row sweep, hashed.
+
+    Each case's SHA-256 covers its exit code, stdout, stderr and, where
+    the command writes one, its --out file.  The two sweep cases differ
+    only in --jobs and share one digest.  The digests were taken with
+    Python 3.11.7 and numpy 2.4.6.
+    """
+
+    SWEEP = {"problems": [{"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05},
+                          {"n": 2, "k": 1.0, "g1": 0.1, "delta": 0.01,
+                           "t_star": 15.0}],
+             "search": {"tstar_tol": 0.01}}
+
+    CASES = {
+        # criterion 1's n=2, g1=0.1 row and criterion 2's row
+        "min-time-n2-g0.1": ("min-time", {"problem": {"n": 2, "k": 1.0, "g1": 0.1,
+                                                      "delta": 0.01}}, []),
+        "min-time-n1-g0": ("min-time", {"problem": {"n": 1, "k": 1.0, "g1": 0.0,
+                                                    "delta": 0.001}}, []),
+        # every delta fails the T_STAR_MAX probe; the last quotes lambda_max
+        "min-time-probe": ("min-time", {"problem": {"n": 1, "k": 1.0, "g1": 0.1,
+                                                    "delta": 1e-4}}, None),
+        # criterion 3's first config
+        "regional-g0.1": ("regional", {"problem": {"n": 1, "k": 1.0, "g1": 0.1,
+                                                   "d": 1.0},
+                                       "search": {"tstar_tol": 0.01}}, []),
+        # the stability-mode chi scan behind certify without --vars
+        "certify-n3": ("certify", {"problem": {"n": 3, "k": 1.0, "g1": 0.05,
+                                               "delta": 0.02}}, None),
+        "sweep-jobs1": ("sweep", SWEEP, ["--jobs", "1"]),
+        "sweep-jobs2": ("sweep", SWEEP, ["--jobs", "2"]),
+    }
+
+    SWEEP_DIGEST = "03a87632d34fae8878c7d862b421373d968e7ef71fcea234c620c85ecf4f45bd"
+
+    DIGESTS = {
+        "min-time-n2-g0.1":
+            "a371adc5e0b8c9045feb7050b08f07b0346cdc1d044abef71edae5123870c34d",
+        "min-time-n1-g0":
+            "20781831d2601eac63d0ac54a9c9efa30d00c305bb6f830a1884b3f6a48baedb",
+        "min-time-probe":
+            "6aaf425ef452895cbca78251a4c1752c7b6d72153e96191010f3f0488f5d8240",
+        "regional-g0.1":
+            "1a1de5ade4c6d3d9e35f5f4c04abe94622746b2912bc48a5ffe405d357b50400",
+        "certify-n3":
+            "38e2695657b1773eec1ed80982b71e1636b58952ddbf3021ce98c4f6d37dbe3d",
+        "sweep-jobs1": SWEEP_DIGEST,
+        "sweep-jobs2": SWEEP_DIGEST,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, tmp_path, capsys, name):
+        command, doc, flags = self.CASES[name]
+        argv = [command, "--config", write_json(tmp_path, "c.json", doc)]
+        out_path = tmp_path / "out"
+        if flags is not None:
+            argv += flags + ["--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 2), err
+        h = hashlib.sha256()
+        h.update(b"%d\n" % code)
+        h.update(out.encode())
+        h.update(err.encode())
+        if flags is not None:
+            h.update(out_path.read_bytes())
+        assert h.hexdigest() == self.DIGESTS[name]
