@@ -7,9 +7,10 @@ questions answer with a witness multiplier from it (_witness).  Every
 monotone search (chi_min, the minimal observation time, delta_margin)
 bisects such questions with certificates._bisect.  Values come from the
 same interval: the best margin of a multiplier is the threshold at which
-the interval stops being empty, bisected for a whole chi grid at once
-(_best_multipliers, for the find_feasible_vars chi scan and the
-lambda_max a failed T_STAR_MAX probe quotes), with no eigenvalue computed.
+the interval stops being empty, bisected for every LMI of a chi scan and
+the whole grid at once, in one loop (_best_multipliers, for the
+find_feasible_vars chi scan and the lambda_max a failed T_STAR_MAX probe
+quotes), with no eigenvalue computed.
 chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  All searches
 are deterministic: same inputs and config, same outputs, regardless of
 worker count.
@@ -49,6 +50,7 @@ from .certificates import (
 from .smallmat import extremes3
 
 T_STAR_MAX = 200.0
+MAX_GRID_COUNT = 100000
 
 CSV_HEADER = "n,k,g1,delta,t_star,chi,lambda0,lambda1,lambda2,alpha,beta,d0,feasible"
 
@@ -86,7 +88,12 @@ def _check_grid(name, grid):
     hi = checked_float(name + " hi", hi)
     if not lo < hi:
         raise CertificateError("%s needs 0 < lo < hi" % name)
-    return lo, hi, checked_int(name + " count", count, 2)
+    count = checked_int(name + " count", count, 2)
+    if count > MAX_GRID_COUNT:
+        # a scan holds a few arrays of 3 count floats per bisection step
+        raise CertificateError("%s count must be <= %d, got %d"
+                               % (name, MAX_GRID_COUNT, count))
+    return lo, hi, count
 
 
 @dataclass(frozen=True)
@@ -248,32 +255,40 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
     return lam if (high < s if strict else high <= s) else None
 
 
-def _best_multipliers(params, chi, entries, name, top=True):
-    """(decisive eigenvalues, multipliers) at the best `name` for each chi.
+def _best_multipliers(params, chi, lmis):
+    """[(decisive eigenvalues, multipliers)] at the best multiplier, per LMI.
 
-    entries is the matrix's *_entries formula; each element of the array
-    chi gets its own _bracket.  top: the largest eigenvalue decides and is
-    minimized (psi2, phi_obs); otherwise the smallest decides and is
-    maximized (phi0).  No eigenvalue is computed: the best value is the
-    threshold s at which _span stops being empty, bisected for the whole
-    grid at once.  With sign -1 for phi0, B(lam) = sign M(lam) = B(0) +
-    lam diag(wq, 0, -1), so lambda_max(B) >= b11 for every lam and s = b11
-    is an infeasible end; a Gershgorin bound at the bracket midpoint,
-    widened until the span is non-empty, is the feasible end.  The
-    bisection stops where no float lies strictly between the ends; the
+    lmis lists (entries, name, top): the matrix's *_entries formula, its
+    multiplier, and top when the largest eigenvalue decides and is
+    minimized (psi2, phi_obs) rather than the smallest, maximized (phi0).
+    Each element of the array chi gets its own _bracket per LMI.  No
+    eigenvalue is computed: the best value is the threshold s at which
+    _span stops being empty, bisected for every LMI and chi in one array.
+    Each step is elementwise and only .any() ends a loop, so every element
+    gets the bits it would get alone.  With sign -1 for phi0, B(lam) = sign
+    M(lam) = B(0) + lam diag(wq, 0, -1), so lambda_max(B) >= b11 for every
+    lam and s = b11 is an infeasible end; a Gershgorin bound at the bracket
+    midpoint, widened until the span is non-empty, is the feasible end.
+    The bisection stops where no float lies strictly between the ends; the
     value is the feasible end and the multiplier the span midpoint there.
     An empty bracket, or a span that stays empty, reports an infinitely bad
-    value at its lower end.  A non-finite entry raises ValueError and, as
+    value at its lower end.  Errors come in the order of lmis, as if each
+    were searched alone: a non-finite entry raises ValueError and, as
     DecisionVars would, a multiplier that is not finite and > 0 raises
     CertificateError.
     """
-    bounds = np.array([_bracket(params, float(x), name) for x in chi])
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    sign = 1.0 if top else -1.0
-    b = [sign * x for x in np.broadcast_arrays(*entries(params, chi, 0.0))]
-    if not all(np.all(np.isfinite(x)) for x in b):
-        raise ValueError("non-finite matrix entry in the batch")
-    b00, b01, b02, b11, b12, b22 = b
+    bounds, signs, b = [], [], []
+    for i, (entries, name, top) in enumerate(lmis):
+        x = np.broadcast_arrays(chi, *entries(params, chi, 0.0))[1:]
+        if not all(np.all(np.isfinite(e)) for e in x):
+            if i:
+                _best_multipliers(params, chi, lmis[:i])  # the earlier errors first
+            raise ValueError("non-finite matrix entry in the batch")
+        bounds += [_bracket(params, float(c), name) for c in chi]
+        signs.append(1.0 if top else -1.0)
+        b.append([signs[-1] * e for e in x])
+    lo, hi = np.array(bounds).T
+    b00, b01, b02, b11, b12, b22 = (np.concatenate(e) for e in zip(*b))
     r, u, v = -b01, -b02, -b12
     wq = _wq(params.n)
 
@@ -287,7 +302,7 @@ def _best_multipliers(params, chi, entries, name, top=True):
                                      b11 + np.abs(b01) + np.abs(b12)),
                           b22 - mid + np.abs(b02) + np.abs(b12))
         lam = lo
-        found = np.zeros(chi.shape, dtype=bool)
+        found = np.zeros(lo.shape, dtype=bool)
         for _ in range(60):
             a, z = span(good)
             new = (a < z) & ~found
@@ -309,9 +324,15 @@ def _best_multipliers(params, chi, entries, name, top=True):
             good = np.where(yes, s, good)
             bad = np.where(inner & ~yes, s, bad)
             lam = np.where(yes, 0.5 * (a + z), lam)
-    if not np.all((lam[found] > 0.0) & (lam[found] < math.inf)):
-        raise CertificateError("%s must be finite and > 0" % name)
-    return np.where(found, sign * good, sign * math.inf), lam
+    results = []
+    m = len(chi)
+    for i, ((_, name, _), sign) in enumerate(zip(lmis, signs)):
+        part = slice(i * m, (i + 1) * m)
+        hit, at = found[part], lam[part]
+        if not np.all((at[hit] > 0.0) & (at[hit] < math.inf)):
+            raise CertificateError("%s must be finite and > 0" % name)
+        results.append((np.where(hit, sign * good[part], sign * math.inf), at))
+    return results
 
 
 # ------------------------------------------------------------- stability scan
@@ -389,10 +410,10 @@ def _observation_window(params, config, delta):
     def not_observable():
         # the value search on one element, which the delta loops would pay
         # at every failing delta if they did not report only the last
-        top = _best_multipliers(replace(p, t_star=T_STAR_MAX), np.array([probe]),
-                                phi_obs_entries, "lambda2")[0][0]
+        [(top, _)] = _best_multipliers(replace(p, t_star=T_STAR_MAX), np.array([probe]),
+                                       [(phi_obs_entries, "lambda2", True)])
         return ("not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
-                % (T_STAR_MAX, fmt_float(delta), fmt_float(top)))
+                % (T_STAR_MAX, fmt_float(delta), fmt_float(top[0])))
 
     if not observable(T_STAR_MAX):
         raise Infeasible(not_observable)
@@ -458,9 +479,10 @@ def find_feasible_vars(params, config=None):
     """Decision variables maximizing the worst LMI margin over the chi grid.
 
     Stability mode when t_star is unset, observability mode otherwise.  Each
-    grid is evaluated in lockstep (one batched multiplier search per LMI);
-    the first point that strictly beats the best so far wins, as in a
-    point-by-point scan.  The returned point re-passes its checks at the
+    grid is evaluated in lockstep (one batched multiplier search for all
+    its LMIs: psi2, phi0 and, in observability mode, phi_obs); the first
+    point that strictly beats the best so far wins, as in a point-by-point
+    scan.  The returned point re-passes its checks at the
     configured margin; a nonpositive best margin raises Infeasible with the
     value seen.
     """
@@ -471,17 +493,20 @@ def find_feasible_vars(params, config=None):
     lo, hi, count = _chi_grid(params, config)
     margin = config.margin
 
+    lmis = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False)]
+    if observability:
+        lmis.append((phi_obs_entries, "lambda2", True))
+
     def scan(grid):
         # the worst-case margin at each chi of grid (np.where(x < w, x, w)
         # keeps w on ties, as min(w, x) does), then the first point that
         # strictly beats the best so far
         nonlocal best_w, best_i, best_chi, best_lams
-        top2, lam1 = _best_multipliers(params, grid, psi2_entries, "lambda1")
-        bottom0, lam0 = _best_multipliers(params, grid, phi0_entries, "lambda0", top=False)
+        (top2, lam1), (bottom0, lam0), *obs = _best_multipliers(params, grid, lmis)
         terms = [margin - top2, bottom0 - margin]
         lam2 = None
-        if observability:
-            topf, lam2 = _best_multipliers(params, grid, phi_obs_entries, "lambda2")
+        if obs:
+            [(topf, lam2)] = obs
             terms.append(-margin - topf)
         w = margin - psi1_value(params, grid)
         for x in terms:

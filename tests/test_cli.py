@@ -109,6 +109,9 @@ class TestErrors:
         ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
                       "search": {"lambda_bisection_tol": 0.5}},
          "lambda_bisection_tol must"),
+        ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
+                      "search": {"chi_grid": [1e-4, 0.4, 10 ** 8]}},
+         "chi_grid count must be <= 100000"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts

@@ -191,10 +191,18 @@ class TestSearchConfig:
         # the key sets nothing now, but keeps the cap it had
         {"lambda_bisection_tol": 0.011},
         {"lambda_bisection_tol": 1.0},
+        # a scan's arrays grow with the count: bounded before any is built
+        {"chi_grid": (1e-3, 0.1, 10 ** 8)},
+        {"delta_grid": (1e-4, 0.5, 10 ** 8)},
     ])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(CertificateError):
             SearchConfig(**kw)
+
+    def test_grid_count_bound(self):
+        assert SearchConfig(chi_grid=(1e-3, 0.1, 100000)).chi_grid[2] == 100000
+        with pytest.raises(CertificateError, match=r"chi_grid count must be <= 100000"):
+            SearchConfig(chi_grid=(1e-3, 0.1, 100001))
 
 
 # ----------------------------------------------------------- stability search
@@ -373,6 +381,43 @@ class TestFindFeasibleVars:
 def _same_bits(x, y):
     return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
                           np.asarray(y, dtype=float).view(np.int64))
+
+
+def best_one(params, chi, entries, name, top=True):
+    """(values, multipliers) of _best_multipliers on the one LMI."""
+    [result] = search._best_multipliers(params, chi, [(entries, name, top)])
+    return result
+
+
+def _diagonal(params, chi, lam):
+    # M(lam) = diag(lam wq - 5, 0, -5 - lam): lambda_max is the decoupled 0
+    # for every lam in the bracket, so the Gershgorin bound is the
+    # infeasible end itself and must be widened
+    zero = 0.0 * chi
+    return (zero + lam * search._wq(params.n) - 5.0, zero, zero, zero, zero,
+            zero - 5.0 - lam)
+
+
+STABILITY = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False)]
+OBSERVABILITY = STABILITY + [(phi_obs_entries, "lambda2", True)]
+
+
+def _not_finite(params, chi, lam):
+    return (math.nan * chi,) + (0.0 * chi,) * 5
+
+
+def _assert_lockstep_bits(params, chi, lmis):
+    """_best_multipliers over lmis, checked LMI by LMI against its own call
+    and the float bisection; returns the combined result."""
+    results = search._best_multipliers(params, chi, lmis)
+    assert len(results) == len(lmis)
+    for (values, lams), (entries, name, top) in zip(results, lmis):
+        alone = best_one(params, chi, entries, name, top)
+        assert _same_bits(values, alone[0]) and _same_bits(lams, alone[1])
+        oracle = [point_best_multiplier(params, float(c), entries, name, top) for c in chi]
+        assert _same_bits(values, [v for v, _ in oracle])
+        assert _same_bits(lams, [lam for _, lam in oracle])
+    return results
 
 
 def point_best_multiplier(params, chi, entries, name, top=True):
@@ -577,7 +622,7 @@ class TestLockstepScan:
         if name == "lambda1" and params.g1 == 5.0:
             lo, hi = search._bracket(params, float(chi[0]), name)
             assert lo >= chi[0] * math.pi ** 2 * params.n / 4.0 and hi > lo
-        values, lams = search._best_multipliers(params, chi, entries, name, top)
+        values, lams = best_one(params, chi, entries, name, top)
         oracle = [point_best_multiplier(params, float(c), entries, name, top) for c in chi]
         assert _same_bits(values, [v for v, _ in oracle])
         assert _same_bits(lams, [lam for _, lam in oracle])
@@ -593,50 +638,100 @@ class TestLockstepScan:
     def test_bad_multiplier_or_entry_raises_as_before(self, monkeypatch):
         # an empty bracket reports an infinitely bad value at its lower end
         short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
-        values, lams = search._best_multipliers(short, np.array([0.1, 0.2]),
-                                                phi_obs_entries, "lambda2")
+        values, lams = best_one(short, np.array([0.1, 0.2]), phi_obs_entries, "lambda2")
         assert np.all(values == math.inf) and np.all(lams == 1e-14)
         chi = np.array([0.1, 0.2])
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
         monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (1.0, 0.5))
-        values, lams = search._best_multipliers(p, chi, phi0_entries, "lambda0",
-                                                top=False)
+        values, lams = best_one(p, chi, phi0_entries, "lambda0", top=False)
         assert np.all(values == -math.inf) and np.all(lams == 1.0)
         # a multiplier that is not > 0, as DecisionVars would reject it
         monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-2.0, -1.0))
         with pytest.raises(CertificateError, match="lambda1"):
-            search._best_multipliers(p, chi, psi2_entries, "lambda1")
+            best_one(p, chi, psi2_entries, "lambda1")
         monkeypatch.undo()
         # chi k overflows in the (1,1) entry of psi2
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                search._best_multipliers(huge, np.array([10.0]), psi2_entries, "lambda1")
+                best_one(huge, np.array([10.0]), psi2_entries, "lambda1")
 
     def test_a_tight_gershgorin_bound_is_widened(self, monkeypatch):
-        # M(lam) = diag(lam wq - 5, 0, -5 - lam): lambda_max is the decoupled
-        # 0 for every lam in the bracket, so the Gershgorin bound is the
-        # infeasible end itself and must be widened; the best strict bound
-        # is then the smallest positive float, at every lam of the bracket
+        # the Gershgorin bound of _diagonal must be widened; the best strict
+        # bound is then the smallest positive float, at every lam of the
+        # bracket
         params = ProblemParams(n=1, k=1.0)
-        wq = 4.0 / PI2
-
-        def diagonal(params, chi, lam):
-            zero = 0.0 * chi
-            return (zero + lam * wq - 5.0, zero, zero, zero, zero, zero - 5.0 - lam)
-
+        diagonal = _diagonal
         spans = []
         real = search._span
         monkeypatch.setattr(search, "_span",
                             lambda *args: spans.append(real(*args)) or spans[-1])
-        values, lams = search._best_multipliers(params, np.array([0.1, 0.2]), diagonal,
-                                                "lambda0")
+        values, lams = best_one(params, np.array([0.1, 0.2]), diagonal, "lambda0")
         monkeypatch.undo()
         first = spans[0]
         assert not np.any(first[0] < first[1])
         lo, hi = search._bracket(params, 0.1, "lambda0")
         assert np.all(values == math.ulp(0.0)) and np.all(lams == 0.5 * (lo + hi))
         assert point_best_multiplier(params, 0.1, diagonal, "lambda0") == (values[0], lams[0])
+
+    @pytest.mark.parametrize("mode", ["stability", "observability"])
+    @pytest.mark.parametrize("g1", [0.0, 0.1, 5.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_bisection_keeps_every_lmis_bits(self, n, g1, mode):
+        # the lockstep over all LMIs of a scan returns, for each LMI, the
+        # bits of its own call and of the float bisection
+        params = ProblemParams(n=n, k=1.0, g1=g1, delta=0.01,
+                               t_star=20.0 if mode == "observability" else None)
+        chi = np.geomspace(1e-4, search._chi_cut(params) * (1.0 - 1e-9), 30)
+        _assert_lockstep_bits(params, chi, STABILITY if mode == "stability"
+                              else OBSERVABILITY)
+
+    def test_one_bisection_keeps_empty_and_widened_brackets(self):
+        # an empty lambda2 bracket reports inf beside finite psi2 and phi0
+        # values; a widened Gershgorin bound keeps widening while the
+        # elements of the other LMIs are found at the first try
+        short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
+        chi = np.geomspace(1e-3, 0.45, 20)
+        results = _assert_lockstep_bits(short, chi, OBSERVABILITY)
+        assert np.all(results[2][0] == math.inf) and np.all(np.isfinite(results[0][0]))
+        params = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
+        lmis = [STABILITY[0], (_diagonal, "lambda0", True), STABILITY[1]]
+        results = _assert_lockstep_bits(params, chi, lmis)
+        assert np.all(results[1][0] == math.ulp(0.0))
+
+    @pytest.mark.parametrize("case,raises,says", [
+        # psi2's overflow comes before phi0's bad multiplier
+        ("psi2-non-finite", ValueError, "non-finite matrix entry in the batch"),
+        ("bad-lambda1", CertificateError, "lambda1 must be finite and > 0"),
+        # phi_obs's non-finite entries wait for psi2's check, which fails
+        ("bad-lambda1-then-non-finite", CertificateError,
+         "lambda1 must be finite and > 0"),
+        ("later-non-finite", ValueError, "non-finite matrix entry in the batch"),
+    ])
+    def test_errors_keep_the_sequential_order(self, case, raises, says, monkeypatch):
+        params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01, t_star=20.0)
+        chi = np.array([0.1, 0.2])
+        lmis = list(OBSERVABILITY)
+        bad = {"bad-lambda1": "lambda1", "bad-lambda1-then-non-finite": "lambda1",
+               "psi2-non-finite": "lambda0"}.get(case)
+        real = search._bracket
+        monkeypatch.setattr(search, "_bracket", lambda p, c, name:
+                            (-2.0, -1.0) if name == bad else real(p, c, name))
+        if case == "psi2-non-finite":
+            # chi k overflows in the (1,1) entry of psi2 only
+            params, chi = replace(params, k=1.7e308, delta=0.5), np.array([10.0])
+        if case.endswith("non-finite") and case != "psi2-non-finite":
+            lmis[2] = (_not_finite, "lambda2", True)
+
+        def raised(fn):
+            with np.errstate(over="ignore"):
+                with pytest.raises(raises) as info:
+                    fn()
+            return type(info.value), str(info.value)
+
+        combined = raised(lambda: search._best_multipliers(params, chi, lmis))
+        sequential = raised(lambda: [best_one(params, chi, *lmi) for lmi in lmis])
+        assert combined == sequential == (raises, says)
 
     @pytest.mark.parametrize("params,config", [
         (ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001),
@@ -683,7 +778,7 @@ class TestLockstepScan:
             for entries, name, top in lmis:
                 sign = 1.0 if top else -1.0
                 threshold = -margin if name == "lambda2" else margin
-                values, lams = search._best_multipliers(params, chi, entries, name, top)
+                values, lams = best_one(params, chi, entries, name, top)
                 golden = np.array([golden_best_multiplier(params, float(c), entries,
                                                           name, top)[0] for c in chi])
                 assert np.all(sign * (values - golden) <= 1e-15)
