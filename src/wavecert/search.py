@@ -277,7 +277,7 @@ def _best_multipliers(params, chi, lmis):
     DecisionVars would, a multiplier that is not finite and > 0 raises
     CertificateError.
     """
-    bounds, signs, b = [], [], []
+    bounds, b = [], []
     for i, (entries, name, top) in enumerate(lmis):
         x = np.broadcast_arrays(chi, *entries(params, chi, 0.0))[1:]
         if not all(np.all(np.isfinite(e)) for e in x):
@@ -285,8 +285,8 @@ def _best_multipliers(params, chi, lmis):
                 _best_multipliers(params, chi, lmis[:i])  # the earlier errors first
             raise ValueError("non-finite matrix entry in the batch")
         bounds += [_bracket(params, float(c), name) for c in chi]
-        signs.append(1.0 if top else -1.0)
-        b.append([signs[-1] * e for e in x])
+        sign = 1.0 if top else -1.0
+        b.append([sign * e for e in x])
     lo, hi = np.array(bounds).T
     b00, b01, b02, b11, b12, b22 = (np.concatenate(e) for e in zip(*b))
     r, u, v = -b01, -b02, -b12
@@ -326,7 +326,8 @@ def _best_multipliers(params, chi, lmis):
             lam = np.where(yes, 0.5 * (a + z), lam)
     results = []
     m = len(chi)
-    for i, ((_, name, _), sign) in enumerate(zip(lmis, signs)):
+    for i, (_, name, top) in enumerate(lmis):
+        sign = 1.0 if top else -1.0
         part = slice(i * m, (i + 1) * m)
         hit, at = found[part], lam[part]
         if not np.all((at[hit] > 0.0) & (at[hit] < math.inf)):
