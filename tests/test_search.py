@@ -661,18 +661,17 @@ class TestLockstepScan:
         # bound is then the smallest positive float, at every lam of the
         # bracket
         params = ProblemParams(n=1, k=1.0)
-        diagonal = _diagonal
         spans = []
         real = search._span
         monkeypatch.setattr(search, "_span",
                             lambda *args: spans.append(real(*args)) or spans[-1])
-        values, lams = best_one(params, np.array([0.1, 0.2]), diagonal, "lambda0")
+        values, lams = best_one(params, np.array([0.1, 0.2]), _diagonal, "lambda0")
         monkeypatch.undo()
         first = spans[0]
         assert not np.any(first[0] < first[1])
         lo, hi = search._bracket(params, 0.1, "lambda0")
         assert np.all(values == math.ulp(0.0)) and np.all(lams == 0.5 * (lo + hi))
-        assert point_best_multiplier(params, 0.1, diagonal, "lambda0") == (values[0], lams[0])
+        assert point_best_multiplier(params, 0.1, _diagonal, "lambda0") == (values[0], lams[0])
 
     @pytest.mark.parametrize("mode", ["stability", "observability"])
     @pytest.mark.parametrize("g1", [0.0, 0.1, 5.0])
@@ -699,29 +698,26 @@ class TestLockstepScan:
         results = _assert_lockstep_bits(params, chi, lmis)
         assert np.all(results[1][0] == math.ulp(0.0))
 
-    @pytest.mark.parametrize("case,raises,says", [
+    @pytest.mark.parametrize("overflow,bad,broken,raises,says", [
         # psi2's overflow comes before phi0's bad multiplier
-        ("psi2-non-finite", ValueError, "non-finite matrix entry in the batch"),
-        ("bad-lambda1", CertificateError, "lambda1 must be finite and > 0"),
+        (True, "lambda0", False, ValueError, "non-finite matrix entry in the batch"),
+        (False, "lambda1", False, CertificateError, "lambda1 must be finite and > 0"),
         # phi_obs's non-finite entries wait for psi2's check, which fails
-        ("bad-lambda1-then-non-finite", CertificateError,
-         "lambda1 must be finite and > 0"),
-        ("later-non-finite", ValueError, "non-finite matrix entry in the batch"),
-    ])
-    def test_errors_keep_the_sequential_order(self, case, raises, says, monkeypatch):
+        (False, "lambda1", True, CertificateError, "lambda1 must be finite and > 0"),
+        (False, None, True, ValueError, "non-finite matrix entry in the batch"),
+    ], ids=["psi2-non-finite", "bad-lambda1", "bad-lambda1-then-non-finite",
+            "later-non-finite"])
+    def test_errors_keep_the_sequential_order(self, overflow, bad, broken, raises, says,
+                                              monkeypatch):
         params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01, t_star=20.0)
         chi = np.array([0.1, 0.2])
-        lmis = list(OBSERVABILITY)
-        bad = {"bad-lambda1": "lambda1", "bad-lambda1-then-non-finite": "lambda1",
-               "psi2-non-finite": "lambda0"}.get(case)
+        if overflow:
+            # chi k overflows in the (1,1) entry of psi2 only
+            params, chi = replace(params, k=1.7e308, delta=0.5), np.array([10.0])
+        lmis = STABILITY + [(_not_finite if broken else phi_obs_entries, "lambda2", True)]
         real = search._bracket
         monkeypatch.setattr(search, "_bracket", lambda p, c, name:
                             (-2.0, -1.0) if name == bad else real(p, c, name))
-        if case == "psi2-non-finite":
-            # chi k overflows in the (1,1) entry of psi2 only
-            params, chi = replace(params, k=1.7e308, delta=0.5), np.array([10.0])
-        if case.endswith("non-finite") and case != "psi2-non-finite":
-            lmis[2] = (_not_finite, "lambda2", True)
 
         def raised(fn):
             with np.errstate(over="ignore"):
