@@ -12,6 +12,7 @@ threshold for the strict LMIs and as slack for the non-strict ones.
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .smallmat import SymMatrix, eigenvalues
@@ -36,8 +37,9 @@ def _wq(n):
 
 # ------------------------------------------------------------------ validation
 # every scalar the package accepts from a caller or a config file goes
-# through checked_float or checked_int, which reject bools, non-numbers and
-# non-finite values; both raise CertificateError, a ValueError
+# through checked_float or checked_int, which reject bools, non-numbers,
+# non-finite values and integers past the float range; both raise
+# CertificateError, a ValueError
 
 
 def checked_float(name, value, low=None, strict=False):
@@ -45,7 +47,10 @@ def checked_float(name, value, low=None, strict=False):
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise CertificateError("%s must be a number, got %r" % (name, value))
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise CertificateError("%s is an integer too large for a float" % name)
     if not math.isfinite(value):
         raise CertificateError("%s must be finite, got %r" % (name, value))
     if low is not None and not (value > low if strict else value >= low):
@@ -55,12 +60,14 @@ def checked_float(name, value, low=None, strict=False):
 
 
 def checked_int(name, value, low):
-    """value as an int >= low; integral floats such as 3.0 are accepted."""
+    """int value >= low within the float range; integral floats such as 3.0 pass."""
     integral = type(value) is int or (
         not isinstance(value, bool) and isinstance(value, numbers.Real)
         and math.isfinite(value) and value == int(value))
     if not integral or value < low:
         raise CertificateError("%s must be an integer >= %d, got %r" % (name, low, value))
+    if value > sys.float_info.max:
+        raise CertificateError("%s is an integer too large for a float" % name)
     return int(value)
 
 

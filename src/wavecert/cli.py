@@ -29,10 +29,8 @@ from .search import (Infeasible, SearchConfig, find_feasible_vars,
                      maximize_regional_radius, minimal_observability_time,
                      sweep)
 
-MODES = ("certify", "min-time", "regional", "simulate", "recover", "sweep")
-
 CONFIG_KEYS = {"mode", "problem", "problems", "search", "sim", "certificate"}
-SIM_KEYS = {"dim", "points_per_axis", "horizon", "cfl", "mode", "k", "chi",
+SIM_KEYS = {"dim", "points_per_axis", "horizon", "mode", "k", "chi",
             "nonlinearity", "initial", "convergence_threshold"}
 NONLINEARITY_FORMS = ("linear", "quadratic", "sine")
 IC_KINDS = ("preset", "polynomial", "fourier-sine")
@@ -78,12 +76,10 @@ def load_config(path, mode):
     return doc
 
 
-def parse_problem(doc, required=True):
+def parse_problem(doc):
     problem = doc.get("problem")
     if problem is None:
-        if required:
-            raise CliError("this mode requires a problem section")
-        return None
+        raise CliError("this mode requires a problem section")
     return ProblemParams.from_dict(problem)
 
 
@@ -112,8 +108,7 @@ def build_grid(sim, mode=None):
         mode = sim.get("mode", "plant")
     try:
         return pde.make_grid(sim.get("dim", 1), sim["points_per_axis"],
-                             sim["horizon"], mode=mode, k=sim.get("k", 0.0),
-                             cfl=sim.get("cfl"))
+                             sim["horizon"], mode=mode, k=sim.get("k", 0.0))
     except ValueError as exc:
         raise CliError("sim: %s" % exc)
 
@@ -196,17 +191,18 @@ def build_initial(spec, grid):
             if grid.dim != 1:
                 raise CliError("polynomial initial data is one-dimensional")
             x = grid.axis()
-            z = np.polynomial.polynomial.polyval(x, np.asarray(sub["z"],
-                                                               dtype=float))
-            zt = (np.polynomial.polynomial.polyval(
-                x, np.asarray(sub["zt"], dtype=float))
-                if "zt" in sub else np.zeros_like(x))
-            return pde.WaveField(z, zt)
+            values = []
+            for key in ("z", "zt"):
+                c = np.asarray(sub.get(key, 0.0), dtype=float)
+                if c.size == 0:
+                    raise CliError("polynomial %s needs at least one coefficient" % key)
+                values.append(np.polynomial.polynomial.polyval(x, c))
+            return pde.WaveField(*values)
         z = _fourier_sum(sub["z"], grid)
         zt = (_fourier_sum(sub["zt"], grid) if "zt" in sub
               else np.zeros_like(z))
         return pde.WaveField(z, zt)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError("initial: %s" % exc)
 
 

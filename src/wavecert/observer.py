@@ -11,7 +11,7 @@ and the Lyapunov contraction diagnostics.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

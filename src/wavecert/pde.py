@@ -21,7 +21,7 @@ the grid's plan fixes the measured nodes and their lexicographic order.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -141,12 +141,12 @@ class _GridPlan:
         self.denom = _read_only(1.0 + mult * k * dt / dx)
 
 
-def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0, cfl=None):
+def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0):
     """Grid whose dt divides the horizon exactly at (or under) the CFL bound."""
     horizon = checked_float("horizon", horizon, 0.0, strict=True)
-    cfl = default_cfl(dim) if cfl is None else checked_float("cfl", cfl, 0.0, strict=True)
+    dim = checked_int("dim", dim, 1)
     dx = 1.0 / (checked_int("points_per_axis", points_per_axis, 16) - 1)
-    steps = max(1, int(math.ceil(horizon / (cfl * dx) - 1e-12)))
+    steps = max(1, int(math.ceil(horizon / (default_cfl(dim) * dx) - 1e-12)))
     return Grid(dim, points_per_axis, horizon / steps, mode, k)
 
 
@@ -651,6 +651,8 @@ def trajectory_csv(trace, energies, lyapunovs=None):
 def read_trajectory_csv(text):
     """(BoundaryTrace, E array, V array) parsed back from trajectory_csv."""
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines:
+        raise ValueError("trajectory CSV is empty")
     header = lines[0].split(",")
     if header[:3] != ["t", "E", "V"] or len(header) < 4:
         raise ValueError("expected a header starting with t,E,V,trace0")

@@ -103,13 +103,11 @@ class SearchConfig:
     chi_grid of None means automatic: 400 log-spaced points from 1e-4 up to
     the psi1 cut of the problem at hand.  Multiplier decisions and values
     are closed-form or bisected to the float spacing and take no
-    tolerance, so lambda_bisection_tol sets nothing; it is still accepted
-    and validated so that existing configs load.  tstar_tol ends the t_star
-    bisection, which also stops at the float spacing.
+    tolerance.  tstar_tol ends the t_star bisection, which also stops at
+    the float spacing.
     """
 
     chi_grid: tuple = None
-    lambda_bisection_tol: float = 1e-9
     tstar_tol: float = 1e-3
     delta_grid: tuple = (1e-4, 0.5, 30)
     refinement_rounds: int = 3
@@ -119,13 +117,8 @@ class SearchConfig:
         if self.chi_grid is not None:
             object.__setattr__(self, "chi_grid", _check_grid("chi_grid", self.chi_grid))
         object.__setattr__(self, "delta_grid", _check_grid("delta_grid", self.delta_grid))
-        for name in ("lambda_bisection_tol", "tstar_tol"):
-            object.__setattr__(self, name,
-                               checked_float(name, getattr(self, name), 0.0, strict=True))
-        if self.lambda_bisection_tol > 1e-2:
-            # the cap the key had when it set a tolerance: the configs that
-            # loaded before load now, and no others
-            raise CertificateError("lambda_bisection_tol must be <= 0.01")
+        object.__setattr__(self, "tstar_tol",
+                           checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
         object.__setattr__(self, "refinement_rounds",
                            checked_int("refinement_rounds", self.refinement_rounds, 0))
         object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
@@ -134,7 +127,6 @@ class SearchConfig:
         out = {}
         if self.chi_grid is not None:
             out["chi_grid"] = list(self.chi_grid)
-        out["lambda_bisection_tol"] = self.lambda_bisection_tol
         out["tstar_tol"] = self.tstar_tol
         out["delta_grid"] = list(self.delta_grid)
         out["refinement_rounds"] = self.refinement_rounds
@@ -449,7 +441,7 @@ def minimal_observability_time(params, config=None):
             reasons.append(exc)
     if not wins:
         raise Infeasible("no delta admits an observability certificate; last reason: %s"
-                         % (reasons[-1] if reasons else "empty delta grid"))
+                         % reasons[-1])
     t_best = min(t for t, _ in wins)
     delta_star = max(d for t, d in wins if t <= t_best + config.tstar_tol)
     t_star = next(t for t, d in wins if d == delta_star)
@@ -577,7 +569,7 @@ def maximize_regional_radius(params, config=None):
             best = (rr.d0, delta, t, cmin)
     if best is None:
         raise Infeasible("no delta admits a regional certificate; last reason: %s"
-                         % (reasons[-1] if reasons else "empty delta grid"))
+                         % reasons[-1])
     d0, delta, t, cmin = best
     p_final = replace(params, delta=delta, t_star=t)
     margin = config.margin

@@ -108,10 +108,24 @@ class TestErrors:
         ("sweep", {"problems": [[1]]}, "JSON object of problem keys"),
         ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
                       "search": {"lambda_bisection_tol": 0.5}},
-         "lambda_bisection_tol must"),
+         "unknown search keys: lambda_bisection_tol"),
         ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
                       "search": {"chi_grid": [1e-4, 0.4, 10 ** 8]}},
          "chi_grid count must be <= 100000"),
+        # JSON integers past the float range, which float() cannot convert
+        ("certify", {"problem": {"n": 1, "k": 10 ** 400, "delta": 0.05}},
+         "k is an integer too large for a float"),
+        ("min-time", {"problem": {"n": 10 ** 400, "k": 1.0, "delta": 0.05}},
+         "n is an integer too large for a float"),
+        ("simulate", {"sim": {"points_per_axis": 10 ** 400, "horizon": 1.0,
+                              "initial": {"preset": "paper-example2"}}},
+         "points_per_axis is an integer too large for a float"),
+        ("simulate", {"sim": {"points_per_axis": 101, "horizon": 1.0, "cfl": 0.5,
+                              "initial": {"preset": "paper-example2"}}},
+         "unknown sim keys: cfl"),
+        ("simulate", {"sim": {"dim": 0, "points_per_axis": 101, "horizon": 1.0,
+                              "initial": {"preset": "paper-example2"}}},
+         "dim must"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts
@@ -275,22 +289,6 @@ class TestMinTime:
         assert proc.returncode == 0
         assert 2.00 <= json.loads(proc.stdout)["t_star"] <= 2.06
 
-    def test_lambda_bisection_tol_sets_nothing(self, tmp_path, capsys):
-        # the key is still accepted, but no search reads it: the chi scan
-        # bisects its multipliers to the float spacing
-        outputs = []
-        for tol in (1e-9, 1e-3):
-            cfg = write_json(tmp_path, "c.json",
-                             {"problem": {"n": 2, "k": 1.0, "g1": 0.1, "delta": 0.01},
-                              "search": {"lambda_bisection_tol": tol}})
-            out_path = tmp_path / "cert.json"
-            code, out, err = run_cli(
-                ["min-time", "--config", cfg, "--tol", "0.05",
-                 "--out", str(out_path)], capsys)
-            assert code == 0
-            outputs.append((out, out_path.read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_bad_tol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "delta": 0.01}})
@@ -386,16 +384,23 @@ class TestSimulate:
     def test_initial_spec_errors(self, tmp_path, capsys):
         base = {"points_per_axis": 101, "horizon": 1.0}
         cases = [
-            {"initial": {"preset": "nope"}},
-            {"initial": {"preset": "paper-example2",
-                         "polynomial": {"z": [0.0, 1.0]}}},
-            {"initial": {}},
-            {"initial": {"polynomial": {"z": [0.0, 1.0], "w": 1}}},
-            {"dim": 2, "initial": {"preset": "paper-example2"}},
-            {"dim": 2, "initial": {"fourier-sine": {"z": [0.1]}}},
-            {"initial": {"polynomial": {"z": {"c0": 1.0}}}},
+            ({"initial": {"preset": "nope"}}, "unknown preset"),
+            ({"initial": {"preset": "paper-example2",
+                          "polynomial": {"z": [0.0, 1.0]}}}, "exactly one"),
+            ({"initial": {}}, "exactly one"),
+            ({"initial": {"polynomial": {"z": [0.0, 1.0], "w": 1}}},
+             "unknown polynomial keys: w"),
+            ({"dim": 2, "initial": {"preset": "paper-example2"}},
+             "one-dimensional"),
+            ({"dim": 2, "initial": {"fourier-sine": {"z": [0.1]}}}, "2-D array"),
+            ({"initial": {"polynomial": {"z": {"c0": 1.0}}}}, "initial:"),
+            # polyval has no value for an empty coefficient list
+            ({"initial": {"polynomial": {"z": []}}}, "polynomial z"),
+            ({"initial": {"polynomial": {"z": [0.0, 1.0], "zt": []}}},
+             "polynomial zt"),
+            ({"initial": {"polynomial": {"z": [0.0, 10 ** 400]}}}, "initial:"),
         ]
-        for extra in cases:
+        for extra, says in cases:
             sim = dict(base)
             sim.update(extra)
             if extra.get("dim") == 2:
@@ -404,7 +409,8 @@ class TestSimulate:
             code, out, err = run_cli(
                 ["simulate", "--config", cfg,
                  "--out", str(tmp_path / "x.csv")], capsys)
-            assert code == 1, extra
+            assert code == 1 and out == "", extra
+            assert err.startswith("error:") and says in err, extra
 
     def test_nonlinearity_spec_errors(self, tmp_path, capsys):
         cases = [
@@ -495,6 +501,17 @@ class TestRecover:
             ["recover", "--config", cfg, "--trace", trace_path,
              "--iterations", "0", "--out", str(tmp_path / "r.json")], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "blank"])
+    def test_empty_trace_file(self, tmp_path, capsys, text):
+        cfg = write_json(tmp_path, "c.json", {"sim": dict(FIG_SIM)})
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text(text)
+        code, out, err = run_cli(
+            ["recover", "--config", cfg, "--trace", str(trace_path),
+             "--iterations", "2", "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "empty" in err
 
 
 class TestSweep:

@@ -252,8 +252,10 @@ class TestGrid:
             pde.Grid(True, 31, 0.001)
         with pytest.raises(ValueError):
             pde.make_grid(1, math.inf, 1.0)
-        with pytest.raises(ValueError):
-            pde.make_grid(1, 31, 1.0, cfl=0.0)
+        # dim is checked before it sets the step
+        for dim in (0, None, "x"):
+            with pytest.raises(ValueError, match="dim must"):
+                pde.make_grid(dim, 31, 1.0)
 
 
 class TestWaveField:

@@ -181,16 +181,15 @@ class TestSearchConfig:
         {"chi_grid": (1e-3, 0.1, 2.5)},
         {"chi_grid": (1e-3, 0.1, True)},
         {"delta_grid": (1e-4,)},
-        {"lambda_bisection_tol": 0.0},
+        {"tstar_tol": 0.0},
         {"tstar_tol": -1e-3},
         {"refinement_rounds": -1},
         {"margin": math.nan},
         {"refinement_rounds": math.inf},
         {"margin": True},
         {"chi_grid": ("a", "b", 3)},
-        # the key sets nothing now, but keeps the cap it had
-        {"lambda_bisection_tol": 0.011},
-        {"lambda_bisection_tol": 1.0},
+        {"tstar_tol": math.inf},
+        {"margin": -1e-9},
         # a scan's arrays grow with the count: bounded before any is built
         {"chi_grid": (1e-3, 0.1, 10 ** 8)},
         {"delta_grid": (1e-4, 0.5, 10 ** 8)},
@@ -842,7 +841,7 @@ class TestLockstepScan:
 # closed form answers yes; the searches must land within O(tol) of it
 
 
-def head_stability_feasible(params, chi, config):
+def head_stability_feasible(params, chi, config, tol):
     margin = config.margin
     slack = margin + 1e-9
     n, k, g1, delta = params.n, params.k, params.g1, params.delta
@@ -858,7 +857,6 @@ def head_stability_feasible(params, chi, config):
         u = chi - delta + slack
         if u < 0.0 or u * u * PI2 / 4.0 + u * slack < g1 * g1 / 4.0 - 1e-15:
             return False
-    tol = config.lambda_bisection_tol
     top, _ = build_path_best_multiplier(params, chi, tol, build_psi2, "lambda1")
     if not top <= margin:
         return False
@@ -870,7 +868,7 @@ def head_stability_feasible(params, chi, config):
     return bottom > margin
 
 
-def head_chi_min_stability(params, config):
+def head_chi_min_stability(params, config, tol):
     lo, hi, count = search._chi_grid(params, config)
     if hi <= lo:
         raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
@@ -879,7 +877,7 @@ def head_chi_min_stability(params, config):
     prev = None
     for x in np.geomspace(lo, hi, count):
         chi = float(x)
-        if head_stability_feasible(params, chi, config):
+        if head_stability_feasible(params, chi, config, tol):
             found = chi
             break
         prev = chi
@@ -891,18 +889,17 @@ def head_chi_min_stability(params, config):
     a, b = prev, found
     for _ in range(60):
         mid = 0.5 * (a + b)
-        if head_stability_feasible(params, mid, config):
+        if head_stability_feasible(params, mid, config, tol):
             b = mid
         else:
             a = mid
     return b
 
 
-def head_observation_window(params, config, delta):
+def head_observation_window(params, config, delta, tol):
     p = replace(params, delta=delta, t_star=None, t_total=None)
-    cmin = head_chi_min_stability(p, config)
+    cmin = head_chi_min_stability(p, config, tol)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + search._chi_cut(p)))
-    tol = config.lambda_bisection_tol
 
     def top_at(t):
         return build_path_best_multiplier(replace(p, t_star=t), probe, tol, build_phi_obs,
@@ -923,9 +920,8 @@ def head_observation_window(params, config, delta):
     return hi_t, cmin
 
 
-def head_delta_margin(params, vars, config):
+def head_delta_margin(params, vars, config, tol):
     chi = vars.chi
-    tol = config.lambda_bisection_tol
 
     def ok(extra):
         top, _ = build_path_best_multiplier(replace(params, delta=params.delta + extra), chi,
@@ -1074,7 +1070,7 @@ class TestClosedFormDecisions:
         # within relative 4 tol of the golden-section oracle (an intended
         # output change: the largest gaps seen are in CHANGES.md)
         rng = np.random.default_rng(100 + int(-math.log10(tol)))
-        config = SearchConfig(lambda_bisection_tol=tol, tstar_tol=1e-2)
+        config = SearchConfig(tstar_tol=1e-2)
         bound = 4.0 * tol + 1e-15
         margin = config.margin
         for n in (1, 2, 3):
@@ -1088,10 +1084,12 @@ class TestClosedFormDecisions:
                     p = ProblemParams(n=n, k=params.k, g1=params.g1, delta=delta)
                     cmin = _numeric_outcome(chi_min_stability, p, config)
                     assert _relative_gap(
-                        cmin, _numeric_outcome(head_chi_min_stability, p, config)) <= bound
+                        cmin,
+                        _numeric_outcome(head_chi_min_stability, p, config, tol)) <= bound
                     assert _relative_gap(
                         _numeric_outcome(search._observation_window, params, config, delta),
-                        _numeric_outcome(head_observation_window, params, config, delta)) <= bound
+                        _numeric_outcome(head_observation_window, params, config, delta,
+                                         tol)) <= bound
                     if isinstance(cmin[0], type):
                         continue
                     cmin = cmin[0]
@@ -1102,7 +1100,7 @@ class TestClosedFormDecisions:
                     for chi in (cmin, cmin * (1.0 - 1e-3), 0.5 * (cmin + cut)):
                         v = DecisionVars(chi=chi)
                         got = _numeric_outcome(delta_margin, p, v, config)
-                        want = _numeric_outcome(head_delta_margin, p, v, config)
+                        want = _numeric_outcome(head_delta_margin, p, v, config, tol)
                         if chi == cmin:
                             # chi_min is stability-feasible at its own delta;
                             # the oracle can say no on that boundary
@@ -1122,7 +1120,9 @@ class TestClosedFormDecisions:
             return t, delta, certificate_to_dict(cert)
 
         got = _repr_outcome(certified, params)
-        monkeypatch.setattr(search, "_observation_window", head_observation_window)
+        monkeypatch.setattr(search, "_observation_window",
+                            lambda p, config, delta:
+                            head_observation_window(p, config, delta, 1e-9))
         assert got == _repr_outcome(certified, params)
 
 
