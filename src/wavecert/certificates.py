@@ -475,15 +475,14 @@ def certificate_at(params, vars, report):
     return Certificate(params, vars, alpha, beta, q, d0, report["margins"])
 
 
-def make_certificate(params, vars, margin=DEFAULT_MARGIN, require_feasible=True):
+def make_certificate(params, vars, margin=DEFAULT_MARGIN):
     """Assemble a certificate: run the checks, then derive alpha, beta, q, d0.
 
-    With require_feasible (the default) an infeasible point raises; pass
-    False to still collect margins and constants for a point that is being
-    inspected rather than certified.
+    An infeasible point raises; certificate_at(params, *check_point(...))
+    still collects margins and constants for a point being inspected.
     """
     vars, report = check_point(params, vars, margin)
-    if require_feasible and not report["feasible"]:
+    if not report["feasible"]:
         raise CertificateError("LMIs infeasible at this point: %s"
                                % ", ".join(report["failing"]))
     return certificate_at(params, vars, report)

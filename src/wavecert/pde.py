@@ -22,13 +22,14 @@ the grid's plan fixes the measured nodes and their lexicographic order.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .certificates import checked_float, checked_int, fmt_float
 
 KO_NU = 0.02  # fourth-difference smoothing strength
+MAX_GRID_NODES = 10 ** 7  # 80 MB per node array; a step holds several
 
 MODES = ("plant", "observer-forward", "observer-backward")
 
@@ -66,8 +67,10 @@ class Grid:
         if dim > 2:
             raise ValueError("dim must be 1 or 2")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points_per_axis",
-                           checked_int("points_per_axis", self.points_per_axis, 16))
+        n = checked_int("points_per_axis", self.points_per_axis, 16)
+        if n ** dim > MAX_GRID_NODES:
+            raise ValueError("grid has %d^%d nodes, more than %d" % (n, dim, MAX_GRID_NODES))
+        object.__setattr__(self, "points_per_axis", n)
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
         object.__setattr__(self, "k", checked_float("k", self.k, 0.0))
@@ -146,7 +149,8 @@ def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0):
     horizon = checked_float("horizon", horizon, 0.0, strict=True)
     dim = checked_int("dim", dim, 1)
     dx = 1.0 / (checked_int("points_per_axis", points_per_axis, 16) - 1)
-    steps = max(1, int(math.ceil(horizon / (default_cfl(dim) * dx) - 1e-12)))
+    steps = checked_float("step count horizon/dt", horizon / (default_cfl(dim) * dx))
+    steps = max(1, int(math.ceil(steps - 1e-12)))
     return Grid(dim, points_per_axis, horizon / steps, mode, k)
 
 
@@ -346,7 +350,7 @@ def _smooth(w):
     _pin_dirichlet(w)
 
 
-def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
+def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     """One explicit step; boundary_input = (y_now, y_next) in observer modes."""
     injecting = grid.mode != "plant"
     if injecting and boundary_input is None:
@@ -371,7 +375,7 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None, _direction=1.0):
 
     z_new = z + dt * v + plan.half_dt2 * a0
     _pin_dirichlet(z_new)
-    t_new = t + _direction * dt
+    t_new = t + (-1.0 if grid.mode == "observer-backward" else 1.0) * dt
     a1 = _accel(z_new, grid, nonlinearity, t_new)
     a01 = a0 + a1
 
@@ -425,10 +429,8 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     if backward:
         state = WaveField(initial.z, -initial.zt, initial.t)
         samples = -samples[::-1]
-        direction = -1.0
     else:
         state = initial.copy()
-        direction = 1.0
 
     n_f = nonlinearity
     out_rows = [gather_trace(state.zt, grid)]
@@ -448,7 +450,7 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         record(state)
         for i in range(steps):
             binput = (samples[i], samples[i + 1]) if injecting else None
-            state = step(state, grid, n_f, binput, _direction=direction)
+            state = step(state, grid, n_f, binput)
             out_rows.append(gather_trace(state.zt, grid))
             record(state)
 
@@ -541,19 +543,33 @@ def lyapunov(field, grid, chi, k=None):
     return e + chi * cross + chi * k * (0.5 * (n - 1)) * face
 
 
-# The three inequality checkers integrate the piecewise-(bi)linear
-# interpolant of the samples exactly.  The interpolant vanishes on the
-# clamped boundary whenever the samples do, so each continuous inequality
-# applies to it verbatim and the residual can only go negative by float
-# roundoff.  A pointwise-stencil quadrature would not do: its lowest
-# discrete eigenvalue sits below the continuous one and near-extremal
-# fields then report residuals around -dx^2.
+# The inequality checkers and the face integral integrate the multilinear
+# interpolant of the samples exactly, one axis at a time.  The interpolant
+# vanishes on the clamped boundary whenever the samples do, so each
+# continuous inequality applies to it verbatim and the residual can only
+# go negative by float roundoff.  A pointwise-stencil quadrature would not
+# do: its lowest discrete eigenvalue sits below the continuous one and
+# near-extremal fields then report residuals around -dx^2.
 
 
-def _edge_sq_integral(vals, dx):
-    # exact integral of the linear interpolant squared along the last axis
-    a, b = vals[..., :-1], vals[..., 1:]
-    return np.sum(a * a + a * b + b * b, axis=-1) * dx / 3.0
+def _product_integral(u, v, dx, axes):
+    """Exact integral over the axes (ascending; the others are kept) of the
+    product of the interpolants of u and v.  A cell of the first axis with
+    ends a, b of u and c, d of v gives dx/3 (ac + (ad + bc)/2 + bd), each
+    product integrated over the other axes; a square (u is v) gives
+    dx/3 (a*a + a*b + b*b) and stays a square."""
+    if not axes:
+        return u * v
+    head = (slice(None),) * axes[0]
+    lo, hi = head + (slice(None, -1),), head + (slice(1, None),)
+    rest = partial(_product_integral, dx=dx, axes=axes[1:])
+    a, b = u[lo], u[hi]
+    if u is v:
+        cells = rest(a, a) + rest(a, b) + rest(b, b)
+    else:
+        c, d = v[lo], v[hi]
+        cells = rest(a, c) + (rest(a, d) + rest(b, c)) / 2.0 + rest(b, d)
+    return np.sum(cells, axis=axes[0]) * dx / 3.0
 
 
 def _face_sq_integral(v, grid):
@@ -563,39 +579,22 @@ def _face_sq_integral(v, grid):
     The grid axes of v come last, after any leading axes (time levels); a
     face of a 1-D grid is a point, where the integral is the value squared.
     """
+    lead = v.ndim - grid.dim
     total = 0.0
-    for axis in range(v.ndim - grid.dim, v.ndim):
+    for axis in range(lead, v.ndim):
         face = v.swapaxes(axis, -1)[..., -1]
-        total = total + (face * face if grid.dim == 1
-                         else _edge_sq_integral(face, grid.dx))
+        total = total + _product_integral(face, face, grid.dx, tuple(range(lead, face.ndim)))
     return total
 
 
 def _interp_quads(z, dx):
     """Exact (integral |grad zh|^2, integral zh^2) for the interpolant zh."""
-    if z.ndim == 1:
-        d = np.diff(z)
-        stiff = float(np.sum(d * d)) / dx
-        mass = float(_edge_sq_integral(z, dx))
-        return stiff, mass
-    # bilinear cells, 2x2 Gauss rule (exact: integrands are quadratic
-    # per coordinate)
-    a = z[:-1, :-1]
-    b = z[1:, :-1]
-    c = z[:-1, 1:]
-    d = z[1:, 1:]
-    lo = 0.5 - 0.5 / math.sqrt(3.0)
+    axes = tuple(range(z.ndim))
     stiff = 0.0
-    mass = 0.0
-    for gx in (lo, 1.0 - lo):
-        for gy in (lo, 1.0 - lo):
-            val = (a * (1 - gx) * (1 - gy) + b * gx * (1 - gy)
-                   + c * (1 - gx) * gy + d * gx * gy)
-            dzx = (b - a) * (1 - gy) + (d - c) * gy
-            dzy = (c - a) * (1 - gx) + (d - b) * gx
-            stiff += float(np.sum(dzx * dzx + dzy * dzy))
-            mass += float(np.sum(val * val))
-    return 0.25 * stiff, 0.25 * mass * dx * dx
+    for i in axes:  # d_i zh is constant across a cell in x_i
+        d = np.diff(z, axis=i)
+        stiff += float(np.sum(_product_integral(d, d, dx, axes[:i] + axes[i + 1:]))) / dx
+    return stiff, float(_product_integral(z, z, dx, axes))
 
 
 def wirtinger_check(field, grid):

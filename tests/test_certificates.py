@@ -26,9 +26,11 @@ from wavecert.certificates import (
     build_phi_obs,
     build_psi1,
     build_psi2,
+    certificate_at,
     certificate_from_dict,
     certificate_to_dict,
     check_observability,
+    check_point,
     check_stability,
     compute_alpha_beta,
     compute_iss_gain,
@@ -711,9 +713,8 @@ class TestCertificate:
 
     def test_inspection_mode_keeps_margins(self):
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
-        c = make_certificate(p, DecisionVars(chi=STAB_1D_NEARMISS_CHI,
-                                             lambda1=0.09470606),
-                             require_feasible=False)
+        v = DecisionVars(chi=STAB_1D_NEARMISS_CHI, lambda1=0.09470606)
+        c = certificate_at(p, *check_point(p, v))
         assert c.margins["psi2"] > 0.0
         assert c.alpha == pytest.approx(1.0 - 2.0 * STAB_1D_NEARMISS_CHI, abs=1e-15)
 

@@ -126,6 +126,14 @@ class TestErrors:
         ("simulate", {"sim": {"dim": 0, "points_per_axis": 101, "horizon": 1.0,
                               "initial": {"preset": "paper-example2"}}},
          "dim must"),
+        ("simulate", {"sim": {"points_per_axis": 21, "horizon": 1e308,
+                              "initial": {"preset": "paper-example2"}}},
+         "sim: step count horizon/dt must be finite"),
+        # 2.5e13 nodes: no address space holds them, so without the bound
+        # the run fails at once instead of filling memory
+        ("simulate", {"sim": {"dim": 2, "points_per_axis": 5 * 10 ** 6, "horizon": 1.0,
+                              "initial": {"fourier-sine": {"z": [[1.0]]}}}},
+         "sim: grid has 5000000^2 nodes, more than 10000000"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts

@@ -11,6 +11,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,6 +257,24 @@ class TestGrid:
         for dim in (0, None, "x"):
             with pytest.raises(ValueError, match="dim must"):
                 pde.make_grid(dim, 31, 1.0)
+        # a step count past the float range, not an OverflowError
+        with pytest.raises(ValueError, match="step count"):
+            pde.make_grid(1, 21, 1e308)
+
+    def test_node_count_bounded_before_any_array(self):
+        n = math.isqrt(pde.MAX_GRID_NODES)
+        assert pde.Grid(2, n, 0.5 / n).points_per_axis == n
+        tracemalloc.start()
+        try:
+            for dim, count in ((2, n + 1), (1, pde.MAX_GRID_NODES + 1), (2, 100000)):
+                with pytest.raises(ValueError, match="nodes, more than"):
+                    pde.Grid(dim, count, 0.5 / count)
+            with pytest.raises(ValueError, match="nodes, more than"):
+                pde.make_grid(2, 100000, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestWaveField:
@@ -1177,7 +1196,7 @@ class TestBitIdentity:
             new = ref = _random_field(rng, n, dim)
             for i in range(steps):
                 binput = None if mode == "plant" else (y[i], y[i + 1])
-                new = pde.step(new, grid, nl, binput, _direction=direction)
+                new = pde.step(new, grid, nl, binput)
                 ref = ref_step(ref, grid, nl, binput, direction)
                 assert _bits(new.z) == _bits(ref.z)
                 assert _bits(new.zt) == _bits(ref.zt)
@@ -1250,6 +1269,56 @@ def ref_trace_check_2d(field, grid):
     stiff, _ = pde._interp_quads(z, dx)
     return stiff - (ref_edge_sq_integral(z[-1, :], dx)
                     + ref_edge_sq_integral(z[:, -1], dx))
+
+
+def ref_interp_quads_1d(z, dx):
+    d = np.diff(z)
+    return float(np.sum(d * d)) / dx, ref_edge_sq_integral(z, dx)
+
+
+def ref_interp_quads_2d(z, dx):
+    # bilinear cells, 2x2 Gauss rule (exact: integrands are quadratic
+    # per coordinate)
+    a, b, c, d = z[:-1, :-1], z[1:, :-1], z[:-1, 1:], z[1:, 1:]
+    lo = 0.5 - 0.5 / math.sqrt(3.0)
+    stiff = mass = 0.0
+    for gx in (lo, 1.0 - lo):
+        for gy in (lo, 1.0 - lo):
+            val = (a * (1 - gx) * (1 - gy) + b * gx * (1 - gy)
+                   + c * (1 - gx) * gy + d * gx * gy)
+            dzx = (b - a) * (1 - gy) + (d - c) * gy
+            dzy = (c - a) * (1 - gx) + (d - b) * gx
+            stiff += float(np.sum(dzx * dzx + dzy * dzy))
+            mass += float(np.sum(val * val))
+    return 0.25 * stiff, 0.25 * mass * dx * dx
+
+
+class TestInterpolantQuadrature:
+    @pytest.mark.parametrize("n", [16, 41, 201])
+    def test_1d_keeps_its_bits(self, n):
+        rng = np.random.default_rng([29, n])
+        dx = 1.0 / (n - 1)
+        for _ in range(100):
+            z = _random_field(rng, n, 1).z
+            assert _bits(pde._interp_quads(z, dx)) == _bits(ref_interp_quads_1d(z, dx))
+
+    @pytest.mark.parametrize("n", [16, 21, 41])
+    def test_2d_matches_the_gauss_rule(self, n):
+        rng = np.random.default_rng([31, n])
+        dx = 1.0 / (n - 1)
+        for case in range(200):
+            z = _random_field(rng, n, 2).z if case % 2 else rng.normal(size=(n, n))
+            for new, old in zip(pde._interp_quads(z, dx), ref_interp_quads_2d(z, dx)):
+                assert abs(new - old) <= 1e-15 * old
+
+    def test_trilinear_field_is_exact(self):
+        # z = x1 x2 x3 is its own interpolant: integral |grad z|^2 = 3/9,
+        # integral z^2 = 1/27
+        x = np.linspace(0.0, 1.0, 21)
+        x1, x2, x3 = np.meshgrid(x, x, x, indexing="ij")
+        stiff, mass = pde._interp_quads(x1 * x2 * x3, 0.05)
+        assert abs(stiff - 1.0 / 3.0) <= 1e-14
+        assert abs(mass - 1.0 / 27.0) <= 1e-14
 
 
 class TestFaceIntegral:
