@@ -16,12 +16,11 @@ from .certificates import (Certificate, CertificateError, DecisionVars,
                            make_certificate)
 from .observer import (ContractionReport, IssReport, IterationRecord,
                        RecoveryConfig, RecoveryRun, contraction_report,
-                       perturbed_recover, recover, run_to_dict, run_to_json)
+                       perturbed_recover, recover, run_to_json)
 from .pde import (ZERO_F, BoundaryTrace, DivergenceError, Grid, Nonlinearity,
                   WaveField, boundary_node_count, energy, hnorm, lyapunov,
-                  make_grid, read_trajectory_csv, run, snapshot_csv,
-                  sobolev_check, step, trace_check, trajectory_csv,
-                  wirtinger_check)
+                  make_grid, read_trajectory_csv, run, sobolev_check, step,
+                  trace_check, trajectory_csv, wirtinger_check)
 from .search import (Infeasible, SearchConfig, SweepResult, SweepRow,
                      chi_min_stability, delta_margin, find_feasible_vars,
                      maximize_regional_radius, minimal_observability_time,

@@ -376,15 +376,11 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
 @dataclass(frozen=True)
 class RegionalRadius:
     """Regional observability radius d0 with the horizon t_max up to which the
-    decay term (rather than the nonlinear growth term) is the binding one.
-    Iterates as the pair (d0, t_max); the binding term is an attribute."""
+    decay term (rather than the nonlinear growth term) is the binding one."""
 
     d0: float
     t_max: float
     binding: str
-
-    def __iter__(self):
-        return iter((self.d0, self.t_max))
 
 
 def compute_regional_radius(params, vars):

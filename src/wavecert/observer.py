@@ -204,6 +204,11 @@ def recover(measurements, config, truth=None):
 # ------------------------------------------------------------------ reports
 
 
+def _uncovered_source(params, config):
+    return ("certificate g1 %g is below the source's fz_bound %g"
+            % (params.g1, config.nonlinearity.fz_bound))
+
+
 @dataclass(frozen=True)
 class ContractionReport:
     applicable: bool
@@ -248,6 +253,8 @@ def contraction_report(run, certificate, slack=0.1):
     if abs(p.k - config.k) > 1e-12 * max(1.0, p.k):
         return inapplicable("certificate gain %g differs from the run gain %g"
                             % (p.k, config.k))
+    if p.g1 < config.nonlinearity.fz_bound:
+        return inapplicable(_uncovered_source(p, config))
     if config.horizon <= p.t_star:
         return inapplicable("horizon %g does not exceed the observation time %g"
                             % (config.horizon, p.t_star))
@@ -296,6 +303,8 @@ def perturbed_recover(measurements, noise, config, truth=None):
     if cert is None or cert.params.t_star is None or cert.params.delta is None:
         raise ValueError("the ISS bound needs a certificate with an "
                          "observation time")
+    if cert.params.g1 < config.nonlinearity.fz_bound:
+        raise ValueError(_uncovered_source(cert.params, config))
 
     clean = recover(measurements, config, truth)
     noisy_trace = pde.BoundaryTrace(measurements.samples + noise.samples,
@@ -332,7 +341,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
 # --------------------------------------------------------------------- export
 
 
-def run_to_dict(run):
+def run_to_json(run):
     iterations = []
     for rec in run.records:
         row = {"m": rec.m}
@@ -350,8 +359,4 @@ def run_to_dict(run):
         out["final_error_vs_truth"] = run.final_error_vs_truth
     if run.regional_guard_ok is not None:
         out["regional_guard_ok"] = bool(run.regional_guard_ok)
-    return out
-
-
-def run_to_json(run):
-    return json_dumps(run_to_dict(run))
+    return json_dumps(out)

@@ -30,6 +30,7 @@ from .certificates import checked_float, checked_int, fmt_float
 
 KO_NU = 0.02  # fourth-difference smoothing strength
 MAX_GRID_NODES = 10 ** 7  # 80 MB per node array; a step holds several
+MAX_STEPS = 10 ** 6  # time steps of one run, which keeps a trace row per step
 
 MODES = ("plant", "observer-forward", "observer-backward")
 
@@ -73,12 +74,18 @@ class Grid:
         object.__setattr__(self, "points_per_axis", n)
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
-        object.__setattr__(self, "k", checked_float("k", self.k, 0.0))
+        k = checked_float("k", self.k, 0.0)
+        object.__setattr__(self, "k", k)
         dt = checked_float("dt", self.dt, 0.0, strict=True)
         if dt > default_cfl(dim) * self.dx * (1.0 + 1e-12):
             raise ValueError("dt=%g violates the CFL bound %g * dx" %
                              (dt, default_cfl(dim)))
         object.__setattr__(self, "dt", dt)
+        # the plan's boundary constants at the corner, whose dim measured
+        # faces give the largest multiplicity; inf there turns into NaN
+        if not (math.isfinite(2.0 * k / self.dx * dim)
+                and math.isfinite(dim * k * dt / self.dx)):
+            raise ValueError("k must keep 2 k / dx and k dt / dx finite, got %r" % k)
 
     @property
     def dx(self):
@@ -151,7 +158,15 @@ def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0):
     dx = 1.0 / (checked_int("points_per_axis", points_per_axis, 16) - 1)
     steps = checked_float("step count horizon/dt", horizon / (default_cfl(dim) * dx))
     steps = max(1, int(math.ceil(steps - 1e-12)))
-    return Grid(dim, points_per_axis, horizon / steps, mode, k)
+    # Grid rejects an oversized node count first, whatever the step count
+    grid = Grid(dim, points_per_axis, horizon / steps, mode, k)
+    if steps > MAX_STEPS:
+        raise _too_many_steps(steps)
+    return grid
+
+
+def _too_many_steps(steps):
+    return ValueError("step count horizon/dt must be <= %d, got %g" % (MAX_STEPS, steps))
 
 
 def _check_dirichlet(name, arr):
@@ -199,10 +214,6 @@ class WaveField:
         self.zt = zt
         self.t = float(t)
 
-    @property
-    def dim(self):
-        return self.z.ndim
-
     def copy(self):
         return WaveField(self.z, self.zt, self.t)
 
@@ -235,10 +246,6 @@ class BoundaryTrace:
     @property
     def steps(self):
         return self.samples.shape[0] - 1
-
-    @property
-    def span(self):
-        return self.steps * self.dt
 
 
 @dataclass(frozen=True)
@@ -280,7 +287,10 @@ def boundary_node_count(grid):
 
 def whole_steps(horizon, dt):
     """The number of steps of size dt that make up the horizon."""
-    steps = int(round(horizon / dt))
+    steps = horizon / dt
+    if not steps < MAX_STEPS + 0.5:  # rounds past MAX_STEPS, or is not finite
+        raise _too_many_steps(steps)
+    steps = int(round(steps))
     if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a whole number of time steps")
     return steps
@@ -664,14 +674,3 @@ def read_trajectory_csv(text):
     if not np.all(np.abs(dts - dt) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("trace sample times must be uniform")
     return BoundaryTrace(rows[:, 3:], dt, float(times[0])), rows[:, 1], rows[:, 2]
-
-
-def snapshot_csv(field, grid):
-    """CSV text x[,y],z,zt over all grid nodes in lexicographic order."""
-    _check_shape(field, grid)
-    x = grid.axis()
-    lines = [",".join(["x", "y"][:grid.dim] + ["z", "zt"])]
-    for node in np.ndindex(field.z.shape):
-        lines.append(",".join([fmt_float(x[i]) for i in node]
-                              + [fmt_float(field.z[node]), fmt_float(field.zt[node])]))
-    return "\n".join(lines) + "\n"

@@ -32,14 +32,12 @@ from .certificates import (
     ProblemParams,
     _bisect,
     _wq,
-    certificate_to_dict,
     check_observability,
     check_stability,
     checked_float,
     checked_int,
     compute_regional_radius,
     fmt_float,
-    json_dumps,
     make_certificate,
     phi0_entries,
     phi_obs_entries,
@@ -122,16 +120,6 @@ class SearchConfig:
         object.__setattr__(self, "refinement_rounds",
                            checked_int("refinement_rounds", self.refinement_rounds, 0))
         object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
-
-    def to_dict(self):
-        out = {}
-        if self.chi_grid is not None:
-            out["chi_grid"] = list(self.chi_grid)
-        out["tstar_tol"] = self.tstar_tol
-        out["delta_grid"] = list(self.delta_grid)
-        out["refinement_rounds"] = self.refinement_rounds
-        out["margin"] = self.margin
-        return out
 
     @classmethod
     def from_dict(cls, dct):
@@ -637,17 +625,6 @@ class SweepResult:
         for row in self.rows:
             lines.append(",".join(_row_cells(row)))
         return "\n".join(lines) + "\n"
-
-    def to_json(self):
-        out = []
-        for row in self.rows:
-            entry = {"params": row.params.to_dict(), "feasible": row.feasible}
-            if row.certificate is not None:
-                entry["certificate"] = certificate_to_dict(row.certificate)
-            if row.note is not None:
-                entry["note"] = row.note
-            out.append(entry)
-        return json_dumps({"rows": out})
 
 
 def _cell(value):

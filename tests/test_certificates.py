@@ -644,9 +644,9 @@ class TestRegionalRadius:
 
     def test_tuple_unpacking(self):
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.78, d=1.0)
-        d0, t_max = compute_regional_radius(p, DecisionVars(chi=0.1803))
-        assert d0 == pytest.approx(0.23487012170770424, rel=1e-12)
-        assert t_max == pytest.approx(23.737101593079142, rel=1e-12)
+        out = compute_regional_radius(p, DecisionVars(chi=0.1803))
+        assert out.d0 == pytest.approx(0.23487012170770424, rel=1e-12)
+        assert out.t_max == pytest.approx(23.737101593079142, rel=1e-12)
 
     def test_radius_bounds_and_monotonicity(self):
         rng = np.random.default_rng(20240614)

@@ -134,6 +134,15 @@ class TestErrors:
         ("simulate", {"sim": {"dim": 2, "points_per_axis": 5 * 10 ** 6, "horizon": 1.0,
                               "initial": {"fourier-sine": {"z": [[1.0]]}}}},
          "sim: grid has 5000000^2 nodes, more than 10000000"),
+        # 2.2e301 steps of dt = 0.045: without the bound the run would never end
+        ("simulate", {"sim": {"points_per_axis": 21, "horizon": 1e300,
+                              "initial": {"preset": "paper-example2"}}},
+         "sim: step count horizon/dt must be <= 1000000"),
+        # 2 k / dx overflows, which made NaN in the boundary constants
+        ("simulate", {"sim": {"points_per_axis": 21, "horizon": 1.0,
+                              "mode": "observer-forward", "k": 1e308,
+                              "initial": {"preset": "paper-example2"}}},
+         "sim: k must keep 2 k / dx and k dt / dx finite"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts

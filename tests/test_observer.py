@@ -321,6 +321,17 @@ class TestContractionReport:
         assert not report.applicable
         assert "gain" in report.reason
 
+    def test_uncovered_source_inapplicable(self):
+        # the certificate has g1 = 0, so it says nothing of a 5 z source
+        _, cert, config, truth, trace = contraction_setup(m_max=1)
+        source = pde.Nonlinearity(lambda z, x, t: 5.0 * z, fz_bound=5.0)
+        c = observer.RecoveryConfig(k=0.1, horizon=4.0, m_max=1, grid=config.grid,
+                                    nonlinearity=source, certificate=cert)
+        run = observer.recover(trace, c, truth=truth)
+        report = observer.contraction_report(run, cert)
+        assert not report.applicable and report.ok is None
+        assert report.reason == "certificate g1 0 is below the source's fz_bound 5"
+
     def test_preconditions(self):
         _, cert, config, truth, trace = contraction_setup(m_max=1)
         run = observer.recover(trace, config, truth=truth)
@@ -402,6 +413,15 @@ class TestPerturbedRecover:
                                        grid=self.grid, nonlinearity=QUADRATIC)
         with pytest.raises(ValueError):
             observer.perturbed_recover(self.trace, self.noise, bare)
+
+    def test_uncovered_source_rejected(self):
+        # the certificate's g1 = 0.2 does not bound the slope 0.5 of the source
+        steep = pde.Nonlinearity(lambda z, x, t: 0.5 * z, fz_bound=0.5)
+        config = observer.RecoveryConfig(
+            k=1.0, horizon=2.1, m_max=1, grid=self.grid, nonlinearity=steep,
+            certificate=self.cert)
+        with pytest.raises(ValueError, match="g1 0.2 is below the source's fz_bound 0.5"):
+            observer.perturbed_recover(self.trace, self.noise, config)
 
 
 class TestPerturbedRecover2D:

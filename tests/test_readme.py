@@ -1,26 +1,39 @@
 """The README's Python examples run against the current API.
 
 Each ```python block runs on its own, in a fresh namespace, as a reader
-would paste it; a block that raises fails its test.
+would paste it; a block that raises fails its test.  Each backticked
+`module.name` reference to a wavecert module must name an attribute of it.
 """
 
+import importlib
 import os
+import pkgutil
 import re
 
 import pytest
 
+import wavecert
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 
+with open(README, encoding="utf-8") as fh:
+    TEXT = fh.read()
+
 
 def python_blocks():
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    return [(text.count("\n", 0, m.start()) + 2, m.group(1))
-            for m in re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S)]
+    return [(TEXT.count("\n", 0, m.start()) + 2, m.group(1))
+            for m in re.finditer(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)]
+
+
+def references():
+    modules = [m.name for m in pkgutil.iter_modules(wavecert.__path__)]
+    pattern = r"`(%s)\.(\w+)`" % "|".join(modules)
+    return sorted(set(re.findall(pattern, TEXT)))
 
 
 BLOCKS = python_blocks()
+REFERENCES = references()
 
 
 def test_readme_has_examples():
@@ -31,3 +44,13 @@ def test_readme_has_examples():
 def test_example_runs(line, code, capsys):
     exec(compile(code, "README.md:%d" % line, "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_has_references():
+    assert REFERENCES
+
+
+@pytest.mark.parametrize("module,name", REFERENCES,
+                         ids=["%s.%s" % ref for ref in REFERENCES])
+def test_reference_resolves(module, name):
+    assert hasattr(importlib.import_module("wavecert." + module), name)
