@@ -31,6 +31,13 @@ from .certificates import checked_float, checked_int, fmt_float
 KO_NU = 0.02  # fourth-difference smoothing strength
 MAX_GRID_NODES = 10 ** 7  # 80 MB per node array; a step holds several
 MAX_STEPS = 10 ** 6  # time steps of one run, which keeps a trace row per step
+# nodes times steps of one run: 100x the largest run the tests, demos and
+# benchmark make (about 2e6); the measured boundary is a fraction of the
+# nodes, so this also bounds the trace, to about 2.3e7 floats (2-D, N=16)
+MAX_NODE_STEPS = 2 * 10 ** 8
+# states whose energies run takes in one kernel pass: about 40 at 1-D N=201,
+# one at 2-D N=81, where a batch of many runs out of cache and is slower
+_ENERGY_BLOCK_NODES = 2 ** 13
 
 MODES = ("plant", "observer-forward", "observer-backward")
 
@@ -162,11 +169,19 @@ def make_grid(dim, points_per_axis, horizon, mode="plant", k=0.0):
     grid = Grid(dim, points_per_axis, horizon / steps, mode, k)
     if steps > MAX_STEPS:
         raise _too_many_steps(steps)
+    _check_work(grid, steps)
     return grid
 
 
 def _too_many_steps(steps):
     return ValueError("step count horizon/dt must be <= %d, got %g" % (MAX_STEPS, steps))
+
+
+def _check_work(grid, steps):
+    nodes = grid.points_per_axis ** grid.dim
+    if steps * nodes > MAX_NODE_STEPS:
+        raise ValueError("%d steps over %d nodes make %d node-steps, more than %d"
+                         % (steps, nodes, steps * nodes, MAX_NODE_STEPS))
 
 
 def _check_dirichlet(name, arr):
@@ -176,8 +191,9 @@ def _check_dirichlet(name, arr):
         raise ValueError("%s must vanish on the clamped boundary (x_p = 0)" % name)
 
 
-def _pin_dirichlet(arr):
-    for axis in range(arr.ndim):
+def _pin_dirichlet(arr, lead=0):
+    """Zero the clamped faces; the grid axes follow lead leading axes."""
+    for axis in range(lead, arr.ndim):
         arr.swapaxes(0, axis)[0] = 0.0
 
 
@@ -333,7 +349,7 @@ def _second_difference(z, axis):
     d = np.empty_like(z)
     f, g = z.swapaxes(0, axis), d.swapaxes(0, axis)
     g[0] = 0.0
-    g[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    np.add(f[2:] - 2.0 * f[1:-1], f[:-2], out=g[1:-1])
     g[-1] = 2.0 * (f[-2] - f[-1])
     return d
 
@@ -353,15 +369,21 @@ def _accel(z, grid, nonlinearity, t):
 
 
 def _smooth(w):
+    """Smooth a stacked (z, z_t) array over its grid axes, 1 onwards."""
     nu = KO_NU / 16.0
-    for axis in range(w.ndim):
+    for axis in range(1, w.ndim):
         f = w.swapaxes(0, axis)
         f[2:-2] -= nu * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
-    _pin_dirichlet(w)
+    _pin_dirichlet(w, 1)
 
 
 def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
-    """One explicit step; boundary_input = (y_now, y_next) in observer modes."""
+    """One explicit step; boundary_input = (y_now, y_next) in observer modes.
+
+    The new z and z_t are written into one stacked (2, ...) array, smoothed
+    and checked for finiteness in one pass each; the returned field's z and
+    zt are views into it.
+    """
     injecting = grid.mode != "plant"
     if injecting and boundary_input is None:
         raise ValueError("observer modes need boundary_input = (y_now, y_next)")
@@ -383,25 +405,26 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     if injecting:
         a0 += plan.flux_mult * (_scatter(y0, plan) - v)
 
-    z_new = z + dt * v + plan.half_dt2 * a0
+    stacked = np.empty((2,) + z.shape)
+    z_new, v_new = stacked
+    np.add(z + dt * v, plan.half_dt2 * a0, out=z_new)
     _pin_dirichlet(z_new)
     t_new = t + (-1.0 if grid.mode == "observer-backward" else 1.0) * dt
-    a1 = _accel(z_new, grid, nonlinearity, t_new)
-    a01 = a0 + a1
+    a01 = a0  # a0 is not read again
+    a01 += _accel(z_new, grid, nonlinearity, t_new)
 
     # in observer modes the trapezoidal boundary velocity keeps the
     # new-level damping term implicit, a scalar linear solve per measured node
     if injecting:
-        v_new = (v + plan.half_dt * (a01 + plan.flux_mult * _scatter(y1, plan))) \
-            / plan.denom
+        np.divide(v + plan.half_dt * (a01 + plan.flux_mult * _scatter(y1, plan)),
+                  plan.denom, out=v_new)
     else:
-        v_new = v + plan.half_dt * a01
+        np.add(v, plan.half_dt * a01, out=v_new)
     _pin_dirichlet(v_new)
 
-    _smooth(z_new)
-    _smooth(v_new)
+    _smooth(stacked)
 
-    if not (np.isfinite(z_new).all() and np.isfinite(v_new).all()):
+    if not np.isfinite(stacked).all():
         raise DivergenceError(t_new)
     out = WaveField.__new__(WaveField)
     out.z = z_new
@@ -425,6 +448,7 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     the return becomes (final, trace_out, (E series, V series)).
     """
     steps = whole_steps(horizon, grid.dt)
+    _check_work(grid, steps)
     _check_shape(initial, grid)
     injecting = grid.mode != "plant"
     if injecting:
@@ -446,23 +470,39 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     out_rows = [gather_trace(state.zt, grid)]
     energies = []
     lyap = None if chi is None else []
+    block = max(1, _ENERGY_BLOCK_NODES // state.z.size)
+    pending = [state]
 
-    def record(state):
-        energies.append(_finite(energy(state, grid), "energy", state.t))
-        if lyap is not None:
-            lyap.append(_finite(lyapunov(state, grid, chi, grid.k),
-                                "Lyapunov value", state.t))
+    def record():
+        # the energies of the pending states in one kernel pass, checked in
+        # time order, each before the Lyapunov value of its own state
+        states = pending[:]
+        del pending[:]
+        values = _energy(_gradient(_stack([s.z for s in states]), grid.dx, grid.dim),
+                         _stack([s.zt for s in states]), grid.dx).reshape(-1)
+        for s, value in zip(states, values):
+            energies.append(_finite(value, "energy", s.t))
+            if lyap is not None:
+                lyap.append(_finite(lyapunov(s, grid, chi, grid.k),
+                                    "Lyapunov value", s.t))
 
     # an overflowing step or energy is reported as DivergenceError alone,
     # without a RuntimeWarning first: step checks that the field stays
     # finite, record that the energy does
     with np.errstate(over="ignore", invalid="ignore"):
-        record(state)
-        for i in range(steps):
-            binput = (samples[i], samples[i + 1]) if injecting else None
-            state = step(state, grid, n_f, binput)
-            out_rows.append(gather_trace(state.zt, grid))
-            record(state)
+        try:
+            for i in range(steps):
+                if len(pending) == block:
+                    record()
+                binput = (samples[i], samples[i + 1]) if injecting else None
+                state = step(state, grid, n_f, binput)
+                out_rows.append(gather_trace(state.zt, grid))
+                pending.append(state)
+        finally:
+            # also when a step raised: an energy that overflowed before it
+            # is then reported instead, at its own t
+            if pending:
+                record()
 
     if backward:
         final = WaveField(state.z, -state.zt, state.t)
@@ -475,6 +515,12 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     return final, trace_out, energies
 
 
+def _stack(arrays):
+    # a leading block axis, but a block of one goes bare: no copy, and in
+    # 2-D its kernel pass is faster without the extra axis
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+
 def _finite(value, name, t):
     if not math.isfinite(value):
         raise DivergenceError(t, "%s %s" % (name, fmt_float(value)))
@@ -484,8 +530,9 @@ def _finite(value, name, t):
 # ----------------------------------------------------------------- functionals
 
 
-def _gradient(z, dx):
-    """Per-axis derivatives, as np.gradient(z, dx) computes them.
+def _gradient(z, dx, dim):
+    """Derivatives along the last dim axes, the grid axes (any axes before
+    them index states), as np.gradient(z, dx) computes them.
 
     numpy's own operations for a uniform spacing and edge_order=1: central
     differences (z[2:] - z[:-2]) / (2. * dx) inside, one-sided differences
@@ -493,38 +540,40 @@ def _gradient(z, dx):
     np.gradient's argument handling.
     """
     grads = []
-    for axis in range(z.ndim):
+    for axis in range(z.ndim - dim, z.ndim):
         f = z.swapaxes(0, axis)
         g = np.empty_like(f)  # keeps f's layout, so g swaps back to z's
-        g[1:-1] = (f[2:] - f[:-2]) / (2. * dx)
+        np.divide(f[2:] - f[:-2], 2. * dx, out=g[1:-1])
         g[0] = (f[1] - f[0]) / dx
         g[-1] = (f[-1] - f[-2]) / dx
         grads.append(g.swapaxes(0, axis))
     return grads
 
 
-def _integrate_cells(values, dx):
-    """Trapezoid rule over every axis, the last axis first.
+def _integrate_cells(values, dx, lead=0):
+    """Trapezoid rule over every axis after the lead leading ones, the last
+    axis first.
 
     Each pass is numpy's own np.trapezoid(values, dx=dx, axis=-1)
     operation for a scalar spacing, so the bits are the same without its
     argument handling.
     """
-    for _ in range(values.ndim):
+    for _ in range(values.ndim - lead):
         values = (dx * (values[..., 1:] + values[..., :-1]) / 2.0).sum(-1)
     return values
 
 
 def _energy(grads, zt, dx):
-    """The energy from the gradient, so lyapunov differentiates once."""
+    """The energy from the gradient, so lyapunov differentiates once; with
+    leading axes on zt and the gradients, one energy per state."""
     grad_sq = sum((g * g for g in grads[1:]), grads[0] * grads[0])
-    return 0.5 * _integrate_cells(grad_sq + zt * zt, dx)
+    return 0.5 * _integrate_cells(grad_sq + zt * zt, dx, zt.ndim - len(grads))
 
 
 def energy(field, grid):
     """E = 1/2 integral of |grad z|^2 + z_t^2 (trapezoid rule)."""
     _check_shape(field, grid)
-    return _energy(_gradient(field.z, grid.dx), field.zt, grid.dx)
+    return _energy(_gradient(field.z, grid.dx, grid.dim), field.zt, grid.dx)
 
 
 def hnorm(field, grid):
@@ -542,7 +591,7 @@ def lyapunov(field, grid, chi, k=None):
     k = grid.k if k is None else k
     _check_shape(field, grid)
     z, v, dx, n = field.z, field.zt, grid.dx, grid.dim
-    grads = _gradient(z, dx)
+    grads = _gradient(z, dx, n)
     e = _energy(grads, v, dx)
     # x_i * d_i z, with the axis broadcast along dimension i
     terms = [grid.axis().reshape((-1,) + (1,) * (n - 1 - i)) * g
@@ -643,17 +692,18 @@ def trajectory_csv(trace, energies, lyapunovs=None):
     A non-finite energy or Lyapunov value raises ValueError.
     """
     samples = trace.samples
-    header = "t,E,V," + ",".join("trace%d" % j for j in range(samples.shape[1]))
+    levels, columns = samples.shape
+    header = "t,E,V," + ",".join("trace%d" % j for j in range(columns))
     if lyapunovs is None:
         lyapunovs = energies
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(lyapunovs))):
         raise ValueError("non-finite energy or Lyapunov value in the trajectory")
+    times = trace.t0 + np.arange(levels) * trace.dt
+    table = np.column_stack((times, energies, lyapunovs, samples))
+    # "%.17g" per value, as fmt_float writes each one
+    row = ",".join(["%.17g"] * (3 + columns))
     lines = [header]
-    for i in range(samples.shape[0]):
-        t = trace.t0 + i * trace.dt
-        row = [fmt_float(t), fmt_float(energies[i]), fmt_float(lyapunovs[i])]
-        row.extend(fmt_float(v) for v in samples[i])
-        lines.append(",".join(row))
+    lines.extend(row % tuple(values) for values in table.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,6 @@ worker count.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,6 +48,11 @@ from .smallmat import extremes3
 
 T_STAR_MAX = 200.0
 MAX_GRID_COUNT = 100000
+# each round is one chi scan of a few ms; chi stops moving after about 30
+MAX_REFINEMENT_ROUNDS = 100
+# concurrent.futures' pool, imported by the first sweep that runs workers:
+# importing it is a sizeable part of the CLI's start-up
+ProcessPoolExecutor = None
 
 CSV_HEADER = "n,k,g1,delta,t_star,chi,lambda0,lambda1,lambda2,alpha,beta,d0,feasible"
 
@@ -117,8 +121,11 @@ class SearchConfig:
         object.__setattr__(self, "delta_grid", _check_grid("delta_grid", self.delta_grid))
         object.__setattr__(self, "tstar_tol",
                            checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
-        object.__setattr__(self, "refinement_rounds",
-                           checked_int("refinement_rounds", self.refinement_rounds, 0))
+        rounds = checked_int("refinement_rounds", self.refinement_rounds, 0)
+        if rounds > MAX_REFINEMENT_ROUNDS:
+            raise CertificateError("refinement_rounds must be <= %d, got %d"
+                                   % (MAX_REFINEMENT_ROUNDS, rounds))
+        object.__setattr__(self, "refinement_rounds", rounds)
         object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
 
     @classmethod
@@ -676,6 +683,7 @@ def sweep(problems, config=None, worker_count=1):
     count, because under the fork start method the executor starts all
     its workers up front.
     """
+    global ProcessPoolExecutor
     problems = list(problems)
     if not problems:
         raise CertificateError("sweep needs at least one problem")
@@ -685,6 +693,8 @@ def sweep(problems, config=None, worker_count=1):
     if workers <= 1:
         rows = [_sweep_one(item) for item in items]
     else:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, items))
     return SweepResult(tuple(rows))

@@ -38,14 +38,19 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def fresh_cli(argv, **kw):
-    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+def fresh_python(args, **kw):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "wavecert.cli"] + argv,
+    return subprocess.run([sys.executable] + args,
                           capture_output=True, text=True, env=env, **kw)
+
+
+def fresh_cli(argv, **kw):
+    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    return fresh_python(["-m", "wavecert.cli"] + argv, **kw)
 
 
 class TestErrors:
@@ -143,6 +148,15 @@ class TestErrors:
                               "mode": "observer-forward", "k": 1e308,
                               "initial": {"preset": "paper-example2"}}},
          "sim: k must keep 2 k / dx and k dt / dx finite"),
+        # 993,407 steps over 9,998,244 nodes, each within its own bound:
+        # days of work and a 50 GB trace
+        ("simulate", {"sim": {"dim": 2, "points_per_axis": 3162, "horizon": 200.0,
+                              "initial": {"fourier-sine": {"z": [[1.0]]}}}},
+         "node-steps, more than 200000000"),
+        # each round is one more chi scan: without the bound it never ends
+        ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
+                      "search": {"refinement_rounds": 1e308}},
+         "refinement_rounds must be <= 100"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts
@@ -629,6 +643,16 @@ class TestSweep:
             ["sweep", "--config", cfg, "--jobs", "0",
              "--out", str(tmp_path / "s.csv")], capsys)
         assert code == 1
+
+    def test_cli_import_leaves_the_pool_module_out(self):
+        # only sweep --jobs needs concurrent.futures, which weighs on every
+        # command's start-up
+        proc = fresh_python(["-c", "import sys, wavecert.cli; "
+                                   "print(sorted(m for m in sys.modules "
+                                   "if m.startswith('concurrent')))"],
+                            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestConsoleScript:

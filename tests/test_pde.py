@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from wavecert import pde
-from wavecert.certificates import DecisionVars, ProblemParams, compute_alpha_beta
+from wavecert.certificates import DecisionVars, ProblemParams, compute_alpha_beta, fmt_float
 
 PI = math.pi
 
@@ -305,6 +305,26 @@ class TestGrid:
         assert peak < 2 ** 20
 
 
+    def test_node_steps_bounded_before_any_array(self):
+        # 993,407 steps over 9,998,244 nodes keep within MAX_STEPS and
+        # MAX_GRID_NODES, yet make 9.9e12 node-steps and a 50 GB trace
+        too_much = "node-steps, more than 200000000"
+        grid = pde.make_grid(1, 201, 4400.0)  # 977,778 steps, 1.97e8 node-steps
+        field = pde.WaveField(np.zeros(201), np.zeros(201))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=too_much):
+                pde.make_grid(2, 3162, 200.0)
+            with pytest.raises(ValueError, match=too_much):
+                pde.make_grid(1, 201, 4480.0)
+            with pytest.raises(ValueError, match=too_much):
+                pde.run(field, 995556 * grid.dt, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 class TestWaveField:
     def test_copies_input(self):
         z = np.zeros(21)
@@ -554,6 +574,24 @@ class TestStepAgainstOracle:
         with np.errstate(over="ignore"), pytest.raises(pde.DivergenceError) as exc:
             pde.run(f0, 1.0, g, nl)
         assert 0.0 < exc.value.t <= 1.0
+
+
+    @pytest.mark.parametrize("chi", [None, 0.1])
+    def test_energy_overflow_is_reported_before_a_later_divergence(self, chi):
+        # the energy overflows at t=0 and the first step goes non-finite:
+        # the energy comes first, at its own t, as the states come in order
+        g = pde.make_grid(1, 21, 0.05)
+        x = g.axis()
+        f0 = pde.WaveField(1e200 * x * (1.0 - x), np.zeros_like(x))
+        nl = pde.Nonlinearity(lambda z, x, t: 1e200 * z)
+        with np.errstate(all="ignore"), pytest.raises(pde.DivergenceError,
+                                                      match="non-finite"):
+            pde.step(f0, g, nl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pde.DivergenceError, match="energy inf") as exc:
+                pde.run(f0, 0.05, g, nl, chi=chi)
+        assert exc.value.t == 0.0
 
 
 class TestRunPlant:
@@ -988,6 +1026,18 @@ class TestExport:
             with pytest.raises(ValueError, match="non-finite"):
                 pde.trajectory_csv(trace, np.array(energies), lyap)
 
+    def test_trajectory_rows_write_each_value_as_fmt_float(self):
+        samples = np.array([[-0.0, 5e-324], [1e308, 1.0 / 3.0], [0.1, -2.5e-300]])
+        trace = pde.BoundaryTrace(samples, 1.0 / 3.0, 0.25)
+        energies = np.array([5e-324, 1e308, 1.0 / 3.0])
+        lyap = [-0.0, 1.0 / 3.0, -1e308]
+        want = ["t,E,V,trace0,trace1"]
+        for i in range(3):
+            values = [trace.t0 + i * trace.dt, energies[i], lyap[i]] + list(samples[i])
+            want.append(",".join(fmt_float(v) for v in values))
+        assert pde.trajectory_csv(trace, energies, lyap) == "\n".join(want) + "\n"
+        assert "-0," in want[1] and "4.9406564584124654e-324" in want[1]
+
     def test_trajectory_bad_input(self):
         with pytest.raises(ValueError):
             pde.read_trajectory_csv("a,b\n1,2\n")
@@ -1239,6 +1289,28 @@ class TestBitIdentity:
             want_v.append(ref_lyapunov(ref, grid, 0.2, grid.k))
         assert _bits(energies) == _bits(want_e)
         assert _bits(lyaps) == _bits(want_v)
+
+
+    @pytest.mark.parametrize("dim,n,horizon", [(1, 41, 10.0), (1, 201, 1.0),
+                                                (2, 21, 1.0), (2, 81, 0.1)])
+    def test_run_energies_match_per_state_energy(self, dim, n, horizon):
+        # run takes the energies a block of states at a time (199 states at
+        # 1-D N=41, 40 at N=201, 18 at 2-D N=21, one at N=81); the step
+        # counts leave a partial block at the end
+        rng = np.random.default_rng([13, dim, n])
+        grid = pde.make_grid(dim, n, horizon, "observer-forward", 1.0)
+        steps = pde.whole_steps(horizon, grid.dt)
+        y = _boundary_inputs(rng, grid, steps)
+        f0 = _random_field(rng, n, dim)
+        f0.t = 0.0
+        nl = _sources(dim)["x-dependent"]
+        _, _, energies = pde.run(f0, horizon, grid, nl, pde.BoundaryTrace(y, grid.dt))
+        state, want = f0, [pde.energy(f0, grid)]
+        for i in range(steps):
+            state = pde.step(state, grid, nl, (y[i], y[i + 1]))
+            want.append(pde.energy(state, grid))
+        assert len(energies) == steps + 1
+        assert _bits(energies) == _bits(want)
 
 
 def ref_boundary_sq_integral(samples, grid):

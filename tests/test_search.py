@@ -203,6 +203,14 @@ class TestSearchConfig:
         with pytest.raises(CertificateError, match=r"chi_grid count must be <= 100000"):
             SearchConfig(chi_grid=(1e-3, 0.1, 100001))
 
+    def test_refinement_rounds_bound(self):
+        # each round is one more chi scan, so 1e308 rounds never ended
+        assert SearchConfig(refinement_rounds=100).refinement_rounds == 100
+        for rounds in (101, 1e308):
+            with pytest.raises(CertificateError,
+                               match=r"refinement_rounds must be <= 100, got "):
+                SearchConfig(refinement_rounds=rounds)
+
 
 # ----------------------------------------------------------- stability search
 
