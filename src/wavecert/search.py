@@ -123,7 +123,7 @@ class SearchConfig:
                            checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
         rounds = checked_int("refinement_rounds", self.refinement_rounds, 0)
         if rounds > MAX_REFINEMENT_ROUNDS:
-            raise CertificateError("refinement_rounds must be <= %d, got %d"
+            raise CertificateError("refinement_rounds must be <= %d, got %g"
                                    % (MAX_REFINEMENT_ROUNDS, rounds))
         object.__setattr__(self, "refinement_rounds", rounds)
         object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
