@@ -22,8 +22,7 @@ truth = WaveField(z0, z0.copy())
 _, trace, _ = run(truth, horizon, grid)
 
 config = RecoveryConfig(k=0.1, horizon=horizon, m_max=6, grid=grid,
-                        certificate=cert, convergence_threshold=1e-12,
-                        stop_early=False)
+                        certificate=cert, convergence_threshold=1e-12)
 result = recover(trace, config, truth=truth)
 report = contraction_report(result, cert)
 

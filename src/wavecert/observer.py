@@ -26,8 +26,8 @@ DIVERGENCE_FACTOR = 1e6
 class RecoveryConfig:
     """Settings for one recovery: gain, window, budget, grid, source term.
 
-    stop_early ends the loop at the first converged iteration; studies of
-    the contraction rate switch it off to use the whole budget.
+    The loop ends at the first iteration whose relative change is below
+    convergence_threshold, or after m_max iterations.
     """
 
     k: float
@@ -37,7 +37,6 @@ class RecoveryConfig:
     nonlinearity: pde.Nonlinearity = pde.ZERO_F
     convergence_threshold: float = 1e-3
     certificate: object = None
-    stop_early: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "k", checked_float("k", self.k, 0.0))
@@ -184,8 +183,7 @@ def recover(measurements, config, truth=None):
             break
         if succ < config.convergence_threshold:
             converged = True
-            if config.stop_early:
-                break
+            break
 
     final_error = None
     if truth is not None and records:

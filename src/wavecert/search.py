@@ -34,7 +34,6 @@ from .certificates import (
     check_observability,
     check_stability,
     checked_float,
-    checked_int,
     compute_regional_radius,
     fmt_float,
     make_certificate,
@@ -47,9 +46,15 @@ from .certificates import (
 from .smallmat import extremes3
 
 T_STAR_MAX = 200.0
-MAX_GRID_COUNT = 100000
-# each round is one chi scan of a few ms; chi stops moving after about 30
-MAX_REFINEMENT_ROUNDS = 100
+# the search resolution, fixed: the chi scan runs CHI_COUNT log-spaced points
+# from CHI_LO to just below the psi1 cut, and find_feasible_vars refines it
+# REFINEMENT_ROUNDS times with REFINEMENT_COUNT points between the best
+# point's neighbours; an unpinned delta runs over DELTA_GRID (lo, hi, count)
+CHI_LO = 1e-4
+CHI_COUNT = 400
+REFINEMENT_ROUNDS = 3
+REFINEMENT_COUNT = 40
+DELTA_GRID = (1e-4, 0.5, 30)
 # concurrent.futures' pool, imported by the first sweep that runs workers:
 # importing it is a sizeable part of the CLI's start-up
 ProcessPoolExecutor = None
@@ -81,51 +86,22 @@ class Infeasible(Exception):
         return self.reason
 
 
-def _check_grid(name, grid):
-    try:
-        lo, hi, count = grid
-    except (TypeError, ValueError):
-        raise CertificateError("%s must be a (lo, hi, count) triple" % name)
-    lo = checked_float(name + " lo", lo, 0.0, strict=True)
-    hi = checked_float(name + " hi", hi)
-    if not lo < hi:
-        raise CertificateError("%s needs 0 < lo < hi" % name)
-    count = checked_int(name + " count", count, 2)
-    if count > MAX_GRID_COUNT:
-        # a scan holds a few arrays of 3 count floats per bisection step
-        raise CertificateError("%s count must be <= %d, got %d"
-                               % (name, MAX_GRID_COUNT, count))
-    return lo, hi, count
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the grid searches; defaults reproduce the reference setup.
+    """Settings of the searches; the grids are the module's constants.
 
-    chi_grid of None means automatic: 400 log-spaced points from 1e-4 up to
-    the psi1 cut of the problem at hand.  Multiplier decisions and values
-    are closed-form or bisected to the float spacing and take no
-    tolerance.  tstar_tol ends the t_star bisection, which also stops at
-    the float spacing.
+    Multiplier decisions and values are closed-form or bisected to the
+    float spacing and take no tolerance.  tstar_tol ends the t_star
+    bisection, which also stops at the float spacing; margin is the slack
+    every LMI check keeps.
     """
 
-    chi_grid: tuple = None
     tstar_tol: float = 1e-3
-    delta_grid: tuple = (1e-4, 0.5, 30)
-    refinement_rounds: int = 3
     margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
-        if self.chi_grid is not None:
-            object.__setattr__(self, "chi_grid", _check_grid("chi_grid", self.chi_grid))
-        object.__setattr__(self, "delta_grid", _check_grid("delta_grid", self.delta_grid))
         object.__setattr__(self, "tstar_tol",
                            checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
-        rounds = checked_int("refinement_rounds", self.refinement_rounds, 0)
-        if rounds > MAX_REFINEMENT_ROUNDS:
-            raise CertificateError("refinement_rounds must be <= %d, got %g"
-                                   % (MAX_REFINEMENT_ROUNDS, rounds))
-        object.__setattr__(self, "refinement_rounds", rounds)
         object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
 
     @classmethod
@@ -330,14 +306,13 @@ def _chi_cut(params):
     return params.k / (1.0 + params.k * params.k * params.n)
 
 
-def _chi_grid(params, config):
+def _chi_grid(params):
     cut = _chi_cut(params)
-    lo, hi, count = config.chi_grid or (1e-4, math.inf, 400)
-    hi = min(hi, cut * (1.0 - 1e-9))
-    if hi <= lo:
+    hi = cut * (1.0 - 1e-9)
+    if hi <= CHI_LO:
         raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
                          % fmt_float(cut))
-    return lo, hi, count
+    return CHI_LO, hi, CHI_COUNT
 
 
 def _stability_feasible(params, chi, config):
@@ -359,7 +334,7 @@ def chi_min_stability(params, config=None):
     config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required for a stability search")
-    lo, hi, count = _chi_grid(params, config)
+    lo, hi, count = _chi_grid(params)
     found = None
     prev = None
     for x in np.geomspace(lo, hi, count):
@@ -408,19 +383,18 @@ def _observation_window(params, config, delta):
     return _bisect(observable, 0.0, T_STAR_MAX, config.tstar_tol), cmin
 
 
-def _deltas(params, config):
-    # a set delta pins a search to itself; otherwise the configured grid
+def _deltas(params):
+    # a set delta pins a search to itself; otherwise the fixed grid
     if params.delta is not None:
         return [params.delta]
-    lo, hi, count = config.delta_grid
-    return [float(x) for x in np.geomspace(lo, hi, count)]
+    return [float(x) for x in np.geomspace(*DELTA_GRID)]
 
 
 def minimal_observability_time(params, config=None):
     """(t_star, delta, Certificate) minimizing t_star over the delta grid.
 
-    A set params.delta pins the search to that single delta; otherwise the
-    configured grid is swept.  Among deltas whose minimal times agree within
+    A set params.delta pins the search to that single delta; otherwise
+    DELTA_GRID is swept.  Among deltas whose minimal times agree within
     tstar_tol the largest delta wins (fastest certified contraction).
     """
     config = config or SearchConfig()
@@ -428,7 +402,7 @@ def minimal_observability_time(params, config=None):
         raise CertificateError("t_star must be left unset for a minimal-time search")
     wins = []
     reasons = []
-    for delta in _deltas(params, config):
+    for delta in _deltas(params):
         try:
             t, _ = _observation_window(params, config, delta)
             wins.append((t, delta))
@@ -478,7 +452,7 @@ def find_feasible_vars(params, config=None):
     if params.delta is None:
         raise CertificateError("delta is required for a feasibility search")
     observability = params.t_star is not None
-    lo, hi, count = _chi_grid(params, config)
+    lo, hi, count = _chi_grid(params)
     margin = config.margin
 
     lmis = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False)]
@@ -509,12 +483,12 @@ def find_feasible_vars(params, config=None):
     grid = np.geomspace(lo, hi, count)
     best_w, best_i, best_chi, best_lams = -math.inf, 0, float(grid[0]), None
     scan(grid)
-    for _ in range(config.refinement_rounds):
+    for _ in range(REFINEMENT_ROUNDS):
         a = grid[max(best_i - 1, 0)]
         b = grid[min(best_i + 1, len(grid) - 1)]
         if not b > a:
             break
-        grid = np.geomspace(a, b, 40)
+        grid = np.geomspace(a, b, REFINEMENT_COUNT)
         best_i = int(np.argmin(np.abs(grid - best_chi)))
         scan(grid)
     if not best_w > 0.0:
@@ -544,7 +518,7 @@ def maximize_regional_radius(params, config=None):
         raise CertificateError("d (the radius on which f is Lipschitz) is required")
     best = None
     reasons = []
-    for delta in _deltas(params, config):
+    for delta in _deltas(params):
         try:
             t, cmin = _observation_window(params, config, delta)
         except Infeasible as exc:

@@ -173,8 +173,7 @@ def test_criterion_6_contraction_ratios():
     _, trace, _ = pde.run(truth, horizon, grid)
     config = observer.RecoveryConfig(k=0.1, horizon=horizon, m_max=6,
                                      grid=grid, certificate=cert,
-                                     convergence_threshold=1e-12,
-                                     stop_early=False)
+                                     convergence_threshold=1e-12)
     run = observer.recover(trace, config, truth=truth)
     report = observer.contraction_report(run, cert, slack=0.1)
     assert report.applicable, "criterion 6 FAIL: %s" % report.reason

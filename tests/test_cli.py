@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavecert import certificates, cli, pde
+from wavecert import certificates, cli, pde, search
 
 FIG_SIM = {
     "points_per_axis": 201,
@@ -102,11 +102,13 @@ class TestErrors:
         ("certify", {"problem": {"n": 1, "k": "1.5", "delta": 0.05}}, "k must"),
         ("certify", {"problem": {"n": 1, "k": 1.0, "g1": True, "delta": 0.05}},
          "g1 must"),
+        # a retired grid key is dropped before the rest of the section is
+        # checked, so the error names the key that is still read
         ("certify", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
-                     "search": {"refinement_rounds": math.inf}},
-         "refinement_rounds must"),
+                     "search": {"refinement_rounds": math.inf, "margin": math.inf}},
+         "margin must be finite"),
         ("certify", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
-                     "search": {"chi_grid": 5}}, "chi_grid must"),
+                     "search": {"chi_grid": 5, "tstar_tol": 0}}, "tstar_tol must be >"),
         ("simulate", {"sim": {"points_per_axis": math.inf, "horizon": 1.0,
                               "initial": {"preset": "paper-example2"}}},
          "points_per_axis must"),
@@ -115,8 +117,8 @@ class TestErrors:
                       "search": {"lambda_bisection_tol": 0.5}},
          "unknown search keys: lambda_bisection_tol"),
         ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
-                      "search": {"chi_grid": [1e-4, 0.4, 10 ** 8]}},
-         "chi_grid count must be <= 100000"),
+                      "search": {"chi_grid": [1e-4, 0.4, 10 ** 8], "chi_gird": 1}},
+         "unknown search keys: chi_gird"),
         # JSON integers past the float range, which float() cannot convert
         ("certify", {"problem": {"n": 1, "k": 10 ** 400, "delta": 0.05}},
          "k is an integer too large for a float"),
@@ -153,10 +155,9 @@ class TestErrors:
         ("simulate", {"sim": {"dim": 2, "points_per_axis": 3162, "horizon": 200.0,
                               "initial": {"fourier-sine": {"z": [[1.0]]}}}},
          "node-steps, more than 200000000"),
-        # each round is one more chi scan: without the bound it never ends
         ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
-                      "search": {"refinement_rounds": 1e308}},
-         "refinement_rounds must be <= 100"),
+                      "search": {"refinement_rounds": 1e308, "margin": -1e-9}},
+         "margin must be >= 0"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts
@@ -167,6 +168,18 @@ class TestErrors:
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and says in err
+
+    def test_retired_search_keys_are_ignored(self, tmp_path, capsys):
+        # the grids are fixed; 1e308 refinement rounds once ran without end
+        doc = {"problem": {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05},
+               "search": {"tstar_tol": 0.01}}
+        plain = run_cli(["min-time", "--config", write_json(tmp_path, "a.json", doc)],
+                        capsys)
+        doc["search"].update(chi_grid=[1e-4, 0.49, 12], refinement_rounds=1e308,
+                             delta_grid="x")
+        retired = run_cli(["min-time", "--config", write_json(tmp_path, "b.json", doc)],
+                          capsys)
+        assert retired == plain and plain[0] == 0 and plain[2] == ""
 
     def test_usage_error_is_exit_one(self, capsys):
         # argparse would exit 2, which is reserved for negative results
@@ -248,6 +261,65 @@ class TestCertify:
         assert code == 2
         data = json.loads(out)
         assert data["feasible"] is False and data["reason"]
+
+    MARGIN_PROBLEM = {"n": 1, "k": 1.0, "g1": 0.2, "delta": 0.09}
+
+    def test_margin_sets_the_search_and_the_check(self, tmp_path, capsys):
+        # the search once ran at the config's margin and the check at
+        # --margin, and rejected the point of its own search
+        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM})
+        code, out, err = run_cli(["certify", "--config", cfg, "--margin", "0.09"],
+                                 capsys)
+        assert code == 0, out
+        params = certificates.ProblemParams.from_dict(self.MARGIN_PROBLEM)
+        vars = search.find_feasible_vars(params, search.SearchConfig(margin=0.09))
+        assert json.loads(out)["vars"]["chi"] == vars.chi
+        # the config's search.margin is the margin when --margin is not given
+        cfg = write_json(tmp_path, "m.json", {"problem": self.MARGIN_PROBLEM,
+                                              "search": {"margin": 0.09}})
+        assert run_cli(["certify", "--config", cfg], capsys)[:2] == (code, out)
+
+    def test_margin_with_vars(self, tmp_path, capsys):
+        # phi0's margin at the default lambda0 is 1e-6: inside the default
+        # margin, outside 1e-3, whether --margin or search.margin sets it
+        problem = {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.05}
+        vars_path = write_json(tmp_path, "v.json", {"chi": 0.2, "lambda1": 0.15})
+        for doc, flags, want in [({}, [], 0), ({}, ["--margin", "1e-3"], 2),
+                                 ({"search": {"margin": 1e-3}}, [], 2),
+                                 ({"search": {"margin": 1e-3}}, ["--margin", "0"], 0)]:
+            cfg = write_json(tmp_path, "c.json", dict(doc, problem=problem))
+            code, out, err = run_cli(
+                ["certify", "--config", cfg, "--vars", vars_path] + flags, capsys)
+            assert code == want and json.loads(out)["feasible"] is (want == 0)
+            if want:
+                assert json.loads(out)["failing"] == ["phi0"]
+
+    def test_bad_margin(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM})
+        for bad in ("-1", "nan", "inf"):
+            code, out, err = run_cli(["certify", "--config", cfg, "--margin", bad],
+                                     capsys)
+            assert code == 1 and out == "" and err.startswith("error: margin must")
+
+    def test_vars_from_min_time_stdout(self, tmp_path, capsys):
+        # min-time prints its certificate under a "certificate" key
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05},
+                          "search": {"tstar_tol": 0.01}})
+        code, out, err = run_cli(["min-time", "--config", cfg], capsys)
+        assert code == 0
+        stdout_path = tmp_path / "stdout.json"
+        stdout_path.write_text(out)
+        code, checked, err = run_cli(
+            ["certify", "--config", cfg, "--vars", str(stdout_path)], capsys)
+        assert code == 0
+        data = json.loads(checked)
+        assert data["feasible"] is True
+        assert data["params"]["t_star"] == json.loads(out)["t_star"]
+        stdout_path.write_text(json.dumps({"certificate": [1]}))
+        code, checked, err = run_cli(
+            ["certify", "--config", cfg, "--vars", str(stdout_path)], capsys)
+        assert code == 1 and "certificate entry must be a JSON object" in err
 
     def test_vars_problem_mismatch(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
@@ -507,6 +579,28 @@ class TestRecover:
         assert data["converged"] is True and data["diverged"] is False
         assert data["iterations"][-1]["succ_change"] < 1e-3
         assert json.loads(open(out_path).read()) == data
+
+    def test_certificate_section_arms_the_regional_guard(self, tmp_path, capsys):
+        # a certificate with d adds the guard's verdict to the report; the
+        # preset's max |z| of 0.137 stays within d = 0.5, not within 0.05
+        cfg, trace_path = self.make_trace(tmp_path, capsys)
+        params = certificates.ProblemParams(n=1, k=1.0, g1=0.2, delta=0.09)
+        vars = search.find_feasible_vars(params)
+        for d, holds in ((0.5, True), (0.05, False)):
+            cert = certificates.make_certificate(
+                certificates.ProblemParams(n=1, k=1.0, g1=0.2, delta=0.09, d=d), vars)
+            doc = {"sim": FIG_SIM, "certificate": certificates.certificate_to_dict(cert)}
+            code, out, err = run_cli(
+                ["recover", "--config", write_json(tmp_path, "r.json", doc),
+                 "--trace", trace_path, "--iterations", "10",
+                 "--out", str(tmp_path / "run.json")], capsys)
+            assert code == 0 and json.loads(out)["regional_guard_ok"] is holds
+        doc = {"sim": FIG_SIM, "certificate": {"params": {"n": 1}}}
+        code, out, err = run_cli(
+            ["recover", "--config", write_json(tmp_path, "bad.json", doc),
+             "--trace", trace_path, "--iterations", "10",
+             "--out", str(tmp_path / "run.json")], capsys)
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_budget_too_small_is_exit_two(self, tmp_path, capsys):
         cfg, trace_path = self.make_trace(tmp_path, capsys)

@@ -53,8 +53,7 @@ def contraction_setup(horizon=4.0, m_max=6):
     _, trace, _ = pde.run(truth, horizon, grid)
     config = observer.RecoveryConfig(k=0.1, horizon=horizon, m_max=m_max,
                                      grid=grid, certificate=cert,
-                                     convergence_threshold=1e-12,
-                                     stop_early=False)
+                                     convergence_threshold=1e-12)
     return t_star, cert, config, truth, trace
 
 
@@ -64,7 +63,7 @@ class TestRecoveryConfig:
         c = observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=10, grid=g)
         assert c.convergence_threshold == 1e-3
         assert c.nonlinearity is pde.ZERO_F
-        assert c.certificate is None and c.stop_early
+        assert c.certificate is None and not hasattr(c, "stop_early")
         assert c.steps == round(2.0 / g.dt)
 
     def test_validation(self):
@@ -110,8 +109,7 @@ class TestRecover:
         grid, truth, trace = example_setup(horizon, n_points=101)
         config = observer.RecoveryConfig(k=1.0, horizon=horizon, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
-                                         convergence_threshold=1e-15,
-                                         stop_early=False)
+                                         convergence_threshold=1e-15)
         run = observer.recover(trace, config)
         steps = config.steps
         oz = np.zeros(101)
@@ -139,8 +137,7 @@ class TestRecover:
         grid, truth, trace = example_setup(2.1)
         config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=4,
                                          grid=grid, nonlinearity=QUADRATIC,
-                                         convergence_threshold=1e-15,
-                                         stop_early=False)
+                                         convergence_threshold=1e-15)
         run = observer.recover(trace, config)
         assert all(r.E_b_t0 is None and r.V_b_t0 is None for r in run.records)
         assert run.records[0].ratio is None
@@ -154,8 +151,7 @@ class TestRecover:
         config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          certificate=cert,
-                                         convergence_threshold=1e-15,
-                                         stop_early=False)
+                                         convergence_threshold=1e-15)
         run = observer.recover(trace, config, truth=truth)
         gf = pde.Grid(1, 201, grid.dt, "observer-forward", 1.0)
         assert abs(run.E_b_initial - pde.energy(truth, gf)) < 1e-15
@@ -171,8 +167,7 @@ class TestRecover:
         shifted = pde.BoundaryTrace(trace.samples, trace.dt, t0=0.5)
         config = observer.RecoveryConfig(k=1.0, horizon=1.5, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
-                                         convergence_threshold=1e-15,
-                                         stop_early=False)
+                                         convergence_threshold=1e-15)
         run = observer.recover(shifted, config)
         assert run.recovered.t == 0.5
         assert len(run.records) == 2
@@ -332,6 +327,17 @@ class TestContractionReport:
         assert not report.applicable and report.ok is None
         assert report.reason == "certificate g1 0 is below the source's fz_bound 5"
 
+    def test_stability_certificate_inapplicable(self):
+        # no t_star: the certificate bounds decay, not the sweep's contraction
+        cert = stability_certificate()
+        grid, truth, trace = example_setup(2.1, n_points=101)
+        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=1, grid=grid,
+                                         nonlinearity=QUADRATIC, certificate=cert)
+        run = observer.recover(trace, config, truth=truth)
+        report = observer.contraction_report(run, cert)
+        assert not report.applicable and report.ok is None
+        assert report.reason == "certificate carries no observation time"
+
     def test_preconditions(self):
         _, cert, config, truth, trace = contraction_setup(m_max=1)
         run = observer.recover(trace, config, truth=truth)
@@ -478,6 +484,18 @@ class TestRegionalGuard:
         run = observer.recover(trace, config, truth=truth)
         assert run.regional_guard_ok is False
 
+    def test_guard_trips_inside_the_loop(self):
+        # without the truth the guard starts out holding; the estimates,
+        # which approach the truth (max |z| 0.137), leave the radius 0.05
+        cert = stability_certificate(d=0.05)
+        grid, truth, trace = example_setup(2.1, n_points=101)
+        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=2,
+                                         grid=grid, nonlinearity=QUADRATIC,
+                                         certificate=cert)
+        run = observer.recover(trace, config)
+        assert float(np.max(np.abs(truth.z))) > 0.05
+        assert run.regional_guard_ok is False
+
     def test_local_radius_participates(self):
         tight = pde.Nonlinearity(lambda z, x, t: 0.1 * z * z, fz_bound=0.2,
                                  local_radius=0.05)
@@ -495,8 +513,7 @@ class TestSerialization:
         grid, truth, trace = example_setup(2.1, n_points=101)
         config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
-                                         convergence_threshold=1e-15,
-                                         stop_early=False)
+                                         convergence_threshold=1e-15)
         run = observer.recover(trace, config)
         data = json.loads(observer.run_to_json(run))
         assert set(data) == {"iterations", "converged", "diverged"}
@@ -523,8 +540,7 @@ class TestSerialization:
         grid, truth, trace = example_setup(1.5, n_points=101)
         config = observer.RecoveryConfig(k=1.0, horizon=1.5, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
-                                         convergence_threshold=1e-15,
-                                         stop_early=False)
+                                         convergence_threshold=1e-15)
         run = observer.recover(trace, config, truth=truth)
         data = json.loads(observer.run_to_json(run))
         assert data["final_error_vs_truth"] == run.final_error_vs_truth

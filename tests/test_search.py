@@ -11,7 +11,7 @@ independent implementation.
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -160,15 +160,16 @@ def obs_feasible_oracle(n, delta, t_star, chi, margin=1e-9):
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
-        assert cfg.chi_grid is None
-        assert cfg.delta_grid == (1e-4, 0.5, 30)
-        assert cfg.refinement_rounds == 3
-        assert cfg.tstar_tol == 1e-3
+        assert [f.name for f in fields(cfg)] == ["tstar_tol", "margin"]
+        assert cfg.tstar_tol == 1e-3 and cfg.margin == 1e-9
+        assert (search.CHI_LO, search.CHI_COUNT) == (1e-4, 400)
+        assert (search.REFINEMENT_ROUNDS, search.REFINEMENT_COUNT) == (3, 40)
+        assert search.DELTA_GRID == (1e-4, 0.5, 30)
 
     def test_dict_round_trip(self):
-        doc = {"chi_grid": [1e-3, 0.4, 50], "tstar_tol": 1e-2}
+        doc = {"tstar_tol": 1e-2, "margin": 1e-6}
         back = SearchConfig.from_dict(json.loads(json.dumps(doc)))
-        assert back == SearchConfig(chi_grid=(1e-3, 0.4, 50), tstar_tol=1e-2)
+        assert back == SearchConfig(tstar_tol=1e-2, margin=1e-6)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(CertificateError, match="unknown"):
@@ -190,26 +191,32 @@ class TestSearchConfig:
         {"chi_grid": ("a", "b", 3)},
         {"tstar_tol": math.inf},
         {"margin": -1e-9},
-        # a scan's arrays grow with the count: bounded before any is built
         {"chi_grid": (1e-3, 0.1, 10 ** 8)},
         {"delta_grid": (1e-4, 0.5, 10 ** 8)},
     ])
     def test_invalid_values_rejected(self, kw):
-        with pytest.raises(CertificateError):
-            SearchConfig(**kw)
+        # the grids are constants: a grid key is unknown, whatever its value
+        [key] = kw
+        says = key + " must" if key in ("tstar_tol", "margin") else "unknown search keys: " + key
+        with pytest.raises(CertificateError, match="^" + re.escape(says)):
+            SearchConfig.from_dict(kw)
 
-    def test_grid_count_bound(self):
-        assert SearchConfig(chi_grid=(1e-3, 0.1, 100000)).chi_grid[2] == 100000
-        with pytest.raises(CertificateError, match=r"chi_grid count must be <= 100000"):
-            SearchConfig(chi_grid=(1e-3, 0.1, 100001))
+    def test_grid_count_bound(self, monkeypatch):
+        # a scan's size is fixed: CHI_COUNT points, then REFINEMENT_ROUNDS
+        # scans of REFINEMENT_COUNT points, for stability and observability
+        sizes = []
+        best = search._best_multipliers
+        monkeypatch.setattr(search, "_best_multipliers",
+                            lambda p, chi, lmis: sizes.append(len(chi)) or best(p, chi, lmis))
+        find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1))
+        find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.9))
+        assert sizes == 2 * ([400] + [40] * 3)
 
     def test_refinement_rounds_bound(self):
-        # each round is one more chi scan, so 1e308 rounds never ended
-        assert SearchConfig(refinement_rounds=100).refinement_rounds == 100
-        for rounds in (101, 1e308):
-            with pytest.raises(CertificateError,
-                               match=r"refinement_rounds must be <= 100, got "):
-                SearchConfig(refinement_rounds=rounds)
+        # 1e308 rounds once never ended; no config sets the rounds any more
+        with pytest.raises(CertificateError,
+                           match=r"^unknown search keys: refinement_rounds$"):
+            SearchConfig.from_dict({"refinement_rounds": 1e308, "tstar_tol": 0.1})
 
 
 # ----------------------------------------------------------- stability search
@@ -251,10 +258,10 @@ class TestChiMinStability:
             chi_min_stability(p)
 
     def test_empty_range_reported(self):
-        p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.01)
-        cfg = SearchConfig(chi_grid=(0.6, 0.9, 10))
+        # the psi1 cut k/(1+k^2 n) lies below the grid's start CHI_LO
+        p = ProblemParams(n=1, k=1e-5, g1=0.0, delta=1e-6)
         with pytest.raises(Infeasible, match="empty chi range"):
-            chi_min_stability(p, cfg)
+            chi_min_stability(p)
 
 
 # ----------------------------------------------------------- minimal-time
@@ -296,13 +303,45 @@ class TestMinimalTime:
         assert obs_feasible_oracle(1, 0.001, t, probe)
         assert not obs_feasible_oracle(1, 0.001, t - 2.0 * cfg.tstar_tol, probe)
 
-    def test_equal_times_prefer_larger_delta(self):
+    def test_equal_times_prefer_larger_delta(self, monkeypatch):
         # two tiny deltas give times equal within tolerance; the larger
         # delta must win the tie (faster certified contraction)
-        cfg = SearchConfig(delta_grid=(1e-4, 2e-4, 2))
+        monkeypatch.setattr(search, "DELTA_GRID", (1e-4, 2e-4, 2))
         p = ProblemParams(n=1, k=1.0, g1=0.0)
-        t, delta, cert = minimal_observability_time(p, cfg)
+        t, delta, cert = minimal_observability_time(p)
         assert delta == pytest.approx(2e-4, rel=1e-12)
+
+    def test_assembly_failures_nudge_t_star_then_give_up(self, monkeypatch):
+        # the bisected time can sit on the feasibility boundary: each failed
+        # assembly moves t_star up by tstar_tol, four tries in all
+        p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001)
+        t0, _, _ = minimal_observability_time(p)
+        real = search.find_feasible_vars
+        tried = []
+
+        def fails_first(params, config=None):
+            tried.append(params.t_star)
+            if len(tried) == 1:
+                raise Infeasible("on the boundary")
+            return real(params, config)
+
+        monkeypatch.setattr(search, "find_feasible_vars", fails_first)
+        t, _, cert = minimal_observability_time(p)
+        assert tried == [t0, t0 + 1e-3] and t == cert.params.t_star == t0 + 1e-3
+
+        def always_fails(params, config=None):
+            tried.append(params.t_star)
+            raise Infeasible("on the boundary")
+
+        monkeypatch.setattr(search, "find_feasible_vars", always_fails)
+        del tried[:]
+        with pytest.raises(Infeasible, match="^could not assemble a certificate "
+                                             "near the bisected time: on the boundary$"):
+            minimal_observability_time(p)
+        want = [t0]
+        for _ in range(3):
+            want.append(want[-1] + 1e-3)
+        assert tried == want
 
     def test_rejects_preset_t_star(self):
         p = ProblemParams(n=1, k=1.0, delta=0.01, t_star=3.0)
@@ -373,9 +412,9 @@ class TestFindFeasibleVars:
             find_feasible_vars(ProblemParams(n=1, k=1.0))
 
     def test_empty_grid_after_cut(self):
-        p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.01)
+        p = ProblemParams(n=1, k=1e-5, g1=0.0, delta=1e-6)
         with pytest.raises(Infeasible, match="empty chi range"):
-            find_feasible_vars(p, SearchConfig(chi_grid=(0.51, 0.9, 5)))
+            find_feasible_vars(p)
 
     def test_deterministic(self):
         p = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01)
@@ -480,10 +519,7 @@ def point_loop_find_feasible_vars(params, config=None):
     if params.delta is None:
         raise CertificateError("delta is required for a feasibility search")
     observability = params.t_star is not None
-    lo, hi, count = search._chi_grid(params, config)
-    if hi <= lo:
-        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
-                         % fmt_float(search._chi_cut(params)))
+    lo, hi, count = search._chi_grid(params)
     margin = config.margin
     best = point_best_multiplier
 
@@ -505,12 +541,12 @@ def point_loop_find_feasible_vars(params, config=None):
         w, lams = worst(chi)
         if w > best_w:
             best_w, best_i, best_chi, best_lams = w, i, chi, lams
-    for _ in range(config.refinement_rounds):
+    for _ in range(search.REFINEMENT_ROUNDS):
         a = grid[max(best_i - 1, 0)]
         b = grid[min(best_i + 1, len(grid) - 1)]
         if not b > a:
             break
-        grid = [float(x) for x in np.geomspace(a, b, 40)]
+        grid = [float(x) for x in np.geomspace(a, b, search.REFINEMENT_COUNT)]
         best_i = min(range(len(grid)), key=lambda j: abs(grid[j] - best_chi))
         for i, chi in enumerate(grid):
             w, lams = worst(chi)
@@ -736,30 +772,33 @@ class TestLockstepScan:
         sequential = raised(lambda: [best_one(params, chi, *lmi) for lmi in lmis])
         assert combined == sequential == (raises, says)
 
+    # config holds the search constants a case sets
     @pytest.mark.parametrize("params,config", [
         (ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001),
-         SearchConfig(chi_grid=(1e-3, 0.45, 60), refinement_rounds=2)),
+         {"CHI_LO": 1e-3, "CHI_COUNT": 60, "REFINEMENT_ROUNDS": 2}),
         (ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.9),
-         SearchConfig(refinement_rounds=0)),
+         {"REFINEMENT_ROUNDS": 0}),
         (ProblemParams(n=2, k=1.0, g1=0.3, delta=0.01, t_star=38.0),
-         SearchConfig(chi_grid=(1e-3, 0.3, 40), refinement_rounds=1)),
+         {"CHI_LO": 1e-3, "CHI_COUNT": 40, "REFINEMENT_ROUNDS": 1}),
         (ProblemParams(n=3, k=1.0, g1=0.05, delta=0.02),
-         SearchConfig(chi_grid=(1e-3, 0.25, 30), refinement_rounds=3)),
+         {"CHI_LO": 1e-3, "CHI_COUNT": 30, "REFINEMENT_COUNT": 20}),
         # infeasible: the best worst-case margin is reported
         (ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.7),
-         SearchConfig(chi_grid=(1e-2, 0.45, 30), refinement_rounds=1)),
+         {"CHI_LO": 1e-2, "CHI_COUNT": 30, "REFINEMENT_ROUNDS": 1}),
         (ProblemParams(n=2, k=1.0, g1=5.0, delta=0.01),
-         SearchConfig(chi_grid=(1e-3, 0.3, 20), refinement_rounds=1)),
+         {"CHI_LO": 1e-3, "CHI_COUNT": 20, "REFINEMENT_ROUNDS": 1}),
         # every lambda2 interval empty: the margin stays -inf
         (ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12),
-         SearchConfig(chi_grid=(1e-3, 0.45, 10), refinement_rounds=2)),
-        (ProblemParams(n=1, k=1.0, g1=0.0, delta=0.01),
-         SearchConfig(chi_grid=(0.51, 0.9, 5))),
-        (ProblemParams(n=1, k=1.0), SearchConfig()),
+         {"CHI_LO": 1e-3, "CHI_COUNT": 10, "REFINEMENT_ROUNDS": 2}),
+        # the psi1 cut lies below CHI_LO
+        (ProblemParams(n=1, k=1e-5, g1=0.0, delta=1e-6), {}),
+        (ProblemParams(n=1, k=1.0), {}),
     ])
-    def test_find_feasible_vars_matches_point_loop(self, params, config):
-        got = _outcome(find_feasible_vars, params, config)
-        want = _outcome(point_loop_find_feasible_vars, params, config)
+    def test_find_feasible_vars_matches_point_loop(self, params, config, monkeypatch):
+        for name, value in config.items():
+            monkeypatch.setattr(search, name, value)
+        got = _outcome(find_feasible_vars, params, SearchConfig())
+        want = _outcome(point_loop_find_feasible_vars, params, SearchConfig())
         assert got == want
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -877,10 +916,7 @@ def head_stability_feasible(params, chi, config, tol):
 
 
 def head_chi_min_stability(params, config, tol):
-    lo, hi, count = search._chi_grid(params, config)
-    if hi <= lo:
-        raise Infeasible("empty chi range after the psi1 cut chi < k/(1+k^2 n) = %s"
-                         % fmt_float(search._chi_cut(params)))
+    lo, hi, count = search._chi_grid(params)
     found = None
     prev = None
     for x in np.geomspace(lo, hi, count):
@@ -1139,9 +1175,8 @@ class TestClosedFormDecisions:
 
 class TestMaximizeRegionalRadius:
     def test_first_reference_case(self):
-        cfg = SearchConfig(delta_grid=(0.005, 0.1, 8))
         p = ProblemParams(n=1, k=1.0, g1=0.1, d=1.0)
-        d0, cert = maximize_regional_radius(p, cfg)
+        d0, cert = maximize_regional_radius(p)
         assert 0.23 <= d0 <= 0.5
         # the certificate reproduces the radius exactly from its own fields
         assert compute_regional_radius(cert.params, cert.vars).d0 == d0
@@ -1149,9 +1184,8 @@ class TestMaximizeRegionalRadius:
         make_certificate(cert.params, cert.vars)  # must not raise
 
     def test_second_reference_case(self):
-        cfg = SearchConfig(delta_grid=(0.01, 0.12, 8))
         p = ProblemParams(n=1, k=1.0, g1=0.2, d=1.0)
-        d0, cert = maximize_regional_radius(p, cfg)
+        d0, cert = maximize_regional_radius(p)
         assert 0.18 <= d0 <= 0.5
 
     def test_pinned_delta_reproduces_reference_radius(self):
@@ -1187,7 +1221,8 @@ class TestMaximizeRegionalRadius:
                 raise
 
         monkeypatch.setattr(search, "_observation_window", counted)
-        cfg = SearchConfig(delta_grid=(1e-4, 1e-3, 4), tstar_tol=0.01)
+        monkeypatch.setattr(search, "DELTA_GRID", (1e-4, 1e-3, 4))
+        cfg = SearchConfig(tstar_tol=0.01)
         maximize_regional_radius(ProblemParams(n=1, k=1.0, g1=0.1, d=1.0), cfg)
         assert len(failures) == 2 and not calls
         assert "lambda_max(Phi)=" in str(failures[-1]) and len(calls) == 1
