@@ -469,6 +469,8 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     n_f = nonlinearity
     out_rows = [gather_trace(state.zt, grid)]
     energies = []
+    if chi is not None:
+        chi = checked_float("chi", chi, 0.0)
     lyap = None if chi is None else []
     block = max(1, _ENERGY_BLOCK_NODES // state.z.size)
     pending = [state]
@@ -478,13 +480,15 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         # time order, each before the Lyapunov value of its own state
         states = pending[:]
         del pending[:]
-        values = _energy(_gradient(_stack([s.z for s in states]), grid.dx, grid.dim),
-                         _stack([s.zt for s in states]), grid.dx).reshape(-1)
-        for s, value in zip(states, values):
+        z, v = _stack([s.z for s in states]), _stack([s.zt for s in states])
+        grads = _gradient(z, grid.dx, grid.dim)
+        values = _energy(grads, v, grid.dx)
+        lyaps = None if lyap is None else _lyapunov(z, v, grads, values, grid, chi,
+                                                    grid.k).reshape(-1)
+        for i, (s, value) in enumerate(zip(states, values.reshape(-1))):
             energies.append(_finite(value, "energy", s.t))
             if lyap is not None:
-                lyap.append(_finite(lyapunov(s, grid, chi, grid.k),
-                                    "Lyapunov value", s.t))
+                lyap.append(_finite(lyaps[i], "Lyapunov value", s.t))
 
     # an overflowing step or energy is reported as DivergenceError alone,
     # without a RuntimeWarning first: step checks that the field stays
@@ -590,14 +594,22 @@ def lyapunov(field, grid, chi, k=None):
     chi = 0.0 if chi is None else checked_float("chi", chi, 0.0)
     k = grid.k if k is None else k
     _check_shape(field, grid)
-    z, v, dx, n = field.z, field.zt, grid.dx, grid.dim
-    grads = _gradient(z, dx, n)
-    e = _energy(grads, v, dx)
+    grads = _gradient(field.z, grid.dx, grid.dim)
+    return _lyapunov(field.z, field.zt, grads, _energy(grads, field.zt, grid.dx),
+                     grid, chi, k)
+
+
+def _lyapunov(z, v, grads, e, grid, chi, k):
+    """lyapunov from the gradient and energy of the state; with leading axes
+    on z, v, the gradients and e, one value per state."""
+    dx, n = grid.dx, grid.dim
+    lead = z.ndim - n
     # x_i * d_i z, with the axis broadcast along dimension i
     terms = [grid.axis().reshape((-1,) + (1,) * (n - 1 - i)) * g
              for i, g in enumerate(grads)]
-    cross = _integrate_cells((2.0 * sum(terms[1:], terms[0]) + (n - 1) * z) * v, dx)
-    face = sum(_integrate_cells(z.swapaxes(0, axis)[-1] ** 2, dx)
+    cross = _integrate_cells((2.0 * sum(terms[1:], terms[0]) + (n - 1) * z) * v, dx, lead)
+    # the face x_i = 1: index -1 along grid axis i
+    face = sum(_integrate_cells(z[(..., -1) + (slice(None),) * (n - 1 - axis)] ** 2, dx, lead)
                for axis in range(n))
     return e + chi * cross + chi * k * (0.5 * (n - 1)) * face
 

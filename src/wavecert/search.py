@@ -5,10 +5,12 @@ lambda enters exactly one matrix affinely, so the lambdas that clear a
 threshold form one interval, read off in closed form (_span).  Yes/no
 questions answer with a witness multiplier from it (_witness).  Every
 monotone search (chi_min, the minimal observation time, delta_margin)
-bisects such questions with certificates._bisect.  Values come from the
-same interval: the best margin of a multiplier is the threshold at which
-the interval stops being empty, bisected for every LMI of a chi scan and
-the whole grid at once, in one loop (_best_multipliers, for the
+bisects such questions with certificates._bisect; the chi_min scan before
+its bisection decides its "no" answers in closed form over the whole grid
+at once and confirms each "yes" with the scalar witness.  Values come from
+the same interval: the best margin of a multiplier is the threshold at
+which the interval stops being empty, bisected for every LMI of a chi
+scan and the whole grid at once, in one loop (_best_multipliers, for the
 find_feasible_vars chi scan and the lambda_max a failed T_STAR_MAX probe
 quotes), with no eigenvalue computed.
 chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  All searches
@@ -114,11 +116,13 @@ class SearchConfig:
 
 
 def _bracket(params, chi, name):
-    """Search interval of one multiplier.
+    """Search interval of one multiplier, for a float chi or elementwise.
 
     lambda1 must at least cancel the g1 (n-1) chi term of the (3,3) entry
     of the decay matrix and must not overfeed its (1,1) entry; a degenerate
-    interval is widened.  lambda2's interval closes as t_star shrinks.
+    interval is widened.  lambda2's interval closes as t_star shrinks.  For
+    an array chi, lambda1's ends are arrays and the others' the floats every
+    element shares, which callers broadcast.
     """
     n = params.n
     if name == "lambda0":
@@ -126,9 +130,11 @@ def _bracket(params, chi, name):
     if name == "lambda1":
         lo = params.g1 * (n - 1) * chi
         hi = chi * PI2 * n / 4.0
-        if hi <= lo:
-            hi = lo + max(1e-15, 1e-9 * max(lo, 1.0))
-        return lo, hi
+        if type(chi) is float:
+            if hi <= lo:
+                hi = lo + max(1e-15, 1e-9 * max(lo, 1.0))
+            return lo, hi
+        return lo, np.where(hi <= lo, lo + np.maximum(1e-15, 1e-9 * np.maximum(lo, 1.0)), hi)
     es = math.exp(-2.0 * params.delta * params.t_star)
     return 1e-14, 0.5 * (1.0 - es) * PI2 * n / 4.0
 
@@ -185,6 +191,18 @@ def _span(n0, wq, lo, hi):
     return np.where(exists, a, lo), np.where(exists, b, lo)
 
 
+def _clearing(params, chi, entries, name, s, top):
+    # the entries at lam = 0, and the n0, lo and hi of the _span that clears
+    # s: N(lam) = sign (s I - M(lam)) is positive definite iff M(lam) is
+    # below s (top) or above it (not top); a float or an array chi
+    sign = 1.0 if top else -1.0
+    a = entries(params, chi, 0.0)
+    a00, a01, a02, a11, a12, a22 = a
+    n0 = (sign * (s - a00), -sign * a01, -sign * a02,
+          sign * (s - a11), -sign * a12, sign * (s - a22))
+    return (a, n0) + _bracket(params, chi, name)
+
+
 def _witness(params, chi, entries, name, s, top=True, strict=False):
     """A multiplier at which the matrix clears s, or None if there is none.
 
@@ -197,14 +215,7 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
     None, a conservative no.
     """
     chi = checked_float("chi", chi, 0.0)
-    lo, hi = _bracket(params, chi, name)
-    sign = 1.0 if top else -1.0
-    a = entries(params, chi, 0.0)
-    a00, a01, a02, a11, a12, a22 = a
-    # N(lam) = sign (s I - M(lam)), positive definite iff M(lam) is below s
-    # (top) or above it (not top)
-    n0 = (sign * (s - a00), -sign * a01, -sign * a02,
-          sign * (s - a11), -sign * a12, sign * (s - a22))
+    a, n0, lo, hi = _clearing(params, chi, entries, name, s, top)
     span = _span(n0, _wq(params.n), lo, hi)
     if span is None:
         extremes3(*a)  # raises on a non-finite entry
@@ -247,10 +258,10 @@ def _best_multipliers(params, chi, lmis):
             if i:
                 _best_multipliers(params, chi, lmis[:i])  # the earlier errors first
             raise ValueError("non-finite matrix entry in the batch")
-        bounds += [_bracket(params, float(c), name) for c in chi]
+        bounds.append(np.broadcast_arrays(chi, *_bracket(params, chi, name))[1:])
         sign = 1.0 if top else -1.0
         b.append([sign * e for e in x])
-    lo, hi = np.array(bounds).T
+    lo, hi = (np.concatenate(e) for e in zip(*bounds))
     b00, b01, b02, b11, b12, b22 = (np.concatenate(e) for e in zip(*b))
     r, u, v = -b01, -b02, -b12
     wq = _wq(params.n)
@@ -325,24 +336,51 @@ def _stability_feasible(params, chi, config):
                          top=False) is not None)
 
 
+def _stability_ruled_out(params, grid, margin):
+    """Where _stability_feasible is False on the array grid, in closed form.
+
+    A point is out, and its scalar test could not raise there, where psi1
+    is above the margin, where psi2's inputs are finite and its span is
+    empty, or where phi0's are finite too and its span is empty.  (Where
+    psi2's inputs are finite, its witness check cannot raise: the span
+    midpoint lies in the finite bracket and keeps psi2's entries finite.)
+    The scalar test decides every other point.
+    """
+    wq = _wq(params.n)
+    with np.errstate(all="ignore"):
+        out = psi1_value(params, grid) > margin
+        finite = True
+        for entries, name, top in ((psi2_entries, "lambda1", True),
+                                   (phi0_entries, "lambda0", False)):
+            _, n0, lo, hi = _clearing(params, grid, entries, name, margin, top)
+            lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
+            p, r, u, q, v, w = n0
+            finite = finite & np.isfinite(p + r + u + q + v + w + lo + hi)
+            a, b = _span(n0, wq, lo, hi)
+            out |= finite & ~(a < b)
+    return out
+
+
 def chi_min_stability(params, config=None):
     """Smallest chi certifying exponential stability at the given delta.
 
     Scans the log grid for the first feasible point, then bisects against
     the last infeasible one; the returned value is the feasible endpoint.
+    The scan decides its "no" answers over the whole grid at once in closed
+    form (_stability_ruled_out) and runs the scalar test, which confirms a
+    "yes" with its witness, only at the points left, in grid order.
     """
     config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required for a stability search")
     lo, hi, count = _chi_grid(params)
-    found = None
-    prev = None
-    for x in np.geomspace(lo, hi, count):
-        chi = float(x)
-        if _stability_feasible(params, chi, config):
-            found = chi
+    grid = np.geomspace(lo, hi, count)
+    found = prev = None
+    for i in np.flatnonzero(~_stability_ruled_out(params, grid, config.margin)):
+        if _stability_feasible(params, float(grid[i]), config):
+            found = float(grid[i])
+            prev = float(grid[i - 1]) if i else None
             break
-        prev = chi
     if found is None:
         raise Infeasible("no chi on (%s, %s) certifies stability at delta=%s"
                          % (fmt_float(lo), fmt_float(hi), fmt_float(params.delta)))
@@ -644,7 +682,9 @@ def _sweep_one(item):
         return SweepRow(params, True, cert)
     except Infeasible as exc:
         return SweepRow(params, False, None, str(exc))
-    except Exception as exc:  # a bad row must not take the batch down
+    except (ValueError, RuntimeError) as exc:
+        # the errors the CLI reports for a single problem: a bad row must
+        # not take the batch down, but a bug elsewhere must not pass as one
         return SweepRow(params, False, None, "error: %s" % exc)
 
 

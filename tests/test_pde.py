@@ -1294,9 +1294,10 @@ class TestBitIdentity:
     @pytest.mark.parametrize("dim,n,horizon", [(1, 41, 10.0), (1, 201, 1.0),
                                                 (2, 21, 1.0), (2, 81, 0.1)])
     def test_run_energies_match_per_state_energy(self, dim, n, horizon):
-        # run takes the energies a block of states at a time (199 states at
-        # 1-D N=41, 40 at N=201, 18 at 2-D N=21, one at N=81); the step
-        # counts leave a partial block at the end
+        # run takes the energies, and with chi the Lyapunov values from the
+        # same gradients, a block of states at a time (199 states at 1-D
+        # N=41, 40 at N=201, 18 at 2-D N=21, one at N=81); the step counts
+        # leave a partial block at the end
         rng = np.random.default_rng([13, dim, n])
         grid = pde.make_grid(dim, n, horizon, "observer-forward", 1.0)
         steps = pde.whole_steps(horizon, grid.dt)
@@ -1304,13 +1305,18 @@ class TestBitIdentity:
         f0 = _random_field(rng, n, dim)
         f0.t = 0.0
         nl = _sources(dim)["x-dependent"]
-        _, _, energies = pde.run(f0, horizon, grid, nl, pde.BoundaryTrace(y, grid.dt))
+        trace = pde.BoundaryTrace(y, grid.dt)
+        _, _, energies = pde.run(f0, horizon, grid, nl, trace)
+        _, _, (energies_v, lyaps) = pde.run(f0, horizon, grid, nl, trace, chi=0.2)
         state, want = f0, [pde.energy(f0, grid)]
+        want_v = [pde.lyapunov(f0, grid, 0.2)]
         for i in range(steps):
             state = pde.step(state, grid, nl, (y[i], y[i + 1]))
             want.append(pde.energy(state, grid))
+            want_v.append(pde.lyapunov(state, grid, 0.2))
         assert len(energies) == steps + 1
-        assert _bits(energies) == _bits(want)
+        assert _bits(energies) == _bits(energies_v) == _bits(want)
+        assert _bits(lyaps) == _bits(want_v)
 
 
 def ref_boundary_sq_integral(samples, grid):

@@ -19,6 +19,7 @@ from scipy import linalg, optimize
 
 from wavecert import search
 from wavecert.certificates import (
+    DEFAULT_MARGIN,
     CertificateError,
     DecisionVars,
     ProblemParams,
@@ -1170,6 +1171,93 @@ class TestClosedFormDecisions:
         assert got == _repr_outcome(certified, params)
 
 
+# ------------------------------------------------------------- chi_min scan
+# the chi_min scan before its closed-form pass, kept as the oracle: every
+# grid point through the scalar test, then the same bisection
+
+
+def scalar_chi_min_stability(params, config):
+    lo, hi, count = search._chi_grid(params)
+    found = prev = None
+    for x in np.geomspace(lo, hi, count):
+        chi = float(x)
+        if search._stability_feasible(params, chi, config):
+            found = chi
+            break
+        prev = chi
+    if found is None:
+        raise Infeasible("no chi on (%s, %s) certifies stability at delta=%s"
+                         % (fmt_float(lo), fmt_float(hi), fmt_float(params.delta)))
+    if prev is None:
+        return found
+    return search._bisect(lambda chi: search._stability_feasible(params, chi, config),
+                          prev, found)
+
+
+def _hex_outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (Infeasible, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _scan_problems():
+    # seeded problems, then overflow edges: g1 or delta near the float
+    # maximum, k whose square overflows
+    rng = np.random.default_rng(18)
+    for _ in range(240):
+        g1 = 0.0 if rng.uniform() < 0.3 else float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
+        params = ProblemParams(n=int(rng.integers(1, 4)),
+                               k=float(10.0 ** rng.uniform(-3.0, math.log10(50.0))), g1=g1,
+                               delta=float(10.0 ** rng.uniform(-5.0, math.log10(3.0))))
+        yield params, SearchConfig(margin=float(rng.choice([0.0, 1e-9, 1e-3, 0.05])))
+    big = 1.7e308
+    for n in (1, 2, 3):
+        for k, g1, delta in ((1.0, big, 0.01), (1.0, 0.1, big), (1e154, 0.1, 0.01),
+                             (1.0, big, big), (0.5, 1e300, 1e-3), (1.0, 0.0, 1e307)):
+            for margin in (0.0, 1e-9, 0.05):
+                yield ProblemParams(n=n, k=k, g1=g1, delta=delta), SearchConfig(margin=margin)
+
+
+class TestChiMinScan:
+    def test_matches_the_scalar_scan(self):
+        # the same bits, or the same exception type and text
+        kinds = set()
+        for params, config in _scan_problems():
+            want = _hex_outcome(scalar_chi_min_stability, params, config)
+            assert _hex_outcome(chi_min_stability, params, config) == want, (params, config)
+            kinds.add(want[0] if isinstance(want, tuple) else float)
+        assert kinds == {float, Infeasible, ValueError}
+
+    def test_ruled_out_points_are_infeasible_without_raising(self):
+        ruled = 0
+        for params, config in _scan_problems():
+            try:
+                grid = np.geomspace(*search._chi_grid(params))
+            except Infeasible:
+                continue
+            out = search._stability_ruled_out(params, grid, config.margin)
+            for chi in grid[out]:
+                assert search._stability_feasible(params, float(chi), config) is False
+            ruled += int(out.sum())
+        assert ruled > 10000
+
+    @pytest.mark.parametrize("delta", [1e-4, 0.01, 0.05, 0.2])
+    def test_scalar_tests_run_only_where_points_remain(self, delta, monkeypatch):
+        # a count, not a time: at most the bisection's 60 steps beyond the
+        # points the pass leaves, the feasible ones included (322 to 441
+        # scalar tests before the pass, 6 to 125 points left after it)
+        params = ProblemParams(n=1, k=1.0, g1=0.1, delta=delta)
+        grid = np.geomspace(*search._chi_grid(params))
+        left = int(np.sum(~search._stability_ruled_out(params, grid, DEFAULT_MARGIN)))
+        calls = []
+        real = search._stability_feasible
+        monkeypatch.setattr(search, "_stability_feasible",
+                            lambda *args: calls.append(args) or real(*args))
+        chi_min_stability(params)
+        assert len(calls) <= 60 + left
+
+
 # ------------------------------------------------------------------- regional
 
 
@@ -1350,6 +1438,21 @@ class TestSweep:
         result = sweep([p])
         assert not result.rows[0].feasible
         assert "error" in result.rows[0].note
+
+    def test_only_reported_errors_become_rows(self, monkeypatch):
+        # a RuntimeError is an error row, as the CLI reports one; a TypeError
+        # is a bug and reaches the caller
+        def fail(exc):
+            def window(*args):
+                raise exc("planted")
+            return window
+
+        p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.05)
+        monkeypatch.setattr(search, "_observation_window", fail(RuntimeError))
+        assert sweep([p], worker_count=1).rows[0].note == "error: planted"
+        monkeypatch.setattr(search, "_observation_window", fail(TypeError))
+        with pytest.raises(TypeError, match="planted"):
+            sweep([p], worker_count=1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(CertificateError):
