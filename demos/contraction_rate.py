@@ -15,16 +15,16 @@ t_star, delta, cert = minimal_observability_time(params)
 print("minimal certified time t_star = %.3f at delta = %g" % (t_star, delta))
 
 horizon = 4.0
-grid = make_grid(1, 201, horizon)
+grid = make_grid(1, 201, horizon, k=0.1)
 x = grid.axis()
 z0 = 0.2733 * x * (1 - x / 2)
 truth = WaveField(z0, z0.copy())
 _, trace, _ = run(truth, horizon, grid)
 
-config = RecoveryConfig(k=0.1, horizon=horizon, m_max=6, grid=grid,
-                        certificate=cert, convergence_threshold=1e-12)
+config = RecoveryConfig(horizon=horizon, m_max=6, grid=grid, certificate=cert,
+                        convergence_threshold=1e-12)
 result = recover(trace, config, truth=truth)
-report = contraction_report(result, cert)
+report = contraction_report(result)
 
 print("window T = %g gives q = %.4f (tested bound q x 1.1 = %.4f)"
       % (horizon, report.q, report.q * 1.1))

@@ -25,12 +25,12 @@ certified = ProblemParams(n=1, k=1.0, g1=0.2, delta=0.09,
 cert = make_certificate(certified, find_feasible_vars(certified))
 
 horizon = 2.1
-grid = make_grid(1, 201, horizon)
+grid = make_grid(1, 201, horizon, k=1.0)
 x = grid.axis()
 z0 = 0.2733 * x * (1 - x / 2)
 _, trace, _ = run(WaveField(z0, z0.copy()), horizon, grid, source)
 
-config = RecoveryConfig(k=1.0, horizon=horizon, m_max=10, grid=grid,
+config = RecoveryConfig(horizon=horizon, m_max=10, grid=grid,
                         nonlinearity=source, certificate=cert)
 
 steps = round(horizon / grid.dt)

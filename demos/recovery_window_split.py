@@ -16,13 +16,13 @@ source = Nonlinearity(lambda z, x, t: 0.1 * z * z, fz_bound=0.2,
                       local_radius=1.0)
 
 for horizon in (2.1, 1.8):
-    grid = make_grid(1, 201, horizon)
+    grid = make_grid(1, 201, horizon, k=1.0)
     x = grid.axis()
     z0 = 0.2733 * x * (1 - x / 2)
     truth = WaveField(z0, z0.copy())
     _, trace, _ = run(truth, horizon, grid, source)
 
-    config = RecoveryConfig(k=1.0, horizon=horizon, m_max=10, grid=grid,
+    config = RecoveryConfig(horizon=horizon, m_max=10, grid=grid,
                             nonlinearity=source)
     result = recover(trace, config, truth=truth)
 

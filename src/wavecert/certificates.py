@@ -136,20 +136,18 @@ class DecisionVars:
 
     chi weights the cross term of the Lyapunov function (chi = 0 collapses V
     to the plain energy, which some degenerate checks rely on); the lambdas
-    are the multipliers of the three matrix inequalities; r and gamma only
-    appear in the input-to-state-stability block.
+    are the multipliers of the three matrix inequalities.  The ISS gain
+    (r, gamma) is not a variable: compute_iss_gain derives it from these.
     """
 
     chi: float
     lambda0: float = None
     lambda1: float = None
     lambda2: float = None
-    r: float = None
-    gamma: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "chi", checked_float("chi", self.chi, 0.0))
-        for name in ("lambda0", "lambda1", "lambda2", "r", "gamma"):
+        for name in ("lambda0", "lambda1", "lambda2"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, checked_float(name, v, 0.0, strict=True))
@@ -173,10 +171,9 @@ def _lambda0(params, vars):
     raise CertificateError("lambda0 is required for n >= 2")
 
 
-def _require(vars, *names):
-    for name in names:
-        if getattr(vars, name) is None:
-            raise CertificateError("decision variable %s is required here" % name)
+def _require(vars, name):
+    if getattr(vars, name) is None:
+        raise CertificateError("decision variable %s is required here" % name)
 
 
 # ------------------------------------------------------------------ builders
@@ -236,13 +233,12 @@ def build_phi1(params, vars):
 
 def build_psi1(params, vars):
     """Scalar boundary condition -k + (1 + k^2 n) chi; must be <= 0."""
-    _require(vars, "chi")
     return psi1_value(params, vars.chi)
 
 
 def build_psi2(params, vars):
     """3x3 decay matrix; negative semidefiniteness certifies rate delta."""
-    _require(vars, "chi", "lambda1")
+    _require(vars, "lambda1")
     if params.delta is None:
         raise CertificateError("delta is required to build the decay matrix")
     return SymMatrix(3, psi2_entries(params, vars.chi, vars.lambda1))
@@ -251,7 +247,7 @@ def build_psi2(params, vars):
 def build_phi_obs(params, vars):
     """3x3 observability matrix at time t_star; negative definiteness certifies
     recoverability of the initial state."""
-    _require(vars, "chi", "lambda2")
+    _require(vars, "lambda2")
     if params.delta is None or params.t_star is None:
         raise CertificateError("delta and t_star are required to build the observability matrix")
     return SymMatrix(3, phi_obs_entries(params, vars.chi, vars.lambda2))
@@ -269,7 +265,7 @@ def check_stability(params, vars, margin=DEFAULT_MARGIN):
     for phi0, the scalar itself for psi1, lambda_max for psi2.
     """
     margin = checked_float("margin", margin, 0.0)
-    _require(vars, "chi", "lambda1")
+    _require(vars, "lambda1")
     lam_min_phi0 = eigenvalues(build_phi0(params, vars))[0]
     psi1 = build_psi1(params, vars)
     lam_max_psi2 = eigenvalues(build_psi2(params, vars))[-1]
@@ -337,14 +333,14 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
 
     Requires psi1 < 0 strictly and psi2 negative definite with the margin.
     gamma is the Schur-complement infimum of the 2x2 perturbation block plus
-    the margin, which grows with r; so r is the smallest r in [1e-6, 1e6]
+    the margin, which grows with r; so r is the smallest r in (1e-6, 1e6]
     at which the rank-one perturbation chi (n-1) / (2 r) of psi2's (1,1)
     entry keeps its largest eigenvalue at or below -margin, bisected in
     log10 r.  For n = 1 every r-term vanishes and the closed form is
     returned (r is reported as 0).
     """
     margin = checked_float("margin", margin, 0.0)
-    _require(vars, "chi", "lambda1")
+    _require(vars, "lambda1")
     n, k, chi = params.n, params.k, vars.chi
     psi1 = build_psi1(params, vars)
     if not psi1 < 0.0:
@@ -362,13 +358,11 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
         ent[0] += chi * (n - 1) / (2.0 * 10.0 ** u)
         return eigenvalues(SymMatrix(3, ent))[-1] <= -margin
 
-    if absorbed(-6.0):
-        u = -6.0
-    elif not absorbed(6.0):
+    # r = 1e-6 never absorbs: psi2's (1,1) entry is at least -chi, and the
+    # perturbation there is chi (n-1) / 2e-6, which leaves that entry positive
+    if not absorbed(6.0):
         raise CertificateError("no r <= 1e6 absorbs the perturbation of psi2")
-    else:
-        u = _bisect(absorbed, -6.0, 6.0)
-    r = 10.0 ** u
+    r = 10.0 ** _bisect(absorbed, -6.0, 6.0)
     gamma = chi * k * k * n + chi * (n - 1) * r / 2.0 + b * b / (-psi1) + margin
     return r, gamma
 

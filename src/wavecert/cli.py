@@ -286,9 +286,9 @@ def cmd_min_time(args):
     t_star, delta, cert = minimal_observability_time(params, config)
     payload = {"feasible": True, "t_star": t_star, "delta": delta,
                "certificate": certificate_to_dict(cert)}
-    print(json_dumps(payload))
     if args.out is not None:
         _write(args.out, json_dumps(certificate_to_dict(cert)) + "\n")
+    print(json_dumps(payload))
     return 0
 
 
@@ -302,9 +302,9 @@ def cmd_regional(args):
         payload["t_max"] = radius.t_max
     payload["binding"] = radius.binding
     payload["certificate"] = certificate_to_dict(cert)
-    print(json_dumps(payload))
     if args.out is not None:
         _write(args.out, json_dumps(certificate_to_dict(cert)) + "\n")
+    print(json_dumps(payload))
     return 0
 
 
@@ -352,8 +352,7 @@ def cmd_recover(args):
         certificate = certificate_from_dict(doc["certificate"])
     try:
         config = RecoveryConfig(
-            k=sim.get("k", 0.0), horizon=sim["horizon"],
-            m_max=args.iterations, grid=grid,
+            horizon=sim["horizon"], m_max=args.iterations, grid=grid,
             nonlinearity=build_nonlinearity(sim.get("nonlinearity")),
             convergence_threshold=sim.get("convergence_threshold", 1e-3),
             certificate=certificate)

@@ -20,17 +20,22 @@ from .certificates import checked_float, checked_int, compute_iss_gain, json_dum
 from .search import delta_margin
 
 DIVERGENCE_FACTOR = 1e6
+# node-steps of a recovery, 2 runs x m_max x steps x nodes: about 240x the
+# largest recovery the tests, demos and benchmark make (2-D N=81: 4.1e7)
+MAX_RECOVERY_NODE_STEPS = 10 ** 10
+# relative slack of contraction_report's ratio and uniform bounds
+CONTRACTION_SLACK = 0.1
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Settings for one recovery: gain, window, budget, grid, source term.
+    """Settings for one recovery: window, budget, grid, source term.
 
-    The loop ends at the first iteration whose relative change is below
-    convergence_threshold, or after m_max iterations.
+    The observer gain is grid.k.  The loop ends at the first iteration
+    whose relative change is below convergence_threshold, or after m_max
+    iterations.
     """
 
-    k: float
     horizon: float
     m_max: int
     grid: pde.Grid
@@ -39,7 +44,6 @@ class RecoveryConfig:
     certificate: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", checked_float("k", self.k, 0.0))
         object.__setattr__(self, "horizon",
                            checked_float("horizon", self.horizon, 0.0, strict=True))
         object.__setattr__(self, "m_max", checked_int("m_max", self.m_max, 1))
@@ -51,7 +55,11 @@ class RecoveryConfig:
             self, "convergence_threshold",
             checked_float("convergence_threshold", self.convergence_threshold,
                           0.0, strict=True))
-        pde.whole_steps(self.horizon, self.grid.dt)  # the window is whole steps
+        # self.steps also rejects a window that is not whole steps
+        work = 2 * self.m_max * self.steps * self.grid.points_per_axis ** self.grid.dim
+        if work > MAX_RECOVERY_NODE_STEPS:
+            raise ValueError("%d iterations of 2 runs make %d node-steps, more than %d"
+                             % (self.m_max, work, MAX_RECOVERY_NODE_STEPS))
 
     @property
     def steps(self):
@@ -84,10 +92,8 @@ class RecoveryRun:
 
 def _observer_grids(config):
     g = config.grid
-    forward = pde.Grid(g.dim, g.points_per_axis, g.dt, "observer-forward",
-                       config.k)
-    backward = pde.Grid(g.dim, g.points_per_axis, g.dt, "observer-backward",
-                        config.k)
+    forward = pde.Grid(g.dim, g.points_per_axis, g.dt, "observer-forward", g.k)
+    backward = pde.Grid(g.dim, g.points_per_axis, g.dt, "observer-backward", g.k)
     return forward, backward
 
 
@@ -96,9 +102,9 @@ def _zero_state(grid, t0):
     return pde.WaveField(np.zeros(shape), np.zeros(shape), t0)
 
 
-def _backward_lyapunov(z, zt, grid, chi, k):
+def _backward_lyapunov(z, zt, grid, chi):
     # the backward error functional is V evaluated with the velocity negated
-    return pde.lyapunov(pde.WaveField(z, -zt), grid, chi, k)
+    return pde.lyapunov(pde.WaveField(z, -zt), grid, chi)
 
 
 def recover(measurements, config, truth=None):
@@ -108,7 +114,7 @@ def recover(measurements, config, truth=None):
     nl = config.nonlinearity
     t0 = measurements.t0
     cert = config.certificate
-    chi = cert.vars.chi if cert is not None and cert.vars.chi is not None else None
+    chi = None if cert is None else cert.vars.chi
 
     guard_bound = None
     if cert is not None and (cert.params.d is not None or cert.d0 is not None):
@@ -124,7 +130,7 @@ def recover(measurements, config, truth=None):
         e_b0 = pde.energy(truth, grid_f)
         prev_e_b = e_b0
         if chi is not None:
-            v_b0 = _backward_lyapunov(truth.z, truth.zt, grid_f, chi, config.k)
+            v_b0 = _backward_lyapunov(truth.z, truth.zt, grid_f, chi)
         if guard_bound is not None and np.max(np.abs(truth.z)) > guard_bound:
             guard_ok = False
 
@@ -168,7 +174,7 @@ def recover(measurements, config, truth=None):
             err = pde.WaveField(curr.z - truth.z, curr.zt - truth.zt)
             e_b = pde.energy(err, grid_f)
             if chi is not None:
-                v_b = _backward_lyapunov(err.z, err.zt, grid_f, chi, config.k)
+                v_b = _backward_lyapunov(err.z, err.zt, grid_f, chi)
             if prev_e_b is not None and prev_e_b > 0.0:
                 ratio = e_b / prev_e_b
             prev_e_b = e_b
@@ -226,31 +232,32 @@ class ContractionReport:
         return bool(self.ratios_ok and self.uniform_ok)
 
 
-def contraction_report(run, certificate, slack=0.1):
+def contraction_report(run):
     """Compare observed Lyapunov ratios against the certified rate q.
 
-    Needs a run enriched with ground-truth energies and a certificate with
-    an observation time below the run horizon.
+    Judges the run against its own config's certificate, whose chi gave
+    the V_b records, so the run needs ground-truth energies and that
+    certificate needs an observation time below the run horizon.
     """
-    if certificate is None:
-        raise ValueError("a certificate is required")
     if run.V_b_initial is None or any(r.V_b_t0 is None for r in run.records):
         raise ValueError("run lacks ground-truth Lyapunov records; "
                          "recover(..., truth=...) with a certificate provides them")
     config = run.config
+    certificate = config.certificate
     p = certificate.params
+    slack = CONTRACTION_SLACK
 
     def inapplicable(reason):
         return ContractionReport(applicable=False, reason=reason)
 
-    if config.k == 0.0:
+    if config.grid.k == 0.0:
         return inapplicable("no boundary dissipation at k = 0 "
                             "(psi1 = chi > 0, no contraction is certified)")
     if p.t_star is None or p.delta is None:
         return inapplicable("certificate carries no observation time")
-    if abs(p.k - config.k) > 1e-12 * max(1.0, p.k):
+    if abs(p.k - config.grid.k) > 1e-12 * max(1.0, p.k):
         return inapplicable("certificate gain %g differs from the run gain %g"
-                            % (p.k, config.k))
+                            % (p.k, config.grid.k))
     if p.g1 < config.nonlinearity.fz_bound:
         return inapplicable(_uncovered_source(p, config))
     if config.horizon <= p.t_star:
@@ -321,9 +328,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     per_level = pde._face_sq_integral(w, config.grid)
     noise_integral = float(pde._integrate_cells(per_level, noise.dt))
 
-    gamma = cert.vars.gamma
-    if gamma is None:
-        _, gamma = compute_iss_gain(cert.params, cert.vars)
+    _, gamma = compute_iss_gain(cert.params, cert.vars)
     delta0 = delta_margin(cert.params, cert.vars)
     denom = cert.alpha * (1.0 - math.exp(-2.0 * delta0 * cert.params.t_star))
     c_constant = gamma / denom

@@ -61,7 +61,9 @@ class Grid:
 
     mode selects the boundary condition on the measured faces: plant means
     zero flux, the observer modes add the damped injection k (y - z_t) with
-    y replayed from a recorded trace.
+    y replayed from a recorded trace.  k is the gain of those observer
+    steps, of the observer grids a recovery builds from this grid and of
+    the boundary term of lyapunov; plant steps ignore it.
     """
 
     dim: int
@@ -483,8 +485,8 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         z, v = _stack([s.z for s in states]), _stack([s.zt for s in states])
         grads = _gradient(z, grid.dx, grid.dim)
         values = _energy(grads, v, grid.dx)
-        lyaps = None if lyap is None else _lyapunov(z, v, grads, values, grid, chi,
-                                                    grid.k).reshape(-1)
+        lyaps = None if lyap is None else _lyapunov(z, v, grads, values, grid,
+                                                    chi).reshape(-1)
         for i, (s, value) in enumerate(zip(states, values.reshape(-1))):
             energies.append(_finite(value, "energy", s.t))
             if lyap is not None:
@@ -585,21 +587,20 @@ def hnorm(field, grid):
     return math.sqrt(max(2.0 * energy(field, grid), 0.0))
 
 
-def lyapunov(field, grid, chi, k=None):
-    """V = E + chi * cross term + chi k (n-1)/2 boundary term.
+def lyapunov(field, grid, chi):
+    """V = E + chi * cross term + chi k (n-1)/2 boundary term, k = grid.k.
 
     The cross term integrates (2 x . grad z + (n-1) z) z_t, the boundary
     term z^2 over the measured faces.  chi = 0 returns the energy exactly.
     """
     chi = 0.0 if chi is None else checked_float("chi", chi, 0.0)
-    k = grid.k if k is None else k
     _check_shape(field, grid)
     grads = _gradient(field.z, grid.dx, grid.dim)
     return _lyapunov(field.z, field.zt, grads, _energy(grads, field.zt, grid.dx),
-                     grid, chi, k)
+                     grid, chi)
 
 
-def _lyapunov(z, v, grads, e, grid, chi, k):
+def _lyapunov(z, v, grads, e, grid, chi):
     """lyapunov from the gradient and energy of the state; with leading axes
     on z, v, the gradients and e, one value per state."""
     dx, n = grid.dx, grid.dim
@@ -611,7 +612,7 @@ def _lyapunov(z, v, grads, e, grid, chi, k):
     # the face x_i = 1: index -1 along grid axis i
     face = sum(_integrate_cells(z[(..., -1) + (slice(None),) * (n - 1 - axis)] ** 2, dx, lead)
                for axis in range(n))
-    return e + chi * cross + chi * k * (0.5 * (n - 1)) * face
+    return e + chi * cross + chi * grid.k * (0.5 * (n - 1)) * face
 
 
 # The inequality checkers and the face integral integrate the multilinear

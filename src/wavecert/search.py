@@ -566,11 +566,8 @@ def maximize_regional_radius(params, config=None):
             reasons.append("t_total below minimal time %s at delta=%s"
                            % (fmt_float(t), fmt_float(delta)))
             continue
-        if cmin >= 0.5:
-            reasons.append("chi_min %s >= 1/2 at delta=%s"
-                           % (fmt_float(cmin), fmt_float(delta)))
-            continue
         pt = replace(params, delta=delta, t_star=t)
+        # cmin is at most the chi grid's top, below k/(1+k^2) <= 1/2 at n = 1
         rr = compute_regional_radius(pt, DecisionVars(chi=cmin))
         if best is None or rr.d0 > best[0]:
             best = (rr.d0, delta, t, cmin)

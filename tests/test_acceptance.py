@@ -166,16 +166,16 @@ def test_criterion_6_contraction_ratios():
     params = ProblemParams(n=1, k=0.1, g1=0.0, delta=0.08)
     _, _, cert = search.minimal_observability_time(params)
     horizon = 4.0
-    grid = pde.make_grid(1, 201, horizon)
+    grid = pde.make_grid(1, 201, horizon, k=0.1)
     x = grid.axis()
     z0 = 0.2733 * x * (1 - x / 2)
     truth = pde.WaveField(z0, z0.copy())
     _, trace, _ = pde.run(truth, horizon, grid)
-    config = observer.RecoveryConfig(k=0.1, horizon=horizon, m_max=6,
-                                     grid=grid, certificate=cert,
-                                     convergence_threshold=1e-12)
+    config = observer.RecoveryConfig(horizon=horizon, m_max=6, grid=grid,
+                                     certificate=cert, convergence_threshold=1e-12)
     run = observer.recover(trace, config, truth=truth)
-    report = observer.contraction_report(run, cert, slack=0.1)
+    report = observer.contraction_report(run)
+    assert report.slack == 0.1
     assert report.applicable, "criterion 6 FAIL: %s" % report.reason
     late = [row for row in report.rows if row["m"] >= 2]
     assert late, "criterion 6 FAIL: no iterations beyond m=1"
@@ -261,7 +261,7 @@ def test_criterion_7_property_suites():
             v += rng.normal() * np.sin((j + 0.5) * PI * x)
         f = pde.WaveField(z, v)
         E = pde.energy(f, grid)
-        V = pde.lyapunov(f, grid, chi, k)
+        V = pde.lyapunov(f, grid, chi)
         sandwich_worst = min(sandwich_worst,
                              (V - alpha * E) / max(E, 1e-30),
                              (beta * E - V) / max(E, 1e-30))
@@ -287,7 +287,7 @@ def test_criterion_7_property_suites():
             v += rng.normal() * m
         f = pde.WaveField(z, v)
         E = pde.energy(f, grid)
-        V = pde.lyapunov(f, grid, chi, k)
+        V = pde.lyapunov(f, grid, chi)
         sandwich_worst = min(sandwich_worst,
                              (V - alpha * E) / max(E, 1e-30),
                              (beta * E - V) / max(E, 1e-30))

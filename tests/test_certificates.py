@@ -213,8 +213,8 @@ class TestDecisionVars:
     @pytest.mark.parametrize("kw", [{"chi": -1e-9}, {"chi": math.inf},
                                     {"chi": 0.1, "lambda1": 0.0},
                                     {"chi": 0.1, "lambda2": -1.0},
-                                    {"chi": 0.1, "r": 0.0},
-                                    {"chi": 0.1, "gamma": -0.5},
+                                    {"chi": 0.1, "lambda0": 0.0},
+                                    {"chi": 0.1, "lambda0": math.nan},
                                     {"chi": True}, {"chi": "0.1"},
                                     {"chi": 0.1, "lambda1": [0.2]}])
     def test_bad_values_rejected(self, kw):
@@ -228,6 +228,14 @@ class TestDecisionVars:
         assert DecisionVars.from_dict(d) == v
         with pytest.raises(CertificateError, match="unknown"):
             DecisionVars.from_dict({"chi": 0.1, "mu": 1.0})
+
+    def test_iss_gain_is_not_a_variable(self):
+        # compute_iss_gain derives (r, gamma); a document cannot supply them
+        for extra, says in (({"r": 5}, "r"), ({"gamma": 1e-30}, "gamma"),
+                            ({"r": 5, "gamma": 1e30}, "gamma, r")):
+            with pytest.raises(CertificateError,
+                               match="^unknown variable keys: %s$" % says):
+                DecisionVars.from_dict(dict({"chi": 0.1, "lambda1": 0.2}, **extra))
 
 
 # -------------------------------------------------------------------- builders
@@ -537,6 +545,16 @@ class TestIssGain:
             compute_iss_gain(p, DecisionVars(chi=0.5, lambda1=0.1))
         with pytest.raises(CertificateError, match="psi2"):
             compute_iss_gain(p, DecisionVars(chi=0.2, lambda1=10.0))
+
+    def test_no_r_absorbs_a_barely_definite_psi2(self):
+        # psi2 = diag(-1e-8, -chi, -lambda1): definite past the margin 1e-9,
+        # but r = 1e6 still adds chi / 2e6 = 5e-8 to its (1,1) entry
+        chi = 0.1
+        p = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.0)
+        v = DecisionVars(chi=chi, lambda1=(chi - 1e-8) * PI2 * 2 / 4.0)
+        assert -1.1e-8 < smallmat.eigenvalues(build_psi2(p, v))[-1] < -0.9e-8
+        with pytest.raises(CertificateError, match="no r <= 1e6 absorbs"):
+            compute_iss_gain(p, v)
 
     def test_pinned_point_gets_the_smallest_r(self):
         # a golden section on a penalised gamma, then a doubling walk,

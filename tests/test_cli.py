@@ -8,13 +8,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wavecert import certificates, cli, pde, search
+from wavecert import certificates, cli, observer, pde, search
 
 FIG_SIM = {
     "points_per_axis": 201,
@@ -316,10 +317,29 @@ class TestCertify:
         data = json.loads(checked)
         assert data["feasible"] is True
         assert data["params"]["t_star"] == json.loads(out)["t_star"]
-        stdout_path.write_text(json.dumps({"certificate": [1]}))
-        code, checked, err = run_cli(
-            ["certify", "--config", cfg, "--vars", str(stdout_path)], capsys)
-        assert code == 1 and "certificate entry must be a JSON object" in err
+        for doc, says in (({"certificate": [1]}, "certificate entry must be"),
+                          ([1], "vars file must hold")):
+            stdout_path.write_text(json.dumps(doc))
+            code, checked, err = run_cli(
+                ["certify", "--config", cfg, "--vars", str(stdout_path)], capsys)
+            assert code == 1 and checked == ""
+            assert err == "error: %s a JSON object\n" % says
+
+    @pytest.mark.parametrize("extra", [{"r": 5}, {"gamma": 1e-30}],
+                             ids=["r", "gamma"])
+    def test_vars_with_an_iss_gain_rejected(self, tmp_path, capsys, extra):
+        # (r, gamma) is derived from the LMIs; a document that states it is
+        # not re-verified, so it is refused rather than echoed back
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.05}})
+        for doc in (dict({"chi": 0.2, "lambda1": 0.15}, **extra),
+                    {"params": {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.05},
+                     "vars": dict({"chi": 0.2, "lambda1": 0.15}, **extra),
+                     "alpha": 0.6, "beta": 1.4}):
+            code, out, err = run_cli(["certify", "--config", cfg, "--vars",
+                                      write_json(tmp_path, "v.json", doc)], capsys)
+            assert code == 1 and out == ""
+            assert err == "error: unknown variable keys: %s\n" % list(extra)[0]
 
     def test_vars_problem_mismatch(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
@@ -419,6 +439,18 @@ class TestRegional:
             ["certify", "--config", cfg, "--vars", out_path], capsys)
         assert code == 0
 
+    def test_t_total_below_the_window_is_exit_two(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.1, "d": 1.0,
+                                      "delta": 0.05, "t_total": 0.5},
+                          "search": {"tstar_tol": 0.01}})
+        code, out, err = run_cli(["regional", "--config", cfg], capsys)
+        assert code == 2 and err == ""
+        data = json.loads(out)
+        assert data["feasible"] is False
+        assert re.search(r"; last reason: t_total below minimal time \S+ "
+                         r"at delta=0\.05\d*$", data["reason"]), data["reason"]
+
     def test_requires_d(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "g1": 0.1}})
@@ -502,6 +534,13 @@ class TestSimulate:
             ({"initial": {"polynomial": {"z": [0.0, 1.0], "zt": []}}},
              "polynomial zt"),
             ({"initial": {"polynomial": {"z": [0.0, 10 ** 400]}}}, "initial:"),
+            ({}, "sim requires an initial section here"),
+            ({"initial": {"polynomial": {"zt": [0.0, 1.0]}}},
+             "polynomial requires z coefficients"),
+            ({"initial": {"fourier-sine": {"zt": [0.1]}}},
+             "fourier-sine requires z coefficients"),
+            ({"dim": 2, "initial": {"polynomial": {"z": [0.0, 1.0]}}},
+             "polynomial initial data is one-dimensional"),
         ]
         for extra, says in cases:
             sim = dict(base)
@@ -627,6 +666,20 @@ class TestRecover:
              "--iterations", "0", "--out", str(tmp_path / "r.json")], capsys)
         assert code == 1
 
+    def test_iteration_budget_bounds_the_work(self, tmp_path, capsys):
+        # 10^12 iterations of a 1-D N=201 window would run for days; the
+        # budget on 2 x m_max x steps x nodes refuses them before any run
+        cfg, trace_path = self.make_trace(tmp_path, capsys)
+        code, out, err = run_cli(
+            ["recover", "--config", cfg, "--trace", trace_path,
+             "--iterations", "1000000000000", "--out", str(tmp_path / "r.json")],
+            capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: 1000000000000 iterations of 2 runs make ")
+        assert err.endswith("node-steps, more than %d\n"
+                            % observer.MAX_RECOVERY_NODE_STEPS)
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "blank"])
     def test_empty_trace_file(self, tmp_path, capsys, text):
         cfg = write_json(tmp_path, "c.json", {"sim": dict(FIG_SIM)})
@@ -747,6 +800,35 @@ class TestSweep:
                             timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+class TestUnwritableOut:
+    SIM = {"points_per_axis": 41, "horizon": 0.5, "k": 1.0,
+           "initial": {"preset": "paper-example2"}}
+    PROBLEM = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05}
+    DOCS = {"min-time": {"problem": PROBLEM, "search": {"tstar_tol": 0.01}},
+            "regional": {"problem": dict(PROBLEM, d=1.0),
+                         "search": {"tstar_tol": 0.01}},
+            "simulate": {"sim": SIM},
+            "recover": {"sim": SIM},
+            "sweep": {"problem": dict(PROBLEM, t_star=3.9)}}
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_exit_one_and_nothing_on_stdout(self, tmp_path, capsys, command):
+        # the result is written before it is printed, so a failed write
+        # leaves stdout empty, as every exit 1 does
+        cfg = write_json(tmp_path, "c.json", self.DOCS[command])
+        flags = []
+        if command == "recover":
+            trace = str(tmp_path / "t.csv")
+            assert run_cli(["simulate", "--config", cfg, "--out", trace],
+                           capsys)[0] == 0
+            flags = ["--trace", trace, "--iterations", "1"]
+        missing = str(tmp_path / "missing" / "out")
+        code, out, err = run_cli([command, "--config", cfg, "--out", missing] + flags,
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 class TestConsoleScript:

@@ -1,11 +1,13 @@
-"""Seeded config fuzzer for the command line.
+"""Seeded config and flag fuzzer for the command line.
 
 Each case takes a small valid config of one subcommand, replaces one of its
 values (a leaf or a whole section) with one value of VALUES and runs
-cli.main in process.  Whatever the value, the run must exit 0, 1 or 2: on
-1 with empty stdout and stderr starting "error: ", on 0 or 2 with JSON on
-the first line of stdout, and with no warning raised.  The suite runs a
-seeded sample of SAMPLE cases per subcommand; every case runs with
+cli.main in process; a flag case instead gives the subcommand's numeric
+flag (FLAGS) the text of one value.  Whatever the value, the run must exit
+0, 1 or 2: on 1 with empty stdout and stderr starting "error: ", on 0 or 2
+with JSON on the first line of stdout, and with no warning raised.  The
+suite runs every flag case and a seeded sample of SAMPLE config cases per
+subcommand; every case runs with
 
     PYTHONPATH=src python tests/test_fuzz.py
 """
@@ -54,7 +56,10 @@ BASES = {
     "sweep": ({"problems": [dict(PROBLEM, t_star=3.9), dict(PROBLEM, delta=0.05)],
                "search": {"tstar_tol": 0.01}}, ["--out", "OUT"]),
 }
-SAMPLE = 100  # cases per subcommand in the suite
+# the numeric flag of each subcommand that takes one
+FLAGS = {"certify": "--margin", "min-time": "--tol", "recover": "--iterations",
+         "sweep": "--jobs"}
+SAMPLE = 100  # config cases per subcommand in the suite
 SEED = 0
 
 
@@ -81,13 +86,25 @@ def cases(command):
     return [(command, path, value) for path in _paths(doc) for value in VALUES]
 
 
+def flag_cases(command):
+    """The flag as a one-element path, with each value as its text."""
+    return [(command, (FLAGS[command],), str(value)) for value in VALUES]
+
+
 def sample(command):
     return random.Random("%s:%s" % (SEED, command)).sample(cases(command), SAMPLE)
 
 
-def _run(command, doc, workdir, trace):
-    """(exit code, stdout, stderr, warnings) of one run on the config doc."""
+def _run(command, doc, workdir, trace, flag=None, text=None):
+    """(exit code, stdout, stderr, warnings) of one run on the config doc,
+    with flag given text when set."""
     _, flags = BASES[command]
+    if flag is not None:
+        flags = list(flags)
+        if flag in flags:
+            flags[flags.index(flag) + 1] = text
+        else:
+            flags += [flag, text]
     config = os.path.join(workdir, "config.json")
     with open(config, "w") as fh:
         # allow_nan=False: VALUES holds no NaN or infinity for json to spell
@@ -103,10 +120,18 @@ def _run(command, doc, workdir, trace):
 
 
 def run_case(command, path, value, workdir, trace):
-    """The failed promise of one run as text, or None when all are kept."""
+    """The failed promise of one run as text, or None when all are kept.
+
+    A path that names the subcommand's flag in FLAGS gives that flag value,
+    a text; any other path is a position in the config.
+    """
+    doc = BASES[command][0]
     try:
-        code, out, err, caught = _run(command, _mutated(BASES[command][0], path, value),
-                                      workdir, trace)
+        if path[0] == FLAGS.get(command):
+            code, out, err, caught = _run(command, doc, workdir, trace, path[0], value)
+        else:
+            code, out, err, caught = _run(command, _mutated(doc, path, value),
+                                          workdir, trace)
     except Exception as exc:  # the crash the fuzzer looks for
         return "raised %s: %s" % (type(exc).__name__, exc)
     if caught:
@@ -145,13 +170,24 @@ def test_every_base_config_is_valid(tmp_path, trace):
         assert _run(command, doc, str(tmp_path), trace)[0] == 0, command
 
 
+def _failures(cases, workdir, trace):
+    failures = []
+    for case in cases:
+        failure = run_case(*case, workdir, trace)
+        if failure is not None:
+            failures.append("%s %s = %r: %s" % (case[0], list(case[1]), case[2], failure))
+    return failures
+
+
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_mutated_configs_keep_the_exit_contract(tmp_path, trace, command):
-    failures = []
-    for case in sample(command):
-        failure = run_case(*case, str(tmp_path), trace)
-        if failure is not None:
-            failures.append("%s %s = %r: %s" % (command, list(case[1]), case[2], failure))
+    failures = _failures(sample(command), str(tmp_path), trace)
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_numeric_flags_keep_the_exit_contract(tmp_path, trace, command):
+    failures = _failures(flag_cases(command), str(tmp_path), trace)
     assert not failures, "\n".join(failures)
 
 
@@ -160,11 +196,10 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         trace = make_trace(workdir)
         for command in sorted(BASES):
-            for case in cases(command):
-                failure = run_case(*case, workdir, trace)
-                if failure is not None:
-                    failed += 1
-                    print("%s %s = %r: %s" % (command, list(case[1]), case[2], failure))
+            flags = flag_cases(command) if command in FLAGS else []
+            for failure in _failures(cases(command) + flags, workdir, trace):
+                failed += 1
+                print(failure)
     print("%d failed" % failed)
     return 1 if failed else 0
 

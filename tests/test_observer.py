@@ -8,6 +8,7 @@ reference runs of that transcription.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ import pytest
 from test_pde import oracle_recover_once, ref_boundary_sq_integral
 
 from wavecert import observer, pde, search
-from wavecert.certificates import (ProblemParams, compute_iss_gain,
-                                   make_certificate)
+from wavecert.certificates import (CertificateError, ProblemParams,
+                                   certificate_from_dict, certificate_to_dict,
+                                   compute_iss_gain, make_certificate)
 
 PI = math.pi
 
@@ -30,7 +32,7 @@ def preset_ic(x):
 
 def example_setup(horizon, n_points=201, nonlinearity=QUADRATIC):
     """Plant run with the quadratic source and the polynomial preset."""
-    grid = pde.make_grid(1, n_points, horizon)
+    grid = pde.make_grid(1, n_points, horizon, k=1.0)
     x = grid.axis()
     truth = pde.WaveField(preset_ic(x), preset_ic(x))
     _, trace, _ = pde.run(truth, horizon, grid, nonlinearity)
@@ -47,11 +49,11 @@ def contraction_setup(horizon=4.0, m_max=6):
     """Certified linear pipeline: k=0.1, delta=0.08, T* ~ 2.41."""
     params = ProblemParams(n=1, k=0.1, g1=0.0, delta=0.08)
     t_star, _, cert = search.minimal_observability_time(params)
-    grid = pde.make_grid(1, 201, horizon)
+    grid = pde.make_grid(1, 201, horizon, k=0.1)
     x = grid.axis()
     truth = pde.WaveField(preset_ic(x), preset_ic(x))
     _, trace, _ = pde.run(truth, horizon, grid)
-    config = observer.RecoveryConfig(k=0.1, horizon=horizon, m_max=m_max,
+    config = observer.RecoveryConfig(horizon=horizon, m_max=m_max,
                                      grid=grid, certificate=cert,
                                      convergence_threshold=1e-12)
     return t_star, cert, config, truth, trace
@@ -60,7 +62,7 @@ def contraction_setup(horizon=4.0, m_max=6):
 class TestRecoveryConfig:
     def test_defaults(self):
         g = pde.make_grid(1, 101, 2.0)
-        c = observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=10, grid=g)
+        c = observer.RecoveryConfig(horizon=2.0, m_max=10, grid=g)
         assert c.convergence_threshold == 1e-3
         assert c.nonlinearity is pde.ZERO_F
         assert c.certificate is None and not hasattr(c, "stop_early")
@@ -69,36 +71,47 @@ class TestRecoveryConfig:
     def test_validation(self):
         g = pde.make_grid(1, 101, 2.0)
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=-1.0, horizon=2.0, m_max=1, grid=g)
+            observer.RecoveryConfig(horizon=0.0, m_max=1, grid=g)
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=0.0, m_max=1, grid=g)
+            observer.RecoveryConfig(horizon=2.0, m_max=0, grid=g)
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=0, grid=g)
+            observer.RecoveryConfig(horizon=2.0, m_max=True, grid=g)
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=True, grid=g)
+            observer.RecoveryConfig(horizon=2.0, m_max=math.inf, grid=g)
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=math.inf, grid=g)
-        with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=1, grid=g,
+            observer.RecoveryConfig(horizon=2.0, m_max=1, grid=g,
                                     convergence_threshold=0.0)
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=1, grid="grid")
+            observer.RecoveryConfig(horizon=2.0, m_max=1, grid="grid")
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=1, grid=g,
+            observer.RecoveryConfig(horizon=2.0, m_max=1, grid=g,
                                     nonlinearity=lambda z, x, t: z)
         # horizon must land on the step grid
         with pytest.raises(ValueError):
-            observer.RecoveryConfig(k=1.0, horizon=2.0 + 0.4 * g.dt, m_max=1,
+            observer.RecoveryConfig(horizon=2.0 + 0.4 * g.dt, m_max=1,
                                     grid=g)
+
+    def test_work_budget(self):
+        # 2 runs x m_max iterations x steps x nodes, checked before any array
+        # exists, so no iteration count makes a recovery run for days
+        g = pde.make_grid(2, 81, 2.0, k=1.0)
+        per_iteration = 2 * pde.whole_steps(2.0, g.dt) * 81 ** 2
+        most = observer.MAX_RECOVERY_NODE_STEPS // per_iteration
+        assert observer.RecoveryConfig(horizon=2.0, m_max=most, grid=g).m_max == most
+        for m_max in (most + 1, 10 ** 12):
+            with pytest.raises(ValueError, match="node-steps, more than 10000000000"):
+                observer.RecoveryConfig(horizon=2.0, m_max=m_max, grid=g)
+        # 100x over the benchmark's 2-D recovery: N=81, 315 steps, 10 iterations
+        assert 100 * 2 * 10 * 315 * 81 ** 2 < observer.MAX_RECOVERY_NODE_STEPS
 
 
 class TestRecover:
     def test_linear_recovery_within_two_percent(self):
-        grid = pde.make_grid(1, 201, 3.0)
+        grid = pde.make_grid(1, 201, 3.0, k=1.0)
         x = grid.axis()
         truth = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
         _, trace, _ = pde.run(truth, 3.0, grid)
-        config = observer.RecoveryConfig(k=1.0, horizon=3.0, m_max=10,
+        config = observer.RecoveryConfig(horizon=3.0, m_max=10,
                                          grid=grid)
         run = observer.recover(trace, config, truth=truth)
         assert run.final_error_vs_truth <= 0.02
@@ -107,7 +120,7 @@ class TestRecover:
     def test_matches_reference_sweep(self):
         horizon = 1.2
         grid, truth, trace = example_setup(horizon, n_points=101)
-        config = observer.RecoveryConfig(k=1.0, horizon=horizon, m_max=3,
+        config = observer.RecoveryConfig(horizon=horizon, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          convergence_threshold=1e-15)
         run = observer.recover(trace, config)
@@ -122,10 +135,10 @@ class TestRecover:
         assert len(run.records) == 3
 
     def test_zero_trace_zero_truth_degenerate(self):
-        grid = pde.make_grid(1, 101, 1.0)
+        grid = pde.make_grid(1, 101, 1.0, k=1.0)
         steps = round(1.0 / grid.dt)
         trace = pde.BoundaryTrace(np.zeros(steps + 1), grid.dt)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=5,
+        config = observer.RecoveryConfig(horizon=1.0, m_max=5,
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config)
         assert run.converged and len(run.records) == 1
@@ -135,7 +148,7 @@ class TestRecover:
 
     def test_production_records_have_no_truth_fields(self):
         grid, truth, trace = example_setup(2.1)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=4,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=4,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          convergence_threshold=1e-15)
         run = observer.recover(trace, config)
@@ -148,7 +161,7 @@ class TestRecover:
     def test_truth_records(self):
         grid, truth, trace = example_setup(2.1)
         cert = stability_certificate()
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=3,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          certificate=cert,
                                          convergence_threshold=1e-15)
@@ -156,7 +169,7 @@ class TestRecover:
         gf = pde.Grid(1, 201, grid.dt, "observer-forward", 1.0)
         assert abs(run.E_b_initial - pde.energy(truth, gf)) < 1e-15
         want_v0 = pde.lyapunov(pde.WaveField(truth.z, -truth.zt), gf,
-                               cert.vars.chi, 1.0)
+                               cert.vars.chi)
         assert abs(run.V_b_initial - want_v0) < 1e-15
         assert run.records[0].ratio == run.records[0].E_b_t0 / run.E_b_initial
         assert all(r.E_b_t0 is not None and r.V_b_t0 is not None
@@ -165,7 +178,7 @@ class TestRecover:
     def test_recovered_time_stamp_and_budget(self):
         grid, truth, trace = example_setup(1.5, n_points=101)
         shifted = pde.BoundaryTrace(trace.samples, trace.dt, t0=0.5)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.5, m_max=2,
+        config = observer.RecoveryConfig(horizon=1.5, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          convergence_threshold=1e-15)
         run = observer.recover(shifted, config)
@@ -173,9 +186,9 @@ class TestRecover:
         assert len(run.records) == 2
 
     def test_trace_mismatches_rejected(self):
-        grid = pde.make_grid(1, 101, 1.0)
+        grid = pde.make_grid(1, 101, 1.0, k=1.0)
         steps = round(1.0 / grid.dt)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=1, grid=grid)
+        config = observer.RecoveryConfig(horizon=1.0, m_max=1, grid=grid)
         with pytest.raises(ValueError):
             observer.recover(np.zeros(steps + 1), config)
         with pytest.raises(ValueError):
@@ -184,27 +197,27 @@ class TestRecover:
         with pytest.raises(ValueError):
             observer.recover(pde.BoundaryTrace(np.zeros(steps + 1), 2 * grid.dt),
                              config)
-        g2 = pde.make_grid(2, 31, 1.0)
-        c2 = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=1, grid=g2)
+        g2 = pde.make_grid(2, 31, 1.0, k=1.0)
+        c2 = observer.RecoveryConfig(horizon=1.0, m_max=1, grid=g2)
         bad = pde.BoundaryTrace(np.zeros((c2.steps + 1, 7)), g2.dt)
         with pytest.raises(ValueError):
             observer.recover(bad, c2)
 
     def test_truth_shape_rejected(self):
         grid, truth, trace = example_setup(1.0, n_points=101)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=1, grid=grid)
+        config = observer.RecoveryConfig(horizon=1.0, m_max=1, grid=grid)
         bad = pde.WaveField(np.zeros(51), np.zeros(51))
         with pytest.raises(ValueError, match=r"\(51,\) does not match .* \(101,\)"):
             observer.recover(trace, config, truth=bad)
 
     def test_two_dimensional_recovery(self):
         horizon = 3.5
-        grid = pde.make_grid(2, 61, horizon)
+        grid = pde.make_grid(2, 61, horizon, k=1.0)
         x1, x2 = grid.coords()
         mode = np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2)
         truth = pde.WaveField(0.3 * mode, 0.1 * mode)
         _, trace, _ = pde.run(truth, horizon, grid)
-        config = observer.RecoveryConfig(k=1.0, horizon=horizon, m_max=6,
+        config = observer.RecoveryConfig(horizon=horizon, m_max=6,
                                          grid=grid)
         run = observer.recover(trace, config, truth=truth)
         assert run.converged
@@ -214,7 +227,7 @@ class TestRecover:
 class TestConvergenceSplit:
     def test_converges_on_long_window(self):
         grid, truth, trace = example_setup(2.1)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=10,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=10,
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config, truth=truth)
         assert run.converged and not run.diverged
@@ -225,7 +238,7 @@ class TestConvergenceSplit:
 
     def test_fails_on_short_window(self):
         grid, truth, trace = example_setup(1.8)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.8, m_max=10,
+        config = observer.RecoveryConfig(horizon=1.8, m_max=10,
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config, truth=truth)
         assert not run.converged and not run.diverged
@@ -233,13 +246,13 @@ class TestConvergenceSplit:
         assert all(r.succ_change >= 1e-3 for r in run.records)
 
     def test_divergence_flag_not_exception(self):
-        grid = pde.make_grid(1, 101, 2.0)
+        grid = pde.make_grid(1, 101, 2.0, k=1.0)
         x = grid.axis()
         truth = pde.WaveField(np.sin(PI * x / 2) * 0.1, np.zeros_like(x))
         nl = pde.Nonlinearity(lambda z, x, t: 30.0 * z, fz_bound=30.0)
         with np.errstate(all="ignore"):
             _, trace, _ = pde.run(truth, 2.0, grid, nl)
-            config = observer.RecoveryConfig(k=1.0, horizon=2.0, m_max=8,
+            config = observer.RecoveryConfig(horizon=2.0, m_max=8,
                                              grid=grid, nonlinearity=nl)
             run = observer.recover(trace, config)
         assert run.diverged and not run.converged
@@ -247,10 +260,10 @@ class TestConvergenceSplit:
 
     def test_overflowing_energy_is_divergence(self):
         # a finite trace of 1e160 drives a finite field whose energy overflows
-        grid = pde.make_grid(1, 41, 1.0)
+        grid = pde.make_grid(1, 41, 1.0, k=1.0)
         steps = int(round(1.0 / grid.dt))
         trace = pde.BoundaryTrace(np.full(steps + 1, 1e160), grid.dt)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.0, m_max=4, grid=grid)
+        config = observer.RecoveryConfig(horizon=1.0, m_max=4, grid=grid)
         with np.errstate(over="ignore", invalid="ignore"):
             run = observer.recover(trace, config)
         assert run.diverged and not run.converged
@@ -261,7 +274,7 @@ class TestContractionReport:
     def test_certified_pipeline(self):
         t_star, cert, config, truth, trace = contraction_setup()
         run = observer.recover(trace, config, truth=truth)
-        report = observer.contraction_report(run, cert)
+        report = observer.contraction_report(run)
         assert report.applicable and report.reason is None
         want_q = math.exp(-4 * 0.08 * (4.0 - t_star))
         assert abs(report.q - want_q) < 1e-12
@@ -284,11 +297,11 @@ class TestContractionReport:
 
     def test_k_zero_inapplicable(self):
         _, cert, config, truth, trace = contraction_setup(m_max=1)
-        grid = config.grid
-        c0 = observer.RecoveryConfig(k=0.0, horizon=4.0, m_max=1, grid=grid,
+        c0 = observer.RecoveryConfig(horizon=4.0, m_max=1,
+                                     grid=replace(config.grid, k=0.0),
                                      certificate=cert)
         run = observer.recover(trace, c0, truth=truth)
-        report = observer.contraction_report(run, cert)
+        report = observer.contraction_report(run)
         assert not report.applicable
         assert "k = 0" in report.reason
         assert report.ok is None
@@ -296,23 +309,24 @@ class TestContractionReport:
     def test_short_horizon_inapplicable(self):
         t_star, cert, config, truth, _ = contraction_setup(m_max=1)
         horizon = 2.0  # below the certified observation time
-        grid = pde.make_grid(1, 201, horizon)
+        grid = pde.make_grid(1, 201, horizon, k=0.1)
         x = grid.axis()
         truth = pde.WaveField(preset_ic(x), preset_ic(x))
         _, trace, _ = pde.run(truth, horizon, grid)
-        c = observer.RecoveryConfig(k=0.1, horizon=horizon, m_max=1, grid=grid,
+        c = observer.RecoveryConfig(horizon=horizon, m_max=1, grid=grid,
                                     certificate=cert)
         run = observer.recover(trace, c, truth=truth)
-        report = observer.contraction_report(run, cert)
+        report = observer.contraction_report(run)
         assert not report.applicable
         assert "does not exceed" in report.reason
 
     def test_gain_mismatch_inapplicable(self):
         _, cert, config, truth, trace = contraction_setup(m_max=1)
-        c = observer.RecoveryConfig(k=1.0, horizon=4.0, m_max=1,
-                                    grid=config.grid, certificate=cert)
+        c = observer.RecoveryConfig(horizon=4.0, m_max=1,
+                                    grid=replace(config.grid, k=1.0),
+                                    certificate=cert)
         run = observer.recover(trace, c, truth=truth)
-        report = observer.contraction_report(run, cert)
+        report = observer.contraction_report(run)
         assert not report.applicable
         assert "gain" in report.reason
 
@@ -320,10 +334,10 @@ class TestContractionReport:
         # the certificate has g1 = 0, so it says nothing of a 5 z source
         _, cert, config, truth, trace = contraction_setup(m_max=1)
         source = pde.Nonlinearity(lambda z, x, t: 5.0 * z, fz_bound=5.0)
-        c = observer.RecoveryConfig(k=0.1, horizon=4.0, m_max=1, grid=config.grid,
+        c = observer.RecoveryConfig(horizon=4.0, m_max=1, grid=config.grid,
                                     nonlinearity=source, certificate=cert)
         run = observer.recover(trace, c, truth=truth)
-        report = observer.contraction_report(run, cert)
+        report = observer.contraction_report(run)
         assert not report.applicable and report.ok is None
         assert report.reason == "certificate g1 0 is below the source's fz_bound 5"
 
@@ -331,21 +345,22 @@ class TestContractionReport:
         # no t_star: the certificate bounds decay, not the sweep's contraction
         cert = stability_certificate()
         grid, truth, trace = example_setup(2.1, n_points=101)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=1, grid=grid,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=1, grid=grid,
                                          nonlinearity=QUADRATIC, certificate=cert)
         run = observer.recover(trace, config, truth=truth)
-        report = observer.contraction_report(run, cert)
+        report = observer.contraction_report(run)
         assert not report.applicable and report.ok is None
         assert report.reason == "certificate carries no observation time"
 
     def test_preconditions(self):
+        # V_b needs both the truth and the run's certificate
         _, cert, config, truth, trace = contraction_setup(m_max=1)
-        run = observer.recover(trace, config, truth=truth)
-        with pytest.raises(ValueError):
-            observer.contraction_report(run, None)
-        bare = observer.recover(trace, config)  # no truth
-        with pytest.raises(ValueError):
-            observer.contraction_report(bare, cert)
+        no_cert = observer.recover(trace, replace(config, certificate=None),
+                                   truth=truth)
+        no_truth = observer.recover(trace, config)
+        for run in (no_cert, no_truth):
+            with pytest.raises(ValueError, match="lacks ground-truth Lyapunov records"):
+                observer.contraction_report(run)
 
 
 def iss_certificate(t_star_factor=1.02):
@@ -362,7 +377,7 @@ class TestPerturbedRecover:
         self.cert = iss_certificate()
         self.grid, self.truth, self.trace = example_setup(2.1)
         self.config = observer.RecoveryConfig(
-            k=1.0, horizon=2.1, m_max=10, grid=self.grid,
+            horizon=2.1, m_max=10, grid=self.grid,
             nonlinearity=QUADRATIC, certificate=self.cert)
         steps = self.config.steps
         tt = np.arange(steps + 1) * self.grid.dt
@@ -394,6 +409,21 @@ class TestPerturbedRecover:
                                                 * self.cert.params.t_star))
         assert abs(report.c_constant - gamma / denom) < 1e-12 * report.c_constant
 
+    def test_gain_comes_from_the_lmis(self):
+        # a certificate document cannot carry its own r or gamma, which
+        # would scale the ISS bound to whatever it said
+        doc = certificate_to_dict(self.cert)
+        for extra in ({"gamma": 1e-30}, {"gamma": 1e30}, {"r": 5}):
+            bad = dict(doc, vars=dict(doc["vars"], **extra))
+            with pytest.raises(CertificateError, match="unknown variable keys"):
+                certificate_from_dict(bad)
+        config = replace(self.config, certificate=certificate_from_dict(doc))
+        _, report = observer.perturbed_recover(self.trace, self.noise, config)
+        _, gamma = compute_iss_gain(self.cert.params, self.cert.vars)
+        assert report.c_constant * report.noise_integral == report.bound
+        assert report.c_constant == gamma / (self.cert.alpha * (
+            1.0 - math.exp(-2.0 * report.delta0 * self.cert.params.t_star)))
+
     def test_quadratic_scaling_exact(self):
         _, r1 = observer.perturbed_recover(self.trace, self.noise, self.config)
         doubled = pde.BoundaryTrace(2.0 * self.noise.samples, self.grid.dt)
@@ -415,7 +445,7 @@ class TestPerturbedRecover:
                 self.trace,
                 pde.BoundaryTrace(np.zeros(steps + 1), 2 * self.grid.dt),
                 self.config)
-        bare = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=1,
+        bare = observer.RecoveryConfig(horizon=2.1, m_max=1,
                                        grid=self.grid, nonlinearity=QUADRATIC)
         with pytest.raises(ValueError):
             observer.perturbed_recover(self.trace, self.noise, bare)
@@ -424,7 +454,7 @@ class TestPerturbedRecover:
         # the certificate's g1 = 0.2 does not bound the slope 0.5 of the source
         steep = pde.Nonlinearity(lambda z, x, t: 0.5 * z, fz_bound=0.5)
         config = observer.RecoveryConfig(
-            k=1.0, horizon=2.1, m_max=1, grid=self.grid, nonlinearity=steep,
+            horizon=2.1, m_max=1, grid=self.grid, nonlinearity=steep,
             certificate=self.cert)
         with pytest.raises(ValueError, match="g1 0.2 is below the source's fz_bound 0.5"):
             observer.perturbed_recover(self.trace, self.noise, config)
@@ -437,12 +467,12 @@ class TestPerturbedRecover2D:
         t_star, _, _ = search.minimal_observability_time(params)
         full = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05, t_star=t_star * 1.02)
         cert = make_certificate(full, search.find_feasible_vars(full))
-        grid = pde.make_grid(2, 17, 0.8)
+        grid = pde.make_grid(2, 17, 0.8, k=1.0)
         x1, x2 = grid.coords()
         truth = pde.WaveField(0.3 * np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2),
                               np.zeros_like(x1))
         _, trace, _ = pde.run(truth, 0.8, grid)
-        config = observer.RecoveryConfig(k=1.0, horizon=0.8, m_max=2, grid=grid,
+        config = observer.RecoveryConfig(horizon=0.8, m_max=2, grid=grid,
                                          certificate=cert)
         rng = np.random.default_rng(29)
         shape = trace.samples.shape
@@ -461,7 +491,7 @@ class TestPerturbedRecover2D:
 class TestRegionalGuard:
     def test_no_regional_data_no_guard(self):
         grid, truth, trace = example_setup(2.1)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=2,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config, truth=truth)
         assert run.regional_guard_ok is None
@@ -469,7 +499,7 @@ class TestRegionalGuard:
     def test_guard_holds_inside_region(self):
         cert = stability_certificate(d=0.5)
         grid, truth, trace = example_setup(2.1)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=3,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          certificate=cert)
         run = observer.recover(trace, config, truth=truth)
@@ -478,7 +508,7 @@ class TestRegionalGuard:
     def test_guard_trips_on_small_region(self):
         cert = stability_certificate(d=0.01)
         grid, truth, trace = example_setup(2.1)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=2,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          certificate=cert)
         run = observer.recover(trace, config, truth=truth)
@@ -489,7 +519,7 @@ class TestRegionalGuard:
         # which approach the truth (max |z| 0.137), leave the radius 0.05
         cert = stability_certificate(d=0.05)
         grid, truth, trace = example_setup(2.1, n_points=101)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=2,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          certificate=cert)
         run = observer.recover(trace, config)
@@ -501,7 +531,7 @@ class TestRegionalGuard:
                                  local_radius=0.05)
         cert = stability_certificate(d=0.5)
         grid, truth, trace = example_setup(2.1, nonlinearity=tight)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=2,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=2,
                                          grid=grid, nonlinearity=tight,
                                          certificate=cert)
         run = observer.recover(trace, config, truth=truth)
@@ -511,7 +541,7 @@ class TestRegionalGuard:
 class TestSerialization:
     def test_production_shape(self):
         grid, truth, trace = example_setup(2.1, n_points=101)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=3,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=3,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          convergence_threshold=1e-15)
         run = observer.recover(trace, config)
@@ -525,7 +555,7 @@ class TestSerialization:
     def test_truth_shape(self):
         grid, truth, trace = example_setup(2.1, n_points=101)
         cert = stability_certificate(d=0.5)
-        config = observer.RecoveryConfig(k=1.0, horizon=2.1, m_max=2,
+        config = observer.RecoveryConfig(horizon=2.1, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          certificate=cert)
         run = observer.recover(trace, config, truth=truth)
@@ -538,7 +568,7 @@ class TestSerialization:
 
     def test_round_trip_floats(self):
         grid, truth, trace = example_setup(1.5, n_points=101)
-        config = observer.RecoveryConfig(k=1.0, horizon=1.5, m_max=2,
+        config = observer.RecoveryConfig(horizon=1.5, m_max=2,
                                          grid=grid, nonlinearity=QUADRATIC,
                                          convergence_threshold=1e-15)
         run = observer.recover(trace, config, truth=truth)

@@ -13,6 +13,7 @@ import pickle
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,7 +393,7 @@ class TestFieldShapeMatchesGrid:
                  lambda: pde.step(f, go, boundary_input=(y, y)),
                  lambda: pde.energy(f, g),
                  lambda: pde.hnorm(f, g),
-                 lambda: pde.lyapunov(f, g, 0.1, 1.0),
+                 lambda: pde.lyapunov(f, g, 0.1),
                  lambda: pde.wirtinger_check(f, g),
                  lambda: pde.trace_check(f, g)]
         want = r"field shape %s does not match the grid shape %s" % (
@@ -758,7 +759,7 @@ class TestRunObserver:
         energies, lyap = series
         assert energies.shape == lyap.shape == (trace.steps + 1,)
         assert trace.samples.shape == (trace.steps + 1, 1)
-        assert abs(lyap[0] - pde.lyapunov(f0, g, 0.18, 1.0)) < 1e-15
+        assert abs(lyap[0] - pde.lyapunov(f0, g, 0.18)) < 1e-15
         assert abs(energies[0] - pde.energy(f0, g)) < 1e-15
 
 
@@ -810,8 +811,8 @@ class TestEnergy:
         scaled = pde.WaveField(3.0 * f.z, 3.0 * f.zt)
         assert abs(pde.energy(scaled, g) - 9.0 * pde.energy(f, g)) \
             <= 1e-12 * pde.energy(scaled, g)
-        v1 = pde.lyapunov(f, g, 0.2, 1.0)
-        v9 = pde.lyapunov(scaled, g, 0.2, 1.0)
+        v1 = pde.lyapunov(f, g, 0.2)
+        v9 = pde.lyapunov(scaled, g, 0.2)
         assert abs(v9 - 9.0 * v1) <= 1e-12 * abs(v9)
 
     def test_hnorm(self):
@@ -826,14 +827,14 @@ class TestLyapunov:
         g = pde.Grid(1, 101, 0.004, "observer-forward", 1.0)
         for _ in range(20):
             f = fourier_field(rng, 101)
-            assert pde.lyapunov(f, g, 0.0, 1.0) == pde.energy(f, g)
+            assert pde.lyapunov(f, g, 0.0) == pde.energy(f, g)
 
     def test_2d_boundary_term_analytic(self):
         # e = x1 x2, e_t = 0: V - E is the boundary term chi k / 2 * (2/3)
         g = pde.Grid(2, 101, 0.004, "observer-forward", 1.0)
         x1, x2 = g.coords()
         f = pde.WaveField(x1 * x2, np.zeros_like(x1))
-        got = pde.lyapunov(f, g, 0.1, 1.0) - pde.energy(f, g)
+        got = pde.lyapunov(f, g, 0.1) - pde.energy(f, g)
         assert abs(got - 0.1 * 1.0 / 2 * (2.0 / 3.0)) <= 5e-6
 
     def test_cross_term_sign(self):
@@ -841,7 +842,7 @@ class TestLyapunov:
         x = g.axis()
         f = pde.WaveField(np.sin(PI * x / 2), np.sin(PI * x / 2))
         # 2 x z_x z_t > 0 pointwise here, so V > E for chi > 0
-        assert pde.lyapunov(f, g, 0.1, 0.0) > pde.energy(f, g)
+        assert pde.lyapunov(f, g, 0.1) > pde.energy(f, g)
 
     def test_sandwich_certified_1d(self):
         # sharp pair alpha = 1-2chi, beta = 1+2chi at the stability point
@@ -852,7 +853,7 @@ class TestLyapunov:
         for _ in range(1000):
             f = fourier_field(rng, 201)
             e = pde.energy(f, g)
-            v = pde.lyapunov(f, g, chi, 1.0)
+            v = pde.lyapunov(f, g, chi)
             assert v - alpha * e >= -1e-6 * e
             assert beta * e - v >= -1e-6 * e
 
@@ -865,7 +866,7 @@ class TestLyapunov:
         for _ in range(200):
             f = fourier_field(rng, 65, dim=2)
             e = pde.energy(f, g)
-            v = pde.lyapunov(f, g, 0.05, 1.0)
+            v = pde.lyapunov(f, g, 0.05)
             assert v - alpha * e >= -1e-6 * e
             assert beta * e - v >= -1e-6 * e
 
@@ -873,7 +874,7 @@ class TestLyapunov:
         g = pde.Grid(1, 101, 0.004)
         f = pde.WaveField(np.zeros(101), np.zeros(101))
         with pytest.raises(ValueError):
-            pde.lyapunov(f, g, -0.1, 1.0)
+            pde.lyapunov(f, g, -0.1)
 
 
 class TestInequalityChecks:
@@ -1263,9 +1264,10 @@ class TestBitIdentity:
             f = _random_field(rng, n, dim)
             assert _bits(pde.energy(f, grid)) == _bits(ref_energy(f, grid))
             for chi in (0.0, 0.05, 0.3):
-                for k in (None, 0.0, 2.5):
-                    want = ref_lyapunov(f, grid, chi, grid.k if k is None else k)
-                    assert _bits(pde.lyapunov(f, grid, chi, k)) == _bits(want)
+                for k in (0.7, 0.0, 2.5):
+                    g = replace(grid, k=k)
+                    want = ref_lyapunov(f, g, chi, k)
+                    assert _bits(pde.lyapunov(f, g, chi)) == _bits(want)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_run_series_match_inline_reference(self, dim):

@@ -1315,6 +1315,20 @@ class TestMaximizeRegionalRadius:
         assert len(failures) == 2 and not calls
         assert "lambda_max(Phi)=" in str(failures[-1]) and len(calls) == 1
 
+    def test_chi_grid_stays_below_one_half_at_n_1(self):
+        # chi_min is at most the chi grid's top, the psi1 cut k/(1+k^2) <= 1/2
+        # times 1 - 1e-9, so the regional radius, which needs chi < 1/2,
+        # never sees a chi_min of 1/2 or more
+        near_one = [1.0]
+        for direction in (0.0, 2.0):
+            k = 1.0
+            for _ in range(50):
+                k = float(np.nextafter(k, direction))
+                near_one.append(k)
+        for k in near_one + [float(k) for k in np.geomspace(1e-3, 1e3, 2001)]:
+            _, hi, _ = search._chi_grid(ProblemParams(n=1, k=k))
+            assert hi <= 0.4999999995, k
+
     def test_preconditions(self):
         with pytest.raises(CertificateError, match="n = 1"):
             maximize_regional_radius(ProblemParams(n=2, k=1.0, g1=0.1, d=1.0))
@@ -1344,6 +1358,10 @@ class TestDeltaMargin:
         p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001)
         v = DecisionVars(chi=0.3, lambda1=0.3)
         assert delta_margin(p, v) == 0.001
+
+    def test_requires_delta(self):
+        with pytest.raises(CertificateError, match="^delta is required$"):
+            delta_margin(ProblemParams(n=1, k=1.0), DecisionVars(chi=0.3, lambda1=0.3))
 
 
 # ----------------------------------------------------------------------- sweep
