@@ -13,6 +13,7 @@ negative result), 1 error (bad config, missing file, numeric blow-up).
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -46,7 +47,13 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors, which this tool reserves
-    # for valid negative results; route usage problems to exit code 1 instead
+    # for valid negative results; route usage problems to exit code 1 instead.
+    # Read -1e-3 and -inf as values, as argparse already reads -1, not options
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         raise CliError("%s: %s" % (self.prog, message))
 

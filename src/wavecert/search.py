@@ -139,15 +139,20 @@ def _bracket(params, chi, name):
     return 1e-14, 0.5 * (1.0 - es) * PI2 * n / 4.0
 
 
-def _span_quadratic(n0, wq):
-    # cap, W, K and the discriminant of _span's determinant, in operators
-    # only: for floats (with q > 0) and arrays alike.  The span can be
-    # non-empty only where q > 0, W > 0, the discriminant is > 0 and all
-    # are finite
-    p, r, u, q, v, w = n0
-    cap = (p - r * r / q) / wq
-    big_w = w + cap - v * v / q
-    d = u - r * v / q
+def _products(r, v):
+    # the products of _span_quadratic that neither s nor lam moves
+    return r * r, v * v, r * v
+
+
+def _span_quadratic(n0, wq, rr, vv, rv):
+    # cap, W, K and the discriminant of _span's determinant, with rr, vv, rv
+    # from _products, in operators only: for floats (with q > 0) and arrays
+    # alike.  The span can be non-empty only where q > 0, W > 0, the
+    # discriminant is > 0 and all are finite
+    p, _, u, q, _, w = n0
+    cap = (p - rr / q) / wq
+    big_w = w + cap - vv / q
+    d = u - rv / q
     k = d * d / wq
     return cap, big_w, k, big_w * big_w - 4.0 * k
 
@@ -159,7 +164,7 @@ def _span_roots(cap, big_w, k, disc, sqrt):
     return cap - t2, cap - k / t2
 
 
-def _span(n0, wq, lo, hi):
+def _span(n0, wq, lo, hi, products=None):
     """(a, b) where n0 + lam diag(-wq, 0, 1) is positive definite, cut to [lo, hi].
 
     n0 is the upper triangle (p, r, u, q, v, w) of a symmetric 3x3 matrix
@@ -168,27 +173,27 @@ def _span(n0, wq, lo, hi):
     the determinant is the concave quadratic q wq (W t - t^2 - K), W and K
     in _span_quadratic, positive between its two roots in t.  The span is
     empty when not a < b.  A float lo gives floats, and None when an input
-    is not finite; an array lo gives arrays, elementwise, with a = b = lo
-    where the span is empty or an input or intermediate is not finite.
+    is not finite.  An array lo gives arrays (a, b, exists), elementwise:
+    exists is False where the span is empty or an input or intermediate is
+    not finite, and a and b mean nothing there; the caller passes
+    products = _products(r, v) and holds np.errstate(all="ignore").
     """
+    p, r, u, q, v, w = n0
     if type(lo) is float:
-        p, r, u, q, v, w = n0
         if not math.isfinite(p + r + u + q + v + w + lo + hi):
             return None
         if not q > 0.0:
             return lo, lo
-        cap, big_w, k, disc = _span_quadratic(n0, wq)
+        cap, big_w, k, disc = _span_quadratic(n0, wq, *_products(r, v))
         if not (big_w > 0.0 and disc > 0.0 and math.isfinite(cap + big_w + disc)):
             return lo, lo
         a, b = _span_roots(cap, big_w, k, disc, math.sqrt)
         return max(lo, a), min(hi, b)
-    with np.errstate(all="ignore"):
-        cap, big_w, k, disc = _span_quadratic(n0, wq)
-        a, b = _span_roots(cap, big_w, k, disc, np.sqrt)
-        a, b = np.maximum(lo, a), np.minimum(hi, b)
-        exists = ((n0[3] > 0.0) & (big_w > 0.0) & (disc > 0.0)
+    cap, big_w, k, disc = _span_quadratic(n0, wq, *products)
+    a, b = _span_roots(cap, big_w, k, disc, np.sqrt)
+    a, b = np.maximum(lo, a), np.minimum(hi, b)
+    return a, b, ((q > 0.0) & (big_w > 0.0) & (disc > 0.0)
                   & np.isfinite(cap + big_w + disc) & (a < b))
-    return np.where(exists, a, lo), np.where(exists, b, lo)
 
 
 def _clearing(params, chi, entries, name, s, top):
@@ -265,39 +270,36 @@ def _best_multipliers(params, chi, lmis):
     b00, b01, b02, b11, b12, b22 = (np.concatenate(e) for e in zip(*b))
     r, u, v = -b01, -b02, -b12
     wq = _wq(params.n)
+    with np.errstate(all="ignore"):
+        products = _products(r, v)
 
-    def span(s):
-        # where s I - B(lam) is positive definite
-        return _span((s - b00, r, u, s - b11, v, s - b22), wq, lo, hi)
+        def span(s):
+            # where s I - B(lam) is positive definite
+            return _span((s - b00, r, u, s - b11, v, s - b22), wq, lo, hi, products)
 
-    with np.errstate(over="ignore", invalid="ignore"):
         mid = 0.5 * (lo + hi)
         good = np.maximum(np.maximum(b00 + mid * wq + np.abs(b01) + np.abs(b02),
                                      b11 + np.abs(b01) + np.abs(b12)),
                           b22 - mid + np.abs(b02) + np.abs(b12))
-        lam = lo
         found = np.zeros(lo.shape, dtype=bool)
         for _ in range(60):
-            a, z = span(good)
-            new = (a < z) & ~found
-            lam = np.where(new, 0.5 * (a + z), lam)
-            found |= new
+            found |= span(good)[2]
             widen = ~found & (lo < hi)
             if not widen.any():
                 break
-            good = np.where(widen, good + np.maximum(good - b11, np.spacing(np.abs(good))),
-                            good)
+            np.copyto(good, good + np.maximum(good - b11, np.spacing(np.abs(good))),
+                      where=widen)
         bad = np.where(found, b11, good)
         while True:
             s = 0.5 * (bad + good)
             inner = (bad < s) & (s < good)
             if not inner.any():
                 break
-            a, z = span(s)
-            yes = inner & (a < z)
-            good = np.where(yes, s, good)
-            bad = np.where(inner & ~yes, s, bad)
-            lam = np.where(yes, 0.5 * (a + z), lam)
+            yes = inner & span(s)[2]
+            np.copyto(good, s, where=yes)
+            np.copyto(bad, s, where=inner ^ yes)
+        a, z, _ = span(good)
+        lam = np.where(found, 0.5 * (a + z), lo)
     results = []
     m = len(chi)
     for i, (_, name, top) in enumerate(lmis):
@@ -356,8 +358,7 @@ def _stability_ruled_out(params, grid, margin):
             lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
             p, r, u, q, v, w = n0
             finite = finite & np.isfinite(p + r + u + q + v + w + lo + hi)
-            a, b = _span(n0, wq, lo, hi)
-            out |= finite & ~(a < b)
+            out |= finite & ~_span(n0, wq, lo, hi, _products(r, v))[2]
     return out
 
 

@@ -302,6 +302,19 @@ class TestCertify:
                                      capsys)
             assert code == 1 and out == "" and err.startswith("error: margin must")
 
+    @pytest.mark.parametrize("bad,says", [
+        ("-1e-3", "margin must be >= 0, got -0.001"),
+        ("-.5e1", "margin must be >= 0, got -5.0"),
+        ("-1E+2", "margin must be >= 0, got -100.0"),
+        ("-inf", "margin must be finite, got -inf"),
+    ])
+    def test_negative_margin_in_any_float_form(self, tmp_path, capsys, bad, says):
+        # argparse took a negative exponent form for an option and reported
+        # "argument --margin: expected one argument" instead of the range
+        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM})
+        code, out, err = run_cli(["certify", "--config", cfg, "--margin", bad], capsys)
+        assert (code, out, err) == (1, "", "error: %s\n" % says)
+
     def test_vars_from_min_time_stdout(self, tmp_path, capsys):
         # min-time prints its certificate under a "certificate" key
         cfg = write_json(tmp_path, "c.json",
@@ -418,6 +431,14 @@ class TestMinTime:
         code, out, err = run_cli(
             ["min-time", "--config", cfg, "--tol", "0"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("bad", ["-1e+308", "-1e-3", "-.5e1"])
+    def test_negative_tol_in_exponent_form(self, tmp_path, capsys, bad):
+        # the range error, not argparse's "expected one argument"
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "delta": 0.01}})
+        code, out, err = run_cli(["min-time", "--config", cfg, "--tol", bad], capsys)
+        assert (code, out, err) == (1, "", "error: --tol must be > 0\n")
 
 
 class TestRegional:

@@ -742,6 +742,46 @@ class TestLockstepScan:
         results = _assert_lockstep_bits(params, chi, lmis)
         assert np.all(results[1][0] == math.ulp(0.0))
 
+    @pytest.mark.parametrize("n,g1,delta", [(2, 0.1, 0.01), (1, 0.0, 0.001)],
+                             ids=["criterion-1", "criterion-2"])
+    def test_the_benchmark_grids_keep_their_bits(self, n, g1, delta, monkeypatch):
+        # the 400-point grid and the three 40-point refinements of the
+        # certificate that a pinned min-time row builds, at the t_star that
+        # minimal_observability_time bisects for it
+        calls = []
+        real = search._best_multipliers
+        monkeypatch.setattr(search, "_best_multipliers", lambda params, chi, lmis:
+                            calls.append((params, chi, lmis)) or real(params, chi, lmis))
+        t_star, _, _ = minimal_observability_time(
+            ProblemParams(n=n, k=1.0, g1=g1, delta=delta))
+        monkeypatch.undo()
+        assert [len(chi) for _, chi, _ in calls] == [search.CHI_COUNT] + [
+            search.REFINEMENT_COUNT] * search.REFINEMENT_ROUNDS
+        for params, chi, lmis in calls:
+            assert params.t_star == t_star and lmis == OBSERVABILITY
+            _assert_lockstep_bits(params, chi, lmis)
+
+    def test_entries_whose_squares_overflow(self):
+        # finite off-diagonal entries whose products overflow, as in psi2 at
+        # g1 = 1e200 (v^2) and in _coupled (r^2, v^2 and r v): the products
+        # computed once per call overflow under the call's errstate, with no
+        # RuntimeWarning, and every value and multiplier keeps its bits
+        params = ProblemParams(n=2, k=1.0, g1=1e200, delta=0.01, t_star=20.0)
+        chi = np.geomspace(1e-4, 0.3, 3)
+        [(values, lams), *_] = _assert_lockstep_bits(params, chi, OBSERVABILITY)
+        assert np.all(values == math.inf)
+        assert _same_bits(lams, [1e196, 5.477225575051662e197, 2.9999999999999997e199])
+
+        def _coupled(params, chi, lam):
+            zero = 0.0 * chi
+            return (zero + lam * search._wq(params.n) - 5.0, zero + 1e200, zero - 3e190,
+                    zero, zero + 1e200, zero - 5.0 - lam)
+
+        params, chi = ProblemParams(n=1, k=1.0), np.array([0.1, 0.2])
+        for top in (True, False):
+            [(values, lams)] = _assert_lockstep_bits(params, chi, [(_coupled, "lambda0", top)])
+            assert np.all(values == (math.inf if top else -math.inf)) and np.all(lams == 1e-12)
+
     @pytest.mark.parametrize("overflow,bad,broken,raises,says", [
         # psi2's overflow comes before phi0's bad multiplier
         (True, "lambda0", False, ValueError, "non-finite matrix entry in the batch"),
