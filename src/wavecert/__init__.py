@@ -25,6 +25,5 @@ from .search import (Infeasible, SearchConfig, SweepResult, SweepRow,
                      chi_min_stability, delta_margin, find_feasible_vars,
                      maximize_regional_radius, minimal_observability_time,
                      sweep)
-from .smallmat import SymMatrix, eigenvalues
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
 
-from .smallmat import SymMatrix, eigenvalues
+from .smallmat import eigenvalues
 
 PI2 = math.pi * math.pi
 DEFAULT_MARGIN = 1e-9
@@ -179,9 +179,10 @@ def _require(vars, name):
 # ------------------------------------------------------------------ builders
 # each *_entries function holds the one formula of its matrix: the upper
 # triangle, row-major, for chi and the multiplier as floats or as arrays.
-# The build_* functions check their variables and wrap the floats in a
-# SymMatrix; the searches call the formulas directly, the lockstep chi scan
-# with whole grids and the sequential searches with single floats.
+# The build_* functions check their variables and return the six floats
+# for the certificate checks, which read the extremes through eigenvalues;
+# the searches call the formulas directly, the lockstep chi scan with whole
+# grids and the sequential searches with single floats.
 
 
 def phi0_entries(params, chi, lam0):
@@ -219,16 +220,14 @@ def phi_obs_entries(params, chi, lam2):
 
 def build_phi0(params, vars):
     """3x3 matrix whose positive definiteness bounds V between alpha E and beta E."""
-    return SymMatrix(3, phi0_entries(params, vars.chi, _lambda0(params, vars)))
+    return phi0_entries(params, vars.chi, _lambda0(params, vars))
 
 
 def build_phi1(params, vars):
     """Phi0 shifted by diag(lambda0 4/(pi^2 n), 0, 0); its largest eigenvalue enters beta."""
-    m = build_phi0(params, vars)
-    lam0 = _lambda0(params, vars)
-    ent = list(m.entries)
-    ent[0] += lam0 * _wq(params.n)
-    return SymMatrix(3, ent)
+    ent = list(build_phi0(params, vars))
+    ent[0] += _lambda0(params, vars) * _wq(params.n)
+    return tuple(ent)
 
 
 def build_psi1(params, vars):
@@ -241,7 +240,7 @@ def build_psi2(params, vars):
     _require(vars, "lambda1")
     if params.delta is None:
         raise CertificateError("delta is required to build the decay matrix")
-    return SymMatrix(3, psi2_entries(params, vars.chi, vars.lambda1))
+    return psi2_entries(params, vars.chi, vars.lambda1)
 
 
 def build_phi_obs(params, vars):
@@ -250,7 +249,7 @@ def build_phi_obs(params, vars):
     _require(vars, "lambda2")
     if params.delta is None or params.t_star is None:
         raise CertificateError("delta and t_star are required to build the observability matrix")
-    return SymMatrix(3, phi_obs_entries(params, vars.chi, vars.lambda2))
+    return phi_obs_entries(params, vars.chi, vars.lambda2)
 
 
 # ------------------------------------------------------------------ checks
@@ -354,9 +353,9 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
         return 0.0, gamma
 
     def absorbed(u):
-        ent = list(psi2.entries)
+        ent = list(psi2)
         ent[0] += chi * (n - 1) / (2.0 * 10.0 ** u)
-        return eigenvalues(SymMatrix(3, ent))[-1] <= -margin
+        return eigenvalues(ent)[-1] <= -margin
 
     # r = 1e-6 never absorbs: psi2's (1,1) entry is at least -chi, and the
     # perturbation there is chi (n-1) / 2e-6, which leaves that entry positive

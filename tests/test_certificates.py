@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from test_smallmat import full_rows, jacobi_eigenvalues
+
 from wavecert import certificates as cert
-from wavecert import smallmat
+from wavecert import search, smallmat
 from wavecert.certificates import (
     Certificate,
     CertificateError,
@@ -102,7 +104,7 @@ def phi_obs_np(n, delta, t_star, chi, lam2):
 
 
 def as_np(m):
-    return np.array(m.to_rows())
+    return np.array(full_rows(m))
 
 
 def phi_feasible_oracle(n, delta, t_star, chi):
@@ -258,12 +260,13 @@ class TestBuilders:
         rows = as_np(m)
         assert np.array_equal(rows, np.diag(np.diag(rows)))
         lam = smallmat.eigenvalues(m)
-        assert lam == pytest.approx(sorted(np.diag(rows)), rel=1e-14)
+        diag = sorted(np.diag(rows))
+        assert lam == pytest.approx((diag[0], diag[-1]), rel=1e-14)
 
     def test_phi0_lambda0_defaults_for_1d_only(self):
         p1 = ProblemParams(n=1, k=1.0)
         m = build_phi0(p1, DecisionVars(chi=0.1))
-        assert m[2, 2] == cert.DEFAULT_LAMBDA0_1D
+        assert m[5] == cert.DEFAULT_LAMBDA0_1D
         with pytest.raises(CertificateError, match="lambda0"):
             build_phi0(ProblemParams(n=2, k=1.0), DecisionVars(chi=0.1))
 
@@ -315,7 +318,8 @@ class TestBuilders:
         rows = as_np(build_phi_obs(p, v))
         lam = smallmat.eigenvalues(build_phi_obs(p, v))
         block = np.linalg.eigvalsh(rows[:2, :2])
-        assert lam == pytest.approx(sorted([block[0], block[1], -0.02]), rel=1e-12)
+        want = sorted([block[0], block[1], -0.02])
+        assert lam == pytest.approx((want[0], want[-1]), rel=1e-12)
 
     def test_phi_obs_long_horizon_limit(self):
         # exp(-2 delta t_star) ~ 0 wipes the memory of the initial energy
@@ -506,6 +510,89 @@ class TestAlphaBeta:
             compute_alpha_beta(p, DecisionVars(chi=0.6))
 
 
+class TestMarginBits:
+    """Every certificate margin has the bits of the general Jacobi on the
+    full rows of its matrix, also within a few ulps of an LMI boundary."""
+
+    LMIS = (("lambda0", cert.phi0_entries, False),
+            ("lambda1", cert.psi2_entries, True),
+            ("lambda2", cert.phi_obs_entries, True))
+
+    @staticmethod
+    def boundary_multipliers(params, chi, entries, name, top):
+        # the ends of the span where the decisive eigenvalue clears 0, each
+        # with its two float neighbours on either side, and the witness at
+        # the default margin
+        _, n0, lo, hi = search._clearing(params, chi, entries, name, 0.0, top)
+        span = search._span(n0, wq(params.n), lo, hi)
+        lams = []
+        if span is not None and span[0] < span[1]:
+            for end in span:
+                below = math.nextafter(end, -math.inf)
+                above = math.nextafter(end, math.inf)
+                lams += [math.nextafter(below, -math.inf), below, end, above,
+                         math.nextafter(above, math.inf)]
+        witness = search._witness(params, chi, entries, name, cert.DEFAULT_MARGIN, top=top)
+        if witness is not None:
+            lams.append(witness)
+        return [lam for lam in lams if lam > 0.0]
+
+    def points(self):
+        rng = np.random.default_rng(20261019)
+        for n in (1, 2, 3):
+            for _ in range(12):
+                p = ProblemParams(n=n, k=float(rng.uniform(0.2, 2.0)),
+                                  g1=float(rng.choice([0.0, rng.uniform(0.0, 0.5)])),
+                                  delta=float(10.0 ** rng.uniform(-4, -1)),
+                                  t_star=float(rng.uniform(1.0, 40.0)))
+                chi = float(rng.uniform(1e-3, 0.45))
+                lams = {name: self.boundary_multipliers(p, chi, entries, name, top)
+                        for name, entries, top in self.LMIS}
+                # each LMI in turn at each of its boundary multipliers, the
+                # others at their first
+                first = {name: (got[0] if got else 0.1) for name, got in lams.items()}
+                for name, got in lams.items():
+                    for lam in got:
+                        yield p, DecisionVars(chi=chi, **dict(first, **{name: lam}))
+        # the pinned searches' certificates, whose chi and t_star bisections
+        # end on a boundary
+        for p in (ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01),
+                  ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001)):
+            _, _, c = search.minimal_observability_time(p)
+            yield c.params, c.vars
+
+    def test_margins_match_general_jacobi_bits(self):
+        near = 0
+        for p, v in self.points():
+            built = {"phi0": build_phi0(p, v), "phi1": build_phi1(p, v),
+                     "psi2": build_psi2(p, v), "phi_obs": build_phi_obs(p, v)}
+            assert type(build_psi1(p, v)) is float
+            for entries in built.values():
+                assert len(entries) == 6 and all(type(x) is float for x in entries)
+            eig = {name: jacobi_eigenvalues(full_rows(ent)) for name, ent in built.items()}
+            margins = check_observability(p, v)["margins"]
+            want = {"phi0": eig["phi0"][0], "psi1": build_psi1(p, v),
+                    "psi2": eig["psi2"][-1], "phi_obs": eig["phi_obs"][-1]}
+            assert {k: x.hex() for k, x in margins.items()} == \
+                {k: x.hex() for k, x in want.items()}
+            near += min(abs(want[k]) for k in ("phi0", "psi2", "phi_obs")) < 1e-12
+            if not eig["phi0"][0] > 0.0:
+                with pytest.raises(CertificateError, match="phi0"):
+                    compute_alpha_beta(p, v)
+                continue
+            n, k, chi = p.n, p.k, v.chi
+            if n == 1:
+                want_ab = (1.0 - 2.0 * chi, 1.0 + 2.0 * chi)
+            else:
+                want_ab = (2.0 * eig["phi0"][0],
+                           2.0 * (1.0 + 2.0 / (PI2 * n)) * eig["phi1"][-1]
+                           + chi * k * (n - 1))
+            assert [x.hex() for x in compute_alpha_beta(p, v)] == \
+                [x.hex() for x in want_ab]
+        # the sweep really visits the boundaries, not just their neighbourhood
+        assert near > 100
+
+
 class TestIssGain:
     def test_closed_form_1d(self):
         p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.01)
@@ -594,9 +681,9 @@ class TestIssGain:
 def absorbs_perturbation(params, vars, r, margin=1e-9):
     """The ISS condition on r: psi2 with chi (n-1) / (2 r) added to its (1,1)
     entry keeps its largest eigenvalue at or below -margin."""
-    ent = list(build_psi2(params, vars).entries)
+    ent = list(build_psi2(params, vars))
     ent[0] += vars.chi * (params.n - 1) / (2.0 * r)
-    return smallmat.eigenvalues(smallmat.SymMatrix(3, ent))[-1] <= -margin
+    return smallmat.eigenvalues(ent)[-1] <= -margin
 
 
 class TestBisect:

@@ -3,8 +3,10 @@
 Each ```python block runs on its own, in a fresh namespace, as a reader
 would paste it; a block that raises fails its test.  Each backticked
 `module.name` reference to a wavecert module must name an attribute of it.
+The package keeps the README's promise never to call into LAPACK.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -54,3 +56,30 @@ def test_readme_has_references():
                          ids=["%s.%s" % ref for ref in REFERENCES])
 def test_reference_resolves(module, name):
     assert hasattr(importlib.import_module("wavecert." + module), name)
+
+
+def _package_sources():
+    root = os.path.dirname(os.path.abspath(wavecert.__file__))
+    for folder, _, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield os.path.relpath(path, root), fh.read()
+
+
+def test_package_never_calls_into_lapack():
+    sources = dict(_package_sources())
+    assert "smallmat.py" in sources and "certificates.py" in sources
+    for name, text in sources.items():
+        found = re.findall(r"linalg|lapack|scipy", text, re.I)
+        assert not found, "%s mentions %s" % (name, ", ".join(sorted(set(found))))
+    # the eigenvalue kernel stands on the standard library's math alone
+    imported = set()
+    for node in ast.walk(ast.parse(sources["smallmat.py"])):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math"}
+    assert not re.search(r"__import__|importlib", sources["smallmat.py"])

@@ -1,8 +1,9 @@
-"""Tests for the tiny symmetric eigensolver.
+"""Tests for the 3x3 symmetric eigenvalue kernel.
 
-The eigenvalue oracle used here is fully independent of the implementation:
+The value oracle used here is fully independent of the implementation:
 characteristic polynomial coefficients via Faddeev-LeVerrier, roots isolated
-recursively through the derivative and pinned down by bisection.
+recursively through the derivative and pinned down by bisection.  The bit
+oracle is the general nested-loop cyclic Jacobi that extremes3 unrolls.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from wavecert.smallmat import SymMatrix, eigenvalues, extremes3
+from wavecert.smallmat import eigenvalues, extremes3
 
 PI2 = math.pi * math.pi
 
@@ -94,6 +95,62 @@ def _eig_oracle(rows):
     return sorted(roots)
 
 
+def jacobi_eigenvalues(rows):
+    """All eigenvalues of full symmetric rows, ascending, by cyclic Jacobi.
+
+    The general nested loop that extremes3 unrolls for 3x3, with the same
+    convergence scale max(1, |A|_F) squared by multiplication: the bit
+    oracle of extremes3 and of every certificate margin.
+    """
+    n = len(rows)
+    a = [[float(x) for x in row] for row in rows]
+    fro = 0.0
+    for i in range(n):
+        for j in range(n):
+            fro += a[i][j] * a[i][j]
+    scale = max(1.0, math.sqrt(fro))
+    for _ in range(100):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off += a[p][q] * a[p][q]
+        if math.sqrt(2.0 * off) <= 1e-13 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p][p], a[q][q]
+                a[p][p] = app - t * apq
+                a[q][q] = aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r == p or r == q:
+                        continue
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * arp - s * arq
+                    a[r][q] = a[q][r] = s * arp + c * arq
+    return sorted(a[i][i] for i in range(n))
+
+
+def full_rows(entries):
+    """Full 3x3 rows from an upper triangle (a00, a01, a02, a11, a12, a22)."""
+    a00, a01, a02, a11, a12, a22 = (float(x) for x in entries)
+    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+
+
+def upper(rows):
+    """The upper triangle (a00, a01, a02, a11, a12, a22) of 3x3 rows."""
+    return (rows[0][0], rows[0][1], rows[0][2], rows[1][1], rows[1][2], rows[2][2])
+
+
 def _det(rows):
     n = len(rows)
     if n == 1:
@@ -116,66 +173,41 @@ def _random_sym_rows(rng, dim):
     return a.tolist()
 
 
-# ---------------------------------------------------------------- construction
-
-
-def test_storage_and_indexing():
-    m = SymMatrix(3, [1, 2, 3, 4, 5, 6])
-    assert m[0, 0] == 1 and m[0, 1] == 2 and m[0, 2] == 3
-    assert m[1, 1] == 4 and m[1, 2] == 5 and m[2, 2] == 6
-    assert m[2, 0] == m[0, 2]
-    assert m.to_rows() == [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
-    assert SymMatrix.from_rows(m.to_rows()) == m
+# ---------------------------------------------------------------- entry point
 
 
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
-        SymMatrix(5, list(range(15)))
-    with pytest.raises(ValueError):
-        SymMatrix(0, [])
-    with pytest.raises(ValueError):
-        SymMatrix(2, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        SymMatrix(2, [1.0, float("nan"), 2.0])
-    with pytest.raises(ValueError):
-        SymMatrix(2, [1.0, float("inf"), 2.0])
+    # the first non-finite entry in storage order is the one reported
+    with pytest.raises(ValueError, match="^non-finite matrix entry inf$"):
+        eigenvalues((1.0, math.inf, 2.0, math.nan, 0.0, 3.0))
+    with pytest.raises(ValueError, match="^non-finite matrix entry nan$"):
+        eigenvalues([1.0, 0.5, 2.0, math.nan, 0.0, -math.inf])
+    for size in (1, 3, 5, 7, 10):
+        with pytest.raises(TypeError):
+            eigenvalues([1.0] * size)
 
 
 # ---------------------------------------------------------------- examples
 
 
 def test_diagonal():
-    assert eigenvalues(SymMatrix.from_rows([[2.0, 0.0], [0.0, 3.0]])) == pytest.approx([2, 3])
+    assert eigenvalues((2.0, 0.0, 0.0, 3.0, 0.0, 5.0)) == (2.0, 5.0)
+    assert eigenvalues((3.0, 0.0, 0.0, -1.0, 0.0, 2.0)) == (-1.0, 3.0)
 
 
 def test_symmetric_pair():
-    vals = eigenvalues(SymMatrix.from_rows([[0.0, 1.0], [1.0, 0.0]]))
-    assert vals == pytest.approx([-1.0, 1.0], abs=1e-14)
+    vals = eigenvalues((0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+    assert vals == pytest.approx((-1.0, 1.0), abs=1e-14)
 
 
 def test_assembled_lmi_matrices():
     # the 3x3 stability matrix at n=1, chi=0.1, lam0=0.01 is positive definite
-    phi0 = SymMatrix.from_rows(
-        [[0.5 - 0.04 / PI2, 0.1, 0.0], [0.1, 0.5, 0.0], [0.0, 0.0, 0.01]]
-    )
+    phi0 = (0.5 - 0.04 / PI2, 0.1, 0.0, 0.5, 0.0, 0.01)
     assert eigenvalues(phi0)[0] > 1e-9
     # n=1, k=1, g1=0, delta=0.05, chi=0.2, lam1=1e-6: feasible since (chi-delta)^2 >= 4 delta^2 chi^2
     lam1 = 1e-6
-    psi2 = SymMatrix.from_rows(
-        [
-            [-0.2 + 0.05 + lam1 * 4 / PI2, 2 * 0.05 * 0.2, 0.0],
-            [2 * 0.05 * 0.2, -0.2 + 0.05, 0.0],
-            [0.0, 0.0, -lam1],
-        ]
-    )
+    psi2 = (-0.2 + 0.05 + lam1 * 4 / PI2, 2 * 0.05 * 0.2, 0.0, -0.2 + 0.05, 0.0, -lam1)
     assert eigenvalues(psi2)[-1] <= 1e-9
-
-
-def test_dim1_and_dim4():
-    assert eigenvalues(SymMatrix(1, [7.5])) == [7.5]
-    rows = [[4, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, 1]]
-    vals = eigenvalues(SymMatrix.from_rows(rows))
-    assert vals == pytest.approx(_eig_oracle([[float(v) for v in r] for r in rows]), abs=1e-10)
 
 
 # ---------------------------------------------------------------- property sweeps
@@ -184,33 +216,22 @@ def test_dim1_and_dim4():
 def test_eigenvalues_match_charpoly_oracle():
     rng = np.random.default_rng(20240601)
     for _ in range(1000):
-        dim = int(rng.integers(1, 5))
-        rows = _random_sym_rows(rng, dim)
-        got = eigenvalues(SymMatrix.from_rows(rows))
+        rows = _random_sym_rows(rng, 3)
+        got = eigenvalues(upper(rows))
         want = _eig_oracle(rows)
-        for g, w in zip(got, want):
+        for g, w in zip(got, (want[0], want[-1])):
             assert abs(g - w) <= 1e-10 * (1.0 + abs(w))
 
 
-def test_eigenvalue_sum_is_trace():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        dim = int(rng.integers(1, 5))
-        rows = _random_sym_rows(rng, dim)
-        vals = eigenvalues(SymMatrix.from_rows(rows))
-        tr = sum(rows[i][i] for i in range(dim))
-        assert abs(sum(vals) - tr) <= 1e-10 * (1.0 + abs(tr))
-
-
 def test_eigenvalue_product_is_determinant():
+    # the middle eigenvalue is what the trace leaves of the two extremes
     rng = np.random.default_rng(12)
     for _ in range(1000):
-        dim = int(rng.integers(1, 5))
-        rows = _random_sym_rows(rng, dim)
-        vals = eigenvalues(SymMatrix.from_rows(rows))
-        prod = 1.0
-        for v in vals:
-            prod *= v
+        rows = _random_sym_rows(rng, 3)
+        low, high = eigenvalues(upper(rows))
+        mid = rows[0][0] + rows[1][1] + rows[2][2] - low - high
+        assert low <= mid + 1e-12 and mid <= high + 1e-12
+        prod = low * mid * high
         det = _det(rows)
         assert abs(prod - det) <= 1e-9 * max(1.0, abs(det), abs(prod))
 
@@ -218,27 +239,24 @@ def test_eigenvalue_product_is_determinant():
 def test_positive_definite_agrees_with_sylvester():
     rng = np.random.default_rng(13)
     for _ in range(1000):
-        dim = int(rng.integers(1, 5))
-        rows = _random_sym_rows(rng, dim)
-        m = SymMatrix.from_rows(rows)
+        rows = _random_sym_rows(rng, 3)
         # random continuous entries keep lambda_min safely away from 0
-        assert (eigenvalues(m)[0] > 0.0) == _sylvester_pd(rows)
+        assert (eigenvalues(upper(rows))[0] > 0.0) == _sylvester_pd(rows)
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(14)
     for _ in range(1000):
-        dim = int(rng.integers(2, 5))
-        rows = np.array(_random_sym_rows(rng, dim))
-        perm = rng.permutation(dim)
+        rows = np.array(_random_sym_rows(rng, 3))
+        perm = rng.permutation(3)
         permuted = rows[np.ix_(perm, perm)]
-        a = eigenvalues(SymMatrix.from_rows(rows.tolist()))
-        b = eigenvalues(SymMatrix.from_rows(permuted.tolist()))
+        a = eigenvalues(upper(rows.tolist()))
+        b = eigenvalues(upper(permuted.tolist()))
         for x, y in zip(a, b):
             assert abs(x - y) <= 1e-12 * (1.0 + abs(x))
 
 
-# ---------------------------------------------------------------- 3x3 kernel
+# ---------------------------------------------------------------- bit oracle
 
 
 def _same_bits(x, y):
@@ -248,8 +266,8 @@ def _same_bits(x, y):
 
 def _scalar_extremes(entries):
     lows, highs = [], []
-    for row in entries:
-        vals = eigenvalues(SymMatrix(3, row.tolist()))
+    for row in entries.tolist():
+        vals = jacobi_eigenvalues(full_rows(row))
         lows.append(vals[0])
         highs.append(vals[-1])
     return np.array(lows), np.array(highs)
@@ -281,19 +299,6 @@ def test_extremes3_bit_identical_to_scalar_jacobi():
     assert _same_bits(one_hi, want_hi)
 
 
-def test_frobenius_squares_by_multiplication():
-    # x * x is correctly rounded; libm pow(x, 2) is not everywhere, so the
-    # two kernels share their convergence scale only if both square this way
-    rng = np.random.default_rng(5)
-    for row in _random_batch(rng, 2000):
-        m = SymMatrix(3, row.tolist())
-        s = 0.0
-        for x in (row[0], row[1], row[2], row[1], row[3], row[4],
-                  row[2], row[4], row[5]):
-            s += float(x) * float(x)
-        assert m.frobenius() == math.sqrt(s)
-
-
 def test_extremes3_mixed_sweep_counts():
     # diagonal (no sweep), nearly diagonal (one), ill-separated and
     # clustered matrices (several)
@@ -318,7 +323,6 @@ def test_extremes3_mixed_sweep_counts():
 
 
 def test_extremes3_rejects_non_finite_entries():
-    # the scalar kernel rejects what SymMatrix rejects, with its message
     for bad in (math.nan, math.inf, -math.inf):
         for i in range(6):
             row = [1.0, 0.5, 0.0, 2.0, 0.25, 3.0]
@@ -326,4 +330,4 @@ def test_extremes3_rejects_non_finite_entries():
             with pytest.raises(ValueError, match="non-finite matrix entry"):
                 extremes3(*row)
             with pytest.raises(ValueError, match="non-finite matrix entry"):
-                SymMatrix(3, row)
+                eigenvalues(row)
