@@ -14,7 +14,13 @@ the energy-conservation and convergence-order tests pin that down.
 
 Every stencil (Laplacian, smoothing, Dirichlet pin, gradient, cell
 integrals) is written once and applied along each axis in turn, axis 0
-first.  The faces x_p = 0 are clamped (z = 0); the faces x_p = 1 form the
+first.  The Laplacian, smoothing and gradient stencils run along the last
+axis of a C-contiguous array as one pass over the flat array, whose rows
+lie end to end in memory: where such a pass straddles two rows it computes
+entries of no node, and each of those is either written over afterwards
+(the clamped, ghost and one-sided end entries) or never written back (the
+smoothing writes nodes 2..N-3 only), so every stored value has the bits of
+the per-row stencil.  The faces x_p = 0 are clamped (z = 0); the faces x_p = 1 form the
 measured boundary.  A measured node carries flux multiplicity equal to the
 number of measured faces through it (two at the corner (1,1) in 2-D), and
 the grid's plan fixes the measured nodes and their lexicographic order.
@@ -344,14 +350,39 @@ def _scatter(values, plan):
 # ------------------------------------------------------------------- stepping
 
 
-def _second_difference(z, axis):
-    """Undivided second difference along one axis, with the reflecting
-    ghost on the measured face; the clamped entries are zeroed so that no
-    sum meets uninitialised memory, and pinned again later."""
+def _runs(axis, *arrays):
+    """The views of equal-shape arrays that a stencil runs along as their
+    axis 0; the first array's layout decides for all, and the others must
+    be np.empty_like of it.
+
+    A leading axis is swapped to the front, as is any axis of an array
+    that is not C-contiguous.  The last axis of a C-contiguous array is the
+    flat array instead, a single contiguous pass about twice as fast as
+    the rows of N - 2 elements that numpy walks along a swapped last axis;
+    the caller then owns the straddle entries (see the module docstring).
+    A 1-D array is its own one row.
+    """
+    first = arrays[0]
+    if first.ndim == 1:
+        return arrays
+    if axis == first.ndim - 1 and first.flags.c_contiguous:
+        return [a.reshape(-1) for a in arrays]
+    return [a.swapaxes(0, axis) for a in arrays]
+
+
+def _second_difference(z, z2, axis):
+    """Undivided second difference along one axis of a C-contiguous z, with
+    the reflecting ghost on the measured face; z2 holds 2 z wherever the
+    stencil reads it.  The clamped entries are zeroed so that no sum meets
+    uninitialised memory, and pinned again later; they and the ghost
+    entries are written after the stencil, over its straddle entries."""
     d = np.empty_like(z)
+    f, f2, g = _runs(axis, z, z2, d)
+    inner = g[1:-1]
+    np.subtract(f[2:], f2[1:-1], out=inner)
+    inner += f[:-2]
     f, g = z.swapaxes(0, axis), d.swapaxes(0, axis)
     g[0] = 0.0
-    np.add(f[2:] - 2.0 * f[1:-1], f[:-2], out=g[1:-1])
     g[-1] = 2.0 * (f[-2] - f[-1])
     return d
 
@@ -359,9 +390,16 @@ def _second_difference(z, axis):
 def _accel(z, grid, nonlinearity, t):
     """Laplacian with reflecting ghosts on the measured faces, plus f."""
     plan = grid._plan
-    a = _second_difference(z, 0)
+    c = np.ascontiguousarray(z)
+    # 2 z for every axis at once, at all entries of the flat array but its
+    # ends, which no stencil reads: the per-axis stencils never doubled the
+    # measured corner (the last entry), and doubling it may overflow
+    z2 = np.empty_like(c)
+    f, f2 = _runs(c.ndim - 1, c, z2)
+    np.multiply(2.0, f[1:-1], out=f2[1:-1])
+    a = _second_difference(c, z2, 0)
     for axis in range(1, z.ndim):
-        a += _second_difference(z, axis)
+        a += _second_difference(c, z2, axis)
     a /= plan.dx2
     fv = nonlinearity(z, plan.coords, t)
     if np.ndim(fv) or fv:
@@ -371,11 +409,32 @@ def _accel(z, grid, nonlinearity, t):
 
 
 def _smooth(w):
-    """Smooth a stacked (z, z_t) array over its grid axes, 1 onwards."""
+    """Smooth a stacked (z, z_t) array over its grid axes, 1 onwards.
+
+    Each pass evaluates the stencil into a buffer, zeroes the buffer at
+    the nodes 0, 1, N-2 and N-1 of its axis, where a flat pass leaves its
+    straddle entries, and subtracts the whole buffer in one contiguous
+    pass: x - 0.0 is x, bit for bit, so only the nodes 2..N-3 are written
+    back.  The products go through a second buffer rather than numpy's
+    temporaries, which keeps the step's heap from growing and shrinking."""
     nu = KO_NU / 16.0
+    buf = np.empty_like(w)
+    tmp = np.empty_like(w)
     for axis in range(1, w.ndim):
-        f = w.swapaxes(0, axis)
-        f[2:-2] -= nu * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
+        f, b, t = _runs(axis, w, buf, tmp)
+        inner, scratch = b[2:-2], t[2:-2]
+        np.multiply(4.0, f[3:-1], out=inner)
+        np.subtract(f[4:], inner, out=inner)
+        np.multiply(6.0, f[2:-2], out=scratch)
+        inner += scratch
+        np.multiply(4.0, f[1:-3], out=scratch)
+        inner -= scratch
+        inner += f[:-4]
+        inner *= nu
+        b = buf.swapaxes(0, axis)
+        b[:2] = 0.0
+        b[-2:] = 0.0
+        w -= buf
     _pin_dirichlet(w, 1)
 
 
@@ -405,11 +464,20 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
 
     a0 = _accel(z, grid, nonlinearity, t)
     if injecting:
-        a0 += plan.flux_mult * (_scatter(y0, plan) - v)
+        inflow = _scatter(y0, plan)
+        inflow -= v
+        inflow *= plan.flux_mult
+        a0 += inflow
 
+    # each update in place, in the association of z + dt v + dt^2/2 a0
+    # and v + dt/2 (a0 + a1): a sum or product of two values is the same
+    # float in either order, and v_new holds dt^2/2 a0 until it is written
     stacked = np.empty((2,) + z.shape)
     z_new, v_new = stacked
-    np.add(z + dt * v, plan.half_dt2 * a0, out=z_new)
+    np.multiply(dt, v, out=z_new)
+    z_new += z
+    np.multiply(plan.half_dt2, a0, out=v_new)
+    z_new += v_new
     _pin_dirichlet(z_new)
     t_new = t + (-1.0 if grid.mode == "observer-backward" else 1.0) * dt
     a01 = a0  # a0 is not read again
@@ -418,10 +486,15 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     # in observer modes the trapezoidal boundary velocity keeps the
     # new-level damping term implicit, a scalar linear solve per measured node
     if injecting:
-        np.divide(v + plan.half_dt * (a01 + plan.flux_mult * _scatter(y1, plan)),
-                  plan.denom, out=v_new)
+        outflow = _scatter(y1, plan)
+        outflow *= plan.flux_mult
+        a01 += outflow
+        a01 *= plan.half_dt
+        a01 += v
+        np.divide(a01, plan.denom, out=v_new)
     else:
-        np.add(v, plan.half_dt * a01, out=v_new)
+        a01 *= plan.half_dt
+        np.add(v, a01, out=v_new)
     _pin_dirichlet(v_new)
 
     _smooth(stacked)
@@ -543,16 +616,20 @@ def _gradient(z, dx, dim):
     numpy's own operations for a uniform spacing and edge_order=1: central
     differences (z[2:] - z[:-2]) / (2. * dx) inside, one-sided differences
     over dx at both ends, so the values are bit-identical, without
-    np.gradient's argument handling.
+    np.gradient's argument handling.  The one-sided ends are written after
+    the central differences, over a flat pass's straddle entries.
     """
     grads = []
     for axis in range(z.ndim - dim, z.ndim):
-        f = z.swapaxes(0, axis)
-        g = np.empty_like(f)  # keeps f's layout, so g swaps back to z's
-        np.divide(f[2:] - f[:-2], 2. * dx, out=g[1:-1])
+        grad = np.empty_like(z)  # z's layout, which the cell sums' bits follow
+        f, g = _runs(axis, z, grad)
+        inner = g[1:-1]
+        np.subtract(f[2:], f[:-2], out=inner)
+        inner /= 2. * dx
+        f, g = z.swapaxes(0, axis), grad.swapaxes(0, axis)
         g[0] = (f[1] - f[0]) / dx
         g[-1] = (f[-1] - f[-2]) / dx
-        grads.append(g.swapaxes(0, axis))
+        grads.append(grad)
     return grads
 
 
@@ -721,16 +798,31 @@ def trajectory_csv(trace, energies, lyapunovs=None):
 
 
 def read_trajectory_csv(text):
-    """(BoundaryTrace, E array, V array) parsed back from trajectory_csv."""
+    """(BoundaryTrace, E array, V array) parsed back from trajectory_csv.
+
+    The header must be t,E,V,trace0,...,trace{m-1} exactly, every row must
+    carry m + 3 values, and E and V must be finite, as trajectory_csv
+    writes them.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise ValueError("trajectory CSV is empty")
     header = lines[0].split(",")
-    if header[:3] != ["t", "E", "V"] or len(header) < 4:
-        raise ValueError("expected a header starting with t,E,V,trace0")
-    rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    if rows.shape[0] < 2:
+    width = len(header)
+    if width < 4 or header != ["t", "E", "V"] + ["trace%d" % j for j in range(width - 3)]:
+        raise ValueError("expected the header t,E,V,trace0,...,trace{m-1}")
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError("line %d carries %d values, the header names %d"
+                             % (number, len(cells), width))
+        rows.append([float(c) for c in cells])
+    if len(rows) < 2:
         raise ValueError("trajectory needs at least two time levels")
+    rows = np.array(rows)
+    if not np.all(np.isfinite(rows[:, 1:3])):
+        raise ValueError("trajectory E and V values must be finite")
     times = rows[:, 0]
     dts = np.diff(times)
     dt = float(dts[0])

@@ -713,6 +713,24 @@ class TestRecover:
         assert err.startswith("error:") and "empty" in err
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("t,E,V,trace0\n0,1,1,0,5\n0.0015,1,1,0,5\n",
+         "line 2 carries 5 values, the header names 4"),
+        ("t,E,V,foo\n0,1,1,0\n0.0015,1,1,0\n", "expected the header"),
+        ("t,E,V,trace0\n0,nan,1,0\n0.0015,1,1,0\n", "E and V values must be finite"),
+    ], ids=["wide-rows", "header", "nan-E"])
+    def test_malformed_trace_file(self, tmp_path, capsys, text, message):
+        cfg = write_json(tmp_path, "c.json", {"sim": dict(FIG_SIM)})
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text(text)
+        code, out, err = run_cli(
+            ["recover", "--config", cfg, "--trace", str(trace_path),
+             "--iterations", "2", "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s: " % trace_path) and message in err
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestSweep:
     PROBLEMS = [
         {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.001},

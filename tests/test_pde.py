@@ -1047,6 +1047,37 @@ class TestExport:
         with pytest.raises(ValueError):
             pde.read_trajectory_csv("t,E,V,trace0\n0,1,1,0\n0.1,1,1,0\n0.3,1,1,0\n")
 
+    @pytest.mark.parametrize("text,match", [
+        # rows wider or narrower than the header's columns
+        ("t,E,V,trace0\n0,1,1,0,5\n0.1,1,1,0,5\n", "line 2 carries 5 values, the header names 4"),
+        ("t,E,V,trace0,trace1\n0,1,1,0\n0.1,1,1,0\n", "line 2 carries 4 values, the header names 5"),
+        ("t,E,V,trace0\n0,1,1,0\n0.1,1,1,0,7\n", "line 3 carries 5 values"),
+        # headers that are not t,E,V,trace0..trace{m-1}
+        ("t,E,V,foo\n0,1,1,0\n0.1,1,1,0\n", "header"),
+        ("t,E,V,trace1\n0,1,1,0\n0.1,1,1,0\n", "header"),
+        ("t,E,V,trace0,trace2\n0,1,1,0,0\n0.1,1,1,0,0\n", "header"),
+        ("t,V,E,trace0\n0,1,1,0\n0.1,1,1,0\n", "header"),
+        ("t,E,V,trace0,\n0,1,1,0,\n0.1,1,1,0,\n", "header"),
+        ("t,E,V\n0,1,1\n0.1,1,1\n", "header"),
+        # non-finite E or V, which trajectory_csv never writes
+        ("t,E,V,trace0\n0,nan,1,0\n0.1,1,1,0\n", "E and V values must be finite"),
+        ("t,E,V,trace0\n0,1,1,0\n0.1,1,inf,0\n", "E and V values must be finite"),
+        ("t,E,V,trace0\n0,-inf,1,0\n0.1,1,1,0\n", "E and V values must be finite"),
+    ], ids=["wide-rows", "narrow-rows", "ragged", "foo", "trace1", "gap", "order",
+            "empty-column", "no-trace", "nan-E", "inf-V", "minus-inf-E"])
+    def test_malformed_trajectory_is_refused(self, text, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            pde.read_trajectory_csv(text)
+
+    def test_trajectory_reads_every_column_of_its_header(self):
+        samples = np.arange(12.0).reshape(3, 4)
+        trace = pde.BoundaryTrace(samples, 0.25, 1.0)
+        text = pde.trajectory_csv(trace, np.ones(3), np.full(3, 2.0))
+        back, e, v = pde.read_trajectory_csv(text)
+        assert back.samples.shape == (3, 4) and np.array_equal(back.samples, samples)
+        assert (back.dt, back.t0) == (0.25, 1.0)
+        assert np.array_equal(e, np.ones(3)) and np.array_equal(v, np.full(3, 2.0))
+
 
 # ------------------------------------------------- bit identity with inline math
 #
@@ -1319,6 +1350,189 @@ class TestBitIdentity:
         assert len(energies) == steps + 1
         assert _bits(energies) == _bits(energies_v) == _bits(want)
         assert _bits(lyaps) == _bits(want_v)
+
+
+# ------------------------------------------- per-axis stencils, flat last axis
+#
+# The Laplacian, smoothing and gradient stencils as they ran along every
+# axis, the last one too, with that axis swapped to the front.  The solver
+# runs the last axis of a C-contiguous array as one pass over the flat
+# array instead; the entries where that pass straddles two rows must never
+# reach a stored value, so the kernels agree with these bit for bit.
+
+
+def axis_second_difference(z, axis):
+    d = np.empty_like(z)
+    f, g = z.swapaxes(0, axis), d.swapaxes(0, axis)
+    g[0] = 0.0
+    np.add(f[2:] - 2.0 * f[1:-1], f[:-2], out=g[1:-1])
+    g[-1] = 2.0 * (f[-2] - f[-1])
+    return d
+
+
+def axis_smooth(w):
+    nu = 0.02 / 16.0
+    for axis in range(1, w.ndim):
+        f = w.swapaxes(0, axis)
+        f[2:-2] -= nu * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
+    for axis in range(1, w.ndim):
+        w.swapaxes(0, axis)[0] = 0.0
+
+
+def axis_gradient(z, dx, dim):
+    grads = []
+    for axis in range(z.ndim - dim, z.ndim):
+        f = z.swapaxes(0, axis)
+        g = np.empty_like(f)
+        np.divide(f[2:] - f[:-2], 2. * dx, out=g[1:-1])
+        g[0] = (f[1] - f[0]) / dx
+        g[-1] = (f[-1] - f[-2]) / dx
+        grads.append(g.swapaxes(0, axis))
+    return grads
+
+
+# a 1-D field, an energy block of 40 1-D states, a stacked 1-D (z, z_t),
+# 2-D fields and a stacked 2-D (z, z_t)
+STENCIL_SHAPES = [(16,), (201,), (40, 201), (2, 201), (17, 17), (81, 81), (2, 81, 81)]
+
+
+def _extreme_field(rng, shape):
+    """Values over many scales with signed zeros, subnormals and entries
+    near 1e300, which no stencil here overflows."""
+    v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    u = rng.random(shape)
+    v[u < 0.06] = -0.0
+    v[(u >= 0.06) & (u < 0.1)] = 0.0
+    sub = (u >= 0.1) & (u < 0.16)
+    v[sub] = rng.choice([-1.0, 1.0], sub.sum()) * rng.integers(1, 2 ** 40, sub.sum()) * 5e-324
+    big = (u >= 0.16) & (u < 0.22)
+    v[big] = rng.choice([-1.0, 1.0], big.sum()) * rng.uniform(0.5, 1.5, big.sum()) * 1e300
+    return v
+
+
+def _layouts(z):
+    """z as C-ordered, Fortran-ordered and strided (non-contiguous) arrays."""
+    wide = np.zeros(tuple(2 * n for n in z.shape))
+    strided = wide[tuple(slice(None, None, 2) for _ in z.shape)]
+    strided[...] = z
+    return {"C": z, "F": np.asfortranarray(z), "strided": strided}
+
+
+class TestFlatLastAxis:
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    def test_second_difference_matches_per_axis(self, shape):
+        rng = np.random.default_rng([21] + list(shape))
+        for _ in range(3):
+            z = _extreme_field(rng, shape)
+            with np.errstate(over="raise", invalid="raise"):
+                for axis in range(z.ndim):
+                    got = pde._second_difference(z, 2.0 * z, axis)
+                    assert _bits(got) == _bits(axis_second_difference(z, axis))
+
+    @pytest.mark.parametrize("n,dim", [(16, 1), (201, 1), (17, 2), (81, 2)])
+    def test_acceleration_matches_per_axis(self, n, dim):
+        # through _accel, which doubles z once for both axes, in each layout
+        grid = pde.make_grid(dim, n, 0.4)
+        rng = np.random.default_rng([22, n, dim])
+        for _ in range(3):
+            z = _extreme_field(rng, (n,) * dim)
+            want = sum(axis_second_difference(z, axis) for axis in range(1, dim))
+            want = (axis_second_difference(z, 0) + want) / (grid.dx * grid.dx)
+            ref_pin_dirichlet(want, dim)
+            for name, arr in _layouts(z).items():
+                got = pde._accel(arr, grid, pde.ZERO_F, 0.0)
+                assert _bits(got) == _bits(want), name
+
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    def test_smooth_matches_per_axis(self, shape):
+        rng = np.random.default_rng([23] + list(shape))
+        stack = (2,) + shape if len(shape) == 1 else shape
+        for _ in range(3):
+            w = _extreme_field(rng, stack)
+            want = w.copy()
+            axis_smooth(want)
+            with np.errstate(over="raise", invalid="raise"):
+                pde._smooth(w)
+            assert _bits(w) == _bits(want)
+
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    def test_gradient_matches_per_axis(self, shape):
+        # bits and layout: the cell sums that read the gradient follow its
+        # layout, so each one keeps z's
+        rng = np.random.default_rng([24] + list(shape))
+        for _ in range(2):
+            z = _extreme_field(rng, shape)
+            for dim in range(1, z.ndim + 1):
+                dx = 1.0 / (shape[-1] - 1)
+                for name, arr in _layouts(z).items():
+                    with np.errstate(over="raise", invalid="raise"):
+                        got = pde._gradient(arr, dx, dim)
+                    want = axis_gradient(arr, dx, dim)
+                    assert len(got) == len(want) == dim
+                    for g, w in zip(got, want):
+                        assert _bits(g) == _bits(w), name
+                        assert g.strides == w.strides, name
+
+    @pytest.mark.parametrize("shape", [(201,), (40, 201), (81, 81), (2, 81, 81)])
+    def test_energy_blocks_keep_their_bits_in_every_layout(self, shape):
+        # scaled so that the squares stay finite
+        dim = 1 if shape[-2:-1] != shape[-1:] else 2
+        grid = pde.make_grid(dim, shape[-1], 0.4)
+        z = _extreme_field(np.random.default_rng([25] + list(shape)), shape) * 1e-160
+        v = _extreme_field(np.random.default_rng([26] + list(shape)), shape) * 1e-160
+        for name, arr in _layouts(z).items():
+            grads = axis_gradient(arr, grid.dx, dim)
+            want = pde._energy(grads, v, grid.dx)
+            got = pde._energy(pde._gradient(arr, grid.dx, dim), v, grid.dx)
+            assert _bits(got) == _bits(want), name
+
+
+def _huge_corner_step(dim, value, mode, k):
+    n = 17
+    grid = pde.make_grid(dim, n, 1.0, mode, k)
+    x = np.linspace(0.0, 1.0, n)
+    z = 0.25 * (np.outer(np.sin(x), np.sin(x)) if dim == 2 else np.sin(x))
+    zt = 0.5 * z
+    z[(-1,) * dim] = value
+    field = pde.WaveField(z, zt)
+    nodes = pde.boundary_node_count(grid)
+    binput = None if mode == "plant" else (np.full(nodes, 0.1), np.full(nodes, 0.2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(pde.DivergenceError, match="non-finite"):
+            pde.step(field, grid, boundary_input=binput)
+    return [str(w.message) for w in caught]
+
+
+class TestHugeMeasuredCorner:
+    # The warnings a direct step call raises, as the per-axis stencils
+    # raised them: the doubling shared by both axes must skip the measured
+    # corner, which no per-axis stencil doubled; doubling it would add an
+    # overflow in multiply.
+    TWO_GHOSTS = ["overflow encountered in multiply"] * 2 + [
+        "overflow encountered in divide", "invalid value encountered in add"]
+    ONE_GHOST = ["overflow encountered in scalar multiply",
+                 "overflow encountered in divide", "invalid value encountered in add"]
+
+    @pytest.mark.parametrize("value,mode,k", [
+        (1e308, "plant", 0.0), (-1e308, "plant", 0.0),
+        (1e308, "observer-forward", 1.0), (1.7e308, "observer-backward", 0.5)])
+    def test_2d_corner_warns_as_per_axis_stencils(self, value, mode, k):
+        assert _huge_corner_step(2, value, mode, k) == self.TWO_GHOSTS
+
+    @pytest.mark.parametrize("value,mode,k", [
+        (1e308, "plant", 0.0), (-1.5e308, "observer-forward", 1.0)])
+    def test_1d_end_warns_as_per_axis_stencil(self, value, mode, k):
+        assert _huge_corner_step(1, value, mode, k) == self.ONE_GHOST
+
+    def test_below_doubling_overflow(self):
+        # 6e307 doubles to a finite value; the sum of the two ghost terms
+        # overflows in 2-D, the division by dx^2 in both
+        assert _huge_corner_step(2, 6e307, "plant", 0.0) == [
+            "overflow encountered in add", "overflow encountered in divide",
+            "invalid value encountered in add"]
+        assert _huge_corner_step(1, 6e307, "plant", 0.0) == [
+            "overflow encountered in divide", "invalid value encountered in add"]
 
 
 def ref_boundary_sq_integral(samples, grid):
