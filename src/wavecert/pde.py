@@ -20,10 +20,11 @@ lie end to end in memory: where such a pass straddles two rows it computes
 entries of no node, and each of those is either written over afterwards
 (the clamped, ghost and one-sided end entries) or never written back (the
 smoothing writes nodes 2..N-3 only), so every stored value has the bits of
-the per-row stencil.  The faces x_p = 0 are clamped (z = 0); the faces x_p = 1 form the
-measured boundary.  A measured node carries flux multiplicity equal to the
-number of measured faces through it (two at the corner (1,1) in 2-D), and
-the grid's plan fixes the measured nodes and their lexicographic order.
+the per-row stencil.  The faces x_p = 0 are clamped (z = 0); the faces
+x_p = 1 form the measured boundary.  A measured node carries flux
+multiplicity equal to the number of measured faces through it (two at the
+corner (1,1) in 2-D), and the grid's plan fixes the measured nodes and
+their lexicographic order.
 """
 
 import math
@@ -812,10 +813,10 @@ def read_trajectory_csv(text):
     if width < 4 or header != ["t", "E", "V"] + ["trace%d" % j for j in range(width - 3)]:
         raise ValueError("expected the header t,E,V,trace0,...,trace{m-1}")
     rows = []
-    for number, line in enumerate(lines[1:], 2):
+    for number, line in enumerate(lines[1:], 1):
         cells = line.split(",")
         if len(cells) != width:
-            raise ValueError("line %d carries %d values, the header names %d"
+            raise ValueError("row %d carries %d values, the header names %d"
                              % (number, len(cells), width))
         rows.append([float(c) for c in cells])
     if len(rows) < 2:

@@ -715,7 +715,7 @@ class TestRecover:
 
     @pytest.mark.parametrize("text,message", [
         ("t,E,V,trace0\n0,1,1,0,5\n0.0015,1,1,0,5\n",
-         "line 2 carries 5 values, the header names 4"),
+         "row 1 carries 5 values, the header names 4"),
         ("t,E,V,foo\n0,1,1,0\n0.0015,1,1,0\n", "expected the header"),
         ("t,E,V,trace0\n0,nan,1,0\n0.0015,1,1,0\n", "E and V values must be finite"),
     ], ids=["wide-rows", "header", "nan-E"])

@@ -1049,9 +1049,11 @@ class TestExport:
 
     @pytest.mark.parametrize("text,match", [
         # rows wider or narrower than the header's columns
-        ("t,E,V,trace0\n0,1,1,0,5\n0.1,1,1,0,5\n", "line 2 carries 5 values, the header names 4"),
-        ("t,E,V,trace0,trace1\n0,1,1,0\n0.1,1,1,0\n", "line 2 carries 4 values, the header names 5"),
-        ("t,E,V,trace0\n0,1,1,0\n0.1,1,1,0,7\n", "line 3 carries 5 values"),
+        ("t,E,V,trace0\n0,1,1,0,5\n0.1,1,1,0,5\n",
+         "row 1 carries 5 values, the header names 4"),
+        ("t,E,V,trace0,trace1\n0,1,1,0\n0.1,1,1,0\n",
+         "row 1 carries 4 values, the header names 5"),
+        ("t,E,V,trace0\n0,1,1,0\n0.1,1,1,0,7\n", "row 2 carries 5 values"),
         # headers that are not t,E,V,trace0..trace{m-1}
         ("t,E,V,foo\n0,1,1,0\n0.1,1,1,0\n", "header"),
         ("t,E,V,trace1\n0,1,1,0\n0.1,1,1,0\n", "header"),
