@@ -25,6 +25,18 @@ x_p = 1 form the measured boundary.  A measured node carries flux
 multiplicity equal to the number of measured faces through it (two at the
 corner (1,1) in 2-D), and the grid's plan fixes the measured nodes and
 their lexicographic order.
+
+run steps in a workspace of its own, allocated once per run: two energy
+blocks of state slots; the accelerations, 2 z, the injection buffer and the
+smoothing buffers; and every view the stencils take of them.  Each step
+writes the next state into the next slot, the energies of a block come from
+its slots in place, and the trace fills one (steps + 1, nodes) array.  What
+run returns is the caller's and nothing writes into it later: the final
+field is a copy of its slot, and the trace and the energy series are arrays
+no other run shares.  A direct step call copies its field into a throwaway
+workspace of two slots and returns fresh arrays.  The arrays passed to a
+nonlinearity f are workspace slots that later steps overwrite, so f must
+not keep them.
 """
 
 import math
@@ -140,14 +152,15 @@ class _GridPlan:
     The multiplicity of a node is the number of measured faces x_i = 1
     through it; nodes on a clamped face x_i = 0 have none.  measured indexes
     the nodes of nonzero multiplicity in lexicographic order, the order of
-    every trace row.  Each constant keeps the association it has in the
-    step formula ((0.5 * dt) * dt, then 2 k / dx before the multiplicity),
-    so hoisting it out of the step changes no bit.  flux_mult and denom,
-    the trapezoidal boundary velocity's divisor, are arrays over the nodes.
+    every trace row, and flat_measured the same nodes in the flat array.
+    Each constant keeps the association it has in the step formula
+    ((0.5 * dt) * dt, then 2 k / dx before the multiplicity), so hoisting it
+    out of the step changes no bit.  flux_mult and denom, the trapezoidal
+    boundary velocity's divisor, are arrays over the nodes.
     """
 
-    __slots__ = ("axis", "coords", "dx2", "half_dt", "half_dt2", "measured",
-                 "flux_mult", "denom")
+    __slots__ = ("axis", "coords", "shape", "dx2", "half_dt", "half_dt2", "dt_signed",
+                 "measured", "flat_measured", "nodes", "flux_mult", "denom")
 
     def __init__(self, grid):
         dt, dx, k, dim = grid.dt, grid.dx, grid.k, grid.dim
@@ -155,14 +168,19 @@ class _GridPlan:
         # f(z, x, t) and coords() take a single axis bare, several as a tuple
         self.coords = self.axis if dim == 1 else tuple(
             _read_only(c) for c in np.meshgrid(*(self.axis,) * dim, indexing="ij"))
+        self.shape = (grid.points_per_axis,) * dim
         self.dx2 = dx * dx
         self.half_dt = 0.5 * dt
         self.half_dt2 = 0.5 * dt * dt
-        mult = np.zeros((grid.points_per_axis,) * dim)
+        # the step in time of the integrated system: backward runs reversed
+        self.dt_signed = (-1.0 if grid.mode == "observer-backward" else 1.0) * dt
+        mult = np.zeros(self.shape)
         for axis in range(dim):
             mult.swapaxes(0, axis)[-1] += 1.0
         _pin_dirichlet(mult)
         self.measured = np.nonzero(mult)
+        self.flat_measured = np.ravel_multi_index(self.measured, self.shape)
+        self.nodes = self.flat_measured.size
         self.flux_mult = _read_only(2.0 * k / dx * mult)
         self.denom = _read_only(1.0 + mult * k * dt / dx)
 
@@ -207,7 +225,7 @@ def _pin_dirichlet(arr, lead=0):
 
 
 def _check_shape(field, grid):
-    want = (grid.points_per_axis,) * grid.dim
+    want = grid._plan.shape
     if field.z.shape != want:
         raise ValueError("field shape %s does not match the grid shape %s"
                          % (field.z.shape, want))
@@ -271,6 +289,16 @@ class BoundaryTrace:
     @property
     def steps(self):
         return self.samples.shape[0] - 1
+
+
+def _adopted_trace(samples, dt, t0):
+    """A BoundaryTrace over a finite float (levels, nodes) array that the
+    caller hands over, without the copy the constructor takes."""
+    trace = object.__new__(BoundaryTrace)
+    object.__setattr__(trace, "samples", samples)
+    object.__setattr__(trace, "dt", checked_float("dt", dt, 0.0, strict=True))
+    object.__setattr__(trace, "t0", checked_float("t0", t0))
+    return trace
 
 
 @dataclass(frozen=True)
@@ -342,12 +370,6 @@ def gather_trace(v, grid):
     return v[grid._plan.measured]
 
 
-def _scatter(values, plan):
-    full = np.zeros(plan.flux_mult.shape)
-    full[plan.measured] = values
-    return full
-
-
 # ------------------------------------------------------------------- stepping
 
 
@@ -371,141 +393,325 @@ def _runs(axis, *arrays):
     return [a.swapaxes(0, axis) for a in arrays]
 
 
-def _second_difference(z, z2, axis):
-    """Undivided second difference along one axis of a C-contiguous z, with
-    the reflecting ghost on the measured face; z2 holds 2 z wherever the
-    stencil reads it.  The clamped entries are zeroed so that no sum meets
-    uninitialised memory, and pinned again later; they and the ghost
-    entries are written after the stencil, over its straddle entries."""
-    d = np.empty_like(z)
-    f, f2, g = _runs(axis, z, z2, d)
-    inner = g[1:-1]
-    np.subtract(f[2:], f2[1:-1], out=inner)
-    inner += f[:-2]
-    f, g = z.swapaxes(0, axis), d.swapaxes(0, axis)
+# Each stencil below is one function over views that a builder takes once:
+# the workspace of a run builds them per slot and per buffer, and the
+# helpers that take whole arrays (_second_difference, _accel, _smooth)
+# build them per call.  A builder takes the array the stencil reads first,
+# whose layout decides the runs of every array (see _runs).
+
+
+def _second_difference_pass(hi, twice, out, lo, f, g):
+    """Undivided second difference along one axis: f's runs hi = f[2:] and
+    lo = f[:-2], 2 f's run twice, the output's run out, all but the ends;
+    f and the output g with the axis in front.  out may be twice itself,
+    as each entry reads 2 f at its own index only.  The clamped and ghost
+    entries are written after the stencil, over its straddle entries; the
+    ghost in 1-D is a product of numpy scalars."""
+    np.subtract(hi, twice, out=out)
+    out += lo
     g[0] = 0.0
     g[-1] = 2.0 * (f[-2] - f[-1])
-    return d
 
 
-def _accel(z, grid, nonlinearity, t):
-    """Laplacian with reflecting ghosts on the measured faces, plus f."""
-    plan = grid._plan
-    c = np.ascontiguousarray(z)
-    # 2 z for every axis at once, at all entries of the flat array but its
-    # ends, which no stencil reads: the per-axis stencils never doubled the
-    # measured corner (the last entry), and doubling it may overflow
-    z2 = np.empty_like(c)
-    f, f2 = _runs(c.ndim - 1, c, z2)
-    np.multiply(2.0, f[1:-1], out=f2[1:-1])
-    a = _second_difference(c, z2, 0)
-    for axis in range(1, z.ndim):
-        a += _second_difference(c, z2, axis)
+def _front(arr, axis):
+    """arr with the axis in front; axis 0 is arr itself."""
+    return arr if axis == 0 else arr.swapaxes(0, axis)
+
+
+def _field_views(z):
+    """What an acceleration reads of a field: the flat array but its ends,
+    which the doubling reads (the per-axis stencils never doubled the
+    measured corner, the last entry, and doubling it may overflow), and per
+    axis the second difference's neighbour runs and z with the axis in
+    front, which also pins the clamped face."""
+    runs = []
+    for axis in range(z.ndim):
+        f = _runs(axis, z)[0]
+        runs.append((f[2:], f[:-2], _front(z, axis)))
+    return _runs(z.ndim - 1, z)[0][1:-1], runs
+
+
+def _target_views(z, a, twice):
+    """What an acceleration of fields laid out as z writes: the buffer of
+    2 z (a itself in 1-D) but its flat ends, per axis the second
+    difference's 2 z and output runs with the output's axis in front, and
+    a with each axis in front for the pin.  Axis 0 writes into a; the last
+    axis of a 2-D field writes over 2 z, which a then adds."""
+    last = a.ndim - 1
+    runs = []
+    for axis in range(a.ndim):
+        out = twice if axis == last else a
+        f2, g = _runs(axis, z, twice, out)[1:]
+        runs.append((f2[1:-1], g[1:-1], _front(out, axis)))
+    pins = [_front(a, axis) for axis in range(a.ndim)]
+    return a, twice, _runs(last, z, twice)[1][1:-1], runs, pins
+
+
+def _accelerate(z, z_mid, z_runs, target, nonlinearity, plan, t):
+    """Laplacian with reflecting ghosts on the measured faces, plus f, into
+    the target's a; z_mid and z_runs from _field_views(z), target from
+    _target_views."""
+    a, twice, twice_mid, runs, pins = target
+    np.multiply(2.0, z_mid, out=twice_mid)
+    for (hi, lo, f), (f2, out, g) in zip(z_runs, runs):
+        _second_difference_pass(hi, f2, out, lo, f, g)
+    if twice is not a:
+        a += twice
     a /= plan.dx2
     fv = nonlinearity(z, plan.coords, t)
     if np.ndim(fv) or fv:
         a += fv
-    _pin_dirichlet(a)
+    for face in pins:
+        face[0] = 0.0
+
+
+def _second_difference(z, z2, axis):
+    """The second difference of a C-contiguous z along one axis, written
+    over z2, which holds 2 z wherever the stencil reads it; returns z2."""
+    f, f2 = _runs(axis, z, z2)
+    _second_difference_pass(f[2:], f2[1:-1], f2[1:-1], f[:-2],
+                            z.swapaxes(0, axis), z2.swapaxes(0, axis))
+    return z2
+
+
+def _accel(z, grid, nonlinearity, t):
+    """Laplacian with reflecting ghosts on the measured faces, plus f, as a
+    new array; a contiguous copy of z is taken where z is not one."""
+    c = np.ascontiguousarray(z)
+    a = np.empty_like(c)
+    target = _target_views(c, a, a if c.ndim == 1 else np.empty_like(c))
+    _accelerate(c, *_field_views(c), target, nonlinearity, grid._plan, t)
     return a
 
 
-def _smooth(w):
+def _smoothing_views(w):
+    """What a smoothing pass reads of a stacked array w: per grid axis
+    (1 onwards) w's runs f[1:-1], f[4:], f[2:-2] and f[:-4], and w with
+    the axis in front for the pin."""
+    runs = []
+    for axis in range(1, w.ndim):
+        f = _runs(axis, w)[0]
+        runs.append((f[1:-1], f[4:], f[2:-2], f[:-4]))
+    return runs, [w.swapaxes(0, axis) for axis in range(1, w.ndim)]
+
+
+def _smoothing_buffers(w, out, scratch, fours):
+    """What a smoothing pass of arrays laid out as w writes: per grid axis
+    the runs of 4 f (fours) that it writes and reads, of the stencil output
+    (out) and of 6 f (scratch), and the output's two entries at each end
+    of the axis."""
+    runs = []
+    for axis in range(1, w.ndim):
+        b, t, q = _runs(axis, w, out, scratch, fours)[1:]
+        ends = out.swapaxes(0, axis)
+        runs.append((q[1:-1], q[3:-1], b[2:-2], t[2:-2], q[1:-3], ends[:2], ends[-2:]))
+    return runs
+
+
+def _smooth_pass(w, out, w_runs, buffer_runs, pins):
     """Smooth a stacked (z, z_t) array over its grid axes, 1 onwards.
 
-    Each pass evaluates the stencil into a buffer, zeroes the buffer at
-    the nodes 0, 1, N-2 and N-1 of its axis, where a flat pass leaves its
-    straddle entries, and subtracts the whole buffer in one contiguous
-    pass: x - 0.0 is x, bit for bit, so only the nodes 2..N-3 are written
-    back.  The products go through a second buffer rather than numpy's
-    temporaries, which keeps the step's heap from growing and shrinking."""
+    Each pass evaluates the stencil into out, the products through two
+    buffers rather than numpy's temporaries, with 4 f taken once for its
+    two reads; zeroes out at the nodes 0, 1, N-2 and N-1 of its axis, where
+    a flat pass leaves its straddle entries; and subtracts the whole of out
+    in one contiguous pass: x - 0.0 is x, bit for bit, so only the nodes
+    2..N-3 are written back."""
     nu = KO_NU / 16.0
-    buf = np.empty_like(w)
-    tmp = np.empty_like(w)
-    for axis in range(1, w.ndim):
-        f, b, t = _runs(axis, w, buf, tmp)
-        inner, scratch = b[2:-2], t[2:-2]
-        np.multiply(4.0, f[3:-1], out=inner)
-        np.subtract(f[4:], inner, out=inner)
-        np.multiply(6.0, f[2:-2], out=scratch)
-        inner += scratch
-        np.multiply(4.0, f[1:-3], out=scratch)
-        inner -= scratch
-        inner += f[:-4]
+    for (mid, hi, center, lo), (q_mid, q_hi, inner, six, q_lo, head, tail) in zip(
+            w_runs, buffer_runs):
+        np.multiply(4.0, mid, out=q_mid)
+        np.subtract(hi, q_hi, out=inner)
+        np.multiply(6.0, center, out=six)
+        inner += six
+        inner -= q_lo
+        inner += lo
         inner *= nu
-        b = buf.swapaxes(0, axis)
-        b[:2] = 0.0
-        b[-2:] = 0.0
-        w -= buf
-    _pin_dirichlet(w, 1)
+        head.fill(0.0)
+        tail.fill(0.0)
+        w -= out
+    for face in pins:
+        face[0] = 0.0
+
+
+def _smooth(w):
+    """Smooth a stacked (z, z_t) array in place over its grid axes, 1
+    onwards, through buffers of its own."""
+    out, scratch, fours = (np.empty_like(w) for _ in range(3))
+    runs, pins = _smoothing_views(w)
+    _smooth_pass(w, out, runs, _smoothing_buffers(w, out, scratch, fours), pins)
+
+
+class _Slot:
+    """The views a step takes of one workspace slot: the state w = (z, z_t)
+    and what its acceleration, pins and smoothing read."""
+
+    __slots__ = ("w", "z", "v", "z_mid", "z_runs", "z_pins", "v_pins",
+                 "w_runs", "w_pins")
+
+    def __init__(self, w):
+        self.w = w
+        self.z, self.v = w
+        self.z_mid, self.z_runs = _field_views(self.z)
+        self.z_pins = [f for _, _, f in self.z_runs]
+        self.v_pins = [_front(self.v, axis) for axis in range(self.v.ndim)]
+        self.w_runs, self.w_pins = _smoothing_views(w)
+
+
+class _Workspace:
+    """Every array the steps of one run write, with the views they take.
+
+    slots holds the states, (z, z_t) per slot, each slot C-contiguous: two
+    energy blocks of them in a run, two for a direct step call.  A step
+    reads the state in one slot and writes the next state into the next
+    slot, round robin, so a block's states lie in consecutive slots; head
+    is the slot of the newest state.  acc holds the accelerations a0 and
+    a1 and, once the velocity is updated, the smoothing's output; aux is
+    the smoothing's 6 f buffer, and in 2-D its first half holds 2 z during
+    an acceleration; fours holds the smoothing's 4 f.  inject, in observer
+    modes, is zero off the measured nodes, where each step writes its
+    boundary values.  The views of a slot are built on its first use.
+
+    Nothing here refers to a field, so a run's fields, which refer to their
+    workspace, make no reference cycle.
+    """
+
+    __slots__ = ("grid", "nonlinearity", "slots", "head", "_slots", "targets",
+                 "acc", "smoothing", "inject", "finite")
+
+    def __init__(self, grid, nonlinearity, count):
+        plan = grid._plan
+        shape = plan.shape
+        self.grid = grid
+        self.nonlinearity = nonlinearity
+        self.slots = np.empty((count, 2) + shape)
+        self.head = 0
+        self._slots = [None] * count
+        self.acc = np.empty((2,) + shape)
+        aux = np.empty((2,) + shape)
+        like = self.slots[0, 0]  # the layout of every field the steps read
+        self.targets = [_target_views(like, a, a if len(shape) == 1 else aux[0])
+                        for a in self.acc]
+        self.smoothing = _smoothing_buffers(self.slots[0], self.acc, aux,
+                                            np.empty((2,) + shape))
+        self.inject = None if grid.mode == "plant" else np.zeros(shape)
+        self.finite = np.empty((2,) + shape, dtype=bool)
+
+    def slot(self, i):
+        views = self._slots[i]
+        if views is None:
+            views = self._slots[i] = _Slot(self.slots[i])
+        return views
+
+    def load(self, field):
+        """Copy a field into slot 0, the head."""
+        self.slots[0, 0] = field.z
+        self.slots[0, 1] = field.zt
+        self.head = 0
+
+    def advance(self, t, boundary_input):
+        """One explicit step from the head slot into the next; returns t_new.
+
+        Each update runs in place, in the association of z + dt v + dt^2/2 a0
+        and v + dt/2 (a0 + a1): a sum or product of two values is the same
+        float in either order, and v_new holds dt^2/2 a0 until it is written.
+        In observer modes the trapezoidal boundary velocity keeps the
+        new-level damping term implicit, a scalar linear solve per measured
+        node.  The head moves only once the new state is finite.
+        """
+        grid, nl = self.grid, self.nonlinearity
+        plan = grid._plan
+        src = self.head
+        dst = src + 1 if src + 1 < len(self._slots) else 0
+        old, new = self.slot(src), self.slot(dst)
+        z, v = old.z, old.v
+        a0, a1 = self.targets[0][0], self.targets[1][0]
+        inject = self.inject
+
+        _accelerate(z, old.z_mid, old.z_runs, self.targets[0], nl, plan, t)
+        if inject is not None:
+            y0, y1 = boundary_input
+            inject[plan.measured] = y0
+            np.subtract(inject, v, out=a1)
+            a1 *= plan.flux_mult
+            a0 += a1
+
+        z_new, v_new = new.z, new.v
+        np.multiply(grid.dt, v, out=z_new)
+        z_new += z
+        np.multiply(plan.half_dt2, a0, out=v_new)
+        z_new += v_new
+        for face in new.z_pins:
+            face[0] = 0.0
+        t_new = t + plan.dt_signed
+        _accelerate(z_new, new.z_mid, new.z_runs, self.targets[1], nl, plan, t_new)
+        a0 += a1
+
+        if inject is not None:
+            inject[plan.measured] = y1
+            np.multiply(inject, plan.flux_mult, out=a1)
+            a0 += a1
+            a0 *= plan.half_dt
+            a0 += v
+            np.divide(a0, plan.denom, out=v_new)
+        else:
+            a0 *= plan.half_dt
+            np.add(v, a0, out=v_new)
+        for face in new.v_pins:
+            face[0] = 0.0
+
+        _smooth_pass(new.w, self.acc, new.w_runs, self.smoothing, new.w_pins)
+
+        if not np.isfinite(new.w, out=self.finite).all():
+            raise DivergenceError(t_new)
+        self.head = dst
+        return t_new
+
+
+class _RunField(WaveField):
+    """A state in a workspace slot, as a run passes it from step to step:
+    step continues from it in place while it is its workspace's newest
+    state and the grid and nonlinearity are the workspace's own."""
+
+    __slots__ = ("ws", "slot")
+
+    def __init__(self, ws, slot, t):
+        views = ws.slot(slot)
+        self.z, self.zt, self.t = views.z, views.v, t
+        self.ws, self.slot = ws, slot
 
 
 def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     """One explicit step; boundary_input = (y_now, y_next) in observer modes.
 
-    The new z and z_t are written into one stacked (2, ...) array, smoothed
-    and checked for finiteness in one pass each; the returned field's z and
-    zt are views into it.
+    A direct call copies the field into a workspace of two slots and steps
+    into the second, so the returned field's z and zt are fresh views into
+    one stacked (2, 2, ...) array.  A field that run passes along steps in
+    place, into its workspace's next slot.
     """
+    plan = grid._plan
     injecting = grid.mode != "plant"
     if injecting and boundary_input is None:
         raise ValueError("observer modes need boundary_input = (y_now, y_next)")
     if not injecting and boundary_input is not None:
         raise ValueError("plant mode takes no boundary input")
     if injecting:
-        y0, y1 = boundary_input
-        nodes = boundary_node_count(grid)
-        for y in (y0, y1):
-            if np.size(y) != nodes:
+        for y in boundary_input:
+            if np.size(y) != plan.nodes:
                 raise ValueError("boundary input carries %d values, the grid has %d"
-                                 % (np.size(y), nodes))
+                                 % (np.size(y), plan.nodes))
+    ws = field.ws if type(field) is _RunField else None
+    if (ws is not None and ws.grid is grid and ws.nonlinearity is nonlinearity
+            and field.slot == ws.head):
+        t_new = ws.advance(field.t, boundary_input)
+        return _RunField(ws, ws.head, t_new)
     _check_shape(field, grid)
-    z, v, t = field.z, field.zt, field.t
-    dt = grid.dt
-    plan = grid._plan
-
-    a0 = _accel(z, grid, nonlinearity, t)
-    if injecting:
-        inflow = _scatter(y0, plan)
-        inflow -= v
-        inflow *= plan.flux_mult
-        a0 += inflow
-
-    # each update in place, in the association of z + dt v + dt^2/2 a0
-    # and v + dt/2 (a0 + a1): a sum or product of two values is the same
-    # float in either order, and v_new holds dt^2/2 a0 until it is written
-    stacked = np.empty((2,) + z.shape)
-    z_new, v_new = stacked
-    np.multiply(dt, v, out=z_new)
-    z_new += z
-    np.multiply(plan.half_dt2, a0, out=v_new)
-    z_new += v_new
-    _pin_dirichlet(z_new)
-    t_new = t + (-1.0 if grid.mode == "observer-backward" else 1.0) * dt
-    a01 = a0  # a0 is not read again
-    a01 += _accel(z_new, grid, nonlinearity, t_new)
-
-    # in observer modes the trapezoidal boundary velocity keeps the
-    # new-level damping term implicit, a scalar linear solve per measured node
-    if injecting:
-        outflow = _scatter(y1, plan)
-        outflow *= plan.flux_mult
-        a01 += outflow
-        a01 *= plan.half_dt
-        a01 += v
-        np.divide(a01, plan.denom, out=v_new)
-    else:
-        a01 *= plan.half_dt
-        np.add(v, a01, out=v_new)
-    _pin_dirichlet(v_new)
-
-    _smooth(stacked)
-
-    if not np.isfinite(stacked).all():
-        raise DivergenceError(t_new)
+    ws = _Workspace(grid, nonlinearity, 2)
+    ws.load(field)
+    t_new = ws.advance(field.t, boundary_input)
+    new = ws.slot(ws.head)
     out = WaveField.__new__(WaveField)
-    out.z = z_new
-    out.zt = v_new
-    out.t = t_new
+    out.z, out.zt, out.t = new.z, new.v, t_new
     return out
 
 
@@ -522,6 +728,10 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
 
     With chi set, the series also records the Lyapunov value each step and
     the return becomes (final, trace_out, (E series, V series)).
+
+    The steps run in a workspace of this run's own, which the returned
+    arrays do not share: final is a copy of the last state, and trace_out
+    holds the (steps + 1, nodes) array the run filled.
     """
     steps = whole_steps(horizon, grid.dt)
     _check_work(grid, steps)
@@ -534,37 +744,60 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         samples = trace_in.samples
     elif trace_in is not None:
         raise ValueError("plant runs take no measurement trace")
-
-    backward = grid.mode == "observer-backward"
-    if backward:
-        state = WaveField(initial.z, -initial.zt, initial.t)
-        samples = -samples[::-1]
-    else:
-        state = initial.copy()
-
-    n_f = nonlinearity
-    out_rows = [gather_trace(state.zt, grid)]
-    energies = []
     if chi is not None:
         chi = checked_float("chi", chi, 0.0)
-    lyap = None if chi is None else []
-    block = max(1, _ENERGY_BLOCK_NODES // state.z.size)
-    pending = [state]
+
+    plan = grid._plan
+    trace = np.empty((steps + 1, plan.nodes))
+    backward = grid.mode == "observer-backward"
+    if backward:
+        start = WaveField(initial.z, -initial.zt, initial.t)
+        # the replayed input lives in the trace rows not yet written: the
+        # rows of a block of states are written after the step out of its
+        # last state, which reads the last row the block needs
+        samples = np.negative(samples[::-1], out=trace)
+    else:
+        start = initial.copy()
+
+    block = max(1, _ENERGY_BLOCK_NODES // start.z.size)
+    ws = _Workspace(grid, nonlinearity, 2 * block)
+    ws.load(start)
+    state = _RunField(ws, 0, start.t)
+    energies = np.empty(steps + 1)
+    lyaps = None if chi is None else np.empty(steps + 1)
+    times = [start.t]  # of the states not yet recorded
+    first = 0  # the index of the first of them
 
     def record():
-        # the energies of the pending states in one kernel pass, checked in
-        # time order, each before the Lyapunov value of its own state
-        states = pending[:]
-        del pending[:]
-        z, v = _stack([s.z for s in states]), _stack([s.zt for s in states])
+        # the energies and trace rows of the pending states, which lie in
+        # consecutive slots, in one kernel pass; each state's energy is
+        # checked in time order, before the Lyapunov value of its own state
+        nonlocal first
+        count, pending = len(times), times[:]
+        del times[:]
+        lo = first % len(ws.slots)
+        states = ws.slots[lo:lo + count]
+        # a block of one goes without the leading axis: in 2-D its kernel
+        # pass is faster so
+        z, v = states[0] if count == 1 else (states[:, 0], states[:, 1])
         grads = _gradient(z, grid.dx, grid.dim)
         values = _energy(grads, v, grid.dx)
-        lyaps = None if lyap is None else _lyapunov(z, v, grads, values, grid,
+        lyap = None if lyaps is None else _lyapunov(z, v, grads, values, grid,
                                                     chi).reshape(-1)
-        for i, (s, value) in enumerate(zip(states, values.reshape(-1))):
-            energies.append(_finite(value, "energy", s.t))
-            if lyap is not None:
-                lyap.append(_finite(lyaps[i], "Lyapunov value", s.t))
+        values = values.reshape(-1)
+        if not (np.isfinite(values).all()
+                and (lyap is None or np.isfinite(lyap).all())):
+            for i, t in enumerate(pending):
+                _finite(values[i], "energy", t)
+                if lyap is not None:
+                    _finite(lyap[i], "Lyapunov value", t)
+        rows = slice(first, first + count)
+        energies[rows] = values
+        if lyap is not None:
+            lyaps[rows] = lyap
+        np.take(states[:, 1].reshape(count, -1), plan.flat_measured, axis=1,
+                out=trace[rows], mode="clip")
+        first += count
 
     # an overflowing step or energy is reported as DivergenceError alone,
     # without a RuntimeWarning first: step checks that the field stays
@@ -572,33 +805,27 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i in range(steps):
-                if len(pending) == block:
-                    record()
                 binput = (samples[i], samples[i + 1]) if injecting else None
-                state = step(state, grid, n_f, binput)
-                out_rows.append(gather_trace(state.zt, grid))
-                pending.append(state)
+                state = step(state, grid, nonlinearity, binput)
+                if len(times) == block:
+                    record()
+                times.append(state.t)
         finally:
             # also when a step raised: an energy that overflowed before it
             # is then reported instead, at its own t
-            if pending:
+            if times:
                 record()
 
     if backward:
         final = WaveField(state.z, -state.zt, state.t)
     else:
-        final = state
-    trace_out = BoundaryTrace(np.array(out_rows), grid.dt, initial.t)
-    energies = np.array(energies)
-    if lyap is not None:
-        return final, trace_out, (energies, np.array(lyap))
+        final = WaveField.__new__(WaveField)
+        final.z, final.zt = ws.slots[state.slot].copy()
+        final.t = state.t
+    trace_out = _adopted_trace(trace, grid.dt, initial.t)
+    if lyaps is not None:
+        return final, trace_out, (energies, lyaps)
     return final, trace_out, energies
-
-
-def _stack(arrays):
-    # a leading block axis, but a block of one goes bare: no copy, and in
-    # 2-D its kernel pass is faster without the extra axis
-    return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
 
 def _finite(value, name, t):

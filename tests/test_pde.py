@@ -8,6 +8,7 @@ asserts were produced by those oracles.
 """
 
 import copy
+import gc
 import math
 import pickle
 import re
@@ -1743,3 +1744,226 @@ class TestOverflowWarnsNothing:
             warnings.simplefilter("error")
             with pytest.raises(pde.DivergenceError, match="non-finite"):
                 pde.run(f0, 0.1, g, nl, zero_trace(g, 0.1))
+
+
+# ------------------------------------------------ run's workspace, bit for bit
+#
+# run steps in a workspace of its own: each step writes the next state into
+# the next slot, the energies are taken from the slots in place and the
+# trace fills one preallocated array.  fresh_array_run is run's loop as it
+# read before that: a direct step per time step, which returns fresh
+# arrays, each energy block stacked into a new array and the trace a list
+# of rows.  Both must give the same bits, and the same error.
+
+
+def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=None,
+                    chi=None):
+    steps = pde.whole_steps(horizon, grid.dt)
+    injecting = grid.mode != "plant"
+    backward = grid.mode == "observer-backward"
+    samples = None if trace_in is None else trace_in.samples
+    if backward:
+        state = pde.WaveField(initial.z, -initial.zt, initial.t)
+        samples = -samples[::-1]
+    else:
+        state = initial.copy()
+    out_rows = [pde.gather_trace(state.zt, grid)]
+    energies, lyap = [], None if chi is None else []
+    block = max(1, pde._ENERGY_BLOCK_NODES // state.z.size)
+    pending = [state]
+
+    def stack(arrays):
+        return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+    def record():
+        states = pending[:]
+        del pending[:]
+        z, v = stack([s.z for s in states]), stack([s.zt for s in states])
+        grads = pde._gradient(z, grid.dx, grid.dim)
+        values = pde._energy(grads, v, grid.dx)
+        lyaps = None if lyap is None else pde._lyapunov(z, v, grads, values, grid,
+                                                        chi).reshape(-1)
+        for i, (s, value) in enumerate(zip(states, values.reshape(-1))):
+            energies.append(pde._finite(value, "energy", s.t))
+            if lyap is not None:
+                lyap.append(pde._finite(lyaps[i], "Lyapunov value", s.t))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i in range(steps):
+                if len(pending) == block:
+                    record()
+                binput = (samples[i], samples[i + 1]) if injecting else None
+                state = pde.step(state, grid, nonlinearity, binput)
+                out_rows.append(pde.gather_trace(state.zt, grid))
+                pending.append(state)
+        finally:
+            if pending:
+                record()
+    final = pde.WaveField(state.z, -state.zt, state.t) if backward else state
+    trace_out = pde.BoundaryTrace(np.array(out_rows), grid.dt, initial.t)
+    energies = np.array(energies)
+    if lyap is not None:
+        return final, trace_out, (energies, np.array(lyap))
+    return final, trace_out, energies
+
+
+# (dim, N, states per energy block): 40 at 1-D N=201, 18 at 2-D N=21
+WORKSPACE_GRIDS = [(1, 201, 40), (2, 21, 18)]
+
+
+def _workspace_case(dim, n, mode, steps, seed):
+    rng = np.random.default_rng([31, dim, n, pde.MODES.index(mode), steps, seed])
+    grid = pde.make_grid(dim, n, 1.0, mode, 0.0 if mode == "plant" else 1.3)
+    trace = None
+    if mode != "plant":
+        trace = pde.BoundaryTrace(_boundary_inputs(rng, grid, steps), grid.dt, 0.5)
+    f0 = _random_field(rng, n, dim)
+    f0 = pde.WaveField(f0.z, f0.zt, 0.5)
+    return grid, steps * grid.dt, f0, trace
+
+
+def _assert_same_run(got, want):
+    (final, trace, series), (ref_final, ref_trace, ref_series) = got, want
+    assert _bits(final.z) == _bits(ref_final.z)
+    assert _bits(final.zt) == _bits(ref_final.zt)
+    assert final.t == ref_final.t
+    assert trace.samples.shape == ref_trace.samples.shape
+    assert _bits(trace.samples) == _bits(ref_trace.samples)
+    assert (trace.dt, trace.t0) == (ref_trace.dt, ref_trace.t0)
+    if isinstance(ref_series, tuple):
+        assert _bits(series[0]) == _bits(ref_series[0])
+        assert _bits(series[1]) == _bits(ref_series[1])
+    else:
+        assert _bits(series) == _bits(ref_series)
+
+
+def _error(fn, *args, **kwargs):
+    with pytest.raises(pde.DivergenceError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value), exc.value.t
+
+
+class TestRunWorkspace:
+    @pytest.mark.parametrize("dim,n,block", WORKSPACE_GRIDS)
+    @pytest.mark.parametrize("mode", pde.MODES)
+    @pytest.mark.parametrize("chi", [None, 0.2])
+    def test_run_matches_the_fresh_array_loop(self, dim, n, block, mode, chi):
+        nl = _sources(dim)["x-dependent"]
+        for steps in (1, block - 1, block, block + 1, 2 * block + 3):
+            grid, horizon, f0, trace = _workspace_case(dim, n, mode, steps, 0)
+            got = pde.run(f0, horizon, grid, nl, trace, chi=chi)
+            _assert_same_run(got, fresh_array_run(f0, horizon, grid, nl, trace, chi))
+
+    @pytest.mark.parametrize("dim,n,block", WORKSPACE_GRIDS)
+    @pytest.mark.parametrize("chi", [None, 0.2])
+    def test_divergence_mid_block_matches_the_fresh_array_loop(self, dim, n, block, chi):
+        # sources that switch on mid-way through the second block: one
+        # turns the next state non-finite; one gives a finite state whose
+        # energy overflows, then a non-finite one, so the energy, the
+        # earlier error, must be the one reported; one grows a huge field
+        # until its energy overflows
+        steps = 2 * block + 3
+        grid, horizon, f0, trace = _workspace_case(dim, n, "observer-forward", steps, 1)
+        kick = f0.t + (block + block // 2 + 0.5) * grid.dt
+
+        def non_finite(z, x, t):
+            return math.nan if t > kick else 0.0
+
+        def overflowing(z, x, t):
+            return 0.0 if t < kick else 1e200 if t < kick + grid.dt else math.inf
+
+        def growing(z, x, t):
+            return 1e8 * z
+
+        messages = []
+        for f, amp in ((non_finite, 1.0), (overflowing, 1.0), (growing, 1e140)):
+            start = pde.WaveField(amp * f0.z, amp * f0.zt, f0.t)
+            nl = pde.Nonlinearity(f)
+            got = _error(pde.run, start, horizon, grid, nl, trace, chi=chi)
+            assert got == _error(fresh_array_run, start, horizon, grid, nl, trace, chi)
+            messages.append(got)
+        (first, t1), (second, t2), (third, _) = messages
+        assert "non-finite values" in first
+        assert "energy inf" in second and "energy inf" in third
+        assert t1 == t2 > kick
+
+    @pytest.mark.parametrize("dim,n,block", WORKSPACE_GRIDS)
+    def test_results_keep_their_values_after_later_runs_and_steps(self, dim, n, block):
+        nl = _sources(dim)["x-dependent"]
+        grid, horizon, f0, trace = _workspace_case(dim, n, "observer-forward", block + 5, 2)
+        final, tr, (e, v) = pde.run(f0, horizon, grid, nl, trace, chi=0.2)
+        kept = [_bits(a) for a in (final.z, final.zt, tr.samples, e, v)]
+        back, back_tr, back_e = pde.run(final, horizon, replace(grid, mode="observer-backward"),
+                                        nl, trace)
+        kept_back = [_bits(a) for a in (back.z, back.zt, back_tr.samples, back_e)]
+        pde.run(pde.WaveField(2.0 * f0.z, f0.zt, f0.t), horizon, grid, nl, trace, chi=0.2)
+        state = final
+        for _ in range(2 * block + 1):  # round every slot of a run's workspace
+            state = pde.step(state, grid, nl, (trace.samples[0], trace.samples[1]))
+        pde.run(f0, horizon, grid, nl, trace)
+        assert [_bits(a) for a in (final.z, final.zt, tr.samples, e, v)] == kept
+        assert [_bits(a) for a in (back.z, back.zt, back_tr.samples, back_e)] == kept_back
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_direct_steps_share_no_memory(self, dim, mode):
+        n = 21
+        grid, _, f0, trace = _workspace_case(dim, n, mode, 4, 3)
+        nl = _sources(dim)["x-dependent"]
+        fields = [f0]
+        for i in range(4):
+            binput = None if trace is None else (trace.samples[i], trace.samples[i + 1])
+            fields.append(pde.step(fields[-1], grid, nl, binput))
+        first = [_bits(a) for a in (fields[1].z, fields[1].zt)]
+        arrays = [a for f in fields for a in (f.z, f.zt)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert [_bits(a) for a in (fields[1].z, fields[1].zt)] == first
+
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_run_leaves_no_reference_cycle(self, mode):
+        # a cycle would keep each run's workspace until the cyclic
+        # collector runs; with the collector off, none may be left over
+        results = []
+        gc.collect()
+        gc.disable()
+        try:
+            for dim, n, block in WORKSPACE_GRIDS:
+                nl = _sources(dim)["x-dependent"]
+                grid, horizon, f0, trace = _workspace_case(dim, n, mode, block + 2, 4)
+                results.append(pde.run(f0, horizon, grid, nl, trace, chi=0.2))
+                binput = None if trace is None else (trace.samples[0], trace.samples[1])
+                results.append(pde.step(f0, grid, nl, binput))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    def test_trace_memory_per_float(self):
+        # a mid-size 2-D observer run: 4,715 steps over 29 measured nodes,
+        # 136,764 trace floats, of which the trace array itself takes 8
+        # bytes each; a run a quarter as long gives the bytes per further
+        # trace float, free of the workspace and the energy kernel
+        grid = pde.make_grid(2, 16, 200.0, "observer-forward", 1.0)
+        x1, x2 = grid.coords()
+        f0 = pde.WaveField(np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2), np.zeros_like(x1))
+        rng = np.random.default_rng(41)
+        peaks, floats = [], []
+        for steps in (1179, 4715):
+            horizon = steps * grid.dt
+            trace = pde.BoundaryTrace(
+                0.01 * rng.normal(size=(steps + 1, pde.boundary_node_count(grid))), grid.dt)
+            tracemalloc.start()
+            try:
+                result = pde.run(f0, horizon, grid, trace_in=trace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            floats.append(result[1].samples.size)
+            del result
+        assert floats[1] == 136764
+        assert peaks[1] / floats[1] < 16.0, peaks[1] / floats[1]
+        further = (peaks[1] - peaks[0]) / (floats[1] - floats[0])
+        assert further < 10.0, further
