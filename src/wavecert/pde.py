@@ -20,8 +20,11 @@ lie end to end in memory: where such a pass straddles two rows it computes
 entries of no node, and each of those is either written over afterwards
 (the clamped, ghost and one-sided end entries) or never written back (the
 smoothing writes nodes 2..N-3 only), so every stored value has the bits of
-the per-row stencil.  The faces x_p = 0 are clamped (z = 0); the faces
-x_p = 1 form the measured boundary.  A measured node carries flux
+the per-row stencil.  The faces x_p = 0 are clamped (z = 0 and z_t = 0); a
+step pins them before it smooths, and the smoothing keeps them +0.0 bit
+for bit with no pin after it: along its own axis it writes no face, and
+along an axis that runs within a face it reads only that face's zeros.
+The faces x_p = 1 form the measured boundary.  A measured node carries flux
 multiplicity equal to the number of measured faces through it (two at the
 corner (1,1) in 2-D), and the grid's plan fixes the measured nodes and
 their lexicographic order.
@@ -365,11 +368,6 @@ def check_trace(trace, grid, steps):
                          % (nodes, boundary_node_count(grid)))
 
 
-def gather_trace(v, grid):
-    """Measured-boundary values of an array, lexicographic node order."""
-    return v[grid._plan.measured]
-
-
 # ------------------------------------------------------------------- stepping
 
 
@@ -393,133 +391,48 @@ def _runs(axis, *arrays):
     return [a.swapaxes(0, axis) for a in arrays]
 
 
-# Each stencil below is one function over views that a builder takes once:
-# the workspace of a run builds them per slot and per buffer, and the
-# helpers that take whole arrays (_second_difference, _accel, _smooth)
-# build them per call.  A builder takes the array the stencil reads first,
-# whose layout decides the runs of every array (see _runs).
-
-
-def _second_difference_pass(hi, twice, out, lo, f, g):
-    """Undivided second difference along one axis: f's runs hi = f[2:] and
-    lo = f[:-2], 2 f's run twice, the output's run out, all but the ends;
-    f and the output g with the axis in front.  out may be twice itself,
-    as each entry reads 2 f at its own index only.  The clamped and ghost
-    entries are written after the stencil, over its straddle entries; the
-    ghost in 1-D is a product of numpy scalars."""
-    np.subtract(hi, twice, out=out)
-    out += lo
-    g[0] = 0.0
-    g[-1] = 2.0 * (f[-2] - f[-1])
-
-
 def _front(arr, axis):
     """arr with the axis in front; axis 0 is arr itself."""
     return arr if axis == 0 else arr.swapaxes(0, axis)
 
 
-def _field_views(z):
-    """What an acceleration reads of a field: the flat array but its ends,
-    which the doubling reads (the per-axis stencils never doubled the
-    measured corner, the last entry, and doubling it may overflow), and per
-    axis the second difference's neighbour runs and z with the axis in
-    front, which also pins the clamped face."""
-    runs = []
-    for axis in range(z.ndim):
-        f = _runs(axis, z)[0]
-        runs.append((f[2:], f[:-2], _front(z, axis)))
-    return _runs(z.ndim - 1, z)[0][1:-1], runs
-
-
-def _target_views(z, a, twice):
-    """What an acceleration of fields laid out as z writes: the buffer of
-    2 z (a itself in 1-D) but its flat ends, per axis the second
-    difference's 2 z and output runs with the output's axis in front, and
-    a with each axis in front for the pin.  Axis 0 writes into a; the last
-    axis of a 2-D field writes over 2 z, which a then adds."""
-    last = a.ndim - 1
-    runs = []
-    for axis in range(a.ndim):
-        out = twice if axis == last else a
-        f2, g = _runs(axis, z, twice, out)[1:]
-        runs.append((f2[1:-1], g[1:-1], _front(out, axis)))
-    pins = [_front(a, axis) for axis in range(a.ndim)]
-    return a, twice, _runs(last, z, twice)[1][1:-1], runs, pins
-
-
-def _accelerate(z, z_mid, z_runs, target, nonlinearity, plan, t):
-    """Laplacian with reflecting ghosts on the measured faces, plus f, into
-    the target's a; z_mid and z_runs from _field_views(z), target from
-    _target_views."""
+def _accelerate(slot, target, nonlinearity, plan, t):
+    """Laplacian with reflecting ghosts on the measured faces, plus f, of
+    the slot's z into the target's a.  Per axis the undivided second
+    difference z[2:] - 2 z + z[:-2] runs over all but the ends, its output
+    run out may be 2 z's run f2 itself (each entry reads 2 z at its own
+    index only), and the clamped and ghost entries are written after it,
+    over its straddle entries; the ghost in 1-D is a product of scalars."""
     a, twice, twice_mid, runs, pins = target
-    np.multiply(2.0, z_mid, out=twice_mid)
-    for (hi, lo, f), (f2, out, g) in zip(z_runs, runs):
-        _second_difference_pass(hi, f2, out, lo, f, g)
+    np.multiply(2.0, slot.z_mid, out=twice_mid)
+    for (hi, lo, f), (f2, out, g) in zip(slot.z_runs, runs):
+        np.subtract(hi, f2, out=out)
+        out += lo
+        g[0] = 0.0
+        g[-1] = 2.0 * (f[-2] - f[-1])
     if twice is not a:
         a += twice
     a /= plan.dx2
-    fv = nonlinearity(z, plan.coords, t)
+    fv = nonlinearity(slot.z, plan.coords, t)
     if np.ndim(fv) or fv:
         a += fv
     for face in pins:
         face[0] = 0.0
 
 
-def _second_difference(z, z2, axis):
-    """The second difference of a C-contiguous z along one axis, written
-    over z2, which holds 2 z wherever the stencil reads it; returns z2."""
-    f, f2 = _runs(axis, z, z2)
-    _second_difference_pass(f[2:], f2[1:-1], f2[1:-1], f[:-2],
-                            z.swapaxes(0, axis), z2.swapaxes(0, axis))
-    return z2
-
-
-def _accel(z, grid, nonlinearity, t):
-    """Laplacian with reflecting ghosts on the measured faces, plus f, as a
-    new array; a contiguous copy of z is taken where z is not one."""
-    c = np.ascontiguousarray(z)
-    a = np.empty_like(c)
-    target = _target_views(c, a, a if c.ndim == 1 else np.empty_like(c))
-    _accelerate(c, *_field_views(c), target, nonlinearity, grid._plan, t)
-    return a
-
-
-def _smoothing_views(w):
-    """What a smoothing pass reads of a stacked array w: per grid axis
-    (1 onwards) w's runs f[1:-1], f[4:], f[2:-2] and f[:-4], and w with
-    the axis in front for the pin."""
-    runs = []
-    for axis in range(1, w.ndim):
-        f = _runs(axis, w)[0]
-        runs.append((f[1:-1], f[4:], f[2:-2], f[:-4]))
-    return runs, [w.swapaxes(0, axis) for axis in range(1, w.ndim)]
-
-
-def _smoothing_buffers(w, out, scratch, fours):
-    """What a smoothing pass of arrays laid out as w writes: per grid axis
-    the runs of 4 f (fours) that it writes and reads, of the stencil output
-    (out) and of 6 f (scratch), and the output's two entries at each end
-    of the axis."""
-    runs = []
-    for axis in range(1, w.ndim):
-        b, t, q = _runs(axis, w, out, scratch, fours)[1:]
-        ends = out.swapaxes(0, axis)
-        runs.append((q[1:-1], q[3:-1], b[2:-2], t[2:-2], q[1:-3], ends[:2], ends[-2:]))
-    return runs
-
-
-def _smooth_pass(w, out, w_runs, buffer_runs, pins):
-    """Smooth a stacked (z, z_t) array over its grid axes, 1 onwards.
+def _smooth_pass(slot, out, buffer_runs):
+    """Smooth the slot's stacked (z, z_t) over its grid axes, 1 onwards.
 
     Each pass evaluates the stencil into out, the products through two
     buffers rather than numpy's temporaries, with 4 f taken once for its
     two reads; zeroes out at the nodes 0, 1, N-2 and N-1 of its axis, where
     a flat pass leaves its straddle entries; and subtracts the whole of out
     in one contiguous pass: x - 0.0 is x, bit for bit, so only the nodes
-    2..N-3 are written back."""
+    2..N-3 are written back, and the clamped faces keep their +0.0."""
     nu = KO_NU / 16.0
+    w = slot.w
     for (mid, hi, center, lo), (q_mid, q_hi, inner, six, q_lo, head, tail) in zip(
-            w_runs, buffer_runs):
+            slot.w_runs, buffer_runs):
         np.multiply(4.0, mid, out=q_mid)
         np.subtract(hi, q_hi, out=inner)
         np.multiply(6.0, center, out=six)
@@ -530,32 +443,32 @@ def _smooth_pass(w, out, w_runs, buffer_runs, pins):
         head.fill(0.0)
         tail.fill(0.0)
         w -= out
-    for face in pins:
-        face[0] = 0.0
-
-
-def _smooth(w):
-    """Smooth a stacked (z, z_t) array in place over its grid axes, 1
-    onwards, through buffers of its own."""
-    out, scratch, fours = (np.empty_like(w) for _ in range(3))
-    runs, pins = _smoothing_views(w)
-    _smooth_pass(w, out, runs, _smoothing_buffers(w, out, scratch, fours), pins)
 
 
 class _Slot:
-    """The views a step takes of one workspace slot: the state w = (z, z_t)
-    and what its acceleration, pins and smoothing read."""
+    """The views a step takes of one workspace slot, the state w = (z, z_t):
+    z_mid, the flat z but its ends, which the doubling reads (the per-axis
+    stencils never doubled the measured corner, the last entry, and doing
+    so may overflow); per axis z's runs z[2:] and z[:-2] and z with the
+    axis in front, which also pins the clamped face; z_t with each axis in
+    front; and per grid axis w's runs that the smoothing reads."""
 
-    __slots__ = ("w", "z", "v", "z_mid", "z_runs", "z_pins", "v_pins",
-                 "w_runs", "w_pins")
+    __slots__ = ("w", "z", "v", "z_mid", "z_runs", "v_pins", "w_runs")
 
     def __init__(self, w):
         self.w = w
         self.z, self.v = w
-        self.z_mid, self.z_runs = _field_views(self.z)
-        self.z_pins = [f for _, _, f in self.z_runs]
-        self.v_pins = [_front(self.v, axis) for axis in range(self.v.ndim)]
-        self.w_runs, self.w_pins = _smoothing_views(w)
+        z = self.z
+        self.z_runs = []
+        for axis in range(z.ndim):
+            f = _runs(axis, z)[0]
+            self.z_runs.append((f[2:], f[:-2], _front(z, axis)))
+        self.z_mid = _runs(z.ndim - 1, z)[0][1:-1]
+        self.v_pins = [_front(self.v, axis) for axis in range(z.ndim)]
+        self.w_runs = []
+        for axis in range(1, w.ndim):
+            f = _runs(axis, w)[0]
+            self.w_runs.append((f[1:-1], f[4:], f[2:-2], f[:-4]))
 
 
 class _Workspace:
@@ -572,6 +485,13 @@ class _Workspace:
     modes, is zero off the measured nodes, where each step writes its
     boundary values.  The views of a slot are built on its first use.
 
+    A target is what an acceleration writes: a, the 2 z buffer (a itself
+    in 1-D) and its flat run but its ends, per axis the runs of 2 z and of
+    the output, which is a but on a 2-D field's last axis, where it writes
+    over 2 z and a then adds it, and a with each axis in front to pin.
+    smoothing holds per grid axis the runs of 4 f, of the output and of
+    6 f that a pass takes, and the output's two entries at each axis end.
+
     Nothing here refers to a field, so a run's fields, which refer to their
     workspace, make no reference cycle.
     """
@@ -582,6 +502,7 @@ class _Workspace:
     def __init__(self, grid, nonlinearity, count):
         plan = grid._plan
         shape = plan.shape
+        last = grid.dim - 1
         self.grid = grid
         self.nonlinearity = nonlinearity
         self.slots = np.empty((count, 2) + shape)
@@ -590,10 +511,23 @@ class _Workspace:
         self.acc = np.empty((2,) + shape)
         aux = np.empty((2,) + shape)
         like = self.slots[0, 0]  # the layout of every field the steps read
-        self.targets = [_target_views(like, a, a if len(shape) == 1 else aux[0])
-                        for a in self.acc]
-        self.smoothing = _smoothing_buffers(self.slots[0], self.acc, aux,
-                                            np.empty((2,) + shape))
+        self.targets = []
+        for a in self.acc:
+            twice = a if last == 0 else aux[0]
+            runs = []
+            for axis in range(grid.dim):
+                out = twice if axis == last else a
+                f2, g = _runs(axis, like, twice, out)[1:]
+                runs.append((f2[1:-1], g[1:-1], _front(out, axis)))
+            pins = [_front(a, axis) for axis in range(grid.dim)]
+            self.targets.append((a, twice, _runs(last, like, twice)[1][1:-1], runs, pins))
+        fours = np.empty((2,) + shape)
+        self.smoothing = []
+        for axis in range(1, grid.dim + 1):
+            b, t, q = _runs(axis, self.slots[0], self.acc, aux, fours)[1:]
+            ends = self.acc.swapaxes(0, axis)
+            self.smoothing.append((q[1:-1], q[3:-1], b[2:-2], t[2:-2], q[1:-3],
+                                   ends[:2], ends[-2:]))
         self.inject = None if grid.mode == "plant" else np.zeros(shape)
         self.finite = np.empty((2,) + shape, dtype=bool)
 
@@ -628,7 +562,7 @@ class _Workspace:
         a0, a1 = self.targets[0][0], self.targets[1][0]
         inject = self.inject
 
-        _accelerate(z, old.z_mid, old.z_runs, self.targets[0], nl, plan, t)
+        _accelerate(old, self.targets[0], nl, plan, t)
         if inject is not None:
             y0, y1 = boundary_input
             inject[plan.measured] = y0
@@ -641,10 +575,10 @@ class _Workspace:
         z_new += z
         np.multiply(plan.half_dt2, a0, out=v_new)
         z_new += v_new
-        for face in new.z_pins:
+        for _, _, face in new.z_runs:
             face[0] = 0.0
         t_new = t + plan.dt_signed
-        _accelerate(z_new, new.z_mid, new.z_runs, self.targets[1], nl, plan, t_new)
+        _accelerate(new, self.targets[1], nl, plan, t_new)
         a0 += a1
 
         if inject is not None:
@@ -660,7 +594,7 @@ class _Workspace:
         for face in new.v_pins:
             face[0] = 0.0
 
-        _smooth_pass(new.w, self.acc, new.w_runs, self.smoothing, new.w_pins)
+        _smooth_pass(new, self.acc, self.smoothing)
 
         if not np.isfinite(new.w, out=self.finite).all():
             raise DivergenceError(t_new)

@@ -770,7 +770,8 @@ class TestBoundaryGeometry:
         g = pde.Grid(2, N, 0.01)
         x1, x2 = g.coords()
         vals = x1 + 10.0 * x2
-        got = pde.gather_trace(vals, g)
+        # the index run takes each trace row with, from the flat field
+        got = np.take(vals.reshape(-1), g._plan.flat_measured)
         dx = g.dx
         want = [i * dx + 10.0 for i in range(1, N - 1)]
         want += [1.0 + 10.0 * j * dx for j in range(1, N)]
@@ -1361,25 +1362,8 @@ class TestBitIdentity:
 # axis, the last one too, with that axis swapped to the front.  The solver
 # runs the last axis of a C-contiguous array as one pass over the flat
 # array instead; the entries where that pass straddles two rows must never
-# reach a stored value, so the kernels agree with these bit for bit.
-
-
-def axis_second_difference(z, axis):
-    d = np.empty_like(z)
-    f, g = z.swapaxes(0, axis), d.swapaxes(0, axis)
-    g[0] = 0.0
-    np.add(f[2:] - 2.0 * f[1:-1], f[:-2], out=g[1:-1])
-    g[-1] = 2.0 * (f[-2] - f[-1])
-    return d
-
-
-def axis_smooth(w):
-    nu = 0.02 / 16.0
-    for axis in range(1, w.ndim):
-        f = w.swapaxes(0, axis)
-        f[2:-2] -= nu * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
-    for axis in range(1, w.ndim):
-        w.swapaxes(0, axis)[0] = 0.0
+# reach a stored value, so a step agrees with ref_step, and the gradient
+# with axis_gradient, bit for bit.
 
 
 def axis_gradient(z, dx, dim):
@@ -1422,41 +1406,28 @@ def _layouts(z):
 
 
 class TestFlatLastAxis:
-    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
-    def test_second_difference_matches_per_axis(self, shape):
-        rng = np.random.default_rng([21] + list(shape))
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 201), (2, 17), (2, 81)])
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_step_matches_per_axis_in_every_layout(self, dim, n, mode):
+        # a direct step on fields held in C, Fortran and strided arrays
+        rng = np.random.default_rng([22, dim, n, pde.MODES.index(mode)])
+        grid = pde.make_grid(dim, n, 0.4, mode, 0.0 if mode == "plant" else 1.3)
+        direction = -1.0 if mode == "observer-backward" else 1.0
+        binput = None if mode == "plant" else tuple(_boundary_inputs(rng, grid, 1))
         for _ in range(3):
-            z = _extreme_field(rng, shape)
+            z, zt = _extreme_field(rng, (n,) * dim), _extreme_field(rng, (n,) * dim)
+            ref_pin_dirichlet(z, dim)
+            ref_pin_dirichlet(zt, dim)
+            f = pde.WaveField.__new__(pde.WaveField)
+            f.z, f.zt, f.t = z, zt, 0.5
             with np.errstate(over="raise", invalid="raise"):
-                for axis in range(z.ndim):
-                    got = pde._second_difference(z, 2.0 * z, axis)
-                    assert _bits(got) == _bits(axis_second_difference(z, axis))
-
-    @pytest.mark.parametrize("n,dim", [(16, 1), (201, 1), (17, 2), (81, 2)])
-    def test_acceleration_matches_per_axis(self, n, dim):
-        # through _accel, which doubles z once for both axes, in each layout
-        grid = pde.make_grid(dim, n, 0.4)
-        rng = np.random.default_rng([22, n, dim])
-        for _ in range(3):
-            z = _extreme_field(rng, (n,) * dim)
-            want = sum(axis_second_difference(z, axis) for axis in range(1, dim))
-            want = (axis_second_difference(z, 0) + want) / (grid.dx * grid.dx)
-            ref_pin_dirichlet(want, dim)
-            for name, arr in _layouts(z).items():
-                got = pde._accel(arr, grid, pde.ZERO_F, 0.0)
-                assert _bits(got) == _bits(want), name
-
-    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
-    def test_smooth_matches_per_axis(self, shape):
-        rng = np.random.default_rng([23] + list(shape))
-        stack = (2,) + shape if len(shape) == 1 else shape
-        for _ in range(3):
-            w = _extreme_field(rng, stack)
-            want = w.copy()
-            axis_smooth(want)
-            with np.errstate(over="raise", invalid="raise"):
-                pde._smooth(w)
-            assert _bits(w) == _bits(want)
+                want = ref_step(f, grid, pde.ZERO_F, binput, direction)
+                for (name, z_arr), zt_arr in zip(_layouts(z).items(), _layouts(zt).values()):
+                    f.z, f.zt = z_arr, zt_arr
+                    got = pde.step(f, grid, pde.ZERO_F, binput)
+                    assert _bits(got.z) == _bits(want.z), name
+                    assert _bits(got.zt) == _bits(want.zt), name
+                    assert got.t == want.t
 
     @pytest.mark.parametrize("shape", STENCIL_SHAPES)
     def test_gradient_matches_per_axis(self, shape):
@@ -1767,7 +1738,7 @@ def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=No
         samples = -samples[::-1]
     else:
         state = initial.copy()
-    out_rows = [pde.gather_trace(state.zt, grid)]
+    out_rows = [state.zt[grid._plan.measured]]
     energies, lyap = [], None if chi is None else []
     block = max(1, pde._ENERGY_BLOCK_NODES // state.z.size)
     pending = [state]
@@ -1795,7 +1766,7 @@ def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=No
                     record()
                 binput = (samples[i], samples[i + 1]) if injecting else None
                 state = pde.step(state, grid, nonlinearity, binput)
-                out_rows.append(pde.gather_trace(state.zt, grid))
+                out_rows.append(state.zt[grid._plan.measured])
                 pending.append(state)
         finally:
             if pending:
