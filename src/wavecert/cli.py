@@ -39,6 +39,8 @@ PRESETS = ("paper-example2",)
 # benchmark's own tests (bench/test_bench.py) still set these keys, so they
 # are accepted and ignored until those tests stop setting them
 RETIRED_SEARCH_KEYS = {"chi_grid", "delta_grid", "refinement_rounds"}
+# time levels per chunk of the trajectory CSV that simulate writes
+CSV_CHUNK_ROWS = 64
 
 
 class CliError(Exception):
@@ -219,10 +221,12 @@ def build_initial(spec, grid):
         raise CliError("initial: %s" % exc)
 
 
-def _write(path, text):
+def _write(path, text, more=()):
+    """Write text, then each string of the iterable more, to path."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
+            fh.writelines(more)
     except OSError as exc:
         raise CliError(str(exc))
 
@@ -326,10 +330,12 @@ def cmd_simulate(args):
     trace_in = None
     if grid.mode != "plant":
         # no measurement source on the command line: observer modes run the
-        # autonomous damped (or anti-damped) dynamics against a zero trace
+        # autonomous damped (or anti-damped) dynamics against a zero trace,
+        # one read-only zero row repeated over the levels
         steps = pde.whole_steps(horizon, grid.dt)
-        trace_in = pde.BoundaryTrace(
-            np.zeros((steps + 1, pde.boundary_node_count(grid))), grid.dt)
+        zero = np.zeros(pde.boundary_node_count(grid))
+        zeros = np.broadcast_to(zero, (steps + 1, zero.size))
+        trace_in = pde._adopted_trace(zeros, grid.dt, 0.0)
     final, trace, series = pde.run(field, horizon, grid, nonlinearity,
                                    trace_in=trace_in, chi=chi)
     if chi is None:
@@ -339,7 +345,12 @@ def cmd_simulate(args):
     summary = json_dumps({"steps": trace.steps, "dt": trace.dt,
                           "energy_initial": float(energies[0]),
                           "energy_final": float(energies[-1])})
-    _write(args.out, pde.trajectory_csv(trace, energies, lyap))
+    # the CSV goes out CSV_CHUNK_ROWS time levels at a time; the first
+    # chunk, which carries the header and checks the whole series, is
+    # made before the file is opened
+    chunks = (pde.trajectory_csv(trace, energies, lyap, slice(i, i + CSV_CHUNK_ROWS))
+              for i in range(0, trace.steps + 1, CSV_CHUNK_ROWS))
+    _write(args.out, next(chunks), chunks)
     print(summary)
     return 0
 

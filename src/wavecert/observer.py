@@ -144,10 +144,12 @@ def recover(measurements, config, truth=None):
     for m in range(1, config.m_max + 1):
         try:
             start = pde.WaveField(prev.z, prev.zt, t0)
-            forward, _, e_fwd = pde.run(start, config.horizon, grid_f, nl,
-                                        measurements)
-            back, _, e_back = pde.run(forward, config.horizon, grid_b, nl,
-                                      measurements)
+            # [::2] keeps the state and the energies; each run's trace
+            # is freed as soon as the run returns
+            forward, e_fwd = pde.run(start, config.horizon, grid_f, nl,
+                                     measurements)[::2]
+            back, e_back = pde.run(forward, config.horizon, grid_b, nl,
+                                   measurements)[::2]
         except pde.DivergenceError:
             diverged = True
             break

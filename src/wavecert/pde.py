@@ -43,8 +43,10 @@ not keep them.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -938,25 +940,36 @@ def sobolev_check(field, grid):
 # -------------------------------------------------------------------- export
 
 
-def trajectory_csv(trace, energies, lyapunovs=None):
+def trajectory_csv(trace, energies, lyapunovs=None, rows=slice(None)):
     """CSV text t,E,V,trace0[,trace1,...]; V falls back to E when absent.
 
-    A non-finite energy or Lyapunov value raises ValueError.
+    rows picks the time levels written.  The header leads only a text whose
+    rows start at level 0, so the texts of consecutive slices join into the
+    text of their union, byte for byte.  A non-finite energy or Lyapunov
+    value raises ValueError: one anywhere in the series when the text
+    carries the header, else one in its rows.
     """
     samples = trace.samples
     levels, columns = samples.shape
-    header = "t,E,V," + ",".join("trace%d" % j for j in range(columns))
+    start, stop, step = rows.indices(levels)
     if lyapunovs is None:
         lyapunovs = energies
-    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(lyapunovs))):
+    checked = slice(None) if start == 0 else rows
+    if not (np.all(np.isfinite(energies[checked]))
+            and np.all(np.isfinite(lyapunovs[checked]))):
         raise ValueError("non-finite energy or Lyapunov value in the trajectory")
-    times = trace.t0 + np.arange(levels) * trace.dt
-    table = np.column_stack((times, energies, lyapunovs, samples))
+    times = trace.t0 + np.arange(start, stop, step) * trace.dt
+    table = np.column_stack((times, energies[rows], lyapunovs[rows], samples[rows]))
     # "%.17g" per value, as fmt_float writes each one
     row = ",".join(["%.17g"] * (3 + columns))
-    lines = [header]
-    lines.extend(row % tuple(values) for values in table.tolist())
-    return "\n".join(lines) + "\n"
+    lines = ["t,E,V," + ",".join("trace%d" % j for j in range(columns))] if start == 0 else []
+    lines.extend(row % tuple(values.tolist()) for values in table)
+    lines.append("")
+    return "\n".join(lines)
+
+
+# a run of the characters at none of which str.splitlines breaks a line
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 def read_trajectory_csv(text):
@@ -966,23 +979,31 @@ def read_trajectory_csv(text):
     carry m + 3 values, and E and V must be finite, as trajectory_csv
     writes them.
     """
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
+    # the non-empty lines of text.strip().splitlines(), found one at a time
+    first = re.search(r"\S", text)
+    if first is None:
         raise ValueError("trajectory CSV is empty")
-    header = lines[0].split(",")
+    lines = partial(_LINE.finditer, text, first.start(), len(text.rstrip()))
+    body = lines()
+    header = next(body).group().split(",")
     width = len(header)
     if width < 4 or header != ["t", "E", "V"] + ["trace%d" % j for j in range(width - 3)]:
         raise ValueError("expected the header t,E,V,trace0,...,trace{m-1}")
-    rows = []
-    for number, line in enumerate(lines[1:], 1):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError("row %d carries %d values, the header names %d"
-                             % (number, len(cells), width))
-        rows.append([float(c) for c in cells])
-    if len(rows) < 2:
+    # the rows ahead of the first of the wrong width are parsed, in order,
+    # into an array of their own size before that row is refused
+    good, ragged = 0, None
+    for line in map(re.Match.group, body):
+        if line.count(",") != width - 1:
+            ragged = line
+            break
+        good += 1
+    cells = chain.from_iterable(m.group().split(",") for m in islice(lines(), 1, good + 1))
+    rows = np.fromiter(map(float, cells), float, good * width).reshape(good, width)
+    if ragged is not None:
+        raise ValueError("row %d carries %d values, the header names %d"
+                         % (good + 1, ragged.count(",") + 1, width))
+    if good < 2:
         raise ValueError("trajectory needs at least two time levels")
-    rows = np.array(rows)
     if not np.all(np.isfinite(rows[:, 1:3])):
         raise ValueError("trajectory E and V values must be finite")
     times = rows[:, 0]
