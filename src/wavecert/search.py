@@ -12,7 +12,12 @@ the same interval: the best margin of a multiplier is the threshold at
 which the interval stops being empty, bisected for every LMI of a chi
 scan and the whole grid at once, in one loop (_best_multipliers, for the
 find_feasible_vars chi scan and the lambda_max a failed T_STAR_MAX probe
-quotes), with no eigenvalue computed.
+quotes), with no eigenvalue computed.  The chi scan prunes that loop by
+branch and bound: after the steps in PRUNE_STEPS it drops every point
+whose worst-case margin, bounded by the ends of its LMIs' bisections,
+can no longer win, and the last point left finishes on floats.  Each
+element left keeps its own midpoints, so every value, multiplier and
+winning chi keeps its bits.
 chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  All searches
 are deterministic: same inputs and config, same outputs, regardless of
 worker count.
@@ -21,6 +26,7 @@ worker count.
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -56,6 +62,9 @@ CHI_LO = 1e-4
 CHI_COUNT = 400
 REFINEMENT_ROUNDS = 3
 REFINEMENT_COUNT = 40
+# the bisection steps after which a chi scan drops the points that can no
+# longer win; dropping at every step would cost as much as the steps save
+PRUNE_STEPS = (6, 12, 24)
 DELTA_GRID = (1e-4, 0.5, 30)
 # concurrent.futures' pool, imported by the first sweep that runs workers:
 # importing it is a sizeable part of the CLI's start-up
@@ -234,7 +243,7 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
     return lam if (high < s if strict else high <= s) else None
 
 
-def _best_multipliers(params, chi, lmis):
+def _best_multipliers(params, chi, lmis, alive=None):
     """[(decisive eigenvalues, multipliers)] at the best multiplier, per LMI.
 
     lmis lists (entries, name, top): the matrix's *_entries formula, its
@@ -251,9 +260,21 @@ def _best_multipliers(params, chi, lmis):
     The bisection stops where no float lies strictly between the ends; the
     value is the feasible end and the multiplier the span midpoint there.
     An empty bracket, or a span that stays empty, reports an infinitely bad
-    value at its lower end.  Errors come in the order of lmis, as if each
-    were searched alone: a non-finite entry raises ValueError and, as
-    DecisionVars would, a multiplier that is not finite and > 0 raises
+    value at its lower end.
+
+    alive, when given, prunes the chi points.  After each bisection step in
+    PRUNE_STEPS, while two or more points are left, it is called as
+    alive(points, worst, best): points holds the indices into chi of the
+    points left, and worst and best hold, one row per LMI, the worst and
+    the best value each of those points can still end at.  It returns True
+    for the points to keep.  A point dropped reports the infinitely bad
+    value of every LMI, with a NaN multiplier.  Once one point is left, its
+    LMIs finish on floats through _span's float branch (_finish_on_floats),
+    as does a one-point chi from the first step.  Every element left keeps
+    its own sequence of midpoints, so its value and multiplier keep their
+    bits.  Errors come in the order of lmis, as if each were searched alone:
+    a non-finite entry raises ValueError and, as DecisionVars would, a
+    multiplier that is not finite and > 0 at a point not dropped raises
     CertificateError.
     """
     bounds, b = [], []
@@ -270,12 +291,18 @@ def _best_multipliers(params, chi, lmis):
     b00, b01, b02, b11, b12, b22 = (np.concatenate(e) for e in zip(*b))
     r, u, v = -b01, -b02, -b12
     wq = _wq(params.n)
+    signs = np.array([[1.0 if top else -1.0] for _, _, top in lmis])
+    m = len(chi)
     with np.errstate(all="ignore"):
         products = _products(r, v)
 
         def span(s):
             # where s I - B(lam) is positive definite
             return _span((s - b00, r, u, s - b11, v, s - b22), wq, lo, hi, products)
+
+        def on_floats():
+            # the one point left, finished on floats, or None
+            return _finish_on_floats(wq, bad, good, lo, hi, b00, r, u, b11, v, b22, found)
 
         mid = 0.5 * (lo + hi)
         good = np.maximum(np.maximum(b00 + mid * wq + np.abs(b01) + np.abs(b02),
@@ -290,7 +317,10 @@ def _best_multipliers(params, chi, lmis):
             np.copyto(good, good + np.maximum(good - b11, np.spacing(np.abs(good))),
                       where=widen)
         bad = np.where(found, b11, good)
-        while True:
+        points, at = np.arange(m), np.arange(lo.size)
+        finished = on_floats() if m == 1 else None
+        steps = 0
+        while finished is None:
             s = 0.5 * (bad + good)
             inner = (bad < s) & (s < good)
             if not inner.any():
@@ -298,18 +328,74 @@ def _best_multipliers(params, chi, lmis):
             yes = inner & span(s)[2]
             np.copyto(good, s, where=yes)
             np.copyto(bad, s, where=inner ^ yes)
-        a, z, _ = span(good)
-        lam = np.where(found, 0.5 * (a + z), lo)
+            steps += 1
+            if alive is None or steps not in PRUNE_STEPS or len(points) < 2:
+                continue
+            worst, best = (signs * np.where(found, e, math.inf).reshape(len(lmis), -1)
+                           for e in (good, bad))
+            keep = alive(points, worst, best)
+            if keep.all():
+                continue
+            points = points[keep]
+            keep = np.tile(keep, len(lmis))
+            lo, hi, b00, r, u, b11, v, b22, bad, good, found, at = (
+                e[keep] for e in (lo, hi, b00, r, u, b11, v, b22, bad, good, found, at))
+            products = tuple(e[keep] for e in products)
+            if len(points) == 1:
+                finished = on_floats()
+        if finished is None:
+            a, z, _ = span(good)
+            lam = np.where(found, 0.5 * (a + z), lo)
+        else:
+            good, lam = finished
+    every = np.full(m * len(lmis), math.inf)
+    every[at] = np.where(found, good, math.inf)
+    multipliers = np.full(every.shape, math.nan)
+    multipliers[at] = lam
+    hits = np.zeros(every.shape, dtype=bool)
+    hits[at] = found
     results = []
-    m = len(chi)
-    for i, (_, name, top) in enumerate(lmis):
-        sign = 1.0 if top else -1.0
+    for i, (_, name, _) in enumerate(lmis):
         part = slice(i * m, (i + 1) * m)
-        hit, at = found[part], lam[part]
-        if not np.all((at[hit] > 0.0) & (at[hit] < math.inf)):
+        hit, lams = hits[part], multipliers[part]
+        if not np.all((lams[hit] > 0.0) & (lams[hit] < math.inf)):
             raise CertificateError("%s must be finite and > 0" % name)
-        results.append((np.where(hit, sign * good[part], sign * math.inf), at))
+        results.append((signs[i, 0] * every[part], lams))
     return results
+
+
+def _finish_on_floats(wq, bad, good, lo, hi, b00, r, u, b11, v, b22, found):
+    """(good, lam) of _best_multipliers's last steps, on floats, or None.
+
+    Each element of the arrays, which hold one chi point's LMIs, goes on
+    from its ends with the same midpoints through _span's float branch,
+    which decides as the array branch does wherever it decides at all;
+    where its finiteness check on the sum of its inputs answers None, so
+    does this, and the arrays finish from where they stood.
+    """
+    goods, lams = [], []
+    for f, bd, gd, a, z, p, ri, ui, q, vi, w in zip(found, *(e.tolist() for e in (
+            bad, good, lo, hi, b00, r, u, b11, v, b22))):
+        if not f:
+            goods.append(gd)
+            lams.append(a)
+            continue
+        while True:
+            s = 0.5 * (bd + gd)
+            inner = bd < s < gd
+            t = s if inner else gd
+            ends = _span((t - p, ri, ui, t - q, vi, t - w), wq, a, z)
+            if ends is None:
+                return None
+            if not inner:
+                break
+            if ends[0] < ends[1]:
+                gd = s
+            else:
+                bd = s
+        goods.append(gd)
+        lams.append(0.5 * (ends[0] + ends[1]))
+    return np.array(goods), np.array(lams)
 
 
 # ------------------------------------------------------------- stability scan
@@ -498,19 +584,33 @@ def find_feasible_vars(params, config=None):
     if observability:
         lmis.append((phi_obs_entries, "lambda2", True))
 
+    def terms(values):
+        # each LMI's term of the worst-case margin, from its values; each
+        # term rises as its value gets better
+        top2, bottom0, *obs = values
+        return [margin - top2, bottom0 - margin] + [-margin - x for x in obs]
+
     def scan(grid):
         # the worst-case margin at each chi of grid (np.where(x < w, x, w)
         # keeps w on ties, as min(w, x) does), then the first point that
         # strictly beats the best so far
         nonlocal best_w, best_i, best_chi, best_lams
-        (top2, lam1), (bottom0, lam0), *obs = _best_multipliers(params, grid, lmis)
-        terms = [margin - top2, bottom0 - margin]
-        lam2 = None
-        if obs:
-            [(topf, lam2)] = obs
-            terms.append(-margin - topf)
-        w = margin - psi1_value(params, grid)
-        for x in terms:
+        head = margin - psi1_value(params, grid)
+
+        def alive(points, worst, best):
+            # a point can still win while the best its margin can end at
+            # is above best_w and not below the largest worst that any
+            # point's can end at: strict, so that ties survive for the
+            # first-index rule; a NaN bound compares false and survives
+            low = reduce(np.minimum, terms(worst), head[points])
+            high = reduce(np.minimum, terms(best), head[points])
+            return ~((high <= best_w) | (high < np.fmax.reduce(low)))
+
+        results = _best_multipliers(params, grid, lmis, alive)
+        (_, lam1), (_, lam0), *obs = results
+        lam2 = obs[0][1] if obs else None
+        w = head
+        for x in terms([values for values, _ in results]):
             w = np.where(x < w, x, w)
         better = np.flatnonzero(w > best_w)
         if better.size:

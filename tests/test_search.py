@@ -208,7 +208,8 @@ class TestSearchConfig:
         sizes = []
         best = search._best_multipliers
         monkeypatch.setattr(search, "_best_multipliers",
-                            lambda p, chi, lmis: sizes.append(len(chi)) or best(p, chi, lmis))
+                            lambda p, chi, lmis, *rule:
+                            sizes.append(len(chi)) or best(p, chi, lmis, *rule))
         find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1))
         find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.9))
         assert sizes == 2 * ([400] + [40] * 3)
@@ -750,8 +751,8 @@ class TestLockstepScan:
         # minimal_observability_time bisects for it
         calls = []
         real = search._best_multipliers
-        monkeypatch.setattr(search, "_best_multipliers", lambda params, chi, lmis:
-                            calls.append((params, chi, lmis)) or real(params, chi, lmis))
+        monkeypatch.setattr(search, "_best_multipliers", lambda params, chi, lmis, *rule:
+                            calls.append((params, chi, lmis)) or real(params, chi, lmis, *rule))
         t_star, _, _ = minimal_observability_time(
             ProblemParams(n=n, k=1.0, g1=g1, delta=delta))
         monkeypatch.undo()
@@ -919,6 +920,204 @@ class TestLockstepScan:
                         checked += 1
         assert checked >= 1000
         assert verdicts == {True, False}
+
+
+# ------------------------------------------------------------ pruned chi scan
+
+
+def _vars_bits(outcome):
+    # a DecisionVars as the bits of its fields; an error as it is
+    if isinstance(outcome, DecisionVars):
+        return tuple(None if x is None else float(x).hex()
+                     for x in (outcome.chi, outcome.lambda0, outcome.lambda1, outcome.lambda2))
+    return outcome
+
+
+def _scan_rounds(params, monkeypatch):
+    """find_feasible_vars's outcome and, per scan of a chi grid, the index
+    of its best point and whether it beat the best of the earlier scans."""
+    margin = SearchConfig().margin
+    margins = []
+    real = search._best_multipliers
+
+    def recorded(p, chi, lmis, *rule):
+        results = real(p, chi, lmis, *rule)
+        top2, bottom0, *obs = [values for values, _ in results]
+        w = margin - psi1_value(p, chi)
+        for x in [margin - top2, bottom0 - margin] + [-margin - x for x in obs]:
+            w = np.minimum(w, x)
+        margins.append(w)
+        return results
+
+    monkeypatch.setattr(search, "_best_multipliers", recorded)
+    outcome = _outcome(find_feasible_vars, params, SearchConfig())
+    monkeypatch.undo()
+    best, rounds = -math.inf, []
+    for w in margins:
+        rounds.append((int(np.argmax(w)), bool(np.max(w) > best)))
+        best = max(best, float(np.max(w)))
+    return outcome, rounds
+
+
+class TestPrunedScan:
+    def test_find_feasible_vars_matches_point_loop_on_seeded_problems(self, monkeypatch):
+        # the same DecisionVars bits or the same error text as the scan
+        # point by point, over seeded problems in both modes and cases
+        # picked for where the winner sits
+        rng = np.random.default_rng(26)
+        problems = []
+        for n in (1, 2, 3):
+            for g1 in (0.0, float(rng.uniform(0.0, 0.5))):
+                delta = float(10.0 ** rng.uniform(-4.0, -1.0))
+                problems += [ProblemParams(n=n, k=1.0, g1=g1, delta=delta),
+                             ProblemParams(n=n, k=1.0, g1=g1, delta=delta,
+                                           t_star=float(rng.uniform(2.0, 60.0)))]
+        problems += [
+            # infeasible: the best point the last of the grid, and no
+            # refinement beats it
+            ProblemParams(n=3, k=1.0, g1=0.139, delta=0.11544, t_star=13.58),
+            # infeasible: the best point the first of the grid
+            ProblemParams(n=2, k=1.0, g1=0.0, delta=1e-5, t_star=30.0),
+            # feasible: the first refinement beats nothing
+            ProblemParams(n=3, k=1.0, g1=0.163, delta=0.00053),
+        ]
+        seen = set()
+        for params in problems:
+            got, rounds = _scan_rounds(params, monkeypatch)
+            want = _outcome(point_loop_find_feasible_vars, params, SearchConfig())
+            assert _vars_bits(got) == _vars_bits(want)
+            seen.add("observability" if params.t_star is not None else "stability")
+            seen.add("feasible" if isinstance(got, DecisionVars) else "infeasible")
+            first, _ = rounds[0]
+            seen.add({0: "first", search.CHI_COUNT - 1: "last"}.get(first, "inside"))
+            if not all(beat for _, beat in rounds[1:]):
+                seen.add("no refinement gain")
+        assert seen == {"observability", "stability", "feasible", "infeasible", "first",
+                        "last", "inside", "no refinement gain"}
+
+    @pytest.mark.parametrize("prune_steps", [search.PRUNE_STEPS, ()],
+                             ids=["pruned", "unpruned"])
+    def test_ties_keep_the_first_index(self, prune_steps, monkeypatch):
+        # with psi1 held at 0.9, its term is every point's worst-case margin
+        # and both ends of every point's bounds at each pruning step: the
+        # ties must all survive and the first point win, in every scan
+        monkeypatch.setattr(search, "PRUNE_STEPS", prune_steps)
+        monkeypatch.setattr(search, "psi1_value", lambda params, chi: 0.0 * chi + 0.9)
+        w = SearchConfig().margin - 0.9
+        with pytest.raises(Infeasible) as info:
+            find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1))
+        assert str(info.value) == ("LMIs infeasible on the chi grid; best worst-case margin"
+                                   " %s at chi=%s" % (fmt_float(w), fmt_float(search.CHI_LO)))
+
+    def test_the_rule_drops_only_points_that_cannot_win(self, monkeypatch):
+        # the scan's rule called on bounds set by hand, where every lambda2
+        # interval is empty and best_w stays -inf: exact ties and NaN
+        # survive, and a point is out when the best its margin can end at
+        # is below another point's worst, or at most best_w
+        rules = []
+        real = search._best_multipliers
+        monkeypatch.setattr(search, "_best_multipliers", lambda p, chi, lmis, *rule:
+                            rules.append(rule[0]) or real(p, chi, lmis, *rule))
+        with pytest.raises(Infeasible, match="margin -inf at chi"):
+            find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12))
+        alive = rules[0]
+        # rows: psi2's and phi_obs's values (lower is better), phi0's
+        # (higher is better); columns: a tie, the tie again, a wider
+        # point, a point below the tie, a point with no psi2 value, NaN
+        worst = np.array([[-0.5, -0.5, -0.4, -0.4, math.inf, math.nan],
+                          [0.6, 0.6, 0.6, 0.6, 0.6, 0.6],
+                          [-0.7, -0.7, -0.7, -0.7, -0.7, -0.7]])
+        best = worst.copy()
+        best[0, 2:4] = -0.6, -0.49
+        assert alive(np.arange(6), worst, best).tolist() == [True, True, True, False, False,
+                                                             True]
+        # with every worst -inf, only best_w drops a point
+        worst[0] = math.inf
+        assert alive(np.arange(5), worst[:, :5], best[:, :5]).tolist() == [True] * 4 + [False]
+
+    @pytest.mark.parametrize("mode", ["stability", "observability"])
+    @pytest.mark.parametrize("g1", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_point_finishes_on_floats(self, n, g1, mode, monkeypatch):
+        # a one-point chi bisects on floats from the first step, through
+        # _span's float branch, with the bits of the arrays and the oracle
+        params = ProblemParams(n=n, k=1.0, g1=g1, delta=0.01,
+                               t_star=20.0 if mode == "observability" else None)
+        lmis = STABILITY if mode == "stability" else OBSERVABILITY
+        kinds = []
+        real = search._span
+        monkeypatch.setattr(search, "_span", lambda n0, wq, lo, hi, *products:
+                            kinds.append(type(lo) is float) or real(n0, wq, lo, hi, *products))
+        for c in np.geomspace(1e-4, search._chi_cut(params) * (1.0 - 1e-9), 5):
+            del kinds[:]
+            search._best_multipliers(params, np.array([c]), lmis)
+            widening = kinds.index(True)
+            assert widening >= 1 and all(kinds[widening:]) and len(kinds) > widening + 40
+            _assert_lockstep_bits(params, np.array([c]), lmis)
+
+    def test_the_arrays_finish_where_floats_cannot_decide(self, monkeypatch):
+        # where _span's float branch answers None (its check on the sum
+        # of its inputs overflowed), the arrays go on from where they stood
+        params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01, t_star=20.0)
+        chi = np.array([0.05])
+        want = search._best_multipliers(params, chi, OBSERVABILITY)
+        real = search._span
+        kinds = []
+
+        def undecided(n0, wq, lo, hi, *products):
+            kinds.append(type(lo) is float)
+            return None if kinds[-1] else real(n0, wq, lo, hi, *products)
+
+        monkeypatch.setattr(search, "_span", undecided)
+        got = search._best_multipliers(params, chi, OBSERVABILITY)
+        assert kinds.count(True) == 1 and kinds.count(False) > 40
+        for (values, lams), (want_values, want_lams) in zip(got, want):
+            assert _same_bits(values, want_values) and _same_bits(lams, want_lams)
+
+    def test_kept_points_keep_their_bits(self):
+        # a rule that keeps one point: it ends on floats with the bits of
+        # the call without a rule, and every point dropped reports the
+        # infinitely bad values with NaN multipliers
+        params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01, t_star=20.0)
+        chi = np.geomspace(1e-4, search._chi_cut(params) * (1.0 - 1e-9), 30)
+        calls = []
+
+        def keep_one(points, worst, best):
+            calls.append(points)
+            return points == 17
+
+        pruned = search._best_multipliers(params, chi, OBSERVABILITY, keep_one)
+        full = search._best_multipliers(params, chi, OBSERVABILITY)
+        assert len(calls) == 1 and calls[0].tolist() == list(range(30))
+        for (values, lams), (want, want_lams), (_, _, top) in zip(pruned, full, OBSERVABILITY):
+            assert _same_bits(values[17:18], want[17:18])
+            assert _same_bits(lams[17:18], want_lams[17:18])
+            others = np.arange(30) != 17
+            assert np.all(values[others] == (math.inf if top else -math.inf))
+            assert np.all(np.isnan(lams[others]))
+
+    def test_a_400_point_scan_prunes_after_its_first_pruning_step(self, monkeypatch):
+        # a work counter: the array-wide _span calls on the full batch of
+        # the 400-point observability scan (3 LMIs, 1,200 elements) are
+        # its widening steps and the steps up to the first pruning step
+        params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01, t_star=12.2)
+        full = 3 * search.CHI_COUNT
+        exists = []
+        real = search._span
+
+        def counted(n0, wq, lo, hi, *products):
+            result = real(n0, wq, lo, hi, *products)
+            if type(lo) is not float and lo.size == full:
+                exists.append(result[2] | ~(lo < hi))
+            return result
+
+        monkeypatch.setattr(search, "_span", counted)
+        find_feasible_vars(params)
+        found, widening = np.zeros(full, dtype=bool), 0
+        while not found.all():
+            found |= exists[widening]
+            widening += 1
+        assert len(exists) <= widening + search.PRUNE_STEPS[0]
 
 
 # ------------------------------------------------------ closed-form decisions
