@@ -28,8 +28,8 @@ e0 = 0.2733 * x * (1 - x / 2)
 steps = round(horizon / grid.dt)
 zero = BoundaryTrace(np.zeros(steps + 1), grid.dt)
 worst = Nonlinearity(lambda z, x, t: g1 * z, fz_bound=g1)
-_, _, (E, V) = run(WaveField(e0, e0.copy()), horizon, grid, worst,
-                   trace_in=zero, chi=vars.chi)
+V = run(WaveField(e0, e0.copy()), horizon, grid, worst,
+        trace_in=zero, chi=vars.chi).lyapunovs
 
 t = np.arange(steps + 1) * grid.dt
 envelope = V[0] * np.exp(-2 * delta * t)

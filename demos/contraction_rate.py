@@ -19,7 +19,7 @@ grid = make_grid(1, 201, horizon, k=0.1)
 x = grid.axis()
 z0 = 0.2733 * x * (1 - x / 2)
 truth = WaveField(z0, z0.copy())
-_, trace, _ = run(truth, horizon, grid)
+trace = run(truth, horizon, grid).trace
 
 config = RecoveryConfig(horizon=horizon, m_max=6, grid=grid, certificate=cert,
                         convergence_threshold=1e-12)

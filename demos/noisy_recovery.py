@@ -28,7 +28,7 @@ horizon = 2.1
 grid = make_grid(1, 201, horizon, k=1.0)
 x = grid.axis()
 z0 = 0.2733 * x * (1 - x / 2)
-_, trace, _ = run(WaveField(z0, z0.copy()), horizon, grid, source)
+trace = run(WaveField(z0, z0.copy()), horizon, grid, source).trace
 
 config = RecoveryConfig(horizon=horizon, m_max=10, grid=grid,
                         nonlinearity=source, certificate=cert)

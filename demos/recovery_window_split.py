@@ -20,7 +20,7 @@ for horizon in (2.1, 1.8):
     x = grid.axis()
     z0 = 0.2733 * x * (1 - x / 2)
     truth = WaveField(z0, z0.copy())
-    _, trace, _ = run(truth, horizon, grid, source)
+    trace = run(truth, horizon, grid, source).trace
 
     config = RecoveryConfig(horizon=horizon, m_max=10, grid=grid,
                             nonlinearity=source)

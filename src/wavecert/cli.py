@@ -336,19 +336,16 @@ def cmd_simulate(args):
         zero = np.zeros(pde.boundary_node_count(grid))
         zeros = np.broadcast_to(zero, (steps + 1, zero.size))
         trace_in = pde._adopted_trace(zeros, grid.dt, 0.0)
-    final, trace, series = pde.run(field, horizon, grid, nonlinearity,
-                                   trace_in=trace_in, chi=chi)
-    if chi is None:
-        energies, lyap = series, None
-    else:
-        energies, lyap = series
+    _, trace, energies, lyapunovs = pde.run(field, horizon, grid, nonlinearity,
+                                            trace_in=trace_in, chi=chi)
     summary = json_dumps({"steps": trace.steps, "dt": trace.dt,
                           "energy_initial": float(energies[0]),
                           "energy_final": float(energies[-1])})
     # the CSV goes out CSV_CHUNK_ROWS time levels at a time; the first
     # chunk, which carries the header and checks the whole series, is
     # made before the file is opened
-    chunks = (pde.trajectory_csv(trace, energies, lyap, slice(i, i + CSV_CHUNK_ROWS))
+    chunks = (pde.trajectory_csv(trace, energies, lyapunovs,
+                                   slice(i, i + CSV_CHUNK_ROWS))
               for i in range(0, trace.steps + 1, CSV_CHUNK_ROWS))
     _write(args.out, next(chunks), chunks)
     print(summary)

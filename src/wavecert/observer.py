@@ -143,13 +143,12 @@ def recover(measurements, config, truth=None):
 
     for m in range(1, config.m_max + 1):
         try:
-            start = pde.WaveField(prev.z, prev.zt, t0)
-            # [::2] keeps the state and the energies; each run's trace
-            # is freed as soon as the run returns
-            forward, e_fwd = pde.run(start, config.horizon, grid_f, nl,
-                                     measurements)[::2]
-            back, e_back = pde.run(forward, config.horizon, grid_b, nl,
-                                   measurements)[::2]
+            # run copies prev, which is at t0; the trace that _ takes is
+            # dropped when _ takes the lyapunovs, so it is freed at once
+            forward, _, e_fwd, _ = pde.run(prev, config.horizon, grid_f, nl,
+                                           measurements)
+            back, _, e_back, _ = pde.run(forward, config.horizon, grid_b, nl,
+                                         measurements)
         except pde.DivergenceError:
             diverged = True
             break

@@ -33,13 +33,14 @@ run steps in a workspace of its own, allocated once per run: two energy
 blocks of state slots; the accelerations, 2 z, the injection buffer and the
 smoothing buffers; and every view the stencils take of them.  Each step
 writes the next state into the next slot, the energies of a block come from
-its slots in place, and the trace fills one (steps + 1, nodes) array.  What
-run returns is the caller's and nothing writes into it later: the final
-field is a copy of its slot, and the trace and the energy series are arrays
-no other run shares.  A direct step call copies its field into a throwaway
-workspace of two slots and returns fresh arrays.  The arrays passed to a
-nonlinearity f are workspace slots that later steps overwrite, so f must
-not keep them.
+its slots in place, and the trace fills one (steps + 1, nodes) array.  run
+returns a Run record of the same four fields whether or not chi is set;
+only lyapunovs is None without it.  Every array in it is the caller's and
+nothing writes into it later: the final field is a copy of its slot, and
+the trace and the series are arrays no other run shares.  A direct step
+call copies its field into a throwaway workspace of two slots and returns
+fresh arrays.  The arrays passed to a nonlinearity f are workspace slots
+that later steps overwrite, so f must not keep them.
 """
 
 import math
@@ -47,6 +48,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,9 +225,9 @@ def _check_dirichlet(name, arr):
         raise ValueError("%s must vanish on the clamped boundary (x_p = 0)" % name)
 
 
-def _pin_dirichlet(arr, lead=0):
-    """Zero the clamped faces; the grid axes follow lead leading axes."""
-    for axis in range(lead, arr.ndim):
+def _pin_dirichlet(arr):
+    """Zero the clamped faces."""
+    for axis in range(arr.ndim):
         arr.swapaxes(0, axis)[0] = 0.0
 
 
@@ -623,8 +625,14 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     A direct call copies the field into a workspace of two slots and steps
     into the second, so the returned field's z and zt are fresh views into
     one stacked (2, 2, ...) array.  A field that run passes along steps in
-    place, into its workspace's next slot.
+    place, into its workspace's next slot, unchecked: run checked its trace
+    once and passes a boundary input exactly when its grid injects.
     """
+    ws = field.ws if type(field) is _RunField else None
+    if (ws is not None and ws.grid is grid and ws.nonlinearity is nonlinearity
+            and field.slot == ws.head):
+        t_new = ws.advance(field.t, boundary_input)
+        return _RunField(ws, ws.head, t_new)
     plan = grid._plan
     injecting = grid.mode != "plant"
     if injecting and boundary_input is None:
@@ -636,11 +644,6 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
             if np.size(y) != plan.nodes:
                 raise ValueError("boundary input carries %d values, the grid has %d"
                                  % (np.size(y), plan.nodes))
-    ws = field.ws if type(field) is _RunField else None
-    if (ws is not None and ws.grid is grid and ws.nonlinearity is nonlinearity
-            and field.slot == ws.head):
-        t_new = ws.advance(field.t, boundary_input)
-        return _RunField(ws, ws.head, t_new)
     _check_shape(field, grid)
     ws = _Workspace(grid, nonlinearity, 2)
     ws.load(field)
@@ -651,8 +654,19 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     return out
 
 
+class Run(NamedTuple):
+    """What run returns, the same fields with or without chi: lyapunovs is
+    None without it.  result[1:] is what trajectory_csv takes and, with
+    the energies for a None lyapunovs, what read_trajectory_csv returns."""
+
+    final: WaveField
+    trace: BoundaryTrace
+    energies: np.ndarray
+    lyapunovs: np.ndarray | None
+
+
 def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
-    """Integrate over the horizon; returns (final, trace_out, energy series).
+    """Integrate over the horizon; returns a Run.
 
     Backward mode takes the states and the trace in physical orientation:
     initial is the state at the far end of the window, trace_in the
@@ -662,11 +676,11 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     reverse and negated, which turns the anti-damped backward boundary
     condition into the usual damped one.
 
-    With chi set, the series also records the Lyapunov value each step and
-    the return becomes (final, trace_out, (E series, V series)).
+    With chi set, lyapunovs records the Lyapunov value each step; the
+    record has the same fields either way.
 
     The steps run in a workspace of this run's own, which the returned
-    arrays do not share: final is a copy of the last state, and trace_out
+    arrays do not share: final is a copy of the last state, and trace
     holds the (steps + 1, nodes) array the run filled.
     """
     steps = whole_steps(horizon, grid.dt)
@@ -758,10 +772,7 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         final = WaveField.__new__(WaveField)
         final.z, final.zt = ws.slots[state.slot].copy()
         final.t = state.t
-    trace_out = _adopted_trace(trace, grid.dt, initial.t)
-    if lyaps is not None:
-        return final, trace_out, (energies, lyaps)
-    return final, trace_out, energies
+    return Run(final, _adopted_trace(trace, grid.dt, initial.t), energies, lyaps)
 
 
 def _finite(value, name, t):

@@ -42,6 +42,7 @@ from .certificates import (
     check_observability,
     check_stability,
     checked_float,
+    checked_int,
     compute_regional_radius,
     fmt_float,
     make_certificate,
@@ -790,12 +791,13 @@ def sweep(problems, config=None, worker_count=1):
     """Evaluate each problem independently; row order follows input order.
 
     Rows with t_star search decision variables at that fixed time; rows
-    without run the minimal-time search.  worker_count only changes wall
-    time, never results; the pool never exceeds the row count or the CPU
-    count, because under the fork start method the executor starts all
-    its workers up front.
+    without run the minimal-time search.  worker_count, an integer >= 1,
+    only changes wall time, never results; the pool never exceeds the row
+    count or the CPU count, because under the fork start method the
+    executor starts all its workers up front.
     """
     global ProcessPoolExecutor
+    worker_count = checked_int("worker_count", worker_count, 1)
     problems = list(problems)
     if not problems:
         raise CertificateError("sweep needs at least one problem")

@@ -150,8 +150,8 @@ def test_criterion_5_certified_decay():
         zero = pde.BoundaryTrace(np.zeros(steps + 1), grid.dt)
         nl = (pde.Nonlinearity(lambda z, x, t, g=g1: g * z, fz_bound=g1)
               if g1 else pde.ZERO_F)
-        _, _, (_, V) = pde.run(pde.WaveField(z0, z0.copy()), 10.0, grid, nl,
-                               trace_in=zero, chi=vars.chi)
+        V = pde.run(pde.WaveField(z0, z0.copy()), 10.0, grid, nl,
+                    trace_in=zero, chi=vars.chi).lyapunovs
         tt = np.arange(steps + 1) * grid.dt
         slack = float(np.max(V / (V[0] * np.exp(-2.0 * delta * tt))))
         assert slack <= 1.05, \
@@ -170,7 +170,7 @@ def test_criterion_6_contraction_ratios():
     x = grid.axis()
     z0 = 0.2733 * x * (1 - x / 2)
     truth = pde.WaveField(z0, z0.copy())
-    _, trace, _ = pde.run(truth, horizon, grid)
+    trace = pde.run(truth, horizon, grid).trace
     config = observer.RecoveryConfig(horizon=horizon, m_max=6, grid=grid,
                                      certificate=cert, convergence_threshold=1e-12)
     run = observer.recover(trace, config, truth=truth)
@@ -235,7 +235,7 @@ def test_criterion_7_property_suites():
             nl = pde.Nonlinearity(lambda z, x, t, g=g1: g * np.sin(z),
                                   fz_bound=g1)
             g_used = g1
-        _, _, E = pde.run(pde.WaveField(z, v), 0.4, grid, nl)
+        E = pde.run(pde.WaveField(z, v), 0.4, grid, nl).energies
         tt = np.arange(E.size) * grid.dt
         over = float(np.max(E / (E[0] * np.exp(2.0 * g_used * tt / PI)))) - 1.0
         growth_worst = max(growth_worst, over)

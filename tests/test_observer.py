@@ -6,8 +6,10 @@ qualitative convergence split and contraction-rate numbers are frozen from
 reference runs of that transcription.
 """
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +37,7 @@ def example_setup(horizon, n_points=201, nonlinearity=QUADRATIC):
     grid = pde.make_grid(1, n_points, horizon, k=1.0)
     x = grid.axis()
     truth = pde.WaveField(preset_ic(x), preset_ic(x))
-    _, trace, _ = pde.run(truth, horizon, grid, nonlinearity)
+    trace = pde.run(truth, horizon, grid, nonlinearity).trace
     return grid, truth, trace
 
 
@@ -52,7 +54,7 @@ def contraction_setup(horizon=4.0, m_max=6):
     grid = pde.make_grid(1, 201, horizon, k=0.1)
     x = grid.axis()
     truth = pde.WaveField(preset_ic(x), preset_ic(x))
-    _, trace, _ = pde.run(truth, horizon, grid)
+    trace = pde.run(truth, horizon, grid).trace
     config = observer.RecoveryConfig(horizon=horizon, m_max=m_max,
                                      grid=grid, certificate=cert,
                                      convergence_threshold=1e-12)
@@ -110,12 +112,39 @@ class TestRecover:
         grid = pde.make_grid(1, 201, 3.0, k=1.0)
         x = grid.axis()
         truth = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-        _, trace, _ = pde.run(truth, 3.0, grid)
+        trace = pde.run(truth, 3.0, grid).trace
         config = observer.RecoveryConfig(horizon=3.0, m_max=10,
                                          grid=grid)
         run = observer.recover(trace, config, truth=truth)
         assert run.final_error_vs_truth <= 0.02
         assert run.converged and not run.diverged
+
+    def test_no_run_trace_outlives_the_next_run(self, monkeypatch):
+        # recover keeps each run's state and energies only: a trace it kept
+        # would hold steps x nodes floats per run; with the cyclic collector
+        # off, the trace must be freed by the time the next run starts
+        horizon = 1.2
+        grid, truth, trace = example_setup(horizon, n_points=41)
+        config = observer.RecoveryConfig(horizon=horizon, m_max=3, grid=grid,
+                                         nonlinearity=QUADRATIC,
+                                         convergence_threshold=1e-15)
+        real_run, kept = pde.run, []
+
+        def run(*args, **kwargs):
+            assert [ref() for ref in kept] == [None] * len(kept)
+            result = real_run(*args, **kwargs)
+            kept.extend((weakref.ref(result.trace), weakref.ref(result.trace.samples)))
+            return result
+
+        monkeypatch.setattr(pde, "run", run)
+        gc.collect()
+        gc.disable()
+        try:
+            observer.recover(trace, config, truth=truth)
+        finally:
+            gc.enable()
+        assert len(kept) == 2 * 2 * 3
+        assert [ref() for ref in kept] == [None] * len(kept)
 
     def test_matches_reference_sweep(self):
         horizon = 1.2
@@ -216,7 +245,7 @@ class TestRecover:
         x1, x2 = grid.coords()
         mode = np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2)
         truth = pde.WaveField(0.3 * mode, 0.1 * mode)
-        _, trace, _ = pde.run(truth, horizon, grid)
+        trace = pde.run(truth, horizon, grid).trace
         config = observer.RecoveryConfig(horizon=horizon, m_max=6,
                                          grid=grid)
         run = observer.recover(trace, config, truth=truth)
@@ -251,7 +280,7 @@ class TestConvergenceSplit:
         truth = pde.WaveField(np.sin(PI * x / 2) * 0.1, np.zeros_like(x))
         nl = pde.Nonlinearity(lambda z, x, t: 30.0 * z, fz_bound=30.0)
         with np.errstate(all="ignore"):
-            _, trace, _ = pde.run(truth, 2.0, grid, nl)
+            trace = pde.run(truth, 2.0, grid, nl).trace
             config = observer.RecoveryConfig(horizon=2.0, m_max=8,
                                              grid=grid, nonlinearity=nl)
             run = observer.recover(trace, config)
@@ -312,7 +341,7 @@ class TestContractionReport:
         grid = pde.make_grid(1, 201, horizon, k=0.1)
         x = grid.axis()
         truth = pde.WaveField(preset_ic(x), preset_ic(x))
-        _, trace, _ = pde.run(truth, horizon, grid)
+        trace = pde.run(truth, horizon, grid).trace
         c = observer.RecoveryConfig(horizon=horizon, m_max=1, grid=grid,
                                     certificate=cert)
         run = observer.recover(trace, c, truth=truth)
@@ -471,7 +500,7 @@ class TestPerturbedRecover2D:
         x1, x2 = grid.coords()
         truth = pde.WaveField(0.3 * np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2),
                               np.zeros_like(x1))
-        _, trace, _ = pde.run(truth, 0.8, grid)
+        trace = pde.run(truth, 0.8, grid).trace
         config = observer.RecoveryConfig(horizon=0.8, m_max=2, grid=grid,
                                          certificate=cert)
         rng = np.random.default_rng(29)

@@ -461,7 +461,7 @@ class TestStepAgainstOracle:
         trace = rng.normal(0, 0.1, steps + 1)
         nl = pde.Nonlinearity(lambda z, x, t: 0.1 * z * z + 0.05 * np.sin(t) * z,
                               fz_bound=0.3)
-        final, tr_out, energies = pde.run(
+        final, tr_out, energies, _ = pde.run(
             pde.WaveField(z0, v0, t=0.25), 0.9, g, nl,
             pde.BoundaryTrace(trace, g.dt, 0.25))
         oz, ov, orec = oracle_run_1d(z0, v0, g.dx, g.dt, steps,
@@ -478,7 +478,7 @@ class TestStepAgainstOracle:
         x = g.axis()
         z0 = np.sin(PI * x / 2)
         v0 = np.sin(1.5 * PI * x) * 0.3
-        final, _, _ = pde.run(pde.WaveField(z0, v0), 1.3, g)
+        final = pde.run(pde.WaveField(z0, v0), 1.3, g).final
         oz, ov, _ = oracle_run_1d(z0, v0, g.dx, g.dt, steps)
         assert np.allclose(final.z, oz, rtol=1e-10, atol=1e-14)
         assert np.allclose(final.zt, ov, rtol=1e-10, atol=1e-14)
@@ -601,7 +601,7 @@ class TestRunPlant:
         g = pde.make_grid(1, 201, 1.0)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-        final, _, _ = pde.run(f0, 1.0, g)
+        final = pde.run(f0, 1.0, g).final
         err = np.max(np.abs(final.z - separation_solution(x, 1.0)))
         assert err <= 0.05 * g.dx ** 2
 
@@ -611,7 +611,7 @@ class TestRunPlant:
             g = pde.make_grid(1, n, 1.0)
             x = g.axis()
             f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-            final, _, _ = pde.run(f0, 1.0, g)
+            final = pde.run(f0, 1.0, g).final
             errs.append(np.max(np.abs(final.z - separation_solution(x, 1.0))))
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
@@ -620,7 +620,7 @@ class TestRunPlant:
         g = pde.make_grid(1, 201, 10.0)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-        _, _, energies = pde.run(f0, 10.0, g)
+        energies = pde.run(f0, 10.0, g).energies
         drift = np.max(np.abs(energies - energies[0])) / energies[0]
         assert drift <= 1e-3
         assert drift <= 5e-6  # measured 2.86e-6; the scheme should stay there
@@ -630,7 +630,7 @@ class TestRunPlant:
         x1, x2 = g.coords()
         f0 = pde.WaveField(np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2),
                            np.zeros_like(x1))
-        _, trace, energies = pde.run(f0, 2.0, g)
+        _, trace, energies, _ = pde.run(f0, 2.0, g)
         assert np.max(np.abs(energies - energies[0])) / energies[0] <= 1e-3
         assert trace.samples.shape[1] == 2 * 61 - 3
 
@@ -642,7 +642,7 @@ class TestRunPlant:
                        (0.1, lambda z, x, t: 0.1 * z),
                        (0.3, lambda z, x, t: 0.3 * np.sin(z))):
             nl = pde.Nonlinearity(fn, fz_bound=g1, local_radius=1.0)
-            _, _, energies = pde.run(f0, 3.0, g, nl)
+            energies = pde.run(f0, 3.0, g, nl).energies
             ts = np.arange(energies.size) * g.dt
             bound = np.exp(2 * g1 * ts / PI) * energies[0] * (1 + 1e-3)
             assert np.all(energies <= bound)
@@ -650,7 +650,7 @@ class TestRunPlant:
     def test_zero_stays_zero(self):
         g = pde.make_grid(1, 31, 1.0)
         f0 = pde.WaveField(np.zeros(31), np.zeros(31))
-        final, trace, energies = pde.run(f0, 1.0, g)
+        final, trace, energies, _ = pde.run(f0, 1.0, g)
         assert np.all(final.z == 0.0) and np.all(final.zt == 0.0)
         assert np.all(trace.samples == 0.0) and np.all(energies == 0.0)
 
@@ -673,7 +673,7 @@ class TestRunObserver:
         x = g.axis()
         e0 = 0.2733 * x * (1 - x / 2)
         fld = pde.WaveField(e0, e0.copy())
-        _, _, energies = pde.run(fld, 1.0, g, trace_in=zero_trace(g, 1.0))
+        energies = pde.run(fld, 1.0, g, trace_in=zero_trace(g, 1.0)).energies
         assert np.all(np.diff(energies) < 0.0)
 
     def test_decay_certificate_slack(self):
@@ -684,7 +684,7 @@ class TestRunObserver:
         e0 = 0.2733 * x * (1 - x / 2)
         fld = pde.WaveField(e0, e0.copy())
         nl = pde.Nonlinearity(lambda z, x, t: g1 * z, fz_bound=g1)
-        _, _, energies = pde.run(fld, 10.0, g, nl, zero_trace(g, 10.0))
+        energies = pde.run(fld, 10.0, g, nl, zero_trace(g, 10.0)).energies
         ts = np.arange(energies.size) * g.dt
         bound = ((1 + 2 * chi) / (1 - 2 * chi)) * np.exp(-2 * delta * ts) * energies[0]
         slack = np.max(energies / bound)
@@ -697,9 +697,9 @@ class TestRunObserver:
         z0 = np.sin(PI * x / 2) * 0.3 + np.sin(1.5 * PI * x) * 0.1
         v0 = np.sin(2.5 * PI * x) * 0.05
         f0 = pde.WaveField(z0, v0)
-        ff, _, _ = pde.run(f0, 1.7, g)
+        ff = pde.run(f0, 1.7, g).final
         gb = pde.Grid(1, 201, g.dt, "observer-backward", 0.0)
-        fb, _, _ = pde.run(ff, 1.7, gb, trace_in=zero_trace(gb, 1.7))
+        fb = pde.run(ff, 1.7, gb, trace_in=zero_trace(gb, 1.7)).final
         err = pde.hnorm(pde.WaveField(fb.z - z0, fb.zt - v0), g)
         assert err <= g.dx ** 2
         assert abs(fb.t) < 1e-12
@@ -716,9 +716,9 @@ class TestRunObserver:
                               fz_bound=0.25)
         tr_in = pde.BoundaryTrace(trace, g.dt, 0.5)
         start = pde.WaveField(np.zeros(101), np.zeros(101), t=0.5)
-        fwd, _, _ = pde.run(start, 1.2, g, nl, tr_in)
+        fwd = pde.run(start, 1.2, g, nl, tr_in).final
         gb = pde.Grid(1, 101, g.dt, "observer-backward", 1.0)
-        back, _, _ = pde.run(fwd, 1.2, gb, nl, tr_in)
+        back = pde.run(fwd, 1.2, gb, nl, tr_in).final
         oz, ov = oracle_recover_once(np.zeros(101), np.zeros(101), g.dx, g.dt,
                                      steps, nl.f, 1.0, trace, t0=0.5)
         assert np.allclose(back.z, oz, rtol=1e-9, atol=1e-13)
@@ -729,9 +729,9 @@ class TestRunObserver:
         g = pde.make_grid(1, 201, 1.5)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2) * 0.3, np.zeros_like(x))
-        pf, ptr, _ = pde.run(f0, 1.5, g)
+        pf, ptr, _, _ = pde.run(f0, 1.5, g)
         go = pde.Grid(1, 201, g.dt, "observer-forward", 1.0)
-        of, _, _ = pde.run(f0, 1.5, go, trace_in=ptr)
+        of = pde.run(f0, 1.5, go, trace_in=ptr).final
         err = pde.hnorm(pde.WaveField(of.z - pf.z, of.zt - pf.zt), g)
         assert err / pde.hnorm(pf, g) <= 1e-12
 
@@ -755,9 +755,8 @@ class TestRunObserver:
         g = pde.make_grid(1, 101, 0.5, mode="observer-forward", k=1.0)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2) * 0.2, np.zeros_like(x))
-        final, trace, series = pde.run(f0, 0.5, g, trace_in=zero_trace(g, 0.5),
-                                       chi=0.18)
-        energies, lyap = series
+        final, trace, energies, lyap = pde.run(f0, 0.5, g, trace_in=zero_trace(g, 0.5),
+                                               chi=0.18)
         assert energies.shape == lyap.shape == (trace.steps + 1,)
         assert trace.samples.shape == (trace.steps + 1, 1)
         assert abs(lyap[0] - pde.lyapunov(f0, g, 0.18)) < 1e-15
@@ -1001,7 +1000,7 @@ class TestExport:
         g = pde.make_grid(1, 21, 0.5)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-        final, trace, energies = pde.run(f0, 0.5, g)
+        final, trace, energies, _ = pde.run(f0, 0.5, g)
         text = pde.trajectory_csv(trace, energies)
         assert text.splitlines()[0] == "t,E,V,trace0"
         tr2, e2, v2 = pde.read_trajectory_csv(text)
@@ -1010,11 +1009,27 @@ class TestExport:
         assert np.array_equal(v2, energies)  # V defaults to E
         assert abs(tr2.dt - trace.dt) < 1e-18
 
+    @pytest.mark.parametrize("chi", [None, 0.2])
+    def test_run_result_round_trips(self, chi):
+        # result[1:] is trajectory_csv's input and read_trajectory_csv's
+        # output, V read back as E without chi
+        g = pde.make_grid(1, 41, 0.5, "observer-forward", 1.0)
+        x = g.axis()
+        f0 = pde.WaveField(np.sin(PI * x / 2), 0.3 * np.sin(PI * x))
+        result = pde.run(f0, 0.5, g, trace_in=zero_trace(g, 0.5), chi=chi)
+        trace, energies, lyapunovs = pde.read_trajectory_csv(
+            pde.trajectory_csv(*result[1:]))
+        want_v = result.energies if chi is None else result.lyapunovs
+        assert _bits(trace.samples) == _bits(result.trace.samples)
+        assert (trace.dt, trace.t0) == (result.trace.dt, result.trace.t0)
+        assert _bits(energies) == _bits(result.energies)
+        assert _bits(lyapunovs) == _bits(want_v)
+
     def test_trajectory_2d_columns(self):
         g = pde.make_grid(2, 21, 0.2)
         x1, x2 = g.coords()
         f0 = pde.WaveField(x1 * x2 * 0.1, np.zeros_like(x1))
-        _, trace, energies = pde.run(f0, 0.2, g)
+        _, trace, energies, _ = pde.run(f0, 0.2, g)
         text = pde.trajectory_csv(trace, energies)
         header = text.splitlines()[0].split(",")
         assert header[:3] == ["t", "E", "V"]
@@ -1316,7 +1331,7 @@ class TestBitIdentity:
         trace = pde.BoundaryTrace(y, grid.dt)
         f0 = _random_field(rng, n, dim)
         f0.t = 0.0
-        _, _, (energies, lyaps) = pde.run(f0, 0.3, grid, nl, trace, chi=0.2)
+        _, _, energies, lyaps = pde.run(f0, 0.3, grid, nl, trace, chi=0.2)
         ref = f0
         want_e = [ref_energy(ref, grid)]
         want_v = [ref_lyapunov(ref, grid, 0.2, grid.k)]
@@ -1343,8 +1358,8 @@ class TestBitIdentity:
         f0.t = 0.0
         nl = _sources(dim)["x-dependent"]
         trace = pde.BoundaryTrace(y, grid.dt)
-        _, _, energies = pde.run(f0, horizon, grid, nl, trace)
-        _, _, (energies_v, lyaps) = pde.run(f0, horizon, grid, nl, trace, chi=0.2)
+        energies = pde.run(f0, horizon, grid, nl, trace).energies
+        _, _, energies_v, lyaps = pde.run(f0, horizon, grid, nl, trace, chi=0.2)
         state, want = f0, [pde.energy(f0, grid)]
         want_v = [pde.lyapunov(f0, grid, 0.2)]
         for i in range(steps):
@@ -1773,10 +1788,8 @@ def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=No
                 record()
     final = pde.WaveField(state.z, -state.zt, state.t) if backward else state
     trace_out = pde.BoundaryTrace(np.array(out_rows), grid.dt, initial.t)
-    energies = np.array(energies)
-    if lyap is not None:
-        return final, trace_out, (energies, np.array(lyap))
-    return final, trace_out, energies
+    return pde.Run(final, trace_out, np.array(energies),
+                   None if lyap is None else np.array(lyap))
 
 
 # (dim, N, states per energy block): 40 at 1-D N=201, 18 at 2-D N=21
@@ -1795,18 +1808,16 @@ def _workspace_case(dim, n, mode, steps, seed):
 
 
 def _assert_same_run(got, want):
-    (final, trace, series), (ref_final, ref_trace, ref_series) = got, want
-    assert _bits(final.z) == _bits(ref_final.z)
-    assert _bits(final.zt) == _bits(ref_final.zt)
-    assert final.t == ref_final.t
-    assert trace.samples.shape == ref_trace.samples.shape
-    assert _bits(trace.samples) == _bits(ref_trace.samples)
-    assert (trace.dt, trace.t0) == (ref_trace.dt, ref_trace.t0)
-    if isinstance(ref_series, tuple):
-        assert _bits(series[0]) == _bits(ref_series[0])
-        assert _bits(series[1]) == _bits(ref_series[1])
-    else:
-        assert _bits(series) == _bits(ref_series)
+    assert _bits(got.final.z) == _bits(want.final.z)
+    assert _bits(got.final.zt) == _bits(want.final.zt)
+    assert got.final.t == want.final.t
+    assert got.trace.samples.shape == want.trace.samples.shape
+    assert _bits(got.trace.samples) == _bits(want.trace.samples)
+    assert (got.trace.dt, got.trace.t0) == (want.trace.dt, want.trace.t0)
+    assert _bits(got.energies) == _bits(want.energies)
+    assert (got.lyapunovs is None) == (want.lyapunovs is None)
+    if want.lyapunovs is not None:
+        assert _bits(got.lyapunovs) == _bits(want.lyapunovs)
 
 
 def _error(fn, *args, **kwargs):
@@ -1863,10 +1874,10 @@ class TestRunWorkspace:
     def test_results_keep_their_values_after_later_runs_and_steps(self, dim, n, block):
         nl = _sources(dim)["x-dependent"]
         grid, horizon, f0, trace = _workspace_case(dim, n, "observer-forward", block + 5, 2)
-        final, tr, (e, v) = pde.run(f0, horizon, grid, nl, trace, chi=0.2)
+        final, tr, e, v = pde.run(f0, horizon, grid, nl, trace, chi=0.2)
         kept = [_bits(a) for a in (final.z, final.zt, tr.samples, e, v)]
-        back, back_tr, back_e = pde.run(final, horizon, replace(grid, mode="observer-backward"),
-                                        nl, trace)
+        back, back_tr, back_e, _ = pde.run(
+            final, horizon, replace(grid, mode="observer-backward"), nl, trace)
         kept_back = [_bits(a) for a in (back.z, back.zt, back_tr.samples, back_e)]
         pde.run(pde.WaveField(2.0 * f0.z, f0.zt, f0.t), horizon, grid, nl, trace, chi=0.2)
         state = final
@@ -1912,6 +1923,21 @@ class TestRunWorkspace:
             gc.enable()
         assert found == 0
 
+    @pytest.mark.parametrize("mode", pde.MODES)
+    @pytest.mark.parametrize("chi", [None, 0.2])
+    def test_result_fields_do_not_depend_on_chi(self, mode, chi):
+        grid, horizon, f0, trace = _workspace_case(1, 21, mode, 3, 5)
+        result = pde.run(f0, horizon, grid, trace_in=trace, chi=chi)
+        assert type(result) is pde.Run and len(result) == 4
+        assert result._fields == ("final", "trace", "energies", "lyapunovs")
+        final, trace_out, energies, lyapunovs = result
+        assert type(final) is pde.WaveField
+        assert type(trace_out) is pde.BoundaryTrace
+        assert trace_out.samples.shape == (4, 1) and energies.shape == (4,)
+        assert (lyapunovs is None) == (chi is None)
+        if chi is not None:
+            assert lyapunovs.shape == (4,)
+
     def test_trace_memory_per_float(self):
         # a mid-size 2-D observer run: 4,715 steps over 29 measured nodes,
         # 136,764 trace floats, of which the trace array itself takes 8
@@ -1932,7 +1958,7 @@ class TestRunWorkspace:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            floats.append(result[1].samples.size)
+            floats.append(result.trace.samples.size)
             del result
         assert floats[1] == 136764
         assert peaks[1] / floats[1] < 16.0, peaks[1] / floats[1]

@@ -1690,6 +1690,13 @@ class TestSweep:
         assert seen == workers
         assert len(result.rows) == rows
 
+    @pytest.mark.parametrize("jobs", [0, -1, True, "2", 2.5, math.inf])
+    def test_worker_count_must_be_a_positive_integer(self, jobs):
+        # each of these ran serially, or raised a bare TypeError, unchecked
+        problems = [ProblemParams(n=1, k=1.0, delta=0.6)] * 3
+        with pytest.raises(CertificateError, match="worker_count must be an integer >= 1"):
+            sweep(problems, worker_count=jobs)
+
     def test_row_errors_are_recorded_not_raised(self):
         p = ProblemParams(n=1, k=1.0, t_star=2.0)  # no delta: row-level error
         result = sweep([p])
