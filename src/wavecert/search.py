@@ -407,6 +407,12 @@ def _chi_cut(params):
 
 
 def _chi_grid(params):
+    """(lo, hi, count) of the chi scan, hi a relative 1e-9 below the psi1 cut.
+
+    psi1 is affine and increasing in chi and vanishes at the cut, so it is
+    negative, below every margin, at each grid point and at each chi a
+    bisection takes between them: the scans never test it.
+    """
     cut = _chi_cut(params)
     hi = cut * (1.0 - 1e-9)
     if hi <= CHI_LO:
@@ -416,10 +422,8 @@ def _chi_grid(params):
 
 
 def _stability_feasible(params, chi, config):
-    """Full stability feasibility at one chi: psi1, and a witness for psi2 and phi0."""
+    """Stability feasibility at one chi of the grid: a witness for psi2 and phi0."""
     margin = config.margin
-    if psi1_value(params, chi) > margin:
-        return False
     return (_witness(params, chi, psi2_entries, "lambda1", margin) is not None
             and _witness(params, chi, phi0_entries, "lambda0", margin,
                          top=False) is not None)
@@ -428,16 +432,16 @@ def _stability_feasible(params, chi, config):
 def _stability_ruled_out(params, grid, margin):
     """Where _stability_feasible is False on the array grid, in closed form.
 
-    A point is out, and its scalar test could not raise there, where psi1
-    is above the margin, where psi2's inputs are finite and its span is
-    empty, or where phi0's are finite too and its span is empty.  (Where
-    psi2's inputs are finite, its witness check cannot raise: the span
-    midpoint lies in the finite bracket and keeps psi2's entries finite.)
-    The scalar test decides every other point.
+    A point is out, and its scalar test could not raise there, where
+    psi2's inputs are finite and its span is empty, or where phi0's are
+    finite too and its span is empty.  (Where psi2's inputs are finite,
+    its witness check cannot raise: the span midpoint lies in the finite
+    bracket and keeps psi2's entries finite.)  The scalar test decides
+    every other point.
     """
     wq = _wq(params.n)
     with np.errstate(all="ignore"):
-        out = psi1_value(params, grid) > margin
+        out = np.zeros(grid.shape, dtype=bool)
         finite = True
         for entries, name, top in ((psi2_entries, "lambda1", True),
                                    (phi0_entries, "lambda0", False)):
@@ -527,16 +531,16 @@ def minimal_observability_time(params, config=None):
     if params.t_star is not None:
         raise CertificateError("t_star must be left unset for a minimal-time search")
     wins = []
-    reasons = []
+    last = None
     for delta in _deltas(params):
         try:
             t, _ = _observation_window(params, config, delta)
             wins.append((t, delta))
         except Infeasible as exc:
-            reasons.append(exc)
+            last = exc
     if not wins:
         raise Infeasible("no delta admits an observability certificate; last reason: %s"
-                         % reasons[-1])
+                         % last)
     t_best = min(t for t, _ in wins)
     delta_star = max(d for t, d in wins if t <= t_best + config.tstar_tol)
     t_star = next(t for t, d in wins if d == delta_star)
@@ -656,17 +660,16 @@ def maximize_regional_radius(params, config=None):
         raise CertificateError("the regional search is defined for n = 1")
     if params.d is None:
         raise CertificateError("d (the radius on which f is Lipschitz) is required")
-    best = None
-    reasons = []
+    best = last = None
     for delta in _deltas(params):
         try:
             t, cmin = _observation_window(params, config, delta)
         except Infeasible as exc:
-            reasons.append(exc)
+            last = exc
             continue
         if params.t_total is not None and params.t_total < t:
-            reasons.append("t_total below minimal time %s at delta=%s"
-                           % (fmt_float(t), fmt_float(delta)))
+            last = ("t_total below minimal time %s at delta=%s"
+                    % (fmt_float(t), fmt_float(delta)))
             continue
         pt = replace(params, delta=delta, t_star=t)
         # cmin is at most the chi grid's top, below k/(1+k^2) <= 1/2 at n = 1
@@ -675,7 +678,7 @@ def maximize_regional_radius(params, config=None):
             best = (rr.d0, delta, t, cmin)
     if best is None:
         raise Infeasible("no delta admits a regional certificate; last reason: %s"
-                         % reasons[-1])
+                         % last)
     d0, delta, t, cmin = best
     p_final = replace(params, delta=delta, t_star=t)
     margin = config.margin

@@ -86,11 +86,25 @@ class TestErrors:
         code, out, err = run_cli(["certify", "--config", cfg], capsys)
         assert code == 1 and "bogus" in err
 
-    def test_mode_mismatch(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["certify", "sweep"])
+    def test_mode_key_is_unknown(self, tmp_path, capsys, mode):
+        # the subcommand alone says what a config is for, matching or not
         cfg = write_json(tmp_path, "c.json",
-                         {"mode": "sweep", "problem": {"n": 1, "k": 1.0}})
+                         {"mode": mode, "problem": {"n": 1, "k": 1.0, "delta": 0.05}})
         code, out, err = run_cli(["certify", "--config", cfg], capsys)
-        assert code == 1 and "mode" in err
+        assert (code, out, err) == (1, "", "error: unknown config keys: mode\n")
+
+    @pytest.mark.parametrize("argv", [["min-time", "--tol", "0.01"],
+                                      ["certify", "--margin", "0.1"]],
+                             ids=["tol", "margin"])
+    def test_search_settings_are_not_flags(self, tmp_path, capsys, argv):
+        # search.tstar_tol and search.margin are set in the config only
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.2, "delta": 0.09}})
+        code, out, err = run_cli(argv[:1] + ["--config", cfg] + argv[1:], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "unrecognized arguments: %s %s" % (
+            argv[1], argv[2]) in err
 
     def test_bad_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
@@ -266,54 +280,29 @@ class TestCertify:
     MARGIN_PROBLEM = {"n": 1, "k": 1.0, "g1": 0.2, "delta": 0.09}
 
     def test_margin_sets_the_search_and_the_check(self, tmp_path, capsys):
-        # the search once ran at the config's margin and the check at
-        # --margin, and rejected the point of its own search
-        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM})
-        code, out, err = run_cli(["certify", "--config", cfg, "--margin", "0.09"],
-                                 capsys)
+        # search.margin is the margin of both the search and the check, so
+        # the check accepts the point of its own search
+        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM,
+                                              "search": {"margin": 0.09}})
+        code, out, err = run_cli(["certify", "--config", cfg], capsys)
         assert code == 0, out
         params = certificates.ProblemParams.from_dict(self.MARGIN_PROBLEM)
         vars = search.find_feasible_vars(params, search.SearchConfig(margin=0.09))
         assert json.loads(out)["vars"]["chi"] == vars.chi
-        # the config's search.margin is the margin when --margin is not given
-        cfg = write_json(tmp_path, "m.json", {"problem": self.MARGIN_PROBLEM,
-                                              "search": {"margin": 0.09}})
-        assert run_cli(["certify", "--config", cfg], capsys)[:2] == (code, out)
 
     def test_margin_with_vars(self, tmp_path, capsys):
         # phi0's margin at the default lambda0 is 1e-6: inside the default
-        # margin, outside 1e-3, whether --margin or search.margin sets it
+        # margin and of 0, outside 1e-3
         problem = {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.05}
         vars_path = write_json(tmp_path, "v.json", {"chi": 0.2, "lambda1": 0.15})
-        for doc, flags, want in [({}, [], 0), ({}, ["--margin", "1e-3"], 2),
-                                 ({"search": {"margin": 1e-3}}, [], 2),
-                                 ({"search": {"margin": 1e-3}}, ["--margin", "0"], 0)]:
+        for doc, want in [({}, 0), ({"search": {"margin": 1e-3}}, 2),
+                          ({"search": {"margin": 0}}, 0)]:
             cfg = write_json(tmp_path, "c.json", dict(doc, problem=problem))
             code, out, err = run_cli(
-                ["certify", "--config", cfg, "--vars", vars_path] + flags, capsys)
+                ["certify", "--config", cfg, "--vars", vars_path], capsys)
             assert code == want and json.loads(out)["feasible"] is (want == 0)
             if want:
                 assert json.loads(out)["failing"] == ["phi0"]
-
-    def test_bad_margin(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM})
-        for bad in ("-1", "nan", "inf"):
-            code, out, err = run_cli(["certify", "--config", cfg, "--margin", bad],
-                                     capsys)
-            assert code == 1 and out == "" and err.startswith("error: margin must")
-
-    @pytest.mark.parametrize("bad,says", [
-        ("-1e-3", "margin must be >= 0, got -0.001"),
-        ("-.5e1", "margin must be >= 0, got -5.0"),
-        ("-1E+2", "margin must be >= 0, got -100.0"),
-        ("-inf", "margin must be finite, got -inf"),
-    ])
-    def test_negative_margin_in_any_float_form(self, tmp_path, capsys, bad, says):
-        # argparse took a negative exponent form for an option and reported
-        # "argument --margin: expected one argument" instead of the range
-        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM})
-        code, out, err = run_cli(["certify", "--config", cfg, "--margin", bad], capsys)
-        assert (code, out, err) == (1, "", "error: %s\n" % says)
 
     def test_vars_from_min_time_stdout(self, tmp_path, capsys):
         # min-time prints its certificate under a "certificate" key
@@ -366,8 +355,9 @@ class TestCertify:
             ["min-time", "--config",
              write_json(tmp_path, "mt2.json",
                         {"problem": {"n": 2, "k": 1.0, "g1": 0.0,
-                                     "delta": 0.0001}}),
-             "--tol", "0.05", "--out", cert_path], capsys)
+                                     "delta": 0.0001},
+                         "search": {"tstar_tol": 0.05}}),
+             "--out", cert_path], capsys)
         assert code == 0
         code, out, err = run_cli(
             ["certify", "--config", cfg, "--vars", cert_path], capsys)
@@ -393,11 +383,11 @@ class TestMinTime:
     def test_round_trip_certify(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "g1": 0.1,
-                                      "delta": 0.05}})
+                                      "delta": 0.05},
+                          "search": {"tstar_tol": 0.01}})
         out_path = str(tmp_path / "cert.json")
         code, out, err = run_cli(
-            ["min-time", "--config", cfg, "--tol", "0.01",
-             "--out", out_path], capsys)
+            ["min-time", "--config", cfg, "--out", out_path], capsys)
         assert code == 0
         code, out, err = run_cli(
             ["certify", "--config", cfg, "--vars", out_path], capsys)
@@ -411,34 +401,14 @@ class TestMinTime:
         code, out, err = run_cli(["min-time", "--config", cfg], capsys)
         assert code == 1 and "t_star" in err
 
-    @pytest.mark.parametrize("flags,search", [
-        (["--tol", "1e-20"], None),
-        ([], {"tstar_tol": 1e-300}),
-    ], ids=["tol-flag", "tstar_tol-key"])
-    def test_tolerance_below_the_float_spacing_ends(self, tmp_path, flags, search):
+    def test_tolerance_below_the_float_spacing_ends(self, tmp_path):
         # the t_star bisection stops once no float lies between its ends
-        doc = {"problem": {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.001}}
-        if search is not None:
-            doc["search"] = search
-        cfg = write_json(tmp_path, "c.json", doc)
-        proc = fresh_cli(["min-time", "--config", cfg] + flags, timeout=60)
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.001},
+                          "search": {"tstar_tol": 1e-300}})
+        proc = fresh_cli(["min-time", "--config", cfg], timeout=60)
         assert proc.returncode == 0
         assert 2.00 <= json.loads(proc.stdout)["t_star"] <= 2.06
-
-    def test_bad_tol(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "c.json",
-                         {"problem": {"n": 1, "k": 1.0, "delta": 0.01}})
-        code, out, err = run_cli(
-            ["min-time", "--config", cfg, "--tol", "0"], capsys)
-        assert code == 1
-
-    @pytest.mark.parametrize("bad", ["-1e+308", "-1e-3", "-.5e1"])
-    def test_negative_tol_in_exponent_form(self, tmp_path, capsys, bad):
-        # the range error, not argparse's "expected one argument"
-        cfg = write_json(tmp_path, "c.json",
-                         {"problem": {"n": 1, "k": 1.0, "delta": 0.01}})
-        code, out, err = run_cli(["min-time", "--config", cfg, "--tol", bad], capsys)
-        assert (code, out, err) == (1, "", "error: --tol must be > 0\n")
 
 
 class TestRegional:

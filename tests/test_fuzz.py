@@ -57,8 +57,7 @@ BASES = {
                "search": {"tstar_tol": 0.01}}, ["--out", "OUT"]),
 }
 # the numeric flag of each subcommand that takes one
-FLAGS = {"certify": "--margin", "min-time": "--tol", "recover": "--iterations",
-         "sweep": "--jobs"}
+FLAGS = {"recover": "--iterations", "sweep": "--jobs"}
 SAMPLE = 100  # config cases per subcommand in the suite
 SEED = 0
 

@@ -1568,6 +1568,22 @@ class TestMaximizeRegionalRadius:
             _, hi, _ = search._chi_grid(ProblemParams(n=1, k=k))
             assert hi <= 0.4999999995, k
 
+    def test_psi1_is_negative_on_every_chi_grid(self):
+        # the stability scan does not test psi1 > margin: it holds nowhere
+        # on the grid, and the bisection stays between grid points
+        grids = 0
+        ks = [float(k) for k in np.geomspace(1e-6, 1e6, 241)]
+        for n in (1, 2, 3, 4, 8, 100):
+            for k in ks + [float(np.nextafter(1.0, d)) for d in (0.0, 2.0)]:
+                params = ProblemParams(n=n, k=k)
+                try:
+                    grid = np.geomspace(*search._chi_grid(params))
+                except Infeasible:  # the cut is below CHI_LO: no grid
+                    continue
+                assert np.all(psi1_value(params, grid) < 0.0), (n, k)
+                grids += 1
+        assert grids > 800
+
     def test_preconditions(self):
         with pytest.raises(CertificateError, match="n = 1"):
             maximize_regional_radius(ProblemParams(n=2, k=1.0, g1=0.1, d=1.0))
