@@ -1,9 +1,10 @@
 """Iterative forward/backward recovery of initial states from boundary data.
 
-Each iteration integrates the injected observer forward over the window
-from the previous backward estimate (zero field on the first pass), then
-integrates the backward observer from the forward terminal state; the
-backward result at the window start is the next estimate.  Convergence is
+The loop runs one sweep per iteration: the injected observer integrates
+forward over the window from the previous estimate (zero field on the
+first pass), then the backward observer integrates from the forward
+terminal state, and the backward result at the window start is the next
+estimate.  The loop itself only judges each sweep.  Convergence is
 declared from the relative change between successive estimates in the
 energy norm, never from the unknown true state.  Test harnesses that do
 own the ground truth can pass it in to obtain per-iteration error energies
@@ -11,7 +12,7 @@ and the Lyapunov contraction diagnostics.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +69,11 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One pass of the loop; truth-based entries stay None in production."""
+    """One pass of the loop; truth-based entries stay None in production.
+
+    With truth, ratio is E_b_t0 over the one before (the truth's energy at
+    m = 1); without, it is the ratio of successive-change energies, None at
+    m = 1."""
 
     m: int
     succ_change: float
@@ -90,16 +95,19 @@ class RecoveryRun:
     config: RecoveryConfig = None
 
 
-def _observer_grids(config):
-    g = config.grid
-    forward = pde.Grid(g.dim, g.points_per_axis, g.dt, "observer-forward", g.k)
-    backward = pde.Grid(g.dim, g.points_per_axis, g.dt, "observer-backward", g.k)
-    return forward, backward
-
-
-def _zero_state(grid, t0):
-    shape = (grid.points_per_axis,) * grid.dim
-    return pde.WaveField(np.zeros(shape), np.zeros(shape), t0)
+def _sweep(estimate, grids, config, measurements):
+    """A forward observer run from the estimate, then a backward one from
+    its end, on grids = (forward grid, backward grid); returns the forward
+    field, the next estimate (the backward run's own field, t set to the
+    window start) and both energy series.  Each trace that _ takes is
+    dropped when _ takes the lyapunovs, so it is freed as its run returns.
+    """
+    grid_f, grid_b = grids
+    nl = config.nonlinearity
+    forward, _, e_fwd, _ = pde.run(estimate, config.horizon, grid_f, nl, measurements)
+    back, _, e_back, _ = pde.run(forward, config.horizon, grid_b, nl, measurements)
+    back.t = measurements.t0
+    return forward, back, e_fwd, e_back
 
 
 def _backward_lyapunov(z, zt, grid, chi):
@@ -109,32 +117,32 @@ def _backward_lyapunov(z, zt, grid, chi):
 
 def recover(measurements, config, truth=None):
     """Run the iteration; pass truth to enrich records with error energies."""
-    pde.check_trace(measurements, config.grid, config.steps)
-    grid_f, grid_b = _observer_grids(config)
-    nl = config.nonlinearity
-    t0 = measurements.t0
+    grid = config.grid
+    pde.check_trace(measurements, grid, config.steps)
+    grids = (replace(grid, mode="observer-forward"),
+             replace(grid, mode="observer-backward"))
     cert = config.certificate
     chi = None if cert is None else cert.vars.chi
 
     guard_bound = None
     if cert is not None and (cert.params.d is not None or cert.d0 is not None):
-        guard_bound = nl.local_radius
+        guard_bound = config.nonlinearity.local_radius
         if cert.params.d is not None:
             guard_bound = min(guard_bound, cert.params.d)
     guard_ok = None if guard_bound is None else True
 
-    e_b0 = v_b0 = None
-    prev_e_b = None
+    e_b0 = v_b0 = final_error = None
     if truth is not None:
-        pde._check_shape(truth, grid_f)
-        e_b0 = pde.energy(truth, grid_f)
-        prev_e_b = e_b0
+        pde._check_shape(truth, grid)
+        e_b0 = prev_e_b = pde.energy(truth, grid)
+        scale = math.sqrt(2.0 * e_b0)  # hnorm(truth)
         if chi is not None:
-            v_b0 = _backward_lyapunov(truth.z, truth.zt, grid_f, chi)
+            v_b0 = _backward_lyapunov(truth.z, truth.zt, grid, chi)
         if guard_bound is not None and np.max(np.abs(truth.z)) > guard_bound:
             guard_ok = False
 
-    prev = _zero_state(grid_f, t0)
+    zeros = np.zeros(grid._plan.shape)
+    prev = pde.WaveField(zeros, zeros, measurements.t0)
     prev_diff_energy = None
     baseline = None
     records = []
@@ -143,17 +151,10 @@ def recover(measurements, config, truth=None):
 
     for m in range(1, config.m_max + 1):
         try:
-            # run copies prev, which is at t0; the trace that _ takes is
-            # dropped when _ takes the lyapunovs, so it is freed at once
-            forward, _, e_fwd, _ = pde.run(prev, config.horizon, grid_f, nl,
-                                           measurements)
-            back, _, e_back, _ = pde.run(forward, config.horizon, grid_b, nl,
-                                         measurements)
+            forward, curr, e_fwd, e_back = _sweep(prev, grids, config, measurements)
         except pde.DivergenceError:
             diverged = True
             break
-        curr = pde.WaveField(back.z, back.zt, t0)
-
         peak = max(float(np.max(e_fwd)), float(np.max(e_back)))
         if baseline is None:
             baseline = max(peak, 1e-300)
@@ -166,20 +167,22 @@ def recover(measurements, config, truth=None):
                 guard_ok = False
 
         diff = pde.WaveField(curr.z - prev.z, curr.zt - prev.zt)
-        diff_energy = pde.energy(diff, grid_f)
-        den = pde.hnorm(curr, grid_f)
+        diff_energy = pde.energy(diff, grid)
+        den = pde.hnorm(curr, grid)
         succ = math.sqrt(max(2.0 * diff_energy, 0.0)) / den if den > 0.0 else 0.0
 
         e_b = v_b = ratio = None
         if truth is not None:
             err = pde.WaveField(curr.z - truth.z, curr.zt - truth.zt)
-            e_b = pde.energy(err, grid_f)
+            e_b = pde.energy(err, grid)
             if chi is not None:
-                v_b = _backward_lyapunov(err.z, err.zt, grid_f, chi)
-            if prev_e_b is not None and prev_e_b > 0.0:
+                v_b = _backward_lyapunov(err.z, err.zt, grid, chi)
+            if scale > 0.0:
+                final_error = math.sqrt(max(2.0 * e_b, 0.0)) / scale
+            if prev_e_b > 0.0:
                 ratio = e_b / prev_e_b
             prev_e_b = e_b
-        elif m >= 2 and prev_diff_energy is not None and prev_diff_energy > 0.0:
+        elif prev_diff_energy is not None and prev_diff_energy > 0.0:
             ratio = diff_energy / prev_diff_energy
 
         records.append(IterationRecord(m=m, succ_change=succ, E_b_t0=e_b,
@@ -191,13 +194,6 @@ def recover(measurements, config, truth=None):
         if succ < config.convergence_threshold:
             converged = True
             break
-
-    final_error = None
-    if truth is not None and records:
-        scale = pde.hnorm(truth, grid_f)
-        err = pde.WaveField(prev.z - truth.z, prev.zt - truth.zt)
-        if scale > 0.0:
-            final_error = pde.hnorm(err, grid_f) / scale
 
     return RecoveryRun(records=tuple(records), recovered=prev,
                        converged=converged, diverged=diverged,
@@ -317,17 +313,20 @@ def perturbed_recover(measurements, noise, config, truth=None):
                                     measurements.dt, measurements.t0)
     noisy = recover(noisy_trace, config, truth)
 
-    grid_f, _ = _observer_grids(config)
     gap_field = pde.WaveField(noisy.recovered.z - clean.recovered.z,
                               noisy.recovered.zt - clean.recovered.zt)
-    gap_sq = 2.0 * pde.energy(gap_field, grid_f)
+    gap_sq = 2.0 * pde.energy(gap_field, config.grid)
 
-    # the noise on the full grid at every level, zero off the measured nodes
+    # the noise on the full grid, zero off the measured nodes, a block of
+    # levels at a time: each level's face integral stands alone
     plan = config.grid._plan
-    w = np.zeros(noise.samples.shape[:1] + plan.flux_mult.shape)
-    w[(slice(None),) + plan.measured] = noise.samples
-    per_level = pde._face_sq_integral(w, config.grid)
-    noise_integral = float(pde._integrate_cells(per_level, noise.dt))
+    block = max(1, pde._ENERGY_BLOCK_NODES // plan.flux_mult.size)
+    w = np.zeros((block,) + plan.shape)
+    per_level = []
+    for rows in np.split(noise.samples, range(block, noise.samples.shape[0], block)):
+        w[(slice(len(rows)),) + plan.measured] = rows
+        per_level.append(pde._face_sq_integral(w[:len(rows)], config.grid))
+    noise_integral = float(pde._integrate_cells(np.concatenate(per_level), noise.dt))
 
     _, gamma = compute_iss_gain(cert.params, cert.vars)
     delta0 = delta_margin(cert.params, cert.vars)

@@ -36,11 +36,12 @@ writes the next state into the next slot, the energies of a block come from
 its slots in place, and the trace fills one (steps + 1, nodes) array.  run
 returns a Run record of the same four fields whether or not chi is set;
 only lyapunovs is None without it.  Every array in it is the caller's and
-nothing writes into it later: the final field is a copy of its slot, and
-the trace and the series are arrays no other run shares.  A direct step
-call copies its field into a throwaway workspace of two slots and returns
-fresh arrays.  The arrays passed to a nonlinearity f are workspace slots
-that later steps overwrite, so f must not keep them.
+nothing writes into it later: one WaveField call builds the start field
+from the initial one and the final field from its slot, with z_t negated
+in backward mode, and the trace and the series are arrays no other run
+shares.  A direct step call steps a throwaway workspace of two slots and
+returns a WaveField of its new state.  The arrays passed to a nonlinearity
+f are workspace slots that later steps overwrite, so f must not keep them.
 """
 
 import math
@@ -341,8 +342,7 @@ ZERO_F = Nonlinearity()
 
 def boundary_node_count(grid):
     """Nodes with a measured face and no clamped one: (N-1)^d - (N-2)^d."""
-    n = grid.points_per_axis
-    return (n - 1) ** grid.dim - (n - 2) ** grid.dim
+    return grid._plan.nodes
 
 
 def whole_steps(horizon, dt):
@@ -622,11 +622,12 @@ class _RunField(WaveField):
 def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     """One explicit step; boundary_input = (y_now, y_next) in observer modes.
 
-    A direct call copies the field into a workspace of two slots and steps
-    into the second, so the returned field's z and zt are fresh views into
-    one stacked (2, 2, ...) array.  A field that run passes along steps in
-    place, into its workspace's next slot, unchecked: run checked its trace
-    once and passes a boundary input exactly when its grid injects.
+    A direct call copies the field into a workspace of two slots, steps
+    into the second and returns a WaveField of it, whose arrays are fresh
+    copies that share no memory with the field or the workspace.  A field
+    that run passes along steps in place, into its workspace's next slot,
+    unchecked: run checked its trace once and passes a boundary input
+    exactly when its grid injects.
     """
     ws = field.ws if type(field) is _RunField else None
     if (ws is not None and ws.grid is grid and ws.nonlinearity is nonlinearity
@@ -649,9 +650,7 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     ws.load(field)
     t_new = ws.advance(field.t, boundary_input)
     new = ws.slot(ws.head)
-    out = WaveField.__new__(WaveField)
-    out.z, out.zt, out.t = new.z, new.v, t_new
-    return out
+    return WaveField(new.z, new.v, t_new)
 
 
 class Run(NamedTuple):
@@ -680,7 +679,7 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     record has the same fields either way.
 
     The steps run in a workspace of this run's own, which the returned
-    arrays do not share: final is a copy of the last state, and trace
+    arrays do not share: final is a new field of the last state, and trace
     holds the (steps + 1, nodes) array the run filled.
     """
     steps = whole_steps(horizon, grid.dt)
@@ -700,14 +699,17 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     plan = grid._plan
     trace = np.empty((steps + 1, plan.nodes))
     backward = grid.mode == "observer-backward"
+
+    def oriented(field):
+        # a new field, time-reversed (z, z_t) -> (z, -z_t) in backward mode
+        return WaveField(field.z, -field.zt if backward else field.zt, field.t)
+
+    start = oriented(initial)
     if backward:
-        start = WaveField(initial.z, -initial.zt, initial.t)
         # the replayed input lives in the trace rows not yet written: the
         # rows of a block of states are written after the step out of its
         # last state, which reads the last row the block needs
         samples = np.negative(samples[::-1], out=trace)
-    else:
-        start = initial.copy()
 
     block = max(1, _ENERGY_BLOCK_NODES // start.z.size)
     ws = _Workspace(grid, nonlinearity, 2 * block)
@@ -766,13 +768,7 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
             if times:
                 record()
 
-    if backward:
-        final = WaveField(state.z, -state.zt, state.t)
-    else:
-        final = WaveField.__new__(WaveField)
-        final.z, final.zt = ws.slots[state.slot].copy()
-        final.t = state.t
-    return Run(final, _adopted_trace(trace, grid.dt, initial.t), energies, lyaps)
+    return Run(oriented(state), _adopted_trace(trace, grid.dt, initial.t), energies, lyaps)
 
 
 def _finite(value, name, t):

@@ -9,13 +9,14 @@ reference runs of that transcription.
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from test_pde import oracle_recover_once, ref_boundary_sq_integral
+from test_pde import oracle_recover_once, oracle_run_1d, ref_boundary_sq_integral
 
 from wavecert import observer, pde, search
 from wavecert.certificates import (CertificateError, ProblemParams,
@@ -604,3 +605,112 @@ class TestSerialization:
         data = json.loads(observer.run_to_json(run))
         assert data["final_error_vs_truth"] == run.final_error_vs_truth
         assert data["iterations"][1]["ratio"] == run.records[1].ratio
+
+
+class TestSweep:
+    def test_matches_reference_sweep(self, monkeypatch):
+        # from a nonzero estimate on a window that starts at t0 = 0.5
+        horizon = 1.2
+        grid, truth, trace = example_setup(horizon, n_points=101)
+        shifted = pde.BoundaryTrace(trace.samples, trace.dt, t0=0.5)
+        config = observer.RecoveryConfig(horizon=horizon, m_max=1, grid=grid,
+                                         nonlinearity=QUADRATIC)
+        grids = (replace(grid, mode="observer-forward"),
+                 replace(grid, mode="observer-backward"))
+        x = grid.axis()
+        estimate = pde.WaveField(0.5 * preset_ic(x), -0.3 * preset_ic(x), 0.5)
+        real_run, runs = pde.run, []
+
+        def run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pde, "run", run)
+        forward, estimate_next, e_fwd, e_back = observer._sweep(
+            estimate, grids, config, shifted)
+        steps = config.steps
+        y = trace.samples[:, 0]
+        fz, fv, _ = oracle_run_1d(estimate.z, estimate.zt, grid.dx, grid.dt, steps,
+                                  f=QUADRATIC.f, t0=0.5, k=1.0, trace=y)
+        oz, ov = oracle_recover_once(estimate.z, estimate.zt, grid.dx, grid.dt,
+                                     steps, QUADRATIC.f, 1.0, y, t0=0.5)
+        for got, want in ((forward.z, fz), (forward.zt, fv),
+                          (estimate_next.z, oz), (estimate_next.zt, ov)):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-13)
+        # the next estimate is the backward run's own field, at the window start
+        assert [r.final for r in runs] == [forward, estimate_next]
+        assert estimate_next.t == 0.5
+        assert forward.t == pytest.approx(0.5 + horizon)
+        assert e_fwd is runs[0].energies and e_back is runs[1].energies
+        assert e_fwd[-1] == pde.energy(forward, grid)
+        assert e_back[-1] == pde.energy(estimate_next, grid)
+
+
+class TestFinalError:
+    @staticmethod
+    def _case(kind):
+        if kind == "1-D":
+            grid, truth, trace = example_setup(1.5, n_points=101)
+            return grid, truth, trace, 1.5, QUADRATIC
+        if kind == "2-D":
+            grid = pde.make_grid(2, 21, 2.0, k=1.0)
+            x1, x2 = grid.coords()
+            mode = np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2)
+            truth = pde.WaveField(0.3 * mode, 0.1 * x1 * mode)
+            return grid, truth, pde.run(truth, 2.0, grid).trace, 2.0, pde.ZERO_F
+        # diverges, so the last record may come from the sweep before the last
+        grid = pde.make_grid(1, 101, 2.0, k=1.0)
+        x = grid.axis()
+        truth = pde.WaveField(np.sin(PI * x / 2) * 0.1, np.zeros_like(x))
+        nl = pde.Nonlinearity(lambda z, x, t: 30.0 * z, fz_bound=30.0)
+        return grid, truth, pde.run(truth, 2.0, grid, nl).trace, 2.0, nl
+
+    @pytest.mark.parametrize("kind", ["1-D", "2-D", "diverging"])
+    def test_is_the_hnorm_ratio_bit_for_bit(self, kind):
+        with np.errstate(all="ignore"):
+            grid, truth, trace, horizon, nl = self._case(kind)
+            config = observer.RecoveryConfig(horizon=horizon, m_max=3, grid=grid,
+                                             nonlinearity=nl,
+                                             convergence_threshold=1e-15)
+            run = observer.recover(trace, config, truth=truth)
+        assert run.diverged == (kind == "diverging") and len(run.records) >= 1
+        err = pde.WaveField(run.recovered.z - truth.z, run.recovered.zt - truth.zt)
+        want = pde.hnorm(err, grid) / pde.hnorm(truth, grid)
+        assert math.isfinite(want)
+        assert np.float64(run.final_error_vs_truth).tobytes() == np.float64(want).tobytes()
+
+
+class TestNoiseIntegralMemory:
+    def test_scatter_is_bounded(self, monkeypatch):
+        # the benchmark's 2-D grid, N = 81 over 316 levels: scattering every
+        # level onto the full grid at once took 18 MB for a 0.4 MB trace;
+        # recover is stubbed out, so the peak is the noisy trace that
+        # perturbed_recover sums (two copies at most) and the integral
+        params = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05)
+        t_star, _, _ = search.minimal_observability_time(params)
+        full = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05, t_star=t_star * 1.02)
+        cert = make_certificate(full, search.find_feasible_vars(full))
+        grid = pde.make_grid(2, 81, 2.5, k=1.0)
+        config = observer.RecoveryConfig(horizon=2.5, m_max=1, grid=grid,
+                                         certificate=cert)
+        shape = (config.steps + 1, pde.boundary_node_count(grid))
+        assert shape == (316, 159)
+        rng = np.random.default_rng(43)
+        noise = pde.BoundaryTrace(1e-3 * rng.normal(size=shape), grid.dt)
+        measurements = pde.BoundaryTrace(np.zeros(shape), grid.dt)
+        zeros = np.zeros(grid.coords()[0].shape)
+
+        def recover(measurements, config, truth=None):
+            return observer.RecoveryRun(records=(), recovered=pde.WaveField(zeros, zeros),
+                                        converged=False, config=config)
+
+        monkeypatch.setattr(observer, "recover", recover)
+        tracemalloc.start()
+        try:
+            _, report = observer.perturbed_recover(measurements, noise, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = float(np.trapezoid(ref_boundary_sq_integral(noise.samples, grid), dx=grid.dt))
+        assert report.noise_integral == want
+        assert peak < 4 * noise.samples.nbytes, peak / noise.samples.nbytes

@@ -1964,3 +1964,53 @@ class TestRunWorkspace:
         assert peaks[1] / floats[1] < 16.0, peaks[1] / floats[1]
         further = (peaks[1] - peaks[0]) / (floats[1] - floats[0])
         assert further < 10.0, further
+
+
+class TestFreshResultFields:
+    """run's final field, in either direction, and a direct step's result
+    are new WaveFields: arrays of their own, +0.0 on the clamped faces."""
+
+    @staticmethod
+    def _record_workspaces(monkeypatch):
+        made = []
+
+        class Recording(pde._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(pde, "_Workspace", Recording)
+        return made
+
+    @staticmethod
+    def _assert_fresh(field, f0, ws):
+        owned = [ws.slots, ws.acc, ws.finite, f0.z, f0.zt]
+        owned += [] if ws.inject is None else [ws.inject]
+        assert not np.shares_memory(field.z, field.zt)
+        for arr in (field.z, field.zt):
+            assert arr.base is None
+            assert not any(np.shares_memory(arr, other) for other in owned)
+            for axis in range(arr.ndim):
+                face = arr.swapaxes(0, axis)[0]
+                assert np.all(face == 0.0) and not np.any(np.signbit(face))
+
+    @pytest.mark.parametrize("dim,n,block", WORKSPACE_GRIDS)
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_run_final_field(self, monkeypatch, dim, n, block, mode):
+        made = self._record_workspaces(monkeypatch)
+        grid, horizon, f0, trace = _workspace_case(dim, n, mode, block + 3, 6)
+        final = pde.run(f0, horizon, grid, _sources(dim)["x-dependent"], trace).final
+        assert type(final) is pde.WaveField and len(made) == 1
+        self._assert_fresh(final, f0, made[0])
+        assert final.t == pytest.approx(
+            f0.t + (-1.0 if mode == "observer-backward" else 1.0) * horizon)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_direct_step_result(self, monkeypatch, dim, mode):
+        made = self._record_workspaces(monkeypatch)
+        grid, _, f0, trace = _workspace_case(dim, 21, mode, 2, 7)
+        binput = None if trace is None else (trace.samples[0], trace.samples[1])
+        got = pde.step(f0, grid, _sources(dim)["x-dependent"], binput)
+        assert type(got) is pde.WaveField and len(made) == 1
+        self._assert_fresh(got, f0, made[0])
