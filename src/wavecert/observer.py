@@ -309,9 +309,15 @@ def perturbed_recover(measurements, noise, config, truth=None):
         raise ValueError(_uncovered_source(cert.params, config))
 
     clean = recover(measurements, config, truth)
-    noisy_trace = pde.BoundaryTrace(measurements.samples + noise.samples,
-                                    measurements.dt, measurements.t0)
-    noisy = recover(noisy_trace, config, truth)
+    # y + w, held once and only while recovering from it; two finite
+    # traces can overflow when summed
+    with np.errstate(over="ignore"):
+        samples = measurements.samples + noise.samples
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("trace samples must be finite")
+    noisy = recover(pde._adopted_trace(samples, measurements.dt, measurements.t0),
+                    config, truth)
+    del samples
 
     gap_field = pde.WaveField(noisy.recovered.z - clean.recovered.z,
                               noisy.recovered.zt - clean.recovered.zt)

@@ -265,9 +265,6 @@ class WaveField:
         self.zt = zt
         self.t = float(t)
 
-    def copy(self):
-        return WaveField(self.z, self.zt, self.t)
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryTrace:

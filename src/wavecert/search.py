@@ -18,15 +18,19 @@ whose worst-case margin, bounded by the ends of its LMIs' bisections,
 can no longer win, and the last point left finishes on floats.  Each
 element left keeps its own midpoints, so every value, multiplier and
 winning chi keeps its bits.
-chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  All searches
-are deterministic: same inputs and config, same outputs, regardless of
-worker count.
+chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  What no delta
+moves is done once: the chi grid and phi0's part of the closed-form pass
+are built once per n, grid and margin (_chi_points), a witness is checked
+on its entries at 0 shifted to it (_shifted), and the points a delta loop
+bisects over are made from checked params without checking them again
+(_point).  All searches are deterministic: same inputs and config, same
+outputs, regardless of worker count.
 """
 
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -120,6 +124,15 @@ class SearchConfig:
     def from_dict(cls, dct):
         reject_unknown_keys("search", dct, (f.name for f in fields(cls)))
         return cls(**dct)
+
+
+def _point(params, **changes):
+    """replace(params, **changes) without ProblemParams's checks, for the
+    points a search makes from checked params: every change is None or a
+    finite float that passes them, and none breaks t_total >= t_star."""
+    point = object.__new__(ProblemParams)
+    vars(point).update(vars(params), **changes)
+    return point
 
 
 # --------------------------------------------------------- multiplier searches
@@ -224,24 +237,43 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
     Clearing means the largest eigenvalue is <= s (top; < s if strict) or
     the smallest is > s (not top).  The multipliers that clear s form one
     interval, which _span reads off in closed form; its midpoint is the
-    witness once extremes3 confirms it there (rounding can leave a sliver
-    of a span that is really empty).  A non-finite entry raises as in
+    witness once extremes3 confirms it there, on the entries at 0 shifted
+    to it (_shifted; rounding can leave a sliver of a span that is really
+    empty).  A non-finite entry raises as in
     extremes3; an intermediate that overflows from finite entries answers
     None, a conservative no.
     """
     chi = checked_float("chi", chi, 0.0)
+    wq = _wq(params.n)
     a, n0, lo, hi = _clearing(params, chi, entries, name, s, top)
-    span = _span(n0, _wq(params.n), lo, hi)
+    span = _span(n0, wq, lo, hi)
     if span is None:
         extremes3(*a)  # raises on a non-finite entry
         return None
     if not span[0] < span[1]:
         return None
     lam = 0.5 * (span[0] + span[1])
-    low, high = extremes3(*entries(params, chi, lam))
+    low, high = extremes3(*_shifted(a, lam if top else -lam, wq))
     if not top:
         return lam if low > s else None
     return lam if (high < s if strict else high <= s) else None
+
+
+def _shifted(a, d, wq):
+    """psi2's or phi_obs's (d = lam) or phi0's (d = -lam) entries a at 0,
+    moved to lam: a + d diag(wq, 0, -1), with the bits of *_entries at lam.
+
+    lam enters each formula once, added to a part p free of it; the other
+    entries are the same expressions at every lam, and a float sum is the
+    same in either order.  At 0 the (3,3) entry is p (psi2's -0.0 + p),
+    -0.0 (phi_obs's -lam) or +0.0 (phi0's lam), and -0.0 - lam = -lam and
+    0.0 + lam = lam.  The (1,1) entry is phi0's 0.5 - 0.0 = 0.5, or p + 0.0,
+    which is p but at p = -0.0, where +0.0 + t = -0.0 + t for every t but
+    -0.0.  Both hold for every lam >= +0.0: every bracket starts at +0.0 or
+    above, so every span midpoint is such a lam.
+    """
+    a00, a01, a02, a11, a12, a22 = a
+    return a00 + d * wq, a01, a02, a11, a12, a22 - d
 
 
 def _best_multipliers(params, chi, lmis, alive=None):
@@ -429,28 +461,51 @@ def _stability_feasible(params, chi, config):
                          top=False) is not None)
 
 
-def _stability_ruled_out(params, grid, margin):
-    """Where _stability_feasible is False on the array grid, in closed form.
+def _ruled_out(params, grid, entries, name, top, margin):
+    # (finite, empty) of one LMI on the array grid: where its _clearing
+    # inputs are finite, and where its span clearing margin is empty
+    with np.errstate(all="ignore"):
+        _, n0, lo, hi = _clearing(params, grid, entries, name, margin, top)
+        lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
+        p, r, u, q, v, w = n0
+        return (np.isfinite(p + r + u + q + v + w + lo + hi),
+                ~_span(n0, _wq(params.n), lo, hi, _products(r, v))[2])
+
+
+# bounded: a sweep over many k would otherwise keep every grid it met
+@lru_cache(maxsize=16)
+def _chi_points(n, bounds, margin):
+    """(grid, phi0_out): the chi scan's grid np.geomspace(*bounds) and where
+    phi0 rules its points out, both read-only and shared by every caller.
+
+    phi0 and its lambda0 bracket read only n of the params, so the pair
+    does not depend on delta, k or g1 beyond the bounds.  A test
+    that monkeypatches _span, _bracket, _clearing or phi0_entries and then
+    reaches a chi scan calls _chi_points.cache_clear() first.
+    """
+    grid = np.geomspace(*bounds)
+    # k only completes the params: phi0 never reads it
+    finite, empty = _ruled_out(ProblemParams(n=n, k=1.0), grid, phi0_entries,
+                               "lambda0", False, margin)
+    out = finite & empty
+    grid.flags.writeable = out.flags.writeable = False
+    return grid, out
+
+
+def _stability_ruled_out(params, bounds, margin):
+    """(grid, out): the chi grid of bounds and where _stability_feasible is
+    False on it, in closed form.
 
     A point is out, and its scalar test could not raise there, where
     psi2's inputs are finite and its span is empty, or where phi0's are
-    finite too and its span is empty.  (Where psi2's inputs are finite,
-    its witness check cannot raise: the span midpoint lies in the finite
-    bracket and keeps psi2's entries finite.)  The scalar test decides
-    every other point.
+    finite too and its span is empty (_chi_points, once per n, bounds and
+    margin).  (Where psi2's inputs are finite, its witness check cannot
+    raise: the span midpoint lies in the finite bracket and keeps psi2's
+    entries finite.)  The scalar test decides every other point.
     """
-    wq = _wq(params.n)
-    with np.errstate(all="ignore"):
-        out = np.zeros(grid.shape, dtype=bool)
-        finite = True
-        for entries, name, top in ((psi2_entries, "lambda1", True),
-                                   (phi0_entries, "lambda0", False)):
-            _, n0, lo, hi = _clearing(params, grid, entries, name, margin, top)
-            lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
-            p, r, u, q, v, w = n0
-            finite = finite & np.isfinite(p + r + u + q + v + w + lo + hi)
-            out |= finite & ~_span(n0, wq, lo, hi, _products(r, v))[2]
-    return out
+    grid, phi0_out = _chi_points(params.n, bounds, margin)
+    finite, empty = _ruled_out(params, grid, psi2_entries, "lambda1", True, margin)
+    return grid, finite & (empty | phi0_out)
 
 
 def chi_min_stability(params, config=None):
@@ -465,10 +520,10 @@ def chi_min_stability(params, config=None):
     config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required for a stability search")
-    lo, hi, count = _chi_grid(params)
-    grid = np.geomspace(lo, hi, count)
+    lo, hi, _ = bounds = _chi_grid(params)
+    grid, out = _stability_ruled_out(params, bounds, config.margin)
     found = prev = None
-    for i in np.flatnonzero(~_stability_ruled_out(params, grid, config.margin)):
+    for i in np.flatnonzero(~out):
         if _stability_feasible(params, float(grid[i]), config):
             found = float(grid[i])
             prev = float(grid[i - 1]) if i else None
@@ -492,18 +547,19 @@ def _observation_window(params, config, delta):
     most favorable admissible point and the probe inherits its feasibility
     threshold in t_star.  Returns (t_star, chi_min).
     """
-    p = replace(params, delta=delta, t_star=None, t_total=None)
+    # delta is params' own or a grid point, each t_star in (0, T_STAR_MAX]
+    p = _point(params, delta=delta, t_star=None, t_total=None)
     cmin = chi_min_stability(p, config)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
 
     def observable(t_star):
-        return _witness(replace(p, t_star=t_star), probe, phi_obs_entries, "lambda2",
+        return _witness(_point(p, t_star=t_star), probe, phi_obs_entries, "lambda2",
                         -config.margin, strict=True) is not None
 
     def not_observable():
         # the value search on one element, which the delta loops would pay
         # at every failing delta if they did not report only the last
-        [(top, _)] = _best_multipliers(replace(p, t_star=T_STAR_MAX), np.array([probe]),
+        [(top, _)] = _best_multipliers(_point(p, t_star=T_STAR_MAX), np.array([probe]),
                                        [(phi_obs_entries, "lambda2", True)])
         return ("not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
                 % (T_STAR_MAX, fmt_float(delta), fmt_float(top[0])))
@@ -582,7 +638,7 @@ def find_feasible_vars(params, config=None):
     if params.delta is None:
         raise CertificateError("delta is required for a feasibility search")
     observability = params.t_star is not None
-    lo, hi, count = _chi_grid(params)
+    bounds = _chi_grid(params)
     margin = config.margin
 
     lmis = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False)]
@@ -624,7 +680,7 @@ def find_feasible_vars(params, config=None):
             best_lams = [None if lam is None else float(lam[best_i])
                          for lam in (lam0, lam1, lam2)]
 
-    grid = np.geomspace(lo, hi, count)
+    grid, _ = _chi_points(params.n, bounds, margin)
     best_w, best_i, best_chi, best_lams = -math.inf, 0, float(grid[0]), None
     scan(grid)
     for _ in range(REFINEMENT_ROUNDS):
@@ -671,7 +727,7 @@ def maximize_regional_radius(params, config=None):
             last = ("t_total below minimal time %s at delta=%s"
                     % (fmt_float(t), fmt_float(delta)))
             continue
-        pt = replace(params, delta=delta, t_star=t)
+        pt = _point(params, delta=delta, t_star=t)
         # cmin is at most the chi grid's top, below k/(1+k^2) <= 1/2 at n = 1
         rr = compute_regional_radius(pt, DecisionVars(chi=cmin))
         if best is None or rr.d0 > best[0]:
@@ -708,11 +764,13 @@ def delta_margin(params, vars, config=None):
     chi = vars.chi
 
     def ok(extra):
-        return _witness(replace(params, delta=params.delta + extra), chi,
+        return _witness(_point(params, delta=params.delta + extra), chi,
                         psi2_entries, "lambda1", config.margin) is not None
 
     if not ok(0.0):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")
+    # every delta tried from here lies in [delta, 2 delta]
+    checked_float("delta", params.delta + params.delta, 0.0)
     if ok(params.delta):
         return params.delta
     return max(_bisect(ok, params.delta, 0.0), 1e-12)

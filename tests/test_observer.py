@@ -480,6 +480,28 @@ class TestPerturbedRecover:
         with pytest.raises(ValueError):
             observer.perturbed_recover(self.trace, self.noise, bare)
 
+    def test_overflowing_sum_rejected(self, monkeypatch):
+        # two finite traces whose sum overflows: rejected as BoundaryTrace
+        # rejects non-finite samples, with no RuntimeWarning, once the clean
+        # run is done; a finite sum reaches recover as y + w itself
+        traces = []
+
+        def recover(measurements, config, truth=None):
+            traces.append(measurements)
+            return observer.RecoveryRun(records=(), recovered=self.truth,
+                                        converged=False, config=config)
+
+        monkeypatch.setattr(observer, "recover", recover)
+        big = pde.BoundaryTrace(np.full(self.config.steps + 1, 1e308), self.grid.dt)
+        with pytest.raises(ValueError, match="^trace samples must be finite$"):
+            observer.perturbed_recover(big, big, self.config)
+        assert len(traces) == 1 and traces[0] is big
+        del traces[:]
+        observer.perturbed_recover(self.trace, self.noise, self.config)
+        assert traces[0] is self.trace and len(traces) == 2
+        assert np.array_equal(traces[1].samples, self.trace.samples + self.noise.samples)
+        assert (traces[1].dt, traces[1].t0) == (self.trace.dt, self.trace.t0)
+
     def test_uncovered_source_rejected(self):
         # the certificate's g1 = 0.2 does not bound the slope 0.5 of the source
         steep = pde.Nonlinearity(lambda z, x, t: 0.5 * z, fz_bound=0.5)

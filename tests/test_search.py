@@ -11,6 +11,7 @@ independent implementation.
 import json
 import math
 import re
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1433,6 +1434,23 @@ def scalar_chi_min_stability(params, config):
                           prev, found)
 
 
+def both_lmis_ruled_out(params, grid, margin):
+    # the closed-form pass before phi0's part was shared: psi2, then phi0,
+    # each where the inputs so far are finite and its span is empty
+    wq = search._wq(params.n)
+    with np.errstate(all="ignore"):
+        out = np.zeros(grid.shape, dtype=bool)
+        finite = True
+        for entries, name, top in ((psi2_entries, "lambda1", True),
+                                   (phi0_entries, "lambda0", False)):
+            _, n0, lo, hi = search._clearing(params, grid, entries, name, margin, top)
+            lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
+            p, r, u, q, v, w = n0
+            finite = finite & np.isfinite(p + r + u + q + v + w + lo + hi)
+            out |= finite & ~search._span(n0, wq, lo, hi, search._products(r, v))[2]
+    return out
+
+
 def _hex_outcome(fn, *args):
     try:
         return fn(*args).hex()
@@ -1472,14 +1490,31 @@ class TestChiMinScan:
         ruled = 0
         for params, config in _scan_problems():
             try:
-                grid = np.geomspace(*search._chi_grid(params))
+                grid, out = search._stability_ruled_out(params, search._chi_grid(params),
+                                                        config.margin)
             except Infeasible:
                 continue
-            out = search._stability_ruled_out(params, grid, config.margin)
             for chi in grid[out]:
                 assert search._stability_feasible(params, float(chi), config) is False
             ruled += int(out.sum())
         assert ruled > 10000
+
+    def test_ruled_out_matches_the_pass_over_both_lmis(self):
+        # psi2's part at each delta with phi0's shared part gives the mask
+        # of one pass over both LMIs, which phi0 enlarges on some problems
+        enlarged = 0
+        for params, config in _scan_problems():
+            try:
+                bounds = search._chi_grid(params)
+            except Infeasible:
+                continue
+            grid, out = search._stability_ruled_out(params, bounds, config.margin)
+            want = both_lmis_ruled_out(params, np.geomspace(*bounds), config.margin)
+            assert np.array_equal(out, want), (params, config)
+            finite, empty = search._ruled_out(params, grid, psi2_entries, "lambda1", True,
+                                              config.margin)
+            enlarged += int(np.sum(want & ~(finite & empty)))
+        assert enlarged > 50
 
     @pytest.mark.parametrize("delta", [1e-4, 0.01, 0.05, 0.2])
     def test_scalar_tests_run_only_where_points_remain(self, delta, monkeypatch):
@@ -1487,8 +1522,8 @@ class TestChiMinScan:
         # points the pass leaves, the feasible ones included (322 to 441
         # scalar tests before the pass, 6 to 125 points left after it)
         params = ProblemParams(n=1, k=1.0, g1=0.1, delta=delta)
-        grid = np.geomspace(*search._chi_grid(params))
-        left = int(np.sum(~search._stability_ruled_out(params, grid, DEFAULT_MARGIN)))
+        _, out = search._stability_ruled_out(params, search._chi_grid(params), DEFAULT_MARGIN)
+        left = int(np.sum(~out))
         calls = []
         real = search._stability_feasible
         monkeypatch.setattr(search, "_stability_feasible",
@@ -1589,6 +1624,111 @@ class TestMaximizeRegionalRadius:
             maximize_regional_radius(ProblemParams(n=2, k=1.0, g1=0.1, d=1.0))
         with pytest.raises(CertificateError, match="d "):
             maximize_regional_radius(ProblemParams(n=1, k=1.0, g1=0.1))
+
+
+# ------------------------------------------------- work shared by a delta loop
+
+
+class TestSharedScanWork:
+    def test_a_regional_search_counts_its_work(self, monkeypatch):
+        # work counters of criterion 3's first search, from a cleared cache:
+        # params checked by ProblemParams (the cache's one and the final
+        # point's), LMI entry evaluations and phi0 ruled-out passes over a
+        # whole chi grid.  Before the grid and phi0's part were shared and
+        # the witnesses shifted: 410 checks, 3,929 evaluations (1,555 of
+        # them at a witness's multiplier) and 30 passes, one per delta
+        counts = {"checks": 0, "entries": 0, "phi0 passes": 0}
+        check = ProblemParams.__post_init__
+
+        def checked(self):
+            counts["checks"] += 1
+            check(self)
+
+        def counted(entries):
+            def evaluate(params, chi, lam):
+                counts["entries"] += 1
+                if entries is phi0_entries and type(chi) is not float:
+                    counts["phi0 passes"] += 1
+                return entries(params, chi, lam)
+            return evaluate
+
+        params = ProblemParams(n=1, k=1.0, g1=0.1, d=1.0)
+        config = SearchConfig(tstar_tol=0.01)
+        monkeypatch.setattr(ProblemParams, "__post_init__", checked)
+        for entries in (psi2_entries, phi0_entries, phi_obs_entries):
+            monkeypatch.setattr(search, entries.__name__, counted(entries))
+        search._chi_points.cache_clear()
+        try:
+            maximize_regional_radius(params, config)
+        finally:
+            search._chi_points.cache_clear()
+        assert counts == {"checks": 2, "entries": 2345, "phi0 passes": 1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_shift_keeps_the_formulas_bits(self, n):
+        # _shifted moves the entries at 0 to lam with the bits of the
+        # formula at lam, -0.0 included: phi_obs at delta = 0 holds -a =
+        # -0.0 and its (3,3) entry -0.0, and lam runs from +0.0 through
+        # the subnormals and the smallest normal to the float maximum
+        rng = np.random.default_rng(300 + n)
+        tiny = sys.float_info.min
+        wq = search._wq(n)
+        zeros = 0
+        for i in range(12):
+            g1 = 0.0 if i % 3 == 0 else float(rng.uniform(0.0, 0.5))
+            delta = 0.0 if i % 4 == 0 else float(10.0 ** rng.uniform(-4.0, 0.0))
+            params = ProblemParams(n=n, k=float(rng.uniform(0.2, 2.0)), g1=g1,
+                                   delta=delta, t_star=float(rng.uniform(0.5, 40.0)))
+            chis = [0.0, float(rng.uniform(0.0, search._chi_cut(params)))]
+            lams = [0.0, 5e-324, tiny / 2.0, math.nextafter(tiny, 0.0), tiny,
+                    math.nextafter(tiny, 1.0), 1e-300, float(rng.uniform(0.0, 2.0)),
+                    1e300, sys.float_info.max]
+            for chi in chis:
+                for entries, top in ((psi2_entries, True), (phi0_entries, False),
+                                     (phi_obs_entries, True)):
+                    a = entries(params, chi, 0.0)
+                    zeros += sum(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in a)
+                    for lam in lams:
+                        got = search._shifted(a, lam if top else -lam, wq)
+                        want = entries(params, chi, lam)
+                        assert [float(x).hex() for x in got] == [
+                            float(x).hex() for x in want], (params, chi, entries, lam)
+        assert zeros >= 6
+
+    def test_the_shared_grid_is_read_only(self, monkeypatch):
+        # the chi_min scan and find_feasible_vars's first scan take the same
+        # read-only grid; a grid of another size is a grid of its own
+        search._chi_points.cache_clear()
+        params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01)
+        bounds = search._chi_grid(params)
+        grid, out = search._chi_points(params.n, bounds, DEFAULT_MARGIN)
+        assert not grid.flags.writeable and not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+        assert _same_bits(grid, np.geomspace(*bounds))
+        assert search._stability_ruled_out(params, bounds, DEFAULT_MARGIN)[0] is grid
+        scans = []
+        real = search._best_multipliers
+        monkeypatch.setattr(search, "_best_multipliers", lambda p, chi, lmis, *rule:
+                            scans.append(chi) or real(p, chi, lmis, *rule))
+        find_feasible_vars(replace(params, t_star=12.2))
+        assert scans[0] is grid
+        monkeypatch.setattr(search, "CHI_COUNT", 40)
+        small = search._stability_ruled_out(params, search._chi_grid(params),
+                                            DEFAULT_MARGIN)[0]
+        assert len(small) == 40 and not small.flags.writeable
+        assert _same_bits(small, np.geomspace(*bounds[:2], 40))
+        assert _hex_outcome(chi_min_stability, params, SearchConfig()) == _hex_outcome(
+            scalar_chi_min_stability, params, SearchConfig())
+
+    def test_an_overflowing_delta_raises_as_replace_does(self, monkeypatch):
+        # delta_margin's points skip ProblemParams's checks; 2 delta past
+        # the float range raises the text ProblemParams gives for it
+        monkeypatch.setattr(search, "_witness", lambda *args: 1.0)
+        p = ProblemParams(n=1, k=1.0, delta=1e308)
+        with pytest.raises(CertificateError, match="^delta must be finite, got inf$"):
+            delta_margin(p, DecisionVars(chi=0.1))
+        assert delta_margin(replace(p, delta=8e307), DecisionVars(chi=0.1)) == 8e307
 
 
 # --------------------------------------------------------------- delta margin
