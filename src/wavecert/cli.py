@@ -11,6 +11,7 @@ negative result), 1 error (bad config, missing file, numeric blow-up).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -391,6 +392,8 @@ def cmd_sweep(args):
 # ----------------------------------------------------------------------- main
 
 
+# one build per process serves every in-process job; patch after cache_clear()
+@functools.cache
 def build_parser():
     parser = _Parser(prog="wavecert",
                      description="LMI certification and observer-based "

@@ -73,10 +73,13 @@ class IterationRecord:
 
     With truth, ratio is E_b_t0 over the one before (the truth's energy at
     m = 1); without, it is the ratio of successive-change energies, None at
-    m = 1."""
+    m = 1.  E_fwd_peak and E_back_peak are the largest energies of the
+    sweep's forward and backward runs."""
 
     m: int
     succ_change: float
+    E_fwd_peak: float
+    E_back_peak: float
     E_b_t0: float = None
     V_b_t0: float = None
     ratio: float = None
@@ -84,6 +87,9 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryRun:
+    """A recovery's records and estimate; stop_reason says why the loop
+    ended: "converged", "diverged" or "out of budget"."""
+
     records: tuple
     recovered: pde.WaveField
     converged: bool
@@ -93,6 +99,7 @@ class RecoveryRun:
     final_error_vs_truth: float = None
     regional_guard_ok: bool = None
     config: RecoveryConfig = None
+    stop_reason: str = None
 
 
 def _sweep(estimate, grids, config, measurements):
@@ -146,20 +153,20 @@ def recover(measurements, config, truth=None):
     prev_diff_energy = None
     baseline = None
     records = []
-    converged = False
-    diverged = False
+    stop = "out of budget"
 
     for m in range(1, config.m_max + 1):
         try:
             forward, curr, e_fwd, e_back = _sweep(prev, grids, config, measurements)
         except pde.DivergenceError:
-            diverged = True
+            stop = "diverged"
             break
-        peak = max(float(np.max(e_fwd)), float(np.max(e_back)))
+        fwd_peak, back_peak = float(np.max(e_fwd)), float(np.max(e_back))
+        peak = max(fwd_peak, back_peak)
         if baseline is None:
             baseline = max(peak, 1e-300)
         elif peak > DIVERGENCE_FACTOR * baseline:
-            diverged = True
+            stop = "diverged"
 
         if guard_bound is not None and guard_ok:
             if max(float(np.max(np.abs(forward.z))),
@@ -185,21 +192,23 @@ def recover(measurements, config, truth=None):
         elif prev_diff_energy is not None and prev_diff_energy > 0.0:
             ratio = diff_energy / prev_diff_energy
 
-        records.append(IterationRecord(m=m, succ_change=succ, E_b_t0=e_b,
+        records.append(IterationRecord(m=m, succ_change=succ, E_fwd_peak=fwd_peak,
+                                       E_back_peak=back_peak, E_b_t0=e_b,
                                        V_b_t0=v_b, ratio=ratio))
         prev = curr
         prev_diff_energy = diff_energy
-        if diverged:
+        if stop == "diverged":
             break
         if succ < config.convergence_threshold:
-            converged = True
+            stop = "converged"
             break
 
     return RecoveryRun(records=tuple(records), recovered=prev,
-                       converged=converged, diverged=diverged,
+                       converged=stop == "converged", diverged=stop == "diverged",
                        E_b_initial=e_b0, V_b_initial=v_b0,
                        final_error_vs_truth=final_error,
-                       regional_guard_ok=guard_ok, config=config)
+                       regional_guard_ok=guard_ok, config=config,
+                       stop_reason=stop)
 
 
 # ------------------------------------------------------------------ reports

@@ -853,6 +853,81 @@ class TestConsoleScript:
         assert json.loads(proc.stdout)["feasible"] is True
 
 
+class TestParserReuse:
+    """cli.main builds its parser on the first call and reuses it."""
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_three_calls_build_one_parser(self, tmp_path, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        progs = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.05}})
+        vars_path = write_json(tmp_path, "v.json", {"chi": 0.2, "lambda1": 0.15})
+        assert self.call(["min-time"], capsys)[0] == 1
+        built = len(progs)
+        assert self.call(["certify", "--config", cfg, "--vars", vars_path],
+                         capsys)[0] == 0
+        assert self.call(["sweep", "--config", cfg], capsys)[0] == 1
+        # the top-level parser and its six subcommand parsers, once
+        assert len(progs) == built == 7 and progs.count("wavecert") == 1
+
+    def test_calls_stay_isolated(self, tmp_path, capsys, monkeypatch):
+        # each call of one process-wide parser gives the exit code, stdout
+        # and stderr of a parser of its own, as in a fresh interpreter
+        monkeypatch.setenv("COLUMNS", "80")
+        worker_counts = []
+        real_sweep = cli.sweep
+
+        def sweep(problems, config, worker_count):
+            worker_counts.append(worker_count)
+            return real_sweep(problems, config, worker_count=worker_count)
+
+        monkeypatch.setattr(cli, "sweep", sweep)
+        problem = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05}
+        cfg = write_json(tmp_path, "c.json", {"problem": problem})
+        vars_path = write_json(tmp_path, "v.json", {"chi": 0.6, "lambda1": 0.1})
+        rows = write_json(tmp_path, "rows.json",
+                          {"problems": [dict(problem, t_star=3.9),
+                                        dict(problem, t_star=4.5)]})
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        steps = [["min-time"],
+                 ["certify", "--config", cfg, "--vars", vars_path],
+                 ["certify", "--config", cfg],
+                 ["sweep", "--config", rows, "--jobs", "2", "--out", a],
+                 ["sweep", "--config", rows, "--out", b],
+                 ["--help"], ["--help"]]
+        cli.build_parser.cache_clear()
+        got = [self.call(argv, capsys) for argv in steps]
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in got] == [1, 2, 0, 0, 0, 0, 0]
+        # certify without --vars searches: it does not reuse the last vars
+        assert json.loads(got[1][1])["vars"] != json.loads(got[2][1])["vars"]
+        assert worker_counts == [2, 1]
+        assert open(a, "rb").read() == open(b, "rb").read()
+        assert got[5] == got[6] and got[5][1].startswith("usage: wavecert")
+        for argv, result in zip(steps, got):
+            cli.build_parser.cache_clear()
+            assert self.call(argv, capsys) == result, argv
+        for i in (0, 2, 5):
+            proc = fresh_cli(steps[i], timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == got[i], steps[i]
+
+
 class TestPinnedOutputBytes:
     """simulate then recover on reduced 1-D and 2-D cases, hashed.
 

@@ -172,7 +172,9 @@ class TestRecover:
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config)
         assert run.converged and len(run.records) == 1
+        assert run.stop_reason == "converged"
         assert run.records[0].succ_change == 0.0
+        assert run.records[0].E_fwd_peak == run.records[0].E_back_peak == 0.0
         assert np.all(run.recovered.z == 0.0)
         assert np.all(run.recovered.zt == 0.0)
 
@@ -261,6 +263,7 @@ class TestConvergenceSplit:
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config, truth=truth)
         assert run.converged and not run.diverged
+        assert run.stop_reason == "converged"
         assert len(run.records) <= 10
         assert run.records[-1].succ_change < 1e-3
         assert run.records[-1].succ_change < 5e-4  # measured 1.6e-4 at m=2
@@ -272,6 +275,7 @@ class TestConvergenceSplit:
                                          grid=grid, nonlinearity=QUADRATIC)
         run = observer.recover(trace, config, truth=truth)
         assert not run.converged and not run.diverged
+        assert run.stop_reason == "out of budget"
         assert len(run.records) == 10
         assert all(r.succ_change >= 1e-3 for r in run.records)
 
@@ -286,7 +290,11 @@ class TestConvergenceSplit:
                                              grid=grid, nonlinearity=nl)
             run = observer.recover(trace, config)
         assert run.diverged and not run.converged
-        assert len(run.records) < 8
+        assert run.stop_reason == "diverged"
+        # the sweep whose peak energy passed the bound keeps its record
+        assert 2 <= len(run.records) < 8
+        assert run.records[-1].E_back_peak > (observer.DIVERGENCE_FACTOR
+                                              * run.records[0].E_fwd_peak)
 
     def test_overflowing_energy_is_divergence(self):
         # a finite trace of 1e160 drives a finite field whose energy overflows
@@ -297,7 +305,27 @@ class TestConvergenceSplit:
         with np.errstate(over="ignore", invalid="ignore"):
             run = observer.recover(trace, config)
         assert run.diverged and not run.converged
+        # the first sweep raised DivergenceError, which leaves no record
+        assert run.stop_reason == "diverged"
         assert run.records == ()
+
+    def test_records_keep_each_sweeps_peak_energies(self, monkeypatch):
+        grid, truth, trace = example_setup(1.2, n_points=101)
+        config = observer.RecoveryConfig(horizon=1.2, m_max=3, grid=grid,
+                                         nonlinearity=QUADRATIC,
+                                         convergence_threshold=1e-15)
+        real_sweep, peaks = observer._sweep, []
+
+        def sweep(*args):
+            result = real_sweep(*args)
+            peaks.append((float(np.max(result[2])), float(np.max(result[3]))))
+            return result
+
+        monkeypatch.setattr(observer, "_sweep", sweep)
+        run = observer.recover(trace, config, truth=truth)
+        assert run.stop_reason == "out of budget" and len(peaks) == 3
+        assert [(r.E_fwd_peak, r.E_back_peak) for r in run.records] == peaks
+        assert all(fwd > 0.0 and back > 0.0 for fwd, back in peaks)
 
 
 class TestContractionReport:
