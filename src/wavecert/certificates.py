@@ -307,36 +307,15 @@ def compute_alpha_beta(params, vars):
     return alpha, beta
 
 
-def _bisect(ok, bad, good, tol=0.0):
-    """The last end at which ok holds, bisecting from bad (ok false) to good.
-
-    ok must be monotone between the two ends, which may come in either
-    order.  Stops after 60 steps, once |good - bad| <= tol, or once no
-    float lies strictly between the ends, so any tol ends the search.
-    """
-    for _ in range(60):
-        if abs(good - bad) <= tol:
-            break
-        mid = 0.5 * (bad + good)
-        if not min(bad, good) < mid < max(bad, good):
-            break
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
     """Smallest reportable input-to-state gain (r, gamma) for boundary perturbations.
 
     Requires psi1 < 0 strictly and psi2 negative definite with the margin.
     gamma is the Schur-complement infimum of the 2x2 perturbation block plus
-    the margin, which grows with r; so r is the smallest r in (1e-6, 1e6]
-    at which the rank-one perturbation chi (n-1) / (2 r) of psi2's (1,1)
-    entry keeps its largest eigenvalue at or below -margin, bisected in
-    log10 r.  For n = 1 every r-term vanishes and the closed form is
-    returned (r is reported as 0).
+    the margin, which grows with r; so r is the smallest r at which the
+    rank-one perturbation chi (n-1) / (2 r) of psi2's (1,1) entry keeps its
+    largest eigenvalue at or below -margin, in closed form raised until the
+    eigenvalue check passes.  For n = 1 every r-term vanishes (r is 0).
     """
     margin = checked_float("margin", margin, 0.0)
     _require(vars, "lambda1")
@@ -352,16 +331,23 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
         gamma = chi * k * k + b * b / (-psi1) + margin
         return 0.0, gamma
 
-    def absorbed(u):
-        ent = list(psi2)
-        ent[0] += chi * (n - 1) / (2.0 * 10.0 ** u)
-        return eigenvalues(ent)[-1] <= -margin
-
-    # r = 1e-6 never absorbs: psi2's (1,1) entry is at least -chi, and the
-    # perturbation there is chi (n-1) / 2e-6, which leaves that entry positive
-    if not absorbed(6.0):
-        raise CertificateError("no r <= 1e6 absorbs the perturbation of psi2")
-    r = 10.0 ** _bisect(absorbed, -6.0, 6.0)
+    # adding c to psi2's (1,1) entry keeps it absorbed while c <= det A over
+    # the minor d f - v^2: A = -margin I - psi2 has off-diagonals -q, -s, -v
+    p, q, s, u, v, w = psi2
+    a, d, f = -margin - p, -margin - u, -margin - w
+    minor = d * f - v * v
+    det = a * minor - q * (q * f + v * s) - s * (q * v + d * s)
+    # when psi2 passed the check by no more than rounding, det A over the
+    # minor can round to or below psi2's rounding level: start r there
+    floor = 2.0 ** -52 * max(map(abs, psi2))
+    if not (minor > 0.0 and det > floor * minor):
+        minor, det = 1.0, floor
+    r = chi * (n - 1) / 2.0 * minor / det
+    # r lies on the boundary, where the Jacobi check can fail it by rounding;
+    # psi2 alone passed the check, and the added term shrinks as r grows
+    step = 2.0 ** -52
+    while eigenvalues((p + chi * (n - 1) / (2.0 * r),) + psi2[1:])[-1] > -margin:
+        r, step = r * (1.0 + step), 2.0 * step
     gamma = chi * k * k * n + chi * (n - 1) * r / 2.0 + b * b / (-psi1) + margin
     return r, gamma
 

@@ -92,14 +92,14 @@ class RecoveryRun:
 
     records: tuple
     recovered: pde.WaveField
-    converged: bool
-    diverged: bool = False
+    stop_reason: str
     E_b_initial: float = None
     V_b_initial: float = None
     final_error_vs_truth: float = None
     regional_guard_ok: bool = None
     config: RecoveryConfig = None
-    stop_reason: str = None
+    converged = property(lambda self: self.stop_reason == "converged")
+    diverged = property(lambda self: self.stop_reason == "diverged")
 
 
 def _sweep(estimate, grids, config, measurements):
@@ -203,12 +203,10 @@ def recover(measurements, config, truth=None):
             stop = "converged"
             break
 
-    return RecoveryRun(records=tuple(records), recovered=prev,
-                       converged=stop == "converged", diverged=stop == "diverged",
+    return RecoveryRun(records=tuple(records), recovered=prev, stop_reason=stop,
                        E_b_initial=e_b0, V_b_initial=v_b0,
                        final_error_vs_truth=final_error,
-                       regional_guard_ok=guard_ok, config=config,
-                       stop_reason=stop)
+                       regional_guard_ok=guard_ok, config=config)
 
 
 # ------------------------------------------------------------------ reports

@@ -5,9 +5,9 @@ lambda enters exactly one matrix affinely, so the lambdas that clear a
 threshold form one interval, read off in closed form (_span).  Yes/no
 questions answer with a witness multiplier from it (_witness).  Every
 monotone search (chi_min, the minimal observation time, delta_margin)
-bisects such questions with certificates._bisect; the chi_min scan before
-its bisection decides its "no" answers in closed form over the whole grid
-at once and confirms each "yes" with the scalar witness.  Values come from
+bisects such questions with _bisect; the chi_min scan before its
+bisection decides its "no" answers in closed form over the whole grid at
+once and confirms each "yes" with the scalar witness.  Values come from
 the same interval: the best margin of a multiplier is the threshold at
 which the interval stops being empty, bisected for every LMI of a chi
 scan and the whole grid at once, in one loop (_best_multipliers, for the
@@ -41,7 +41,6 @@ from .certificates import (
     CertificateError,
     DecisionVars,
     ProblemParams,
-    _bisect,
     _wq,
     check_observability,
     check_stability,
@@ -71,9 +70,6 @@ REFINEMENT_COUNT = 40
 # longer win; dropping at every step would cost as much as the steps save
 PRUNE_STEPS = (6, 12, 24)
 DELTA_GRID = (1e-4, 0.5, 30)
-# concurrent.futures' pool, imported by the first sweep that runs workers:
-# importing it is a sizeable part of the CLI's start-up
-ProcessPoolExecutor = None
 
 CSV_HEADER = "n,k,g1,delta,t_star,chi,lambda0,lambda1,lambda2,alpha,beta,d0,feasible"
 
@@ -124,6 +120,26 @@ class SearchConfig:
     def from_dict(cls, dct):
         reject_unknown_keys("search", dct, (f.name for f in fields(cls)))
         return cls(**dct)
+
+
+def _bisect(ok, bad, good, tol=0.0):
+    """The last end at which ok holds, bisecting from bad (ok false) to good.
+
+    ok must be monotone between the two ends, which may come in either
+    order.  Stops after 60 steps, once |good - bad| <= tol, or once no
+    float lies strictly between the ends, so any tol ends the search.
+    """
+    for _ in range(60):
+        if abs(good - bad) <= tol:
+            break
+        mid = 0.5 * (bad + good)
+        if not min(bad, good) < mid < max(bad, good):
+            break
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def _point(params, **changes):
@@ -857,7 +873,6 @@ def sweep(problems, config=None, worker_count=1):
     count or the CPU count, because under the fork start method the
     executor starts all its workers up front.
     """
-    global ProcessPoolExecutor
     worker_count = checked_int("worker_count", worker_count, 1)
     problems = list(problems)
     if not problems:
@@ -868,8 +883,8 @@ def sweep(problems, config=None, worker_count=1):
     if workers <= 1:
         rows = [_sweep_one(item) for item in items]
     else:
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
+        # only a pool needs concurrent.futures, a sizeable part of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, items))
     return SweepResult(tuple(rows))

@@ -633,15 +633,47 @@ class TestIssGain:
         with pytest.raises(CertificateError, match="psi2"):
             compute_iss_gain(p, DecisionVars(chi=0.2, lambda1=10.0))
 
-    def test_no_r_absorbs_a_barely_definite_psi2(self):
-        # psi2 = diag(-1e-8, -chi, -lambda1): definite past the margin 1e-9,
-        # but r = 1e6 still adds chi / 2e6 = 5e-8 to its (1,1) entry
+    def test_a_barely_definite_psi2_gets_its_r(self):
+        # psi2 = diag(-1e-8, -chi, -lambda1), definite past the margin 1e-9:
+        # the smallest r adds chi / 2r = 1e-8 - 1e-9 to its (1,1) entry
         chi = 0.1
         p = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.0)
         v = DecisionVars(chi=chi, lambda1=(chi - 1e-8) * PI2 * 2 / 4.0)
         assert -1.1e-8 < smallmat.eigenvalues(build_psi2(p, v))[-1] < -0.9e-8
-        with pytest.raises(CertificateError, match="no r <= 1e6 absorbs"):
-            compute_iss_gain(p, v)
+        r, gamma = compute_iss_gain(p, v)
+        assert r == pytest.approx(chi / (2.0 * 9e-9), rel=1e-7)
+        assert absorbs_perturbation(p, v, r)
+        assert not absorbs_perturbation(p, v, r * (1.0 - 1e-9))
+
+    @pytest.mark.parametrize("k,g1,chi,lam1,delta", [
+        # det A rounds to 0
+        (1.6167744947986418, 0.019161625902013524, 0.20672470332089588,
+         0.19838155884640457, 0.09933442459939082),
+        # det A rounds below 0
+        (0.6223606177241319, 0.08495664980662655, 0.2481152420849541,
+         0.26287767567652115, 0.11063170565011424),
+    ])
+    def test_psi2_at_the_rounding_edge_gets_a_finite_r(self, k, g1, chi, lam1, delta):
+        # delta is the largest float at which psi2 passes the check with the
+        # margin 1e-13, so the closed form's det A has no reliable sign
+        p = ProblemParams(n=2, k=k, g1=g1, delta=delta)
+        v = DecisionVars(chi=chi, lambda1=lam1)
+        r, gamma = compute_iss_gain(p, v, margin=1e-13)
+        assert 0.0 < r < math.inf and math.isfinite(gamma)
+        assert absorbs_perturbation(p, v, r, margin=1e-13)
+
+    @pytest.mark.parametrize("n,k,g1,delta", [
+        (2, 1.0, 0.1, 0.01), (3, 0.5, 0.0, 0.02), (4, 1.0, 0.1, None)])
+    def test_min_time_certificate_gets_the_bisected_r(self, n, k, g1, delta):
+        # a min-time certificate puts psi2 near its boundary, where the
+        # random points of test_r_is_the_smallest_that_absorbs seldom go
+        _, _, c = search.minimal_observability_time(
+            ProblemParams(n=n, k=k, g1=g1, delta=delta))
+        assert -1e-5 < smallmat.eigenvalues(build_psi2(c.params, c.vars))[-1] < -1e-6
+        r, gamma = compute_iss_gain(c.params, c.vars)
+        assert absorbs_perturbation(c.params, c.vars, r)
+        assert not absorbs_perturbation(c.params, c.vars, r * (1.0 - 1e-9))
+        assert r == pytest.approx(bisected_r(c.params, c.vars), rel=1e-11, abs=0.0)
 
     def test_pinned_point_gets_the_smallest_r(self):
         # a golden section on a penalised gamma, then a doubling walk,
@@ -671,8 +703,8 @@ class TestIssGain:
                 continue
             seen += 1
             assert absorbs_perturbation(p, v, r)
-            if r != 1e-6:
-                assert not absorbs_perturbation(p, v, r * (1.0 - 1e-9))
+            assert not absorbs_perturbation(p, v, r * (1.0 - 1e-9))
+            assert r == pytest.approx(bisected_r(p, v), rel=1e-11, abs=0.0)
             b = chi * (0.5 + k * k * n)
             assert gamma == (chi * k * k * n + chi * (n - 1) * r / 2.0
                              + b * b / -psi1_np(n, k, chi) + 1e-9)
@@ -686,32 +718,15 @@ def absorbs_perturbation(params, vars, r, margin=1e-9):
     return smallmat.eigenvalues(ent)[-1] <= -margin
 
 
-class TestBisect:
-    def test_ends_at_the_float_spacing_in_either_order(self):
-        x0 = 1.0 / 3.0
-        for bad, good, ok in ((0.0, 1.0, lambda x: x >= x0), (1.0, 0.0, lambda x: x <= x0)):
-            got = cert._bisect(ok, bad, good)
-            assert ok(got) and not ok(math.nextafter(got, bad))
+def bisected_r(params, vars, margin=1e-9):
+    """The r that compute_iss_gain bisected for before its closed form: the
+    smallest absorbing r in (1e-6, 1e6], bisected in log10 r to the float
+    spacing; kept as the oracle of the closed form."""
+    def absorbed(u):
+        return absorbs_perturbation(params, vars, 10.0 ** u, margin)
 
-    def test_tolerance_and_step_cap_end_the_search(self):
-        calls = []
-
-        def ok(x):
-            calls.append(x)
-            return x >= 2.0
-
-        # 200 / 2^18 is the first width <= 1e-3
-        got = cert._bisect(ok, 0.0, 200.0, 1e-3)
-        assert len(calls) == 18 and 2.0 <= got <= 2.0 + 1e-3
-        # a tolerance below the float spacing still ends there
-        calls.clear()
-        got = cert._bisect(ok, 0.0, 200.0, 1e-300)
-        assert len(calls) < 60
-        assert ok(got) and not ok(math.nextafter(got, 0.0))
-        # the ends 1e300 apart would need about 2,000 steps to meet
-        calls.clear()
-        cert._bisect(lambda x: calls.append(x) or x >= 1e-300, 0.0, 1e300)
-        assert len(calls) == 60
+    assert absorbed(6.0)
+    return 10.0 ** search._bisect(absorbed, -6.0, 6.0)
 
 
 # -------------------------------------------------------------------- regional

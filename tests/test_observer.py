@@ -327,6 +327,16 @@ class TestConvergenceSplit:
         assert [(r.E_fwd_peak, r.E_back_peak) for r in run.records] == peaks
         assert all(fwd > 0.0 and back > 0.0 for fwd, back in peaks)
 
+    @pytest.mark.parametrize("reason", ["converged", "diverged", "out of budget"])
+    def test_outcome_flags_are_read_from_the_stop_reason(self, reason):
+        run = observer.RecoveryRun(records=(), recovered=None, stop_reason=reason)
+        assert run.converged is (reason == "converged")
+        assert run.diverged is (reason == "diverged")
+        with pytest.raises(AttributeError):
+            run.converged = True
+        with pytest.raises(TypeError, match="stop_reason"):
+            observer.RecoveryRun(records=(), recovered=None)
+
 
 class TestContractionReport:
     def test_certified_pipeline(self):
@@ -517,7 +527,7 @@ class TestPerturbedRecover:
         def recover(measurements, config, truth=None):
             traces.append(measurements)
             return observer.RecoveryRun(records=(), recovered=self.truth,
-                                        converged=False, config=config)
+                                        stop_reason="out of budget", config=config)
 
         monkeypatch.setattr(observer, "recover", recover)
         big = pde.BoundaryTrace(np.full(self.config.steps + 1, 1e308), self.grid.dt)
@@ -752,7 +762,7 @@ class TestNoiseIntegralMemory:
 
         def recover(measurements, config, truth=None):
             return observer.RecoveryRun(records=(), recovered=pde.WaveField(zeros, zeros),
-                                        converged=False, config=config)
+                                        stop_reason="out of budget", config=config)
 
         monkeypatch.setattr(observer, "recover", recover)
         tracemalloc.start()

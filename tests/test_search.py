@@ -8,6 +8,7 @@ replaced, and against hand-frozen reference values computed offline with an
 independent implementation.
 """
 
+import concurrent.futures
 import json
 import math
 import re
@@ -220,6 +221,37 @@ class TestSearchConfig:
         with pytest.raises(CertificateError,
                            match=r"^unknown search keys: refinement_rounds$"):
             SearchConfig.from_dict({"refinement_rounds": 1e308, "tstar_tol": 0.1})
+
+
+# ------------------------------------------------------------------ bisection
+
+
+class TestBisect:
+    def test_ends_at_the_float_spacing_in_either_order(self):
+        x0 = 1.0 / 3.0
+        for bad, good, ok in ((0.0, 1.0, lambda x: x >= x0), (1.0, 0.0, lambda x: x <= x0)):
+            got = search._bisect(ok, bad, good)
+            assert ok(got) and not ok(math.nextafter(got, bad))
+
+    def test_tolerance_and_step_cap_end_the_search(self):
+        calls = []
+
+        def ok(x):
+            calls.append(x)
+            return x >= 2.0
+
+        # 200 / 2^18 is the first width <= 1e-3
+        got = search._bisect(ok, 0.0, 200.0, 1e-3)
+        assert len(calls) == 18 and 2.0 <= got <= 2.0 + 1e-3
+        # a tolerance below the float spacing still ends there
+        calls.clear()
+        got = search._bisect(ok, 0.0, 200.0, 1e-300)
+        assert len(calls) < 60
+        assert ok(got) and not ok(math.nextafter(got, 0.0))
+        # the ends 1e300 apart would need about 2,000 steps to meet
+        calls.clear()
+        search._bisect(lambda x: calls.append(x) or x >= 1e-300, 0.0, 1e300)
+        assert len(calls) == 60
 
 
 # ----------------------------------------------------------- stability search
@@ -1838,7 +1870,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         # delta above the psi1 cut k/(1+k^2) = 1/2: each row fails fast
         problems = [ProblemParams(n=1, k=1.0, delta=0.6)] * rows
