@@ -333,7 +333,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     # the noise on the full grid, zero off the measured nodes, a block of
     # levels at a time: each level's face integral stands alone
     plan = config.grid._plan
-    block = max(1, pde._ENERGY_BLOCK_NODES // plan.flux_mult.size)
+    block = pde._block_states(plan.flux_mult.size)
     w = np.zeros((block,) + plan.shape)
     per_level = []
     for rows in np.split(noise.samples, range(block, noise.samples.shape[0], block)):

@@ -29,19 +29,17 @@ multiplicity equal to the number of measured faces through it (two at the
 corner (1,1) in 2-D), and the grid's plan fixes the measured nodes and
 their lexicographic order.
 
-run steps in a workspace of its own, allocated once per run: two energy
-blocks of state slots; the accelerations, 2 z, the injection buffer and the
-smoothing buffers; and every view the stencils take of them.  Each step
-writes the next state into the next slot, the energies of a block come from
-its slots in place, and the trace fills one (steps + 1, nodes) array.  run
-returns a Run record of the same four fields whether or not chi is set;
-only lyapunovs is None without it.  Every array in it is the caller's and
-nothing writes into it later: one WaveField call builds the start field
-from the initial one and the final field from its slot, with z_t negated
-in backward mode, and the trace and the series are arrays no other run
-shares.  A direct step call steps a throwaway workspace of two slots and
-returns a WaveField of its new state.  The arrays passed to a nonlinearity
-f are workspace slots that later steps overwrite, so f must not keep them.
+A step reads the state in one slot of a two-slot workspace and writes the
+next into the other.  run allocates its workspace, a staging block and the
+energy kernel's buffers once, copies each state into the block and takes a
+block's energies in one kernel pass whose grid-sized intermediates all live
+in those buffers: freed ones let glibc trim the heap top, which the next
+state faulted back in.  run returns a Run of the same four fields whether
+or not chi is set (lyapunovs is None without it), whose arrays are the
+caller's: new start and final fields, z_t negated in backward mode, and
+one (steps + 1, nodes) trace array.  A direct step returns a WaveField of a
+throwaway workspace's new state.  f must not keep the arrays passed to it:
+they are workspace slots that later steps overwrite.
 """
 
 import math
@@ -62,8 +60,9 @@ MAX_STEPS = 10 ** 6  # time steps of one run, which keeps a trace row per step
 # benchmark make (about 2e6); the measured boundary is a fraction of the
 # nodes, so this also bounds the trace, to about 2.3e7 floats (2-D, N=16)
 MAX_NODE_STEPS = 2 * 10 ** 8
-# states whose energies run takes in one kernel pass: about 40 at 1-D N=201,
-# one at 2-D N=81, where a batch of many runs out of cache and is slower
+# nodes of the states staged per energy-kernel pass, and at least two: 40
+# states at 1-D N=201, 2 at 2-D N=81; with its intermediates in buffers
+# rather than freed temporaries, a pass costs less per state the more it takes
 _ENERGY_BLOCK_NODES = 2 ** 13
 
 MODES = ("plant", "observer-forward", "observer-backward")
@@ -475,16 +474,14 @@ class _Slot:
 class _Workspace:
     """Every array the steps of one run write, with the views they take.
 
-    slots holds the states, (z, z_t) per slot, each slot C-contiguous: two
-    energy blocks of them in a run, two for a direct step call.  A step
-    reads the state in one slot and writes the next state into the next
-    slot, round robin, so a block's states lie in consecutive slots; head
-    is the slot of the newest state.  acc holds the accelerations a0 and
-    a1 and, once the velocity is updated, the smoothing's output; aux is
-    the smoothing's 6 f buffer, and in 2-D its first half holds 2 z during
-    an acceleration; fours holds the smoothing's 4 f.  inject, in observer
-    modes, is zero off the measured nodes, where each step writes its
-    boundary values.  The views of a slot are built on its first use.
+    slots holds two states, (z, z_t) each C-contiguous, and views the views
+    a step takes of each; the field starts in slot 0, the head, and a step
+    writes the next state into the other slot, which becomes the head.  acc
+    holds the accelerations a0 and a1 and, once the velocity is updated,
+    the smoothing's output; aux is the smoothing's 6 f buffer, and in 2-D
+    its first half holds 2 z during an acceleration; fours holds the
+    smoothing's 4 f.  inject, in observer modes, is zero off the measured
+    nodes, where each step writes its boundary values.
 
     A target is what an acceleration writes: a, the 2 z buffer (a itself
     in 1-D) and its flat run but its ends, per axis the runs of 2 z and of
@@ -497,18 +494,19 @@ class _Workspace:
     workspace, make no reference cycle.
     """
 
-    __slots__ = ("grid", "nonlinearity", "slots", "head", "_slots", "targets",
+    __slots__ = ("grid", "nonlinearity", "slots", "views", "head", "targets",
                  "acc", "smoothing", "inject", "finite")
 
-    def __init__(self, grid, nonlinearity, count):
+    def __init__(self, grid, nonlinearity, field):
         plan = grid._plan
         shape = plan.shape
         last = grid.dim - 1
         self.grid = grid
         self.nonlinearity = nonlinearity
-        self.slots = np.empty((count, 2) + shape)
+        self.slots = np.empty((2, 2) + shape)
+        self.slots[0, 0], self.slots[0, 1] = field.z, field.zt
+        self.views = [_Slot(w) for w in self.slots]
         self.head = 0
-        self._slots = [None] * count
         self.acc = np.empty((2,) + shape)
         aux = np.empty((2,) + shape)
         like = self.slots[0, 0]  # the layout of every field the steps read
@@ -532,18 +530,6 @@ class _Workspace:
         self.inject = None if grid.mode == "plant" else np.zeros(shape)
         self.finite = np.empty((2,) + shape, dtype=bool)
 
-    def slot(self, i):
-        views = self._slots[i]
-        if views is None:
-            views = self._slots[i] = _Slot(self.slots[i])
-        return views
-
-    def load(self, field):
-        """Copy a field into slot 0, the head."""
-        self.slots[0, 0] = field.z
-        self.slots[0, 1] = field.zt
-        self.head = 0
-
     def advance(self, t, boundary_input):
         """One explicit step from the head slot into the next; returns t_new.
 
@@ -556,9 +542,7 @@ class _Workspace:
         """
         grid, nl = self.grid, self.nonlinearity
         plan = grid._plan
-        src = self.head
-        dst = src + 1 if src + 1 < len(self._slots) else 0
-        old, new = self.slot(src), self.slot(dst)
+        old, new = self.views[self.head], self.views[1 - self.head]
         z, v = old.z, old.v
         a0, a1 = self.targets[0][0], self.targets[1][0]
         inject = self.inject
@@ -599,7 +583,7 @@ class _Workspace:
 
         if not np.isfinite(new.w, out=self.finite).all():
             raise DivergenceError(t_new)
-        self.head = dst
+        self.head = 1 - self.head
         return t_new
 
 
@@ -611,7 +595,7 @@ class _RunField(WaveField):
     __slots__ = ("ws", "slot")
 
     def __init__(self, ws, slot, t):
-        views = ws.slot(slot)
+        views = ws.views[slot]
         self.z, self.zt, self.t = views.z, views.v, t
         self.ws, self.slot = ws, slot
 
@@ -619,12 +603,12 @@ class _RunField(WaveField):
 def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
     """One explicit step; boundary_input = (y_now, y_next) in observer modes.
 
-    A direct call copies the field into a workspace of two slots, steps
-    into the second and returns a WaveField of it, whose arrays are fresh
-    copies that share no memory with the field or the workspace.  A field
-    that run passes along steps in place, into its workspace's next slot,
-    unchecked: run checked its trace once and passes a boundary input
-    exactly when its grid injects.
+    A direct call copies the field into a workspace, steps into its other
+    slot and returns a WaveField of it, whose arrays are fresh copies that
+    share no memory with the field or the workspace.  A field that run
+    passes along steps in place, into its workspace's other slot, unchecked:
+    run checked its trace once and passes a boundary input exactly when its
+    grid injects.
     """
     ws = field.ws if type(field) is _RunField else None
     if (ws is not None and ws.grid is grid and ws.nonlinearity is nonlinearity
@@ -643,11 +627,9 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
                 raise ValueError("boundary input carries %d values, the grid has %d"
                                  % (np.size(y), plan.nodes))
     _check_shape(field, grid)
-    ws = _Workspace(grid, nonlinearity, 2)
-    ws.load(field)
+    ws = _Workspace(grid, nonlinearity, field)
     t_new = ws.advance(field.t, boundary_input)
-    new = ws.slot(ws.head)
-    return WaveField(new.z, new.v, t_new)
+    return WaveField(*ws.slots[ws.head], t_new)
 
 
 class Run(NamedTuple):
@@ -659,6 +641,10 @@ class Run(NamedTuple):
     trace: BoundaryTrace
     energies: np.ndarray
     lyapunovs: np.ndarray | None
+
+
+def _block_states(nodes):
+    return max(2, _ENERGY_BLOCK_NODES // nodes)
 
 
 def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
@@ -675,9 +661,9 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     With chi set, lyapunovs records the Lyapunov value each step; the
     record has the same fields either way.
 
-    The steps run in a workspace of this run's own, which the returned
-    arrays do not share: final is a new field of the last state, and trace
-    holds the (steps + 1, nodes) array the run filled.
+    The returned arrays share no memory with the run's workspace: final is
+    a new field of the last state, and trace holds the (steps + 1, nodes)
+    array the run filled.
     """
     steps = whole_steps(horizon, grid.dt)
     _check_work(grid, steps)
@@ -708,32 +694,28 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         # last state, which reads the last row the block needs
         samples = np.negative(samples[::-1], out=trace)
 
-    block = max(1, _ENERGY_BLOCK_NODES // start.z.size)
-    ws = _Workspace(grid, nonlinearity, 2 * block)
-    ws.load(start)
+    ws = _Workspace(grid, nonlinearity, start)
     state = _RunField(ws, 0, start.t)
+    # the staged z and z_t and the kernel's buffers (without chi, sq is g0)
+    shape = (_block_states(start.z.size),) + plan.shape
+    zs, vs = staged = np.empty((2,) + shape)
+    grads = np.empty((grid.dim,) + shape)
+    sq, tmp = np.empty((2,) + shape) if chi is not None else (grads[0], np.empty(shape))
     energies = np.empty(steps + 1)
     lyaps = None if chi is None else np.empty(steps + 1)
-    times = [start.t]  # of the states not yet recorded
+    zs[0], vs[0], times = start.z, start.zt, [start.t]  # times of the staged states
     first = 0  # the index of the first of them
 
     def record():
-        # the energies and trace rows of the pending states, which lie in
-        # consecutive slots, in one kernel pass; each state's energy is
-        # checked in time order, before the Lyapunov value of its own state
+        # the staged states' energies and trace rows in one kernel pass; each
+        # energy is checked in time order, before its state's Lyapunov value
         nonlocal first
         count, pending = len(times), times[:]
         del times[:]
-        lo = first % len(ws.slots)
-        states = ws.slots[lo:lo + count]
-        # a block of one goes without the leading axis: in 2-D its kernel
-        # pass is faster so
-        z, v = states[0] if count == 1 else (states[:, 0], states[:, 1])
-        grads = _gradient(z, grid.dx, grid.dim)
-        values = _energy(grads, v, grid.dx)
-        lyap = None if lyaps is None else _lyapunov(z, v, grads, values, grid,
-                                                    chi).reshape(-1)
-        values = values.reshape(-1)
+        z, v, out = zs[:count], vs[:count], (sq[:count], tmp[:count])
+        g = _gradient(z, grid.dx, grid.dim, grads[:, :count])
+        values = _energy(g, v, grid.dx, *out)
+        lyap = None if lyaps is None else _lyapunov(z, v, g, values, grid, chi, *out)
         if not (np.isfinite(values).all()
                 and (lyap is None or np.isfinite(lyap).all())):
             for i, t in enumerate(pending):
@@ -744,7 +726,7 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         energies[rows] = values
         if lyap is not None:
             lyaps[rows] = lyap
-        np.take(states[:, 1].reshape(count, -1), plan.flat_measured, axis=1,
+        np.take(v.reshape(count, -1), plan.flat_measured, axis=1,
                 out=trace[rows], mode="clip")
         first += count
 
@@ -756,8 +738,9 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
             for i in range(steps):
                 binput = (samples[i], samples[i + 1]) if injecting else None
                 state = step(state, grid, nonlinearity, binput)
-                if len(times) == block:
+                if len(times) == len(zs):
                     record()
+                staged[:, len(times)] = ws.slots[ws.head]
                 times.append(state.t)
         finally:
             # also when a step raised: an energy that overflowed before it
@@ -777,7 +760,7 @@ def _finite(value, name, t):
 # ----------------------------------------------------------------- functionals
 
 
-def _gradient(z, dx, dim):
+def _gradient(z, dx, dim, out=None):
     """Derivatives along the last dim axes, the grid axes (any axes before
     them index states), as np.gradient(z, dx) computes them.
 
@@ -785,11 +768,13 @@ def _gradient(z, dx, dim):
     differences (z[2:] - z[:-2]) / (2. * dx) inside, one-sided differences
     over dx at both ends, so the values are bit-identical, without
     np.gradient's argument handling.  The one-sided ends are written after
-    the central differences, over a flat pass's straddle entries.
+    the central differences, over a flat pass's straddle entries.  Buffers
+    (out here, sq and tmp below) are C-contiguous of z's shape, or else new
+    arrays of z's layout, which the cell sums' bits follow.
     """
     grads = []
     for axis in range(z.ndim - dim, z.ndim):
-        grad = np.empty_like(z)  # z's layout, which the cell sums' bits follow
+        grad = np.empty_like(z) if out is None else out[len(grads)]
         f, g = _runs(axis, z, grad)
         inner = g[1:-1]
         np.subtract(f[2:], f[:-2], out=inner)
@@ -801,24 +786,34 @@ def _gradient(z, dx, dim):
     return grads
 
 
-def _integrate_cells(values, dx, lead=0):
+def _integrate_cells(values, dx, lead=0, tmp=None):
     """Trapezoid rule over every axis after the lead leading ones, the last
     axis first.
 
     Each pass is numpy's own np.trapezoid(values, dx=dx, axis=-1)
     operation for a scalar spacing, so the bits are the same without its
-    argument handling.
+    argument handling.  The first pass's cells fill tmp, of values' shape.
+    A pass adds over the flat array of a C-contiguous one, whose straddle
+    entries its sums leave out: numpy buffers an operand strided by rows.
     """
     for _ in range(values.ndim - lead):
-        values = (dx * (values[..., 1:] + values[..., :-1]) / 2.0).sum(-1)
+        cells = np.empty_like(values) if tmp is None else tmp
+        f, c = _runs(values.ndim - 1, values, cells)
+        c = np.add(f[1:], f[:-1], out=c[:-1])
+        c *= dx
+        c /= 2.0
+        values, tmp = cells[..., :-1].sum(-1), None
     return values
 
 
-def _energy(grads, zt, dx):
+def _energy(grads, zt, dx, sq=None, tmp=None):
     """The energy from the gradient, so lyapunov differentiates once; with
-    leading axes on zt and the gradients, one energy per state."""
-    grad_sq = sum((g * g for g in grads[1:]), grads[0] * grads[0])
-    return 0.5 * _integrate_cells(grad_sq + zt * zt, dx, zt.ndim - len(grads))
+    leading axes on zt and the gradients, one energy per state.  sq may be
+    the first gradient, which it squares in place."""
+    sq = np.multiply(grads[0], grads[0], out=sq)
+    for u in grads[1:] + [zt]:
+        sq += np.multiply(u, u, out=tmp)
+    return 0.5 * _integrate_cells(sq, dx, zt.ndim - len(grads), tmp)
 
 
 def energy(field, grid):
@@ -845,15 +840,20 @@ def lyapunov(field, grid, chi):
                      grid, chi)
 
 
-def _lyapunov(z, v, grads, e, grid, chi):
+def _lyapunov(z, v, grads, e, grid, chi, sq=None, tmp=None):
     """lyapunov from the gradient and energy of the state; with leading axes
     on z, v, the gradients and e, one value per state."""
     dx, n = grid.dx, grid.dim
     lead = z.ndim - n
-    # x_i * d_i z, with the axis broadcast along dimension i
-    terms = [grid.axis().reshape((-1,) + (1,) * (n - 1 - i)) * g
-             for i, g in enumerate(grads)]
-    cross = _integrate_cells((2.0 * sum(terms[1:], terms[0]) + (n - 1) * z) * v, dx, lead)
+    # the sum of x_i * d_i z; 2-D takes whole coordinate arrays, not buffered
+    x = grid.coords() if n > 1 else [grid.axis()]
+    sq = np.multiply(x[0], grads[0], out=sq)
+    for x_i, g in zip(x[1:], grads[1:]):
+        sq += np.multiply(x_i, g, out=tmp)
+    sq *= 2.0
+    sq += np.multiply(n - 1, z, out=tmp)
+    sq *= v
+    cross = _integrate_cells(sq, dx, lead, tmp)
     # the face x_i = 1: index -1 along grid axis i
     face = sum(_integrate_cells(z[(..., -1) + (slice(None),) * (n - 1 - axis)] ** 2, dx, lead)
                for axis in range(n))

@@ -1348,7 +1348,7 @@ class TestBitIdentity:
     def test_run_energies_match_per_state_energy(self, dim, n, horizon):
         # run takes the energies, and with chi the Lyapunov values from the
         # same gradients, a block of states at a time (199 states at 1-D
-        # N=41, 40 at N=201, 18 at 2-D N=21, one at N=81); the step counts
+        # N=41, 40 at N=201, 18 at 2-D N=21, two at N=81); the step counts
         # leave a partial block at the end
         rng = np.random.default_rng([13, dim, n])
         grid = pde.make_grid(dim, n, horizon, "observer-forward", 1.0)
@@ -1734,16 +1734,18 @@ class TestOverflowWarnsNothing:
 
 # ------------------------------------------------ run's workspace, bit for bit
 #
-# run steps in a workspace of its own: each step writes the next state into
-# the next slot, the energies are taken from the slots in place and the
-# trace fills one preallocated array.  fresh_array_run is run's loop as it
-# read before that: a direct step per time step, which returns fresh
-# arrays, each energy block stacked into a new array and the trace a list
-# of rows.  Both must give the same bits, and the same error.
+# run steps in a two-slot workspace of its own, copies each state into a
+# staging block, takes a block's energies in one kernel pass whose
+# intermediates live in buffers it allocates once, and fills one
+# preallocated trace array.  fresh_array_run is run's loop as it read
+# before that: a direct step per time step, which returns fresh arrays,
+# each block of the given number of states stacked into a new array, its
+# kernel pass on fresh temporaries, and the trace a list of rows.  Both
+# must give the same bits, and the same error.
 
 
 def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=None,
-                    chi=None):
+                    chi=None, *, block):
     steps = pde.whole_steps(horizon, grid.dt)
     injecting = grid.mode != "plant"
     backward = grid.mode == "observer-backward"
@@ -1755,7 +1757,6 @@ def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=No
         state = pde.WaveField(initial.z, initial.zt, initial.t)
     out_rows = [state.zt[grid._plan.measured]]
     energies, lyap = [], None if chi is None else []
-    block = max(1, pde._ENERGY_BLOCK_NODES // state.z.size)
     pending = [state]
 
     def stack(arrays):
@@ -1792,8 +1793,9 @@ def fresh_array_run(initial, horizon, grid, nonlinearity=pde.ZERO_F, trace_in=No
                    None if lyap is None else np.array(lyap))
 
 
-# (dim, N, states per energy block): 40 at 1-D N=201, 18 at 2-D N=21
-WORKSPACE_GRIDS = [(1, 201, 40), (2, 21, 18)]
+# (dim, N, states per energy block): 40 at 1-D N=201, 18 at 2-D N=21 and
+# 2 at 2-D N=81, where a block holds the least states it may
+WORKSPACE_GRIDS = [(1, 201, 40), (2, 21, 18), (2, 81, 2)]
 
 
 def _workspace_case(dim, n, mode, steps, seed):
@@ -1835,7 +1837,61 @@ class TestRunWorkspace:
         for steps in (1, block - 1, block, block + 1, 2 * block + 3):
             grid, horizon, f0, trace = _workspace_case(dim, n, mode, steps, 0)
             got = pde.run(f0, horizon, grid, nl, trace, chi=chi)
-            _assert_same_run(got, fresh_array_run(f0, horizon, grid, nl, trace, chi))
+            _assert_same_run(got, fresh_array_run(f0, horizon, grid, nl, trace, chi,
+                                                  block=block))
+
+    @pytest.mark.parametrize("dim,n,block", WORKSPACE_GRIDS)
+    @pytest.mark.parametrize("mode", pde.MODES)
+    @pytest.mark.parametrize("chi", [None, 0.2])
+    def test_blocks_match_per_state_functionals(self, dim, n, block, mode, chi):
+        # every energy, Lyapunov value and trace row of a run, two full
+        # blocks and a partial one, is the bits of pde.energy, pde.lyapunov
+        # and z_t at the measured nodes of the same state, stepped alone;
+        # backward runs step the time-reversed state (z, -z_t)
+        nl = _sources(dim)["x-dependent"]
+        steps = 2 * block + 3
+        grid, horizon, f0, trace = _workspace_case(dim, n, mode, steps, 8)
+        got = pde.run(f0, horizon, grid, nl, trace, chi=chi)
+        samples = None if trace is None else trace.samples
+        state = f0
+        if mode == "observer-backward":
+            state = pde.WaveField(f0.z, -f0.zt, f0.t)
+            samples = -samples[::-1]
+        states = [state]
+        for i in range(steps):
+            binput = None if samples is None else (samples[i], samples[i + 1])
+            states.append(pde.step(states[-1], grid, nl, binput))
+        assert _bits(got.energies) == _bits([pde.energy(s, grid) for s in states])
+        if chi is None:
+            assert got.lyapunovs is None
+        else:
+            assert _bits(got.lyapunovs) == _bits([pde.lyapunov(s, grid, chi) for s in states])
+        rows = [s.zt[grid._plan.measured] for s in states]
+        assert _bits(got.trace.samples) == _bits(rows)
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_2d_energy_overflowing_mid_block_is_reported_at_its_own_t(self, at):
+        # 2-D N=81 runs two states per block; a source pulse gives the
+        # state at index 2 + at, the first or the second of its block, a
+        # finite field whose energy overflows, and the finite states after
+        # it overflow too: the error names the first one's t, the t at
+        # which pde.energy of the same state, stepped alone, overflows
+        dim, n, block = WORKSPACE_GRIDS[-1]
+        steps = 2 * block + 3
+        grid, horizon, f0, trace = _workspace_case(dim, n, "observer-forward", steps, 9)
+        kick = f0.t + (2 + at - 0.5) * grid.dt
+        nl = pde.Nonlinearity(lambda z, x, t: 1e200 if kick <= t < kick + grid.dt else 0.0)
+        got = _error(pde.run, f0, horizon, grid, nl, trace, chi=0.2)
+        assert got == _error(fresh_array_run, f0, horizon, grid, nl, trace, 0.2,
+                             block=block)
+        state = f0
+        for i in range(2 + at):
+            assert math.isfinite(pde.energy(state, grid))
+            state = pde.step(state, grid, nl, (trace.samples[i], trace.samples[i + 1]))
+        assert np.all(np.isfinite(state.z)) and np.all(np.isfinite(state.zt))
+        with np.errstate(over="ignore"):
+            assert pde.energy(state, grid) == math.inf
+        assert got == ("solution diverged (energy inf) at t=%g" % state.t, state.t)
 
     @pytest.mark.parametrize("dim,n,block", WORKSPACE_GRIDS)
     @pytest.mark.parametrize("chi", [None, 0.2])
@@ -1863,7 +1919,8 @@ class TestRunWorkspace:
             start = pde.WaveField(amp * f0.z, amp * f0.zt, f0.t)
             nl = pde.Nonlinearity(f)
             got = _error(pde.run, start, horizon, grid, nl, trace, chi=chi)
-            assert got == _error(fresh_array_run, start, horizon, grid, nl, trace, chi)
+            assert got == _error(fresh_array_run, start, horizon, grid, nl, trace, chi,
+                                 block=block)
             messages.append(got)
         (first, t1), (second, t2), (third, _) = messages
         assert "non-finite values" in first
@@ -1881,7 +1938,7 @@ class TestRunWorkspace:
         kept_back = [_bits(a) for a in (back.z, back.zt, back_tr.samples, back_e)]
         pde.run(pde.WaveField(2.0 * f0.z, f0.zt, f0.t), horizon, grid, nl, trace, chi=0.2)
         state = final
-        for _ in range(2 * block + 1):  # round every slot of a run's workspace
+        for _ in range(2 * block + 1):  # more steps than a run's staging block
             state = pde.step(state, grid, nl, (trace.samples[0], trace.samples[1]))
         pde.run(f0, horizon, grid, nl, trace)
         assert [_bits(a) for a in (final.z, final.zt, tr.samples, e, v)] == kept
@@ -1964,6 +2021,34 @@ class TestRunWorkspace:
         assert peaks[1] / floats[1] < 16.0, peaks[1] / floats[1]
         further = (peaks[1] - peaks[0]) / (floats[1] - floats[0])
         assert further < 10.0, further
+
+    def test_energy_blocks_allocate_no_grid_sized_temporary(self, monkeypatch):
+        # by the first step a run holds every array it allocates once: the
+        # start field, the workspace, the staging block, the kernel's
+        # buffers, the trace and the series; from there to the last step,
+        # over six kernel passes, a 2-D N=81 run peaks by less than one
+        # 52 KB grid array above that
+        held = []
+
+        class Recording(pde._Workspace):
+            def advance(self, t, boundary_input):
+                if not held:
+                    held.append(tracemalloc.get_traced_memory()[0])
+                    tracemalloc.reset_peak()
+                held.append(tracemalloc.get_traced_memory()[1])
+                return super().advance(t, boundary_input)
+
+        monkeypatch.setattr(pde, "_Workspace", Recording)
+        grid = pde.make_grid(2, 81, 0.1)
+        x1, x2 = grid.coords()
+        f0 = pde.WaveField(np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2), np.zeros_like(x1))
+        tracemalloc.start()
+        try:
+            result = pde.run(f0, 0.1, grid, pde.ZERO_F)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == len(result.energies) == 14  # the first step reads both
+        assert max(held[1:]) - held[0] < 16 * 1024, max(held[1:]) - held[0]
 
 
 class TestFreshResultFields:
