@@ -30,16 +30,18 @@ corner (1,1) in 2-D), and the grid's plan fixes the measured nodes and
 their lexicographic order.
 
 A step reads the state in one slot of a two-slot workspace and writes the
-next into the other.  run allocates its workspace, a staging block and the
-energy kernel's buffers once, copies each state into the block and takes a
-block's energies in one kernel pass whose grid-sized intermediates all live
-in those buffers: freed ones let glibc trim the heap top, which the next
-state faulted back in.  run returns a Run of the same four fields whether
-or not chi is set (lyapunovs is None without it), whose arrays are the
-caller's: new start and final fields, z_t negated in backward mode, and
-one (steps + 1, nodes) trace array.  A direct step returns a WaveField of a
-throwaway workspace's new state.  f must not keep the arrays passed to it:
-they are workspace slots that later steps overwrite.
+next into the other; the workspace keeps the head slot's time.  run
+allocates its workspace, a staging block and the energy kernel's buffers
+once, hands the workspace to step, which advances it in place, copies each
+state into the block and takes a block's energies in one kernel pass whose
+grid-sized intermediates all live in those buffers: freed ones let glibc
+trim the heap top, which the next state faulted back in.  run returns a
+Run of the same four fields whether or not chi is set (lyapunovs is None
+without it), whose arrays are the caller's: new start and final fields,
+z_t negated in backward mode, and one (steps + 1, nodes) trace array.  A
+direct step returns a WaveField of a throwaway workspace's new state.  f
+must not keep the arrays passed to it: they are workspace slots that later
+steps overwrite.
 """
 
 import math
@@ -381,11 +383,9 @@ def _runs(axis, *arrays):
     flat array instead, a single contiguous pass about twice as fast as
     the rows of N - 2 elements that numpy walks along a swapped last axis;
     the caller then owns the straddle entries (see the module docstring).
-    A 1-D array is its own one row.
+    A 1-D array is its own one row either way.
     """
     first = arrays[0]
-    if first.ndim == 1:
-        return arrays
     if axis == first.ndim - 1 and first.flags.c_contiguous:
         return [a.reshape(-1) for a in arrays]
     return [a.swapaxes(0, axis) for a in arrays]
@@ -475,13 +475,14 @@ class _Workspace:
     """Every array the steps of one run write, with the views they take.
 
     slots holds two states, (z, z_t) each C-contiguous, and views the views
-    a step takes of each; the field starts in slot 0, the head, and a step
-    writes the next state into the other slot, which becomes the head.  acc
-    holds the accelerations a0 and a1 and, once the velocity is updated,
-    the smoothing's output; aux is the smoothing's 6 f buffer, and in 2-D
-    its first half holds 2 z during an acceleration; fours holds the
-    smoothing's 4 f.  inject, in observer modes, is zero off the measured
-    nodes, where each step writes its boundary values.
+    a step takes of each; the field starts in slot 0, the head, at its time
+    t, and a step writes the next state into the other slot, which becomes
+    the head as t becomes the new time.  acc holds the accelerations a0 and
+    a1 and, once the velocity is updated, the smoothing's output; aux is the
+    smoothing's 6 f buffer, and in 2-D its first half holds 2 z during an
+    acceleration; fours holds the smoothing's 4 f.  inject, in observer
+    modes, is zero off the measured nodes, where each step writes its
+    boundary values.
 
     A target is what an acceleration writes: a, the 2 z buffer (a itself
     in 1-D) and its flat run but its ends, per axis the runs of 2 z and of
@@ -489,12 +490,9 @@ class _Workspace:
     over 2 z and a then adds it, and a with each axis in front to pin.
     smoothing holds per grid axis the runs of 4 f, of the output and of
     6 f that a pass takes, and the output's two entries at each axis end.
-
-    Nothing here refers to a field, so a run's fields, which refer to their
-    workspace, make no reference cycle.
     """
 
-    __slots__ = ("grid", "nonlinearity", "slots", "views", "head", "targets",
+    __slots__ = ("grid", "nonlinearity", "slots", "views", "head", "t", "targets",
                  "acc", "smoothing", "inject", "finite")
 
     def __init__(self, grid, nonlinearity, field):
@@ -506,7 +504,7 @@ class _Workspace:
         self.slots = np.empty((2, 2) + shape)
         self.slots[0, 0], self.slots[0, 1] = field.z, field.zt
         self.views = [_Slot(w) for w in self.slots]
-        self.head = 0
+        self.head, self.t = 0, field.t
         self.acc = np.empty((2,) + shape)
         aux = np.empty((2,) + shape)
         like = self.slots[0, 0]  # the layout of every field the steps read
@@ -530,17 +528,17 @@ class _Workspace:
         self.inject = None if grid.mode == "plant" else np.zeros(shape)
         self.finite = np.empty((2,) + shape, dtype=bool)
 
-    def advance(self, t, boundary_input):
-        """One explicit step from the head slot into the next; returns t_new.
+    def advance(self, boundary_input):
+        """One explicit step from the head slot, at t, into the next.
 
         Each update runs in place, in the association of z + dt v + dt^2/2 a0
         and v + dt/2 (a0 + a1): a sum or product of two values is the same
         float in either order, and v_new holds dt^2/2 a0 until it is written.
         In observer modes the trapezoidal boundary velocity keeps the
         new-level damping term implicit, a scalar linear solve per measured
-        node.  The head moves only once the new state is finite.
+        node.  The head and t move together, once the new state is finite.
         """
-        grid, nl = self.grid, self.nonlinearity
+        grid, nl, t = self.grid, self.nonlinearity, self.t
         plan = grid._plan
         old, new = self.views[self.head], self.views[1 - self.head]
         z, v = old.z, old.v
@@ -583,21 +581,7 @@ class _Workspace:
 
         if not np.isfinite(new.w, out=self.finite).all():
             raise DivergenceError(t_new)
-        self.head = 1 - self.head
-        return t_new
-
-
-class _RunField(WaveField):
-    """A state in a workspace slot, as a run passes it from step to step:
-    step continues from it in place while it is its workspace's newest
-    state and the grid and nonlinearity are the workspace's own."""
-
-    __slots__ = ("ws", "slot")
-
-    def __init__(self, ws, slot, t):
-        views = ws.views[slot]
-        self.z, self.zt, self.t = views.z, views.v, t
-        self.ws, self.slot = ws, slot
+        self.head, self.t = 1 - self.head, t_new
 
 
 def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
@@ -605,16 +589,14 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
 
     A direct call copies the field into a workspace, steps into its other
     slot and returns a WaveField of it, whose arrays are fresh copies that
-    share no memory with the field or the workspace.  A field that run
-    passes along steps in place, into its workspace's other slot, unchecked:
-    run checked its trace once and passes a boundary input exactly when its
-    grid injects.
+    share no memory with the field or the workspace.  run passes its
+    workspace instead, which steps in place, unchecked, on its own grid and
+    nonlinearity: run checked its trace once and passes a boundary input
+    exactly when its grid injects.
     """
-    ws = field.ws if type(field) is _RunField else None
-    if (ws is not None and ws.grid is grid and ws.nonlinearity is nonlinearity
-            and field.slot == ws.head):
-        t_new = ws.advance(field.t, boundary_input)
-        return _RunField(ws, ws.head, t_new)
+    if isinstance(field, _Workspace):
+        field.advance(boundary_input)
+        return field
     plan = grid._plan
     injecting = grid.mode != "plant"
     if injecting and boundary_input is None:
@@ -628,8 +610,8 @@ def step(field, grid, nonlinearity=ZERO_F, boundary_input=None):
                                  % (np.size(y), plan.nodes))
     _check_shape(field, grid)
     ws = _Workspace(grid, nonlinearity, field)
-    t_new = ws.advance(field.t, boundary_input)
-    return WaveField(*ws.slots[ws.head], t_new)
+    ws.advance(boundary_input)
+    return WaveField(*ws.slots[ws.head], ws.t)
 
 
 class Run(NamedTuple):
@@ -683,11 +665,11 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     trace = np.empty((steps + 1, plan.nodes))
     backward = grid.mode == "observer-backward"
 
-    def oriented(field):
+    def oriented(z, zt, t):
         # a new field, time-reversed (z, z_t) -> (z, -z_t) in backward mode
-        return WaveField(field.z, -field.zt if backward else field.zt, field.t)
+        return WaveField(z, -zt if backward else zt, t)
 
-    start = oriented(initial)
+    start = oriented(initial.z, initial.zt, initial.t)
     if backward:
         # the replayed input lives in the trace rows not yet written: the
         # rows of a block of states are written after the step out of its
@@ -695,12 +677,14 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         samples = np.negative(samples[::-1], out=trace)
 
     ws = _Workspace(grid, nonlinearity, start)
-    state = _RunField(ws, 0, start.t)
     # the staged z and z_t and the kernel's buffers (without chi, sq is g0)
     shape = (_block_states(start.z.size),) + plan.shape
     zs, vs = staged = np.empty((2,) + shape)
     grads = np.empty((grid.dim,) + shape)
     sq, tmp = np.empty((2,) + shape) if chi is not None else (grads[0], np.empty(shape))
+    # a 1-D cross term multiplies by the axis copied per staged state, which
+    # numpy, unlike the axis broadcast over the block, takes unbuffered
+    axes = np.tile(grid.axis(), (len(zs), 1)) if chi is not None and grid.dim == 1 else None
     energies = np.empty(steps + 1)
     lyaps = None if chi is None else np.empty(steps + 1)
     zs[0], vs[0], times = start.z, start.zt, [start.t]  # times of the staged states
@@ -715,7 +699,8 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         z, v, out = zs[:count], vs[:count], (sq[:count], tmp[:count])
         g = _gradient(z, grid.dx, grid.dim, grads[:, :count])
         values = _energy(g, v, grid.dx, *out)
-        lyap = None if lyaps is None else _lyapunov(z, v, g, values, grid, chi, *out)
+        lyap = None if lyaps is None else _lyapunov(
+            z, v, g, values, grid, chi, *out, x=None if axes is None else [axes[:count]])
         if not (np.isfinite(values).all()
                 and (lyap is None or np.isfinite(lyap).all())):
             for i, t in enumerate(pending):
@@ -737,18 +722,19 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         try:
             for i in range(steps):
                 binput = (samples[i], samples[i + 1]) if injecting else None
-                state = step(state, grid, nonlinearity, binput)
+                step(ws, grid, nonlinearity, binput)
                 if len(times) == len(zs):
                     record()
                 staged[:, len(times)] = ws.slots[ws.head]
-                times.append(state.t)
+                times.append(ws.t)
         finally:
             # also when a step raised: an energy that overflowed before it
             # is then reported instead, at its own t
             if times:
                 record()
 
-    return Run(oriented(state), _adopted_trace(trace, grid.dt, initial.t), energies, lyaps)
+    final = oriented(*ws.slots[ws.head], ws.t)
+    return Run(final, _adopted_trace(trace, grid.dt, initial.t), energies, lyaps)
 
 
 def _finite(value, name, t):
@@ -840,13 +826,15 @@ def lyapunov(field, grid, chi):
                      grid, chi)
 
 
-def _lyapunov(z, v, grads, e, grid, chi, sq=None, tmp=None):
+def _lyapunov(z, v, grads, e, grid, chi, sq=None, tmp=None, x=None):
     """lyapunov from the gradient and energy of the state; with leading axes
-    on z, v, the gradients and e, one value per state."""
+    on z, v, the gradients and e, one value per state.  x holds the
+    coordinates by grid axis, the grid's own unless given."""
     dx, n = grid.dx, grid.dim
     lead = z.ndim - n
     # the sum of x_i * d_i z; 2-D takes whole coordinate arrays, not buffered
-    x = grid.coords() if n > 1 else [grid.axis()]
+    if x is None:
+        x = grid.coords() if n > 1 else [grid.axis()]
     sq = np.multiply(x[0], grads[0], out=sq)
     for x_i, g in zip(x[1:], grads[1:]):
         sq += np.multiply(x_i, g, out=tmp)

@@ -8,6 +8,7 @@ asserts were produced by those oracles.
 """
 
 import copy
+import functools
 import gc
 import math
 import pickle
@@ -1961,6 +1962,24 @@ class TestRunWorkspace:
                 assert not np.shares_memory(a, b)
         assert [_bits(a) for a in (fields[1].z, fields[1].zt)] == first
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_run_steps_through_the_module_step(self, monkeypatch, dim, mode):
+        # the bench tracer replaces pde.step by a wrapper and counts each
+        # call under the dimension of its second argument's grid
+        calls = []
+        original = pde.step
+
+        @functools.wraps(original)
+        def traced(*args, **kwargs):
+            calls.append(args[1] if len(args) > 1 else kwargs["grid"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "step", traced)
+        grid, horizon, f0, trace = _workspace_case(dim, 21, mode, 23, 8)
+        pde.run(f0, horizon, grid, _sources(dim)["x-dependent"], trace)
+        assert len(calls) == 23 and all(g is grid for g in calls)
+
     @pytest.mark.parametrize("mode", pde.MODES)
     def test_run_leaves_no_reference_cycle(self, mode):
         # a cycle would keep each run's workspace until the cyclic
@@ -2022,32 +2041,50 @@ class TestRunWorkspace:
         further = (peaks[1] - peaks[0]) / (floats[1] - floats[0])
         assert further < 10.0, further
 
+    @staticmethod
+    def _held_at_each_step(monkeypatch, f0, horizon, grid, chi=None):
+        # the traced memory a run holds at its first step, then the peak
+        # by each step
+        held = []
+
+        class Recording(pde._Workspace):
+            def advance(self, boundary_input):
+                if not held:
+                    held.append(tracemalloc.get_traced_memory()[0])
+                    tracemalloc.reset_peak()
+                held.append(tracemalloc.get_traced_memory()[1])
+                return super().advance(boundary_input)
+
+        monkeypatch.setattr(pde, "_Workspace", Recording)
+        tracemalloc.start()
+        try:
+            result = pde.run(f0, horizon, grid, pde.ZERO_F, chi=chi)
+        finally:
+            tracemalloc.stop()
+        return held, result
+
     def test_energy_blocks_allocate_no_grid_sized_temporary(self, monkeypatch):
         # by the first step a run holds every array it allocates once: the
         # start field, the workspace, the staging block, the kernel's
         # buffers, the trace and the series; from there to the last step,
         # over six kernel passes, a 2-D N=81 run peaks by less than one
         # 52 KB grid array above that
-        held = []
-
-        class Recording(pde._Workspace):
-            def advance(self, t, boundary_input):
-                if not held:
-                    held.append(tracemalloc.get_traced_memory()[0])
-                    tracemalloc.reset_peak()
-                held.append(tracemalloc.get_traced_memory()[1])
-                return super().advance(t, boundary_input)
-
-        monkeypatch.setattr(pde, "_Workspace", Recording)
         grid = pde.make_grid(2, 81, 0.1)
         x1, x2 = grid.coords()
         f0 = pde.WaveField(np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2), np.zeros_like(x1))
-        tracemalloc.start()
-        try:
-            result = pde.run(f0, 0.1, grid, pde.ZERO_F)
-        finally:
-            tracemalloc.stop()
+        held, result = self._held_at_each_step(monkeypatch, f0, 0.1, grid)
         assert len(held) == len(result.energies) == 14  # the first step reads both
+        assert max(held[1:]) - held[0] < 16 * 1024, max(held[1:]) - held[0]
+
+    def test_1d_lyapunov_blocks_allocate_no_iterator_buffer(self, monkeypatch):
+        # a 1-D N=201 run with chi takes three kernel passes over blocks of
+        # 40 states; the cross term's axis, broadcast over such a block,
+        # cost each pass numpy's 64 KB iterator buffer
+        grid = pde.make_grid(1, 201, 0.5)
+        x = grid.axis()
+        f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
+        held, result = self._held_at_each_step(monkeypatch, f0, 0.5, grid, chi=0.1)
+        assert len(held) == len(result.lyapunovs) == 113
         assert max(held[1:]) - held[0] < 16 * 1024, max(held[1:]) - held[0]
 
 

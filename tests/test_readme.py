@@ -3,7 +3,8 @@
 Each ```python block runs on its own, in a fresh namespace, as a reader
 would paste it; a block that raises fails its test.  Each backticked
 `module.name` reference to a wavecert module must name an attribute of it.
-The package keeps the README's promise never to call into LAPACK.
+The package keeps the README's promises never to call into LAPACK and to
+need numpy alone at run time.
 """
 
 import ast
@@ -11,6 +12,7 @@ import importlib
 import os
 import pkgutil
 import re
+import sys
 
 import pytest
 
@@ -83,3 +85,22 @@ def test_package_never_calls_into_lapack():
             imported.add("." * node.level + (node.module or ""))
     assert imported == {"math"}
     assert not re.search(r"__import__|importlib", sources["smallmat.py"])
+
+
+def _imported(text):
+    """The top-level names of the modules a source imports, anywhere in it;
+    a relative import is the package's own."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "wavecert" if node.level else node.module.partition(".")[0]
+
+
+def test_package_imports_the_standard_library_and_numpy_only():
+    sources = dict(_package_sources())
+    assert "pde.py" in sources and "search.py" in sources
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wavecert"}
+    for name, text in sources.items():
+        imported = set(_imported(text))
+        assert imported <= allowed, "%s imports %s" % (name, sorted(imported - allowed))
