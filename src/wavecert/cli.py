@@ -57,11 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path):
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(str(exc))
+    with open(path) as fh:
+        return fh.read()
 
 
 def _load_json(path):
@@ -216,12 +213,9 @@ def build_initial(spec, grid):
 
 def _write(path, text, more=()):
     """Write text, then each string of the iterable more, to path."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.writelines(more)
-    except OSError as exc:
-        raise CliError(str(exc))
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.writelines(more)
 
 
 # ----------------------------------------------------------------- subcommands
@@ -349,15 +343,12 @@ def cmd_recover(args):
     certificate = None
     if "certificate" in doc:
         certificate = certificate_from_dict(doc["certificate"])
-    try:
-        config = RecoveryConfig(
-            horizon=sim["horizon"], m_max=args.iterations, grid=grid,
-            nonlinearity=build_nonlinearity(sim.get("nonlinearity")),
-            convergence_threshold=sim.get("convergence_threshold", 1e-3),
-            certificate=certificate)
-        run = recover(trace, config)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    config = RecoveryConfig(
+        horizon=sim["horizon"], m_max=args.iterations, grid=grid,
+        nonlinearity=build_nonlinearity(sim.get("nonlinearity")),
+        convergence_threshold=sim.get("convergence_threshold", 1e-3),
+        certificate=certificate)
+    run = recover(trace, config)
     text = run_to_json(run)
     _write(args.out, text + "\n")
     print(text)
@@ -454,13 +445,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except Infeasible as exc:
         print(json_dumps({"feasible": False, "reason": str(exc)}))
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

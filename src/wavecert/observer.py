@@ -140,7 +140,6 @@ def recover(measurements, config, truth=None):
 
     e_b0 = v_b0 = final_error = None
     if truth is not None:
-        pde._check_shape(truth, grid)
         e_b0 = prev_e_b = pde.energy(truth, grid)
         scale = math.sqrt(2.0 * e_b0)  # hnorm(truth)
         if chi is not None:
@@ -212,9 +211,21 @@ def recover(measurements, config, truth=None):
 # ------------------------------------------------------------------ reports
 
 
-def _uncovered_source(params, config):
-    return ("certificate g1 %g is below the source's fz_bound %g"
-            % (params.g1, config.nonlinearity.fz_bound))
+def _uncovered(certificate, config):
+    """Why the certificate says nothing of the config's run, or None."""
+    p = certificate.params
+    if config.grid.k == 0.0:
+        return ("no boundary dissipation at k = 0 "
+                "(psi1 = chi > 0, no contraction is certified)")
+    if p.t_star is None or p.delta is None:
+        return "certificate carries no observation time"
+    if abs(p.k - config.grid.k) > 1e-12 * max(1.0, p.k):
+        return ("certificate gain %g differs from the run gain %g"
+                % (p.k, config.grid.k))
+    if p.g1 < config.nonlinearity.fz_bound:
+        return ("certificate g1 %g is below the source's fz_bound %g"
+                % (p.g1, config.nonlinearity.fz_bound))
+    return None
 
 
 @dataclass(frozen=True)
@@ -251,22 +262,12 @@ def contraction_report(run):
     p = certificate.params
     slack = CONTRACTION_SLACK
 
-    def inapplicable(reason):
+    reason = _uncovered(certificate, config)
+    if reason is None and config.horizon <= p.t_star:
+        reason = ("horizon %g does not exceed the observation time %g"
+                  % (config.horizon, p.t_star))
+    if reason is not None:
         return ContractionReport(applicable=False, reason=reason)
-
-    if config.grid.k == 0.0:
-        return inapplicable("no boundary dissipation at k = 0 "
-                            "(psi1 = chi > 0, no contraction is certified)")
-    if p.t_star is None or p.delta is None:
-        return inapplicable("certificate carries no observation time")
-    if abs(p.k - config.grid.k) > 1e-12 * max(1.0, p.k):
-        return inapplicable("certificate gain %g differs from the run gain %g"
-                            % (p.k, config.grid.k))
-    if p.g1 < config.nonlinearity.fz_bound:
-        return inapplicable(_uncovered_source(p, config))
-    if config.horizon <= p.t_star:
-        return inapplicable("horizon %g does not exceed the observation time %g"
-                            % (config.horizon, p.t_star))
 
     q = math.exp(-4.0 * p.delta * (config.horizon - p.t_star))
     rows = []
@@ -309,11 +310,12 @@ def perturbed_recover(measurements, noise, config, truth=None):
     """
     pde.check_trace(noise, config.grid, config.steps)
     cert = config.certificate
-    if cert is None or cert.params.t_star is None or cert.params.delta is None:
+    if cert is None:
         raise ValueError("the ISS bound needs a certificate with an "
                          "observation time")
-    if cert.params.g1 < config.nonlinearity.fz_bound:
-        raise ValueError(_uncovered_source(cert.params, config))
+    reason = _uncovered(cert, config)
+    if reason is not None:
+        raise ValueError(reason)
 
     clean = recover(measurements, config, truth)
     # y + w, held once and only while recovering from it; two finite

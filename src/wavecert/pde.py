@@ -391,11 +391,6 @@ def _runs(axis, *arrays):
     return [a.swapaxes(0, axis) for a in arrays]
 
 
-def _front(arr, axis):
-    """arr with the axis in front; axis 0 is arr itself."""
-    return arr if axis == 0 else arr.swapaxes(0, axis)
-
-
 def _accelerate(slot, target, nonlinearity, plan, t):
     """Laplacian with reflecting ghosts on the measured faces, plus f, of
     the slot's z into the target's a.  Per axis the undivided second
@@ -462,9 +457,9 @@ class _Slot:
         self.z_runs = []
         for axis in range(z.ndim):
             f = _runs(axis, z)[0]
-            self.z_runs.append((f[2:], f[:-2], _front(z, axis)))
+            self.z_runs.append((f[2:], f[:-2], z.swapaxes(0, axis)))
         self.z_mid = _runs(z.ndim - 1, z)[0][1:-1]
-        self.v_pins = [_front(self.v, axis) for axis in range(z.ndim)]
+        self.v_pins = [self.v.swapaxes(0, axis) for axis in range(z.ndim)]
         self.w_runs = []
         for axis in range(1, w.ndim):
             f = _runs(axis, w)[0]
@@ -515,8 +510,8 @@ class _Workspace:
             for axis in range(grid.dim):
                 out = twice if axis == last else a
                 f2, g = _runs(axis, like, twice, out)[1:]
-                runs.append((f2[1:-1], g[1:-1], _front(out, axis)))
-            pins = [_front(a, axis) for axis in range(grid.dim)]
+                runs.append((f2[1:-1], g[1:-1], out.swapaxes(0, axis)))
+            pins = [a.swapaxes(0, axis) for axis in range(grid.dim)]
             self.targets.append((a, twice, _runs(last, like, twice)[1][1:-1], runs, pins))
         fours = np.empty((2,) + shape)
         self.smoothing = []

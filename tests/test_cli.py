@@ -54,6 +54,11 @@ def fresh_cli(argv, **kw):
     return fresh_python(["-m", "wavecert.cli"] + argv, **kw)
 
 
+def _recover_argv(trace="{trace}", out="{tmp}/r.json"):
+    return ["recover", "--config", "{cfg}", "--trace", trace, "--iterations", "1",
+            "--out", out]
+
+
 class TestErrors:
     def test_malformed_json_line_anchored(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -66,6 +71,45 @@ class TestErrors:
         code, out, err = run_cli(["certify", "--config", "/nosuch/x.json"],
                                  capsys)
         assert code == 1 and err
+
+    EXACT_SIM = {"points_per_axis": 41, "horizon": 0.5, "k": 1.0,
+                 "initial": {"preset": "paper-example2"}}
+    EXACT_CASES = {
+        # name: (sim overrides, argv, stderr after "error: ")
+        "missing-config": ({}, ["certify", "--config", "{tmp}/nosuch.json"],
+                           "[Errno 2] No such file or directory: '{tmp}/nosuch.json'"),
+        "missing-trace": ({}, _recover_argv(trace="{tmp}/nosuch.csv"),
+                          "[Errno 2] No such file or directory: '{tmp}/nosuch.csv'"),
+        "trace-is-a-directory": ({}, _recover_argv(trace="{tmp}"),
+                                 "[Errno 21] Is a directory: '{tmp}'"),
+        "recover-out-missing-directory": (
+            {}, _recover_argv(out="{tmp}/no/r.json"),
+            "[Errno 2] No such file or directory: '{tmp}/no/r.json'"),
+        "simulate-out-missing-directory": (
+            {}, ["simulate", "--config", "{cfg}", "--out", "{tmp}/no/t.csv"],
+            "[Errno 2] No such file or directory: '{tmp}/no/t.csv'"),
+        "zero-convergence-threshold": ({"convergence_threshold": 0}, _recover_argv(),
+                                       "convergence_threshold must be > 0, got 0.0"),
+        "trace-of-another-length": ({"horizon": 0.4}, _recover_argv(),
+                                    "trace has 24 levels, the run needs 19"),
+        "negative-fz-bound": (
+            {"nonlinearity": {"form": "linear", "coeff": 0.1, "fz_bound": -1}},
+            _recover_argv(), "nonlinearity: fz_bound must be >= 0, got -1.0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_exact_error_output(self, tmp_path, capsys, case):
+        # an OSError or ValueError from reading, writing or recovering
+        # reaches stderr as "error: " and its own text, with exit 1 and
+        # nothing on stdout
+        sim, argv, message = self.EXACT_CASES[case]
+        names = {"tmp": str(tmp_path), "trace": str(tmp_path / "t.csv"),
+                 "cfg": write_json(tmp_path, "c.json", {"sim": dict(self.EXACT_SIM, **sim)})}
+        plain = write_json(tmp_path, "plain.json", {"sim": self.EXACT_SIM})
+        assert run_cli(["simulate", "--config", plain, "--out", names["trace"]],
+                       capsys)[0] == 0
+        code, out, err = run_cli([arg.format(**names) for arg in argv], capsys)
+        assert (code, out, err) == (1, "", "error: %s\n" % message.format(**names))
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",

@@ -549,6 +549,14 @@ class TestPerturbedRecover:
         with pytest.raises(ValueError, match="g1 0.2 is below the source's fz_bound 0.5"):
             observer.perturbed_recover(self.trace, self.noise, config)
 
+    def test_certificate_for_another_gain_rejected(self):
+        # the certificate's LMIs were solved at k = 1; they bound nothing
+        # of a run whose boundary gain is 0.5
+        config = replace(self.config, m_max=1, grid=replace(self.grid, k=0.5))
+        with pytest.raises(ValueError,
+                           match="^certificate gain 1 differs from the run gain 0.5$"):
+            observer.perturbed_recover(self.trace, self.noise, config)
+
 
 class TestPerturbedRecover2D:
     def test_noise_integral_matches_reference(self):

@@ -2043,16 +2043,18 @@ class TestRunWorkspace:
 
     @staticmethod
     def _held_at_each_step(monkeypatch, f0, horizon, grid, chi=None):
-        # the traced memory a run holds at its first step, then the peak
-        # by each step
-        held = []
+        # the number of steps, the traced memory a run holds at its first
+        # step and the peak from there to the last step; kept in three
+        # numbers, as a list of one entry per step would grow with the run
+        held = {"steps": 0, "first": None, "peak": 0}
 
         class Recording(pde._Workspace):
             def advance(self, boundary_input):
-                if not held:
-                    held.append(tracemalloc.get_traced_memory()[0])
+                if held["first"] is None:
+                    held["first"] = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                held.append(tracemalloc.get_traced_memory()[1])
+                held["steps"] += 1
+                held["peak"] = max(held["peak"], tracemalloc.get_traced_memory()[1])
                 return super().advance(boundary_input)
 
         monkeypatch.setattr(pde, "_Workspace", Recording)
@@ -2061,7 +2063,7 @@ class TestRunWorkspace:
             result = pde.run(f0, horizon, grid, pde.ZERO_F, chi=chi)
         finally:
             tracemalloc.stop()
-        return held, result
+        return held["steps"], held["peak"] - held["first"], result
 
     def test_energy_blocks_allocate_no_grid_sized_temporary(self, monkeypatch):
         # by the first step a run holds every array it allocates once: the
@@ -2072,9 +2074,9 @@ class TestRunWorkspace:
         grid = pde.make_grid(2, 81, 0.1)
         x1, x2 = grid.coords()
         f0 = pde.WaveField(np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2), np.zeros_like(x1))
-        held, result = self._held_at_each_step(monkeypatch, f0, 0.1, grid)
-        assert len(held) == len(result.energies) == 14  # the first step reads both
-        assert max(held[1:]) - held[0] < 16 * 1024, max(held[1:]) - held[0]
+        steps, above, result = self._held_at_each_step(monkeypatch, f0, 0.1, grid)
+        assert steps + 1 == len(result.energies) == 14
+        assert above < 16 * 1024, above
 
     def test_1d_lyapunov_blocks_allocate_no_iterator_buffer(self, monkeypatch):
         # a 1-D N=201 run with chi takes three kernel passes over blocks of
@@ -2083,9 +2085,10 @@ class TestRunWorkspace:
         grid = pde.make_grid(1, 201, 0.5)
         x = grid.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-        held, result = self._held_at_each_step(monkeypatch, f0, 0.5, grid, chi=0.1)
-        assert len(held) == len(result.lyapunovs) == 113
-        assert max(held[1:]) - held[0] < 16 * 1024, max(held[1:]) - held[0]
+        steps, above, result = self._held_at_each_step(monkeypatch, f0, 0.5, grid,
+                                                       chi=0.1)
+        assert steps + 1 == len(result.lyapunovs) == 113
+        assert above < 16 * 1024, above
 
 
 class TestFreshResultFields:
