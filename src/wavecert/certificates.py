@@ -6,13 +6,14 @@ variables, whether the damped error dynamics are exponentially stable with rate
 delta (stability LMIs), whether the system is exactly observable in time T*
 (observability LMI), and what the derived constants alpha, beta, q, gamma and
 the regional radius d0 are.  One margin parameter serves as the strictness
-threshold for the strict LMIs and as slack for the non-strict ones.
+threshold for the strict LMIs and as slack for the non-strict ones (LMIS).
 """
 
 import json
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 from .smallmat import eigenvalues
@@ -22,8 +23,6 @@ DEFAULT_MARGIN = 1e-9
 # the 1-D reduction has no lambda0; this value reproduces the sharp 1-D
 # alpha = 1 - 2 chi to well past four decimals while keeping the 3x3 form
 DEFAULT_LAMBDA0_1D = 1e-6
-# the four LMIs, in the order reports and certificates list them
-LMI_NAMES = ("phi0", "psi1", "psi2", "phi_obs")
 
 
 class CertificateError(ValueError):
@@ -255,36 +254,50 @@ def build_phi_obs(params, vars):
 # ------------------------------------------------------------------ checks
 
 
-def check_stability(params, vars, margin=DEFAULT_MARGIN):
-    """Feasibility report for the exponential-stability LMIs.
+class Lmi(namedtuple("Lmi", "name entries multiplier top strict side")):
+    """An LMI's sense, which every check and search reads here (LMIS, in
+    report order): the largest eigenvalue of entries at the multiplier
+    decides (top) or the smallest, psi1's scalar itself, and the LMI holds
+    where its slack at the threshold side * margin is > 0 (strict) or >= 0."""
 
-    phi0 must be positive definite beyond the margin (strict inequality);
-    psi1 and psi2 are non-strict, so the same margin acts as slack.  The
-    margins dict records the decisive eigenvalue of each matrix: lambda_min
-    for phi0, the scalar itself for psi1, lambda_max for psi2.
-    """
+    def slack(self, value, margin):
+        s = self.side * margin
+        return s - value if self.top else value - s
+
+    def holds(self, value, margin):
+        slack = self.slack(value, margin)
+        return slack > 0.0 if self.strict else slack >= 0.0
+
+
+PHI0 = Lmi("phi0", phi0_entries, "lambda0", top=False, strict=True, side=1.0)
+PSI1 = Lmi("psi1", psi1_value, None, top=True, strict=False, side=1.0)
+PSI2 = Lmi("psi2", psi2_entries, "lambda1", top=True, strict=False, side=1.0)
+PHI_OBS = Lmi("phi_obs", phi_obs_entries, "lambda2", top=True, strict=True, side=-1.0)
+LMIS = (PHI0, PSI1, PSI2, PHI_OBS)
+LMI_NAMES = tuple(lmi.name for lmi in LMIS)
+
+
+def check_stability(params, vars, margin=DEFAULT_MARGIN):
+    """Feasibility report for the exponential-stability LMIs phi0, psi1 and psi2."""
     margin = checked_float("margin", margin, 0.0)
     _require(vars, "lambda1")
-    lam_min_phi0 = eigenvalues(build_phi0(params, vars))[0]
-    psi1 = build_psi1(params, vars)
-    lam_max_psi2 = eigenvalues(build_psi2(params, vars))[-1]
-    report = {
-        "phi0_ok": lam_min_phi0 > margin,
-        "psi1_ok": psi1 <= margin,
-        "psi2_ok": lam_max_psi2 <= margin,
-        "margins": {"phi0": lam_min_phi0, "psi1": psi1, "psi2": lam_max_psi2},
-    }
-    report["feasible"] = report["phi0_ok"] and report["psi1_ok"] and report["psi2_ok"]
-    return report
+    return _judged({"phi0": eigenvalues(build_phi0(params, vars))[0],
+                    "psi1": build_psi1(params, vars),
+                    "psi2": eigenvalues(build_psi2(params, vars))[-1]}, margin)
 
 
 def check_observability(params, vars, margin=DEFAULT_MARGIN):
     """Stability report extended with the strict observability LMI at t_star."""
-    report = check_stability(params, vars, margin)
-    lam_max_phi = eigenvalues(build_phi_obs(params, vars))[-1]
-    report["phi_obs_ok"] = lam_max_phi < -margin
-    report["margins"]["phi_obs"] = lam_max_phi
-    report["feasible"] = report["feasible"] and report["phi_obs_ok"]
+    margins = check_stability(params, vars, margin)["margins"]
+    margins["phi_obs"] = eigenvalues(build_phi_obs(params, vars))[-1]
+    return _judged(margins, checked_float("margin", margin, 0.0))
+
+
+def _judged(margins, margin):
+    report = {lmi.name + "_ok": lmi.holds(margins[lmi.name], margin)
+              for lmi in LMIS if lmi.name in margins}
+    report["feasible"] = all(report.values())
+    report["margins"] = margins
     return report
 
 

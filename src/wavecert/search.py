@@ -24,7 +24,8 @@ are built once per n, grid and margin (_chi_points), a witness is checked
 on its entries at 0 shifted to it (_shifted), and the points a delta loop
 bisects over are made from checked params without checking them again
 (_point).  All searches are deterministic: same inputs and config, same
-outputs, regardless of worker count.
+outputs, regardless of worker count.  Each LMI's sense (which eigenvalue
+decides, strictness, the margin's side) comes from certificates.LMIS.
 """
 
 import math
@@ -36,7 +37,11 @@ import numpy as np
 
 from .certificates import (
     DEFAULT_MARGIN,
+    PHI0,
+    PHI_OBS,
     PI2,
+    PSI1,
+    PSI2,
     Certificate,
     CertificateError,
     DecisionVars,
@@ -49,10 +54,7 @@ from .certificates import (
     compute_regional_radius,
     fmt_float,
     make_certificate,
-    phi0_entries,
-    phi_obs_entries,
     psi1_value,
-    psi2_entries,
     reject_unknown_keys,
 )
 from .smallmat import extremes3
@@ -247,18 +249,19 @@ def _clearing(params, chi, entries, name, s, top):
     return (a, n0) + _bracket(params, chi, name)
 
 
-def _witness(params, chi, entries, name, s, top=True, strict=False):
-    """A multiplier at which the matrix clears s, or None if there is none.
+def _witness(params, chi, lmi, margin):
+    """A multiplier at which lmi holds at the margin, or None if there is none.
 
-    Clearing means the largest eigenvalue is <= s (top; < s if strict) or
-    the smallest is > s (not top).  The multipliers that clear s form one
-    interval, which _span reads off in closed form; its midpoint is the
-    witness once extremes3 confirms it there, on the entries at 0 shifted
-    to it (_shifted; rounding can leave a sliver of a span that is really
-    empty).  A non-finite entry raises as in
-    extremes3; an intermediate that overflows from finite entries answers
-    None, a conservative no.
+    lmi is unpacked once: the scans call this at every point and step.
+    The multipliers that clear its threshold s form one interval, which
+    _span reads off in closed form; its midpoint is the witness once
+    extremes3 confirms it there, on the entries at 0 shifted to it
+    (_shifted; rounding can leave a sliver of a span that is really
+    empty).  A non-finite entry raises as in extremes3; an intermediate
+    that overflows from finite entries answers None, a conservative no.
     """
+    _, entries, name, top, strict, side = lmi
+    s = side * margin
     chi = checked_float("chi", chi, 0.0)
     wq = _wq(params.n)
     a, n0, lo, hi = _clearing(params, chi, entries, name, s, top)
@@ -270,9 +273,8 @@ def _witness(params, chi, entries, name, s, top=True, strict=False):
         return None
     lam = 0.5 * (span[0] + span[1])
     low, high = extremes3(*_shifted(a, lam if top else -lam, wq))
-    if not top:
-        return lam if low > s else None
-    return lam if (high < s if strict else high <= s) else None
+    slack = s - high if top else low - s
+    return lam if (slack > 0.0 if strict else slack >= 0.0) else None
 
 
 def _shifted(a, d, wq):
@@ -295,14 +297,12 @@ def _shifted(a, d, wq):
 def _best_multipliers(params, chi, lmis, alive=None):
     """[(decisive eigenvalues, multipliers)] at the best multiplier, per LMI.
 
-    lmis lists (entries, name, top): the matrix's *_entries formula, its
-    multiplier, and top when the largest eigenvalue decides and is
-    minimized (psi2, phi_obs) rather than the smallest, maximized (phi0).
-    Each element of the array chi gets its own _bracket per LMI.  No
-    eigenvalue is computed: the best value is the threshold s at which
-    _span stops being empty, bisected for every LMI and chi in one array.
-    Each step is elementwise and only .any() ends a loop, so every element
-    gets the bits it would get alone.  With sign -1 for phi0, B(lam) = sign
+    lmis lists LMIS records.  Each element of the array chi gets its own
+    _bracket per LMI.  No eigenvalue is computed: the best value is the
+    threshold s at which _span stops being empty, bisected for every LMI
+    and chi in one array.  Each step is elementwise and only .any() ends a
+    loop, so every element gets the bits it would get alone.  With sign -1
+    where the smallest eigenvalue decides (not top), B(lam) = sign
     M(lam) = B(0) + lam diag(wq, 0, -1), so lambda_max(B) >= b11 for every
     lam and s = b11 is an infeasible end; a Gershgorin bound at the bracket
     midpoint, widened until the span is non-empty, is the feasible end.
@@ -326,21 +326,20 @@ def _best_multipliers(params, chi, lmis, alive=None):
     multiplier that is not finite and > 0 at a point not dropped raises
     CertificateError.
     """
+    signs = np.array([[1.0 if lmi.top else -1.0] for lmi in lmis])
     bounds, b = [], []
-    for i, (entries, name, top) in enumerate(lmis):
-        x = np.broadcast_arrays(chi, *entries(params, chi, 0.0))[1:]
+    for i, lmi in enumerate(lmis):
+        x = np.broadcast_arrays(chi, *lmi.entries(params, chi, 0.0))[1:]
         if not all(np.all(np.isfinite(e)) for e in x):
             if i:
                 _best_multipliers(params, chi, lmis[:i])  # the earlier errors first
             raise ValueError("non-finite matrix entry in the batch")
-        bounds.append(np.broadcast_arrays(chi, *_bracket(params, chi, name))[1:])
-        sign = 1.0 if top else -1.0
-        b.append([sign * e for e in x])
+        bounds.append(np.broadcast_arrays(chi, *_bracket(params, chi, lmi.multiplier))[1:])
+        b.append([signs[i, 0] * e for e in x])
     lo, hi = (np.concatenate(e) for e in zip(*bounds))
     b00, b01, b02, b11, b12, b22 = (np.concatenate(e) for e in zip(*b))
     r, u, v = -b01, -b02, -b12
     wq = _wq(params.n)
-    signs = np.array([[1.0 if top else -1.0] for _, _, top in lmis])
     m = len(chi)
     with np.errstate(all="ignore"):
         products = _products(r, v)
@@ -404,11 +403,11 @@ def _best_multipliers(params, chi, lmis, alive=None):
     hits = np.zeros(every.shape, dtype=bool)
     hits[at] = found
     results = []
-    for i, (_, name, _) in enumerate(lmis):
+    for i, lmi in enumerate(lmis):
         part = slice(i * m, (i + 1) * m)
         hit, lams = hits[part], multipliers[part]
         if not np.all((lams[hit] > 0.0) & (lams[hit] < math.inf)):
-            raise CertificateError("%s must be finite and > 0" % name)
+            raise CertificateError("%s must be finite and > 0" % lmi.multiplier)
         results.append((signs[i, 0] * every[part], lams))
     return results
 
@@ -471,17 +470,16 @@ def _chi_grid(params):
 
 def _stability_feasible(params, chi, config):
     """Stability feasibility at one chi of the grid: a witness for psi2 and phi0."""
-    margin = config.margin
-    return (_witness(params, chi, psi2_entries, "lambda1", margin) is not None
-            and _witness(params, chi, phi0_entries, "lambda0", margin,
-                         top=False) is not None)
+    return (_witness(params, chi, PSI2, config.margin) is not None
+            and _witness(params, chi, PHI0, config.margin) is not None)
 
 
-def _ruled_out(params, grid, entries, name, top, margin):
+def _ruled_out(params, grid, lmi, margin):
     # (finite, empty) of one LMI on the array grid: where its _clearing
-    # inputs are finite, and where its span clearing margin is empty
+    # inputs are finite, and where its span clearing its threshold is empty
     with np.errstate(all="ignore"):
-        _, n0, lo, hi = _clearing(params, grid, entries, name, margin, top)
+        _, n0, lo, hi = _clearing(params, grid, lmi.entries, lmi.multiplier,
+                                  lmi.side * margin, lmi.top)
         lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
         p, r, u, q, v, w = n0
         return (np.isfinite(p + r + u + q + v + w + lo + hi),
@@ -496,13 +494,12 @@ def _chi_points(n, bounds, margin):
 
     phi0 and its lambda0 bracket read only n of the params, so the pair
     does not depend on delta, k or g1 beyond the bounds.  A test
-    that monkeypatches _span, _bracket, _clearing or phi0_entries and then
+    that monkeypatches _span, _bracket, _clearing or PHI0 and then
     reaches a chi scan calls _chi_points.cache_clear() first.
     """
     grid = np.geomspace(*bounds)
     # k only completes the params: phi0 never reads it
-    finite, empty = _ruled_out(ProblemParams(n=n, k=1.0), grid, phi0_entries,
-                               "lambda0", False, margin)
+    finite, empty = _ruled_out(ProblemParams(n=n, k=1.0), grid, PHI0, margin)
     out = finite & empty
     grid.flags.writeable = out.flags.writeable = False
     return grid, out
@@ -520,7 +517,7 @@ def _stability_ruled_out(params, bounds, margin):
     entries finite.)  The scalar test decides every other point.
     """
     grid, phi0_out = _chi_points(params.n, bounds, margin)
-    finite, empty = _ruled_out(params, grid, psi2_entries, "lambda1", True, margin)
+    finite, empty = _ruled_out(params, grid, PSI2, margin)
     return grid, finite & (empty | phi0_out)
 
 
@@ -569,14 +566,13 @@ def _observation_window(params, config, delta):
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
 
     def observable(t_star):
-        return _witness(_point(p, t_star=t_star), probe, phi_obs_entries, "lambda2",
-                        -config.margin, strict=True) is not None
+        return _witness(_point(p, t_star=t_star), probe, PHI_OBS, config.margin) is not None
 
     def not_observable():
         # the value search on one element, which the delta loops would pay
         # at every failing delta if they did not report only the last
         [(top, _)] = _best_multipliers(_point(p, t_star=T_STAR_MAX), np.array([probe]),
-                                       [(phi_obs_entries, "lambda2", True)])
+                                       [PHI_OBS])
         return ("not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
                 % (T_STAR_MAX, fmt_float(delta), fmt_float(top[0])))
 
@@ -657,22 +653,18 @@ def find_feasible_vars(params, config=None):
     bounds = _chi_grid(params)
     margin = config.margin
 
-    lmis = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False)]
-    if observability:
-        lmis.append((phi_obs_entries, "lambda2", True))
+    lmis = [PSI2, PHI0, PHI_OBS] if observability else [PSI2, PHI0]
 
     def terms(values):
-        # each LMI's term of the worst-case margin, from its values; each
-        # term rises as its value gets better
-        top2, bottom0, *obs = values
-        return [margin - top2, bottom0 - margin] + [-margin - x for x in obs]
+        # each LMI's term of the worst-case margin: its slack
+        return [lmi.slack(x, margin) for lmi, x in zip(lmis, values)]
 
     def scan(grid):
         # the worst-case margin at each chi of grid (np.where(x < w, x, w)
         # keeps w on ties, as min(w, x) does), then the first point that
         # strictly beats the best so far
         nonlocal best_w, best_i, best_chi, best_lams
-        head = margin - psi1_value(params, grid)
+        head = PSI1.slack(psi1_value(params, grid), margin)
 
         def alive(points, worst, best):
             # a point can still win while the best its margin can end at
@@ -684,8 +676,6 @@ def find_feasible_vars(params, config=None):
             return ~((high <= best_w) | (high < np.fmax.reduce(low)))
 
         results = _best_multipliers(params, grid, lmis, alive)
-        (_, lam1), (_, lam0), *obs = results
-        lam2 = obs[0][1] if obs else None
         w = head
         for x in terms([values for values, _ in results]):
             w = np.where(x < w, x, w)
@@ -693,8 +683,8 @@ def find_feasible_vars(params, config=None):
         if better.size:
             best_i = int(better[np.argmax(w[better])])
             best_w, best_chi = float(w[best_i]), float(grid[best_i])
-            best_lams = [None if lam is None else float(lam[best_i])
-                         for lam in (lam0, lam1, lam2)]
+            best_lams = {lmi.multiplier: float(lams[best_i])
+                         for lmi, (_, lams) in zip(lmis, results)}
 
     grid, _ = _chi_points(params.n, bounds, margin)
     best_w, best_i, best_chi, best_lams = -math.inf, 0, float(grid[0]), None
@@ -710,8 +700,7 @@ def find_feasible_vars(params, config=None):
     if not best_w > 0.0:
         raise Infeasible("LMIs infeasible on the chi grid; best worst-case margin %s at chi=%s"
                          % (fmt_float(best_w), fmt_float(best_chi)))
-    lam0, lam1, lam2 = best_lams
-    vars = DecisionVars(chi=best_chi, lambda0=lam0, lambda1=lam1, lambda2=lam2)
+    vars = DecisionVars(chi=best_chi, **best_lams)
     report = (check_observability if observability else check_stability)(
         params, vars, margin)
     if not report["feasible"]:
@@ -753,16 +742,14 @@ def maximize_regional_radius(params, config=None):
                          % last)
     d0, delta, t, cmin = best
     p_final = replace(params, delta=delta, t_star=t)
-    margin = config.margin
     # chi_min's last feasible bisection step decided psi2 and phi0 at these
     # very inputs; phi_obs was bisected at the probe, a hair above cmin
-    lam1 = _witness(p_final, cmin, psi2_entries, "lambda1", margin)
-    lam0 = _witness(p_final, cmin, phi0_entries, "lambda0", margin, top=False)
-    lam2 = _witness(p_final, cmin, phi_obs_entries, "lambda2", -margin, strict=True)
-    if lam2 is None:
+    lams = {lmi.multiplier: _witness(p_final, cmin, lmi, config.margin)
+            for lmi in (PSI2, PHI0, PHI_OBS)}
+    if lams["lambda2"] is None:
         raise Infeasible("phi_obs has no multiplier at chi=%s, t_star=%s, delta=%s"
                          % (fmt_float(cmin), fmt_float(t), fmt_float(delta)))
-    vars = DecisionVars(chi=cmin, lambda0=lam0, lambda1=lam1, lambda2=lam2)
+    vars = DecisionVars(chi=cmin, **lams)
     cert = make_certificate(p_final, vars, margin=config.margin)
     return d0, cert
 
@@ -780,8 +767,8 @@ def delta_margin(params, vars, config=None):
     chi = vars.chi
 
     def ok(extra):
-        return _witness(_point(params, delta=params.delta + extra), chi,
-                        psi2_entries, "lambda1", config.margin) is not None
+        return _witness(_point(params, delta=params.delta + extra), chi, PSI2,
+                        config.margin) is not None
 
     if not ok(0.0):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")

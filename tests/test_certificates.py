@@ -514,16 +514,15 @@ class TestMarginBits:
     """Every certificate margin has the bits of the general Jacobi on the
     full rows of its matrix, also within a few ulps of an LMI boundary."""
 
-    LMIS = (("lambda0", cert.phi0_entries, False),
-            ("lambda1", cert.psi2_entries, True),
-            ("lambda2", cert.phi_obs_entries, True))
+    MATRICES = (cert.PHI0, cert.PSI2, cert.PHI_OBS)
 
     @staticmethod
-    def boundary_multipliers(params, chi, entries, name, top):
+    def boundary_multipliers(params, chi, lmi):
         # the ends of the span where the decisive eigenvalue clears 0, each
         # with its two float neighbours on either side, and the witness at
         # the default margin
-        _, n0, lo, hi = search._clearing(params, chi, entries, name, 0.0, top)
+        _, n0, lo, hi = search._clearing(params, chi, lmi.entries, lmi.multiplier, 0.0,
+                                         lmi.top)
         span = search._span(n0, wq(params.n), lo, hi)
         lams = []
         if span is not None and span[0] < span[1]:
@@ -532,7 +531,7 @@ class TestMarginBits:
                 above = math.nextafter(end, math.inf)
                 lams += [math.nextafter(below, -math.inf), below, end, above,
                          math.nextafter(above, math.inf)]
-        witness = search._witness(params, chi, entries, name, cert.DEFAULT_MARGIN, top=top)
+        witness = search._witness(params, chi, lmi, cert.DEFAULT_MARGIN)
         if witness is not None:
             lams.append(witness)
         return [lam for lam in lams if lam > 0.0]
@@ -546,8 +545,8 @@ class TestMarginBits:
                                   delta=float(10.0 ** rng.uniform(-4, -1)),
                                   t_star=float(rng.uniform(1.0, 40.0)))
                 chi = float(rng.uniform(1e-3, 0.45))
-                lams = {name: self.boundary_multipliers(p, chi, entries, name, top)
-                        for name, entries, top in self.LMIS}
+                lams = {lmi.multiplier: self.boundary_multipliers(p, chi, lmi)
+                        for lmi in self.MATRICES}
                 # each LMI in turn at each of its boundary multipliers, the
                 # others at their first
                 first = {name: (got[0] if got else 0.1) for name, got in lams.items()}

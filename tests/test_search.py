@@ -19,9 +19,13 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize
 
-from wavecert import search
+from wavecert import certificates, search
 from wavecert.certificates import (
     DEFAULT_MARGIN,
+    LMIS,
+    PHI0,
+    PHI_OBS,
+    PSI2,
     CertificateError,
     DecisionVars,
     ProblemParams,
@@ -464,9 +468,9 @@ def _same_bits(x, y):
                           np.asarray(y, dtype=float).view(np.int64))
 
 
-def best_one(params, chi, entries, name, top=True):
+def best_one(params, chi, lmi):
     """(values, multipliers) of _best_multipliers on the one LMI."""
-    [result] = search._best_multipliers(params, chi, [(entries, name, top)])
+    [result] = search._best_multipliers(params, chi, [lmi])
     return result
 
 
@@ -479,8 +483,8 @@ def _diagonal(params, chi, lam):
             zero - 5.0 - lam)
 
 
-STABILITY = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False)]
-OBSERVABILITY = STABILITY + [(phi_obs_entries, "lambda2", True)]
+STABILITY = [PSI2, PHI0]
+OBSERVABILITY = STABILITY + [PHI_OBS]
 
 
 def _not_finite(params, chi, lam):
@@ -492,10 +496,11 @@ def _assert_lockstep_bits(params, chi, lmis):
     and the float bisection; returns the combined result."""
     results = search._best_multipliers(params, chi, lmis)
     assert len(results) == len(lmis)
-    for (values, lams), (entries, name, top) in zip(results, lmis):
-        alone = best_one(params, chi, entries, name, top)
+    for (values, lams), lmi in zip(results, lmis):
+        alone = best_one(params, chi, lmi)
         assert _same_bits(values, alone[0]) and _same_bits(lams, alone[1])
-        oracle = [point_best_multiplier(params, float(c), entries, name, top) for c in chi]
+        oracle = [point_best_multiplier(params, float(c), lmi.entries, lmi.multiplier, lmi.top)
+                  for c in chi]
         assert _same_bits(values, [v for v, _ in oracle])
         assert _same_bits(lams, [lam for _, lam in oracle])
     return results
@@ -700,7 +705,8 @@ class TestLockstepScan:
         if name == "lambda1" and params.g1 == 5.0:
             lo, hi = search._bracket(params, float(chi[0]), name)
             assert lo >= chi[0] * math.pi ** 2 * params.n / 4.0 and hi > lo
-        values, lams = best_one(params, chi, entries, name, top)
+        [lmi] = [lmi for lmi in LMIS if lmi.entries is entries]
+        values, lams = best_one(params, chi, lmi)
         oracle = [point_best_multiplier(params, float(c), entries, name, top) for c in chi]
         assert _same_bits(values, [v for v, _ in oracle])
         assert _same_bits(lams, [lam for _, lam in oracle])
@@ -716,23 +722,23 @@ class TestLockstepScan:
     def test_bad_multiplier_or_entry_raises_as_before(self, monkeypatch):
         # an empty bracket reports an infinitely bad value at its lower end
         short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
-        values, lams = best_one(short, np.array([0.1, 0.2]), phi_obs_entries, "lambda2")
+        values, lams = best_one(short, np.array([0.1, 0.2]), PHI_OBS)
         assert np.all(values == math.inf) and np.all(lams == 1e-14)
         chi = np.array([0.1, 0.2])
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
         monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (1.0, 0.5))
-        values, lams = best_one(p, chi, phi0_entries, "lambda0", top=False)
+        values, lams = best_one(p, chi, PHI0)
         assert np.all(values == -math.inf) and np.all(lams == 1.0)
         # a multiplier that is not > 0, as DecisionVars would reject it
         monkeypatch.setattr(search, "_bracket", lambda params, chi, name: (-2.0, -1.0))
         with pytest.raises(CertificateError, match="lambda1"):
-            best_one(p, chi, psi2_entries, "lambda1")
+            best_one(p, chi, PSI2)
         monkeypatch.undo()
         # chi k overflows in the (1,1) entry of psi2
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                best_one(huge, np.array([10.0]), psi2_entries, "lambda1")
+                best_one(huge, np.array([10.0]), PSI2)
 
     def test_a_tight_gershgorin_bound_is_widened(self, monkeypatch):
         # the Gershgorin bound of _diagonal must be widened; the best strict
@@ -743,7 +749,8 @@ class TestLockstepScan:
         real = search._span
         monkeypatch.setattr(search, "_span",
                             lambda *args: spans.append(real(*args)) or spans[-1])
-        values, lams = best_one(params, np.array([0.1, 0.2]), _diagonal, "lambda0")
+        values, lams = best_one(params, np.array([0.1, 0.2]),
+                                PHI0._replace(entries=_diagonal, top=True))
         monkeypatch.undo()
         first = spans[0]
         assert not np.any(first[0] < first[1])
@@ -772,7 +779,7 @@ class TestLockstepScan:
         results = _assert_lockstep_bits(short, chi, OBSERVABILITY)
         assert np.all(results[2][0] == math.inf) and np.all(np.isfinite(results[0][0]))
         params = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
-        lmis = [STABILITY[0], (_diagonal, "lambda0", True), STABILITY[1]]
+        lmis = [PSI2, PHI0._replace(entries=_diagonal, top=True), PHI0]
         results = _assert_lockstep_bits(params, chi, lmis)
         assert np.all(results[1][0] == math.ulp(0.0))
 
@@ -813,7 +820,8 @@ class TestLockstepScan:
 
         params, chi = ProblemParams(n=1, k=1.0), np.array([0.1, 0.2])
         for top in (True, False):
-            [(values, lams)] = _assert_lockstep_bits(params, chi, [(_coupled, "lambda0", top)])
+            [(values, lams)] = _assert_lockstep_bits(params, chi,
+                                                     [PHI0._replace(entries=_coupled, top=top)])
             assert np.all(values == (math.inf if top else -math.inf)) and np.all(lams == 1e-12)
 
     @pytest.mark.parametrize("overflow,bad,broken,raises,says", [
@@ -832,7 +840,7 @@ class TestLockstepScan:
         if overflow:
             # chi k overflows in the (1,1) entry of psi2 only
             params, chi = replace(params, k=1.7e308, delta=0.5), np.array([10.0])
-        lmis = STABILITY + [(_not_finite if broken else phi_obs_entries, "lambda2", True)]
+        lmis = STABILITY + [PHI_OBS._replace(entries=_not_finite) if broken else PHI_OBS]
         real = search._bracket
         monkeypatch.setattr(search, "_bracket", lambda p, c, name:
                             (-2.0, -1.0) if name == bad else real(p, c, name))
@@ -844,7 +852,7 @@ class TestLockstepScan:
             return type(info.value), str(info.value)
 
         combined = raised(lambda: search._best_multipliers(params, chi, lmis))
-        sequential = raised(lambda: [best_one(params, chi, *lmi) for lmi in lmis])
+        sequential = raised(lambda: [best_one(params, chi, lmi) for lmi in lmis])
         assert combined == sequential == (raises, says)
 
     # config holds the search constants a case sets
@@ -884,27 +892,26 @@ class TestLockstepScan:
         # within a few ulps of the matrix scale
         rng = np.random.default_rng(40 + n)
         margin = SearchConfig().margin
-        lmis = [(psi2_entries, "lambda1", True), (phi0_entries, "lambda0", False),
-                (phi_obs_entries, "lambda2", True)]
+        # each LMI's record, and its sense spelled by hand for the oracle
+        lmis = [(PSI2, True), (PHI0, False), (PHI_OBS, True)]
         checked = 0
         for _ in range(2):
             params, _ = _random_problem(rng, n)
             chi = np.geomspace(1e-4, search._chi_cut(params) * (1.0 - 1e-9), 40)
             w_scan = margin - psi1_value(params, chi)
             w_gold = w_scan.copy()
-            for entries, name, top in lmis:
+            for lmi, top in lmis:
                 sign = 1.0 if top else -1.0
-                threshold = -margin if name == "lambda2" else margin
-                values, lams = best_one(params, chi, entries, name, top)
-                golden = np.array([golden_best_multiplier(params, float(c), entries,
-                                                          name, top)[0] for c in chi])
+                values, lams = best_one(params, chi, lmi)
+                golden = np.array([golden_best_multiplier(params, float(c), lmi.entries,
+                                                          lmi.multiplier, top)[0] for c in chi])
                 assert np.all(sign * (values - golden) <= 1e-15)
-                w_scan = np.minimum(w_scan, sign * (threshold - values))
-                w_gold = np.minimum(w_gold, sign * (threshold - golden))
+                w_scan = np.minimum(w_scan, lmi.slack(values, margin))
+                w_gold = np.minimum(w_gold, lmi.slack(golden, margin))
                 for c, value, lam in zip(chi, values, lams):
                     if not math.isfinite(value):
                         continue
-                    m = entries(params, float(c), float(lam))
+                    m = lmi.entries(params, float(c), float(lam))
                     low, high = extremes3(*m)
                     assert _ulps_apart(high if top else low, value, m) <= 8.0
                     checked += 1
@@ -1122,11 +1129,11 @@ class TestPrunedScan:
         pruned = search._best_multipliers(params, chi, OBSERVABILITY, keep_one)
         full = search._best_multipliers(params, chi, OBSERVABILITY)
         assert len(calls) == 1 and calls[0].tolist() == list(range(30))
-        for (values, lams), (want, want_lams), (_, _, top) in zip(pruned, full, OBSERVABILITY):
+        for (values, lams), (want, want_lams), lmi in zip(pruned, full, OBSERVABILITY):
             assert _same_bits(values[17:18], want[17:18])
             assert _same_bits(lams[17:18], want_lams[17:18])
             others = np.arange(30) != 17
-            assert np.all(values[others] == (math.inf if top else -math.inf))
+            assert np.all(values[others] == (math.inf if lmi.top else -math.inf))
             assert np.all(np.isnan(lams[others]))
 
     def test_a_400_point_scan_prunes_after_its_first_pruning_step(self, monkeypatch):
@@ -1291,18 +1298,10 @@ def _relative_gap(got, want):
                default=0.0)
 
 
-def _clears(value, s, top, strict):
-    # value is the decisive eigenvalue: the largest (top) or the smallest
-    if not top:
-        return value > s
-    return value < s if strict else value <= s
-
-
-# entries, builder, multiplier, top, strict: the three decisions the
-# searches make
-DECISIONS = [(psi2_entries, build_psi2, "lambda1", True, False),
-             (phi0_entries, build_phi0, "lambda0", False, True),
-             (phi_obs_entries, build_phi_obs, "lambda2", True, True)]
+# the three decisions the searches make: each LMI's record, its builder, and
+# its sense spelled by hand for the build-path oracle
+DECISIONS = [(PSI2, build_psi2, True), (PHI0, build_phi0, False),
+             (PHI_OBS, build_phi_obs, True)]
 
 
 def _random_problem(rng, n):
@@ -1333,24 +1332,26 @@ class TestClosedFormDecisions:
         monkeypatch.setattr(search, "_best_multipliers", counted)
         outside = witnessed = 0
         for n in (1, 2, 3, 4):
-            for entries, build, name, top, strict in DECISIONS:
+            for lmi, build, top in DECISIONS:
                 for _ in range(6):
                     params, chi = _random_problem(rng, n)
-                    value = build_path_best_multiplier(params, chi, tol, build, name, top)[0]
-                    lo, hi = search._bracket(params, chi, name)
+                    value = build_path_best_multiplier(params, chi, tol, build,
+                                                       lmi.multiplier, top)[0]
+                    lo, hi = search._bracket(params, chi, lmi.multiplier)
                     for f in (0.9, 1.0, 1.1, 1.5, 2.0, 3.0):
                         for side in (-1.0, 1.0):
                             s = value + side * f * eps
-                            lam = search._witness(params, chi, entries, name, s,
-                                                  top, strict)
+                            # the margin whose threshold is s
+                            margin = lmi.side * s
+                            lam = search._witness(params, chi, lmi, margin)
                             if lam is not None:
                                 assert lo <= lam <= hi
-                                low, high = search.extremes3(*entries(params, chi, lam))
-                                assert _clears(high if top else low, s, top, strict)
+                                low, high = search.extremes3(*lmi.entries(params, chi, lam))
+                                assert lmi.holds(high if lmi.top else low, margin)
                                 witnessed += 1
                             if f >= 1.5:
-                                assert (lam is not None) == _clears(value, s, top, strict), \
-                                    (params, chi, name, s)
+                                assert (lam is not None) == lmi.holds(value, margin), \
+                                    (params, chi, lmi.name, s)
                                 outside += 1
         assert not value_calls
         assert outside == 4 * 3 * 6 * 3 * 2
@@ -1364,23 +1365,21 @@ class TestClosedFormDecisions:
                                delta=0.12104731253124086, t_star=1.9019470945648353)
         chi, tol = 0.08180788182923945, 1e-3
         value = build_path_best_multiplier(params, chi, tol, build_phi_obs, "lambda2")[0]
-        s = value - 0.004
-        assert search._witness(params, chi, phi_obs_entries, "lambda2", s,
-                               strict=True) is None
-        assert search._witness(params, chi, phi_obs_entries, "lambda2", value + 0.004,
-                               strict=True) is not None
+        # phi_obs's threshold is -margin
+        assert search._witness(params, chi, PHI_OBS, 0.004 - value) is None
+        assert search._witness(params, chi, PHI_OBS, -0.004 - value) is not None
 
     def test_bad_input_raises_as_the_golden_section_does(self):
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
         for chi_bad in (-0.1, math.nan, math.inf):
             with pytest.raises(CertificateError, match="chi"):
-                search._witness(p, chi_bad, psi2_entries, "lambda1", 1e-9)
+                search._witness(p, chi_bad, PSI2, 1e-9)
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with pytest.raises(ValueError, match="non-finite"):
-            search._witness(huge, 10.0, psi2_entries, "lambda1", 1e-9)
+            search._witness(huge, 10.0, PSI2, 1e-9)
         # an empty lambda2 interval: the golden value is inf, never below s
         short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
-        assert search._witness(short, 0.1, phi_obs_entries, "lambda2", 1e300) is None
+        assert search._witness(short, 0.1, PHI_OBS, -1e300) is None
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1e-2])
     def test_searches_keep_their_bits(self, tol):
@@ -1410,10 +1409,8 @@ class TestClosedFormDecisions:
                     if isinstance(cmin[0], type):
                         continue
                     cmin = cmin[0]
-                    assert search._witness(p, cmin, psi2_entries, "lambda1",
-                                           margin) is not None
-                    assert search._witness(p, cmin, phi0_entries, "lambda0", margin,
-                                           top=False) is not None
+                    assert search._witness(p, cmin, PSI2, margin) is not None
+                    assert search._witness(p, cmin, PHI0, margin) is not None
                     for chi in (cmin, cmin * (1.0 - 1e-3), 0.5 * (cmin + cut)):
                         v = DecisionVars(chi=chi)
                         got = _numeric_outcome(delta_margin, p, v, config)
@@ -1441,6 +1438,47 @@ class TestClosedFormDecisions:
                             lambda p, config, delta:
                             head_observation_window(p, config, delta, 1e-9))
         assert got == _repr_outcome(certified, params)
+
+
+# the senses spelled by hand: each LMI's verdict on its decisive value
+SENSES = {"phi0": lambda x, m: x > m, "psi1": lambda x, m: x <= m,
+          "psi2": lambda x, m: x <= m, "phi_obs": lambda x, m: x < -m}
+
+
+def _at_threshold(name, margin, ulps):
+    # the value at name's threshold, or one ulp below or above it
+    value = -margin if name == "phi_obs" else margin
+    return value if not ulps else math.nextafter(value, ulps * math.inf)
+
+
+class TestThresholdTies:
+    # a decisive value at its threshold, one ulp inside and one outside:
+    # the certificate checks and the witnesses decide as SENSES does
+    @pytest.mark.parametrize("ulps", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("margin", [0.0, 1e-9])
+    @pytest.mark.parametrize("name", ["phi0", "psi1", "psi2", "phi_obs"])
+    def test_check_verdicts(self, name, margin, ulps, monkeypatch):
+        value = _at_threshold(name, margin, ulps)
+        monkeypatch.setattr(certificates, "eigenvalues", lambda entries: (value, value))
+        monkeypatch.setattr(certificates, "build_psi1", lambda params, vars: value)
+        report = check_observability(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.9),
+                                     DecisionVars(chi=0.1, lambda1=0.1, lambda2=0.1), margin)
+        want = {lmi + "_ok": sense(value, margin) for lmi, sense in SENSES.items()}
+        assert {key: report[key] for key in want} == want
+        assert report["feasible"] == all(want.values())
+        assert report["margins"] == dict.fromkeys(SENSES, value)
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("margin", [0.0, 1e-9])
+    @pytest.mark.parametrize("lmi", [PHI0, PSI2, PHI_OBS], ids=lambda lmi: lmi.name)
+    def test_witness_verdicts(self, lmi, margin, ulps, monkeypatch):
+        params = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=8.0)
+        # a point whose span is non-empty, so extremes3 decides the witness
+        assert search._witness(params, 0.2, lmi, margin) is not None
+        value = _at_threshold(lmi.name, margin, ulps)
+        monkeypatch.setattr(search, "extremes3", lambda *entries: (value, value))
+        got = search._witness(params, 0.2, lmi, margin) is not None
+        assert got == SENSES[lmi.name](value, margin)
 
 
 # ------------------------------------------------------------- chi_min scan
@@ -1543,8 +1581,7 @@ class TestChiMinScan:
             grid, out = search._stability_ruled_out(params, bounds, config.margin)
             want = both_lmis_ruled_out(params, np.geomspace(*bounds), config.margin)
             assert np.array_equal(out, want), (params, config)
-            finite, empty = search._ruled_out(params, grid, psi2_entries, "lambda1", True,
-                                              config.margin)
+            finite, empty = search._ruled_out(params, grid, PSI2, config.margin)
             enlarged += int(np.sum(want & ~(finite & empty)))
         assert enlarged > 50
 
@@ -1687,8 +1724,9 @@ class TestSharedScanWork:
         params = ProblemParams(n=1, k=1.0, g1=0.1, d=1.0)
         config = SearchConfig(tstar_tol=0.01)
         monkeypatch.setattr(ProblemParams, "__post_init__", checked)
-        for entries in (psi2_entries, phi0_entries, phi_obs_entries):
-            monkeypatch.setattr(search, entries.__name__, counted(entries))
+        for lmi in ("PSI2", "PHI0", "PHI_OBS"):
+            record = getattr(search, lmi)
+            monkeypatch.setattr(search, lmi, record._replace(entries=counted(record.entries)))
         search._chi_points.cache_clear()
         try:
             maximize_regional_radius(params, config)
