@@ -18,12 +18,11 @@ import sys
 
 import numpy as np
 
-from . import pde
+from . import observer, pde
 from .certificates import (DecisionVars, ProblemParams, certificate_at,
                            certificate_from_dict, certificate_to_dict,
                            check_point, checked_float, compute_regional_radius,
                            json_dumps, reject_unknown_keys)
-from .observer import RecoveryConfig, recover, run_to_json
 from .search import (Infeasible, SearchConfig, find_feasible_vars,
                      maximize_regional_radius, minimal_observability_time,
                      sweep)
@@ -343,13 +342,13 @@ def cmd_recover(args):
     certificate = None
     if "certificate" in doc:
         certificate = certificate_from_dict(doc["certificate"])
-    config = RecoveryConfig(
+    config = observer.RecoveryConfig(
         horizon=sim["horizon"], m_max=args.iterations, grid=grid,
         nonlinearity=build_nonlinearity(sim.get("nonlinearity")),
         convergence_threshold=sim.get("convergence_threshold", 1e-3),
         certificate=certificate)
-    run = recover(trace, config)
-    text = run_to_json(run)
+    run = observer.recover(trace, config)
+    text = observer.run_to_json(run)
     _write(args.out, text + "\n")
     print(text)
     if run.converged:

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import wavecert
 from wavecert import certificates, cli, observer, pde, search
 
 FIG_SIM = {
@@ -853,6 +855,138 @@ class TestSweep:
                             timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+class TestLazySimulationLayer:
+    """pde and observer run on first use; every launch pays only for its own.
+
+    Each case runs in a fresh interpreter whose audit hook records the
+    file of every code object passed to exec, which is how every module
+    body runs, from source or from a bytecode cache.
+    """
+
+    PROBLEM = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05}
+    SIM = {"points_per_axis": 41, "horizon": 0.5, "k": 1.0,
+           "initial": {"preset": "paper-example2"}}
+    SEARCH_LAYER = ["__init__.py", "certificates.py", "search.py",
+                    "smallmat.py"]
+    CLI_LAYER = sorted(SEARCH_LAYER + ["cli.py"])
+
+    # the names the package bound before pde and observer became lazy
+    PUBLIC = {
+        "certificates": ["Certificate", "CertificateError", "DecisionVars",
+                         "ProblemParams", "certificate_from_dict",
+                         "certificate_to_dict", "check_observability",
+                         "check_stability", "compute_alpha_beta",
+                         "compute_iss_gain", "compute_regional_radius",
+                         "make_certificate"],
+        "observer": ["ContractionReport", "IssReport", "IterationRecord",
+                     "RecoveryConfig", "RecoveryRun", "contraction_report",
+                     "perturbed_recover", "recover", "run_to_json"],
+        "pde": ["ZERO_F", "BoundaryTrace", "DivergenceError", "Grid",
+                "Nonlinearity", "WaveField", "boundary_node_count", "energy",
+                "hnorm", "lyapunov", "make_grid", "read_trajectory_csv", "run",
+                "sobolev_check", "step", "trace_check", "trajectory_csv",
+                "wirtinger_check"],
+        "search": ["Infeasible", "SearchConfig", "SweepResult", "SweepRow",
+                   "chi_min_stability", "delta_margin", "find_feasible_vars",
+                   "maximize_regional_radius", "minimal_observability_time",
+                   "sweep"],
+    }
+    MODULES = ["certificates", "observer", "pde", "search", "smallmat"]
+
+    EXECUTED = """
+import json, os, sys
+seen = set()
+sys.addaudithook(lambda event, args: event == "exec"
+                 and seen.add(args[0].co_filename))
+import wavecert
+if len(sys.argv) > 1:
+    from wavecert import cli
+    assert cli.main(sys.argv[1:]) in (0, 2)
+root = os.path.dirname(wavecert.__file__)
+print(json.dumps(sorted(os.path.basename(f) for f in seen
+                        if os.path.dirname(f) == root)))
+"""
+
+    def executed(self, argv=()):
+        proc = fresh_python(["-c", self.EXECUTED] + list(argv), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_runs_the_search_layer_only(self):
+        assert self.executed() == self.SEARCH_LAYER
+
+    @pytest.mark.parametrize("command", ["certify", "min-time", "regional",
+                                         "sweep"])
+    def test_searches_run_neither_pde_nor_observer(self, tmp_path, command):
+        problem = dict(self.PROBLEM)
+        if command == "regional":
+            problem["d"] = 1.0
+        if command == "sweep":
+            problem["t_star"] = 3.9
+        argv = [command, "--config",
+                write_json(tmp_path, "c.json", {"problem": problem,
+                                                "search": {"tstar_tol": 0.01}})]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "s.csv")]
+        assert self.executed(argv) == self.CLI_LAYER
+
+    def test_simulate_runs_pde_and_recover_runs_both(self, tmp_path):
+        cfg = write_json(tmp_path, "c.json", {"sim": self.SIM})
+        trace = str(tmp_path / "t.csv")
+        assert self.executed(["simulate", "--config", cfg, "--out", trace]) \
+            == sorted(self.CLI_LAYER + ["pde.py"])
+        assert self.executed(["recover", "--config", cfg, "--trace", trace,
+                              "--iterations", "1",
+                              "--out", str(tmp_path / "r.json")]) \
+            == sorted(self.CLI_LAYER + ["observer.py", "pde.py"])
+
+    def test_every_module_is_registered_for_the_tracer(self):
+        """bench/tracer.py reads sys.modules["wavecert." + module] for each
+        traced module and getattr()s its functions from that entry, so a
+        lazy module must be registered from the start and resolve to the
+        same objects as the package attribute."""
+        proc = fresh_python(["-c", """
+import sys, wavecert.cli
+print(sorted(m for m in sys.modules if m.startswith("wavecert.")))
+import wavecert
+print(getattr(sys.modules["wavecert.pde"], "step") is wavecert.pde.step,
+      getattr(sys.modules["wavecert.observer"], "recover")
+      is wavecert.observer.recover)
+"""], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            str(["wavecert.%s" % m for m in sorted(self.MODULES + ["cli"])]),
+            "True True"]
+
+    def test_public_names_resolve_to_their_modules(self):
+        for module, names in self.PUBLIC.items():
+            for name in names:
+                assert getattr(wavecert, name) \
+                    is getattr(getattr(wavecert, module), name), name
+        public = sorted(self.MODULES
+                        + [n for names in self.PUBLIC.values() for n in names])
+        assert sorted(wavecert.__all__) == public
+        assert set(public + ["__version__"]) <= set(dir(wavecert))
+        star = {}
+        exec("from wavecert import *", star)
+        assert sorted(n for n in star if n != "__builtins__") == public
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            wavecert.nosuch
+
+    def test_simulation_objects_unpickle_before_pde_runs(self):
+        grid = pde.make_grid(1, 41, 0.5, k=1.0)
+        config = observer.RecoveryConfig(horizon=0.5, m_max=2, grid=grid)
+        proc = fresh_python(["-c", """
+import pickle, sys
+grid, config = pickle.loads(bytes.fromhex(sys.argv[1]))
+print(type(grid).__module__, type(config).__module__, config.grid == grid,
+      config.steps)
+""", pickle.dumps((grid, config)).hex()], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "wavecert.pde wavecert.observer True %d\n" \
+            % config.steps
 
 
 class TestUnwritableOut:
