@@ -7,28 +7,25 @@ inequalities, searches tuning parameters (minimal observation time, regional
 radius), and validates certificates in simulation with an iterative
 forward/backward boundary observer.
 
-`import wavecert` runs `certificates`, `smallmat` and `search` (and so
-numpy) at once.  The simulation layer, `pde` and `observer`, is registered
-in sys.modules and bound here from the start, but its body runs on the
-first attribute access: the certificate searches never pay to compile it.
-The names re-exported from those two modules resolve through the module
-`__getattr__` below, each to the module's own object.
+`import wavecert` runs `certificates` and `smallmat` at once, both pure
+Python.  `search` and the simulation layer, `pde` and `observer`, which
+import numpy, are registered in sys.modules and bound here from the start,
+but each body runs on the first attribute access: checking a certificate
+loads no numpy, and the certificate searches never compile the simulation
+layer.  The names re-exported from those three modules resolve through
+the module `__getattr__` below, each to the module's own object.
 """
 
 import importlib.util as _importlib_util
 import sys as _sys
 
-from . import certificates, search, smallmat
+from . import certificates, smallmat
 from .certificates import (Certificate, CertificateError, DecisionVars,
-                           ProblemParams, certificate_from_dict,
-                           certificate_to_dict, check_observability,
-                           check_stability, compute_alpha_beta,
-                           compute_iss_gain, compute_regional_radius,
-                           make_certificate)
-from .search import (Infeasible, SearchConfig, SweepResult, SweepRow,
-                     chi_min_stability, delta_margin, find_feasible_vars,
-                     maximize_regional_radius, minimal_observability_time,
-                     sweep)
+                           Infeasible, ProblemParams, SearchConfig,
+                           certificate_from_dict, certificate_to_dict,
+                           check_observability, check_stability,
+                           compute_alpha_beta, compute_iss_gain,
+                           compute_regional_radius, make_certificate)
 
 __version__ = "0.1.0"
 
@@ -43,11 +40,16 @@ def _lazy_submodule(name):
     return module
 
 
+search = _lazy_submodule("search")
 pde = _lazy_submodule("pde")
 observer = _lazy_submodule("observer")
 
 # re-exported name -> the lazily loaded module that defines it
 _LAZY_NAMES = {
+    **dict.fromkeys(
+        ("SweepResult", "SweepRow", "chi_min_stability", "delta_margin",
+         "find_feasible_vars", "maximize_regional_radius",
+         "minimal_observability_time", "sweep"), "search"),
     **dict.fromkeys(
         ("ZERO_F", "BoundaryTrace", "DivergenceError", "Grid", "Nonlinearity",
          "WaveField", "boundary_node_count", "energy", "hnorm", "lyapunov",

@@ -509,6 +509,59 @@ def certificate_from_dict(dct):
     )
 
 
+# ------------------------------------------------------------------ searches
+# the settings and the negative result of wavecert.search, kept here with
+# the other config types so that parsing a config runs no search code
+
+
+class Infeasible(Exception):
+    """A search exhausted its region without finding a certified point.
+
+    This is a result, not a failure: the reason string records the best
+    margin seen or the structural cut that emptied the region.  A reason
+    may be given as a function that returns it; the function runs when the
+    text is first read, so a per-delta failure that is never reported
+    costs nothing to explain.
+    """
+
+    def __init__(self, reason):
+        super().__init__(reason)
+        self._reason = reason
+
+    @property
+    def reason(self):
+        if callable(self._reason):
+            self._reason = self._reason()
+        return self._reason
+
+    def __str__(self):
+        return self.reason
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Settings of the searches; the grids are wavecert.search's constants.
+
+    Multiplier decisions and values are closed-form or bisected to the
+    float spacing and take no tolerance.  tstar_tol ends the t_star
+    bisection, which also stops at the float spacing; margin is the slack
+    every LMI check keeps.
+    """
+
+    tstar_tol: float = 1e-3
+    margin: float = DEFAULT_MARGIN
+
+    def __post_init__(self):
+        object.__setattr__(self, "tstar_tol",
+                           checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
+        object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
+
+    @classmethod
+    def from_dict(cls, dct):
+        reject_unknown_keys("search", dct, (f.name for f in fields(cls)))
+        return cls(**dct)
+
+
 # ------------------------------------------------------------------ text emission
 
 # every float the toolkit writes (JSON and CSV alike) goes through this so

@@ -16,16 +16,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import observer, pde
-from .certificates import (DecisionVars, ProblemParams, certificate_at,
-                           certificate_from_dict, certificate_to_dict,
-                           check_point, checked_float, compute_regional_radius,
-                           json_dumps, reject_unknown_keys)
-from .search import (Infeasible, SearchConfig, find_feasible_vars,
-                     maximize_regional_radius, minimal_observability_time,
-                     sweep)
+# search, pde and observer run on first use (see wavecert/__init__), and
+# numpy is imported only inside the simulation helpers below, which run
+# after pde: a launch that neither searches nor simulates loads no numpy
+from . import observer, pde, search
+from .certificates import (DecisionVars, Infeasible, ProblemParams,
+                           SearchConfig, certificate_at, certificate_from_dict,
+                           certificate_to_dict, check_point, checked_float,
+                           compute_regional_radius, json_dumps,
+                           reject_unknown_keys)
 
 CONFIG_KEYS = {"problem", "problems", "search", "sim", "certificate"}
 SIM_KEYS = {"dim", "points_per_axis", "horizon", "mode", "k", "chi",
@@ -141,6 +140,7 @@ def build_nonlinearity(spec):
             f = lambda z, x, t: coeff * z * z
             default_bound = 0.0
         else:
+            import numpy as np
             f = lambda z, x, t: coeff * np.sin(z)
             default_bound = abs(coeff)
         radius = spec.get("local_radius")
@@ -153,6 +153,7 @@ def build_nonlinearity(spec):
 def _fourier_sum(coeffs, grid):
     # coefficient (j_1, ..., j_dim) (1-based) weights the Dirichlet-compliant
     # mode product sin((j_1 - 1/2) pi x_1) ... sin((j_dim - 1/2) pi x_dim)
+    import numpy as np
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != grid.dim:
         raise CliError("fourier-sine coefficients must be a %d-D array for dim %d"
@@ -170,6 +171,7 @@ def _fourier_sum(coeffs, grid):
 
 
 def build_initial(spec, grid):
+    import numpy as np
     reject_unknown_keys("initial", spec, IC_KINDS)
     given = [kind for kind in IC_KINDS if kind in spec]
     if len(given) != 1:
@@ -256,7 +258,7 @@ def cmd_certify(args):
             # the document's params carry the searched delta and t_star
             params = cert_params
     if vars is None:
-        vars = find_feasible_vars(params, config)
+        vars = search.find_feasible_vars(params, config)
     vars, report = check_point(params, vars, config.margin)
     if report["feasible"]:
         out = {"feasible": True,
@@ -270,8 +272,9 @@ def cmd_certify(args):
 
 def cmd_min_time(args):
     doc = load_config(args.config)
-    t_star, delta, cert = minimal_observability_time(parse_problem(doc),
-                                                     parse_search(doc))
+    # both parsed before search is touched, so a bad config loads no numpy
+    params, config = parse_problem(doc), parse_search(doc)
+    t_star, delta, cert = search.minimal_observability_time(params, config)
     payload = {"feasible": True, "t_star": t_star, "delta": delta,
                "certificate": certificate_to_dict(cert)}
     if args.out is not None:
@@ -282,8 +285,8 @@ def cmd_min_time(args):
 
 def cmd_regional(args):
     doc = load_config(args.config)
-    params = parse_problem(doc)
-    d0, cert = maximize_regional_radius(params, parse_search(doc))
+    params, config = parse_problem(doc), parse_search(doc)
+    d0, cert = search.maximize_regional_radius(params, config)
     radius = compute_regional_radius(cert.params, cert.vars)
     payload = {"feasible": True, "d0": d0}
     if math.isfinite(radius.t_max):
@@ -297,6 +300,7 @@ def cmd_regional(args):
 
 
 def cmd_simulate(args):
+    import numpy as np
     doc = load_config(args.config)
     sim = parse_sim(doc, require_initial=True)
     grid = build_grid(sim)
@@ -372,7 +376,8 @@ def cmd_sweep(args):
         problems = [ProblemParams.from_dict(row) for row in rows]
     else:
         problems = [parse_problem(doc)]
-    result = sweep(problems, parse_search(doc), worker_count=args.jobs)
+    config = parse_search(doc)
+    result = search.sweep(problems, config, worker_count=args.jobs)
     _write(args.out, result.to_csv())
     feasible = sum(1 for row in result.rows if row.feasible)
     print(json_dumps({"rows": len(result.rows), "feasible_rows": feasible}))

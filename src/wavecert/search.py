@@ -26,17 +26,19 @@ bisects over are made from checked params without checking them again
 (_point).  All searches are deterministic: same inputs and config, same
 outputs, regardless of worker count.  Each LMI's sense (which eigenvalue
 decides, strictness, the margin's side) comes from certificates.LMIS.
+The searches' settings (SearchConfig) and negative result (Infeasible)
+are defined in certificates, which parses configs without numpy, and are
+the same objects here.
 """
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .certificates import (
-    DEFAULT_MARGIN,
     PHI0,
     PHI_OBS,
     PI2,
@@ -45,7 +47,9 @@ from .certificates import (
     Certificate,
     CertificateError,
     DecisionVars,
+    Infeasible,
     ProblemParams,
+    SearchConfig,
     _wq,
     check_observability,
     check_stability,
@@ -55,7 +59,6 @@ from .certificates import (
     fmt_float,
     make_certificate,
     psi1_value,
-    reject_unknown_keys,
 )
 from .smallmat import extremes3
 
@@ -74,54 +77,6 @@ PRUNE_STEPS = (6, 12, 24)
 DELTA_GRID = (1e-4, 0.5, 30)
 
 CSV_HEADER = "n,k,g1,delta,t_star,chi,lambda0,lambda1,lambda2,alpha,beta,d0,feasible"
-
-
-class Infeasible(Exception):
-    """A search exhausted its region without finding a certified point.
-
-    This is a result, not a failure: the reason string records the best
-    margin seen or the structural cut that emptied the region.  A reason
-    may be given as a function that returns it; the function runs when the
-    text is first read, so a per-delta failure that is never reported
-    costs nothing to explain.
-    """
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self._reason = reason
-
-    @property
-    def reason(self):
-        if callable(self._reason):
-            self._reason = self._reason()
-        return self._reason
-
-    def __str__(self):
-        return self.reason
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Settings of the searches; the grids are the module's constants.
-
-    Multiplier decisions and values are closed-form or bisected to the
-    float spacing and take no tolerance.  tstar_tol ends the t_star
-    bisection, which also stops at the float spacing; margin is the slack
-    every LMI check keeps.
-    """
-
-    tstar_tol: float = 1e-3
-    margin: float = DEFAULT_MARGIN
-
-    def __post_init__(self):
-        object.__setattr__(self, "tstar_tol",
-                           checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
-        object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
-
-    @classmethod
-    def from_dict(cls, dct):
-        reject_unknown_keys("search", dct, (f.name for f in fields(cls)))
-        return cls(**dct)
 
 
 def _bisect(ok, bad, good, tol=0.0):

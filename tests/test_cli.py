@@ -856,9 +856,19 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_cli_import_leaves_numpy_out(self):
+        # numpy loads with search, pde or observer, which only the commands
+        # that search or simulate run
+        proc = fresh_python(["-c", "import sys, wavecert.cli; "
+                                   "print('numpy' in sys.modules)"],
+                            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestLazySimulationLayer:
-    """pde and observer run on first use; every launch pays only for its own.
+    """search, pde and observer run on first use; every launch pays only
+    for its own, and only a launch that runs one of them loads numpy.
 
     Each case runs in a fresh interpreter whose audit hook records the
     file of every code object passed to exec, which is how every module
@@ -868,11 +878,11 @@ class TestLazySimulationLayer:
     PROBLEM = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05}
     SIM = {"points_per_axis": 41, "horizon": 0.5, "k": 1.0,
            "initial": {"preset": "paper-example2"}}
-    SEARCH_LAYER = ["__init__.py", "certificates.py", "search.py",
-                    "smallmat.py"]
-    CLI_LAYER = sorted(SEARCH_LAYER + ["cli.py"])
+    CERTIFICATE_LAYER = ["__init__.py", "certificates.py", "smallmat.py"]
+    CLI_LAYER = sorted(CERTIFICATE_LAYER + ["cli.py"])
+    SEARCH_LAYER = sorted(CLI_LAYER + ["search.py"])
 
-    # the names the package bound before pde and observer became lazy
+    # the names the package bound before search, pde and observer became lazy
     PUBLIC = {
         "certificates": ["Certificate", "CertificateError", "DecisionVars",
                          "ProblemParams", "certificate_from_dict",
@@ -895,27 +905,42 @@ class TestLazySimulationLayer:
     }
     MODULES = ["certificates", "observer", "pde", "search", "smallmat"]
 
-    EXECUTED = """
+    LAUNCH = """
 import json, os, sys
 seen = set()
 sys.addaudithook(lambda event, args: event == "exec"
                  and seen.add(args[0].co_filename))
 import wavecert
+code = None
 if len(sys.argv) > 1:
     from wavecert import cli
-    assert cli.main(sys.argv[1:]) in (0, 2)
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 root = os.path.dirname(wavecert.__file__)
-print(json.dumps(sorted(os.path.basename(f) for f in seen
-                        if os.path.dirname(f) == root)))
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(os.path.basename(f) for f in seen
+                         if os.path.dirname(f) == root)]))
 """
 
-    def executed(self, argv=()):
-        proc = fresh_python(["-c", self.EXECUTED] + list(argv), timeout=120)
+    def launch(self, argv=()):
+        """(exit code, whether numpy was imported, the package files run)
+        of one launch, and its stderr."""
+        proc = fresh_python(["-c", self.LAUNCH] + list(argv), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
+        code, numpy, ran = json.loads(proc.stdout.splitlines()[-1])
+        return (code, numpy, ran), proc.stderr
 
-    def test_import_runs_the_search_layer_only(self):
-        assert self.executed() == self.SEARCH_LAYER
+    def executed(self, argv=()):
+        """(whether numpy was imported, the package files run) of a launch
+        that ends in a result."""
+        (code, numpy, ran), _ = self.launch(argv)
+        assert code in (None, 0, 2)
+        return numpy, ran
+
+    def test_import_runs_the_certificate_layer_only(self):
+        assert self.executed() == (False, self.CERTIFICATE_LAYER)
 
     @pytest.mark.parametrize("command", ["certify", "min-time", "regional",
                                          "sweep"])
@@ -930,17 +955,41 @@ print(json.dumps(sorted(os.path.basename(f) for f in seen
                                                 "search": {"tstar_tol": 0.01}})]
         if command == "sweep":
             argv += ["--out", str(tmp_path / "s.csv")]
-        assert self.executed(argv) == self.CLI_LAYER
+        assert self.executed(argv) == (True, self.SEARCH_LAYER)
+
+    def test_certify_vars_and_help_run_no_search_and_no_numpy(self, tmp_path):
+        cfg = write_json(tmp_path, "c.json", {"problem": self.PROBLEM})
+        vars_path = write_json(tmp_path, "v.json", {"chi": 0.2, "lambda1": 0.15})
+        assert self.executed(["certify", "--config", cfg, "--vars", vars_path]) \
+            == (False, self.CLI_LAYER)
+        assert self.executed(["--help"]) == (False, self.CLI_LAYER)
+
+    BAD = {"search": ({"search": {"tstar_tol": -1}},
+                      "error: tstar_tol must be > 0, got -1.0\n"),
+           "problem": ({"problem": {"n": 1, "k": -1.0}},
+                       "error: k must be > 0, got -1.0\n")}
+
+    @pytest.mark.parametrize("section", sorted(BAD))
+    @pytest.mark.parametrize("command", ["min-time", "regional", "sweep"])
+    def test_a_bad_config_is_rejected_before_numpy_loads(self, tmp_path,
+                                                          command, section):
+        doc, stderr = self.BAD[section]
+        doc = dict({"problem": dict(self.PROBLEM, d=1.0)}, **doc)
+        argv = [command, "--config", write_json(tmp_path, "c.json", doc)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "s.csv")]
+        assert self.launch(argv) == ((1, False, self.CLI_LAYER), stderr)
 
     def test_simulate_runs_pde_and_recover_runs_both(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {"sim": self.SIM})
         trace = str(tmp_path / "t.csv")
         assert self.executed(["simulate", "--config", cfg, "--out", trace]) \
-            == sorted(self.CLI_LAYER + ["pde.py"])
+            == (True, sorted(self.CLI_LAYER + ["pde.py"]))
+        # observer imports search's delta_margin
         assert self.executed(["recover", "--config", cfg, "--trace", trace,
                               "--iterations", "1",
                               "--out", str(tmp_path / "r.json")]) \
-            == sorted(self.CLI_LAYER + ["observer.py", "pde.py"])
+            == (True, sorted(self.SEARCH_LAYER + ["observer.py", "pde.py"]))
 
     def test_every_module_is_registered_for_the_tracer(self):
         """bench/tracer.py reads sys.modules["wavecert." + module] for each
@@ -953,12 +1002,14 @@ print(sorted(m for m in sys.modules if m.startswith("wavecert.")))
 import wavecert
 print(getattr(sys.modules["wavecert.pde"], "step") is wavecert.pde.step,
       getattr(sys.modules["wavecert.observer"], "recover")
-      is wavecert.observer.recover)
+      is wavecert.observer.recover,
+      getattr(sys.modules["wavecert.search"], "sweep")
+      is wavecert.search.sweep)
 """], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             str(["wavecert.%s" % m for m in sorted(self.MODULES + ["cli"])]),
-            "True True"]
+            "True True True"]
 
     def test_public_names_resolve_to_their_modules(self):
         for module, names in self.PUBLIC.items():
@@ -987,6 +1038,19 @@ print(type(grid).__module__, type(config).__module__, config.grid == grid,
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "wavecert.pde wavecert.observer True %d\n" \
             % config.steps
+
+    def test_search_config_unpickles_before_search_runs(self):
+        config = search.SearchConfig(tstar_tol=0.01)
+        proc = fresh_python(["-c", """
+import pickle, sys
+config = pickle.loads(bytes.fromhex(sys.argv[1]))
+print(type(config).__module__, config.tstar_tol, "numpy" in sys.modules)
+import wavecert
+print(type(config) is wavecert.search.SearchConfig,
+      wavecert.Infeasible is wavecert.search.Infeasible)
+""", pickle.dumps(config).hex()], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "wavecert.certificates 0.01 False\nTrue True\n"
 
 
 class TestUnwritableOut:
@@ -1069,13 +1133,13 @@ class TestParserReuse:
         # and stderr of a parser of its own, as in a fresh interpreter
         monkeypatch.setenv("COLUMNS", "80")
         worker_counts = []
-        real_sweep = cli.sweep
+        real_sweep = search.sweep
 
         def sweep(problems, config, worker_count):
             worker_counts.append(worker_count)
             return real_sweep(problems, config, worker_count=worker_count)
 
-        monkeypatch.setattr(cli, "sweep", sweep)
+        monkeypatch.setattr(search, "sweep", sweep)
         problem = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05}
         cfg = write_json(tmp_path, "c.json", {"problem": problem})
         vars_path = write_json(tmp_path, "v.json", {"chi": 0.6, "lambda1": 0.1})

@@ -3,8 +3,9 @@
 Each ```python block runs on its own, in a fresh namespace, as a reader
 would paste it; a block that raises fails its test.  Each backticked
 `module.name` reference to a wavecert module must name an attribute of it.
-The package keeps the README's promises never to call into LAPACK and to
-need numpy alone at run time.
+The package keeps the README's promises never to call into LAPACK, to
+need numpy alone at run time, and to load numpy only in the modules that
+search or simulate.
 """
 
 import ast
@@ -87,10 +88,10 @@ def test_package_never_calls_into_lapack():
     assert not re.search(r"__import__|importlib", sources["smallmat.py"])
 
 
-def _imported(text):
-    """The top-level names of the modules a source imports, anywhere in it;
-    a relative import is the package's own."""
-    for node in ast.walk(ast.parse(text)):
+def _imported(nodes):
+    """The top-level names of the modules the import statements among nodes
+    import; a relative import is the package's own."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -102,5 +103,25 @@ def test_package_imports_the_standard_library_and_numpy_only():
     assert "pde.py" in sources and "search.py" in sources
     allowed = set(sys.stdlib_module_names) | {"numpy", "wavecert"}
     for name, text in sources.items():
-        imported = set(_imported(text))
+        imported = set(_imported(ast.walk(ast.parse(text))))
         assert imported <= allowed, "%s imports %s" % (name, sorted(imported - allowed))
+
+
+def _run_at_import(text):
+    """The nodes of a source that run when it is imported: all but the
+    bodies of its functions."""
+    stack = [ast.parse(text)]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_certificate_layer_and_cli_import_no_numpy_at_module_level():
+    # checking a certificate, and every launch until it searches or
+    # simulates, runs these modules alone
+    sources = dict(_package_sources())
+    for name in ("__init__.py", "certificates.py", "smallmat.py", "cli.py"):
+        assert "numpy" not in set(_imported(_run_at_import(sources[name]))), name
