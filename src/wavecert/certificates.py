@@ -450,12 +450,17 @@ def check_point(params, vars, margin=DEFAULT_MARGIN):
     return vars, report
 
 
+def _q_at(params, horizon):
+    # q = exp(-4 delta (T - t_star)), one recovery sweep's contraction over T
+    return math.exp(-4.0 * params.delta * (horizon - params.t_star))
+
+
 def certificate_at(params, vars, report):
     """Certificate for a point check_point has checked: alpha, beta, q, d0."""
     alpha, beta = compute_alpha_beta(params, vars)
     q = None
     if params.t_total is not None and params.t_star is not None and params.delta is not None:
-        q = math.exp(-4.0 * params.delta * (params.t_total - params.t_star))
+        q = _q_at(params, params.t_total)
     d0 = None
     if (params.n == 1 and params.d is not None and params.t_star is not None
             and params.delta is not None and vars.chi < 0.5):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pde
-from .certificates import checked_float, checked_int, compute_iss_gain, json_dumps
+from .certificates import _q_at, checked_float, checked_int, compute_iss_gain, json_dumps
 from .search import delta_margin
 
 DIVERGENCE_FACTOR = 1e6
@@ -225,6 +225,9 @@ def _uncovered(certificate, config):
     if p.g1 < config.nonlinearity.fz_bound:
         return ("certificate g1 %g is below the source's fz_bound %g"
                 % (p.g1, config.nonlinearity.fz_bound))
+    if config.horizon <= p.t_star:
+        return ("horizon %g does not exceed the observation time %g"
+                % (config.horizon, p.t_star))
     return None
 
 
@@ -252,7 +255,7 @@ def contraction_report(run):
 
     Judges the run against its own config's certificate, whose chi gave
     the V_b records, so the run needs ground-truth energies and that
-    certificate needs an observation time below the run horizon.
+    certificate must cover the run (_uncovered).
     """
     if run.V_b_initial is None or any(r.V_b_t0 is None for r in run.records):
         raise ValueError("run lacks ground-truth Lyapunov records; "
@@ -263,30 +266,25 @@ def contraction_report(run):
     slack = CONTRACTION_SLACK
 
     reason = _uncovered(certificate, config)
-    if reason is None and config.horizon <= p.t_star:
-        reason = ("horizon %g does not exceed the observation time %g"
-                  % (config.horizon, p.t_star))
     if reason is not None:
         return ContractionReport(applicable=False, reason=reason)
 
-    q = math.exp(-4.0 * p.delta * (config.horizon - p.t_star))
+    q = _q_at(p, config.horizon)
+    bound = q * (1.0 + slack)
     rows = []
-    ratios_ok = True
     v_prev = run.V_b_initial
     for rec in run.records:
         ratio = rec.V_b_t0 / v_prev if v_prev > 0.0 else None
-        ok = ratio is None or ratio <= q * (1.0 + slack)
-        ratios_ok = ratios_ok and ok
-        rows.append({"m": rec.m, "ratio": ratio, "bound": q * (1.0 + slack),
-                     "ok": ok})
+        ok = ratio is None or ratio <= bound
+        rows.append({"m": rec.m, "ratio": ratio, "bound": bound, "ok": ok})
         v_prev = rec.V_b_t0
 
     peak = max([run.E_b_initial] + [r.E_b_t0 for r in run.records])
     uniform_bound = (certificate.beta / certificate.alpha) \
         * math.exp(2.0 * p.delta * p.t_star) * run.E_b_initial * (1.0 + slack)
     uniform_ok = peak <= uniform_bound
-    return ContractionReport(applicable=True, q=q, slack=slack,
-                             rows=tuple(rows), ratios_ok=ratios_ok,
+    return ContractionReport(applicable=True, q=q, slack=slack, rows=tuple(rows),
+                             ratios_ok=all(row["ok"] for row in rows),
                              uniform_peak=peak, uniform_bound=uniform_bound,
                              uniform_ok=uniform_ok)
 
@@ -310,10 +308,8 @@ def perturbed_recover(measurements, noise, config, truth=None):
     """
     pde.check_trace(noise, config.grid, config.steps)
     cert = config.certificate
-    if cert is None:
-        raise ValueError("the ISS bound needs a certificate with an "
-                         "observation time")
-    reason = _uncovered(cert, config)
+    reason = ("the ISS bound needs a certificate with an observation time"
+              if cert is None else _uncovered(cert, config))
     if reason is not None:
         raise ValueError(reason)
 

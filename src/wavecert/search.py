@@ -513,7 +513,7 @@ def _observation_window(params, config, delta):
     The probe sits a hair above chi_min_stability: the observability matrix
     only gets harder as chi grows, so the smallest stabilizing chi is the
     most favorable admissible point and the probe inherits its feasibility
-    threshold in t_star.  Returns (t_star, chi_min).
+    threshold in t_star, off psi2's boundary.  Returns (t_star, probe).
     """
     # delta is params' own or a grid point, each t_star in (0, T_STAR_MAX]
     p = _point(params, delta=delta, t_star=None, t_total=None)
@@ -533,7 +533,7 @@ def _observation_window(params, config, delta):
 
     if not observable(T_STAR_MAX):
         raise Infeasible(not_observable)
-    return _bisect(observable, 0.0, T_STAR_MAX, config.tstar_tol), cmin
+    return _bisect(observable, 0.0, T_STAR_MAX, config.tstar_tol), probe
 
 
 def _deltas(params):
@@ -667,9 +667,10 @@ def find_feasible_vars(params, config=None):
 def maximize_regional_radius(params, config=None):
     """(d0, Certificate) with the largest certified regional radius (n = 1).
 
-    For each delta: the smallest stabilizing chi and the minimal t_star give
-    the corner point at which the radius formula is largest (it decreases in
-    both chi and delta t_star); the best corner over the grid wins.
+    For each delta: the minimal t_star and the probe chi it was bisected at
+    give the corner point at which the radius formula is largest (it
+    decreases in both chi and delta t_star); the best corner over the grid
+    wins, and its certificate is taken at that very corner.
     """
     config = config or SearchConfig()
     if params.n != 1:
@@ -679,7 +680,7 @@ def maximize_regional_radius(params, config=None):
     best = last = None
     for delta in _deltas(params):
         try:
-            t, cmin = _observation_window(params, config, delta)
+            t, chi = _observation_window(params, config, delta)
         except Infeasible as exc:
             last = exc
             continue
@@ -687,26 +688,23 @@ def maximize_regional_radius(params, config=None):
             last = ("t_total below minimal time %s at delta=%s"
                     % (fmt_float(t), fmt_float(delta)))
             continue
-        pt = _point(params, delta=delta, t_star=t)
-        # cmin is at most the chi grid's top, below k/(1+k^2) <= 1/2 at n = 1
-        rr = compute_regional_radius(pt, DecisionVars(chi=cmin))
+        # chi is below the psi1 cut k/(1+k^2) <= 1/2 at n = 1
+        rr = compute_regional_radius(_point(params, delta=delta, t_star=t),
+                                     DecisionVars(chi=chi))
         if best is None or rr.d0 > best[0]:
-            best = (rr.d0, delta, t, cmin)
+            best = (rr.d0, delta, t, chi)
     if best is None:
         raise Infeasible("no delta admits a regional certificate; last reason: %s"
                          % last)
-    d0, delta, t, cmin = best
+    d0, delta, t, chi = best
     p_final = replace(params, delta=delta, t_star=t)
-    # chi_min's last feasible bisection step decided psi2 and phi0 at these
-    # very inputs; phi_obs was bisected at the probe, a hair above cmin
-    lams = {lmi.multiplier: _witness(p_final, cmin, lmi, config.margin)
-            for lmi in (PSI2, PHI0, PHI_OBS)}
-    if lams["lambda2"] is None:
-        raise Infeasible("phi_obs has no multiplier at chi=%s, t_star=%s, delta=%s"
-                         % (fmt_float(cmin), fmt_float(t), fmt_float(delta)))
-    vars = DecisionVars(chi=cmin, **lams)
-    cert = make_certificate(p_final, vars, margin=config.margin)
-    return d0, cert
+    lams = {}
+    for lmi in (PSI2, PHI0, PHI_OBS):
+        lams[lmi.multiplier] = _witness(p_final, chi, lmi, config.margin)
+        if lams[lmi.multiplier] is None:
+            raise Infeasible("%s has no multiplier at chi=%s, t_star=%s, delta=%s"
+                             % (lmi.name, fmt_float(chi), fmt_float(t), fmt_float(delta)))
+    return d0, make_certificate(p_final, DecisionVars(chi=chi, **lams), margin=config.margin)
 
 
 def delta_margin(params, vars, config=None):

@@ -1276,7 +1276,7 @@ class TestPinnedSearchBytes:
         "min-time-probe":
             "6aaf425ef452895cbca78251a4c1752c7b6d72153e96191010f3f0488f5d8240",
         "regional-g0.1":
-            "1a1de5ade4c6d3d9e35f5f4c04abe94622746b2912bc48a5ffe405d357b50400",
+            "60fced0f0373c78bf7634ed53081253d195ce5bb0d9eb0976b6d0fb3371a6738",
         "certify-n3":
             "38e2695657b1773eec1ed80982b71e1636b58952ddbf3021ce98c4f6d37dbe3d",
         "sweep-jobs1": SWEEP_DIGEST,
@@ -1299,3 +1299,75 @@ class TestPinnedSearchBytes:
         if flags is not None:
             h.update(out_path.read_bytes())
         assert h.hexdigest() == self.DIGESTS[name]
+
+
+class TestEmittedCertificatesHoldOutright:
+    """Every certificate the searches emit on the acceptance configs holds
+    each LMI outright, with no margin as slack: lambda_min(phi0) > 0,
+    psi1 <= 0, lambda_max(psi2) <= 0 and lambda_max(phi_obs) < 0, the
+    eigenvalues from numpy on the matrices rebuilt from the document.
+    """
+
+    # criterion 1's rows, criterion 2's, n = 1 and n = 3 at g1 > 0, and
+    # criterion 3's configs, by command and problem
+    SEARCHES = [("min-time", {"n": n, "k": 1.0, "g1": g1, "delta": delta}, {})
+                for n, g1, delta in ((2, 0.0, 1e-4), (2, 0.01, 0.01), (2, 0.1, 0.01),
+                                     (2, 0.3, 0.01), (1, 0.0, 0.001), (1, 0.2, 0.09),
+                                     (3, 0.1, 0.01))] + [
+        ("regional", {"n": 1, "k": 1.0, "g1": g1, "d": 1.0}, {"tstar_tol": 0.01})
+        for g1 in (0.1, 0.2)]
+
+    @staticmethod
+    def _eigenvalues(entries):
+        a00, a01, a02, a11, a12, a22 = entries
+        return np.linalg.eigvalsh(np.array([[a00, a01, a02], [a01, a11, a12],
+                                            [a02, a12, a22]]))
+
+    def _assert_outright(self, label, params, vars):
+        phi0 = self._eigenvalues(certificates.build_phi0(params, vars))[0]
+        psi1 = certificates.build_psi1(params, vars)
+        psi2 = self._eigenvalues(certificates.build_psi2(params, vars))[-1]
+        assert phi0 > 0.0 and psi1 <= 0.0 and psi2 <= 0.0, (label, phi0, psi1, psi2)
+        if params.t_star is not None:
+            phi_obs = self._eigenvalues(certificates.build_phi_obs(params, vars))[-1]
+            assert phi_obs < 0.0, (label, phi_obs)
+
+    def _assert_document(self, label, doc):
+        self._assert_outright(label, certificates.ProblemParams.from_dict(doc["params"]),
+                              certificates.DecisionVars.from_dict(doc["vars"]))
+
+    @pytest.mark.parametrize("command, problem, settings", SEARCHES,
+                             ids=["%s-n%d-g%g" % (c, p["n"], p["g1"]) for c, p, _ in SEARCHES])
+    def test_search_certificate(self, tmp_path, capsys, command, problem, settings):
+        doc = {"problem": problem, "search": settings}
+        code, out, err = run_cli([command, "--config",
+                                  write_json(tmp_path, "c.json", doc)], capsys)
+        assert code == 0, err
+        self._assert_document(problem, json.loads(out)["certificate"])
+
+    def test_certify_without_vars(self, tmp_path, capsys):
+        problem = TestPinnedSearchBytes.CASES["certify-n3"][1]
+        code, out, err = run_cli(["certify", "--config",
+                                  write_json(tmp_path, "c.json", problem)], capsys)
+        assert code == 0, err
+        self._assert_document("certify-n3", json.loads(out))
+
+    def test_sweep_rows(self, tmp_path, capsys):
+        out_path = tmp_path / "table.csv"
+        code, _, err = run_cli(["sweep", "--config",
+                                write_json(tmp_path, "c.json", TestPinnedSearchBytes.SWEEP),
+                                "--out", str(out_path)], capsys)
+        assert code == 0, err
+        header, *lines = out_path.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 2 and all(row["feasible"] == "true" for row in rows)
+        for row in rows:
+            number = {key: float(cell) for key, cell in row.items()
+                      if cell and key != "feasible"}
+            params = certificates.ProblemParams(
+                n=int(number["n"]), k=number["k"], g1=number["g1"],
+                delta=number["delta"], t_star=number["t_star"])
+            vars = certificates.DecisionVars(
+                chi=number["chi"], lambda0=number["lambda0"],
+                lambda1=number["lambda1"], lambda2=number["lambda2"])
+            self._assert_outright(row, params, vars)

@@ -28,7 +28,7 @@ STDOUT_DIGESTS = {
     "minimal_time_table.py":
         "2bc802a826ad6e469ba799099e1dda585593cb041f802e48d0332e535a01f6c6",
     "noisy_recovery.py":
-        "496b37513c0b1df366b11795e3ab8df8cd098bbc204f8ca157ad515a21e8dfde",
+        "78940746a98d55f42889967de774d93da6c33d394cca4f3d27a528277ea13686",
     "recovery_window_split.py":
         "fb529bf9aa7b9a039e24fa71955494bf06f1da9f62e956771ae303236cbe75ff",
     "regional_radius.py":

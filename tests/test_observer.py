@@ -441,15 +441,17 @@ def iss_certificate(t_star_factor=1.02):
 
 
 class TestPerturbedRecover:
+    HORIZON = 6.0  # past the certificate's t_star = 1.02 * 5.457 = 5.566
+
     def setup_method(self):
         self.cert = iss_certificate()
-        self.grid, self.truth, self.trace = example_setup(2.1)
+        self.grid, self.truth, self.trace = example_setup(self.HORIZON)
         self.config = observer.RecoveryConfig(
-            horizon=2.1, m_max=10, grid=self.grid,
+            horizon=self.HORIZON, m_max=10, grid=self.grid,
             nonlinearity=QUADRATIC, certificate=self.cert)
         steps = self.config.steps
         tt = np.arange(steps + 1) * self.grid.dt
-        self.noise = pde.BoundaryTrace(1e-3 * np.sin(2 * PI * tt / 2.1),
+        self.noise = pde.BoundaryTrace(1e-3 * np.sin(2 * PI * tt / self.HORIZON),
                                        self.grid.dt)
 
     def test_zero_noise_identical(self):
@@ -513,7 +515,7 @@ class TestPerturbedRecover:
                 self.trace,
                 pde.BoundaryTrace(np.zeros(steps + 1), 2 * self.grid.dt),
                 self.config)
-        bare = observer.RecoveryConfig(horizon=2.1, m_max=1,
+        bare = observer.RecoveryConfig(horizon=self.HORIZON, m_max=1,
                                        grid=self.grid, nonlinearity=QUADRATIC)
         with pytest.raises(ValueError):
             observer.perturbed_recover(self.trace, self.noise, bare)
@@ -544,7 +546,7 @@ class TestPerturbedRecover:
         # the certificate's g1 = 0.2 does not bound the slope 0.5 of the source
         steep = pde.Nonlinearity(lambda z, x, t: 0.5 * z, fz_bound=0.5)
         config = observer.RecoveryConfig(
-            horizon=2.1, m_max=1, grid=self.grid, nonlinearity=steep,
+            horizon=self.HORIZON, m_max=1, grid=self.grid, nonlinearity=steep,
             certificate=self.cert)
         with pytest.raises(ValueError, match="g1 0.2 is below the source's fz_bound 0.5"):
             observer.perturbed_recover(self.trace, self.noise, config)
@@ -557,6 +559,21 @@ class TestPerturbedRecover:
                            match="^certificate gain 1 differs from the run gain 0.5$"):
             observer.perturbed_recover(self.trace, self.noise, config)
 
+    def test_window_within_t_star_rejected(self):
+        # the certificate says nothing of a window it does not cover: the
+        # same reason contraction_report gives the same run
+        grid, truth, trace = example_setup(2.1, n_points=101)
+        config = observer.RecoveryConfig(horizon=2.1, m_max=1, grid=grid,
+                                         nonlinearity=QUADRATIC, certificate=self.cert)
+        reason = observer.contraction_report(
+            observer.recover(trace, config, truth=truth)).reason
+        assert reason == "horizon 2.1 does not exceed the observation time %g" \
+            % self.cert.params.t_star
+        zero = pde.BoundaryTrace(np.zeros(config.steps + 1), grid.dt)
+        with pytest.raises(ValueError) as caught:
+            observer.perturbed_recover(trace, zero, config)
+        assert str(caught.value) == reason
+
 
 class TestPerturbedRecover2D:
     def test_noise_integral_matches_reference(self):
@@ -565,12 +582,13 @@ class TestPerturbedRecover2D:
         t_star, _, _ = search.minimal_observability_time(params)
         full = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05, t_star=t_star * 1.02)
         cert = make_certificate(full, search.find_feasible_vars(full))
-        grid = pde.make_grid(2, 17, 0.8, k=1.0)
+        horizon = 4.5  # past the certificate's t_star = 1.02 * 4.109 = 4.191
+        grid = pde.make_grid(2, 17, horizon, k=1.0)
         x1, x2 = grid.coords()
         truth = pde.WaveField(0.3 * np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2),
                               np.zeros_like(x1))
-        trace = pde.run(truth, 0.8, grid).trace
-        config = observer.RecoveryConfig(horizon=0.8, m_max=2, grid=grid,
+        trace = pde.run(truth, horizon, grid).trace
+        config = observer.RecoveryConfig(horizon=horizon, m_max=2, grid=grid,
                                          certificate=cert)
         rng = np.random.default_rng(29)
         shape = trace.samples.shape
@@ -750,19 +768,20 @@ class TestFinalError:
 
 class TestNoiseIntegralMemory:
     def test_scatter_is_bounded(self, monkeypatch):
-        # the benchmark's 2-D grid, N = 81 over 316 levels: scattering every
-        # level onto the full grid at once took 18 MB for a 0.4 MB trace;
+        # the benchmark's 2-D grid, N = 81, over 567 levels of a window past
+        # the certificate's t_star = 4.191: scattering every level onto the
+        # full grid at once took 18 MB for a 0.4 MB trace of 316 levels;
         # recover is stubbed out, so the peak is the noisy trace that
         # perturbed_recover sums (two copies at most) and the integral
         params = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05)
         t_star, _, _ = search.minimal_observability_time(params)
         full = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.05, t_star=t_star * 1.02)
         cert = make_certificate(full, search.find_feasible_vars(full))
-        grid = pde.make_grid(2, 81, 2.5, k=1.0)
-        config = observer.RecoveryConfig(horizon=2.5, m_max=1, grid=grid,
+        grid = pde.make_grid(2, 81, 4.5, k=1.0)
+        config = observer.RecoveryConfig(horizon=4.5, m_max=1, grid=grid,
                                          certificate=cert)
         shape = (config.steps + 1, pde.boundary_node_count(grid))
-        assert shape == (316, 159)
+        assert shape == (567, 159)
         rng = np.random.default_rng(43)
         noise = pde.BoundaryTrace(1e-3 * rng.normal(size=shape), grid.dt)
         measurements = pde.BoundaryTrace(np.zeros(shape), grid.dt)

@@ -1241,7 +1241,7 @@ def head_observation_window(params, config, delta, tol):
             hi_t = mid
         else:
             lo_t = mid
-    return hi_t, cmin
+    return hi_t, probe
 
 
 def head_delta_margin(params, vars, config, tol):
