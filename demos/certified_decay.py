@@ -9,8 +9,8 @@ envelope the trajectory actually uses.
 
 import numpy as np
 
-from wavecert import (BoundaryTrace, Nonlinearity, ProblemParams, WaveField,
-                      find_feasible_vars, make_certificate, make_grid, run)
+from wavecert import (Nonlinearity, ProblemParams, WaveField, find_feasible_vars,
+                      make_certificate, make_grid, run, zero_trace)
 
 g1, delta = 0.1, 0.09
 params = ProblemParams(n=1, k=1.0, g1=g1, delta=delta)
@@ -25,8 +25,8 @@ x = grid.axis()
 e0 = 0.2733 * x * (1 - x / 2)
 
 # zero measurements: the observer error evolves autonomously, damped at x=1
-steps = round(horizon / grid.dt)
-zero = BoundaryTrace(np.zeros(steps + 1), grid.dt)
+zero = zero_trace(grid, horizon)
+steps = zero.steps
 worst = Nonlinearity(lambda z, x, t: g1 * z, fz_bound=g1)
 V = run(WaveField(e0, e0.copy()), horizon, grid, worst,
         trace_in=zero, chi=vars.chi).lyapunovs

@@ -54,7 +54,8 @@ _LAZY_NAMES = {
         ("ZERO_F", "BoundaryTrace", "DivergenceError", "Grid", "Nonlinearity",
          "WaveField", "boundary_node_count", "energy", "hnorm", "lyapunov",
          "make_grid", "read_trajectory_csv", "run", "sobolev_check", "step",
-         "trace_check", "trajectory_csv", "wirtinger_check"), "pde"),
+         "trace_check", "trace_sq_integral", "trajectory_csv",
+         "wirtinger_check", "zero_trace"), "pde"),
     **dict.fromkeys(
         ("ContractionReport", "IssReport", "IterationRecord", "RecoveryConfig",
          "RecoveryRun", "contraction_report", "perturbed_recover", "recover",

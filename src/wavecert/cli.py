@@ -300,7 +300,6 @@ def cmd_regional(args):
 
 
 def cmd_simulate(args):
-    import numpy as np
     doc = load_config(args.config)
     sim = parse_sim(doc, require_initial=True)
     grid = build_grid(sim)
@@ -308,15 +307,9 @@ def cmd_simulate(args):
     field = build_initial(sim["initial"], grid)
     horizon = float(sim["horizon"])
     chi = sim.get("chi")
-    trace_in = None
-    if grid.mode != "plant":
-        # no measurement source on the command line: observer modes run the
-        # autonomous damped (or anti-damped) dynamics against a zero trace,
-        # one read-only zero row repeated over the levels
-        steps = pde.whole_steps(horizon, grid.dt)
-        zero = np.zeros(pde.boundary_node_count(grid))
-        zeros = np.broadcast_to(zero, (steps + 1, zero.size))
-        trace_in = pde._adopted_trace(zeros, grid.dt, 0.0)
+    # no measurement source on the command line: observer modes run the
+    # autonomous damped (or anti-damped) dynamics against zero measurements
+    trace_in = None if grid.mode == "plant" else pde.zero_trace(grid, horizon)
     _, trace, energies, lyapunovs = pde.run(field, horizon, grid, nonlinearity,
                                             trace_in=trace_in, chi=chi)
     summary = json_dumps({"steps": trace.steps, "dt": trace.dt,

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import pde
 from .certificates import _q_at, checked_float, checked_int, compute_iss_gain, json_dumps
-from .search import delta_margin
 
 DIVERGENCE_FACTOR = 1e6
 # node-steps of a recovery, 2 runs x m_max x steps x nodes: about 240x the
@@ -147,7 +146,7 @@ def recover(measurements, config, truth=None):
         if guard_bound is not None and np.max(np.abs(truth.z)) > guard_bound:
             guard_ok = False
 
-    zeros = np.zeros(grid._plan.shape)
+    zeros = np.zeros((grid.points_per_axis,) * grid.dim)
     prev = pde.WaveField(zeros, zeros, measurements.t0)
     prev_diff_energy = None
     baseline = None
@@ -328,17 +327,10 @@ def perturbed_recover(measurements, noise, config, truth=None):
                               noisy.recovered.zt - clean.recovered.zt)
     gap_sq = 2.0 * pde.energy(gap_field, config.grid)
 
-    # the noise on the full grid, zero off the measured nodes, a block of
-    # levels at a time: each level's face integral stands alone
-    plan = config.grid._plan
-    block = pde._block_states(plan.flux_mult.size)
-    w = np.zeros((block,) + plan.shape)
-    per_level = []
-    for rows in np.split(noise.samples, range(block, noise.samples.shape[0], block)):
-        w[(slice(len(rows)),) + plan.measured] = rows
-        per_level.append(pde._face_sq_integral(w[:len(rows)], config.grid))
-    noise_integral = float(pde._integrate_cells(np.concatenate(per_level), noise.dt))
+    noise_integral = pde.trace_sq_integral(noise, config.grid)
 
+    # the search layer loads with the one report that needs it
+    from .search import delta_margin
     _, gamma = compute_iss_gain(cert.params, cert.vars)
     delta0 = delta_margin(cert.params, cert.vars)
     denom = cert.alpha * (1.0 - math.exp(-2.0 * delta0 * cert.params.t_star))

@@ -354,6 +354,16 @@ def whole_steps(horizon, dt):
     return steps
 
 
+def zero_trace(grid, horizon, t0=0.0):
+    """The trace of zero measurements over the horizon from t0, the input
+    under which an observer grid runs the error system: the boundary-damped
+    (or, backward, anti-damped) wave on its own.  Every level is one shared
+    read-only zero row, so the trace holds O(nodes) floats at any length."""
+    steps = whole_steps(horizon, grid.dt)
+    zero = np.zeros(boundary_node_count(grid))
+    return _adopted_trace(np.broadcast_to(zero, (steps + 1, zero.size)), grid.dt, t0)
+
+
 def check_trace(trace, grid, steps):
     """Reject a trace that does not sample the grid's measured boundary at
     its time step over the given number of steps."""
@@ -635,8 +645,10 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
     reverse and negated, which turns the anti-damped backward boundary
     condition into the usual damped one.
 
-    With chi set, lyapunovs records the Lyapunov value each step; the
-    record has the same fields either way.
+    Observer modes need trace_in; zero_trace(grid, horizon) is the zero
+    measurement under which they run the error system.  With chi set,
+    lyapunovs records the Lyapunov value each step; the record has the same
+    fields either way.
 
     The returned arrays share no memory with the run's workspace: final is
     a new field of the last state, and trace holds the (steps + 1, nodes)
@@ -885,6 +897,23 @@ def _face_sq_integral(v, grid):
         face = v.swapaxes(axis, -1)[..., -1]
         total = total + _product_integral(face, face, grid.dx, tuple(range(lead, face.ndim)))
     return total
+
+
+def trace_sq_integral(trace, grid):
+    """Integral of the trace squared over its window and the measured
+    faces: each level's exact face integral, then the trapezoid rule in
+    time.  The levels are scattered onto the full grid, zero off the
+    measured nodes, a block at a time: each level's face integral stands
+    alone."""
+    check_trace(trace, grid, trace.steps)
+    plan = grid._plan
+    block = _block_states(plan.flux_mult.size)
+    w = np.zeros((block,) + plan.shape)
+    per_level = []
+    for rows in np.split(trace.samples, range(block, trace.samples.shape[0], block)):
+        w[(slice(len(rows)),) + plan.measured] = rows
+        per_level.append(_face_sq_integral(w[:len(rows)], grid))
+    return float(_integrate_cells(np.concatenate(per_level), trace.dt))
 
 
 def _interp_quads(z, dx):

@@ -11,6 +11,7 @@ import copy
 import functools
 import gc
 import math
+import pathlib
 import pickle
 import re
 import tracemalloc
@@ -20,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import wavecert
 from wavecert import pde
 from wavecert.certificates import DecisionVars, ProblemParams, compute_alpha_beta, fmt_float
 
@@ -190,14 +192,6 @@ def fourier_field(rng, n_points, modes=6, dim=1):
         v += rng.normal(0, 0.5) * np.outer(np.sin((j - 0.5) * PI * xs),
                                            np.sin((l - 0.5) * PI * xs))
     return pde.WaveField(z, v)
-
-
-def zero_trace(grid, horizon):
-    steps = int(round(horizon / grid.dt))
-    if grid.dim == 1:
-        return pde.BoundaryTrace(np.zeros(steps + 1), grid.dt)
-    return pde.BoundaryTrace(np.zeros((steps + 1, pde.boundary_node_count(grid))),
-                             grid.dt)
 
 
 # ----------------------------------------------------------------------- types
@@ -390,7 +384,7 @@ class TestFieldShapeMatchesGrid:
         f = pde.WaveField(np.zeros(shape), np.zeros(shape))
         y = np.zeros(pde.boundary_node_count(go))
         calls = [lambda: pde.run(f, 0.5, g),
-                 lambda: pde.run(f, 0.5, go, trace_in=zero_trace(go, 0.5)),
+                 lambda: pde.run(f, 0.5, go, trace_in=pde.zero_trace(go, 0.5)),
                  lambda: pde.step(f, g),
                  lambda: pde.step(f, go, boundary_input=(y, y)),
                  lambda: pde.energy(f, g),
@@ -674,7 +668,7 @@ class TestRunObserver:
         x = g.axis()
         e0 = 0.2733 * x * (1 - x / 2)
         fld = pde.WaveField(e0, e0.copy())
-        energies = pde.run(fld, 1.0, g, trace_in=zero_trace(g, 1.0)).energies
+        energies = pde.run(fld, 1.0, g, trace_in=pde.zero_trace(g, 1.0)).energies
         assert np.all(np.diff(energies) < 0.0)
 
     def test_decay_certificate_slack(self):
@@ -685,7 +679,7 @@ class TestRunObserver:
         e0 = 0.2733 * x * (1 - x / 2)
         fld = pde.WaveField(e0, e0.copy())
         nl = pde.Nonlinearity(lambda z, x, t: g1 * z, fz_bound=g1)
-        energies = pde.run(fld, 10.0, g, nl, zero_trace(g, 10.0)).energies
+        energies = pde.run(fld, 10.0, g, nl, pde.zero_trace(g, 10.0)).energies
         ts = np.arange(energies.size) * g.dt
         bound = ((1 + 2 * chi) / (1 - 2 * chi)) * np.exp(-2 * delta * ts) * energies[0]
         slack = np.max(energies / bound)
@@ -700,7 +694,7 @@ class TestRunObserver:
         f0 = pde.WaveField(z0, v0)
         ff = pde.run(f0, 1.7, g).final
         gb = pde.Grid(1, 201, g.dt, "observer-backward", 0.0)
-        fb = pde.run(ff, 1.7, gb, trace_in=zero_trace(gb, 1.7)).final
+        fb = pde.run(ff, 1.7, gb, trace_in=pde.zero_trace(gb, 1.7)).final
         err = pde.hnorm(pde.WaveField(fb.z - z0, fb.zt - v0), g)
         assert err <= g.dx ** 2
         assert abs(fb.t) < 1e-12
@@ -756,12 +750,63 @@ class TestRunObserver:
         g = pde.make_grid(1, 101, 0.5, mode="observer-forward", k=1.0)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2) * 0.2, np.zeros_like(x))
-        final, trace, energies, lyap = pde.run(f0, 0.5, g, trace_in=zero_trace(g, 0.5),
+        final, trace, energies, lyap = pde.run(f0, 0.5, g, trace_in=pde.zero_trace(g, 0.5),
                                                chi=0.18)
         assert energies.shape == lyap.shape == (trace.steps + 1,)
         assert trace.samples.shape == (trace.steps + 1, 1)
         assert abs(lyap[0] - pde.lyapunov(f0, g, 0.18)) < 1e-15
         assert abs(energies[0] - pde.energy(f0, g)) < 1e-15
+
+
+class TestZeroTrace:
+    """zero_trace is the zero measurement of the error system, the same
+    input as a hand-built trace of zeros, bit for bit, held in one row."""
+
+    @pytest.mark.parametrize("dim,n,horizon", [(1, 41, 0.5), (2, 21, 0.3)])
+    @pytest.mark.parametrize("mode", ["observer-forward", "observer-backward"])
+    @pytest.mark.parametrize("chi", [None, 0.18])
+    def test_runs_match_a_hand_built_zero_trace(self, dim, n, horizon, mode, chi):
+        # backward mode replays the zeros negated, as -0.0, which tobytes
+        # tells apart from +0.0
+        grid = pde.make_grid(dim, n, horizon, mode, k=1.0)
+        steps = int(round(horizon / grid.dt))
+        t0 = 0.7
+        hand = pde.BoundaryTrace(np.zeros((steps + 1, ref_boundary_node_count(grid))),
+                                 grid.dt, t0)
+        zero = pde.zero_trace(grid, horizon, t0)
+        assert (zero.steps, zero.dt, zero.t0) == (hand.steps, hand.dt, hand.t0)
+        assert _bits(zero.samples) == _bits(hand.samples)
+        field = _random_field(np.random.default_rng([29, dim]), n, dim)
+        nl = _sources(dim)["x-dependent"]
+        got = pde.run(field, horizon, grid, nl, zero, chi)
+        want = pde.run(field, horizon, grid, nl, hand, chi)
+        for a, b in [(got.final.z, want.final.z), (got.final.zt, want.final.zt),
+                     (got.trace.samples, want.trace.samples),
+                     (got.energies, want.energies)]:
+            assert _bits(a) == _bits(b)
+        assert got.final.t == want.final.t
+        if chi is not None:
+            assert _bits(got.lyapunovs) == _bits(want.lyapunovs)
+
+    def test_levels_share_one_read_only_row(self):
+        # a long 2-D window: 12,572 levels of 159 nodes would take 16 MB
+        grid = pde.make_grid(2, 81, 100.0, "observer-forward", k=1.0)
+        assert pde.boundary_node_count(grid) == 159  # builds the plan before the count
+        tracemalloc.start()
+        try:
+            zero = pde.zero_trace(grid, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zero.samples.shape == (pde.whole_steps(100.0, grid.dt) + 1, 159)
+        assert zero.samples.strides == (0, 8)
+        assert not zero.samples.flags.writeable
+        assert peak < 64 * 1024, peak
+
+    def test_horizon_must_be_whole_steps(self):
+        grid = pde.Grid(1, 31, 0.01, "observer-forward", 1.0)
+        with pytest.raises(ValueError, match="whole number of time steps"):
+            pde.zero_trace(grid, 0.505)
 
 
 class TestBoundaryGeometry:
@@ -1017,7 +1062,7 @@ class TestExport:
         g = pde.make_grid(1, 41, 0.5, "observer-forward", 1.0)
         x = g.axis()
         f0 = pde.WaveField(np.sin(PI * x / 2), 0.3 * np.sin(PI * x))
-        result = pde.run(f0, 0.5, g, trace_in=zero_trace(g, 0.5), chi=chi)
+        result = pde.run(f0, 0.5, g, trace_in=pde.zero_trace(g, 0.5), chi=chi)
         trace, energies, lyapunovs = pde.read_trajectory_csv(
             pde.trajectory_csv(*result[1:]))
         want_v = result.energies if chi is None else result.lyapunovs
@@ -1644,6 +1689,63 @@ class TestFaceIntegral:
             assert _bits(pde.trace_check(f, grid)) == _bits(want)
 
 
+def inline_noise_integral(noise, grid):
+    """The noise integral as perturbed_recover computed it inline on pde's
+    privates; trace_sq_integral must give its bits."""
+    plan = grid._plan
+    block = pde._block_states(plan.flux_mult.size)
+    w = np.zeros((block,) + plan.shape)
+    per_level = []
+    for rows in np.split(noise.samples, range(block, noise.samples.shape[0], block)):
+        w[(slice(len(rows)),) + plan.measured] = rows
+        per_level.append(pde._face_sq_integral(w[:len(rows)], grid))
+    return float(pde._integrate_cells(np.concatenate(per_level), noise.dt))
+
+
+class TestTraceSqIntegral:
+    # level counts that leave a partial last block of staged levels:
+    # 40 levels a block at 1-D N=201, 18 at 2-D N=21 and 2 at 2-D N=81
+    @pytest.mark.parametrize("dim,n,levels", [(1, 201, 95), (1, 41, 7),
+                                              (2, 21, 50), (2, 81, 9)])
+    def test_matches_the_inline_integral(self, dim, n, levels):
+        grid = pde.make_grid(dim, n, 0.4)
+        assert levels % pde._block_states(n ** dim) != 0
+        rng = np.random.default_rng([31, dim, n])
+        for _ in range(5):
+            shape = (levels, ref_boundary_node_count(grid))
+            samples = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            samples[rng.random(shape) < 0.1] = -0.0
+            noise = pde.BoundaryTrace(samples, grid.dt)
+            got = pde.trace_sq_integral(noise, grid)
+            assert type(got) is float
+            assert _bits(got) == _bits(inline_noise_integral(noise, grid))
+            per_level = ref_boundary_sq_integral(samples[:, 0] if dim == 1 else samples,
+                                                 grid)
+            assert _bits(got) == _bits(np.trapezoid(per_level, dx=grid.dt))
+
+    def test_a_trace_of_another_grid_is_rejected(self):
+        grid = pde.make_grid(2, 21, 0.4)
+        other = pde.BoundaryTrace(np.ones((5, 7)), grid.dt)
+        with pytest.raises(ValueError, match="boundary nodes"):
+            pde.trace_sq_integral(other, grid)
+        late = pde.BoundaryTrace(np.ones((5, 39)), 2.0 * grid.dt)
+        with pytest.raises(ValueError, match="trace step"):
+            pde.trace_sq_integral(late, grid)
+
+
+class TestMeasuredBoundaryLayoutStaysInPde:
+    def test_cli_and_observer_read_no_layout_privates(self):
+        # the measured-node layout, the staging blocks and the face and cell
+        # quadratures are pde's; the CLI and the observer ask for zero_trace
+        # and trace_sq_integral instead
+        root = pathlib.Path(wavecert.__file__).parent
+        for name in ("cli.py", "observer.py"):
+            text = (root / name).read_text()
+            for private in ("_plan", "_block_states", "_face_sq_integral",
+                            "_integrate_cells"):
+                assert private not in text, (name, private)
+
+
 class TestTrapezoid:
     @pytest.mark.parametrize("shape", [(41,), (2,), (21, 21), (16, 9), (5, 7, 6)])
     def test_cell_integrals_match_numpy_trapezoid(self, shape):
@@ -1730,7 +1832,7 @@ class TestOverflowWarnsNothing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(pde.DivergenceError, match="non-finite"):
-                pde.run(f0, 0.1, g, nl, zero_trace(g, 0.1))
+                pde.run(f0, 0.1, g, nl, pde.zero_trace(g, 0.1))
 
 
 # ------------------------------------------------ run's workspace, bit for bit
