@@ -354,14 +354,14 @@ def whole_steps(horizon, dt):
     return steps
 
 
-def zero_trace(grid, horizon, t0=0.0):
-    """The trace of zero measurements over the horizon from t0, the input
+def zero_trace(grid, horizon):
+    """The trace of zero measurements over the horizon from 0, the input
     under which an observer grid runs the error system: the boundary-damped
     (or, backward, anti-damped) wave on its own.  Every level is one shared
     read-only zero row, so the trace holds O(nodes) floats at any length."""
     steps = whole_steps(horizon, grid.dt)
     zero = np.zeros(boundary_node_count(grid))
-    return _adopted_trace(np.broadcast_to(zero, (steps + 1, zero.size)), grid.dt, t0)
+    return _adopted_trace(np.broadcast_to(zero, (steps + 1, zero.size)), grid.dt, 0.0)
 
 
 def check_trace(trace, grid, steps):
@@ -904,7 +904,8 @@ def trace_sq_integral(trace, grid):
     faces: each level's exact face integral, then the trapezoid rule in
     time.  The levels are scattered onto the full grid, zero off the
     measured nodes, a block at a time: each level's face integral stands
-    alone."""
+    alone.  A trace whose time step or boundary node count is not the
+    grid's is refused with ValueError."""
     check_trace(trace, grid, trace.steps)
     plan = grid._plan
     block = _block_states(plan.flux_mult.size)

@@ -770,10 +770,9 @@ class TestZeroTrace:
         # tells apart from +0.0
         grid = pde.make_grid(dim, n, horizon, mode, k=1.0)
         steps = int(round(horizon / grid.dt))
-        t0 = 0.7
         hand = pde.BoundaryTrace(np.zeros((steps + 1, ref_boundary_node_count(grid))),
-                                 grid.dt, t0)
-        zero = pde.zero_trace(grid, horizon, t0)
+                                 grid.dt)
+        zero = pde.zero_trace(grid, horizon)
         assert (zero.steps, zero.dt, zero.t0) == (hand.steps, hand.dt, hand.t0)
         assert _bits(zero.samples) == _bits(hand.samples)
         field = _random_field(np.random.default_rng([29, dim]), n, dim)
@@ -1689,25 +1688,12 @@ class TestFaceIntegral:
             assert _bits(pde.trace_check(f, grid)) == _bits(want)
 
 
-def inline_noise_integral(noise, grid):
-    """The noise integral as perturbed_recover computed it inline on pde's
-    privates; trace_sq_integral must give its bits."""
-    plan = grid._plan
-    block = pde._block_states(plan.flux_mult.size)
-    w = np.zeros((block,) + plan.shape)
-    per_level = []
-    for rows in np.split(noise.samples, range(block, noise.samples.shape[0], block)):
-        w[(slice(len(rows)),) + plan.measured] = rows
-        per_level.append(pde._face_sq_integral(w[:len(rows)], grid))
-    return float(pde._integrate_cells(np.concatenate(per_level), noise.dt))
-
-
 class TestTraceSqIntegral:
     # level counts that leave a partial last block of staged levels:
     # 40 levels a block at 1-D N=201, 18 at 2-D N=21 and 2 at 2-D N=81
     @pytest.mark.parametrize("dim,n,levels", [(1, 201, 95), (1, 41, 7),
                                               (2, 21, 50), (2, 81, 9)])
-    def test_matches_the_inline_integral(self, dim, n, levels):
+    def test_matches_the_trapezoid_of_the_face_integrals(self, dim, n, levels):
         grid = pde.make_grid(dim, n, 0.4)
         assert levels % pde._block_states(n ** dim) != 0
         rng = np.random.default_rng([31, dim, n])
@@ -1718,7 +1704,6 @@ class TestTraceSqIntegral:
             noise = pde.BoundaryTrace(samples, grid.dt)
             got = pde.trace_sq_integral(noise, grid)
             assert type(got) is float
-            assert _bits(got) == _bits(inline_noise_integral(noise, grid))
             per_level = ref_boundary_sq_integral(samples[:, 0] if dim == 1 else samples,
                                                  grid)
             assert _bits(got) == _bits(np.trapezoid(per_level, dx=grid.dt))
