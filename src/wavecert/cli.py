@@ -332,7 +332,8 @@ def cmd_recover(args):
     if args.iterations < 1:
         raise CliError("--iterations must be >= 1")
     try:
-        trace, _, _ = pde.read_trajectory_csv(_read_text(args.trace))
+        # the trace alone: E and V are views that would keep every parsed row
+        trace = pde.read_trajectory_csv(_read_text(args.trace))[0]
     except ValueError as exc:
         raise CliError("%s: %s" % (args.trace, exc))
     grid = build_grid(sim, mode="plant")

@@ -1,16 +1,21 @@
 """Finite-difference wave solver on the unit hypercube [0,1]^dim.
 
-The scheme is the classical leapfrog in velocity form: the displacement
-update is the exact Taylor half-step z + dt v + dt^2/2 a, the velocity is
-advanced by the trapezoidal mean of the accelerations at both levels.
+The scheme is velocity Verlet (kick, drift, kick) with the smoothing
+between the drift and the second kick: the displacement update is the
+exact Taylor half-step z + dt v + dt^2/2 a, the velocity takes half a
+step of the acceleration at each level, and the acceleration of the new
+displacement, taken after the smoothing, is also the next step's first
+one, so a run evaluates A(z) = Laplacian + f once per step (first same as
+last; Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006).
 Neumann and injection boundary conditions enter through reflecting ghost
 nodes; the damped boundary velocity is solved from its own trapezoidal
 update (a scalar linear equation per node, so the step stays explicit).
-A weak fourth-difference smoothing pass removes the near-Nyquist modes
-that the 3-point stencil propagates with zero group velocity; without it
-those modes sit on the measured boundary forever and poison long damped
-runs.  The smoothing strength is far below the scheme's truncation error;
-the energy-conservation and convergence-order tests pin that down.
+A weak fourth-difference smoothing pass (Kreiss & Oliger, 1973) removes
+the near-Nyquist modes that the 3-point stencil propagates with zero group
+velocity; without it those modes sit on the measured boundary forever and
+poison long damped runs.  The smoothing strength is far below the
+scheme's truncation error; the energy-conservation, convergence-order and
+contraction tests pin that down.
 
 Every stencil (Laplacian, smoothing, Dirichlet pin, gradient, cell
 integrals) is written once and applied along each axis in turn, axis 0
@@ -24,13 +29,15 @@ the per-row stencil.  The faces x_p = 0 are clamped (z = 0 and z_t = 0); a
 step pins them before it smooths, and the smoothing keeps them +0.0 bit
 for bit with no pin after it: along its own axis it writes no face, and
 along an axis that runs within a face it reads only that face's zeros.
+The second kick adds +0.0 there too, as the acceleration is pinned.
 The faces x_p = 1 form the measured boundary.  A measured node carries flux
 multiplicity equal to the number of measured faces through it (two at the
 corner (1,1) in 2-D), and the grid's plan fixes the measured nodes and
 their lexicographic order.
 
 A step reads the state in one slot of a two-slot workspace and writes the
-next into the other; the workspace keeps the head slot's time.  run
+next into the other; the workspace keeps the head slot's time and its
+acceleration, which a new workspace takes of its start field.  run
 allocates its workspace, a staging block and the energy kernel's buffers
 once, hands the workspace to step, which advances it in place, copies each
 state into the block and takes a block's energies in one kernel pass whose
@@ -482,22 +489,24 @@ class _Workspace:
     slots holds two states, (z, z_t) each C-contiguous, and views the views
     a step takes of each; the field starts in slot 0, the head, at its time
     t, and a step writes the next state into the other slot, which becomes
-    the head as t becomes the new time.  acc holds the accelerations a0 and
-    a1 and, once the velocity is updated, the smoothing's output; aux is the
-    smoothing's 6 f buffer, and in 2-D its first half holds 2 z during an
-    acceleration; fours holds the smoothing's 4 f.  inject, in observer
-    modes, is zero off the measured nodes, where each step writes its
-    boundary values.
+    the head as t becomes the new time.  acc[0] holds A(z) = Laplacian + f
+    of the head state at t, taken once here for the start field and then
+    by each step for the state it writes; acc[1] is a step's scratch, and
+    the smoothing writes its output over both.  aux is the smoothing's 6 f
+    buffer, and in 2-D its first half holds 2 z during an acceleration;
+    fours holds the smoothing's 4 f.  inject, in observer modes, is zero off
+    the measured nodes, where each step writes its boundary values.
 
-    A target is what an acceleration writes: a, the 2 z buffer (a itself
-    in 1-D) and its flat run but its ends, per axis the runs of 2 z and of
-    the output, which is a but on a 2-D field's last axis, where it writes
-    over 2 z and a then adds it, and a with each axis in front to pin.
-    smoothing holds per grid axis the runs of 4 f, of the output and of
-    6 f that a pass takes, and the output's two entries at each axis end.
+    The target is what an acceleration writes: acc[0], the 2 z buffer
+    (acc[0] itself in 1-D) and its flat run but its ends, per axis the runs
+    of 2 z and of the output, which is acc[0] but on a 2-D field's last
+    axis, where it writes over 2 z and acc[0] then adds it, and acc[0] with
+    each axis in front to pin.  smoothing holds per grid axis the runs of
+    4 f, of the output and of 6 f that a pass takes, and the output's two
+    entries at each axis end.
     """
 
-    __slots__ = ("grid", "nonlinearity", "slots", "views", "head", "t", "targets",
+    __slots__ = ("grid", "nonlinearity", "slots", "views", "head", "t", "target",
                  "acc", "smoothing", "inject", "finite")
 
     def __init__(self, grid, nonlinearity, field):
@@ -513,16 +522,15 @@ class _Workspace:
         self.acc = np.empty((2,) + shape)
         aux = np.empty((2,) + shape)
         like = self.slots[0, 0]  # the layout of every field the steps read
-        self.targets = []
-        for a in self.acc:
-            twice = a if last == 0 else aux[0]
-            runs = []
-            for axis in range(grid.dim):
-                out = twice if axis == last else a
-                f2, g = _runs(axis, like, twice, out)[1:]
-                runs.append((f2[1:-1], g[1:-1], out.swapaxes(0, axis)))
-            pins = [a.swapaxes(0, axis) for axis in range(grid.dim)]
-            self.targets.append((a, twice, _runs(last, like, twice)[1][1:-1], runs, pins))
+        a = self.acc[0]
+        twice = a if last == 0 else aux[0]
+        runs = []
+        for axis in range(grid.dim):
+            out = twice if axis == last else a
+            f2, g = _runs(axis, like, twice, out)[1:]
+            runs.append((f2[1:-1], g[1:-1], out.swapaxes(0, axis)))
+        pins = [a.swapaxes(0, axis) for axis in range(grid.dim)]
+        self.target = (a, twice, _runs(last, like, twice)[1][1:-1], runs, pins)
         fours = np.empty((2,) + shape)
         self.smoothing = []
         for axis in range(1, grid.dim + 1):
@@ -532,57 +540,66 @@ class _Workspace:
                                    ends[:2], ends[-2:]))
         self.inject = None if grid.mode == "plant" else np.zeros(shape)
         self.finite = np.empty((2,) + shape, dtype=bool)
+        _accelerate(self.views[0], self.target, nonlinearity, plan, self.t)
 
     def advance(self, boundary_input):
         """One explicit step from the head slot, at t, into the next.
 
-        Each update runs in place, in the association of z + dt v + dt^2/2 a0
-        and v + dt/2 (a0 + a1): a sum or product of two values is the same
-        float in either order, and v_new holds dt^2/2 a0 until it is written.
-        In observer modes the trapezoidal boundary velocity keeps the
-        new-level damping term implicit, a scalar linear solve per measured
-        node.  The head and t move together, once the new state is finite.
+        Kick, drift, smooth, kick: with b = A(z) + flux (y_now - v), the
+        drift and first half kick give z' = z + dt v + dt^2/2 b and
+        v' = v + dt/2 b, the smoothing passes over (z', v'), and the second
+        half kick gives v_new = (v' + dt/2 (A(z') + flux y_next)) / denom,
+        the trapezoidal boundary velocity with the new-level damping term
+        implicit, a scalar linear solve per measured node (denom is 1 off
+        them, and plant steps carry no flux).  A(z') is taken at the new
+        time into acc[0], where it is the next step's A(z): a run evaluates
+        A once per step.  Each update runs in place, in the association of
+        those formulas: a sum or product of two values is the same float in
+        either order.  The head and t move together, once the new state is
+        finite.
         """
-        grid, nl, t = self.grid, self.nonlinearity, self.t
+        grid, t = self.grid, self.t
         plan = grid._plan
         old, new = self.views[self.head], self.views[1 - self.head]
         z, v = old.z, old.v
-        a0, a1 = self.targets[0][0], self.targets[1][0]
+        a, scratch = self.acc
         inject = self.inject
 
-        _accelerate(old, self.targets[0], nl, plan, t)
         if inject is not None:
             y0, y1 = boundary_input
             inject[plan.measured] = y0
-            np.subtract(inject, v, out=a1)
-            a1 *= plan.flux_mult
-            a0 += a1
+            np.subtract(inject, v, out=scratch)
+            scratch *= plan.flux_mult
+            a += scratch
 
         z_new, v_new = new.z, new.v
         np.multiply(grid.dt, v, out=z_new)
         z_new += z
-        np.multiply(plan.half_dt2, a0, out=v_new)
-        z_new += v_new
+        np.multiply(plan.half_dt2, a, out=scratch)
+        z_new += scratch
+        np.multiply(plan.half_dt, a, out=v_new)
+        v_new += v
         for _, _, face in new.z_runs:
             face[0] = 0.0
-        t_new = t + plan.dt_signed
-        _accelerate(new, self.targets[1], nl, plan, t_new)
-        a0 += a1
-
-        if inject is not None:
-            inject[plan.measured] = y1
-            np.multiply(inject, plan.flux_mult, out=a1)
-            a0 += a1
-            a0 *= plan.half_dt
-            a0 += v
-            np.divide(a0, plan.denom, out=v_new)
-        else:
-            a0 *= plan.half_dt
-            np.add(v, a0, out=v_new)
         for face in new.v_pins:
             face[0] = 0.0
 
         _smooth_pass(new, self.acc, self.smoothing)
+        t_new = t + plan.dt_signed
+        _accelerate(new, self.target, self.nonlinearity, plan, t_new)
+
+        # the clamped faces of v' and of A(z') are +0.0, and so is every
+        # term added to them here: v_new needs no pin
+        if inject is not None:
+            inject[plan.measured] = y1
+            np.multiply(inject, plan.flux_mult, out=scratch)
+            scratch += a
+            scratch *= plan.half_dt
+            v_new += scratch
+            v_new /= plan.denom
+        else:
+            np.multiply(plan.half_dt, a, out=scratch)
+            v_new += scratch
 
         if not np.isfinite(new.w, out=self.finite).all():
             raise DivergenceError(t_new)
@@ -683,7 +700,6 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
         # last state, which reads the last row the block needs
         samples = np.negative(samples[::-1], out=trace)
 
-    ws = _Workspace(grid, nonlinearity, start)
     # the staged z and z_t and the kernel's buffers (without chi, sq is g0)
     shape = (_block_states(start.z.size),) + plan.shape
     zs, vs = staged = np.empty((2,) + shape)
@@ -724,9 +740,11 @@ def run(initial, horizon, grid, nonlinearity=ZERO_F, trace_in=None, chi=None):
 
     # an overflowing step or energy is reported as DivergenceError alone,
     # without a RuntimeWarning first: step checks that the field stays
-    # finite, record that the energy does
+    # finite, record that the energy does; the workspace takes the start
+    # field's acceleration, which may overflow as a step's may
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            ws = _Workspace(grid, nonlinearity, start)
             for i in range(steps):
                 binput = (samples[i], samples[i + 1]) if injecting else None
                 step(ws, grid, nonlinearity, binput)

@@ -12,6 +12,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -678,6 +679,37 @@ class TestRecover:
              "--out", str(tmp_path / "run.json")], capsys)
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    def test_recovery_holds_the_trace_not_the_parsed_rows(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the CSV parses into one (levels, 3 + nodes) array, of which the
+        # recovery needs only the trace's own (levels, nodes) copy: at
+        # observer.recover's entry the command holds the trace and little
+        # else (3 KB), not the row array, four times the trace's size in 1-D
+        sim = dict(FIG_SIM, points_per_axis=17, horizon=200.0)
+        cfg = write_json(tmp_path, "long.json", {"sim": sim})
+        trace_path = str(tmp_path / "long.csv")
+        assert run_cli(["simulate", "--config", cfg, "--out", trace_path], capsys)[0] == 0
+        held = {}
+        real = observer.recover
+
+        def recover(measurements, config, truth=None):
+            held["at_entry"] = tracemalloc.get_traced_memory()[0] - held["before"]
+            held["trace"] = measurements.samples.nbytes
+            return real(measurements, config, truth)
+
+        monkeypatch.setattr(observer, "recover", recover)
+        tracemalloc.start()
+        try:
+            held["before"] = tracemalloc.get_traced_memory()[0]
+            code, _, _ = run_cli(["recover", "--config", cfg, "--trace", trace_path,
+                                  "--iterations", "1", "--out", str(tmp_path / "r.json")],
+                                 capsys)
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 2)
+        assert held["trace"] == 8 * 3557  # 3,556 steps, one column
+        assert held["at_entry"] < 2.0 * held["trace"], held
+
     def test_budget_too_small_is_exit_two(self, tmp_path, capsys):
         cfg, trace_path = self.make_trace(tmp_path, capsys)
         code, out, err = run_cli(
@@ -1201,12 +1233,12 @@ class TestPinnedOutputBytes:
     }
 
     DIGESTS = {
-        "d1": "cdc3e20527105ea31299ec2fc7c56a10f38d327bea8e9b594928889c9cff4a15",
+        "d1": "93b65e7089b22f663e335f934f0d5fd18b129302fbaa7ad1420720313b36d1ed",
         "d1-observer":
-            "aa1c14e80e23ef944d293cd938589a3ef3a86beb98476803046bd8370d2ed6bd",
-        "d2": "4eb8e5bc2eea88c07490b1471e7cd35f49a9b2352c6fa89181fb2d9dc19ec51c",
+            "414c64b6501409a9a264c4d8c2583f3489717092802b793cbf1116b18183f4eb",
+        "d2": "242c7705a1e4f7c59abd12eddebc7de6b8648c0392bdeb5f14e6c5a817b3c717",
         "d2-observer":
-            "20c758266588f3a880b3d17d52efe7688dd4625734bef2357ee67678162f5107",
+            "80d286945e8630af66a3d272806a4e226150cc1d70ec0a268b4bbd35cc141d14",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -20,7 +20,7 @@ DEMOS = os.path.join(ROOT, "demos")
 
 STDOUT_DIGESTS = {
     "certified_decay.py":
-        "82eb9744eaf297c3caf31cfb211ed26d34f7b0a71ced6a13628622fd339172e3",
+        "d79b8f8ce7f9f295375ae2c6c7f4d7911ca20668238c56ab5ca17db03d3d2f01",
     "certify_point.py":
         "0a131e98a2ecfea7509566ab9e2f64d341635f713432dfdbfe4cfc387fbbfa4b",
     "contraction_rate.py":
@@ -30,7 +30,7 @@ STDOUT_DIGESTS = {
     "noisy_recovery.py":
         "78940746a98d55f42889967de774d93da6c33d394cca4f3d27a528277ea13686",
     "recovery_window_split.py":
-        "fb529bf9aa7b9a039e24fa71955494bf06f1da9f62e956771ae303236cbe75ff",
+        "e2afb1e2bdae9566620c702cd5ab6b677182e6f28b93005d95c8c8d71cc57854",
     "regional_radius.py":
         "2bfab7449ff0c2724b2e57569f873cac633d8f5415e3c7694689ec3c8e3b010b",
 }

@@ -52,24 +52,26 @@ def oracle_run_1d(z, v, dx, dt, steps, f=None, t0=0.0, k=0.0, trace=None, nu=0.0
         d4[2:-2] = w[:-4] - 4 * w[1:-3] + 6 * w[2:-2] - 4 * w[3:-1] + w[4:]
         return w - (nu / 16.0) * d4
 
+    # kick, drift, smooth, kick; the acceleration of each new z is the
+    # next step's first one
     rec = [v[-1]]
+    a = lap_f(z, t0)
     for j in range(steps):
         t = t0 + j * dt
         y0 = trace[j] if trace is not None else 0.0
         y1 = trace[j + 1] if trace is not None else 0.0
-        a0 = lap_f(z, t)
         if k:
-            a0[-1] += (2.0 / dx) * k * (y0 - v[-1])
-        z_new = z + dt * v + 0.5 * dt * dt * a0
-        z_new[0] = 0.0
-        a1 = lap_f(z_new, t + dt)
-        v_new = v + 0.5 * dt * (a0 + a1)
+            a[-1] += (2.0 / dx) * k * (y0 - v[-1])
+        z_new = z + dt * v + 0.5 * dt * dt * a
+        v_half = v + 0.5 * dt * a
+        z_new[0] = v_half[0] = 0.0
+        z, v_half = smooth(z_new), smooth(v_half)
+        z[0] = v_half[0] = 0.0
+        a = lap_f(z, t + dt)
+        v = v_half + 0.5 * dt * a
         if k:
-            v_new[-1] = (v[-1] + 0.5 * dt * (a0[-1] + a1[-1] + (2.0 * k / dx) * y1)) \
+            v[-1] = (v_half[-1] + 0.5 * dt * (a[-1] + (2.0 * k / dx) * y1)) \
                 / (1.0 + k * dt / dx)
-        v_new[0] = 0.0
-        z, v = smooth(z_new), smooth(v_new)
-        z[0] = 0.0
         v[0] = 0.0
         rec.append(v[-1])
     return z, v, np.array(rec)
@@ -136,15 +138,14 @@ def oracle_step_2d(z, v, t, dx, dt, k, f, y0, y1, nu=0.02):
     a0 += (2.0 / dx) * m * k * (scatter(y0) - v)
     a0[0, :] = 0.0
     a0[:, 0] = 0.0
-    z_new = z + dt * v + 0.5 * dt * dt * a0
-    z_new[0, :] = 0.0
-    z_new[:, 0] = 0.0
+    z_new = smooth(z + dt * v + 0.5 * dt * dt * a0)
+    v_half = smooth(v + 0.5 * dt * a0)
     a1 = accel(z_new, t + dt)
-    v_new = (v + 0.5 * dt * (a0 + a1 + (2.0 * k / dx) * m * scatter(y1))) \
+    v_new = (v_half + 0.5 * dt * (a1 + (2.0 * k / dx) * m * scatter(y1))) \
         / (1.0 + m * k * dt / dx)
     v_new[0, :] = 0.0
     v_new[:, 0] = 0.0
-    return smooth(z_new), smooth(v_new)
+    return z_new, v_new
 
 
 def oracle_energy(z, v, dx):
@@ -600,14 +601,18 @@ class TestRunPlant:
         err = np.max(np.abs(final.z - separation_solution(x, 1.0)))
         assert err <= 0.05 * g.dx ** 2
 
-    def test_refinement_reduces_error(self):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_refinement_reduces_error(self, dim):
+        # second order: the mode prod_p sin(pi x_p / 2) cos(pi sqrt(dim) t / 2)
+        # at t = 1; measured ratios 4.15 and 4.08 in 1-D, 4.54 and 4.02 in 2-D
         errs = []
-        for n in (101, 201, 401):
-            g = pde.make_grid(1, n, 1.0)
-            x = g.axis()
-            f0 = pde.WaveField(np.sin(PI * x / 2), np.zeros_like(x))
-            final = pde.run(f0, 1.0, g).final
-            errs.append(np.max(np.abs(final.z - separation_solution(x, 1.0))))
+        for n in {1: (101, 201, 401), 2: (21, 41, 81)}[dim]:
+            g = pde.make_grid(dim, n, 1.0)
+            mode = np.prod([np.sin(PI * x / 2) for x in ([g.axis()] if dim == 1
+                                                         else g.coords())], axis=0)
+            final = pde.run(pde.WaveField(mode, np.zeros_like(mode)), 1.0, g).final
+            exact = mode * np.cos(PI * math.sqrt(dim) / 2)
+            errs.append(np.max(np.abs(final.z - exact)))
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
 
@@ -1241,23 +1246,25 @@ def ref_step(field, grid, nonlinearity=pde.ZERO_F, boundary_input=None,
             a0 += flux * mult * (ref_scatter(np.asarray(y0, dtype=float), grid) - v)
 
     z_new = z + dt * v + 0.5 * dt * dt * a0
+    v_half = v + 0.5 * dt * a0
     ref_pin_dirichlet(z_new, grid.dim)
+    ref_pin_dirichlet(v_half, grid.dim)
+    ref_smooth(z_new, grid.dim)
+    ref_smooth(v_half, grid.dim)
     t_new = t + direction * dt
     a1 = ref_accel(z_new, grid, nonlinearity, t_new)
-    v_new = v + 0.5 * dt * (a0 + a1)
+    v_new = v_half + 0.5 * dt * a1
 
     if injecting:
         if grid.dim == 1:
-            v_new[-1] = (v[-1] + 0.5 * dt * (a0[-1] + a1[-1] + flux * float(y1))) \
+            v_new[-1] = (v_half[-1] + 0.5 * dt * (a1[-1] + flux * float(y1))) \
                 / (1.0 + k * dt / dx)
         else:
             y1_full = ref_scatter(np.asarray(y1, dtype=float), grid)
             denom = 1.0 + mult * k * dt / dx
-            v_new = (v + 0.5 * dt * (a0 + a1 + flux * mult * y1_full)) / denom
+            v_new = (v_half + 0.5 * dt * (a1 + flux * mult * y1_full)) / denom
     ref_pin_dirichlet(v_new, grid.dim)
 
-    ref_smooth(z_new, grid.dim)
-    ref_smooth(v_new, grid.dim)
     out = pde.WaveField.__new__(pde.WaveField)
     out.z, out.zt, out.t = z_new, v_new, t_new
     return out
@@ -1542,31 +1549,37 @@ class TestHugeMeasuredCorner:
     # The warnings a direct step call raises, as the per-axis stencils
     # raised them: the doubling shared by both axes must skip the measured
     # corner, which no per-axis stencil doubled; doubling it would add an
-    # overflow in multiply.
-    TWO_GHOSTS = ["overflow encountered in multiply"] * 2 + [
-        "overflow encountered in divide", "invalid value encountered in add"]
-    ONE_GHOST = ["overflow encountered in scalar multiply",
-                 "overflow encountered in divide", "invalid value encountered in add"]
+    # overflow in multiply.  The start field's acceleration warns first.
+    # Its infinite corner then reaches z' and v', the smoothing spreads it
+    # to the corner's neighbours in z', and the second acceleration takes
+    # inf - inf there, one invalid subtract and add per axis; the second
+    # kick adds that NaN to v'.
+    TWO_GHOSTS = ["overflow encountered in multiply"] * 2 + ["overflow encountered in divide"]
+    ONE_GHOST = ["overflow encountered in scalar multiply", "overflow encountered in divide"]
+
+    @staticmethod
+    def spread(dim):
+        return ["invalid value encountered in subtract",
+                "invalid value encountered in add"] * dim + ["invalid value encountered in add"]
 
     @pytest.mark.parametrize("value,mode,k", [
         (1e308, "plant", 0.0), (-1e308, "plant", 0.0),
         (1e308, "observer-forward", 1.0), (1.7e308, "observer-backward", 0.5)])
     def test_2d_corner_warns_as_per_axis_stencils(self, value, mode, k):
-        assert _huge_corner_step(2, value, mode, k) == self.TWO_GHOSTS
+        assert _huge_corner_step(2, value, mode, k) == self.TWO_GHOSTS + self.spread(2)
 
     @pytest.mark.parametrize("value,mode,k", [
         (1e308, "plant", 0.0), (-1.5e308, "observer-forward", 1.0)])
     def test_1d_end_warns_as_per_axis_stencil(self, value, mode, k):
-        assert _huge_corner_step(1, value, mode, k) == self.ONE_GHOST
+        assert _huge_corner_step(1, value, mode, k) == self.ONE_GHOST + self.spread(1)
 
     def test_below_doubling_overflow(self):
         # 6e307 doubles to a finite value; the sum of the two ghost terms
         # overflows in 2-D, the division by dx^2 in both
         assert _huge_corner_step(2, 6e307, "plant", 0.0) == [
-            "overflow encountered in add", "overflow encountered in divide",
-            "invalid value encountered in add"]
+            "overflow encountered in add", "overflow encountered in divide"] + self.spread(2)
         assert _huge_corner_step(1, 6e307, "plant", 0.0) == [
-            "overflow encountered in divide", "invalid value encountered in add"]
+            "overflow encountered in divide"] + self.spread(1)
 
 
 def ref_boundary_sq_integral(samples, grid):
@@ -2176,6 +2189,35 @@ class TestRunWorkspace:
                                                        chi=0.1)
         assert steps + 1 == len(result.lyapunovs) == 113
         assert above < 16 * 1024, above
+
+
+class TestOneAccelerationPerStep:
+    """A run takes A(z) = Laplacian + f once per step, after the start
+    field's, and a direct step twice: counted in calls of f, which no
+    timing sways, each at its own time level."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 41), (2, 21)])
+    @pytest.mark.parametrize("mode", pde.MODES)
+    def test_source_evaluations(self, dim, n, mode):
+        times = []
+
+        def counted(z, x, t):
+            times.append(t)
+            return 0.1 * np.sin(z)
+
+        nl = pde.Nonlinearity(counted, fz_bound=0.1)
+        steps = 23
+        grid, horizon, f0, trace = _workspace_case(dim, n, mode, steps, 10)
+        final = pde.run(f0, horizon, grid, nl, trace).final
+        assert len(times) == steps + 1
+        assert times[0] == f0.t
+        direction = -1.0 if mode == "observer-backward" else 1.0
+        assert np.all(direction * np.diff(times) > 0.0)
+        assert times[-1] == pytest.approx(final.t)
+        del times[:]
+        binput = None if trace is None else (trace.samples[0], trace.samples[1])
+        pde.step(f0, grid, nl, binput)
+        assert times == [f0.t, f0.t + direction * grid.dt]
 
 
 class TestFreshResultFields:
