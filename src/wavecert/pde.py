@@ -53,9 +53,9 @@ steps overwrite.
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -1012,32 +1012,26 @@ def read_trajectory_csv(text):
 
     The header must be t,E,V,trace0,...,trace{m-1} exactly, every row must
     carry m + 3 values, and E and V must be finite, as trajectory_csv
-    writes them.
+    writes them.  One pass checks each row's width before parsing it, so a
+    row of the wrong width is refused before any later row is read.
     """
     # the non-empty lines of text.strip().splitlines(), found one at a time
     first = re.search(r"\S", text)
     if first is None:
         raise ValueError("trajectory CSV is empty")
-    lines = partial(_LINE.finditer, text, first.start(), len(text.rstrip()))
-    body = lines()
-    header = next(body).group().split(",")
+    lines = map(re.Match.group, _LINE.finditer(text, first.start(), len(text.rstrip())))
+    header = next(lines).split(",")
     width = len(header)
     if width < 4 or header != ["t", "E", "V"] + ["trace%d" % j for j in range(width - 3)]:
         raise ValueError("expected the header t,E,V,trace0,...,trace{m-1}")
-    # the rows ahead of the first of the wrong width are parsed, in order,
-    # into an array of their own size before that row is refused
-    good, ragged = 0, None
-    for line in map(re.Match.group, body):
+    values = array("d")
+    for number, line in enumerate(lines, 1):
         if line.count(",") != width - 1:
-            ragged = line
-            break
-        good += 1
-    cells = chain.from_iterable(m.group().split(",") for m in islice(lines(), 1, good + 1))
-    rows = np.fromiter(map(float, cells), float, good * width).reshape(good, width)
-    if ragged is not None:
-        raise ValueError("row %d carries %d values, the header names %d"
-                         % (good + 1, ragged.count(",") + 1, width))
-    if good < 2:
+            raise ValueError("row %d carries %d values, the header names %d"
+                             % (number, line.count(",") + 1, width))
+        values.extend(map(float, line.split(",")))
+    rows = np.frombuffer(values).reshape(-1, width)
+    if len(rows) < 2:
         raise ValueError("trajectory needs at least two time levels")
     if not np.all(np.isfinite(rows[:, 1:3])):
         raise ValueError("trajectory E and V values must be finite")

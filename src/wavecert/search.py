@@ -727,9 +727,8 @@ def delta_margin(params, vars, config=None):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")
     # every delta tried from here lies in [delta, 2 delta]
     checked_float("delta", params.delta + params.delta, 0.0)
-    if ok(params.delta):
-        return params.delta
-    return max(_bisect(ok, params.delta, 0.0), 1e-12)
+    extra = params.delta if ok(params.delta) else _bisect(ok, params.delta, 0.0)
+    return max(extra, 1e-12)
 
 
 # ----------------------------------------------------------------------- sweep

@@ -19,7 +19,7 @@ import pytest
 from test_pde import oracle_recover_once, oracle_run_1d, ref_boundary_sq_integral
 
 from wavecert import observer, pde, search
-from wavecert.certificates import (CertificateError, ProblemParams,
+from wavecert.certificates import (CertificateError, ProblemParams, _q_at,
                                    certificate_from_dict, certificate_to_dict,
                                    compute_iss_gain, make_certificate)
 
@@ -778,6 +778,19 @@ class TestDiscreteContraction:
     def test_the_smoothing_contracts_at_every_grid_size(self, n):
         # measured 0.1089 at N = 51, 0.1079 at N = 201
         assert power_iteration(n, 2.5, 12, self.K)[-1] < 0.2
+
+    @pytest.mark.parametrize("horizon", [4.0, 6.0])
+    def test_the_certificate_bounds_the_contraction(self, horizon):
+        # one sweep scales the error energy by at most (beta/alpha) q: for
+        # the pinned-delta certificate (t* = 2.2316, beta/alpha = 1.25) the
+        # bound is 0.878 at T = 4 and 0.588 at T = 6, against a measured
+        # rho^2 of 3.37e-3 and 4.4e-5; at T = 3 it is 1.07, a vacuous check
+        _, _, cert = search.minimal_observability_time(
+            ProblemParams(n=1, k=self.K, g1=0.0, delta=0.05))
+        bound = cert.beta / cert.alpha * _q_at(cert.params, horizon)
+        assert cert.params.t_star < horizon and bound < 1.0, bound
+        rho = power_iteration(101, horizon, 12, self.K)[-1]
+        assert rho ** 2 <= bound, (rho, bound)
 
 
 class TestFinalError:

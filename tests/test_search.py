@@ -1824,9 +1824,86 @@ class TestDeltaMargin:
         v = DecisionVars(chi=0.3, lambda1=0.3)
         assert delta_margin(p, v) == 0.001
 
+    @pytest.mark.parametrize("n, g1", [(1, 0.0), (2, 0.1)])
+    def test_a_zero_delta_is_floored(self, n, g1):
+        # the floor holds on the saturated return too: a zero margin would
+        # divide perturbed_recover's gain by alpha (1 - e^0) = 0
+        p = ProblemParams(n=n, k=1.0, g1=g1, delta=0.0)
+        assert delta_margin(p, find_feasible_vars(p)) == 1e-12
+
     def test_requires_delta(self):
         with pytest.raises(CertificateError, match="^delta is required$"):
             delta_margin(ProblemParams(n=1, k=1.0), DecisionVars(chi=0.3, lambda1=0.3))
+
+
+# ------------------------------------------------ soundness over the space
+
+
+def assert_holds_outright(cert):
+    """Every LMI of cert holds with no margin as slack, each matrix rebuilt
+    by the numpy oracles above and decided by numpy's eigvalsh."""
+    p, v = cert.params, cert.vars
+    phi0 = np.linalg.eigvalsh(phi0_np(p.n, v.chi, v.lambda0))[0]
+    psi1 = -p.k + (1.0 + p.k * p.k * p.n) * v.chi
+    psi2 = np.linalg.eigvalsh(psi2_np(p.n, p.k, p.g1, p.delta, v.chi, v.lambda1))[-1]
+    phi_obs = np.linalg.eigvalsh(phi_obs_np(p.n, p.delta, p.t_star, v.chi, v.lambda2))[-1]
+    assert phi0 > 0.0 and psi1 <= 0.0 and psi2 <= 0.0 and phi_obs < 0.0, (
+        p, v, phi0, psi1, psi2, phi_obs)
+
+
+class TestSoundnessOverTheParameterSpace:
+    """Seeded searches across n, k, g1 and delta end in Infeasible or in a
+    certificate that holds outright, and their windows obey relations that
+    need no oracle.  A pinned delta off DELTA_GRID can beat the grid: at
+    n = 2, k = 1, g1 = 0.3 the grid gives t* = 18.248 and delta = 0.0421
+    gives 17.979, so the pinned-delta relation is asserted on grid points."""
+
+    TOL = SearchConfig().tstar_tol
+
+    def test_min_time_certificates(self):
+        rng = np.random.default_rng(0)
+        grid = np.geomspace(*search.DELTA_GRID)
+        outcomes = []
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            k, g1 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 0.4))
+            pinned = float(10.0 ** rng.uniform(-3.0, -1.0)) if rng.random() < 0.4 else None
+            params = ProblemParams(n=n, k=k, g1=g1, delta=pinned)
+            try:
+                t_star, delta, cert = minimal_observability_time(params)
+            except Infeasible:
+                outcomes.append("infeasible")
+                continue
+            outcomes.append("certificate")
+            assert (cert.params.t_star, cert.params.delta) == (t_star, delta)
+            assert_holds_outright(cert)
+            if pinned is None:
+                # delta is a grid point, and pinning it repeats the window
+                assert minimal_observability_time(replace(params, delta=delta))[0] == t_star
+                on_grid = replace(params, delta=float(rng.choice(grid)))
+                try:
+                    t_pinned = minimal_observability_time(on_grid)[0]
+                except Infeasible:
+                    continue
+                assert t_pinned >= t_star - self.TOL, (on_grid, t_pinned, t_star)
+        # 37 certificates and 3 Infeasible
+        assert outcomes.count("certificate") >= 30, outcomes
+
+    def test_regional_certificates(self):
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            params = ProblemParams(n=1, k=float(rng.uniform(0.3, 2.0)),
+                                   g1=float(rng.uniform(0.02, 0.3)),
+                                   d=float(rng.uniform(0.5, 2.0)))
+            _, cert = maximize_regional_radius(params, SearchConfig(tstar_tol=0.01))
+            assert_holds_outright(cert)
+
+    @pytest.mark.parametrize("n, k", [(1, 1.0), (2, 0.5)])
+    def test_the_window_does_not_shrink_as_g1_grows(self, n, k):
+        # each t* may sit up to one tstar_tol past its grid minimum
+        windows = [minimal_observability_time(ProblemParams(n=n, k=k, g1=g1))[0]
+                   for g1 in (0.0, 0.1, 0.2, 0.3)]
+        assert all(b >= a - self.TOL for a, b in zip(windows, windows[1:])), windows
 
 
 # ----------------------------------------------------------------------- sweep
