@@ -5,8 +5,9 @@ The matrices built here decide, for one set of problem parameters and decision
 variables, whether the damped error dynamics are exponentially stable with rate
 delta (stability LMIs), whether the system is exactly observable in time T*
 (observability LMI), and what the derived constants alpha, beta, q, gamma and
-the regional radius d0 are.  One margin parameter serves as the strictness
-threshold for the strict LMIs and as slack for the non-strict ones (LMIS).
+the regional radius d0 are.  One fixed margin, MARGIN, serves as the
+strictness threshold for the strict LMIs and as slack for the non-strict ones
+(LMIS).
 """
 
 import json
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from .smallmat import eigenvalues
 
 PI2 = math.pi * math.pi
-DEFAULT_MARGIN = 1e-9
+MARGIN = 1e-9
 # the 1-D reduction has no lambda0; this value reproduces the sharp 1-D
 # alpha = 1 - 2 chi to well past four decimals while keeping the 3x3 form
 DEFAULT_LAMBDA0_1D = 1e-6
@@ -258,14 +259,14 @@ class Lmi(namedtuple("Lmi", "name entries multiplier top strict side")):
     """An LMI's sense, which every check and search reads here (LMIS, in
     report order): the largest eigenvalue of entries at the multiplier
     decides (top) or the smallest, psi1's scalar itself, and the LMI holds
-    where its slack at the threshold side * margin is > 0 (strict) or >= 0."""
+    where its slack at the threshold side * MARGIN is > 0 (strict) or >= 0."""
 
-    def slack(self, value, margin):
-        s = self.side * margin
+    def slack(self, value):
+        s = self.side * MARGIN
         return s - value if self.top else value - s
 
-    def holds(self, value, margin):
-        slack = self.slack(value, margin)
+    def holds(self, value):
+        slack = self.slack(value)
         return slack > 0.0 if self.strict else slack >= 0.0
 
 
@@ -277,24 +278,23 @@ LMIS = (PHI0, PSI1, PSI2, PHI_OBS)
 LMI_NAMES = tuple(lmi.name for lmi in LMIS)
 
 
-def check_stability(params, vars, margin=DEFAULT_MARGIN):
+def check_stability(params, vars):
     """Feasibility report for the exponential-stability LMIs phi0, psi1 and psi2."""
-    margin = checked_float("margin", margin, 0.0)
     _require(vars, "lambda1")
     return _judged({"phi0": eigenvalues(build_phi0(params, vars))[0],
                     "psi1": build_psi1(params, vars),
-                    "psi2": eigenvalues(build_psi2(params, vars))[-1]}, margin)
+                    "psi2": eigenvalues(build_psi2(params, vars))[-1]})
 
 
-def check_observability(params, vars, margin=DEFAULT_MARGIN):
+def check_observability(params, vars):
     """Stability report extended with the strict observability LMI at t_star."""
-    margins = check_stability(params, vars, margin)["margins"]
+    margins = check_stability(params, vars)["margins"]
     margins["phi_obs"] = eigenvalues(build_phi_obs(params, vars))[-1]
-    return _judged(margins, checked_float("margin", margin, 0.0))
+    return _judged(margins)
 
 
-def _judged(margins, margin):
-    report = {lmi.name + "_ok": lmi.holds(margins[lmi.name], margin)
+def _judged(margins):
+    report = {lmi.name + "_ok": lmi.holds(margins[lmi.name])
               for lmi in LMIS if lmi.name in margins}
     report["feasible"] = all(report.values())
     report["margins"] = margins
@@ -320,34 +320,33 @@ def compute_alpha_beta(params, vars):
     return alpha, beta
 
 
-def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
+def compute_iss_gain(params, vars):
     """Smallest reportable input-to-state gain (r, gamma) for boundary perturbations.
 
-    Requires psi1 < 0 strictly and psi2 negative definite with the margin.
+    Requires psi1 < 0 strictly and psi2 negative definite with MARGIN.
     gamma is the Schur-complement infimum of the 2x2 perturbation block plus
-    the margin, which grows with r; so r is the smallest r at which the
+    MARGIN, which grows with r; so r is the smallest r at which the
     rank-one perturbation chi (n-1) / (2 r) of psi2's (1,1) entry keeps its
-    largest eigenvalue at or below -margin, in closed form raised until the
+    largest eigenvalue at or below -MARGIN, in closed form raised until the
     eigenvalue check passes.  For n = 1 every r-term vanishes (r is 0).
     """
-    margin = checked_float("margin", margin, 0.0)
     _require(vars, "lambda1")
     n, k, chi = params.n, params.k, vars.chi
     psi1 = build_psi1(params, vars)
     if not psi1 < 0.0:
         raise CertificateError("psi1 must be strictly negative for the ISS gain")
     psi2 = build_psi2(params, vars)
-    if not eigenvalues(psi2)[-1] < -margin:
+    if not eigenvalues(psi2)[-1] < -MARGIN:
         raise CertificateError("psi2 must be strictly negative definite for the ISS gain")
     b = chi * (0.5 + k * k * n)
     if n == 1:
-        gamma = chi * k * k + b * b / (-psi1) + margin
+        gamma = chi * k * k + b * b / (-psi1) + MARGIN
         return 0.0, gamma
 
     # adding c to psi2's (1,1) entry keeps it absorbed while c <= det A over
-    # the minor d f - v^2: A = -margin I - psi2 has off-diagonals -q, -s, -v
+    # the minor d f - v^2: A = -MARGIN I - psi2 has off-diagonals -q, -s, -v
     p, q, s, u, v, w = psi2
-    a, d, f = -margin - p, -margin - u, -margin - w
+    a, d, f = -MARGIN - p, -MARGIN - u, -MARGIN - w
     minor = d * f - v * v
     det = a * minor - q * (q * f + v * s) - s * (q * v + d * s)
     # when psi2 passed the check by no more than rounding, det A over the
@@ -359,9 +358,9 @@ def compute_iss_gain(params, vars, margin=DEFAULT_MARGIN):
     # r lies on the boundary, where the Jacobi check can fail it by rounding;
     # psi2 alone passed the check, and the added term shrinks as r grows
     step = 2.0 ** -52
-    while eigenvalues((p + chi * (n - 1) / (2.0 * r),) + psi2[1:])[-1] > -margin:
+    while eigenvalues((p + chi * (n - 1) / (2.0 * r),) + psi2[1:])[-1] > -MARGIN:
         r, step = r * (1.0 + step), 2.0 * step
-    gamma = chi * k * k * n + chi * (n - 1) * r / 2.0 + b * b / (-psi1) + margin
+    gamma = chi * k * k * n + chi * (n - 1) * r / 2.0 + b * b / (-psi1) + MARGIN
     return r, gamma
 
 
@@ -429,11 +428,12 @@ class Certificate:
                 raise CertificateError("q must lie in (0, 1]")
             object.__setattr__(self, "q", q)
         if self.d0 is not None:
-            object.__setattr__(self, "d0", checked_float("d0", self.d0, 0.0, strict=True))
+            # a radius that rounds to 0 is an empty but true guarantee
+            object.__setattr__(self, "d0", checked_float("d0", self.d0, 0.0))
         object.__setattr__(self, "margins", dict(self.margins))
 
 
-def check_point(params, vars, margin=DEFAULT_MARGIN):
+def check_point(params, vars):
     """(vars, report) for the LMIs that apply at one decision point.
 
     lambda0 takes its 1-D default when unset.  A point carrying both t_star
@@ -442,17 +442,18 @@ def check_point(params, vars, margin=DEFAULT_MARGIN):
     """
     vars = replace(vars, lambda0=_lambda0(params, vars))
     if params.t_star is not None and vars.lambda2 is not None:
-        report = check_observability(params, vars, margin)
+        report = check_observability(params, vars)
     else:
-        report = check_stability(params, vars, margin)
+        report = check_stability(params, vars)
     report["failing"] = [name for name in LMI_NAMES
                          if not report.get(name + "_ok", True)]
     return vars, report
 
 
 def _q_at(params, horizon):
-    # q = exp(-4 delta (T - t_star)), one recovery sweep's contraction over T
-    return math.exp(-4.0 * params.delta * (horizon - params.t_star))
+    # q = exp(-4 delta (T - t_star)), one recovery sweep's contraction over T;
+    # exp underflows to 0 only below the least float, still an upper bound
+    return max(math.exp(-4.0 * params.delta * (horizon - params.t_star)), math.ulp(0.0))
 
 
 def certificate_at(params, vars, report):
@@ -468,13 +469,13 @@ def certificate_at(params, vars, report):
     return Certificate(params, vars, alpha, beta, q, d0, report["margins"])
 
 
-def make_certificate(params, vars, margin=DEFAULT_MARGIN):
+def make_certificate(params, vars):
     """Assemble a certificate: run the checks, then derive alpha, beta, q, d0.
 
     An infeasible point raises; certificate_at(params, *check_point(...))
     still collects margins and constants for a point being inspected.
     """
-    vars, report = check_point(params, vars, margin)
+    vars, report = check_point(params, vars)
     if not report["feasible"]:
         raise CertificateError("LMIs infeasible at this point: %s"
                                % ", ".join(report["failing"]))
@@ -549,17 +550,15 @@ class SearchConfig:
 
     Multiplier decisions and values are closed-form or bisected to the
     float spacing and take no tolerance.  tstar_tol ends the t_star
-    bisection, which also stops at the float spacing; margin is the slack
-    every LMI check keeps.
+    bisection, which also stops at the float spacing.  Every LMI check
+    keeps the fixed MARGIN, which no setting changes.
     """
 
     tstar_tol: float = 1e-3
-    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         object.__setattr__(self, "tstar_tol",
                            checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
-        object.__setattr__(self, "margin", checked_float("margin", self.margin, 0.0))
 
     @classmethod
     def from_dict(cls, dct):

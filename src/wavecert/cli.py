@@ -245,7 +245,8 @@ def _load_vars(path):
 def cmd_certify(args):
     doc = load_config(args.config)
     params = parse_problem(doc)
-    config = parse_search(doc)
+    # no search setting applies here, but a shared config is checked the same
+    parse_search(doc)
     vars = None
     if args.vars is not None:
         cert_params, vars = _load_vars(args.vars)
@@ -258,8 +259,8 @@ def cmd_certify(args):
             # the document's params carry the searched delta and t_star
             params = cert_params
     if vars is None:
-        vars = search.find_feasible_vars(params, config)
-    vars, report = check_point(params, vars, config.margin)
+        vars = search.find_feasible_vars(params)
+    vars, report = check_point(params, vars)
     if report["feasible"]:
         out = {"feasible": True,
                **certificate_to_dict(certificate_at(params, vars, report))}

@@ -20,12 +20,13 @@ element left keeps its own midpoints, so every value, multiplier and
 winning chi keeps its bits.
 chi scans exploit the hard psi1 cut chi < k/(1 + k^2 n).  What no delta
 moves is done once: the chi grid and phi0's part of the closed-form pass
-are built once per n, grid and margin (_chi_points), a witness is checked
+are built once per n and grid (_chi_points), a witness is checked
 on its entries at 0 shifted to it (_shifted), and the points a delta loop
 bisects over are made from checked params without checking them again
 (_point).  All searches are deterministic: same inputs and config, same
 outputs, regardless of worker count.  Each LMI's sense (which eigenvalue
-decides, strictness, the margin's side) comes from certificates.LMIS.
+decides, strictness, the side of the fixed MARGIN) comes from
+certificates.LMIS.
 The searches' settings (SearchConfig) and negative result (Infeasible)
 are defined in certificates, which parses configs without numpy, and are
 the same objects here.
@@ -39,6 +40,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .certificates import (
+    MARGIN,
     PHI0,
     PHI_OBS,
     PI2,
@@ -204,8 +206,8 @@ def _clearing(params, chi, entries, name, s, top):
     return (a, n0) + _bracket(params, chi, name)
 
 
-def _witness(params, chi, lmi, margin):
-    """A multiplier at which lmi holds at the margin, or None if there is none.
+def _witness(params, chi, lmi):
+    """A multiplier at which lmi holds at MARGIN, or None if there is none.
 
     lmi is unpacked once: the scans call this at every point and step.
     The multipliers that clear its threshold s form one interval, which
@@ -216,7 +218,7 @@ def _witness(params, chi, lmi, margin):
     that overflows from finite entries answers None, a conservative no.
     """
     _, entries, name, top, strict, side = lmi
-    s = side * margin
+    s = side * MARGIN
     chi = checked_float("chi", chi, 0.0)
     wq = _wq(params.n)
     a, n0, lo, hi = _clearing(params, chi, entries, name, s, top)
@@ -412,7 +414,7 @@ def _chi_grid(params):
     """(lo, hi, count) of the chi scan, hi a relative 1e-9 below the psi1 cut.
 
     psi1 is affine and increasing in chi and vanishes at the cut, so it is
-    negative, below every margin, at each grid point and at each chi a
+    negative, below MARGIN, at each grid point and at each chi a
     bisection takes between them: the scans never test it.
     """
     cut = _chi_cut(params)
@@ -423,18 +425,18 @@ def _chi_grid(params):
     return CHI_LO, hi, CHI_COUNT
 
 
-def _stability_feasible(params, chi, config):
+def _stability_feasible(params, chi):
     """Stability feasibility at one chi of the grid: a witness for psi2 and phi0."""
-    return (_witness(params, chi, PSI2, config.margin) is not None
-            and _witness(params, chi, PHI0, config.margin) is not None)
+    return (_witness(params, chi, PSI2) is not None
+            and _witness(params, chi, PHI0) is not None)
 
 
-def _ruled_out(params, grid, lmi, margin):
+def _ruled_out(params, grid, lmi):
     # (finite, empty) of one LMI on the array grid: where its _clearing
     # inputs are finite, and where its span clearing its threshold is empty
     with np.errstate(all="ignore"):
         _, n0, lo, hi = _clearing(params, grid, lmi.entries, lmi.multiplier,
-                                  lmi.side * margin, lmi.top)
+                                  lmi.side * MARGIN, lmi.top)
         lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
         p, r, u, q, v, w = n0
         return (np.isfinite(p + r + u + q + v + w + lo + hi),
@@ -443,40 +445,40 @@ def _ruled_out(params, grid, lmi, margin):
 
 # bounded: a sweep over many k would otherwise keep every grid it met
 @lru_cache(maxsize=16)
-def _chi_points(n, bounds, margin):
+def _chi_points(n, bounds):
     """(grid, phi0_out): the chi scan's grid np.geomspace(*bounds) and where
     phi0 rules its points out, both read-only and shared by every caller.
 
     phi0 and its lambda0 bracket read only n of the params, so the pair
     does not depend on delta, k or g1 beyond the bounds.  A test
-    that monkeypatches _span, _bracket, _clearing or PHI0 and then
-    reaches a chi scan calls _chi_points.cache_clear() first.
+    that monkeypatches _span, _bracket, _clearing, PHI0 or MARGIN and
+    then reaches a chi scan calls _chi_points.cache_clear() first.
     """
     grid = np.geomspace(*bounds)
     # k only completes the params: phi0 never reads it
-    finite, empty = _ruled_out(ProblemParams(n=n, k=1.0), grid, PHI0, margin)
+    finite, empty = _ruled_out(ProblemParams(n=n, k=1.0), grid, PHI0)
     out = finite & empty
     grid.flags.writeable = out.flags.writeable = False
     return grid, out
 
 
-def _stability_ruled_out(params, bounds, margin):
+def _stability_ruled_out(params, bounds):
     """(grid, out): the chi grid of bounds and where _stability_feasible is
     False on it, in closed form.
 
     A point is out, and its scalar test could not raise there, where
     psi2's inputs are finite and its span is empty, or where phi0's are
-    finite too and its span is empty (_chi_points, once per n, bounds and
-    margin).  (Where psi2's inputs are finite, its witness check cannot
+    finite too and its span is empty (_chi_points, once per n and
+    bounds).  (Where psi2's inputs are finite, its witness check cannot
     raise: the span midpoint lies in the finite bracket and keeps psi2's
     entries finite.)  The scalar test decides every other point.
     """
-    grid, phi0_out = _chi_points(params.n, bounds, margin)
-    finite, empty = _ruled_out(params, grid, PSI2, margin)
+    grid, phi0_out = _chi_points(params.n, bounds)
+    finite, empty = _ruled_out(params, grid, PSI2)
     return grid, finite & (empty | phi0_out)
 
 
-def chi_min_stability(params, config=None):
+def chi_min_stability(params):
     """Smallest chi certifying exponential stability at the given delta.
 
     Scans the log grid for the first feasible point, then bisects against
@@ -485,14 +487,13 @@ def chi_min_stability(params, config=None):
     form (_stability_ruled_out) and runs the scalar test, which confirms a
     "yes" with its witness, only at the points left, in grid order.
     """
-    config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required for a stability search")
     lo, hi, _ = bounds = _chi_grid(params)
-    grid, out = _stability_ruled_out(params, bounds, config.margin)
+    grid, out = _stability_ruled_out(params, bounds)
     found = prev = None
     for i in np.flatnonzero(~out):
-        if _stability_feasible(params, float(grid[i]), config):
+        if _stability_feasible(params, float(grid[i])):
             found = float(grid[i])
             prev = float(grid[i - 1]) if i else None
             break
@@ -501,7 +502,7 @@ def chi_min_stability(params, config=None):
                          % (fmt_float(lo), fmt_float(hi), fmt_float(params.delta)))
     if prev is None:
         return found
-    return _bisect(lambda chi: _stability_feasible(params, chi, config), prev, found)
+    return _bisect(lambda chi: _stability_feasible(params, chi), prev, found)
 
 
 # ------------------------------------------------------------ time bisection
@@ -517,11 +518,11 @@ def _observation_window(params, config, delta):
     """
     # delta is params' own or a grid point, each t_star in (0, T_STAR_MAX]
     p = _point(params, delta=delta, t_star=None, t_total=None)
-    cmin = chi_min_stability(p, config)
+    cmin = chi_min_stability(p)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + _chi_cut(p)))
 
     def observable(t_star):
-        return _witness(_point(p, t_star=t_star), probe, PHI_OBS, config.margin) is not None
+        return _witness(_point(p, t_star=t_star), probe, PHI_OBS) is not None
 
     def not_observable():
         # the value search on one element, which the delta loops would pay
@@ -575,8 +576,7 @@ def minimal_observability_time(params, config=None):
     for _ in range(4):
         p_final = replace(params, delta=delta_star, t_star=t_star)
         try:
-            vars = find_feasible_vars(p_final, config)
-            cert = make_certificate(p_final, vars, margin=config.margin)
+            cert = make_certificate(p_final, find_feasible_vars(p_final))
             return t_star, delta_star, cert
         except (Infeasible, CertificateError) as exc:
             # the bisection endpoint can sit on the feasibility boundary;
@@ -590,36 +590,32 @@ def minimal_observability_time(params, config=None):
 # -------------------------------------------------------------- joint searches
 
 
-def find_feasible_vars(params, config=None):
+def find_feasible_vars(params):
     """Decision variables maximizing the worst LMI margin over the chi grid.
 
     Stability mode when t_star is unset, observability mode otherwise.  Each
     grid is evaluated in lockstep (one batched multiplier search for all
     its LMIs: psi2, phi0 and, in observability mode, phi_obs); the first
     point that strictly beats the best so far wins, as in a point-by-point
-    scan.  The returned point re-passes its checks at the
-    configured margin; a nonpositive best margin raises Infeasible with the
-    value seen.
+    scan.  The returned point re-passes its checks; a nonpositive best
+    margin raises Infeasible with the value seen.
     """
-    config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required for a feasibility search")
     observability = params.t_star is not None
     bounds = _chi_grid(params)
-    margin = config.margin
-
     lmis = [PSI2, PHI0, PHI_OBS] if observability else [PSI2, PHI0]
 
     def terms(values):
         # each LMI's term of the worst-case margin: its slack
-        return [lmi.slack(x, margin) for lmi, x in zip(lmis, values)]
+        return [lmi.slack(x) for lmi, x in zip(lmis, values)]
 
     def scan(grid):
         # the worst-case margin at each chi of grid (np.where(x < w, x, w)
         # keeps w on ties, as min(w, x) does), then the first point that
         # strictly beats the best so far
         nonlocal best_w, best_i, best_chi, best_lams
-        head = PSI1.slack(psi1_value(params, grid), margin)
+        head = PSI1.slack(psi1_value(params, grid))
 
         def alive(points, worst, best):
             # a point can still win while the best its margin can end at
@@ -641,7 +637,7 @@ def find_feasible_vars(params, config=None):
             best_lams = {lmi.multiplier: float(lams[best_i])
                          for lmi, (_, lams) in zip(lmis, results)}
 
-    grid, _ = _chi_points(params.n, bounds, margin)
+    grid, _ = _chi_points(params.n, bounds)
     best_w, best_i, best_chi, best_lams = -math.inf, 0, float(grid[0]), None
     scan(grid)
     for _ in range(REFINEMENT_ROUNDS):
@@ -656,8 +652,7 @@ def find_feasible_vars(params, config=None):
         raise Infeasible("LMIs infeasible on the chi grid; best worst-case margin %s at chi=%s"
                          % (fmt_float(best_w), fmt_float(best_chi)))
     vars = DecisionVars(chi=best_chi, **best_lams)
-    report = (check_observability if observability else check_stability)(
-        params, vars, margin)
+    report = (check_observability if observability else check_stability)(params, vars)
     if not report["feasible"]:
         raise Infeasible("scan optimum failed re-verification (margins: %s)"
                          % report["margins"])
@@ -700,28 +695,26 @@ def maximize_regional_radius(params, config=None):
     p_final = replace(params, delta=delta, t_star=t)
     lams = {}
     for lmi in (PSI2, PHI0, PHI_OBS):
-        lams[lmi.multiplier] = _witness(p_final, chi, lmi, config.margin)
+        lams[lmi.multiplier] = _witness(p_final, chi, lmi)
         if lams[lmi.multiplier] is None:
             raise Infeasible("%s has no multiplier at chi=%s, t_star=%s, delta=%s"
                              % (lmi.name, fmt_float(chi), fmt_float(t), fmt_float(delta)))
-    return d0, make_certificate(p_final, DecisionVars(chi=chi, **lams), margin=config.margin)
+    return d0, make_certificate(p_final, DecisionVars(chi=chi, **lams))
 
 
-def delta_margin(params, vars, config=None):
+def delta_margin(params, vars):
     """Largest delta0 <= delta with stability still feasible at delta + delta0.
 
     chi is held at the certified value and lambda1 is re-optimized; the
     result feeds the ISS recovery-continuity constant, where it plays the
     role of the spare decay rate.  Floored at 1e-12.
     """
-    config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required")
     chi = vars.chi
 
     def ok(extra):
-        return _witness(_point(params, delta=params.delta + extra), chi, PSI2,
-                        config.margin) is not None
+        return _witness(_point(params, delta=params.delta + extra), chi, PSI2) is not None
 
     if not ok(0.0):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")
@@ -790,9 +783,7 @@ def _sweep_one(item):
     params, config = item
     try:
         if params.t_star is not None:
-            vars = find_feasible_vars(params, config)
-            cert = make_certificate(params, vars, margin=config.margin)
-            return SweepRow(params, True, cert)
+            return SweepRow(params, True, make_certificate(params, find_feasible_vars(params)))
         _, _, cert = minimal_observability_time(params, config)
         return SweepRow(params, True, cert)
     except Infeasible as exc:

@@ -403,7 +403,7 @@ class TestStabilityCheck:
             assert not report["psi2_ok"]
         report = check_stability(p, DecisionVars(chi=STAB_1D_NEARMISS_CHI,
                                                  lambda1=0.09470606))
-        assert report["margins"]["psi2"] > cert.DEFAULT_MARGIN
+        assert report["margins"]["psi2"] > cert.MARGIN
 
     def test_chi_beyond_boundary_cap_fails(self):
         p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.01)
@@ -421,11 +421,6 @@ class TestStabilityCheck:
                                                          lambda1=float(lam1)))
                 assert not report["feasible"]
 
-    def test_margin_validation(self):
-        p, v = STAB_1D
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(CertificateError):
-                check_stability(p, v, margin=bad)
 
 
 class TestObservabilityCheck:
@@ -434,21 +429,19 @@ class TestObservabilityCheck:
         report = check_observability(p, v)
         assert report["feasible"]
         # psi2 sits inside the slack band: barely positive but tolerated
-        assert 0.0 < report["margins"]["psi2"] <= cert.DEFAULT_MARGIN
+        assert 0.0 < report["margins"]["psi2"] <= cert.MARGIN
         # the strict inequality must clear the margin with room to spare
-        assert report["margins"]["phi_obs"] < -cert.DEFAULT_MARGIN
+        assert report["margins"]["phi_obs"] < -cert.MARGIN
         assert report["margins"]["phi_obs"] == pytest.approx(-2.4205861974520403e-08, rel=1e-6)
 
     def test_margin_semantics_are_one_sided(self):
-        # widening the margin loosens the non-strict checks and tightens the
-        # strict ones, so the same witness can pass at 1e-4 and fail at 1e-9
+        # the margin is slack for the non-strict psi2 only up to its own
+        # size: OBS_2D's psi2 inside it passes, this one past it fails
         p, v = OBS_1D_WIDE
-        wide = check_observability(p, v, margin=1e-4)
-        assert wide["feasible"]
-        assert wide["margins"]["psi2"] == pytest.approx(1.143902127890061e-05, rel=1e-6)
-        tight = check_observability(p, v)
-        assert not tight["psi2_ok"]
-        assert not tight["feasible"]
+        report = check_observability(p, v)
+        assert report["margins"]["psi2"] == pytest.approx(1.143902127890061e-05, rel=1e-6)
+        assert not report["psi2_ok"]
+        assert not report["feasible"]
 
     def test_tiny_time_is_unobservable(self):
         # frozen oracle scan: no lambda2 certifies t_star = 1e-3 at delta = 0.1
@@ -520,7 +513,7 @@ class TestMarginBits:
     def boundary_multipliers(params, chi, lmi):
         # the ends of the span where the decisive eigenvalue clears 0, each
         # with its two float neighbours on either side, and the witness at
-        # the default margin
+        # MARGIN
         _, n0, lo, hi = search._clearing(params, chi, lmi.entries, lmi.multiplier, 0.0,
                                          lmi.top)
         span = search._span(n0, wq(params.n), lo, hi)
@@ -531,7 +524,7 @@ class TestMarginBits:
                 above = math.nextafter(end, math.inf)
                 lams += [math.nextafter(below, -math.inf), below, end, above,
                          math.nextafter(above, math.inf)]
-        witness = search._witness(params, chi, lmi, cert.DEFAULT_MARGIN)
+        witness = search._witness(params, chi, lmi)
         if witness is not None:
             lams.append(witness)
         return [lam for lam in lams if lam > 0.0]
@@ -602,11 +595,13 @@ class TestIssGain:
         assert gamma == pytest.approx(0.2 + b * b / 0.6 + 1e-9, rel=1e-12)
 
     def test_gain_vanishes_with_chi(self):
-        p = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-13)
-        v = DecisionVars(chi=1e-12, lambda1=1e-12)
-        r, gamma = compute_iss_gain(p, v, margin=1e-13)
+        # psi2 = diag(-4.95e-9, -9e-9, -1e-8) clears -MARGIN; gamma is
+        # MARGIN plus terms of order chi
+        p = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-9)
+        v = DecisionVars(chi=1e-8, lambda1=1e-8)
+        r, gamma = compute_iss_gain(p, v)
         assert r == 0.0
-        assert gamma < 3e-12
+        assert cert.MARGIN < gamma < cert.MARGIN + 1.1e-8
 
     def test_two_dimensional_gain_blocks(self):
         p = ProblemParams(n=2, k=1.0, g1=0.0, delta=0.001)
@@ -646,20 +641,23 @@ class TestIssGain:
 
     @pytest.mark.parametrize("k,g1,chi,lam1,delta", [
         # det A rounds to 0
-        (1.6167744947986418, 0.019161625902013524, 0.20672470332089588,
-         0.19838155884640457, 0.09933442459939082),
+        (1.6167744947986418, 0.04884492270855239, 0.11600361159399991,
+         0.08087694813947376, 0.06737911723726492),
         # det A rounds below 0
-        (0.6223606177241319, 0.08495664980662655, 0.2481152420849541,
-         0.26287767567652115, 0.11063170565011424),
+        (0.6223606177241319, 0.035978692649261027, 0.2604392878896046,
+         0.49544407841703153, 0.10355738230825134),
     ])
     def test_psi2_at_the_rounding_edge_gets_a_finite_r(self, k, g1, chi, lam1, delta):
-        # delta is the largest float at which psi2 passes the check with the
-        # margin 1e-13, so the closed form's det A has no reliable sign
+        # delta is the largest float at which psi2 passes the check at
+        # MARGIN, so the closed form's det A has no reliable sign
         p = ProblemParams(n=2, k=k, g1=g1, delta=delta)
         v = DecisionVars(chi=chi, lambda1=lam1)
-        r, gamma = compute_iss_gain(p, v, margin=1e-13)
+        assert smallmat.eigenvalues(build_psi2(p, v))[-1] < -cert.MARGIN
+        above = ProblemParams(n=2, k=k, g1=g1, delta=math.nextafter(delta, math.inf))
+        assert not smallmat.eigenvalues(build_psi2(above, v))[-1] < -cert.MARGIN
+        r, gamma = compute_iss_gain(p, v)
         assert 0.0 < r < math.inf and math.isfinite(gamma)
-        assert absorbs_perturbation(p, v, r, margin=1e-13)
+        assert absorbs_perturbation(p, v, r)
 
     @pytest.mark.parametrize("n,k,g1,delta", [
         (2, 1.0, 0.1, 0.01), (3, 0.5, 0.0, 0.02), (4, 1.0, 0.1, None)])
@@ -709,20 +707,20 @@ class TestIssGain:
                              + b * b / -psi1_np(n, k, chi) + 1e-9)
 
 
-def absorbs_perturbation(params, vars, r, margin=1e-9):
+def absorbs_perturbation(params, vars, r):
     """The ISS condition on r: psi2 with chi (n-1) / (2 r) added to its (1,1)
-    entry keeps its largest eigenvalue at or below -margin."""
+    entry keeps its largest eigenvalue at or below -MARGIN."""
     ent = list(build_psi2(params, vars))
     ent[0] += vars.chi * (params.n - 1) / (2.0 * r)
-    return smallmat.eigenvalues(ent)[-1] <= -margin
+    return smallmat.eigenvalues(ent)[-1] <= -cert.MARGIN
 
 
-def bisected_r(params, vars, margin=1e-9):
+def bisected_r(params, vars):
     """The r that compute_iss_gain bisected for before its closed form: the
     smallest absorbing r in (1e-6, 1e6], bisected in log10 r to the float
     spacing; kept as the oracle of the closed form."""
     def absorbed(u):
-        return absorbs_perturbation(params, vars, 10.0 ** u, margin)
+        return absorbs_perturbation(params, vars, 10.0 ** u)
 
     assert absorbed(6.0)
     return 10.0 ** search._bisect(absorbed, -6.0, 6.0)
@@ -843,8 +841,10 @@ class TestCertificate:
             Certificate(p, v, alpha=2.0, beta=1.0)
         with pytest.raises(CertificateError, match="q"):
             Certificate(p, v, alpha=0.5, beta=1.5, q=1.5)
-        with pytest.raises(CertificateError):
-            Certificate(p, v, alpha=0.5, beta=1.5, d0=0.0)
+        with pytest.raises(CertificateError, match="d0"):
+            Certificate(p, v, alpha=0.5, beta=1.5, d0=-1e-300)
+        # a radius rounded down to 0 is an empty guarantee, not a false one
+        assert Certificate(p, v, alpha=0.5, beta=1.5, d0=0.0).d0 == 0.0
         assert Certificate(p, v, alpha=0.5, beta=1.5, q=1.0).q == 1.0
 
     def test_dict_round_trip(self):

@@ -145,7 +145,7 @@ class TestErrors:
                                       ["certify", "--margin", "0.1"]],
                              ids=["tol", "margin"])
     def test_search_settings_are_not_flags(self, tmp_path, capsys, argv):
-        # search.tstar_tol and search.margin are set in the config only
+        # search.tstar_tol is set in the config only; the margin is fixed
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "g1": 0.2, "delta": 0.09}})
         code, out, err = run_cli(argv[:1] + ["--config", cfg] + argv[1:], capsys)
@@ -167,8 +167,8 @@ class TestErrors:
         # a retired grid key is dropped before the rest of the section is
         # checked, so the error names the key that is still read
         ("certify", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
-                     "search": {"refinement_rounds": math.inf, "margin": math.inf}},
-         "margin must be finite"),
+                     "search": {"refinement_rounds": math.inf, "tstar_tol": math.inf}},
+         "tstar_tol must be finite"),
         ("certify", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
                      "search": {"chi_grid": 5, "tstar_tol": 0}}, "tstar_tol must be >"),
         ("simulate", {"sim": {"points_per_axis": math.inf, "horizon": 1.0,
@@ -219,7 +219,7 @@ class TestErrors:
          "node-steps, more than 200000000"),
         ("min-time", {"problem": {"n": 1, "k": 1.0, "delta": 0.05},
                       "search": {"refinement_rounds": 1e308, "margin": -1e-9}},
-         "margin must be >= 0"),
+         "unknown search keys: margin"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, mode, doc, says):
         # json.dumps writes math.inf as the Infinity token json.loads accepts
@@ -230,6 +230,22 @@ class TestErrors:
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and says in err
+
+    @pytest.mark.parametrize("command", ["certify", "min-time", "regional", "sweep"])
+    def test_search_margin_is_refused(self, tmp_path, capsys, command):
+        # the LMI margin is the constant certificates.MARGIN: as a setting,
+        # margin 0.05 made min-time emit t* = 6.734 for 12.122 here, with
+        # lambda_max(psi2) = +0.05
+        problem = {"n": 2, "k": 1.0, "g1": 0.1, "delta": 0.01}
+        if command == "regional":
+            problem = {"n": 1, "k": 1.0, "g1": 0.1, "d": 1.0}
+        cfg = write_json(tmp_path, "c.json", {"problem": problem, "search": {"margin": 0.05}})
+        argv = [command, "--config", cfg]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "t.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", "error: unknown search keys: margin\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_retired_search_keys_are_ignored(self, tmp_path, capsys):
         # the grids are fixed; 1e308 refinement rounds once ran without end
@@ -324,32 +340,16 @@ class TestCertify:
         data = json.loads(out)
         assert data["feasible"] is False and data["reason"]
 
-    MARGIN_PROBLEM = {"n": 1, "k": 1.0, "g1": 0.2, "delta": 0.09}
-
-    def test_margin_sets_the_search_and_the_check(self, tmp_path, capsys):
-        # search.margin is the margin of both the search and the check, so
-        # the check accepts the point of its own search
-        cfg = write_json(tmp_path, "c.json", {"problem": self.MARGIN_PROBLEM,
-                                              "search": {"margin": 0.09}})
+    def test_a_long_window_keeps_q_positive(self, tmp_path, capsys):
+        # exp(-4 delta (T - t_star)) underflows to 0 at T = 20000; q is
+        # floored at the least float, still an upper bound
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.01,
+                                      "t_star": 10.0, "t_total": 20000.0}})
         code, out, err = run_cli(["certify", "--config", cfg], capsys)
-        assert code == 0, out
-        params = certificates.ProblemParams.from_dict(self.MARGIN_PROBLEM)
-        vars = search.find_feasible_vars(params, search.SearchConfig(margin=0.09))
-        assert json.loads(out)["vars"]["chi"] == vars.chi
-
-    def test_margin_with_vars(self, tmp_path, capsys):
-        # phi0's margin at the default lambda0 is 1e-6: inside the default
-        # margin and of 0, outside 1e-3
-        problem = {"n": 1, "k": 1.0, "g1": 0.0, "delta": 0.05}
-        vars_path = write_json(tmp_path, "v.json", {"chi": 0.2, "lambda1": 0.15})
-        for doc, want in [({}, 0), ({"search": {"margin": 1e-3}}, 2),
-                          ({"search": {"margin": 0}}, 0)]:
-            cfg = write_json(tmp_path, "c.json", dict(doc, problem=problem))
-            code, out, err = run_cli(
-                ["certify", "--config", cfg, "--vars", vars_path], capsys)
-            assert code == want and json.loads(out)["feasible"] is (want == 0)
-            if want:
-                assert json.loads(out)["failing"] == ["phi0"]
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["feasible"] is True and data["q"] == math.ulp(0.0)
 
     def test_vars_from_min_time_stdout(self, tmp_path, capsys):
         # min-time prints its certificate under a "certificate" key
@@ -441,6 +441,20 @@ class TestMinTime:
         assert code == 0
         assert json.loads(out)["feasible"] is True
 
+    def test_a_long_window_keeps_q_positive(self, tmp_path, capsys):
+        # q underflowed to 0 at t_total = 20000 and the assembly gave up
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.01,
+                                      "t_total": 20000.0}})
+        out_path = str(tmp_path / "cert.json")
+        code, out, err = run_cli(["min-time", "--config", cfg, "--out", out_path], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["certificate"]["q"] == math.ulp(0.0)
+        assert data["t_star"] == pytest.approx(9.184, abs=0.01)
+        code, out, err = run_cli(["certify", "--config", cfg, "--vars", out_path], capsys)
+        assert code == 0 and json.loads(out)["q"] == math.ulp(0.0)
+
     def test_rejects_given_t_star(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",
                          {"problem": {"n": 1, "k": 1.0, "delta": 0.01,
@@ -488,6 +502,21 @@ class TestRegional:
         assert data["feasible"] is False
         assert re.search(r"; last reason: t_total below minimal time \S+ "
                          r"at delta=0\.05\d*$", data["reason"]), data["reason"]
+
+    def test_a_long_horizon_gives_a_zero_radius(self, tmp_path, capsys):
+        # exp(-(g1/pi) t_total) underflows to 0 at t_total = 30000: the
+        # radius 0 is an empty guarantee, and rounding it up would claim more
+        cfg = write_json(tmp_path, "c.json",
+                         {"problem": {"n": 1, "k": 1.0, "g1": 0.1, "d": 1.0,
+                                      "t_total": 30000.0}})
+        out_path = str(tmp_path / "cert.json")
+        code, out, err = run_cli(["regional", "--config", cfg, "--out", out_path], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["d0"] == data["certificate"]["d0"] == 0.0
+        assert data["binding"] == "growth"
+        code, out, err = run_cli(["certify", "--config", cfg, "--vars", out_path], capsys)
+        assert code == 0 and json.loads(out)["d0"] == 0.0
 
     def test_requires_d(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json",

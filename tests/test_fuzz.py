@@ -44,7 +44,7 @@ CERTIFICATE = {"params": {"n": 1, "k": 1, "g1": 0.2, "delta": 0.09, "d": 0.5},
 # subcommand -> (valid config, flags after --config; OUT and TRACE are paths)
 BASES = {
     "certify": ({"problem": dict(PROBLEM, t_star=3.9),
-                 "search": {"tstar_tol": 0.01, "margin": 1e-9}}, []),
+                 "search": {"tstar_tol": 0.01}}, []),
     "min-time": ({"problem": dict(PROBLEM, delta=0.05, t_total=20.0),
                   "search": {"tstar_tol": 0.01}}, ["--out", "OUT"]),
     "regional": ({"problem": dict(PROBLEM, d=1.0), "search": {"tstar_tol": 0.01}},

@@ -9,6 +9,7 @@ independent implementation.
 """
 
 import concurrent.futures
+import functools
 import json
 import math
 import re
@@ -21,8 +22,8 @@ from scipy import linalg, optimize
 
 from wavecert import certificates, search
 from wavecert.certificates import (
-    DEFAULT_MARGIN,
     LMIS,
+    MARGIN,
     PHI0,
     PHI_OBS,
     PSI2,
@@ -33,11 +34,14 @@ from wavecert.certificates import (
     build_phi_obs,
     build_psi1,
     build_psi2,
-    check_observability,
-    check_stability,
+    certificate_from_dict,
     certificate_to_dict,
+    check_observability,
+    check_point,
+    check_stability,
     compute_regional_radius,
     fmt_float,
+    json_dumps,
     make_certificate,
     phi0_entries,
     phi_obs_entries,
@@ -167,16 +171,16 @@ def obs_feasible_oracle(n, delta, t_star, chi, margin=1e-9):
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
-        assert [f.name for f in fields(cfg)] == ["tstar_tol", "margin"]
-        assert cfg.tstar_tol == 1e-3 and cfg.margin == 1e-9
+        assert [f.name for f in fields(cfg)] == ["tstar_tol"]
+        assert cfg.tstar_tol == 1e-3 and MARGIN == 1e-9
         assert (search.CHI_LO, search.CHI_COUNT) == (1e-4, 400)
         assert (search.REFINEMENT_ROUNDS, search.REFINEMENT_COUNT) == (3, 40)
         assert search.DELTA_GRID == (1e-4, 0.5, 30)
 
     def test_dict_round_trip(self):
-        doc = {"tstar_tol": 1e-2, "margin": 1e-6}
+        doc = {"tstar_tol": 1e-2}
         back = SearchConfig.from_dict(json.loads(json.dumps(doc)))
-        assert back == SearchConfig(tstar_tol=1e-2, margin=1e-6)
+        assert back == SearchConfig(tstar_tol=1e-2)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(CertificateError, match="unknown"):
@@ -202,9 +206,10 @@ class TestSearchConfig:
         {"delta_grid": (1e-4, 0.5, 10 ** 8)},
     ])
     def test_invalid_values_rejected(self, kw):
-        # the grids are constants: a grid key is unknown, whatever its value
+        # the grids and the margin are constants: their keys are unknown,
+        # whatever the value
         [key] = kw
-        says = key + " must" if key in ("tstar_tol", "margin") else "unknown search keys: " + key
+        says = key + " must" if key == "tstar_tol" else "unknown search keys: " + key
         with pytest.raises(CertificateError, match="^" + re.escape(says)):
             SearchConfig.from_dict(kw)
 
@@ -333,11 +338,11 @@ class TestMinimalTime:
         t, delta, cert = minimal_observability_time(p, cfg)
         from dataclasses import replace
         with pytest.raises(Infeasible):
-            find_feasible_vars(replace(cert.params, t_star=t - 1.001 * cfg.tstar_tol), cfg)
+            find_feasible_vars(replace(cert.params, t_star=t - 1.001 * cfg.tstar_tol))
         # the longer side is feasible by construction (the certificate exists)
         assert check_observability(cert.params, cert.vars)["feasible"]
         # the scipy oracle agrees on both sides at the probe chi
-        cmin = chi_min_stability(ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001), cfg)
+        cmin = chi_min_stability(ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001))
         probe = cmin * (1.0 + 1e-5)
         assert obs_feasible_oracle(1, 0.001, t, probe)
         assert not obs_feasible_oracle(1, 0.001, t - 2.0 * cfg.tstar_tol, probe)
@@ -358,17 +363,17 @@ class TestMinimalTime:
         real = search.find_feasible_vars
         tried = []
 
-        def fails_first(params, config=None):
+        def fails_first(params):
             tried.append(params.t_star)
             if len(tried) == 1:
                 raise Infeasible("on the boundary")
-            return real(params, config)
+            return real(params)
 
         monkeypatch.setattr(search, "find_feasible_vars", fails_first)
         t, _, cert = minimal_observability_time(p)
         assert tried == [t0, t0 + 1e-3] and t == cert.params.t_star == t0 + 1e-3
 
-        def always_fails(params, config=None):
+        def always_fails(params):
             tried.append(params.t_star)
             raise Infeasible("on the boundary")
 
@@ -549,18 +554,17 @@ def point_best_multiplier(params, chi, entries, name, top=True):
     return sign * good, lam
 
 
-def point_loop_find_feasible_vars(params, config=None):
+def point_loop_find_feasible_vars(params):
     """find_feasible_vars as a loop over single chi points.
 
     The scan before it ran in lockstep, kept as the oracle: the lockstep
     scan must return the same DecisionVars and raise the same messages.
     """
-    config = config or SearchConfig()
     if params.delta is None:
         raise CertificateError("delta is required for a feasibility search")
     observability = params.t_star is not None
     lo, hi, count = search._chi_grid(params)
-    margin = config.margin
+    margin = MARGIN
     best = point_best_multiplier
 
     def worst(chi):
@@ -597,8 +601,7 @@ def point_loop_find_feasible_vars(params, config=None):
                          % (fmt_float(best_w), fmt_float(best_chi)))
     lam0, lam1, lam2 = best_lams
     vars = DecisionVars(chi=best_chi, lambda0=lam0, lambda1=lam1, lambda2=lam2)
-    report = (check_observability if observability else check_stability)(
-        params, vars, margin)
+    report = (check_observability if observability else check_stability)(params, vars)
     if not report["feasible"]:
         raise Infeasible("scan optimum failed re-verification (margins: %s)"
                          % report["margins"])
@@ -675,9 +678,9 @@ def _full_rows(entries):
     return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
 
 
-def _outcome(fn, params, config):
+def _outcome(fn, params):
     try:
-        return fn(params, config)
+        return fn(params)
     except (Infeasible, CertificateError) as exc:
         return type(exc), str(exc)
 
@@ -880,8 +883,8 @@ class TestLockstepScan:
     def test_find_feasible_vars_matches_point_loop(self, params, config, monkeypatch):
         for name, value in config.items():
             monkeypatch.setattr(search, name, value)
-        got = _outcome(find_feasible_vars, params, SearchConfig())
-        want = _outcome(point_loop_find_feasible_vars, params, SearchConfig())
+        got = _outcome(find_feasible_vars, params)
+        want = _outcome(point_loop_find_feasible_vars, params)
         assert got == want
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -891,14 +894,13 @@ class TestLockstepScan:
         # and extremes3 at the returned multiplier reads the returned value
         # within a few ulps of the matrix scale
         rng = np.random.default_rng(40 + n)
-        margin = SearchConfig().margin
         # each LMI's record, and its sense spelled by hand for the oracle
         lmis = [(PSI2, True), (PHI0, False), (PHI_OBS, True)]
         checked = 0
         for _ in range(2):
             params, _ = _random_problem(rng, n)
             chi = np.geomspace(1e-4, search._chi_cut(params) * (1.0 - 1e-9), 40)
-            w_scan = margin - psi1_value(params, chi)
+            w_scan = MARGIN - psi1_value(params, chi)
             w_gold = w_scan.copy()
             for lmi, top in lmis:
                 sign = 1.0 if top else -1.0
@@ -906,8 +908,8 @@ class TestLockstepScan:
                 golden = np.array([golden_best_multiplier(params, float(c), lmi.entries,
                                                           lmi.multiplier, top)[0] for c in chi])
                 assert np.all(sign * (values - golden) <= 1e-15)
-                w_scan = np.minimum(w_scan, lmi.slack(values, margin))
-                w_gold = np.minimum(w_gold, lmi.slack(golden, margin))
+                w_scan = np.minimum(w_scan, lmi.slack(values))
+                w_gold = np.minimum(w_gold, lmi.slack(golden))
                 for c, value, lam in zip(chi, values, lams):
                     if not math.isfinite(value):
                         continue
@@ -976,7 +978,7 @@ def _vars_bits(outcome):
 def _scan_rounds(params, monkeypatch):
     """find_feasible_vars's outcome and, per scan of a chi grid, the index
     of its best point and whether it beat the best of the earlier scans."""
-    margin = SearchConfig().margin
+    margin = MARGIN
     margins = []
     real = search._best_multipliers
 
@@ -990,7 +992,7 @@ def _scan_rounds(params, monkeypatch):
         return results
 
     monkeypatch.setattr(search, "_best_multipliers", recorded)
-    outcome = _outcome(find_feasible_vars, params, SearchConfig())
+    outcome = _outcome(find_feasible_vars, params)
     monkeypatch.undo()
     best, rounds = -math.inf, []
     for w in margins:
@@ -1024,7 +1026,7 @@ class TestPrunedScan:
         seen = set()
         for params in problems:
             got, rounds = _scan_rounds(params, monkeypatch)
-            want = _outcome(point_loop_find_feasible_vars, params, SearchConfig())
+            want = _outcome(point_loop_find_feasible_vars, params)
             assert _vars_bits(got) == _vars_bits(want)
             seen.add("observability" if params.t_star is not None else "stability")
             seen.add("feasible" if isinstance(got, DecisionVars) else "infeasible")
@@ -1043,7 +1045,7 @@ class TestPrunedScan:
         # ties must all survive and the first point win, in every scan
         monkeypatch.setattr(search, "PRUNE_STEPS", prune_steps)
         monkeypatch.setattr(search, "psi1_value", lambda params, chi: 0.0 * chi + 0.9)
-        w = SearchConfig().margin - 0.9
+        w = MARGIN - 0.9
         with pytest.raises(Infeasible) as info:
             find_feasible_vars(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1))
         assert str(info.value) == ("LMIs infeasible on the chi grid; best worst-case margin"
@@ -1168,8 +1170,8 @@ class TestPrunedScan:
 # closed form answers yes; the searches must land within O(tol) of it
 
 
-def head_stability_feasible(params, chi, config, tol):
-    margin = config.margin
+def head_stability_feasible(params, chi, tol):
+    margin = MARGIN
     slack = margin + 1e-9
     n, k, g1, delta = params.n, params.k, params.g1, params.delta
     if psi1_value(params, chi) > margin:
@@ -1195,13 +1197,13 @@ def head_stability_feasible(params, chi, config, tol):
     return bottom > margin
 
 
-def head_chi_min_stability(params, config, tol):
+def head_chi_min_stability(params, tol):
     lo, hi, count = search._chi_grid(params)
     found = None
     prev = None
     for x in np.geomspace(lo, hi, count):
         chi = float(x)
-        if head_stability_feasible(params, chi, config, tol):
+        if head_stability_feasible(params, chi, tol):
             found = chi
             break
         prev = chi
@@ -1213,7 +1215,7 @@ def head_chi_min_stability(params, config, tol):
     a, b = prev, found
     for _ in range(60):
         mid = 0.5 * (a + b)
-        if head_stability_feasible(params, mid, config, tol):
+        if head_stability_feasible(params, mid, tol):
             b = mid
         else:
             a = mid
@@ -1222,7 +1224,7 @@ def head_chi_min_stability(params, config, tol):
 
 def head_observation_window(params, config, delta, tol):
     p = replace(params, delta=delta, t_star=None, t_total=None)
-    cmin = head_chi_min_stability(p, config, tol)
+    cmin = head_chi_min_stability(p, tol)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + search._chi_cut(p)))
 
     def top_at(t):
@@ -1230,27 +1232,27 @@ def head_observation_window(params, config, delta, tol):
                                           "lambda2")[0]
 
     top = top_at(search.T_STAR_MAX)
-    if not top < -config.margin:
+    if not top < -MARGIN:
         raise Infeasible(
             "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
             % (search.T_STAR_MAX, fmt_float(delta), fmt_float(top)))
     lo_t, hi_t = 0.0, search.T_STAR_MAX
     while hi_t - lo_t > config.tstar_tol:
         mid = 0.5 * (lo_t + hi_t)
-        if top_at(mid) < -config.margin:
+        if top_at(mid) < -MARGIN:
             hi_t = mid
         else:
             lo_t = mid
     return hi_t, probe
 
 
-def head_delta_margin(params, vars, config, tol):
+def head_delta_margin(params, vars, tol):
     chi = vars.chi
 
     def ok(extra):
         top, _ = build_path_best_multiplier(replace(params, delta=params.delta + extra), chi,
                                             tol, build_psi2, "lambda1")
-        return top <= config.margin
+        return top <= MARGIN
 
     if not ok(0.0):
         raise Infeasible("the supplied point is not stability-feasible at its own delta")
@@ -1342,22 +1344,22 @@ class TestClosedFormDecisions:
                         for side in (-1.0, 1.0):
                             s = value + side * f * eps
                             # the margin whose threshold is s
-                            margin = lmi.side * s
-                            lam = search._witness(params, chi, lmi, margin)
+                            _set_margin(monkeypatch, lmi.side * s)
+                            lam = search._witness(params, chi, lmi)
                             if lam is not None:
                                 assert lo <= lam <= hi
                                 low, high = search.extremes3(*lmi.entries(params, chi, lam))
-                                assert lmi.holds(high if lmi.top else low, margin)
+                                assert lmi.holds(high if lmi.top else low)
                                 witnessed += 1
                             if f >= 1.5:
-                                assert (lam is not None) == lmi.holds(value, margin), \
+                                assert (lam is not None) == lmi.holds(value), \
                                     (params, chi, lmi.name, s)
                                 outside += 1
         assert not value_calls
         assert outside == 4 * 3 * 6 * 3 * 2
         assert witnessed >= 0.4 * outside
 
-    def test_rounding_sliver_is_not_feasible(self):
+    def test_rounding_sliver_is_not_feasible(self, monkeypatch):
         # n = 1: the determinant has the second leading minor as a factor,
         # so an expanded quadratic's root meets the cap up to rounding and
         # can leave a sliver of a span that is really empty
@@ -1366,20 +1368,23 @@ class TestClosedFormDecisions:
         chi, tol = 0.08180788182923945, 1e-3
         value = build_path_best_multiplier(params, chi, tol, build_phi_obs, "lambda2")[0]
         # phi_obs's threshold is -margin
-        assert search._witness(params, chi, PHI_OBS, 0.004 - value) is None
-        assert search._witness(params, chi, PHI_OBS, -0.004 - value) is not None
+        _set_margin(monkeypatch, 0.004 - value)
+        assert search._witness(params, chi, PHI_OBS) is None
+        _set_margin(monkeypatch, -0.004 - value)
+        assert search._witness(params, chi, PHI_OBS) is not None
 
-    def test_bad_input_raises_as_the_golden_section_does(self):
+    def test_bad_input_raises_as_the_golden_section_does(self, monkeypatch):
         p = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1)
         for chi_bad in (-0.1, math.nan, math.inf):
             with pytest.raises(CertificateError, match="chi"):
-                search._witness(p, chi_bad, PSI2, 1e-9)
+                search._witness(p, chi_bad, PSI2)
         huge = ProblemParams(n=2, k=1.7e308, g1=0.0, delta=0.5)
         with pytest.raises(ValueError, match="non-finite"):
-            search._witness(huge, 10.0, PSI2, 1e-9)
+            search._witness(huge, 10.0, PSI2)
         # an empty lambda2 interval: the golden value is inf, never below s
         short = ProblemParams(n=1, k=1.0, g1=0.0, delta=1e-4, t_star=1e-12)
-        assert search._witness(short, 0.1, PHI_OBS, -1e300) is None
+        _set_margin(monkeypatch, -1e300)
+        assert search._witness(short, 0.1, PHI_OBS) is None
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1e-2])
     def test_searches_keep_their_bits(self, tol):
@@ -1388,7 +1393,6 @@ class TestClosedFormDecisions:
         rng = np.random.default_rng(100 + int(-math.log10(tol)))
         config = SearchConfig(tstar_tol=1e-2)
         bound = 4.0 * tol + 1e-15
-        margin = config.margin
         for n in (1, 2, 3):
             problems = [ProblemParams(n=n, k=float(rng.uniform(0.5, 2.0)),
                                       g1=float(rng.uniform(0.0, 0.3)))
@@ -1398,10 +1402,9 @@ class TestClosedFormDecisions:
                 # the last delta leaves -chi + delta >= 0: infeasible
                 for delta in (float(10.0 ** rng.uniform(-3.0, -1.0)) * cut, 1.01 * cut):
                     p = ProblemParams(n=n, k=params.k, g1=params.g1, delta=delta)
-                    cmin = _numeric_outcome(chi_min_stability, p, config)
+                    cmin = _numeric_outcome(chi_min_stability, p)
                     assert _relative_gap(
-                        cmin,
-                        _numeric_outcome(head_chi_min_stability, p, config, tol)) <= bound
+                        cmin, _numeric_outcome(head_chi_min_stability, p, tol)) <= bound
                     assert _relative_gap(
                         _numeric_outcome(search._observation_window, params, config, delta),
                         _numeric_outcome(head_observation_window, params, config, delta,
@@ -1409,12 +1412,12 @@ class TestClosedFormDecisions:
                     if isinstance(cmin[0], type):
                         continue
                     cmin = cmin[0]
-                    assert search._witness(p, cmin, PSI2, margin) is not None
-                    assert search._witness(p, cmin, PHI0, margin) is not None
+                    assert search._witness(p, cmin, PSI2) is not None
+                    assert search._witness(p, cmin, PHI0) is not None
                     for chi in (cmin, cmin * (1.0 - 1e-3), 0.5 * (cmin + cut)):
                         v = DecisionVars(chi=chi)
-                        got = _numeric_outcome(delta_margin, p, v, config)
-                        want = _numeric_outcome(head_delta_margin, p, v, config, tol)
+                        got = _numeric_outcome(delta_margin, p, v)
+                        want = _numeric_outcome(head_delta_margin, p, v, tol)
                         if chi == cmin:
                             # chi_min is stability-feasible at its own delta;
                             # the oracle can say no on that boundary
@@ -1445,6 +1448,12 @@ SENSES = {"phi0": lambda x, m: x > m, "psi1": lambda x, m: x <= m,
           "psi2": lambda x, m: x <= m, "phi_obs": lambda x, m: x < -m}
 
 
+def _set_margin(monkeypatch, margin):
+    # the fixed margin moved, for a test of the threshold logic alone
+    monkeypatch.setattr(certificates, "MARGIN", margin)
+    monkeypatch.setattr(search, "MARGIN", margin)
+
+
 def _at_threshold(name, margin, ulps):
     # the value at name's threshold, or one ulp below or above it
     value = -margin if name == "phi_obs" else margin
@@ -1458,11 +1467,12 @@ class TestThresholdTies:
     @pytest.mark.parametrize("margin", [0.0, 1e-9])
     @pytest.mark.parametrize("name", ["phi0", "psi1", "psi2", "phi_obs"])
     def test_check_verdicts(self, name, margin, ulps, monkeypatch):
+        _set_margin(monkeypatch, margin)
         value = _at_threshold(name, margin, ulps)
         monkeypatch.setattr(certificates, "eigenvalues", lambda entries: (value, value))
         monkeypatch.setattr(certificates, "build_psi1", lambda params, vars: value)
         report = check_observability(ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=3.9),
-                                     DecisionVars(chi=0.1, lambda1=0.1, lambda2=0.1), margin)
+                                     DecisionVars(chi=0.1, lambda1=0.1, lambda2=0.1))
         want = {lmi + "_ok": sense(value, margin) for lmi, sense in SENSES.items()}
         assert {key: report[key] for key in want} == want
         assert report["feasible"] == all(want.values())
@@ -1473,11 +1483,12 @@ class TestThresholdTies:
     @pytest.mark.parametrize("lmi", [PHI0, PSI2, PHI_OBS], ids=lambda lmi: lmi.name)
     def test_witness_verdicts(self, lmi, margin, ulps, monkeypatch):
         params = ProblemParams(n=1, k=1.0, g1=0.1, delta=0.1, t_star=8.0)
+        _set_margin(monkeypatch, margin)
         # a point whose span is non-empty, so extremes3 decides the witness
-        assert search._witness(params, 0.2, lmi, margin) is not None
+        assert search._witness(params, 0.2, lmi) is not None
         value = _at_threshold(lmi.name, margin, ulps)
         monkeypatch.setattr(search, "extremes3", lambda *entries: (value, value))
-        got = search._witness(params, 0.2, lmi, margin) is not None
+        got = search._witness(params, 0.2, lmi) is not None
         assert got == SENSES[lmi.name](value, margin)
 
 
@@ -1486,12 +1497,12 @@ class TestThresholdTies:
 # grid point through the scalar test, then the same bisection
 
 
-def scalar_chi_min_stability(params, config):
+def scalar_chi_min_stability(params):
     lo, hi, count = search._chi_grid(params)
     found = prev = None
     for x in np.geomspace(lo, hi, count):
         chi = float(x)
-        if search._stability_feasible(params, chi, config):
+        if search._stability_feasible(params, chi):
             found = chi
             break
         prev = chi
@@ -1500,11 +1511,10 @@ def scalar_chi_min_stability(params, config):
                          % (fmt_float(lo), fmt_float(hi), fmt_float(params.delta)))
     if prev is None:
         return found
-    return search._bisect(lambda chi: search._stability_feasible(params, chi, config),
-                          prev, found)
+    return search._bisect(lambda chi: search._stability_feasible(params, chi), prev, found)
 
 
-def both_lmis_ruled_out(params, grid, margin):
+def both_lmis_ruled_out(params, grid):
     # the closed-form pass before phi0's part was shared: psi2, then phi0,
     # each where the inputs so far are finite and its span is empty
     wq = search._wq(params.n)
@@ -1513,7 +1523,7 @@ def both_lmis_ruled_out(params, grid, margin):
         finite = True
         for entries, name, top in ((psi2_entries, "lambda1", True),
                                    (phi0_entries, "lambda0", False)):
-            _, n0, lo, hi = search._clearing(params, grid, entries, name, margin, top)
+            _, n0, lo, hi = search._clearing(params, grid, entries, name, MARGIN, top)
             lo, hi = np.broadcast_arrays(grid, lo, hi)[1:]
             p, r, u, q, v, w = n0
             finite = finite & np.isfinite(p + r + u + q + v + w + lo + hi)
@@ -1537,35 +1547,33 @@ def _scan_problems():
         params = ProblemParams(n=int(rng.integers(1, 4)),
                                k=float(10.0 ** rng.uniform(-3.0, math.log10(50.0))), g1=g1,
                                delta=float(10.0 ** rng.uniform(-5.0, math.log10(3.0))))
-        yield params, SearchConfig(margin=float(rng.choice([0.0, 1e-9, 1e-3, 0.05])))
+        yield params
     big = 1.7e308
     for n in (1, 2, 3):
         for k, g1, delta in ((1.0, big, 0.01), (1.0, 0.1, big), (1e154, 0.1, 0.01),
                              (1.0, big, big), (0.5, 1e300, 1e-3), (1.0, 0.0, 1e307)):
-            for margin in (0.0, 1e-9, 0.05):
-                yield ProblemParams(n=n, k=k, g1=g1, delta=delta), SearchConfig(margin=margin)
+            yield ProblemParams(n=n, k=k, g1=g1, delta=delta)
 
 
 class TestChiMinScan:
     def test_matches_the_scalar_scan(self):
         # the same bits, or the same exception type and text
         kinds = set()
-        for params, config in _scan_problems():
-            want = _hex_outcome(scalar_chi_min_stability, params, config)
-            assert _hex_outcome(chi_min_stability, params, config) == want, (params, config)
+        for params in _scan_problems():
+            want = _hex_outcome(scalar_chi_min_stability, params)
+            assert _hex_outcome(chi_min_stability, params) == want, params
             kinds.add(want[0] if isinstance(want, tuple) else float)
         assert kinds == {float, Infeasible, ValueError}
 
     def test_ruled_out_points_are_infeasible_without_raising(self):
         ruled = 0
-        for params, config in _scan_problems():
+        for params in _scan_problems():
             try:
-                grid, out = search._stability_ruled_out(params, search._chi_grid(params),
-                                                        config.margin)
+                grid, out = search._stability_ruled_out(params, search._chi_grid(params))
             except Infeasible:
                 continue
             for chi in grid[out]:
-                assert search._stability_feasible(params, float(chi), config) is False
+                assert search._stability_feasible(params, float(chi)) is False
             ruled += int(out.sum())
         assert ruled > 10000
 
@@ -1573,15 +1581,15 @@ class TestChiMinScan:
         # psi2's part at each delta with phi0's shared part gives the mask
         # of one pass over both LMIs, which phi0 enlarges on some problems
         enlarged = 0
-        for params, config in _scan_problems():
+        for params in _scan_problems():
             try:
                 bounds = search._chi_grid(params)
             except Infeasible:
                 continue
-            grid, out = search._stability_ruled_out(params, bounds, config.margin)
-            want = both_lmis_ruled_out(params, np.geomspace(*bounds), config.margin)
-            assert np.array_equal(out, want), (params, config)
-            finite, empty = search._ruled_out(params, grid, PSI2, config.margin)
+            grid, out = search._stability_ruled_out(params, bounds)
+            want = both_lmis_ruled_out(params, np.geomspace(*bounds))
+            assert np.array_equal(out, want), params
+            finite, empty = search._ruled_out(params, grid, PSI2)
             enlarged += int(np.sum(want & ~(finite & empty)))
         assert enlarged > 50
 
@@ -1591,7 +1599,7 @@ class TestChiMinScan:
         # points the pass leaves, the feasible ones included (322 to 441
         # scalar tests before the pass, 6 to 125 points left after it)
         params = ProblemParams(n=1, k=1.0, g1=0.1, delta=delta)
-        _, out = search._stability_ruled_out(params, search._chi_grid(params), DEFAULT_MARGIN)
+        _, out = search._stability_ruled_out(params, search._chi_grid(params))
         left = int(np.sum(~out))
         calls = []
         real = search._stability_feasible
@@ -1771,12 +1779,12 @@ class TestSharedScanWork:
         search._chi_points.cache_clear()
         params = ProblemParams(n=2, k=1.0, g1=0.1, delta=0.01)
         bounds = search._chi_grid(params)
-        grid, out = search._chi_points(params.n, bounds, DEFAULT_MARGIN)
+        grid, out = search._chi_points(params.n, bounds)
         assert not grid.flags.writeable and not out.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 1.0
         assert _same_bits(grid, np.geomspace(*bounds))
-        assert search._stability_ruled_out(params, bounds, DEFAULT_MARGIN)[0] is grid
+        assert search._stability_ruled_out(params, bounds)[0] is grid
         scans = []
         real = search._best_multipliers
         monkeypatch.setattr(search, "_best_multipliers", lambda p, chi, lmis, *rule:
@@ -1784,12 +1792,11 @@ class TestSharedScanWork:
         find_feasible_vars(replace(params, t_star=12.2))
         assert scans[0] is grid
         monkeypatch.setattr(search, "CHI_COUNT", 40)
-        small = search._stability_ruled_out(params, search._chi_grid(params),
-                                            DEFAULT_MARGIN)[0]
+        small = search._stability_ruled_out(params, search._chi_grid(params))[0]
         assert len(small) == 40 and not small.flags.writeable
         assert _same_bits(small, np.geomspace(*bounds[:2], 40))
-        assert _hex_outcome(chi_min_stability, params, SearchConfig()) == _hex_outcome(
-            scalar_chi_min_stability, params, SearchConfig())
+        assert _hex_outcome(chi_min_stability, params) == _hex_outcome(
+            scalar_chi_min_stability, params)
 
     def test_an_overflowing_delta_raises_as_replace_does(self, monkeypatch):
         # delta_margin's points skip ProblemParams's checks; 2 delta past
@@ -1851,43 +1858,79 @@ def assert_holds_outright(cert):
         p, v, phi0, psi1, psi2, phi_obs)
 
 
+def assert_rechecks(cert):
+    """cert's document, read back as certify --vars reads it, passes
+    check_point again with the margins cert carries."""
+    back = certificate_from_dict(json.loads(json_dumps(certificate_to_dict(cert))))
+    _, report = check_point(back.params, back.vars)
+    assert report["feasible"] and report["margins"] == cert.margins, (cert, report)
+
+
+@functools.cache
+def _seeded_min_time_problems():
+    """40 seeded problems, each as (params, outcome, on_grid): outcome is
+    the search's (t_star, delta, cert) or its Infeasible text, and on_grid a
+    DELTA_GRID point drawn for each feasible problem without a delta."""
+    rng = np.random.default_rng(0)
+    grid = np.geomspace(*search.DELTA_GRID)
+    problems = []
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        k, g1 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 0.4))
+        pinned = float(10.0 ** rng.uniform(-3.0, -1.0)) if rng.random() < 0.4 else None
+        params = ProblemParams(n=n, k=k, g1=g1, delta=pinned)
+        try:
+            outcome = minimal_observability_time(params)
+        except Infeasible as exc:
+            problems.append((params, str(exc), None))
+            continue
+        on_grid = float(rng.choice(grid)) if pinned is None else None
+        problems.append((params, outcome, on_grid))
+    return problems
+
+
 class TestSoundnessOverTheParameterSpace:
     """Seeded searches across n, k, g1 and delta end in Infeasible or in a
-    certificate that holds outright, and their windows obey relations that
-    need no oracle.  A pinned delta off DELTA_GRID can beat the grid: at
-    n = 2, k = 1, g1 = 0.3 the grid gives t* = 18.248 and delta = 0.0421
-    gives 17.979, so the pinned-delta relation is asserted on grid points."""
+    certificate that holds outright and re-checks, and their windows and
+    radii obey relations that need no oracle.  A pinned delta off
+    DELTA_GRID can beat the grid: at n = 2, k = 1, g1 = 0.3 the grid gives
+    t* = 18.248 and delta = 0.0421 gives 17.979, so the pinned-delta
+    relation is asserted on grid points."""
 
     TOL = SearchConfig().tstar_tol
 
     def test_min_time_certificates(self):
-        rng = np.random.default_rng(0)
-        grid = np.geomspace(*search.DELTA_GRID)
         outcomes = []
-        for _ in range(40):
-            n = int(rng.integers(1, 4))
-            k, g1 = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.0, 0.4))
-            pinned = float(10.0 ** rng.uniform(-3.0, -1.0)) if rng.random() < 0.4 else None
-            params = ProblemParams(n=n, k=k, g1=g1, delta=pinned)
-            try:
-                t_star, delta, cert = minimal_observability_time(params)
-            except Infeasible:
+        for params, outcome, on_grid in _seeded_min_time_problems():
+            if isinstance(outcome, str):
                 outcomes.append("infeasible")
                 continue
             outcomes.append("certificate")
+            t_star, delta, cert = outcome
             assert (cert.params.t_star, cert.params.delta) == (t_star, delta)
             assert_holds_outright(cert)
-            if pinned is None:
+            assert_rechecks(cert)
+            if on_grid is not None:
                 # delta is a grid point, and pinning it repeats the window
                 assert minimal_observability_time(replace(params, delta=delta))[0] == t_star
-                on_grid = replace(params, delta=float(rng.choice(grid)))
                 try:
-                    t_pinned = minimal_observability_time(on_grid)[0]
+                    t_pinned = minimal_observability_time(replace(params, delta=on_grid))[0]
                 except Infeasible:
                     continue
-                assert t_pinned >= t_star - self.TOL, (on_grid, t_pinned, t_star)
+                assert t_pinned >= t_star - self.TOL, (params, on_grid, t_pinned, t_star)
         # 37 certificates and 3 Infeasible
         assert outcomes.count("certificate") >= 30, outcomes
+
+    def test_sweep_rows_equal_their_single_searches(self):
+        # the first half of the population, two of its problems Infeasible
+        problems = _seeded_min_time_problems()[:20]
+        rows = sweep([params for params, _, _ in problems]).rows
+        for row, (params, outcome, _) in zip(rows, problems):
+            if isinstance(outcome, str):
+                assert (row.feasible, row.certificate, row.note) == (False, None, outcome)
+            else:
+                assert row.feasible and json_dumps(certificate_to_dict(row.certificate)) == (
+                    json_dumps(certificate_to_dict(outcome[2]))), params
 
     def test_regional_certificates(self):
         rng = np.random.default_rng(1)
@@ -1897,6 +1940,15 @@ class TestSoundnessOverTheParameterSpace:
                                    d=float(rng.uniform(0.5, 2.0)))
             _, cert = maximize_regional_radius(params, SearchConfig(tstar_tol=0.01))
             assert_holds_outright(cert)
+            assert_rechecks(cert)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_the_radius_does_not_grow_with_g1(self, k):
+        # d0 falls from 0.4998 at g1 = 0 to 0.0924 at g1 = 0.4 on each line
+        radii = [maximize_regional_radius(ProblemParams(n=1, k=k, g1=g1, d=1.0),
+                                          SearchConfig(tstar_tol=0.01))[0]
+                 for g1 in (0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4)]
+        assert all(b <= a for a, b in zip(radii, radii[1:])), radii
 
     @pytest.mark.parametrize("n, k", [(1, 1.0), (2, 0.5)])
     def test_the_window_does_not_shrink_as_g1_grows(self, n, k):
