@@ -6,7 +6,7 @@ g1 on the source slope.  Stronger nonlinearities force longer observation
 windows; the growth is dramatic as g1 approaches the critical strength.
 """
 
-from wavecert import ProblemParams, SearchConfig, sweep
+from wavecert import ProblemParams, sweep
 
 rows = [
     ProblemParams(n=2, k=1.0, g1=0.0, delta=1e-4),
@@ -15,7 +15,7 @@ rows = [
     ProblemParams(n=2, k=1.0, g1=0.3, delta=0.01),
 ]
 
-result = sweep(rows, SearchConfig(tstar_tol=0.01), worker_count=4)
+result = sweep(rows, tstar_tol=0.01, worker_count=4)
 
 print("  g1      delta    t_star    chi")
 for row in result.rows:

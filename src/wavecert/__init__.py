@@ -21,11 +21,11 @@ import sys as _sys
 
 from . import certificates, smallmat
 from .certificates import (Certificate, CertificateError, DecisionVars,
-                           Infeasible, ProblemParams, SearchConfig,
-                           certificate_from_dict, certificate_to_dict,
-                           check_observability, check_stability,
-                           compute_alpha_beta, compute_iss_gain,
-                           compute_regional_radius, make_certificate)
+                           Infeasible, ProblemParams, certificate_from_dict,
+                           certificate_to_dict, check_observability,
+                           check_stability, compute_alpha_beta,
+                           compute_iss_gain, compute_regional_radius,
+                           make_certificate)
 
 __version__ = "0.1.0"
 

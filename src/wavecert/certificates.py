@@ -7,7 +7,8 @@ delta (stability LMIs), whether the system is exactly observable in time T*
 (observability LMI), and what the derived constants alpha, beta, q, gamma and
 the regional radius d0 are.  One fixed margin, MARGIN, serves as the
 strictness threshold for the strict LMIs and as slack for the non-strict ones
-(LMIS).
+(LMIS).  The searches' negative result, Infeasible, is defined here too, so
+that the command line reports one without loading wavecert.search.
 """
 
 import json
@@ -516,8 +517,8 @@ def certificate_from_dict(dct):
 
 
 # ------------------------------------------------------------------ searches
-# the settings and the negative result of wavecert.search, kept here with
-# the other config types so that parsing a config runs no search code
+# the negative result of wavecert.search, kept here so that the command
+# line can report it without running any search code
 
 
 class Infeasible(Exception):
@@ -542,28 +543,6 @@ class Infeasible(Exception):
 
     def __str__(self):
         return self.reason
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Settings of the searches; the grids are wavecert.search's constants.
-
-    Multiplier decisions and values are closed-form or bisected to the
-    float spacing and take no tolerance.  tstar_tol ends the t_star
-    bisection, which also stops at the float spacing.  Every LMI check
-    keeps the fixed MARGIN, which no setting changes.
-    """
-
-    tstar_tol: float = 1e-3
-
-    def __post_init__(self):
-        object.__setattr__(self, "tstar_tol",
-                           checked_float("tstar_tol", self.tstar_tol, 0.0, strict=True))
-
-    @classmethod
-    def from_dict(cls, dct):
-        reject_unknown_keys("search", dct, (f.name for f in fields(cls)))
-        return cls(**dct)
 
 
 # ------------------------------------------------------------------ text emission

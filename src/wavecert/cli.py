@@ -21,7 +21,7 @@ import sys
 # after pde: a launch that neither searches nor simulates loads no numpy
 from . import observer, pde, search
 from .certificates import (DecisionVars, Infeasible, ProblemParams,
-                           SearchConfig, certificate_at, certificate_from_dict,
+                           certificate_at, certificate_from_dict,
                            certificate_to_dict, check_point, checked_float,
                            compute_regional_radius, json_dumps,
                            reject_unknown_keys)
@@ -83,13 +83,17 @@ def parse_problem(doc):
 
 
 def parse_search(doc):
+    # the searches' keyword arguments, {} (the defaults) or {"tstar_tol": x},
+    # checked as the searches check them but without loading search
     section = doc.get("search")
     if section is None:
-        return SearchConfig()
+        return {}
     if isinstance(section, dict):
         section = {key: value for key, value in section.items()
                    if key not in RETIRED_SEARCH_KEYS}
-    return SearchConfig.from_dict(section)
+    reject_unknown_keys("search", section, ("tstar_tol",))
+    return {key: checked_float(key, value, 0.0, strict=True)
+            for key, value in section.items()}
 
 
 def parse_sim(doc, require_initial=False):
@@ -274,8 +278,8 @@ def cmd_certify(args):
 def cmd_min_time(args):
     doc = load_config(args.config)
     # both parsed before search is touched, so a bad config loads no numpy
-    params, config = parse_problem(doc), parse_search(doc)
-    t_star, delta, cert = search.minimal_observability_time(params, config)
+    params, settings = parse_problem(doc), parse_search(doc)
+    t_star, delta, cert = search.minimal_observability_time(params, **settings)
     payload = {"feasible": True, "t_star": t_star, "delta": delta,
                "certificate": certificate_to_dict(cert)}
     if args.out is not None:
@@ -286,8 +290,8 @@ def cmd_min_time(args):
 
 def cmd_regional(args):
     doc = load_config(args.config)
-    params, config = parse_problem(doc), parse_search(doc)
-    d0, cert = search.maximize_regional_radius(params, config)
+    params, settings = parse_problem(doc), parse_search(doc)
+    d0, cert = search.maximize_regional_radius(params, **settings)
     radius = compute_regional_radius(cert.params, cert.vars)
     payload = {"feasible": True, "d0": d0}
     if math.isfinite(radius.t_max):
@@ -371,8 +375,9 @@ def cmd_sweep(args):
         problems = [ProblemParams.from_dict(row) for row in rows]
     else:
         problems = [parse_problem(doc)]
-    config = parse_search(doc)
-    result = search.sweep(problems, config, worker_count=args.jobs)
+    # parsed before search is touched, so a bad section loads no numpy
+    settings = parse_search(doc)
+    result = search.sweep(problems, **settings, worker_count=args.jobs)
     _write(args.out, result.to_csv())
     feasible = sum(1 for row in result.rows if row.feasible)
     print(json_dumps({"rows": len(result.rows), "feasible_rows": feasible}))

@@ -232,6 +232,8 @@ def _uncovered(certificate, config):
 
 @dataclass(frozen=True)
 class ContractionReport:
+    # ok is None where the certificate does not cover the run, and False
+    # for a diverged run whatever its rows say
     applicable: bool
     reason: str = None
     q: float = None
@@ -241,12 +243,13 @@ class ContractionReport:
     uniform_peak: float = None
     uniform_bound: float = None
     uniform_ok: bool = None
+    diverged: bool = False
 
     @property
     def ok(self):
         if not self.applicable:
             return None
-        return bool(self.ratios_ok and self.uniform_ok)
+        return bool(self.ratios_ok and self.uniform_ok and not self.diverged)
 
 
 def contraction_report(run):
@@ -285,7 +288,7 @@ def contraction_report(run):
     return ContractionReport(applicable=True, q=q, slack=slack, rows=tuple(rows),
                              ratios_ok=all(row["ok"] for row in rows),
                              uniform_peak=peak, uniform_bound=uniform_bound,
-                             uniform_ok=uniform_ok)
+                             uniform_ok=uniform_ok, diverged=run.diverged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +307,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     """Recover from y + w and bound the induced gap by the ISS estimate.
 
     Returns (noisy run, report); the clean run rides along on the report.
+    The report is ok when the gap keeps the bound and neither run diverged.
     """
     pde.check_trace(noise, config.grid, config.steps)
     cert = config.certificate
@@ -338,7 +342,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     bound = c_constant * noise_integral
     report = IssReport(gap_sq=gap_sq, noise_integral=noise_integral,
                        c_constant=c_constant, delta0=delta0, bound=bound,
-                       ok=gap_sq <= bound,
+                       ok=gap_sq <= bound and not (clean.diverged or noisy.diverged),
                        ratio=(gap_sq / bound) if bound > 0.0 else None,
                        baseline_run=clean)
     return noisy, report

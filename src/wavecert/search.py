@@ -23,19 +23,18 @@ moves is done once: the chi grid and phi0's part of the closed-form pass
 are built once per n and grid (_chi_points), a witness is checked
 on its entries at 0 shifted to it (_shifted), and the points a delta loop
 bisects over are made from checked params without checking them again
-(_point).  All searches are deterministic: same inputs and config, same
-outputs, regardless of worker count.  Each LMI's sense (which eigenvalue
-decides, strictness, the side of the fixed MARGIN) comes from
-certificates.LMIS.
-The searches' settings (SearchConfig) and negative result (Infeasible)
-are defined in certificates, which parses configs without numpy, and are
-the same objects here.
+(_point).  All searches are deterministic: same inputs, same outputs,
+regardless of worker count.  Each LMI's sense (which eigenvalue decides,
+strictness, the side of the fixed MARGIN) comes from certificates.LMIS.
+The one setting, tstar_tol, is an argument of the entries that bisect
+t_star, checked before any delta.  The negative result, Infeasible, is
+defined in certificates, which loads no numpy, and is the same object here.
 """
 
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .certificates import (
     DecisionVars,
     Infeasible,
     ProblemParams,
-    SearchConfig,
     _wq,
     check_observability,
     check_stability,
@@ -65,6 +63,8 @@ from .certificates import (
 from .smallmat import extremes3
 
 T_STAR_MAX = 200.0
+# the default absolute tolerance of the t_star bisection
+TSTAR_TOL = 1e-3
 # the search resolution, fixed: the chi scan runs CHI_COUNT log-spaced points
 # from CHI_LO to just below the psi1 cut, and find_feasible_vars refines it
 # REFINEMENT_ROUNDS times with REFINEMENT_COUNT points between the best
@@ -508,7 +508,7 @@ def chi_min_stability(params):
 # ------------------------------------------------------------ time bisection
 
 
-def _observation_window(params, config, delta):
+def _observation_window(params, delta, tstar_tol):
     """Minimal t_star at one delta, bisected at a fixed probe chi.
 
     The probe sits a hair above chi_min_stability: the observability matrix
@@ -534,7 +534,7 @@ def _observation_window(params, config, delta):
 
     if not observable(T_STAR_MAX):
         raise Infeasible(not_observable)
-    return _bisect(observable, 0.0, T_STAR_MAX, config.tstar_tol), probe
+    return _bisect(observable, 0.0, T_STAR_MAX, tstar_tol), probe
 
 
 def _deltas(params):
@@ -544,21 +544,22 @@ def _deltas(params):
     return [float(x) for x in np.geomspace(*DELTA_GRID)]
 
 
-def minimal_observability_time(params, config=None):
+def minimal_observability_time(params, tstar_tol=TSTAR_TOL):
     """(t_star, delta, Certificate) minimizing t_star over the delta grid.
 
     A set params.delta pins the search to that single delta; otherwise
-    DELTA_GRID is swept.  Among deltas whose minimal times agree within
-    tstar_tol the largest delta wins (fastest certified contraction).
+    DELTA_GRID is swept.  Each window is bisected to tstar_tol (> 0).
+    Among deltas whose minimal times agree within tstar_tol the largest
+    delta wins (fastest certified contraction).
     """
-    config = config or SearchConfig()
+    tstar_tol = checked_float("tstar_tol", tstar_tol, 0.0, strict=True)
     if params.t_star is not None:
         raise CertificateError("t_star must be left unset for a minimal-time search")
     wins = []
     last = None
     for delta in _deltas(params):
         try:
-            t, _ = _observation_window(params, config, delta)
+            t, _ = _observation_window(params, delta, tstar_tol)
             wins.append((t, delta))
         except Infeasible as exc:
             last = exc
@@ -566,7 +567,7 @@ def minimal_observability_time(params, config=None):
         raise Infeasible("no delta admits an observability certificate; last reason: %s"
                          % last)
     t_best = min(t for t, _ in wins)
-    delta_star = max(d for t, d in wins if t <= t_best + config.tstar_tol)
+    delta_star = max(d for t, d in wins if t <= t_best + tstar_tol)
     t_star = next(t for t, d in wins if d == delta_star)
     if params.t_total is not None and params.t_total < t_star:
         raise CertificateError(
@@ -582,7 +583,7 @@ def minimal_observability_time(params, config=None):
             # the bisection endpoint can sit on the feasibility boundary;
             # nudging by one tolerance recovers a strictly interior point
             last_error = exc
-            t_star = t_star + config.tstar_tol
+            t_star = t_star + tstar_tol
     raise Infeasible("could not assemble a certificate near the bisected time: %s"
                      % last_error)
 
@@ -659,15 +660,17 @@ def find_feasible_vars(params):
     return vars
 
 
-def maximize_regional_radius(params, config=None):
+def maximize_regional_radius(params, tstar_tol=TSTAR_TOL):
     """(d0, Certificate) with the largest certified regional radius (n = 1).
 
-    For each delta: the minimal t_star and the probe chi it was bisected at
-    give the corner point at which the radius formula is largest (it
-    decreases in both chi and delta t_star); the best corner over the grid
-    wins, and its certificate is taken at that very corner.
+    For each delta: the minimal t_star, bisected to tstar_tol (> 0), and
+    the probe chi it was bisected at give the corner point at which the
+    radius formula is largest (it decreases in both chi and delta t_star);
+    the best corner over the grid wins, equal radii going to the largest
+    delta, as equal windows do in minimal_observability_time, and its
+    certificate is taken at that very corner.
     """
-    config = config or SearchConfig()
+    tstar_tol = checked_float("tstar_tol", tstar_tol, 0.0, strict=True)
     if params.n != 1:
         raise CertificateError("the regional search is defined for n = 1")
     if params.d is None:
@@ -675,7 +678,7 @@ def maximize_regional_radius(params, config=None):
     best = last = None
     for delta in _deltas(params):
         try:
-            t, chi = _observation_window(params, config, delta)
+            t, chi = _observation_window(params, delta, tstar_tol)
         except Infeasible as exc:
             last = exc
             continue
@@ -686,7 +689,7 @@ def maximize_regional_radius(params, config=None):
         # chi is below the psi1 cut k/(1+k^2) <= 1/2 at n = 1
         rr = compute_regional_radius(_point(params, delta=delta, t_star=t),
                                      DecisionVars(chi=chi))
-        if best is None or rr.d0 > best[0]:
+        if best is None or rr.d0 >= best[0]:
             best = (rr.d0, delta, t, chi)
     if best is None:
         raise Infeasible("no delta admits a regional certificate; last reason: %s"
@@ -779,12 +782,11 @@ def _row_cells(row):
     ]
 
 
-def _sweep_one(item):
-    params, config = item
+def _sweep_one(params, tstar_tol):
     try:
         if params.t_star is not None:
             return SweepRow(params, True, make_certificate(params, find_feasible_vars(params)))
-        _, _, cert = minimal_observability_time(params, config)
+        _, _, cert = minimal_observability_time(params, tstar_tol)
         return SweepRow(params, True, cert)
     except Infeasible as exc:
         return SweepRow(params, False, None, str(exc))
@@ -794,27 +796,27 @@ def _sweep_one(item):
         return SweepRow(params, False, None, "error: %s" % exc)
 
 
-def sweep(problems, config=None, worker_count=1):
+def sweep(problems, tstar_tol=TSTAR_TOL, worker_count=1):
     """Evaluate each problem independently; row order follows input order.
 
     Rows with t_star search decision variables at that fixed time; rows
-    without run the minimal-time search.  worker_count, an integer >= 1,
+    without run the minimal-time search, to tstar_tol.  worker_count, an integer >= 1,
     only changes wall time, never results; the pool never exceeds the row
     count or the CPU count, because under the fork start method the
     executor starts all its workers up front.
     """
+    tstar_tol = checked_float("tstar_tol", tstar_tol, 0.0, strict=True)
     worker_count = checked_int("worker_count", worker_count, 1)
     problems = list(problems)
     if not problems:
         raise CertificateError("sweep needs at least one problem")
-    config = config or SearchConfig()
-    items = [(p, config) for p in problems]
-    workers = min(worker_count, len(items), os.cpu_count() or 1)
+    one = partial(_sweep_one, tstar_tol=tstar_tol)
+    workers = min(worker_count, len(problems), os.cpu_count() or 1)
     if workers <= 1:
-        rows = [_sweep_one(item) for item in items]
+        rows = [one(p) for p in problems]
     else:
         # only a pool needs concurrent.futures, a sizeable part of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, items))
+            rows = list(pool.map(one, problems))
     return SweepResult(tuple(rows))

@@ -959,8 +959,8 @@ class TestLazySimulationLayer:
                 "hnorm", "lyapunov", "make_grid", "read_trajectory_csv", "run",
                 "sobolev_check", "step", "trace_check", "trace_sq_integral",
                 "trajectory_csv", "wirtinger_check", "zero_trace"],
-        "search": ["Infeasible", "SearchConfig", "SweepResult", "SweepRow",
-                   "chi_min_stability", "delta_margin", "find_feasible_vars",
+        "search": ["Infeasible", "SweepResult", "SweepRow", "chi_min_stability",
+                   "delta_margin", "find_feasible_vars",
                    "maximize_regional_radius", "minimal_observability_time",
                    "sweep"],
     }
@@ -1079,6 +1079,9 @@ print(getattr(sys.modules["wavecert.pde"], "step") is wavecert.pde.step,
         public = sorted(self.MODULES
                         + [n for names in self.PUBLIC.values() for n in names])
         assert sorted(wavecert.__all__) == public
+        # the searches' negative result is defined with the certificates
+        assert wavecert.Infeasible is wavecert.search.Infeasible \
+            is wavecert.certificates.Infeasible
         assert set(public + ["__version__"]) <= set(dir(wavecert))
         star = {}
         exec("from wavecert import *", star)
@@ -1098,19 +1101,6 @@ print(type(grid).__module__, type(config).__module__, config.grid == grid,
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "wavecert.pde wavecert.observer True %d\n" \
             % config.steps
-
-    def test_search_config_unpickles_before_search_runs(self):
-        config = search.SearchConfig(tstar_tol=0.01)
-        proc = fresh_python(["-c", """
-import pickle, sys
-config = pickle.loads(bytes.fromhex(sys.argv[1]))
-print(type(config).__module__, config.tstar_tol, "numpy" in sys.modules)
-import wavecert
-print(type(config) is wavecert.search.SearchConfig,
-      wavecert.Infeasible is wavecert.search.Infeasible)
-""", pickle.dumps(config).hex()], timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "wavecert.certificates 0.01 False\nTrue True\n"
 
 
 class TestUnwritableOut:
@@ -1195,9 +1185,9 @@ class TestParserReuse:
         worker_counts = []
         real_sweep = search.sweep
 
-        def sweep(problems, config, worker_count):
+        def sweep(problems, worker_count, **settings):
             worker_counts.append(worker_count)
-            return real_sweep(problems, config, worker_count=worker_count)
+            return real_sweep(problems, worker_count=worker_count, **settings)
 
         monkeypatch.setattr(search, "sweep", sweep)
         problem = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05}

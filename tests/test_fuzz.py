@@ -6,8 +6,9 @@ cli.main in process; a flag case instead gives the subcommand's numeric
 flag (FLAGS) the text of one value.  Whatever the value, the run must exit
 0, 1 or 2: on 1 with empty stdout and stderr starting "error: ", on 0 or 2
 with JSON on the first line of stdout, and with no warning raised.  The
-suite runs every flag case and a seeded sample of SAMPLE config cases per
-subcommand; every case runs with
+suite runs every flag case, every case of min-time's search section (the
+section and its tstar_tol leaf, which cli.parse_search checks) and a
+seeded sample of SAMPLE config cases per subcommand; every case runs with
 
     PYTHONPATH=src python tests/test_fuzz.py
 """
@@ -92,6 +93,11 @@ def flag_cases(command):
 
 def sample(command):
     return random.Random("%s:%s" % (SEED, command)).sample(cases(command), SAMPLE)
+
+
+def search_cases():
+    """min-time's cases at the search section and below it."""
+    return [case for case in cases("min-time") if case[1][0] == "search"]
 
 
 def _run(command, doc, workdir, trace, flag=None, text=None):
@@ -181,6 +187,11 @@ def _failures(cases, workdir, trace):
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_mutated_configs_keep_the_exit_contract(tmp_path, trace, command):
     failures = _failures(sample(command), str(tmp_path), trace)
+    assert not failures, "\n".join(failures)
+
+
+def test_search_sections_keep_the_exit_contract(tmp_path, trace):
+    failures = _failures(search_cases(), str(tmp_path), trace)
     assert not failures, "\n".join(failures)
 
 

@@ -575,6 +575,58 @@ class TestPerturbedRecover:
         assert str(caught.value) == reason
 
 
+class TestDivergedReports:
+    """A diverged run is never ok, even where nothing recorded breaks a
+    bound: a run that stops at its first sweep has no rows at all."""
+
+    HORIZON = 3.0
+
+    def setup_method(self):
+        # a covering min-time certificate of the linear 1-D problem
+        params = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.05)
+        _, _, self.cert = search.minimal_observability_time(params)
+        self.grid = pde.make_grid(1, 41, self.HORIZON, k=1.0)
+        x = self.grid.axis()
+        self.truth = pde.WaveField(preset_ic(x), preset_ic(x))
+        self.trace = pde.run(self.truth, self.HORIZON, self.grid).trace
+
+    def config(self, nonlinearity=pde.ZERO_F):
+        return observer.RecoveryConfig(horizon=self.HORIZON, m_max=4, grid=self.grid,
+                                       nonlinearity=nonlinearity, certificate=self.cert)
+
+    def blowing_up(self):
+        # the source is 0 and its bound 0 until |z| > 0.05, where it
+        # overflows the first sweep
+        return self.config(pde.Nonlinearity(
+            lambda z, x, t: np.where(abs(z) > 0.05, 1e300 * z, 0.0), fz_bound=0.0))
+
+    def test_contraction(self):
+        with np.errstate(all="ignore"):
+            run = observer.recover(self.trace, self.blowing_up(), truth=self.truth)
+        assert run.stop_reason == "diverged" and run.records == ()
+        report = observer.contraction_report(run)
+        assert report.applicable and report.rows == ()
+        assert report.ratios_ok and report.uniform_ok and report.diverged
+        assert report.ok is False
+        assert replace(report, diverged=False).ok is True
+
+    def test_iss_with_both_runs_diverged(self):
+        zero = pde.BoundaryTrace(np.zeros(self.config().steps + 1), self.grid.dt)
+        with np.errstate(all="ignore"):
+            noisy, report = observer.perturbed_recover(self.trace, zero, self.blowing_up())
+        assert noisy.diverged and report.baseline_run.diverged
+        assert report.gap_sq == report.bound == 0.0 and report.ok is False
+
+    def test_iss_with_the_noisy_run_diverged(self):
+        # noise of 1e160 overflows the noisy run's energy and the noise
+        # integral: the gap keeps the infinite bound
+        huge = pde.BoundaryTrace(np.full(self.config().steps + 1, 1e160), self.grid.dt)
+        with np.errstate(all="ignore"):
+            noisy, report = observer.perturbed_recover(self.trace, huge, self.config())
+        assert noisy.diverged and report.baseline_run.converged
+        assert report.gap_sq <= report.bound == math.inf and report.ok is False
+
+
 class TestPerturbedRecover2D:
     def test_noise_integral_matches_reference(self):
         # the 2-D faces x1 = 1 and x2 = 1, the corner on both

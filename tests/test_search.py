@@ -10,17 +10,18 @@ independent implementation.
 
 import concurrent.futures
 import functools
+import inspect
 import json
 import math
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import linalg, optimize
 
-from wavecert import certificates, search
+from wavecert import certificates, cli, search
 from wavecert.certificates import (
     LMIS,
     MARGIN,
@@ -52,7 +53,6 @@ from wavecert.smallmat import eigenvalues, extremes3
 from wavecert.search import (
     CSV_HEADER,
     Infeasible,
-    SearchConfig,
     SweepResult,
     chi_min_stability,
     delta_margin,
@@ -169,22 +169,46 @@ def obs_feasible_oracle(n, delta, t_star, chi, margin=1e-9):
 
 
 class TestSearchConfig:
+    """The search section of a config (cli.parse_search, which loads no
+    search code) and the tstar_tol argument of the searches it feeds."""
+
+    ENTRIES = {
+        "min-time": lambda tol: minimal_observability_time(
+            ProblemParams(n=1, k=1.0, delta=0.05), tstar_tol=tol),
+        "regional": lambda tol: maximize_regional_radius(
+            ProblemParams(n=1, k=1.0, g1=0.1, d=1.0), tstar_tol=tol),
+        "sweep": lambda tol: sweep([ProblemParams(n=1, k=1.0, delta=0.05)], tstar_tol=tol),
+    }
+
     def test_defaults(self):
-        cfg = SearchConfig()
-        assert [f.name for f in fields(cfg)] == ["tstar_tol"]
-        assert cfg.tstar_tol == 1e-3 and MARGIN == 1e-9
+        assert search.TSTAR_TOL == 1e-3 and MARGIN == 1e-9
+        for entry in (minimal_observability_time, maximize_regional_radius, sweep):
+            default = inspect.signature(entry).parameters["tstar_tol"].default
+            assert default is search.TSTAR_TOL, entry
         assert (search.CHI_LO, search.CHI_COUNT) == (1e-4, 400)
         assert (search.REFINEMENT_ROUNDS, search.REFINEMENT_COUNT) == (3, 40)
         assert search.DELTA_GRID == (1e-4, 0.5, 30)
 
     def test_dict_round_trip(self):
-        doc = {"tstar_tol": 1e-2}
-        back = SearchConfig.from_dict(json.loads(json.dumps(doc)))
-        assert back == SearchConfig(tstar_tol=1e-2)
+        doc = {"search": {"tstar_tol": 1e-2}}
+        assert cli.parse_search(json.loads(json.dumps(doc))) == {"tstar_tol": 1e-2}
+        # an integral value comes back a float, as the searches take it
+        assert repr(cli.parse_search({"search": {"tstar_tol": 1}})) == "{'tstar_tol': 1.0}"
 
-    def test_from_dict_rejects_unknown(self):
-        with pytest.raises(CertificateError, match="unknown"):
-            SearchConfig.from_dict({"chi_gird": [1e-3, 0.4, 50]})
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(CertificateError, match="^unknown search keys: chi_gird$"):
+            cli.parse_search({"search": {"chi_gird": [1e-3, 0.4, 50]}})
+
+    def test_null_and_non_object_sections(self):
+        # a missing or null section, or one of retired keys alone, means
+        # the searches' defaults
+        for doc in ({}, {"search": None}, {"search": {}},
+                    {"search": {"delta_grid": [1e-4, 0.5, 30]}}):
+            assert cli.parse_search(doc) == {}, doc
+        for section in ([], [{"tstar_tol": 0.01}], "x", 1, 0.01, True, False):
+            with pytest.raises(CertificateError,
+                               match="^expected a JSON object of search keys$"):
+                cli.parse_search({"search": section})
 
     @pytest.mark.parametrize("kw", [
         {"chi_grid": (0.4, 0.1, 10)},
@@ -205,13 +229,25 @@ class TestSearchConfig:
         {"chi_grid": (1e-3, 0.1, 10 ** 8)},
         {"delta_grid": (1e-4, 0.5, 10 ** 8)},
     ])
-    def test_invalid_values_rejected(self, kw):
-        # the grids and the margin are constants: their keys are unknown,
-        # whatever the value
-        [key] = kw
+    def test_invalid_values_rejected(self, kw, monkeypatch):
+        # the grids and the margin are constants: a retired grid key is
+        # ignored and the margin key is unknown, whatever the value.  A bad
+        # tstar_tol gets the same message from the section and from each
+        # search, which checks it before it tries any delta
+        [(key, value)] = kw.items()
+        if key in cli.RETIRED_SEARCH_KEYS:
+            assert cli.parse_search({"search": kw}) == {}
+            return
         says = key + " must" if key == "tstar_tol" else "unknown search keys: " + key
-        with pytest.raises(CertificateError, match="^" + re.escape(says)):
-            SearchConfig.from_dict(kw)
+        with pytest.raises(CertificateError, match="^" + re.escape(says)) as caught:
+            cli.parse_search({"search": kw})
+        if key != "tstar_tol":
+            return
+        monkeypatch.setattr(search, "_observation_window", None)
+        for name, entry in self.ENTRIES.items():
+            with pytest.raises(CertificateError) as raised:
+                entry(value)
+            assert str(raised.value) == str(caught.value), name
 
     def test_grid_count_bound(self, monkeypatch):
         # a scan's size is fixed: CHI_COUNT points, then REFINEMENT_ROUNDS
@@ -226,10 +262,10 @@ class TestSearchConfig:
         assert sizes == 2 * ([400] + [40] * 3)
 
     def test_refinement_rounds_bound(self):
-        # 1e308 rounds once never ended; no config sets the rounds any more
-        with pytest.raises(CertificateError,
-                           match=r"^unknown search keys: refinement_rounds$"):
-            SearchConfig.from_dict({"refinement_rounds": 1e308, "tstar_tol": 0.1})
+        # 1e308 rounds once never ended; no config sets the rounds any more,
+        # and the retired key is dropped before tstar_tol is read
+        assert cli.parse_search({"search": {"refinement_rounds": 1e308,
+                                            "tstar_tol": 0.1}}) == {"tstar_tol": 0.1}
 
 
 # ------------------------------------------------------------------ bisection
@@ -333,19 +369,19 @@ class TestMinimalTime:
         assert 2.00 <= t <= 2.06
 
     def test_bisection_brackets_the_boundary(self):
-        cfg = SearchConfig()
+        tol = search.TSTAR_TOL
         p = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001)
-        t, delta, cert = minimal_observability_time(p, cfg)
+        t, delta, cert = minimal_observability_time(p)
         from dataclasses import replace
         with pytest.raises(Infeasible):
-            find_feasible_vars(replace(cert.params, t_star=t - 1.001 * cfg.tstar_tol))
+            find_feasible_vars(replace(cert.params, t_star=t - 1.001 * tol))
         # the longer side is feasible by construction (the certificate exists)
         assert check_observability(cert.params, cert.vars)["feasible"]
         # the scipy oracle agrees on both sides at the probe chi
         cmin = chi_min_stability(ProblemParams(n=1, k=1.0, g1=0.0, delta=0.001))
         probe = cmin * (1.0 + 1e-5)
         assert obs_feasible_oracle(1, 0.001, t, probe)
-        assert not obs_feasible_oracle(1, 0.001, t - 2.0 * cfg.tstar_tol, probe)
+        assert not obs_feasible_oracle(1, 0.001, t - 2.0 * tol, probe)
 
     def test_equal_times_prefer_larger_delta(self, monkeypatch):
         # two tiny deltas give times equal within tolerance; the larger
@@ -409,14 +445,14 @@ class TestMinimalTime:
 
     def test_stronger_damping_shortens_the_time(self):
         # sampled antitone property in k on [0.5, 1] for the linear 1-D case
-        cfg = SearchConfig()
+        tol = search.TSTAR_TOL
         times = []
         for k in (0.5, 0.75, 1.0):
             p = ProblemParams(n=1, k=k, g1=0.0, delta=0.01)
-            t, _, _ = minimal_observability_time(p, cfg)
+            t, _, _ = minimal_observability_time(p)
             times.append(t)
-        assert times[0] + cfg.tstar_tol >= times[1]
-        assert times[1] + cfg.tstar_tol >= times[2]
+        assert times[0] + tol >= times[1]
+        assert times[1] + tol >= times[2]
 
 
 # ------------------------------------------------------------- variable search
@@ -1222,7 +1258,7 @@ def head_chi_min_stability(params, tol):
     return b
 
 
-def head_observation_window(params, config, delta, tol):
+def head_observation_window(params, delta, tstar_tol, tol):
     p = replace(params, delta=delta, t_star=None, t_total=None)
     cmin = head_chi_min_stability(p, tol)
     probe = min(cmin * (1.0 + 1e-5), 0.5 * (cmin + search._chi_cut(p)))
@@ -1237,7 +1273,7 @@ def head_observation_window(params, config, delta, tol):
             "not observable within t_star <= %g at delta=%s (lambda_max(Phi)=%s)"
             % (search.T_STAR_MAX, fmt_float(delta), fmt_float(top)))
     lo_t, hi_t = 0.0, search.T_STAR_MAX
-    while hi_t - lo_t > config.tstar_tol:
+    while hi_t - lo_t > tstar_tol:
         mid = 0.5 * (lo_t + hi_t)
         if top_at(mid) < -MARGIN:
             hi_t = mid
@@ -1391,7 +1427,6 @@ class TestClosedFormDecisions:
         # within relative 4 tol of the golden-section oracle (an intended
         # output change: the largest gaps seen are in CHANGES.md)
         rng = np.random.default_rng(100 + int(-math.log10(tol)))
-        config = SearchConfig(tstar_tol=1e-2)
         bound = 4.0 * tol + 1e-15
         for n in (1, 2, 3):
             problems = [ProblemParams(n=n, k=float(rng.uniform(0.5, 2.0)),
@@ -1406,8 +1441,8 @@ class TestClosedFormDecisions:
                     assert _relative_gap(
                         cmin, _numeric_outcome(head_chi_min_stability, p, tol)) <= bound
                     assert _relative_gap(
-                        _numeric_outcome(search._observation_window, params, config, delta),
-                        _numeric_outcome(head_observation_window, params, config, delta,
+                        _numeric_outcome(search._observation_window, params, delta, 1e-2),
+                        _numeric_outcome(head_observation_window, params, delta, 1e-2,
                                          tol)) <= bound
                     if isinstance(cmin[0], type):
                         continue
@@ -1438,8 +1473,8 @@ class TestClosedFormDecisions:
 
         got = _repr_outcome(certified, params)
         monkeypatch.setattr(search, "_observation_window",
-                            lambda p, config, delta:
-                            head_observation_window(p, config, delta, 1e-9))
+                            lambda p, delta, tstar_tol:
+                            head_observation_window(p, delta, tstar_tol, 1e-9))
         assert got == _repr_outcome(certified, params)
 
 
@@ -1634,12 +1669,30 @@ class TestMaximizeRegionalRadius:
         assert d0 == pytest.approx(0.2348, abs=2e-3)
         assert cert.params.delta == 0.1
 
+    def test_equal_radii_prefer_larger_delta(self, monkeypatch):
+        # at t_total 30000 the radius of every rate with a window
+        # underflows to 0.0; as with equal windows, the largest delta wins
+        # the tie (the first, 4.34e-4 with t* = 159.5, once won it)
+        fits = []
+        window = search._observation_window
+
+        def recorded(params, delta, tstar_tol):
+            found = window(params, delta, tstar_tol)
+            fits.append(delta)
+            return found
+
+        monkeypatch.setattr(search, "_observation_window", recorded)
+        p = ProblemParams(n=1, k=1.0, g1=0.1, d=1.0, t_total=30000.0)
+        d0, cert = maximize_regional_radius(p)
+        assert d0 == cert.d0 == 0.0 and len(fits) == 22
+        assert cert.params.delta == max(fits) == pytest.approx(0.20717, rel=1e-4)
+
     def test_certificate_built_from_witnesses(self):
         # g1 of a perturbed benchmark config: chi_min lands on the exact
         # psi2 boundary, where a golden-section lambda1 up to tol / 2 off
         # the optimum fails psi2 and no certificate could be emitted
         p = ProblemParams(n=1, k=1.0, g1=0.101824137087557, d=1.0)
-        d0, cert = maximize_regional_radius(p, SearchConfig(tstar_tol=0.01))
+        d0, cert = maximize_regional_radius(p, tstar_tol=0.01)
         assert make_certificate(cert.params, cert.vars).d0 == d0 == cert.d0
 
     def test_unreported_probe_failures_run_no_golden_section(self, monkeypatch):
@@ -1661,8 +1714,7 @@ class TestMaximizeRegionalRadius:
 
         monkeypatch.setattr(search, "_observation_window", counted)
         monkeypatch.setattr(search, "DELTA_GRID", (1e-4, 1e-3, 4))
-        cfg = SearchConfig(tstar_tol=0.01)
-        maximize_regional_radius(ProblemParams(n=1, k=1.0, g1=0.1, d=1.0), cfg)
+        maximize_regional_radius(ProblemParams(n=1, k=1.0, g1=0.1, d=1.0), tstar_tol=0.01)
         assert len(failures) == 2 and not calls
         assert "lambda_max(Phi)=" in str(failures[-1]) and len(calls) == 1
 
@@ -1730,14 +1782,13 @@ class TestSharedScanWork:
             return evaluate
 
         params = ProblemParams(n=1, k=1.0, g1=0.1, d=1.0)
-        config = SearchConfig(tstar_tol=0.01)
         monkeypatch.setattr(ProblemParams, "__post_init__", checked)
         for lmi in ("PSI2", "PHI0", "PHI_OBS"):
             record = getattr(search, lmi)
             monkeypatch.setattr(search, lmi, record._replace(entries=counted(record.entries)))
         search._chi_points.cache_clear()
         try:
-            maximize_regional_radius(params, config)
+            maximize_regional_radius(params, tstar_tol=0.01)
         finally:
             search._chi_points.cache_clear()
         assert counts == {"checks": 2, "entries": 2345, "phi0 passes": 1}
@@ -1897,7 +1948,7 @@ class TestSoundnessOverTheParameterSpace:
     t* = 18.248 and delta = 0.0421 gives 17.979, so the pinned-delta
     relation is asserted on grid points."""
 
-    TOL = SearchConfig().tstar_tol
+    TOL = search.TSTAR_TOL
 
     def test_min_time_certificates(self):
         outcomes = []
@@ -1938,7 +1989,7 @@ class TestSoundnessOverTheParameterSpace:
             params = ProblemParams(n=1, k=float(rng.uniform(0.3, 2.0)),
                                    g1=float(rng.uniform(0.02, 0.3)),
                                    d=float(rng.uniform(0.5, 2.0)))
-            _, cert = maximize_regional_radius(params, SearchConfig(tstar_tol=0.01))
+            _, cert = maximize_regional_radius(params, tstar_tol=0.01)
             assert_holds_outright(cert)
             assert_rechecks(cert)
 
@@ -1946,7 +1997,7 @@ class TestSoundnessOverTheParameterSpace:
     def test_the_radius_does_not_grow_with_g1(self, k):
         # d0 falls from 0.4998 at g1 = 0 to 0.0924 at g1 = 0.4 on each line
         radii = [maximize_regional_radius(ProblemParams(n=1, k=k, g1=g1, d=1.0),
-                                          SearchConfig(tstar_tol=0.01))[0]
+                                          tstar_tol=0.01)[0]
                  for g1 in (0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4)]
         assert all(b <= a for a, b in zip(radii, radii[1:])), radii
 
