@@ -72,6 +72,8 @@ def load_config(path, mode=None):
     # and the benchmark's set-up probe (bench/run.py) still passes it
     doc = _load_json(path)
     reject_unknown_keys("config", doc, CONFIG_KEYS)
+    if "problem" in doc and "problems" in doc:
+        raise CliError("give either problem or problems, not both")
     return doc
 
 
@@ -106,15 +108,18 @@ def parse_sim(doc, require_initial=False):
             raise CliError("sim requires %s" % key)
     if require_initial and "initial" not in sim:
         raise CliError("sim requires an initial section here")
+    # checked as pde.run and RecoveryConfig check them, whichever reads them
+    if sim.get("chi") is not None:
+        checked_float("chi", sim["chi"], 0.0)
+    if "convergence_threshold" in sim:
+        checked_float("convergence_threshold", sim["convergence_threshold"], 0.0, strict=True)
     return sim
 
 
-def build_grid(sim, mode=None):
-    if mode is None:
-        mode = sim.get("mode", "plant")
+def build_grid(sim):
     try:
-        return pde.make_grid(sim.get("dim", 1), sim["points_per_axis"],
-                             sim["horizon"], mode=mode, k=sim.get("k", 0.0))
+        return pde.make_grid(sim.get("dim", 1), sim["points_per_axis"], sim["horizon"],
+                             mode=sim.get("mode", "plant"), k=sim.get("k", 0.0))
     except ValueError as exc:
         raise CliError("sim: %s" % exc)
 
@@ -341,10 +346,11 @@ def cmd_recover(args):
         trace = pde.read_trajectory_csv(_read_text(args.trace))[0]
     except ValueError as exc:
         raise CliError("%s: %s" % (args.trace, exc))
-    grid = build_grid(sim, mode="plant")
-    certificate = None
-    if "certificate" in doc:
-        certificate = certificate_from_dict(doc["certificate"])
+    # the observer grids replace the section's mode; initial is checked only
+    grid = build_grid(sim)
+    if "initial" in sim:
+        build_initial(sim["initial"], grid)
+    certificate = certificate_from_dict(doc["certificate"]) if "certificate" in doc else None
     config = observer.RecoveryConfig(
         horizon=sim["horizon"], m_max=args.iterations, grid=grid,
         nonlinearity=build_nonlinearity(sim.get("nonlinearity")),
@@ -366,8 +372,6 @@ def cmd_sweep(args):
     doc = load_config(args.config)
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    if "problems" in doc and "problem" in doc:
-        raise CliError("give either problem or problems, not both")
     if "problems" in doc:
         rows = doc["problems"]
         if not isinstance(rows, list) or not rows:

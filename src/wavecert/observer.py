@@ -8,7 +8,8 @@ estimate.  The loop itself only judges each sweep.  Convergence is
 declared from the relative change between successive estimates in the
 energy norm, never from the unknown true state.  Test harnesses that do
 own the ground truth can pass it in to obtain per-iteration error energies
-and the Lyapunov contraction diagnostics.
+and the Lyapunov contraction diagnostics.  The result records store what
+was measured and read every verdict and ratio they decide off it.
 """
 
 import math
@@ -70,10 +71,11 @@ class RecoveryConfig:
 class IterationRecord:
     """One pass of the loop; truth-based entries stay None in production.
 
-    With truth, ratio is E_b_t0 over the one before (the truth's energy at
-    m = 1); without, it is the ratio of successive-change energies, None at
-    m = 1.  E_fwd_peak and E_back_peak are the largest energies of the
-    sweep's forward and backward runs."""
+    ratio is the energy of this sweep's change of the estimate over that of
+    the sweep before, None at m = 1 or after a zero change, with or without
+    truth; a truth run's error ratios are read off E_b_t0.  E_fwd_peak and
+    E_back_peak are the largest energies of the sweep's forward and
+    backward runs."""
 
     m: int
     succ_change: float
@@ -94,11 +96,18 @@ class RecoveryRun:
     stop_reason: str
     E_b_initial: float = None
     V_b_initial: float = None
-    final_error_vs_truth: float = None
     regional_guard_ok: bool = None
     config: RecoveryConfig = None
     converged = property(lambda self: self.stop_reason == "converged")
     diverged = property(lambda self: self.stop_reason == "diverged")
+
+    @property
+    def final_error_vs_truth(self):
+        # hnorm(last estimate - truth) / hnorm(truth), given a nonzero truth
+        e_b = self.records[-1].E_b_t0 if self.records else None
+        if e_b is None or not self.E_b_initial > 0.0:
+            return None
+        return math.sqrt(max(2.0 * e_b, 0.0)) / math.sqrt(2.0 * self.E_b_initial)
 
 
 def _sweep(estimate, grids, config, measurements):
@@ -137,10 +146,9 @@ def recover(measurements, config, truth=None):
             guard_bound = min(guard_bound, cert.params.d)
     guard_ok = None if guard_bound is None else True
 
-    e_b0 = v_b0 = final_error = None
+    e_b0 = v_b0 = None
     if truth is not None:
-        e_b0 = prev_e_b = pde.energy(truth, grid)
-        scale = math.sqrt(2.0 * e_b0)  # hnorm(truth)
+        e_b0 = pde.energy(truth, grid)
         if chi is not None:
             v_b0 = _backward_lyapunov(truth.z, truth.zt, grid, chi)
         if guard_bound is not None and np.max(np.abs(truth.z)) > guard_bound:
@@ -148,7 +156,7 @@ def recover(measurements, config, truth=None):
 
     zeros = np.zeros((grid.points_per_axis,) * grid.dim)
     prev = pde.WaveField(zeros, zeros, measurements.t0)
-    prev_diff_energy = None
+    prev_diff_energy = 0.0
     baseline = None
     records = []
     stop = "out of budget"
@@ -176,19 +184,13 @@ def recover(measurements, config, truth=None):
         den = pde.hnorm(curr, grid)
         succ = math.sqrt(max(2.0 * diff_energy, 0.0)) / den if den > 0.0 else 0.0
 
-        e_b = v_b = ratio = None
+        ratio = diff_energy / prev_diff_energy if prev_diff_energy > 0.0 else None
+        e_b = v_b = None
         if truth is not None:
             err = pde.WaveField(curr.z - truth.z, curr.zt - truth.zt)
             e_b = pde.energy(err, grid)
             if chi is not None:
                 v_b = _backward_lyapunov(err.z, err.zt, grid, chi)
-            if scale > 0.0:
-                final_error = math.sqrt(max(2.0 * e_b, 0.0)) / scale
-            if prev_e_b > 0.0:
-                ratio = e_b / prev_e_b
-            prev_e_b = e_b
-        elif prev_diff_energy is not None and prev_diff_energy > 0.0:
-            ratio = diff_energy / prev_diff_energy
 
         records.append(IterationRecord(m=m, succ_change=succ, E_fwd_peak=fwd_peak,
                                        E_back_peak=back_peak, E_b_t0=e_b,
@@ -203,7 +205,6 @@ def recover(measurements, config, truth=None):
 
     return RecoveryRun(records=tuple(records), recovered=prev, stop_reason=stop,
                        E_b_initial=e_b0, V_b_initial=v_b0,
-                       final_error_vs_truth=final_error,
                        regional_guard_ok=guard_ok, config=config)
 
 
@@ -213,6 +214,9 @@ def recover(measurements, config, truth=None):
 def _uncovered(certificate, config):
     """Why the certificate says nothing of the config's run, or None."""
     p = certificate.params
+    if p.n != config.grid.dim:
+        return ("certificate dimension %d differs from the run dimension %d"
+                % (p.n, config.grid.dim))
     if config.grid.k == 0.0:
         return ("no boundary dissipation at k = 0 "
                 "(psi1 = chi > 0, no contraction is certified)")
@@ -232,24 +236,22 @@ def _uncovered(certificate, config):
 
 @dataclass(frozen=True)
 class ContractionReport:
-    # ok is None where the certificate does not cover the run, and False
-    # for a diverged run whatever its rows say
+    # the verdicts are None where the certificate does not cover the run,
+    # and ok is False for a diverged run whatever its rows say
     applicable: bool
     reason: str = None
     q: float = None
     slack: float = None
     rows: tuple = ()
-    ratios_ok: bool = None
     uniform_peak: float = None
     uniform_bound: float = None
-    uniform_ok: bool = None
     diverged: bool = False
-
-    @property
-    def ok(self):
-        if not self.applicable:
-            return None
-        return bool(self.ratios_ok and self.uniform_ok and not self.diverged)
+    ratios_ok = property(lambda self: all(row["ok"] for row in self.rows)
+                         if self.applicable else None)
+    uniform_ok = property(lambda self: self.uniform_peak <= self.uniform_bound
+                          if self.applicable else None)
+    ok = property(lambda self: bool(self.ratios_ok and self.uniform_ok and not self.diverged)
+                  if self.applicable else None)
 
 
 def contraction_report(run):
@@ -284,11 +286,9 @@ def contraction_report(run):
     peak = max([run.E_b_initial] + [r.E_b_t0 for r in run.records])
     uniform_bound = (certificate.beta / certificate.alpha) \
         * math.exp(2.0 * p.delta * p.t_star) * run.E_b_initial * (1.0 + slack)
-    uniform_ok = peak <= uniform_bound
     return ContractionReport(applicable=True, q=q, slack=slack, rows=tuple(rows),
-                             ratios_ok=all(row["ok"] for row in rows),
                              uniform_peak=peak, uniform_bound=uniform_bound,
-                             uniform_ok=uniform_ok, diverged=run.diverged)
+                             diverged=run.diverged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,13 +297,14 @@ class IssReport:
     noise_integral: float
     c_constant: float
     delta0: float
-    bound: float
-    ok: bool
-    ratio: float = None
+    diverged: bool
     baseline_run: RecoveryRun = None
+    bound = property(lambda self: self.c_constant * self.noise_integral)
+    ratio = property(lambda self: self.gap_sq / self.bound if self.bound > 0.0 else None)
+    ok = property(lambda self: self.gap_sq <= self.bound and not self.diverged)
 
 
-def perturbed_recover(measurements, noise, config, truth=None):
+def perturbed_recover(measurements, noise, config):
     """Recover from y + w and bound the induced gap by the ISS estimate.
 
     Returns (noisy run, report); the clean run rides along on the report.
@@ -316,7 +317,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     if reason is not None:
         raise ValueError(reason)
 
-    clean = recover(measurements, config, truth)
+    clean = recover(measurements, config)
     # y + w, held once and only while recovering from it; two finite
     # traces can overflow when summed
     with np.errstate(over="ignore"):
@@ -324,7 +325,7 @@ def perturbed_recover(measurements, noise, config, truth=None):
     if not np.all(np.isfinite(samples)):
         raise ValueError("trace samples must be finite")
     noisy = recover(pde._adopted_trace(samples, measurements.dt, measurements.t0),
-                    config, truth)
+                    config)
     del samples
 
     gap_field = pde.WaveField(noisy.recovered.z - clean.recovered.z,
@@ -338,14 +339,9 @@ def perturbed_recover(measurements, noise, config, truth=None):
     _, gamma = compute_iss_gain(cert.params, cert.vars)
     delta0 = delta_margin(cert.params, cert.vars)
     denom = cert.alpha * (1.0 - math.exp(-2.0 * delta0 * cert.params.t_star))
-    c_constant = gamma / denom
-    bound = c_constant * noise_integral
-    report = IssReport(gap_sq=gap_sq, noise_integral=noise_integral,
-                       c_constant=c_constant, delta0=delta0, bound=bound,
-                       ok=gap_sq <= bound and not (clean.diverged or noisy.diverged),
-                       ratio=(gap_sq / bound) if bound > 0.0 else None,
-                       baseline_run=clean)
-    return noisy, report
+    return noisy, IssReport(gap_sq=gap_sq, noise_integral=noise_integral,
+                            c_constant=gamma / denom, delta0=delta0,
+                            diverged=clean.diverged or noisy.diverged, baseline_run=clean)
 
 
 # --------------------------------------------------------------------- export

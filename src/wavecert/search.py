@@ -735,9 +735,9 @@ class SweepRow:
     """One problem's outcome: certificate when feasible, reason when not."""
 
     params: ProblemParams
-    feasible: bool
     certificate: Certificate = None
     note: str = None
+    feasible = property(lambda self: self.certificate is not None)
 
 
 @dataclass(frozen=True)
@@ -785,15 +785,15 @@ def _row_cells(row):
 def _sweep_one(params, tstar_tol):
     try:
         if params.t_star is not None:
-            return SweepRow(params, True, make_certificate(params, find_feasible_vars(params)))
+            return SweepRow(params, make_certificate(params, find_feasible_vars(params)))
         _, _, cert = minimal_observability_time(params, tstar_tol)
-        return SweepRow(params, True, cert)
+        return SweepRow(params, cert)
     except Infeasible as exc:
-        return SweepRow(params, False, None, str(exc))
+        return SweepRow(params, None, str(exc))
     except (ValueError, RuntimeError) as exc:
         # the errors the CLI reports for a single problem: a bad row must
         # not take the batch down, but a bug elsewhere must not pass as one
-        return SweepRow(params, False, None, "error: %s" % exc)
+        return SweepRow(params, None, "error: %s" % exc)
 
 
 def sweep(problems, tstar_tol=TSTAR_TOL, worker_count=1):

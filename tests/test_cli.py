@@ -232,6 +232,18 @@ class TestErrors:
         assert err.startswith("error:") and says in err
 
     @pytest.mark.parametrize("command", ["certify", "min-time", "regional", "sweep"])
+    def test_problem_and_problems_are_exclusive(self, tmp_path, capsys, command):
+        # one rule for every subcommand: min-time once ran on problem and
+        # ignored a problems section, whatever it held
+        problem = {"n": 1, "k": 1.0, "g1": 0.1, "delta": 0.05, "d": 1.0}
+        cfg = write_json(tmp_path, "c.json", {"problem": problem, "problems": "junk"})
+        argv = [command, "--config", cfg]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "t.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", "error: give either problem or problems, not both\n")
+
+    @pytest.mark.parametrize("command", ["certify", "min-time", "regional", "sweep"])
     def test_search_margin_is_refused(self, tmp_path, capsys, command):
         # the LMI margin is the constant certificates.MARGIN: as a setting,
         # margin 0.05 made min-time emit t* = 6.734 for 12.122 here, with
@@ -738,6 +750,28 @@ class TestRecover:
         assert code in (0, 2)
         assert held["trace"] == 8 * 3557  # 3,556 steps, one column
         assert held["at_entry"] < 2.0 * held["trace"], held
+
+    @pytest.mark.parametrize("change,message", [
+        ({"mode": "nonsense"}, "sim: mode must be one of %s" % (pde.MODES,)),
+        ({"chi": "abc"}, "chi must be a number, got 'abc'"),
+        ({"chi": -1}, "chi must be >= 0, got -1.0"),
+        ({"initial": {"bogus": 1}}, "unknown initial keys: bogus"),
+        ({"convergence_threshold": "x"}, "convergence_threshold must be a number, got 'x'"),
+        ({"convergence_threshold": 0}, "convergence_threshold must be > 0, got 0.0"),
+    ], ids=["mode", "chi-text", "chi-negative", "initial", "threshold-text",
+            "threshold-zero"])
+    def test_simulate_and_recover_check_the_whole_sim_section(self, tmp_path, capsys,
+                                                              change, message):
+        # each refuses what the other reads, with the reader's own text:
+        # recover once ran on such a section, simulate on a bad threshold
+        _, trace_path = self.make_trace(tmp_path, capsys)
+        cfg = write_json(tmp_path, "bad.json", {"sim": dict(FIG_SIM, **change)})
+        out_path = tmp_path / "out"
+        for argv in (["simulate", "--config", cfg, "--out", str(out_path)],
+                     ["recover", "--config", cfg, "--trace", trace_path,
+                      "--iterations", "1", "--out", str(out_path)]):
+            assert run_cli(argv, capsys) == (1, "", "error: %s\n" % message), argv[0]
+            assert not out_path.exists()
 
     def test_budget_too_small_is_exit_two(self, tmp_path, capsys):
         cfg, trace_path = self.make_trace(tmp_path, capsys)

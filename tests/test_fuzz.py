@@ -34,6 +34,9 @@ SIM = {"dim": 1, "points_per_axis": 21, "horizon": 0.5, "k": 1.0, "mode": "plant
        "nonlinearity": {"form": "quadratic", "coeff": 0.1, "fz_bound": 0.2,
                         "local_radius": 1.0},
        "initial": {"polynomial": {"z": [0.0, 0.2], "zt": [0.0, 0.1]}}}
+# the one sim section of simulate and recover, each of which checks every
+# key of it, chi and convergence_threshold included
+SHARED_SIM = {"chi": 0.2, "convergence_threshold": 0.5, **SIM}
 # a stability certificate of PROBLEM with g1 = 0.2 and a regional radius
 CERTIFICATE = {"params": {"n": 1, "k": 1, "g1": 0.2, "delta": 0.09, "d": 0.5},
                "vars": {"chi": 0.39547002334628295, "lambda0": 0.086593379049991662,
@@ -50,9 +53,8 @@ BASES = {
                   "search": {"tstar_tol": 0.01}}, ["--out", "OUT"]),
     "regional": ({"problem": dict(PROBLEM, d=1.0), "search": {"tstar_tol": 0.01}},
                  ["--out", "OUT"]),
-    "simulate": ({"sim": dict(SIM, chi=0.2)}, ["--out", "OUT"]),
-    "recover": ({"sim": dict(SIM, convergence_threshold=0.5),
-                 "certificate": CERTIFICATE},
+    "simulate": ({"sim": SHARED_SIM}, ["--out", "OUT"]),
+    "recover": ({"sim": SHARED_SIM, "certificate": CERTIFICATE},
                 ["--trace", "TRACE", "--iterations", "2", "--out", "OUT"]),
     "sweep": ({"problems": [dict(PROBLEM, t_star=3.9), dict(PROBLEM, delta=0.05)],
                "search": {"tstar_tol": 0.01}}, ["--out", "OUT"]),
@@ -173,6 +175,12 @@ def trace(tmp_path_factory):
 def test_every_base_config_is_valid(tmp_path, trace):
     for command, (doc, _) in BASES.items():
         assert _run(command, doc, str(tmp_path), trace)[0] == 0, command
+
+
+def test_the_sample_mutates_the_shared_sim_keys():
+    for command in ("simulate", "recover"):
+        paths = {path for _, path, _ in sample(command)}
+        assert {("sim", "chi"), ("sim", "convergence_threshold")} <= paths, command
 
 
 def _failures(cases, workdir, trace):

@@ -6,7 +6,9 @@ qualitative convergence split and contraction-rate numbers are frozen from
 reference runs of that transcription.
 """
 
+import dataclasses
 import gc
+import inspect
 import json
 import math
 import tracemalloc
@@ -60,6 +62,25 @@ def contraction_setup(horizon=4.0, m_max=6):
                                      grid=grid, certificate=cert,
                                      convergence_threshold=1e-12)
     return t_star, cert, config, truth, trace
+
+
+def other_dimension_setup():
+    """The pinned-delta min-time certificate of the 1-D problem (t* =
+    2.2316) and a 2-D N = 21 run of the same k = 0.5 over T = 3: at n = 2
+    that problem needs t* = 4.037 (delta = 0.05) or 3.281 (delta free),
+    both past T, so no certificate covers the run."""
+    _, _, cert = search.minimal_observability_time(
+        ProblemParams(n=1, k=0.5, g1=0.0, delta=0.05))
+    grid = pde.make_grid(2, 21, 3.0, k=0.5)
+    x1, x2 = grid.coords()
+    mode = np.sin(PI * x1 / 2) * np.sin(PI * x2 / 2)
+    truth = pde.WaveField(0.3 * mode, 0.1 * mode)
+    trace = pde.run(truth, 3.0, grid).trace
+    config = observer.RecoveryConfig(horizon=3.0, m_max=2, grid=grid, certificate=cert)
+    return config, truth, trace
+
+
+OTHER_DIMENSION = "certificate dimension 1 differs from the run dimension 2"
 
 
 class TestRecoveryConfig:
@@ -203,7 +224,12 @@ class TestRecover:
         want_v0 = pde.lyapunov(pde.WaveField(truth.z, -truth.zt), gf,
                                cert.vars.chi)
         assert abs(run.V_b_initial - want_v0) < 1e-15
-        assert run.records[0].ratio == run.records[0].E_b_t0 / run.E_b_initial
+        # ratio has one meaning, the successive-change energy ratio, which
+        # the truth does not touch; the error ratios are read off E_b_t0
+        plain = observer.recover(trace, config)
+        assert [r.ratio for r in run.records] == [r.ratio for r in plain.records]
+        assert run.records[0].ratio is None and None not in [
+            r.ratio for r in run.records[1:]]
         assert all(r.E_b_t0 is not None and r.V_b_t0 is not None
                    for r in run.records)
 
@@ -409,6 +435,14 @@ class TestContractionReport:
         assert not report.applicable and report.ok is None
         assert report.reason == "certificate g1 0 is below the source's fz_bound 5"
 
+    def test_certificate_for_another_dimension_inapplicable(self):
+        # the dimension is checked first: k, g1 and the window all agree
+        # here, and the run once passed as certified with q = 0.858
+        config, truth, trace = other_dimension_setup()
+        report = observer.contraction_report(observer.recover(trace, config, truth=truth))
+        assert not report.applicable and report.ok is None
+        assert report.reason == OTHER_DIMENSION
+
     def test_stability_certificate_inapplicable(self):
         # no t_star: the certificate bounds decay, not the sweep's contraction
         cert = stability_certificate()
@@ -559,6 +593,11 @@ class TestPerturbedRecover:
                            match="^certificate gain 1 differs from the run gain 0.5$"):
             observer.perturbed_recover(self.trace, self.noise, config)
 
+    def test_certificate_for_another_dimension_rejected(self):
+        config, _, trace = other_dimension_setup()
+        with pytest.raises(ValueError, match="^%s$" % OTHER_DIMENSION):
+            observer.perturbed_recover(trace, pde.zero_trace(config.grid, 3.0), config)
+
     def test_window_within_t_star_rejected(self):
         # the certificate says nothing of a window it does not cover: the
         # same reason contraction_report gives the same run
@@ -625,6 +664,68 @@ class TestDivergedReports:
             noisy, report = observer.perturbed_recover(self.trace, huge, self.config())
         assert noisy.diverged and report.baseline_run.converged
         assert report.gap_sq <= report.bound == math.inf and report.ok is False
+
+
+class TestRecordReads:
+    """Each verdict and ratio that a record's own fields decide is a
+    read-only property that evaluates the expression which once filled a
+    stored field, so it reads the same bits; the constructors no longer
+    take those fields."""
+
+    REMOVED = {observer.RecoveryRun: ("final_error_vs_truth",),
+               observer.ContractionReport: ("ratios_ok", "uniform_ok"),
+               observer.IssReport: ("bound", "ratio", "ok"),
+               search.SweepRow: ("feasible",)}
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    def test_reads_match_the_expressions_they_replace(self):
+        params = ProblemParams(n=1, k=1.0, g1=0.0, delta=0.05)
+        _, _, cert = search.minimal_observability_time(params)
+        grid = pde.make_grid(1, 41, 3.0, k=1.0)
+        x = grid.axis()
+        truth = pde.WaveField(preset_ic(x), preset_ic(x))
+        trace = pde.run(truth, 3.0, grid).trace
+        config = observer.RecoveryConfig(horizon=3.0, m_max=3, grid=grid,
+                                         certificate=cert, convergence_threshold=1e-15)
+        run = observer.recover(trace, config, truth=truth)
+        assert len(run.records) == 3
+        scale = math.sqrt(2.0 * run.E_b_initial)
+        assert self.same_bits(run.final_error_vs_truth,
+                              math.sqrt(max(2.0 * run.records[-1].E_b_t0, 0.0)) / scale)
+
+        report = observer.contraction_report(run)
+        assert report.applicable and not report.diverged
+        assert report.ratios_ok is all(row["ok"] for row in report.rows)
+        assert report.uniform_ok is (report.uniform_peak <= report.uniform_bound)
+        blank = observer.ContractionReport(applicable=False, reason="uncovered")
+        assert (blank.ratios_ok, blank.uniform_ok, blank.ok) == (None, None, None)
+
+        tt = np.arange(config.steps + 1) * grid.dt
+        noise = pde.BoundaryTrace(1e-3 * np.sin(2 * PI * tt / 3.0), grid.dt)
+        noisy, iss = observer.perturbed_recover(trace, noise, config)
+        bound = iss.c_constant * iss.noise_integral
+        assert self.same_bits(iss.bound, bound) and bound > 0.0
+        assert self.same_bits(iss.ratio, iss.gap_sq / bound)
+        diverged = iss.baseline_run.diverged or noisy.diverged
+        assert iss.diverged is diverged is False
+        assert iss.ok is (iss.gap_sq <= bound and not diverged)
+        assert replace(iss, noise_integral=0.0).ratio is None
+
+        assert search.SweepRow(params, cert).feasible is True
+        assert search.SweepRow(params, None, "why").feasible is False
+
+    def test_constructors_drop_the_removed_keywords(self):
+        for cls, names in self.REMOVED.items():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            for name in names:
+                assert name not in fields
+                with pytest.raises(TypeError, match="unexpected keyword argument '%s'" % name):
+                    cls(**{name: None})
+        assert list(inspect.signature(observer.perturbed_recover).parameters) == [
+            "measurements", "noise", "config"]
 
 
 class TestPerturbedRecover2D:
@@ -730,9 +831,10 @@ class TestSerialization:
         data = json.loads(observer.run_to_json(run))
         assert "final_error_vs_truth" in data
         assert data["regional_guard_ok"] is True
-        row = data["iterations"][0]
-        assert set(row) == {"m", "E_b_t0", "V_b_t0", "ratio", "succ_change"}
-        assert row["E_b_t0"] == run.records[0].E_b_t0
+        first, second = data["iterations"]
+        assert set(first) == {"m", "E_b_t0", "V_b_t0", "succ_change"}
+        assert set(second) == {"m", "E_b_t0", "V_b_t0", "ratio", "succ_change"}
+        assert first["E_b_t0"] == run.records[0].E_b_t0
 
     def test_round_trip_floats(self):
         grid, truth, trace = example_setup(1.5, n_points=101)
